@@ -23,8 +23,8 @@ def show_report(label: str, p1, p2) -> None:
     print(f"--- {label} ---")
     print(f"s0, s1, s2     : {rep.s0}, {rep.s1}, {rep.s2}")
     print(f"discriminant   : {rep.s1 * rep.s1 - rep.s0 * rep.s2}")
-    print(f"inradius r     : {rep.r.value}  bracket {rep.r}")
-    print(f"circumradius R : {rep.R.value}  bracket {rep.R}")
+    print(f"inradius r     : {rep.r.value}  (~{float(rep.r):.6f})")
+    print(f"circumradius R : {rep.R.value}  (~{float(rep.R):.6f})")
     for case in rep.cases:
         tag = "ok" if case.passed else "FAIL"
         print(f"  [{tag}] {case.name}: slack {case.slack}")

@@ -20,15 +20,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-import sympy
-
 from .errors import (
     EmptyPolytope,
     NonToricBaseCondition,
     NotEffectiveInput,
     UnboundedPerturbation,
 )
-from .exactnum import ExactNumber, log_unit, scalar_sign
+from .exactnum import ExactNumber, is_prime, log_unit, scalar_sign
 from .pa import (
     ConcavePA,
     ConvexPA,
@@ -52,7 +50,7 @@ def as_place(v) -> Place:
         return ARCH
     if isinstance(v, str) and v.isdigit():
         v = int(v)
-    if isinstance(v, int) and sympy.isprime(v):
+    if isinstance(v, int) and is_prime(v):
         return v
     raise ValueError(f"{v!r} is not a place of Q (expected 'inf' or a prime)")
 

@@ -387,6 +387,33 @@ def _poly_str(poly: Poly) -> str:
     return out
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to the first twelve prime bases: deterministic below
+    3.3e24 (Sorenson-Webster 2015), a strong probable-prime test above."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 ScalarLike = Union[int, Fraction, "ExactNumber"]
 
 
@@ -441,7 +468,7 @@ class ExactNumber:
     @classmethod
     def log_unit(cls, prime: int) -> "ExactNumber":
         """The symbolic value log(prime)."""
-        if prime < 2 or any(prime % d == 0 for d in range(2, int(prime**0.5) + 1)):
+        if not is_prime(prime):
             raise ValueError(f"{prime} is not prime")
         return cls._make({(prime,): Fraction(1)}, _ONE_POLY)
 
@@ -682,26 +709,3 @@ def scalar_fraction(x: Scalar) -> Fraction:
 def floor_fraction(q: Fraction) -> int:
     return q.numerator // q.denominator
 
-
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The simplest rational strictly between lo and hi (smallest denominator,
-    then smallest numerator in absolute value).
-
-    Classic continued-fraction walk; used by the threshold searches so that a
-    rational threshold is probed, and therefore detected, exactly.
-    """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if lo < 0 < hi:
-        return Fraction(0)
-    if hi <= 0:
-        return -simplest_between(-hi, -lo)
-    # now 0 <= lo < hi
-    fl = floor_fraction(lo)
-    if fl + 1 < hi:
-        return Fraction(fl + 1)
-    if lo == fl:
-        # (fl, hi) with hi <= fl + 1: take fl + 1/n with n minimal
-        n = floor_fraction(1 / (hi - fl)) + 1
-        return fl + Fraction(1, n)
-    return fl + 1 / simplest_between(1 / (hi - fl), 1 / (lo - fl))

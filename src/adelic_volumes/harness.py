@@ -27,7 +27,6 @@ from .gallery import half_zero_pair, height_shift, slant_divisor, tent_divisor
 from .pa import ConvexPA, PAGeneral, abs_scalar, convex_envelope, legendre_potential, legendre_roof
 from .points import BaseCondition
 from .positivity import (
-    DEFAULT_THRESHOLD_TOL,
     DiskantReport,
     _as_divisor,
     adeg_product,
@@ -161,8 +160,10 @@ def check_differentiability(pair, direction, hs=None) -> DerivativeReport:
 
 @dataclass(frozen=True)
 class InequalityCase:
-    """One named inequality lhs <= rhs with its slack = rhs - lhs.  Exact
-    scalars when no square root is involved, floats otherwise."""
+    """One named inequality lhs <= rhs with its slack = rhs - lhs.  passed is
+    always decided by an exact sign; lhs, rhs and slack are exact scalars,
+    except in the two cases whose sides involve sqrt(disc), where they are
+    floats for display."""
 
     name: str
     lhs: object
@@ -171,24 +172,13 @@ class InequalityCase:
     passed: bool
 
 
-_SLACK_TOL = Fraction(1, 10**9)
-
-
-def _exact_case(name, lhs, rhs, tol: Fraction = Fraction(0)) -> InequalityCase:
-    slack = rhs - lhs
-    return InequalityCase(
-        name=name, lhs=lhs, rhs=rhs, slack=slack,
-        passed=scalar_sign(slack + tol) >= 0,
-    )
-
-
-def _float_case(name, lhs: float, rhs: float, tol: float = 1e-9) -> InequalityCase:
+def _exact_case(name, lhs, rhs) -> InequalityCase:
     slack = rhs - lhs
     return InequalityCase(name=name, lhs=lhs, rhs=rhs, slack=slack,
-                          passed=slack >= -tol)
+                          passed=scalar_sign(slack) >= 0)
 
 
-def diskant_report(pair1, pair2, tol: Fraction = DEFAULT_THRESHOLD_TOL) -> DiskantReport:
+def diskant_report(pair1, pair2) -> DiskantReport:
     """Mixed quantities, inradius/circumradius, and every inequality of the
     isoperimetric chain for two big pairs."""
     p1, p2 = as_pair(pair1), as_pair(pair2)
@@ -197,55 +187,43 @@ def diskant_report(pair1, pair2, tol: Fraction = DEFAULT_THRESHOLD_TOL) -> Diska
     s0 = avol(p2)
     s2 = avol(p1)
     s1 = adeg_product(zar1.positive, zar2.positive)
-    r = inradius(p1, p2, tol=tol)
-    big_r = circumradius(p1, p2, tol=tol)
+    r = inradius(p1, p2)
+    big_r = circumradius(p1, p2)
     rv, Rv = r.value, big_r.value
     disc = s1 * s1 - s0 * s2
 
+    # The two ends with sqrt(disc) are decided by squaring under sign
+    # conditions (s0 > 0, R > 0, s1 > sqrt(disc)):
+    #   (s1 - sqrt(disc)) / s0 <= r   iff  a <= 0 or a^2 <= disc,
+    #   R <= s2 / (s1 - sqrt(disc))   iff  b <= 0 or b^2 <= R^2 disc.
+    a = s1 - rv * s0
+    b = Rv * s1 - s2
+    f0, f1, f2 = scalar_float(s0), scalar_float(s1), scalar_float(s2)
+    fa, fb, frv, fRv = scalar_float(a), scalar_float(b), float(rv), float(Rv)
+    sq = math.sqrt(scalar_float(disc))
     cases = [
         _exact_case("mixed_discriminant_nonneg", Fraction(0), disc),
-        _exact_case("diskant", (s1 - rv * s0) * (s1 - rv * s0), disc,
-                    tol=_SLACK_TOL),
+        _exact_case("diskant", a * a, disc),
+        InequalityCase(
+            "chain_lower_vs_r", (f1 - sq) / f0, frv, (sq - fa) / f0,
+            scalar_sign(a) <= 0 or scalar_sign(disc - a * a) >= 0),
+        _exact_case("chain_r_vs_ratio", rv, s2 / s1),
+        _exact_case("chain_ratio_mono", s2 / s1, s1 / s0),
+        _exact_case("chain_ratio_vs_R", s1 / s0, Rv),
+        InequalityCase(
+            "chain_R_vs_upper", fRv, f2 / (f1 - sq), (fRv * sq - fb) / (f1 - sq),
+            scalar_sign(b) <= 0 or scalar_sign(Rv * Rv * disc - b * b) >= 0),
     ]
-    if scalar_sign(disc) == 0:
-        cases += [
-            _exact_case("chain_lower_vs_r", s1 / s0, rv, tol=_SLACK_TOL),
-            _exact_case("chain_r_vs_ratio", rv, s2 / s1, tol=_SLACK_TOL),
-            _exact_case("chain_ratio_mono", s2 / s1, s1 / s0),
-            _exact_case("chain_ratio_vs_R", s1 / s0, Rv, tol=_SLACK_TOL),
-            _exact_case("chain_R_vs_upper", Rv, s2 / s1, tol=_SLACK_TOL),
-        ]
-    else:
-        f0, f1, f2 = scalar_float(s0), scalar_float(s1), scalar_float(s2)
-        frv, fRv = float(rv), float(Rv)
-        sq = math.sqrt(scalar_float(disc))
-        cases += [
-            _float_case("chain_lower_vs_r", (f1 - sq) / f0, frv),
-            _float_case("chain_r_vs_ratio", frv, f2 / f1),
-            _float_case("chain_ratio_mono", f2 / f1, f1 / f0),
-            _float_case("chain_ratio_vs_R", f1 / f0, fRv),
-            _float_case("chain_R_vs_upper", fRv, f2 / (f1 - sq)),
-        ]
     bl = s0 * (Rv - rv) / 2
-    cases.append(_exact_case("bonnesen", bl * bl, disc, tol=_SLACK_TOL))
+    cases.append(_exact_case("bonnesen", bl * bl, disc))
 
-    v12 = avol(p1 + p2)
-    d = v12 - s2 - s0
-    proportional = (
-        scalar_sign(d) >= 0 and scalar_sign(d * d - 4 * s0 * s2) == 0
-    )
-    if not proportional:
-        gap = abs(math.sqrt(scalar_float(v12)) - math.sqrt(scalar_float(s2))
-                  - math.sqrt(scalar_float(s0)))
-        proportional = gap <= 1e-9
-    if proportional:
-        if scalar_sign(disc) == 0:
-            cases.append(_exact_case("equality_mixed_product", disc, Fraction(0)))
-        else:
-            cases.append(_float_case(
-                "equality_mixed_product", abs(scalar_float(disc)), 0.0))
-        cases.append(_float_case("equality_r_vs_R", abs(float(Rv - rv)),
-                                 0.0, tol=1e-6))
+    d = avol(p1 + p2) - s2 - s0
+    if scalar_sign(d) >= 0 and scalar_sign(d * d - 4 * s0 * s2) == 0:
+        # Brunn-Minkowski equality: the pairs are proportional
+        cases.append(_exact_case("equality_mixed_product", abs_scalar(disc),
+                                 Fraction(0)))
+        cases.append(_exact_case("equality_r_vs_R", abs_scalar(Rv - rv),
+                                 Fraction(0)))
     return DiskantReport(s0=s0, s1=s1, s2=s2, r=r, R=big_r, cases=tuple(cases))
 
 

@@ -23,8 +23,9 @@ Three shapes of function are distinguished:
 * :class:`PAGeneral` -- same storage as ConvexPA but without any convexity
   promise (pointwise minima and scaled-by-negative potentials live here).
 
-Canonical form merges collinear neighbours, so structural equality of the
-stored data is equality of functions.
+Canonical form merges collinear neighbours and stores a globally affine
+function by its value at 0, so structural equality of the stored data is
+equality of functions.
 """
 
 from __future__ import annotations
@@ -465,6 +466,11 @@ class _LinePA:
         ls, rs = as_scalar(left_slope), as_scalar(right_slope)
         if merge:
             pts = _merge_collinear(pts, ls, rs)
+        if len(pts) == 1 and bool(ls == rs):
+            # a globally affine function is stored by its value at 0, so
+            # that equal functions have equal data
+            u, y = pts[0]
+            pts = [(Fraction(0), y - ls * u)]
         self.points = tuple(pts)
         self.left_slope = ls
         self.right_slope = rs
@@ -767,44 +773,15 @@ def _tail_crossings(f, g, xs):
     return out
 
 
-def pointwise_min_concave(fs: Sequence[ConcavePA]) -> ConcavePA:
-    """Pointwise minimum of concave functions on the intersected domain."""
-    if not fs:
-        raise ValueError("pointwise_min_concave of an empty family")
-    dom = fs[0].domain
-    for f in fs[1:]:
-        dom = dom.intersect(f.domain)
-    if dom.is_empty:
-        raise EmptyDomain("the domains have empty intersection")
-    out = fs[0].restrict(dom)
-    for g in fs[1:]:
-        out = _min2_concave(out, g.restrict(dom))
-    return out
-
-
-def _min2_concave(f: ConcavePA, g: ConcavePA) -> ConcavePA:
-    dom = f.domain
-    if dom.is_point:
-        return ConcavePA([(dom.lo, _min_scalar(f.eval(dom.lo), g.eval(dom.lo)))])
-    xs = _grid(
-        [dom.lo, dom.hi],
-        (x for x, _ in f.points if dom.lo < x < dom.hi),
-        (x for x, _ in g.points if dom.lo < x < dom.hi),
-    )
-    extra = [x for a, b in zip(xs, xs[1:]) if (x := _crossing(f, g, a, b)) is not None]
-    if extra:
-        xs = _grid(xs, extra)
-    return ConcavePA([(x, _min_scalar(f.eval(x), g.eval(x))) for x in xs])
-
-
 def convex_envelope(f) -> ConvexPA:
     """Greatest convex minorant of a piecewise-affine function on R.
 
-    Computed by double conjugation: the conjugate f*(b) = sup_u (b*u - f(u))
-    is, for b between the asymptotic slopes, a maximum over the breakpoints of
-    f, i.e. the negative of a pointwise minimum of affine functions of b; one
-    more Legendre step returns the biconjugate, which is the envelope.  Exact,
-    and equal to f if and only if f was already convex.
+    The envelope keeps the asymptotic slopes and its breakpoints are the
+    lower convex hull of the breakpoints, with the two tails as neighbours
+    at infinity.  One monotone-chain pass (Andrew 1979) builds that hull:
+    a breakpoint is dropped as soon as it is not strictly below the chord
+    (or tail) past it.  Exact, and equal to f if and only if f was already
+    convex.
     """
     if isinstance(f, ConvexPA):
         return f
@@ -815,10 +792,27 @@ def convex_envelope(f) -> ConvexPA:
         raise UnboundedBelow(
             f"asymptotic slopes ({s_minus}, {s_plus}) admit no affine minorant"
         )
-    lines = [
-        ConcavePA.affine(s_minus, s_plus, -x, y - s_minus * x) for x, y in f.points
-    ]
-    return legendre_potential(pointwise_min_concave(lines))
+    hull: list = []
+    for p in f.points:
+        # drop q while its incoming slope (the left tail for the first
+        # point) is at least the slope from q to p; all cross-multiplied
+        while hull:
+            q = hull[-1]
+            dx, dy = p[0] - q[0], p[1] - q[1]
+            if len(hull) == 1:
+                drop = s_minus * dx >= dy
+            else:
+                o = hull[-2]
+                drop = (q[1] - o[1]) * dx >= dy * (q[0] - o[0])
+            if not drop:
+                break
+            hull.pop()
+        hull.append(p)
+    # then the right tail: drop q while its incoming slope is at least s_plus
+    while len(hull) > 1 and hull[-1][1] - hull[-2][1] >= s_plus * (
+            hull[-1][0] - hull[-2][0]):
+        hull.pop()
+    return ConvexPA(hull, s_minus, s_plus)
 
 
 def legendre_roof(potential: ConvexPA) -> ConcavePA:

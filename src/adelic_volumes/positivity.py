@@ -4,11 +4,10 @@ polarization, positive intersection numbers, and the pseudo-effective
 thresholds behind the inradius/circumradius of a pair of pairs.
 
 Everything here is exact.  Volumes and intersection numbers are rational, or
-symbolic combinations of log p when finite places contribute; thresholds are
-returned as brackets that collapse to a single rational when the search can
-certify the threshold analytically (the certificate: at the true threshold
-the roof maximum vanishes or the polytope degenerates to a point, and the
-maximum is concave in the parameter, so such a point is the threshold).
+symbolic combinations of log p when finite places contribute.  Thresholds are
+the top of a convex polygon cut out by piecewise-affine data (the twisted
+window and the roof as a function of position and twist), computed in closed
+form in the same field and returned as a bracket with lo == hi.
 """
 
 from __future__ import annotations
@@ -18,17 +17,19 @@ from fractions import Fraction
 
 from .divisors import ARCH, Pair, ToricAdelicDivisor, as_pair
 from .errors import NotBig, NotNef, NotRelativelyNef, PrecisionExhausted
-from .exactnum import scalar_sign, simplest_between
+from .exactnum import Scalar, log_unit, scalar_sign
 from .pa import (
+    ConcavePA,
     ConvexPA,
     Interval,
+    PAGeneral,
+    _grid,
+    _SortKey,
     convex_envelope,
     integrate_positive_part,
     legendre_potential,
     legendre_roof,
 )
-
-DEFAULT_THRESHOLD_TOL = Fraction(1, 2**40)
 
 
 def _as_divisor(obj) -> ToricAdelicDivisor:
@@ -306,21 +307,22 @@ def positive_intersection_lower(pair, direction, offsets=(
 
 @dataclass(frozen=True)
 class Bracket:
-    """A rational enclosure [lo, hi] of a threshold; exact when lo == hi."""
+    """An enclosure [lo, hi] of a threshold; exact when lo == hi, which is
+    how every threshold in this module is returned."""
 
-    lo: Fraction
-    hi: Fraction
+    lo: Scalar
+    hi: Scalar
 
     @property
     def exact(self) -> bool:
         return self.lo == self.hi
 
     @property
-    def width(self) -> Fraction:
+    def width(self) -> Scalar:
         return self.hi - self.lo
 
     @property
-    def value(self) -> Fraction:
+    def value(self) -> Scalar:
         return self.lo if self.exact else (self.lo + self.hi) / 2
 
     def reciprocal(self) -> "Bracket":
@@ -337,15 +339,24 @@ class Bracket:
         return f"Bracket({self.lo}, {self.hi})"
 
 
-def pseff_threshold(pair, nef_divisor, tol: Fraction = DEFAULT_THRESHOLD_TOL,
-                    max_probes: int = 512) -> Bracket:
-    """sup of t with (pair - t * nef_divisor) pseudo-effective.
+def pseff_threshold(pair, nef_divisor) -> Bracket:
+    """sup of t with (pair - t * nef_divisor) pseudo-effective, exactly.
 
-    Probes are rational; a probe is certified as the exact threshold when the
-    twisted pair's roof maximum is exactly zero or its polytope is a single
-    point (the maximum is concave in t and positive at t = 0, so it cannot
-    plateau).  Rational thresholds are found exactly because the probe
-    sequence prefers the simplest rational in the current bracket.
+    With base orders (v0, vinf) at Zero and Infinity, twisting by t moves
+    the shifted polytope to the window
+    W(t) = [-cinf_D + v0 + t * cinf_N, c0_D - vinf - t * c0_N], and on it
+    the global roof is
+
+        F(x, t) = sum_v c_v * min_u (pD_v(u) - t * pN_v(u) - x * u),
+
+    with c_v = 1 at the archimedean place and log p at p, and u running over
+    the breakpoints of both potentials at v.  The points (x, t) with x in
+    W(t) and F >= 0 form a compact convex polygon, and the threshold is its
+    top.  The top lies on a window edge or on a kink line of F, where two
+    pieces of one place tie: x = A + B * t.  Along each such line F is a sum
+    of lower envelopes of lines in t, so the line's highest point in the
+    polygon is the last zero of a concave piecewise-affine function, and the
+    threshold is the largest of these.
     """
     pair = as_pair(pair)
     n = _as_divisor(nef_divisor)
@@ -355,64 +366,68 @@ def pseff_threshold(pair, nef_divisor, tol: Fraction = DEFAULT_THRESHOLD_TOL,
         raise NotNef(f"{n!r} is not nef")
     if scalar_sign(avol(Pair(n))) <= 0:
         raise NotNef(f"{n!r} is nef but has volume zero")
+    d = pair.divisor
+    v0, vinf = pair._toric_orders()
+    lo0, hi0 = -d.cinf + v0, d.c0 - vinf
+    top = (hi0 - lo0) / n.degree  # the window shrinks to a point here
 
-    def twisted(t: Fraction) -> Pair:
-        return Pair(pair.divisor + n.scale(-t), pair.base)
+    # per place: the weight c_v and rows (u, pD_v(u), pN_v(u))
+    data = []
+    for place in dict.fromkeys((ARCH,) + d.places + n.places):
+        pd, pn = d.potential(place), n.potential(place)
+        us = _grid((u for u, _ in pd.points), (u for u, _ in pn.points))
+        weight = Fraction(1) if place == ARCH else log_unit(place)
+        data.append((weight, [(u, pd.eval(u), pn.eval(u)) for u in us]))
 
-    def pseff(t: Fraction) -> bool:
-        return is_pseff(twisted(t))
+    lines = [(lo0, n.cinf), (hi0, -n.c0)]
+    for _, rows in data:
+        for i, (u, a, b) in enumerate(rows):
+            for u2, a2, b2 in rows[i + 1:]:
+                lines.append(((a2 - a) / (u2 - u), (b - b2) / (u2 - u)))
 
-    def certified(t: Fraction) -> bool:
-        p = twisted(t)
-        window = p.shifted_polytope()
-        if window.is_empty:
-            return False
-        top = p.global_roof().max_over_domain()
-        if scalar_sign(top) < 0:
-            return False
-        return bool(window.is_point) or scalar_sign(top) == 0
-
-    lo, hi = Fraction(0), Fraction(1)
-    probes = 0
-    while pseff(hi):
-        lo, hi = hi, 2 * hi
-        probes += 1
-        if probes > 80:
-            raise PrecisionExhausted("threshold did not bracket below 2^80")
-    use_midpoint = False
-    while True:
-        if certified(lo):
-            return Bracket(lo, lo)
-        if hi - lo <= tol:
-            return Bracket(lo, hi)
-        q = lo + (hi - lo) / 2 if use_midpoint else simplest_between(lo, hi)
-        use_midpoint = not use_midpoint
-        if pseff(q):
-            lo = q
-        else:
-            hi = q
-        probes += 1
-        if probes > max_probes:
-            raise PrecisionExhausted(
-                f"threshold search did not converge in {max_probes} probes"
-            )
+    best = None
+    for A, B in lines:
+        # the t in [0, top] where x = A + B t lies in W(t)
+        span = Interval(0, top)
+        for slope, at0 in ((B - n.cinf, A - lo0), (-B - n.c0, hi0 - A)):
+            edge = ConcavePA.affine(0, top, slope, at0)
+            span = span.intersect(edge.nonneg_region())
+        if span.is_empty:
+            continue
+        roof = None
+        for weight, rows in data:
+            # F on the line, at this place: min_u (a_u - t * w_u)
+            pieces = [(b + B * u, a - A * u) for u, a, b in rows]
+            part = _lower_envelope(pieces, span.lo, span.hi).scale(weight)
+            roof = part if roof is None else roof + part
+        region = roof.nonneg_region()
+        if not region.is_empty and (best is None or region.hi > best):
+            best = region.hi
+    return Bracket(best, best)
 
 
-def inradius(pair1, pair2, tol: Fraction = DEFAULT_THRESHOLD_TOL) -> Bracket:
+def _lower_envelope(pieces, lo, hi):
+    """t -> min over (w, a) of a - t * w on [lo, hi], as a concave function:
+    the Legendre roof of the convex envelope of the points (w, a)."""
+    pieces.sort(key=lambda p: _SortKey(p[0]))
+    pts = [pieces[0]]
+    for w, a in pieces[1:]:
+        if w != pts[-1][0]:
+            pts.append((w, a))
+        elif a < pts[-1][1]:
+            pts[-1] = (w, a)
+    return legendre_roof(convex_envelope(PAGeneral(pts, lo, hi)))
+
+
+def inradius(pair1, pair2) -> Bracket:
     """Largest t with (pair1 - t * positive part of pair2) pseudo-effective."""
     pos2 = zariski_positive_part(as_pair(pair2)).positive
-    return pseff_threshold(as_pair(pair1), pos2, tol=tol)
+    return pseff_threshold(as_pair(pair1), pos2)
 
 
-def circumradius(pair1, pair2, tol: Fraction = DEFAULT_THRESHOLD_TOL) -> Bracket:
+def circumradius(pair1, pair2) -> Bracket:
     """Reciprocal of the inradius with the roles swapped."""
-    inner_tol = tol
-    for _ in range(8):
-        inner = inradius(pair2, pair1, tol=inner_tol)
-        if inner.lo > 0:
-            return inner.reciprocal()
-        inner_tol = inner_tol * inner_tol
-    raise PrecisionExhausted("swapped inradius is indistinguishable from zero")
+    return inradius(pair2, pair1).reciprocal()
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from adelic_volumes.pa import (
     legendre_roof,
     pa_from_payload,
     pointwise_min,
-    pointwise_min_concave,
     sup_convolution,
 )
 
@@ -166,6 +165,9 @@ class TestConvexPA:
         with pytest.raises(NotConvex):
             ConvexPA([(0, 0), (1, 1)], 2, 3)  # interior slope 1 below left 2
         ConvexPA([(0, 0)], 1, 1)  # globally affine is fine
+        # ... and stored the same way wherever it is anchored
+        assert ConvexPA([(0, 0)], 1, 1) == ConvexPA([(1, 1)], 1, 1)
+        assert ConvexPA.affine(1, 0) == ConvexPA([(3, 3)], 1, 1)
 
     def test_eval_with_tails(self):
         f = ConvexPA([(0, 0), (1, 1)], -1, 2)
@@ -225,12 +227,6 @@ class TestEnvelopeAndMin:
         m = pointwise_min([f, g])
         assert m(0) == 0 and m(1) == F(1, 2) and m(F(-1, 4)) == F(1, 4)
         assert m(F(1, 2)) == F(1, 2)
-
-    def test_pointwise_min_concave(self):
-        f = ConcavePA([(0, 0), (2, 2)])
-        g = ConcavePA([(0, 2), (2, 0)])
-        m = pointwise_min_concave([f, g])
-        assert m(0) == 0 and m(1) == 1 and m(2) == 0
 
 
 class TestLegendre:
@@ -335,3 +331,26 @@ def test_roof_inequality_property(pot, x):
 def test_roof_of_sum_is_sup_convolution(f, g):
     assert legendre_roof(f + g) == sup_convolution(
         legendre_roof(f), legendre_roof(g))
+
+
+@st.composite
+def general_potentials(draw):
+    xs = sorted(draw(st.sets(_coords, min_size=1, max_size=6)))
+    ys = [draw(_coords) for _ in xs]
+    left, right = sorted([draw(_coords), draw(_coords)])
+    return PAGeneral(list(zip(xs, ys)), left, right)
+
+
+@given(general_potentials())
+@settings(max_examples=80, deadline=None)
+def test_envelope_is_greatest_convex_minorant(f):
+    env = convex_envelope(f)
+    assert (env.left_slope, env.right_slope) == (f.left_slope, f.right_slope)
+    assert all(env(u) <= y for u, y in f.points)
+    # touching f at each of its own breakpoints (somewhere, when env is
+    # affine) makes it the greatest one: any convex minorant lies below
+    # every chord and tail of env
+    if env.left_slope == env.right_slope:
+        assert any(env(u) == y for u, y in f.points)
+    else:
+        assert all(env(u) == f(u) for u, _ in env.points)

@@ -6,6 +6,7 @@ the tent divisor has roof 1 - |x| on [-1, 1] (volume 2), their sum has
 volume 7, and the base-conditioned slant (order 1/2 at Zero) has volume 1/4.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from adelic_volumes.gallery import (
     slant_divisor,
     tent_divisor,
 )
+from adelic_volumes.harness import sample_big_pair, sample_nef_divisor
 from adelic_volumes.pa import ConvexPA, PAGeneral
 from adelic_volumes.points import BaseCondition
 from adelic_volumes.positivity import (
@@ -241,6 +243,42 @@ class TestThresholds:
         E1 = Pair(slant_divisor())
         assert inradius(E1, E1.scale(2)).value == F(1, 2)
         assert circumradius(E1, E1.scale(2)).value == F(1, 2)
+
+    def test_finite_place_fixtures(self):
+        L2, L3 = log_unit(2), log_unit(3)
+        pair = Pair(slant_divisor() + p_slant_divisor(2) + p_slant_divisor(3))
+        t = pseff_threshold(pair, tent_divisor())
+        assert t.exact and t.value == (1 + 3 * L2 + 3 * L3) / (1 + 2 * L2 + 2 * L3)
+        # inside the rational bracket of width < 2^-40 that a bisection
+        # search returns for this threshold
+        assert F(2015761234894429860481416320686468104421849,
+                 1449235500744553246072113739326038177506560) <= t.value
+        assert t.value <= F(1892036, 1360283)
+
+        pos = zariski_positive_part(Pair(slant_divisor() + p_slant_divisor(2))).positive
+        t = pseff_threshold(Pair(tent_divisor()), pos)
+        assert t.exact and t.value == 2 / (3 + 2 * L2)
+        assert F(395983, 868449) <= t.value
+        assert t.value <= F(65146745384926309, 142876400963484840)
+
+    @pytest.mark.parametrize("finite", [False, True])
+    def test_sampled_thresholds_are_certified(self, finite):
+        # at the threshold the twisted pair is pseudo-effective on the edge:
+        # its roof maximum is zero, or its window has shrunk to a point
+        rng = random.Random(f"threshold:{finite}")
+        for _ in range(12):
+            pair = sample_big_pair(rng, allow_finite=finite)
+            n = sample_nef_divisor(rng, allow_finite=finite)
+            if not is_big(Pair(n)):
+                continue
+            t = pseff_threshold(pair, n)
+            assert t.exact
+            twisted = Pair(pair.divisor + n.scale(-t.value), pair.base)
+            window = twisted.shifted_polytope()
+            assert not window.is_empty
+            top = twisted.global_roof().max_over_domain()
+            assert top >= 0
+            assert window.is_point or top == 0
 
     def test_guards(self):
         E1 = Pair(slant_divisor())
