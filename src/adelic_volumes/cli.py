@@ -20,7 +20,7 @@ from .exactnum import scalar_float
 from .harness import check_differentiability, diskant_report, run_suite, suite_names
 from .positivity import avol
 from .scenes import load_scene
-from .sections import analytic_okounkov, okounkov_sample, section_box, volume_estimate
+from .sections import _estimate, analytic_okounkov, okounkov_sample, section_box
 
 
 def _scalar_json(x) -> dict:
@@ -111,9 +111,9 @@ def _cmd_oracle(args) -> int:
     rows = [["m", "log_count", "estimate", "analytic_avol", "error"]]
     table = []
     for m in ms:
-        box = section_box(pair, m)
-        log_count = float(box.log_count())
-        est = float(volume_estimate(pair, m))
+        value = section_box(pair, m).log_count()
+        log_count = float(value)
+        est = float(_estimate(value, m))
         rows.append([m, log_count, est, fa, abs(est - fa)])
         table.append({"m": m, "log_count": log_count, "estimate": est,
                       "analytic_avol": fa, "error": abs(est - fa)})

@@ -9,10 +9,12 @@ with denominator d_k = prod p^floor(m psi_p(k/m) / log p) and absolute value
 at most exp(m psi_inf(k/m)).  Counting boxes instead of the true ball costs
 at most a factor (m+1) per place, invisible in the m -> infinity limit.
 
-All per-exponent counts are exact integers (floors of d * e^q are resolved by
-interval arithmetic with precision widening; e^q is irrational for rational
-q != 0, so the floor is well defined).  Only the final logarithm is taken in
-floating point, at the configured working precision.
+All per-exponent counts are exact integers.  The floor of d * e^q is decided
+by an interval enclosure whose precision starts at the bit size of the value
+(plus a margin) and doubles until both ends share a floor; e^q is irrational
+for rational q != 0, so the floor is well defined.  Only the final logarithm
+is floating point: the sum of the per-entry logs at the working precision,
+without forming the product of the counts.
 """
 
 from __future__ import annotations
@@ -24,18 +26,37 @@ import mpmath
 from mpmath import iv, mp
 
 from .divisors import ARCH, Pair, as_pair
-from .errors import EmptyPolytope, NotBig, PrecisionExhausted
+from .errors import EmptyPolytope, NotBig, OutOfDomain, PrecisionExhausted
 from .exactnum import default_precision_bits, floor_fraction, scalar_fraction
-from .pa import ConcavePA, Interval, convex_envelope, integrate_positive_part, legendre_roof
+from .pa import (
+    ConcavePA,
+    Interval,
+    _eval_on_grid,
+    convex_envelope,
+    integrate_positive_part,
+    legendre_roof,
+)
 
 _MAX_FLOOR_BITS = 1 << 16
 
 
 def _floor_scaled_exp(d: Fraction, q: Fraction) -> int:
-    """floor(d * e^q) for positive rational d and rational q, exactly."""
+    """floor(d * e^q) for positive rational d and rational q, exactly.
+
+    The value is enclosed by ``iv.exp`` and the floor is accepted only when
+    both ends of the enclosure have the same floor.  The first attempt runs
+    at B + 32 bits, B an upper bound on the bit size of the integer part of
+    d * e^q (never below the working precision), so one attempt nearly
+    always decides; undecided enclosures double the precision up to
+    ``_MAX_FLOOR_BITS``, past which ``PrecisionExhausted`` is raised.
+    """
     if q == 0:
         return floor_fraction(d)
-    bits = default_precision_bits()
+    # d < 2^(len(num) - len(den) + 1) and e^q < 2^ceil(1.443 q) for q > 0
+    size = d.numerator.bit_length() - d.denominator.bit_length() + 1
+    if q > 0:
+        size += -((-q * 1443) // 1000)
+    bits = min(_MAX_FLOOR_BITS, max(default_precision_bits(), size + 32))
     while bits <= _MAX_FLOOR_BITS:
         with mp.workprec(bits):
             old = iv.prec
@@ -98,30 +119,43 @@ class SectionBox:
         return out
 
     def log_count(self):
+        """log of ``count_product``, as the sum of the per-entry logs at the
+        working precision; the product itself is never formed."""
         with mp.workprec(default_precision_bits() + 32):
-            return mp.log(self.count_product)
+            return mp.fsum(mp.log(e.count) for e in self.entries)
+
+
+def _check_multiple(m) -> int:
+    if m < 1 or m != int(m):
+        raise ValueError(f"multiple m must be a positive integer, got {m!r}")
+    return int(m)
 
 
 def section_box(pair, m: int) -> SectionBox:
     """Enumerate the coefficient boxes of the m-th multiple of a pair."""
     pair = as_pair(pair)
-    if m < 1 or m != int(m):
-        raise ValueError(f"multiple m must be a positive integer, got {m!r}")
-    m = int(m)
+    m = _check_multiple(m)
     window = pair.shifted_polytope()
     if window.is_empty:
         raise EmptyPolytope(f"{pair!r} has an empty shifted polytope")
     psi_inf, finite = place_roofs(pair)
     k_lo = -floor_fraction(scalar_fraction(-Fraction(m) * window.lo))
     k_hi = floor_fraction(scalar_fraction(Fraction(m) * window.hi))
+    # the grid scan extrapolates silently, so the domains are checked here
+    lo, hi = Fraction(k_lo, m), Fraction(k_hi, m)
+    for roof in (psi_inf, *finite.values()):
+        if not (roof.domain.lo <= lo and hi <= roof.domain.hi):
+            raise OutOfDomain(f"[{lo}, {hi}] is not inside {roof.domain}")
+    xs = [Fraction(k, m) for k in range(k_lo, k_hi + 1)]
+    qs = _eval_on_grid(psi_inf.points, xs)
+    finite_ys = [(Fraction(p), _eval_on_grid(roof.points, xs))
+                 for p, roof in finite.items()]
     entries = []
-    for k in range(k_lo, k_hi + 1):
-        x = Fraction(k, m)
+    for i, k in enumerate(range(k_lo, k_hi + 1)):
         d = Fraction(1)
-        for p, roof in finite.items():
-            f_p = floor_fraction(scalar_fraction(m * roof.eval(x)))
-            d *= Fraction(p) ** f_p
-        q = scalar_fraction(m * psi_inf.eval(x))
+        for p, ys in finite_ys:
+            d *= p ** floor_fraction(scalar_fraction(m * ys[i]))
+        q = scalar_fraction(m * qs[i])
         n = 2 * _floor_scaled_exp(d, q) + 1
         entries.append(BoxEntry(k=k, denominator=d, log_bound=q, count=n))
     return SectionBox(m=m, entries=tuple(entries))
@@ -133,9 +167,13 @@ def box_log_count(pair, m: int):
     return section_box(pair, m).log_count()
 
 
+def _estimate(log_count, m: int):
+    return 2 * log_count / mp.mpf(m * m)
+
+
 def volume_estimate(pair, m: int):
     """Finite-level volume estimate 2 log #sections / m^2."""
-    return 2 * box_log_count(pair, m) / mp.mpf(m * m)
+    return _estimate(box_log_count(pair, m), m)
 
 
 def empirical_transform(pair, m: int, w):
@@ -148,6 +186,7 @@ def empirical_transform(pair, m: int, w):
     empty as soon as t exceeds psi_inf(k/m) + log(d_k)/m.
     """
     pair = as_pair(pair)
+    m = _check_multiple(m)
     w = Fraction(w)
     x = -w
     window = pair.shifted_polytope()
@@ -157,7 +196,11 @@ def empirical_transform(pair, m: int, w):
         return None
     if (w * m).denominator != 1:
         raise ValueError(f"w = {w} is not a multiple of 1/{m}")
-    psi_inf, finite = place_roofs(pair)
+    return _transform_at(place_roofs(pair), m, x)
+
+
+def _transform_at(roofs, m: int, x: Fraction):
+    psi_inf, finite = roofs
     t = scalar_fraction(psi_inf.eval(x))
     with mp.workprec(default_precision_bits() + 32):
         out = mp.mpf(t.numerator) / t.denominator
@@ -177,15 +220,17 @@ class OkounkovSample:
 
 def okounkov_sample(pair, m: int) -> OkounkovSample:
     pair = as_pair(pair)
+    m = _check_multiple(m)
     window = pair.shifted_polytope()
     if window.is_empty:
         raise EmptyPolytope(f"{pair!r} has an empty shifted polytope")
+    roofs = place_roofs(pair)
     lo = -floor_fraction(scalar_fraction(Fraction(m) * window.hi))
     hi = floor_fraction(scalar_fraction(-Fraction(m) * window.lo))
     entries = []
     for j in range(lo, hi + 1):
         w = Fraction(j, m)
-        entries.append((w, empirical_transform(pair, m, w)))
+        entries.append((w, _transform_at(roofs, m, -w)))
     return OkounkovSample(m=m, entries=tuple(entries))
 
 

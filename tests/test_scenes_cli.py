@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import adelic_volumes.cli as cli
+import adelic_volumes.sections as sections
 from adelic_volumes.cli import main
 from adelic_volumes.divisors import Pair
 from adelic_volumes.gallery import (
@@ -16,6 +18,7 @@ from adelic_volumes.gallery import (
     tent_divisor,
 )
 from adelic_volumes.scenes import load_scene, save_scene, scene_from_dict, scene_to_dict
+from adelic_volumes.sections import volume_estimate
 
 F = Fraction
 
@@ -161,6 +164,28 @@ class TestCliOracle:
         assert payload["rows"][0]["m"] == 4
         assert payload["rows"][0]["analytic_avol"] == 1.0
 
+    def test_one_box_per_row(self, scenes, capsys, monkeypatch):
+        calls = []
+        original = cli.section_box
+
+        def counting_box(pair, m):
+            calls.append(m)
+            return original(pair, m)
+
+        # volume_estimate would reach the sections module's own binding
+        monkeypatch.setattr(cli, "section_box", counting_box)
+        monkeypatch.setattr(sections, "section_box", counting_box)
+        assert main(["oracle", scenes["slant"], "--m", "16,32"]) == 0
+        assert calls == [16, 32]
+
+    def test_estimate_matches_volume_estimate(self, tmp_path, capsys):
+        pair = Pair(slant_divisor() + p_slant_divisor(2) + p_slant_divisor(3))
+        path = str(tmp_path / "slant_p2_p3.json")
+        save_scene(pair, path)
+        assert main(["oracle", path, "--m", "64", "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["estimate"] == float(volume_estimate(pair, 64))
+
 
 class TestCliOkounkov:
     def test_fixture(self, scenes, capsys):
@@ -175,6 +200,15 @@ class TestCliOkounkov:
     def test_not_big_exit_2(self, scenes, capsys):
         assert main(["okounkov", scenes["shift"]]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_bad_multiple_exit_2(self, scenes, capsys, m):
+        assert main(["okounkov", scenes["slant"], "--m", m]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error:") and "positive integer" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestCliSuite:

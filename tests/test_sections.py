@@ -10,9 +10,14 @@ floor(e^4) = 54 this gives products 15, 225 and 1005525 at m = 1, 2, 4.
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp
 
-from adelic_volumes.errors import EmptyPolytope, NotBig
+import adelic_volumes.sections as sections
+from adelic_volumes.errors import EmptyPolytope, NotBig, OutOfDomain
 from adelic_volumes.gallery import (
     half_zero_pair,
     height_shift,
@@ -22,6 +27,7 @@ from adelic_volumes.gallery import (
 )
 from adelic_volumes.divisors import Pair
 from adelic_volumes.exactnum import log_unit
+from adelic_volumes.pa import Interval
 from adelic_volumes.points import BaseCondition
 from adelic_volumes.sections import (
     analytic_okounkov,
@@ -33,6 +39,35 @@ from adelic_volumes.sections import (
 )
 
 F = Fraction
+
+
+def _slant_p2_p3():
+    return Pair(slant_divisor() + p_slant_divisor(2) + p_slant_divisor(3))
+
+
+def _floor_with_precisions(d, q):
+    """sections._floor_scaled_exp(d, q) and the interval precision of every
+    iv.exp call it made."""
+    original = mpmath.iv.exp
+    precisions = []
+
+    def counting_exp(*args, **kwargs):
+        precisions.append(mpmath.iv.prec)
+        return original(*args, **kwargs)
+
+    mpmath.iv.exp = counting_exp
+    try:
+        n = sections._floor_scaled_exp(d, q)
+    finally:
+        mpmath.iv.exp = original
+    return n, precisions
+
+
+def _assert_floor(n, d, q, bits):
+    with mp.workprec(4 * bits):
+        value = mp.mpf(d.numerator) / d.denominator * mp.exp(
+            mp.mpf(q.numerator) / q.denominator)
+        assert n <= value < n + 1
 
 
 class TestSectionBox:
@@ -74,6 +109,22 @@ class TestSectionBox:
         got = box_log_count(slant_divisor(), 1)
         assert abs(float(got) - math.log(15)) < 1e-12
 
+    def test_log_count_matches_log_of_product(self):
+        box = section_box(_slant_p2_p3(), 64)
+        got = float(box.log_count())
+        want = float(mp.log(box.count_product))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_roof_domain_checked_once_per_box(self, monkeypatch):
+        # a roof narrower than the exponent window must still be refused,
+        # although the grid evaluation itself does not check domains
+        psi_inf, finite = sections.place_roofs(slant_divisor())
+        narrow = psi_inf.restrict(Interval(F(0), F(1, 2)))
+        monkeypatch.setattr(sections, "place_roofs",
+                            lambda pair: (narrow, finite))
+        with pytest.raises(OutOfDomain):
+            section_box(slant_divisor(), 4)
+
     def test_rejects_bad_multiple(self):
         with pytest.raises(ValueError):
             section_box(slant_divisor(), 0)
@@ -84,6 +135,52 @@ class TestSectionBox:
         starved = Pair(slant_divisor(), BaseCondition({"0": F(2)}))
         with pytest.raises(EmptyPolytope):
             section_box(starved, 4)
+
+
+_powers = st.builds(lambda a, b: 2 ** a * 3 ** b,
+                    st.integers(0, 40), st.integers(0, 25))
+
+
+@st.composite
+def _exponents(draw):
+    den = draw(st.integers(1, 300))
+    return F(draw(st.integers(-60 * den, 400 * den)), den)
+
+
+class TestFloorScaledExp:
+    @given(_powers, _powers, _exponents())
+    @settings(max_examples=120, deadline=None)
+    def test_one_enclosure_decides(self, num, den, q):
+        d = F(num, den)
+        n, precisions = _floor_with_precisions(d, q)
+        if q == 0:
+            assert (n, precisions) == (math.floor(d), [])
+        else:
+            assert len(precisions) == 1
+            _assert_floor(n, d, q, precisions[0])
+
+    def test_zero_exponent_is_exact(self):
+        assert _floor_with_precisions(F(7, 2), F(0)) == (3, [])
+        assert _floor_with_precisions(F(2 ** 200, 3), F(0)) == (2 ** 200 // 3, [])
+
+    @pytest.mark.parametrize("d, q, want", [
+        (F(1), F(-1), 0),
+        (F(100), F(-1), 36),
+        (F(3 ** 20, 2 ** 5), F(-60), 0),
+        (F(2 ** 40), F(-7, 3), 106621806235),
+    ])
+    def test_negative_exponent(self, d, q, want):
+        n, precisions = _floor_with_precisions(d, q)
+        assert n == want
+        assert len(precisions) == 1
+        _assert_floor(n, d, q, precisions[0])
+
+    def test_large_value_starts_at_its_bit_size(self):
+        # e^400 has 578 integer bits; one enclosure of about that size
+        n, precisions = _floor_with_precisions(F(1), F(400))
+        assert precisions and 578 <= precisions[0] <= 578 + 64
+        assert len(precisions) == 1
+        _assert_floor(n, F(1), F(400), precisions[0])
 
 
 class TestVolumeEstimate:
@@ -120,6 +217,13 @@ class TestEmpiricalTransform:
         assert abs(float(t) - math.log(2)) < 1e-12
         t = empirical_transform(p_slant_divisor(2), 1, F(-1))
         assert abs(float(t)) < 1e-12
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_rejects_bad_multiple(self, m):
+        with pytest.raises(ValueError, match="positive integer"):
+            empirical_transform(slant_divisor(), m, F(0))
+        with pytest.raises(ValueError, match="positive integer"):
+            okounkov_sample(slant_divisor(), m)
 
     def test_okounkov_sample_grid(self):
         sample = okounkov_sample(slant_divisor(), 2)
