@@ -11,6 +11,15 @@ ring Q[log 2, log 3, ...], which this module implements directly:
 * a number is a quotient num/den of two polynomials, with the denominator
   folded into the numerator whenever it is purely rational.
 
+Quotients are kept small by cancelling the polynomial gcd of num and den.
+Common monomials, disjoint variables and affine factors are handled
+directly; the rest goes to the heuristic gcd of Char, Geddes and Gonnet
+(1989) over Z: evaluate one log variable at a large integer xi, recurse down
+to integer gcds, rebuild a candidate from its symmetric xi-adic digits and
+keep it only if it divides both polynomials exactly.  If a few values of xi
+all fail, the quotient stays uncancelled.  That is safe: the canonical form
+only controls size, and no result depends on it.
+
 Equality is decided exactly, by cross-multiplied coefficient comparison.  The
 sign of a coefficient-wise nonzero value is decided by evaluating with mpmath
 interval arithmetic and doubling the working precision until the enclosure
@@ -29,7 +38,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator, Mapping, Union
 
 from mpmath import iv
@@ -251,9 +260,6 @@ def _strip_common_monomial(num: Poly, den: Poly) -> tuple:
     return strip(num), strip(den)
 
 
-_SYMPY_SYMBOLS: dict = {}
-
-
 def _pdegree(a: Poly) -> int:
     return max((len(m) for m in a), default=0)
 
@@ -261,7 +267,7 @@ def _pdegree(a: Poly) -> int:
 def _divide_by_affine(num: Poly, lin: Poly):
     """Quotient of num by an affine polynomial, or None when it does not
     divide exactly.  Affine polynomials are irreducible, so this settles
-    their gcd questions without sympy."""
+    their gcd questions without a gcd computation."""
     pivot = None
     for mono in lin:
         if len(mono) == 1:
@@ -301,11 +307,157 @@ def _divide_by_affine(num: Poly, lin: Poly):
     return quotient
 
 
+# -- polynomial gcd over Z ------------------------------------------------
+#
+# _cancel hands the general case to the heuristic gcd of Char, Geddes and
+# Gonnet (1989) on integer polynomials in dense exponent form: a dict from
+# exponent tuples (one entry per log variable) to nonzero ints.
+
+_HEU_GCD_TRIES = 6
+
+
+def _zcontent(f: dict) -> int:
+    c = 0
+    for v in f.values():
+        c = gcd(c, v)
+        if c == 1:
+            break
+    return c
+
+
+def _zeval(f: dict, xi: int) -> dict:
+    """f with its first variable set to xi."""
+    powers = [1]
+    out: dict = {}
+    for exps, c in f.items():
+        e = exps[0]
+        while len(powers) <= e:
+            powers.append(powers[-1] * xi)
+        rest = exps[1:]
+        out[rest] = out.get(rest, 0) + c * powers[e]
+    return {e: c for e, c in out.items() if c}
+
+
+def _zinterpolate(h: dict, xi: int) -> dict:
+    """The polynomial whose coefficients of x^i are the symmetric base-xi
+    digits of weight xi^i of h's coefficients, x a new first variable."""
+    out: dict = {}
+    half = xi // 2
+    i = 0
+    while h:
+        higher = {}
+        for exps, c in h.items():
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[(i,) + exps] = d
+            c = (c - d) // xi
+            if c:
+                higher[exps] = c
+        h = higher
+        i += 1
+    return out
+
+
+def _zdivide(f: dict, g: dict):
+    """The exact quotient f / g in Z[x, ...], or None when g does not
+    divide f.  Long division by lex-leading terms; every quotient exponent
+    is capped by the degrees of f minus those of g, so it ends either way."""
+    lead_g = max(g)
+    c_g = g[lead_g]
+    tail_g = [(e, c) for e, c in g.items() if e != lead_g]
+    caps = [max(fcol) - max(gcol) for fcol, gcol in zip(zip(*f), zip(*g))]
+    rem = dict(f)
+    quo: dict = {}
+    while rem:
+        lead = max(rem)
+        e = tuple(a - b for a, b in zip(lead, lead_g))
+        if any(k < 0 or k > cap for k, cap in zip(e, caps)):
+            return None
+        c, r = divmod(rem.pop(lead), c_g)
+        if r:
+            return None
+        quo[e] = c
+        for eg, cg in tail_g:
+            m = tuple(a + b for a, b in zip(e, eg))
+            v = rem.get(m, 0) - c * cg
+            if v:
+                rem[m] = v
+            else:
+                del rem[m]
+    return quo
+
+
+def _heu_gcd(f: dict, g: dict):
+    """(h, f/h, g/h) for h the gcd of two nonzero integer polynomials, or
+    None when the heuristic gives up.
+
+    Evaluate the first variable at an integer xi, take the gcd of the images
+    recursively (math.gcd once no variable is left), rebuild a candidate
+    from its symmetric xi-adic digits and accept its primitive part only if
+    it divides both f and g exactly.  With xi above twice the smaller
+    max-norm plus 2, an accepted candidate is the gcd (Char, Geddes and
+    Gonnet, 1989); a rejected one means xi was unlucky, and a larger xi is
+    tried, a fixed number of times."""
+    cf, cg = _zcontent(f), _zcontent(g)
+    c = gcd(cf, cg)
+    if not next(iter(f)):  # no variable left: f and g are integers
+        return {(): c}, {(): f[()] // c}, {(): g[()] // c}
+    f = {e: v // cf for e, v in f.items()}
+    g = {e: v // cg for e, v in g.items()}
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(_HEU_GCD_TRIES):
+        image = _heu_gcd(_zeval(f, xi), _zeval(g, xi))
+        if image is None:
+            return None
+        h = _zinterpolate(image[0], xi)
+        ch = _zcontent(h)
+        h = {e: v // ch for e, v in h.items()}
+        qf = _zdivide(f, h)
+        if qf is not None:
+            qg = _zdivide(g, h)
+            if qg is not None:
+                return ({e: v * c for e, v in h.items()},
+                        {e: v * (cf // c) for e, v in qf.items()},
+                        {e: v * (cg // c) for e, v in qg.items()})
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _to_zpoly(poly: Poly, index: dict) -> tuple:
+    """(f, s) with f = s * poly in dense exponent form, s the lcm of the
+    coefficient denominators."""
+    s = 1
+    for c in poly.values():
+        s = s * c.denominator // gcd(s, c.denominator)
+    out = {}
+    for mono, c in poly.items():
+        exps = [0] * len(index)
+        for p in mono:
+            exps[index[p]] += 1
+        out[tuple(exps)] = c.numerator * (s // c.denominator)
+    return out, s
+
+
+def _from_zpoly(f: dict, primes: list, scale: int) -> Poly:
+    return {tuple(p for p, e in zip(primes, exps) for _ in range(e)):
+            Fraction(c * scale) for exps, c in f.items()}
+
+
 def _cancel(num: Poly, den: Poly) -> tuple:
     """Remove the polynomial gcd of num and den, the log monomials acting as
     independent variables.  Without this, iterated arithmetic on quotients
     (cut points of roofs are ratios of log combinations) compounds the
-    denominators and the term count explodes."""
+    denominators and the term count explodes.
+
+    Common monomials, disjoint variables and affine factors are settled
+    directly; everything else goes to the heuristic gcd over Z.  When the
+    heuristic gives up, num and den come back uncancelled: equality and
+    signs are decided by cross-multiplication, so the canonical form only
+    controls size, never a result.  A rational value cannot be left
+    uncancelled: when den divides num, the image gcd is den's own image and
+    the first xi rebuilds den."""
     num, den = _strip_common_monomial(num, den)
     num_vars = {p for mono in num for p in mono}
     den_vars = {p for mono in den for p in mono}
@@ -322,38 +474,17 @@ def _cancel(num: Poly, den: Poly) -> tuple:
             return num, den
         return _ONE_POLY, q
     primes = sorted(num_vars | den_vars)
-    import sympy
-
-    for p in primes:
-        if p not in _SYMPY_SYMBOLS:
-            _SYMPY_SYMBOLS[p] = sympy.Symbol(f"log{p}", positive=True)
-    gens = [_SYMPY_SYMBOLS[p] for p in primes]
-
-    def to_expr(poly):
-        terms = []
-        for mono, c in poly.items():
-            term = sympy.Rational(c.numerator, c.denominator)
-            for p in mono:
-                term = term * _SYMPY_SYMBOLS[p]
-            terms.append(term)
-        return sympy.Add(*terms)
-
-    g = sympy.gcd(sympy.Poly(to_expr(num), *gens, domain="QQ"),
-                  sympy.Poly(to_expr(den), *gens, domain="QQ"))
-    if g.is_one:
+    index = {p: i for i, p in enumerate(primes)}
+    a, sa = _to_zpoly(num, index)
+    b, sb = _to_zpoly(den, index)
+    found = _heu_gcd(a, b)
+    if found is None:
         return num, den
-
-    def to_poly(spoly):
-        out: Poly = {}
-        for exps, coeff in spoly.terms():
-            mono = tuple(sorted(
-                p for p, e in zip(primes, exps) for _ in range(e)))
-            out[mono] = Fraction(int(coeff.numerator), int(coeff.denominator))
-        return out
-
-    qn = sympy.Poly(to_expr(num), *gens, domain="QQ").quo(g)
-    qd = sympy.Poly(to_expr(den), *gens, domain="QQ").quo(g)
-    return to_poly(qn), to_poly(qd)
+    h, qa, qb = found
+    if len(h) == 1 and not any(next(iter(h))):  # the gcd is a constant
+        return num, den
+    # num / den = (a / sa) / (b / sb) = (qa * sb) / (qb * sa)
+    return _from_zpoly(qa, primes, sb), _from_zpoly(qb, primes, sa)
 
 
 def _mono_str(mono: Mono) -> str:

@@ -1,8 +1,9 @@
 """Closed points of the rational projective line, divisors and base conditions.
 
 A closed point is the zero of the coordinate, the point at infinity, or the
-vanishing locus of a monic irreducible polynomial in the coordinate (validated
-by exact factorization over Q, with a configurable degree cap).  Divisors and
+vanishing locus of a monic irreducible polynomial in the coordinate (read by a
+small grammar that evaluates nothing, and validated by exact factorization
+over Q, with a configurable degree cap).  Divisors and
 base conditions are finitely supported maps from closed points to rationals;
 they differ only in role: a divisor records coefficients, a base condition
 records prescribed vanishing orders for sections.
@@ -15,44 +16,118 @@ on the nose.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Mapping, Union
 
-import sympy
-
 from .errors import InvalidPoint
-
-_T = sympy.symbols("t")
 
 MAX_POINT_DEGREE = 8
 
+# a number (integer or a/b), the variable t, or an operator
+_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|(t)|(\*\*|[-+*^]))")
+
+
+def _tokens(spec: str) -> list:
+    out = []
+    pos = 0
+    spec = spec.rstrip()
+    while pos < len(spec):
+        m = _TOKEN.match(spec, pos)
+        if m is None:
+            raise InvalidPoint(f"cannot parse polynomial {spec!r}")
+        out.append(m.group(m.lastindex))
+        pos = m.end()
+    return out
+
+
+def _parse_poly(spec: str, max_degree: int) -> list:
+    """Ascending rational coefficients of a polynomial in t.
+
+    The grammar is a signed sum of terms, each a product of rational
+    literals (integers or a/b) and powers t, t^k or t**k with an integer k.
+    Nothing is evaluated, so a scene file cannot run code through a label.
+    """
+    tokens = _tokens(spec)
+    if not tokens:
+        raise InvalidPoint(f"cannot parse polynomial {spec!r}")
+    coeffs = [Fraction(0)] * (max_degree + 1)
+    i = 0
+
+    def take():
+        nonlocal i
+        if i >= len(tokens):
+            raise InvalidPoint(f"{spec!r} ends early")
+        i += 1
+        return tokens[i - 1]
+
+    while i < len(tokens):
+        coeff, power = Fraction(1), 0
+        if tokens[i] in ("+", "-"):
+            coeff = Fraction(1 if take() == "+" else -1)
+        elif i > 0:
+            raise InvalidPoint(f"expected + or - in {spec!r}, got {tokens[i]!r}")
+        while True:
+            tok = take()
+            if tok == "t":
+                k = 1
+                if i < len(tokens) and tokens[i] in ("^", "**"):
+                    take()
+                    exponent = take()
+                    if not exponent.isdigit() or len(exponent) > 4:
+                        raise InvalidPoint(f"exponent {exponent!r} in {spec!r} "
+                                           "is not a small integer")
+                    k = int(exponent)
+                power += k
+            elif tok[0].isdigit():
+                try:
+                    coeff *= Fraction(tok)
+                except (ValueError, ZeroDivisionError) as err:
+                    raise InvalidPoint(f"bad number {tok!r} in {spec!r}") from err
+            else:
+                raise InvalidPoint(f"unexpected {tok!r} in {spec!r}")
+            if power > max_degree:
+                raise InvalidPoint(
+                    f"degree {power} exceeds the configured cap {max_degree}")
+            if i < len(tokens) and tokens[i] == "*":
+                take()
+            else:
+                break
+        coeffs[power] += coeff
+    return coeffs
+
 
 def _coeffs_from_spec(spec, max_degree: int) -> tuple:
-    """Monic ascending coefficient tuple from a polynomial description."""
+    """Monic ascending coefficient tuple from a polynomial description: a
+    string in t, or a sequence of ascending coefficients."""
     if isinstance(spec, str):
-        try:
-            expr = sympy.sympify(spec.replace("^", "**"), locals={"t": _T})
-        except (sympy.SympifyError, SyntaxError) as err:
-            raise InvalidPoint(f"cannot parse polynomial {spec!r}") from err
+        coeffs = _parse_poly(spec, max_degree)
     elif isinstance(spec, (list, tuple)):
-        expr = sum(sympy.Rational(c) * _T**i for i, c in enumerate(spec))
+        try:
+            coeffs = [Fraction(c) for c in spec]
+        except (TypeError, ValueError, ZeroDivisionError) as err:
+            raise InvalidPoint(f"bad coefficients {spec!r}") from err
     else:
-        expr = spec
-    try:
-        poly = sympy.Poly(expr, _T, domain="QQ")
-    except sympy.PolynomialError as err:
-        raise InvalidPoint(f"not a polynomial in t: {spec!r}") from err
-    if poly.degree() < 1:
+        raise InvalidPoint(f"cannot interpret {spec!r} as a polynomial in t")
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    degree = len(coeffs) - 1
+    if degree < 1:
         raise InvalidPoint(f"constant polynomial {spec!r} defines no closed point")
-    if poly.degree() > max_degree:
+    if degree > max_degree:
         raise InvalidPoint(
-            f"degree {poly.degree()} exceeds the configured cap {max_degree}"
+            f"degree {degree} exceeds the configured cap {max_degree}"
         )
-    coeffs = [Fraction(c.p, c.q) for c in reversed(poly.all_coeffs())]
     if coeffs[-1] != 1:
         raise InvalidPoint(f"{spec!r} is not monic")
-    if not poly.is_irreducible:
-        raise InvalidPoint(f"{spec!r} is reducible over Q")
+    if degree >= 2:
+        import sympy  # only the irreducibility test needs it
+
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(coeffs)], sympy.Symbol("t"),
+                          domain="QQ")
+        if not poly.is_irreducible:
+            raise InvalidPoint(f"{spec!r} is reducible over Q")
     return tuple(coeffs)
 
 

@@ -14,6 +14,8 @@ closed-point label.  All numbers are strings parsed as exact rationals, e.g.
     }
 
 Potentials at finite places are in log p units.  A "comment" key is ignored.
+Scene files are untrusted input: a malformed one raises ValueError (or an
+AdelicVolumesError) with a one-line message, never another exception.
 """
 
 from __future__ import annotations
@@ -24,6 +26,21 @@ from pathlib import Path
 from .divisors import Pair
 
 _TOP_KEYS = {"c0", "cinf", "potentials", "base", "comment"}
+
+
+def _check_strings(value, where: str) -> None:
+    """Every leaf of a scene is a string: JSON numbers would arrive as binary
+    floats, and null or a boolean is no number at all."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_strings(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_strings(item, f"{where}[{i}]")
+    elif not isinstance(value, str):
+        raise ValueError(
+            f"{where} is {json.dumps(value)}; numbers are strings, e.g. \"1/2\""
+        )
 
 
 def scene_from_dict(payload: dict) -> Pair:
@@ -37,9 +54,19 @@ def scene_from_dict(payload: dict) -> Pair:
         )
     if "c0" not in payload:
         raise ValueError("scene is missing the required key 'c0'")
+    for key, value in payload.items():
+        if key != "comment":
+            _check_strings(value, key)
+    for key in ("c0", "cinf"):
+        if not isinstance(payload.get(key, ""), str):
+            raise ValueError(f"{key} must be a string, e.g. \"1/2\"")
+    for key in ("potentials", "base"):
+        if not isinstance(payload.get(key, {}), dict):
+            raise ValueError(f"{key} must be an object keyed by label, "
+                             f"got {type(payload[key]).__name__}")
     try:
         return Pair.from_payload(payload)
-    except (KeyError, ZeroDivisionError) as exc:
+    except (KeyError, ZeroDivisionError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed scene: {exc!r}") from exc
 
 
@@ -53,6 +80,8 @@ def load_scene(path) -> Pair:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
     try:
         return scene_from_dict(payload)
     except ValueError as exc:

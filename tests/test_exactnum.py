@@ -1,12 +1,17 @@
 """Field arithmetic in Q(log 2, log 3, ...) and the rational helpers."""
 
+import json
+import sys
 import time
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelic_volumes import exactnum
 from adelic_volumes.exactnum import (
     ExactNumber,
     default_precision_bits,
@@ -21,6 +26,7 @@ from adelic_volumes.exactnum import (
 
 L2 = log_unit(2)
 L3 = log_unit(3)
+L5 = log_unit(5)
 
 
 def test_rational_embedding_round_trip():
@@ -143,3 +149,93 @@ def test_sign_matches_float(a, b, c):
     approx = float(a) + float(b) * 0.6931471805599453 + float(c) * 1.0986122886681098
     if abs(approx) > 1e-9:
         assert s == (1 if approx > 0 else -1)
+
+
+# -- the native gcd in _cancel ---------------------------------------------
+
+# every monomial of degree at most 3 in log 2, log 3 and log 5
+_MONOS = [m for k in range(4) for m in combinations_with_replacement((2, 3, 5), k)]
+_coeff = st.fractions(min_value=Fraction(-9), max_value=Fraction(9),
+                      max_denominator=6).filter(bool)
+_polys = st.dictionaries(st.sampled_from(_MONOS), _coeff,
+                         min_size=1, max_size=5)
+
+
+def _normalize(num, den):
+    """The canonical form _make gives a cancelled quotient."""
+    if len(den) == 1 and () in den:
+        return exactnum._pscale(num, 1 / den[()]), exactnum._ONE_POLY
+    if exactnum._poly_sign(den) < 0:
+        num, den = exactnum._pneg(num), exactnum._pneg(den)
+    c = exactnum._pcontent(den)
+    return exactnum._pscale(num, 1 / c), exactnum._pscale(den, 1 / c)
+
+
+def _sympy_cancel(num, den):
+    """Reference quotient by sympy's gcd over QQ (a test oracle only)."""
+    import sympy
+
+    primes = sorted({p for m in list(num) + list(den) for p in m})
+    if not primes:
+        return num, den
+    gens = sympy.symbols(f"x0:{len(primes)}")
+    sym = dict(zip(primes, gens))
+
+    def to_sympy(poly):
+        return sympy.Poly(sympy.Add(*[
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*[sym[p] for p in m]) for m, c in poly.items()]),
+            *gens, domain="QQ")
+
+    def back(spoly):
+        return {tuple(p for p, e in zip(primes, exps) for _ in range(e)):
+                Fraction(int(c.numerator), int(c.denominator))
+                for exps, c in spoly.terms()}
+
+    a, b = to_sympy(num), to_sympy(den)
+    g = sympy.gcd(a, b)
+    return back(a.quo(g)), back(b.quo(g))
+
+
+@given(_polys, _polys, _polys)
+@settings(max_examples=60, deadline=None)
+def test_cancel_matches_sympy_gcd(a, b, g):
+    num, den = exactnum._pmul(a, g), exactnum._pmul(b, g)
+    assert _normalize(*exactnum._cancel(num, den)) == \
+        _normalize(*_sympy_cancel(num, den))
+
+
+def _load_terms(terms):
+    return {tuple(m): Fraction(c) for m, c in terms}
+
+
+def test_cancel_three_variables_degree_five():
+    # a quotient from a superadditivity instance: 52 and 25 terms in
+    # log 2, log 3 and log 5, total degree 5, with gcd 3 log 2 + 8 log 3 + 2
+    data = json.loads((Path(__file__).parent / "data" /
+                       "gcd_3var_deg5.json").read_text())
+    num, den = _load_terms(data["num"]), _load_terms(data["den"])
+    t0 = time.perf_counter()
+    out = exactnum._cancel(num, den)
+    assert time.perf_counter() - t0 < 1.0
+    assert _normalize(*out) == (_load_terms(data["reduced_num"]),
+                                _load_terms(data["reduced_den"]))
+
+
+def test_cancel_does_not_need_sympy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "sympy", None)  # import sympy now fails
+    g = L2 * L2 + L3 * L2 + 1
+    x = (g * (L2 * L3 - 2)) / (g * (L3 * L3 + L2))
+    assert x._den == {(3, 3): 1, (2,): 1}
+    assert x == (L2 * L3 - 2) / (L3 * L3 + L2)
+
+
+def test_give_up_keeps_the_value(monkeypatch):
+    g = L2 * L3 + L5 + 1
+    p, q = L2 * L2 - L3, L2 * L5 + L3 * L3 + 2
+    monkeypatch.setattr(exactnum, "_zdivide", lambda f, h: None)
+    x = (g * p) / (g * q)
+    assert len(x._den) > len(q._num)  # uncancelled
+    monkeypatch.undo()
+    assert x == p / q
+    assert float(x) == pytest.approx(float(p / q), rel=1e-14)

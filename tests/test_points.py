@@ -1,6 +1,9 @@
 """Closed points of the projective line over Q, point-weight maps, and
 principal divisors of factored rational functions."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -62,6 +65,29 @@ class TestClosedPoint:
         s = {ClosedPoint.zero(), ClosedPoint.parse("t^2+1"),
              ClosedPoint.finite("t^2 + 1")}
         assert len(s) == 2
+
+    @pytest.mark.parametrize("spec, coeffs", [
+        ("t^2 + 1", (1, 0, 1)),
+        ("t**3 - 2", (-2, 0, 0, 1)),
+        ("-1/2 + t", (F(-1, 2), 1)),
+        ("1/2*t + t^2 + 3/4 - 1/4", (F(1, 2), F(1, 2), 1)),
+        ("t*t + 2*t*3 + 7", (7, 6, 1)),
+    ])
+    def test_parser(self, spec, coeffs):
+        assert ClosedPoint.finite(spec).coeffs == tuple(F(c) for c in coeffs)
+
+    @pytest.mark.parametrize("spec", [
+        "t + __import__('os').getpid()", "(t+1)", "t^", "t++1", "t t",
+        "t^1/2", "1/0*t + t^2", "t^99999", "",
+    ])
+    def test_parser_rejects(self, spec):
+        with pytest.raises(InvalidPoint):
+            ClosedPoint.finite(spec)
+
+    def test_import_does_not_load_sympy(self):
+        code = "import sys, adelic_volumes; assert 'sympy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 class TestRDivisor:

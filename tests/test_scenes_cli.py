@@ -108,6 +108,55 @@ class TestCliAvol:
         assert "volume" in capsys.readouterr().err
 
 
+class TestHostileScenes:
+    _SLANT_INF = {"kind": "convex", "points": [["1", "1"]],
+                  "left_slope": "0", "right_slope": "1"}
+
+    @pytest.mark.parametrize("payload, needle", [
+        ({"c0": {}}, "c0"),
+        ({"c0": None}, "c0"),
+        ({"c0": "1", "base": ["0"]}, "base"),
+        ({"c0": "1", "potentials": ["inf"]}, "potentials"),
+        ({"c0": 1.5, "cinf": "0"}, "numbers are strings"),
+        ({"c0": "1", "cinf": 0}, "numbers are strings"),
+        ({"c0": "1", "base": {"0": 0.5}}, "numbers are strings"),
+        ({"c0": "1", "potentials": {"inf": {**_SLANT_INF, "points": 5}}},
+         "numbers are strings"),
+        ({"c0": "1", "potentials": {"inf": {**_SLANT_INF, "points": [["1", 1]]}}},
+         "numbers are strings"),
+        ({"c0": "1", "potentials": {"inf": "convex"}}, "malformed"),
+    ])
+    def test_malformed_exit_2(self, tmp_path, capsys, payload, needle):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["avol", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error:") and needle in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("depth", [900, 100_000])
+    def test_deep_nesting_exit_2(self, tmp_path, capsys, depth):
+        path = tmp_path / "deep.json"
+        path.write_text('{"c0": "1", "base": {"0": ' + "[" * depth
+                        + "]" * depth + "}}")
+        assert main(["avol", str(path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_base_key_is_not_evaluated(self, tmp_path, capsys):
+        marker = tmp_path / "created"
+        key = f"t + 0*len(open({str(marker)!r}, 'w').name)"
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps({
+            "c0": "1", "cinf": "0", "potentials": {"inf": self._SLANT_INF},
+            "base": {key: "1/2"}}))
+        assert main(["avol", str(path)]) == 2
+        assert "cannot parse" in capsys.readouterr().err
+        assert not marker.exists()
+
+
 class TestCliDerivative:
     def test_fixture(self, scenes, capsys):
         assert main(["derivative", scenes["slant"],
