@@ -89,7 +89,7 @@ def _cmd_diskant(args) -> int:
         "R": str(report.R.value),
         "r_bracket": [str(report.r.lo), str(report.r.hi)],
         "R_bracket": [str(report.R.lo), str(report.R.hi)],
-        "slacks": {c.name: float(c.slack) for c in report.cases},
+        "slacks": {c.name: scalar_float(c.slack) for c in report.cases},
         "pass": report.all_pass,
     }
     rows = [["quantity", "value"],
@@ -98,7 +98,7 @@ def _cmd_diskant(args) -> int:
             ["r", float(report.r)], ["R", float(report.R)],
             [], ["case", "slack", "passed"]]
     for c in report.cases:
-        rows.append([c.name, float(c.slack), c.passed])
+        rows.append([c.name, scalar_float(c.slack), c.passed])
     _emit(args, payload, rows)
     return 0 if report.all_pass else 1
 

@@ -9,10 +9,11 @@ c0*u for u >= 0 and -cInf*u for u <= 0.  Finite-place potentials are stored
 in log p units, so all stored data is rational; the symbolic log p factor is
 attached only when the places are combined into the global roof.
 
-The global roof of a pair is the place-by-place Legendre transform of the
-(convexified) potentials, summed over places and restricted to the polytope
-cut down by the base condition.  It is the integrand of every volume-type
-quantity downstream.
+The global roof of a divisor is the place-by-place Legendre transform of the
+(convexified) potentials, summed over places with the log p weights on the
+divisor's polytope.  It is built once per divisor and kept on it; the global
+roof of a pair is that roof restricted to the polytope cut down by the base
+condition.  It is the integrand of every volume-type quantity downstream.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from .pa import (
     ConvexPA,
     Interval,
     PAGeneral,
-    convex_envelope,
-    legendre_roof,
+    _eval_on_grid,
+    _grid,
     pa_from_payload,
     pointwise_min,
+    unit_roof,
 )
 from .points import BaseCondition, ClosedPoint
 
@@ -101,7 +103,7 @@ def _coerce_potential(place, pot, c0: Fraction, cinf: Fraction):
 class ToricAdelicDivisor:
     """A toric adelic R-divisor: coefficients plus one potential per place."""
 
-    __slots__ = ("c0", "cinf", "_potentials")
+    __slots__ = ("c0", "cinf", "_potentials", "_roof")
 
     def __init__(self, c0, cinf, potentials: Mapping | None = None):
         self.c0 = _coeff(c0)
@@ -117,6 +119,7 @@ class ToricAdelicDivisor:
                 raise ValueError(f"duplicate potential for {place_label(place)}")
             stored[place] = pot
         self._potentials = stored
+        self._roof = None  # filled by roof(); not part of the value
 
     @classmethod
     def zero(cls) -> "ToricAdelicDivisor":
@@ -154,6 +157,34 @@ class ToricAdelicDivisor:
         if -self.cinf > self.c0:
             return Interval.EMPTY
         return Interval(-self.cinf, self.c0)
+
+    def roof(self) -> ConcavePA:
+        """The global roof on the polytope [-cinf, c0]: the sum over places
+        of the unit roofs, finite places weighted by log p.  Built once per
+        divisor (divisors are immutable) and kept on it.
+
+        Every unit roof lives on the polytope, so the sum is one weighted
+        sum of values on the union of their breakpoints.  Each interior grid
+        point is a strict kink of a summand and the weights are positive,
+        so the sum is canonical as built.
+        """
+        if self._roof is not None:
+            return self._roof
+        if self.polytope().is_empty:
+            raise EmptyPolytope(f"{self!r} has an empty polytope; no roof")
+        roof = unit_roof(self.potential(ARCH))
+        finite = [(log_unit(place), unit_roof(self._potentials[place]))
+                  for place in self.places if place != ARCH]
+        if finite:
+            xs = _grid([x for x, _ in roof.points],
+                       *([x for x, _ in r.points] for _, r in finite))
+            ys = _eval_on_grid(roof.points, xs)
+            for weight, r in finite:
+                ys = [y + weight * v
+                      for y, v in zip(ys, _eval_on_grid(r.points, xs))]
+            roof = ConcavePA._raw(list(zip(xs, ys)))
+        self._roof = roof
+        return roof
 
     def add(self, other: "ToricAdelicDivisor") -> "ToricAdelicDivisor":
         c0 = self.c0 + other.c0
@@ -302,23 +333,16 @@ class Pair:
     def global_roof(self) -> ConcavePA:
         """Sum over places of the Legendre roofs of the convexified
         potentials, restricted to the shifted polytope.  Finite places
-        contribute with a symbolic log p factor, so values are exact."""
+        contribute with a symbolic log p factor, so values are exact.
+
+        The sum is the divisor's roof, built once per divisor on its whole
+        polytope; each pair restricts it to its own window."""
         window = self.shifted_polytope()
         if window.is_empty:
             raise EmptyPolytope(
                 f"{self!r} has an empty shifted polytope; no sections to count"
             )
-        # restrict before summing: all potentials share the divisor's tail
-        # slopes, so every unit roof covers the window, and smaller operands
-        # keep the exact arithmetic cheap
-        roof = legendre_roof(convex_envelope(self.divisor.potential(ARCH)))
-        roof = roof.restrict(window)
-        for place in self.divisor.places:
-            if place == ARCH:
-                continue
-            unit_roof = legendre_roof(convex_envelope(self.divisor.potential(place)))
-            roof = roof + unit_roof.restrict(window).scale(log_unit(place))
-        return roof
+        return self.divisor.roof().restrict(window)
 
     def add(self, other: "Pair") -> "Pair":
         return Pair(self.divisor + other.divisor, self.base + other.base)

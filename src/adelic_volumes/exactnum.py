@@ -38,7 +38,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd, isqrt
+from math import copysign, gcd, inf, isqrt
 from typing import Iterator, Mapping, Union
 
 from mpmath import iv
@@ -823,7 +823,12 @@ def scalar_sign(x: Scalar) -> int:
 
 
 def scalar_float(x) -> float:
-    return float(x)
+    """The nearest float; values beyond the float range give +-inf, as
+    ``float`` does for an ExactNumber (a Fraction would raise)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return copysign(inf, scalar_sign(x))
 
 
 def scalar_is_rational(x: Scalar) -> bool:

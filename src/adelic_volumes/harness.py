@@ -199,7 +199,8 @@ def diskant_report(pair1, pair2) -> DiskantReport:
     a = s1 - rv * s0
     b = Rv * s1 - s2
     f0, f1, f2 = scalar_float(s0), scalar_float(s1), scalar_float(s2)
-    fa, fb, frv, fRv = scalar_float(a), scalar_float(b), float(rv), float(Rv)
+    fa, fb = scalar_float(a), scalar_float(b)
+    frv, fRv = scalar_float(rv), scalar_float(Rv)
     sq = math.sqrt(scalar_float(disc))
     cases = [
         _exact_case("mixed_discriminant_nonneg", Fraction(0), disc),

@@ -346,18 +346,15 @@ class ConcavePA:
     def nonneg_region(self) -> Interval:
         """The interval {f >= 0} (possibly empty or a point), with exact
         endpoints: sign-change roots are solved in the scalar field."""
-        vals = [y for _, y in self.points]
-        signs = [scalar_sign(v) for v in vals]
-        if all(s < 0 for s in signs):
+        run = _nonneg_run(self.points)
+        if run is None:
             return Interval.EMPTY
-        n = len(self.points)
-        first = next(i for i, s in enumerate(signs) if s >= 0)
-        last = n - 1 - next(i for i, s in enumerate(reversed(signs)) if s >= 0)
+        first, last, _ = run
         if first == 0:
             lo = self.points[0][0]
         else:
             lo = _zero_between(self.points[first - 1], self.points[first])
-        if last == n - 1:
+        if last == len(self.points) - 1:
             hi = self.points[-1][0]
         else:
             hi = _zero_between(self.points[last], self.points[last + 1])
@@ -433,6 +430,19 @@ def _segments(f: ConcavePA) -> list:
     ]
 
 
+def _nonneg_run(pts):
+    """(first, last, signs) for the breakpoints of a concave function: the
+    signs of the values and the first and last index with value >= 0, or
+    None when every value is negative.  By concavity every breakpoint
+    between first and last is nonnegative too."""
+    signs = [scalar_sign(y) for _, y in pts]
+    first = next((i for i, s in enumerate(signs) if s >= 0), None)
+    if first is None:
+        return None
+    last = len(signs) - 1 - next(i for i, s in enumerate(reversed(signs)) if s >= 0)
+    return first, last, signs
+
+
 def _zero_between(p, q) -> Scalar:
     (x1, y1), (x2, y2) = p, q
     return x1 + (x2 - x1) * y1 / (y1 - y2)
@@ -459,9 +469,10 @@ def _grid(*groups) -> list:
 class _LinePA:
     """Shared implementation for functions finite on all of R."""
 
-    __slots__ = ("points", "left_slope", "right_slope")
+    __slots__ = ("points", "left_slope", "right_slope", "_roof")
 
     def _init_data(self, points, left_slope, right_slope, merge=True):
+        self._roof = None  # filled by unit_roof; not part of the value
         pts = _clean_points(points)
         ls, rs = as_scalar(left_slope), as_scalar(right_slope)
         if merge:
@@ -839,6 +850,18 @@ def legendre_roof(potential: ConvexPA) -> ConcavePA:
     return ConcavePA(out)
 
 
+def unit_roof(potential) -> ConcavePA:
+    """``legendre_roof(convex_envelope(potential))``, built once per potential.
+
+    PA functions are immutable, so the roof is stored on the potential the
+    first time and returned from there afterwards.
+    """
+    roof = potential._roof
+    if roof is None:
+        roof = potential._roof = legendre_roof(convex_envelope(potential))
+    return roof
+
+
 def legendre_potential(roof: ConcavePA) -> ConvexPA:
     """potential(u) = sup_x (x*u + roof(x)), a convex function on all of R."""
     pts = roof.points
@@ -859,14 +882,29 @@ def sup_convolution(f: ConcavePA, g: ConcavePA) -> ConcavePA:
 def integrate_positive_part(f: ConcavePA, window: Interval | None = None) -> Scalar:
     """The exact integral of max(f, 0) over the window (default: the domain).
 
-    Sign-change roots are solved exactly in the scalar field, so the result
-    is a Fraction for rational data and an ExactNumber otherwise.
+    One pass over the breakpoints: twice the area is the sum of
+    (x2 - x1)(y1 + y2) over the segments where f >= 0 at both ends, plus,
+    for each segment clipped by a sign change, the closed-form triangle
+    (x2 - x1) y^2 / (y_in - y_out), y = y_in the nonnegative end; the total
+    is halved once.  The sign-change roots themselves are never formed.  The
+    result is a Fraction for rational data and an ExactNumber otherwise.
     """
     if window is not None:
         if window.is_empty:
             return Fraction(0)
         f = f.restrict(window)
-    region = f.nonneg_region()
-    if region.is_empty or region.is_point:
+    pts = f.points
+    run = _nonneg_run(pts)
+    if run is None:
         return Fraction(0)
-    return f.restrict(region).integrate()
+    first, last, signs = run
+    total: Scalar = Fraction(0)
+    for (x1, y1), (x2, y2) in zip(pts[first:last], pts[first + 1:last + 1]):
+        total = total + (x2 - x1) * (y1 + y2)
+    if first > 0 and signs[first] > 0:
+        (x1, y_out), (x2, y_in) = pts[first - 1], pts[first]
+        total = total + (x2 - x1) * y_in * y_in / (y_in - y_out)
+    if last < len(pts) - 1 and signs[last] > 0:
+        (x1, y_in), (x2, y_out) = pts[last], pts[last + 1]
+        total = total + (x2 - x1) * y_in * y_in / (y_in - y_out)
+    return total / 2

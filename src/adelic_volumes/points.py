@@ -1,24 +1,18 @@
-"""Closed points of the rational projective line, divisors and base conditions.
+"""Closed points of the rational projective line, and base conditions.
 
 A closed point is the zero of the coordinate, the point at infinity, or the
 vanishing locus of a monic irreducible polynomial in the coordinate (read by a
 small grammar that evaluates nothing, and validated by exact factorization
-over Q, with a configurable degree cap).  Divisors and
-base conditions are finitely supported maps from closed points to rationals;
-they differ only in role: a divisor records coefficients, a base condition
-records prescribed vanishing orders for sections.
-
-Rational functions enter in factored form (a map from monic irreducible
-factors, including the coordinate itself, to rational exponents), which makes
-the principal-divisor map exact and keeps the weighted-degree-zero invariant
-on the nose.
+over Q, with a configurable degree cap).  A base condition is a finitely
+supported map from closed points to rationals: the prescribed vanishing
+orders for sections.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping
 
 from .errors import InvalidPoint
 
@@ -314,21 +308,6 @@ class _PointWeights:
         return f"{type(self).__name__}({body})"
 
 
-class RDivisor(_PointWeights):
-    """A finitely supported R-divisor on the projective line."""
-
-    def ord(self, point) -> Fraction:
-        return self.weight(point)
-
-    @property
-    def degree(self) -> Fraction:
-        return sum((v * p.degree for p, v in self.entries.items()), Fraction(0))
-
-    @property
-    def is_effective(self) -> bool:
-        return all(v > 0 for v in self.entries.values())
-
-
 class BaseCondition(_PointWeights):
     """Prescribed vanishing orders for sections; may be ineffective."""
 
@@ -344,45 +323,3 @@ class BaseCondition(_PointWeights):
             p for p in self.support if not p.is_toric and self.entries[p] > 0
         )
 
-
-class FactoredFunction:
-    """A rational function presented by its monic irreducible factorization.
-
-    Keys are closed points standing for their monic irreducible polynomials
-    (Zero stands for the coordinate t itself); values are rational exponents.
-    The point at infinity is not a factor.
-    """
-
-    __slots__ = ("exponents",)
-
-    def __init__(self, exponents: Mapping):
-        entries = _normalize(exponents)
-        for point in entries:
-            if point.kind == "infinity":
-                raise InvalidPoint("1/t is not a monic polynomial factor; "
-                                   "infinity cannot index a factor")
-        self.exponents = entries
-
-    def principal_divisor(self) -> RDivisor:
-        """div(f) = sum of e_q [q]  minus  (sum of e_q deg q) [infinity]."""
-        entries: dict = dict(self.exponents)
-        weighted = sum(
-            (e * p.degree for p, e in self.exponents.items()), Fraction(0)
-        )
-        if weighted:
-            inf = ClosedPoint.infinity()
-            entries[inf] = entries.get(inf, Fraction(0)) - weighted
-        return RDivisor(entries)
-
-    def __repr__(self):
-        body = " * ".join(
-            f"({p.label() if p.kind != 'zero' else 't'})^{e}"
-            for p, e in sorted(self.exponents.items(), key=lambda kv: kv[0].label())
-        )
-        return f"FactoredFunction({body or '1'})"
-
-
-def principal_divisor(f: Union[FactoredFunction, Mapping]) -> RDivisor:
-    if not isinstance(f, FactoredFunction):
-        f = FactoredFunction(f)
-    return f.principal_divisor()

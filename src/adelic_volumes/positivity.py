@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .divisors import ARCH, Pair, ToricAdelicDivisor, as_pair
 from .errors import NotBig, NotNef, NotRelativelyNef, PrecisionExhausted
-from .exactnum import Scalar, log_unit, scalar_sign
+from .exactnum import Scalar, log_unit, scalar_float, scalar_sign
 from .pa import (
     ConcavePA,
     ConvexPA,
@@ -29,6 +29,7 @@ from .pa import (
     integrate_positive_part,
     legendre_potential,
     legendre_roof,
+    unit_roof,
 )
 
 
@@ -150,13 +151,13 @@ def zariski_positive_part(pair) -> ZariskiPart:
     region = roof.nonneg_region()
     divisor = pair.divisor
     pots = {ARCH: legendre_potential(
-        legendre_roof(convex_envelope(divisor.potential(ARCH))).restrict(region)
+        unit_roof(divisor.potential(ARCH)).restrict(region)
     )}
     for place in divisor.places:
         if place == ARCH:
             continue
-        psi = legendre_roof(convex_envelope(divisor.potential(place)))
-        pots[place] = legendre_potential(psi.restrict(region))
+        pots[place] = legendre_potential(
+            unit_roof(divisor.potential(place)).restrict(region))
     positive = ToricAdelicDivisor(region.hi, -region.lo, pots)
     return ZariskiPart(pair=pair, positive=positive, region=region)
 
@@ -331,7 +332,7 @@ class Bracket:
         return Bracket(1 / self.hi, 1 / self.lo)
 
     def __float__(self) -> float:
-        return float(self.value)
+        return scalar_float(self.value)
 
     def __repr__(self):
         if self.exact:

@@ -14,6 +14,7 @@ closed-point label.  All numbers are strings parsed as exact rationals, e.g.
     }
 
 Potentials at finite places are in log p units.  A "comment" key is ignored.
+Decimal exponents ("1e400") are read exactly and limited to +-4300.
 Scene files are untrusted input: a malformed one raises ValueError (or an
 AdelicVolumesError) with a one-line message, never another exception.
 """
@@ -21,11 +22,18 @@ AdelicVolumesError) with a one-line message, never another exception.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from .divisors import Pair
 
 _TOP_KEYS = {"c0", "cinf", "potentials", "base", "comment"}
+
+# "1e400" is read exactly, as 10^400; decimal exponents get the bound that
+# int() puts on the length of a digit string, so no number in a scene is
+# much longer than that
+_MAX_EXPONENT = 4300
+_DECIMAL_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE]([-+]?\d+(?:_\d+)*)\s*")
 
 
 def _check_strings(value, where: str) -> None:
@@ -41,6 +49,12 @@ def _check_strings(value, where: str) -> None:
         raise ValueError(
             f"{where} is {json.dumps(value)}; numbers are strings, e.g. \"1/2\""
         )
+    else:
+        exp = _DECIMAL_EXPONENT.fullmatch(value)
+        if exp and (len(exp[1]) > 8 or abs(int(exp[1])) > _MAX_EXPONENT):
+            raise ValueError(
+                f"{where} has a decimal exponent beyond +-{_MAX_EXPONENT}"
+            )
 
 
 def scene_from_dict(payload: dict) -> Pair:

@@ -15,6 +15,11 @@ by an interval enclosure whose precision starts at the bit size of the value
 for rational q != 0, so the floor is well defined.  Only the final logarithm
 is floating point: the sum of the per-entry logs at the working precision,
 without forming the product of the counts.
+
+Two budgets keep hostile input from hanging: a box has at most
+``_MAX_BOX_ENTRIES`` exponents, and no count or denominator may need more
+than ``_MAX_FLOOR_BITS`` bits.  Past either, the call fails at once, before
+the work is done.
 """
 
 from __future__ import annotations
@@ -32,12 +37,14 @@ from .pa import (
     ConcavePA,
     Interval,
     _eval_on_grid,
-    convex_envelope,
     integrate_positive_part,
-    legendre_roof,
+    unit_roof,
 )
 
 _MAX_FLOOR_BITS = 1 << 16
+# exponents per box (or per Okounkov sample); the range is checked before
+# anything is built, so a huge polytope or multiple fails at once
+_MAX_BOX_ENTRIES = 1 << 16
 
 
 def _floor_scaled_exp(d: Fraction, q: Fraction) -> int:
@@ -48,7 +55,9 @@ def _floor_scaled_exp(d: Fraction, q: Fraction) -> int:
     at B + 32 bits, B an upper bound on the bit size of the integer part of
     d * e^q (never below the working precision), so one attempt nearly
     always decides; undecided enclosures double the precision up to
-    ``_MAX_FLOOR_BITS``, past which ``PrecisionExhausted`` is raised.
+    ``_MAX_FLOOR_BITS``, past which ``PrecisionExhausted`` is raised.  An
+    integer part provably wider than that cap can never be decided, so it
+    raises at once.
     """
     if q == 0:
         return floor_fraction(d)
@@ -56,6 +65,12 @@ def _floor_scaled_exp(d: Fraction, q: Fraction) -> int:
     size = d.numerator.bit_length() - d.denominator.bit_length() + 1
     if q > 0:
         size += -((-q * 1443) // 1000)
+    # d e^q > 2^(len(num) - len(den) - 1 + floor(1.442 q)): an integer part
+    # that wide has an ulp of 2 or more at every precision up to the cap
+    if size > _MAX_FLOOR_BITS and q > 0 and (
+            d.numerator.bit_length() - d.denominator.bit_length() - 1
+            + (q * 1442) // 1000 > _MAX_FLOOR_BITS):
+        raise PrecisionExhausted(f"a box count has more than {_MAX_FLOOR_BITS} bits")
     bits = min(_MAX_FLOOR_BITS, max(default_precision_bits(), size + 32))
     while bits <= _MAX_FLOOR_BITS:
         with mp.workprec(bits):
@@ -86,12 +101,12 @@ def place_roofs(pair) -> tuple:
     divisor = pair.divisor
     if divisor.polytope().is_empty:
         raise EmptyPolytope(f"{divisor!r} has negative degree; no sections")
-    psi_inf = legendre_roof(convex_envelope(divisor.potential(ARCH)))
+    psi_inf = unit_roof(divisor.potential(ARCH))
     finite = {}
     for place in divisor.places:
         if place == ARCH:
             continue
-        finite[place] = legendre_roof(convex_envelope(divisor.potential(place)))
+        finite[place] = unit_roof(divisor.potential(place))
     return psi_inf, finite
 
 
@@ -131,16 +146,29 @@ def _check_multiple(m) -> int:
     return int(m)
 
 
+def _check_entries(lo: int, hi: int, m: int) -> None:
+    n = hi - lo + 1
+    if n > _MAX_BOX_ENTRIES:
+        raise ValueError(
+            f"the multiple m = {m} has more than 2^{n.bit_length() - 1} "
+            f"exponents; at most 2^{_MAX_BOX_ENTRIES.bit_length() - 1} are counted"
+        )
+
+
 def section_box(pair, m: int) -> SectionBox:
-    """Enumerate the coefficient boxes of the m-th multiple of a pair."""
+    """Enumerate the coefficient boxes of the m-th multiple of a pair.
+
+    Raises ValueError when the window holds more than ``_MAX_BOX_ENTRIES``
+    exponents."""
     pair = as_pair(pair)
     m = _check_multiple(m)
     window = pair.shifted_polytope()
     if window.is_empty:
         raise EmptyPolytope(f"{pair!r} has an empty shifted polytope")
-    psi_inf, finite = place_roofs(pair)
     k_lo = -floor_fraction(scalar_fraction(-Fraction(m) * window.lo))
     k_hi = floor_fraction(scalar_fraction(Fraction(m) * window.hi))
+    _check_entries(k_lo, k_hi, m)
+    psi_inf, finite = place_roofs(pair)
     # the grid scan extrapolates silently, so the domains are checked here
     lo, hi = Fraction(k_lo, m), Fraction(k_hi, m)
     for roof in (psi_inf, *finite.values()):
@@ -148,13 +176,21 @@ def section_box(pair, m: int) -> SectionBox:
             raise OutOfDomain(f"[{lo}, {hi}] is not inside {roof.domain}")
     xs = [Fraction(k, m) for k in range(k_lo, k_hi + 1)]
     qs = _eval_on_grid(psi_inf.points, xs)
-    finite_ys = [(Fraction(p), _eval_on_grid(roof.points, xs))
+    # |e| log2 p past the bit cap: p^e is refused rather than built
+    finite_ys = [(Fraction(p), _eval_on_grid(roof.points, xs),
+                  _MAX_FLOOR_BITS // (p.bit_length() - 1))
                  for p, roof in finite.items()]
     entries = []
     for i, k in enumerate(range(k_lo, k_hi + 1)):
         d = Fraction(1)
-        for p, ys in finite_ys:
-            d *= p ** floor_fraction(scalar_fraction(m * ys[i]))
+        for p, ys, top in finite_ys:
+            e = floor_fraction(scalar_fraction(m * ys[i]))
+            if abs(e) > top:
+                raise PrecisionExhausted(
+                    f"the denominator at k = {k} has more than "
+                    f"{_MAX_FLOOR_BITS} bits"
+                )
+            d *= p ** e
         q = scalar_fraction(m * qs[i])
         n = 2 * _floor_scaled_exp(d, q) + 1
         entries.append(BoxEntry(k=k, denominator=d, log_bound=q, count=n))
@@ -224,9 +260,10 @@ def okounkov_sample(pair, m: int) -> OkounkovSample:
     window = pair.shifted_polytope()
     if window.is_empty:
         raise EmptyPolytope(f"{pair!r} has an empty shifted polytope")
-    roofs = place_roofs(pair)
     lo = -floor_fraction(scalar_fraction(Fraction(m) * window.hi))
     hi = floor_fraction(scalar_fraction(-Fraction(m) * window.lo))
+    _check_entries(lo, hi, m)
+    roofs = place_roofs(pair)
     entries = []
     for j in range(lo, hi + 1):
         w = Fraction(j, m)

@@ -5,10 +5,12 @@ roofs are computable by hand: slant has roof 1 - x on [0, 1], tent has
 1 - |x| on [-1, 1], and the p-slant carries the slant shape in log p units.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import adelic_volumes.pa as pa
 from adelic_volumes.divisors import (
     ARCH,
     Pair,
@@ -32,8 +34,10 @@ from adelic_volumes.gallery import (
     slant_divisor,
     tent_divisor,
 )
-from adelic_volumes.pa import ConvexPA, PAGeneral
+from adelic_volumes.harness import sample_divisor
+from adelic_volumes.pa import ConvexPA, PAGeneral, convex_envelope, legendre_roof
 from adelic_volumes.points import BaseCondition
+from adelic_volumes.positivity import avol, is_nef, zariski_positive_part
 
 F = Fraction
 
@@ -226,6 +230,69 @@ class TestGlobalRoof:
         d = slant_divisor() + p_slant_divisor(3)
         r = Pair(d).global_roof()
         assert r.eval(0) == 1 + log_unit(3)
+
+    @staticmethod
+    def _restrict_then_sum(pair):
+        """The route before the per-divisor roof: each unit roof restricted
+        to the window, scaled by log p and added place by place."""
+        window = pair.shifted_polytope()
+        divisor = pair.divisor
+        roof = legendre_roof(convex_envelope(divisor.potential(ARCH)))
+        roof = roof.restrict(window)
+        for place in divisor.places:
+            if place != ARCH:
+                unit = legendre_roof(convex_envelope(divisor.potential(place)))
+                roof = roof + unit.restrict(window).scale(log_unit(place))
+        return roof
+
+    def test_sampled_pairs_match_restrict_then_sum(self):
+        rng = random.Random(5)
+        finite = based = 0
+        for _ in range(120):
+            d = sample_divisor(rng, convex=rng.random() < 0.7)
+            orders = {}
+            if rng.random() < 0.5:
+                orders["0"] = d.degree * F(rng.randint(-2, 5), 8)
+            if rng.random() < 0.3:
+                orders["inf"] = d.degree * F(rng.randint(-2, 4), 8)
+            pair = Pair(d, BaseCondition(orders))
+            if pair.shifted_polytope().is_empty:
+                continue
+            finite += any(v != ARCH for v in d.places)
+            based += bool(orders)
+            expected = self._restrict_then_sum(pair)
+            assert pair.global_roof() == expected
+            assert repr(pair.global_roof()) == repr(expected)
+        assert finite >= 20 and based >= 20
+
+    def test_unit_roofs_built_once_per_divisor(self, monkeypatch):
+        calls = []
+        original = pa.legendre_roof
+
+        def counting(potential):
+            calls.append(potential)
+            return original(potential)
+
+        monkeypatch.setattr(pa, "legendre_roof", counting)
+        d = slant_divisor() + p_slant_divisor(2) + p_slant_divisor(3)
+        assert is_nef(d)
+        assert avol(Pair(d)) > 0
+        Pair(d, BaseCondition({"0": F(1, 4)})).global_roof()
+        zariski_positive_part(Pair(d))
+        # one unit roof per place: inf, 2 and 3
+        assert len(calls) == 3
+        assert len({id(p) for p in calls}) == 3
+
+    def test_roof_is_kept_on_the_divisor(self):
+        d = slant_divisor() + p_slant_divisor(2)
+        assert d.roof() is d.roof()
+        assert Pair(d).global_roof() is d.roof()  # window = whole polytope
+        assert d == slant_divisor() + p_slant_divisor(2)
+        assert repr(d) == repr(slant_divisor() + p_slant_divisor(2))
+
+    def test_roof_of_empty_polytope(self):
+        with pytest.raises(EmptyPolytope):
+            ToricAdelicDivisor(-1, 0).roof()
 
 
 class TestPerturb:

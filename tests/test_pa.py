@@ -4,7 +4,7 @@ duality, sup-convolution, envelopes, integration."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adelic_volumes.errors import (
@@ -27,6 +27,7 @@ from adelic_volumes.pa import (
     pa_from_payload,
     pointwise_min,
     sup_convolution,
+    unit_roof,
 )
 
 L2 = log_unit(2)
@@ -290,6 +291,33 @@ class TestIntegratePositivePart:
         roof = ConcavePA([(0, L2), (1, 0)])
         assert integrate_positive_part(roof) == L2 / 2
 
+    def test_two_clipped_ends(self):
+        # tent 1 - |x| on [-2, 2]: positive part is the triangle of area 1
+        roof = ConcavePA([(-2, -1), (0, 1), (2, -1)])
+        assert integrate_positive_part(roof) == 1
+
+    def test_symbolic_clipped_end(self):
+        # L2 - x on [0, 1]: zero at L2 (about 0.69), area L2^2 / 2
+        roof = ConcavePA([(0, L2), (1, L2 - 1)])
+        assert integrate_positive_part(roof) == L2 * L2 / 2
+
+
+class TestUnitRoof:
+    def test_equals_roof_of_envelope(self):
+        pot = PAGeneral([(F(-1), F(0)), (F(0), F(1)), (F(1), F(0))], -1, 1)
+        assert unit_roof(pot) == legendre_roof(convex_envelope(pot))
+
+    def test_memo_is_invisible(self):
+        pot = ConvexPA([(F(0), F(1)), (F(1), F(1))], -1, 2)
+        twin = ConvexPA([(F(0), F(1)), (F(1), F(1))], -1, 2)
+        payload, text = pot.to_payload(), repr(pot)
+        first = unit_roof(pot)
+        assert unit_roof(pot) is first
+        assert pot == twin and twin == pot
+        assert pot.to_payload() == payload == twin.to_payload()
+        assert repr(pot) == text
+        assert unit_roof(twin) == first
+
 
 _coords = st.fractions(min_value=F(-5), max_value=F(5), max_denominator=6)
 
@@ -354,3 +382,62 @@ def test_envelope_is_greatest_convex_minorant(f):
         assert any(env(u) == y for u, y in f.points)
     else:
         assert all(env(u) == f(u) for u, _ in env.points)
+
+
+def _old_integrate_positive_part(f):
+    """The route before the one-pass integral: restrict to {f >= 0}, then
+    integrate the trapezoids."""
+    region = f.nonneg_region()
+    if region.is_empty or region.is_point:
+        return F(0)
+    return f.restrict(region).integrate()
+
+
+_small = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=4)
+
+
+@st.composite
+def concave_pas(draw):
+    """A concave PA with 1-6 breakpoints, values in Q or in Q + Q log 2 +
+    Q log 3, shifted by a random amount, or so that a breakpoint or the
+    midpoint of a segment sits exactly at 0."""
+    n = draw(st.integers(1, 6))
+    xs = sorted(draw(st.sets(_coords, min_size=n, max_size=n)))
+    slopes = sorted(draw(st.sets(_small, min_size=len(xs) - 1,
+                                 max_size=len(xs) - 1)), reverse=True)
+    ys = [F(0)]
+    for s, x1, x2 in zip(slopes, xs, xs[1:]):
+        ys.append(ys[-1] + s * (x2 - x1))
+    if draw(st.booleans()):
+        # plus log 2 times a concave function: slopes only need to weakly
+        # decrease, the sum stays strictly concave
+        slopes2 = sorted((draw(_small) for _ in slopes), reverse=True)
+        zs = [F(0)]
+        for s, x1, x2 in zip(slopes2, xs, xs[1:]):
+            zs.append(zs[-1] + s * (x2 - x1))
+        ys = [y + L2 * z for y, z in zip(ys, zs)]
+        shift = draw(_small) + draw(_small) * L3
+    else:
+        shift = draw(_small)
+    how = draw(st.sampled_from(["random", "breakpoint", "midpoint"]))
+    i = draw(st.integers(0, len(ys) - 1))
+    if how == "breakpoint":
+        shift = -ys[i]
+    elif how == "midpoint" and i + 1 < len(ys):
+        shift = -(ys[i] + ys[i + 1]) / 2
+    return ConcavePA([(x, y + shift) for x, y in zip(xs, ys)])
+
+
+@given(concave_pas())
+@example(ConcavePA([(0, 1), (1, 2), (2, 1)]))          # no clipped end
+@example(ConcavePA([(0, 1), (2, -1)]))                 # one clipped end
+@example(ConcavePA([(-1, L2 - 1), (0, L2), (1, -1)]))  # one, symbolic
+@example(ConcavePA([(-2, -1), (0, 1), (2, -1)]))       # two clipped ends
+@example(ConcavePA([(-1, -1), (0, 0), (1, -1)]))       # zero at a breakpoint
+@example(ConcavePA([(0, 0), (1, -1)]))                 # zero at the end
+@example(ConcavePA([(0, -1), (1, -2)]))                # all negative
+@example(ConcavePA([(F(1, 2), 3)]))                    # point domain
+@example(ConcavePA([(F(1, 2), -3)]))                   # negative point
+@settings(max_examples=200, deadline=None)
+def test_integrate_positive_part_matches_restrict_route(f):
+    assert integrate_positive_part(f) == _old_integrate_positive_part(f)

@@ -1,5 +1,5 @@
-"""Closed points of the projective line over Q, point-weight maps, and
-principal divisors of factored rational functions."""
+"""Closed points of the projective line over Q, and point-weight maps
+(base conditions)."""
 
 import os
 import subprocess
@@ -13,9 +13,6 @@ from adelic_volumes.points import (
     MAX_POINT_DEGREE,
     BaseCondition,
     ClosedPoint,
-    FactoredFunction,
-    RDivisor,
-    principal_divisor,
 )
 
 F = Fraction
@@ -90,36 +87,6 @@ class TestClosedPoint:
                        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
-class TestRDivisor:
-    def test_arithmetic(self):
-        d = RDivisor({"0": F(1), "inf": F(-2)})
-        e = RDivisor({"0": F(1, 2)})
-        s = d + e
-        assert s.ord(ClosedPoint.zero()) == F(3, 2)
-        assert s.ord(ClosedPoint.infinity()) == -2
-        assert (d - d).is_zero
-        assert d.scale(F(2)).ord(ClosedPoint.zero()) == 2
-
-    def test_degree_counts_point_degree(self):
-        d = RDivisor({"t^2+1": F(1), "0": F(1)})
-        assert d.degree == 3
-
-    def test_effectivity(self):
-        assert RDivisor({"0": F(1)}).is_effective
-        assert RDivisor({}).is_effective
-        assert not RDivisor({"0": F(1), "inf": F(-1, 2)}).is_effective
-
-    def test_parts(self):
-        d = RDivisor({"0": F(1), "inf": F(-2)})
-        assert d.positive_part() == RDivisor({"0": F(1)})
-        assert d.negative_part() == RDivisor({"inf": F(2)})
-        assert d.positive_part() - d.negative_part() == d
-
-    def test_zero_weights_dropped(self):
-        d = RDivisor({"0": F(0)})
-        assert d.is_zero and d.support == ()
-
-
 class TestBaseCondition:
     def test_toric_detection(self):
         assert BaseCondition({"0": F(1, 2)}).is_toric
@@ -138,30 +105,12 @@ class TestBaseCondition:
         assert v.order(ClosedPoint.zero()) == F(1, 2)
         assert v.order(ClosedPoint.infinity()) == 0
 
+    def test_parts(self):
+        v = BaseCondition({"0": F(1), "inf": F(-2)})
+        assert v.positive_part() == BaseCondition({"0": F(1)})
+        assert v.negative_part() == BaseCondition({"inf": F(2)})
+        assert v.positive_part() - v.negative_part() == v
 
-class TestPrincipalDivisor:
-    def test_monomial(self):
-        # div(t) = [0] - [inf]
-        d = principal_divisor({"0": F(1)})
-        assert d.ord(ClosedPoint.zero()) == 1
-        assert d.ord(ClosedPoint.infinity()) == -1
-        assert d.degree == 0
-
-    def test_quadratic_factor(self):
-        # div(t^2+1) = [t^2+1] - 2[inf]
-        d = principal_divisor({"t^2+1": F(1)})
-        assert d.ord(ClosedPoint.parse("t^2+1")) == 1
-        assert d.ord(ClosedPoint.infinity()) == -2
-        assert d.degree == 0
-
-    def test_mixed(self):
-        f = FactoredFunction({"0": F(2), "t-1": F(-1)})
-        d = f.principal_divisor()
-        assert d.ord(ClosedPoint.zero()) == 2
-        assert d.ord(ClosedPoint.parse("t-1")) == -1
-        assert d.ord(ClosedPoint.infinity()) == -1
-        assert d.degree == 0
-
-    def test_infinity_exponent_rejected(self):
-        with pytest.raises(InvalidPoint):
-            FactoredFunction({"inf": F(1)})
+    def test_zero_weights_dropped(self):
+        v = BaseCondition({"0": F(0)})
+        assert v.is_zero and v.support == ()

@@ -1,10 +1,18 @@
 """Scene JSON files and the command-line front end."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
+import os
+import tempfile
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import adelic_volumes.cli as cli
 import adelic_volumes.sections as sections
@@ -72,6 +80,15 @@ class TestScenes:
         path.write_text("{not json")
         with pytest.raises(ValueError, match="broken.json"):
             load_scene(path)
+
+    @pytest.mark.parametrize("c0", ["1e4300", "2.5E-4300", "1e4_300"])
+    def test_decimal_exponent_at_the_limit(self, c0):
+        assert scene_from_dict({"c0": c0}).divisor.c0 == Fraction(c0)
+
+    @pytest.mark.parametrize("c0", ["1e4301", "1e-4301", "1E+99999999999"])
+    def test_decimal_exponent_beyond_the_limit(self, c0):
+        with pytest.raises(ValueError, match="exponent"):
+            scene_from_dict({"c0": c0})
 
     def test_malformed_potential(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -155,6 +172,192 @@ class TestHostileScenes:
         assert main(["avol", str(path)]) == 2
         assert "cannot parse" in capsys.readouterr().err
         assert not marker.exists()
+
+
+class TestHugeScenes:
+    """Numbers like 1e400 are exact, so a scene can ask for far more work
+    than can be done: a polytope of 10^400 at m = 4 has about 4 * 10^400
+    exponents.  Such requests exit 2 at once; values past the float range
+    print their float as inf."""
+
+    _HUGE = {"c0": "1e400", "cinf": "0"}
+    _HUGE_BIG = {"c0": "1e400", "cinf": "0", "potentials": {"inf": {
+        "kind": "convex", "points": [["0", "1"]],
+        "left_slope": "0", "right_slope": "1e400"}}}
+
+    @pytest.mark.parametrize("command, payload, needle", [
+        ("oracle", _HUGE, "exponents"),
+        ("oracle", _HUGE_BIG, "exponents"),
+        ("okounkov", _HUGE_BIG, "exponents"),
+        ("okounkov", _HUGE, "not big"),
+    ])
+    def test_exit_2_at_once(self, tmp_path, capsys, command, payload, needle):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        assert main([command, str(path), "--m", "4"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error:") and needle in err
+        assert len(err.splitlines()) == 1
+
+    def test_cap_is_checked_before_the_roofs(self, monkeypatch):
+        def no_roofs(pair):
+            raise AssertionError("roofs built for a refused box")
+
+        monkeypatch.setattr(sections, "place_roofs", no_roofs)
+        pair = scene_from_dict(self._HUGE_BIG)
+        with pytest.raises(ValueError, match="exponents"):
+            sections.section_box(pair, 4)
+        with pytest.raises(ValueError, match="exponents"):
+            sections.okounkov_sample(pair, 4)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(sections, "_MAX_BOX_ENTRIES", 5)
+        pair = Pair(slant_divisor())  # polytope [0, 1]
+        assert len(sections.section_box(pair, 4).entries) == 5
+        with pytest.raises(ValueError, match="exponents"):
+            sections.section_box(pair, 5)
+
+    @pytest.mark.parametrize("payload, needle", [
+        # a huge archimedean roof value: the count would need 4 * 10^400 bits
+        ({"c0": "1", "cinf": "0", "potentials": {"inf": {
+            "kind": "convex", "points": [["1", "1e400"]],
+            "left_slope": "0", "right_slope": "1"}}}, "bits"),
+        # a huge finite-place roof value: 2^(4 * 10^400) as a denominator
+        ({"c0": "1", "cinf": "0", "potentials": {"2": {
+            "kind": "convex", "points": [["1", "1e400"]],
+            "left_slope": "0", "right_slope": "1"}}}, "bits"),
+        ({"c0": "1e99999999", "cinf": "0"}, "exponent"),
+    ])
+    def test_huge_values_exit_2(self, tmp_path, capsys, payload, needle):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        assert main(["oracle", str(path), "--m", "4"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and needle in err
+        assert len(err.splitlines()) == 1
+
+    def test_volume_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(self._HUGE_BIG))
+        assert main(["avol", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["avol"]["exact"] == "2" + "0" * 400
+        assert payload["avol"]["float"] == float("inf")
+
+    def test_diskant_beyond_float_range(self, tmp_path, capsys):
+        tent = {"kind": "convex", "points": [["0", "1"]],
+                "left_slope": "-1", "right_slope": "1"}
+        paths = []
+        for name, top in (("huge", "1e400"), ("tent", "1")):
+            paths.append(str(tmp_path / f"{name}.json"))
+            with open(paths[-1], "w") as fh:
+                json.dump({"c0": "1", "cinf": "1", "potentials": {
+                    "inf": {**tent, "points": [["0", top]]}}}, fh)
+        assert main(["diskant", *paths]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pass"] is True
+        assert payload["R"] == "1" + "0" * 400
+
+
+# Scene fuzzing: gallery scenes with 1-4 random edits, run through avol and
+# oracle --m 4 in-process.  The bound is well above the slowest example seen
+# (0.24 s over 11,000 examples on a 2-vCPU host); a hang or a traceback fails
+# the test.
+_FUZZ_SECONDS = 10.0
+_FUZZ_BASES = [
+    scene_to_dict(Pair(slant_divisor())),
+    scene_to_dict(Pair(tent_divisor())),
+    scene_to_dict(half_zero_pair()),
+    scene_to_dict(Pair(slant_divisor() + p_slant_divisor(2))),
+    scene_to_dict(Pair(height_shift(1))),
+]
+_FUZZ_WORDS = [
+    "0", "1", "-1", "1/2", "-3/4", "7/3", "2", "3", "5", "12", "64", "1/0",
+    "1e400", "-1e400", "1e-400", "1e4300", "1e4301", "1_0", " 1 ", "", "x",
+    "inf", "nan", "convex", "general", "concave", "1000000007", "4", "t^2+1",
+    "t-1", "0.5", "1e5",
+]
+_FUZZ_KEYS = [
+    "inf", "2", "3", "4", "1000000007", "0", "t^2+1", "t - 1", "x", "c0",
+    "cinf", "base", "potentials", "comment", "points", "kind", "left_slope",
+    "right_slope", "domain",
+]
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(_FUZZ_WORDS),
+    st.text(max_size=5),
+    st.integers(-3, 3),
+    st.floats(),
+    st.none(),
+    st.booleans(),
+    st.lists(st.sampled_from(_FUZZ_WORDS), max_size=3),
+    st.lists(st.lists(st.sampled_from(_FUZZ_WORDS), min_size=2, max_size=2),
+             max_size=3),
+    st.dictionaries(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_WORDS),
+                    max_size=3),
+)
+
+
+def _fuzz_paths(node, path=()):
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _fuzz_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_scenes(draw):
+    payload = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 4))):
+        path = draw(st.sampled_from(list(_fuzz_paths(payload))))
+        if not path:
+            continue
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]]
+        op = draw(st.sampled_from(["set", "set", "delete", "add"]))
+        if op == "set":
+            parent[path[-1]] = draw(_FUZZ_VALUES)
+        elif op == "delete":
+            del parent[path[-1]]
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(_FUZZ_KEYS))] = draw(_FUZZ_VALUES)
+        elif isinstance(node, list):
+            node.append(draw(_FUZZ_VALUES))
+    return payload
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(mutated_scenes())
+@example(TestHugeScenes._HUGE)
+@example(TestHugeScenes._HUGE_BIG)
+@settings(max_examples=150, deadline=None)
+def test_scene_fuzz(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scene.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        for argv in (["avol", path], ["oracle", path, "--m", "4"]):
+            start = time.perf_counter()
+            code, out, err = _run_cli(argv)
+            elapsed = time.perf_counter() - start
+            assert code in (0, 1, 2), (argv[0], code)
+            assert len(err.splitlines()) <= 1, err
+            assert (code == 2) == bool(err), (code, err)
+            assert elapsed < _FUZZ_SECONDS, (argv[0], elapsed, payload)
 
 
 class TestCliDerivative:
