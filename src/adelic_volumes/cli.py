@@ -49,6 +49,10 @@ def _cmd_avol(args) -> int:
 def _cmd_derivative(args) -> int:
     pair = load_scene(args.scene)
     direction = load_scene(args.direction)
+    if not direction.base.is_zero:
+        raise ValueError(
+            f"{args.direction}: a direction is a divisor; drop its \"base\""
+        )
     hs = None
     if args.h:
         hs = [Fraction(part) for part in args.h.split(",")]

@@ -103,7 +103,7 @@ def _coerce_potential(place, pot, c0: Fraction, cinf: Fraction):
 class ToricAdelicDivisor:
     """A toric adelic R-divisor: coefficients plus one potential per place."""
 
-    __slots__ = ("c0", "cinf", "_potentials", "_roof")
+    __slots__ = ("c0", "cinf", "_potentials", "_canonical", "_roof")
 
     def __init__(self, c0, cinf, potentials: Mapping | None = None):
         self.c0 = _coeff(c0)
@@ -119,6 +119,8 @@ class ToricAdelicDivisor:
                 raise ValueError(f"duplicate potential for {place_label(place)}")
             stored[place] = pot
         self._potentials = stored
+        # one object for every unlisted place, so its unit roof is built once
+        self._canonical = canonical
         self._roof = None  # filled by roof(); not part of the value
 
     @classmethod
@@ -136,10 +138,7 @@ class ToricAdelicDivisor:
 
     def potential(self, place):
         place = as_place(place)
-        got = self._potentials.get(place)
-        if got is None:
-            return canonical_potential(self.c0, self.cinf)
-        return got
+        return self._potentials.get(place, self._canonical)
 
     def is_canonical_at(self, place) -> bool:
         return as_place(place) not in self._potentials

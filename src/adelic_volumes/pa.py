@@ -224,6 +224,28 @@ def _eval_on_grid(pts, xs) -> list:
     return out
 
 
+def _jets_on_grid(f, xs) -> list:
+    """(value, left slope, right slope) of a function finite on R at each x
+    of a sorted grid, in one joint scan; beyond the breakpoints the function
+    follows its asymptotic slopes."""
+    pts = f.points
+    slopes = ([f.left_slope] + [_slope(p, q) for p, q in zip(pts, pts[1:])]
+              + [f.right_slope])
+    out = []
+    j = 0  # the first breakpoint at or right of x
+    n = len(pts)
+    for x in xs:
+        while j < n and pts[j][0] < x:
+            j += 1
+        if j < n and pts[j][0] == x:
+            out.append((pts[j][1], slopes[j], slopes[j + 1]))
+        else:
+            s = slopes[j]
+            x0, y0 = pts[min(j, n - 1)]
+            out.append((y0 + s * (x - x0), s, s))
+    return out
+
+
 class ConcavePA:
     """A concave piecewise-affine function on a compact interval.
 

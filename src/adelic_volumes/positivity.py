@@ -1,7 +1,8 @@
 """Positivity theory for toric adelic divisors and pairs: nef and ample
-cones, arithmetic volumes, Zariski positive parts, intersection numbers by
-polarization, positive intersection numbers, and the pseudo-effective
-thresholds behind the inradius/circumradius of a pair of pairs.
+cones, arithmetic volumes, Zariski positive parts, the bilinear intersection
+pairing in closed form on the potentials' breakpoints, positive intersection
+numbers, and the pseudo-effective thresholds behind the inradius/circumradius
+of a pair of pairs.
 
 Everything here is exact.  Volumes and intersection numbers are rational, or
 symbolic combinations of log p when finite places contribute.  Thresholds are
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisors import ARCH, Pair, ToricAdelicDivisor, as_pair
-from .errors import NotBig, NotNef, NotRelativelyNef, PrecisionExhausted
+from .errors import NotBig, NotNef, NotRelativelyNef
 from .exactnum import Scalar, log_unit, scalar_float, scalar_sign
 from .pa import (
     ConcavePA,
@@ -24,6 +25,7 @@ from .pa import (
     Interval,
     PAGeneral,
     _grid,
+    _jets_on_grid,
     _SortKey,
     convex_envelope,
     integrate_positive_part,
@@ -173,101 +175,38 @@ def ample_reference() -> ToricAdelicDivisor:
     )
 
 
-def _kink_correction(pot):
-    """Convex correction cancelling the downward kinks of a potential:
-    sum of kappa_i * max(0, u - u_i) over the kinks, with kappa_i the slope
-    drop.  Returns (correction PA, total slope) or None when already convex.
-    """
-    slopes = [pot.left_slope]
-    for p, q in zip(pot.points, pot.points[1:]):
-        slopes.append((q[1] - p[1]) / (q[0] - p[0]))
-    slopes.append(pot.right_slope)
-    kinks = []
-    for i, (s_in, s_out) in enumerate(zip(slopes, slopes[1:])):
-        drop = s_in - s_out
-        if scalar_sign(drop) > 0:
-            kinks.append((pot.points[i][0], drop))
-    if not kinks:
-        return None
-    out = []
-    y = Fraction(0)
-    cum = Fraction(0)
-    prev_u = None
-    for u, drop in kinks:
-        if prev_u is not None:
-            y = y + cum * (u - prev_u)
-        out.append((u, y))
-        cum = cum + drop
-        prev_u = u
-    return ConvexPA(out, 0, cum), cum
-
-
-def nef_decomposition(divisor) -> tuple:
-    """Write the divisor as a difference of two nef divisors.
-
-    Non-convex potentials are repaired by per-place kink corrections, and a
-    growing multiple of the ample reference absorbs negative degree and
-    negative roof minima on both sides.
-    """
-    divisor = _as_divisor(divisor)
-    correction = ToricAdelicDivisor.zero()
-    for place in divisor.places:
-        fixed = _kink_correction(divisor.potential(place))
-        if fixed is None:
-            continue
-        corr_pa, total = fixed
-        correction = correction + ToricAdelicDivisor(total, 0, {place: corr_pa})
-    h = ample_reference()
-    lam = Fraction(0)
-    while True:
-        bump = h.scale(lam)
-        plus = divisor + correction + bump
-        minus = correction + bump
-        if is_nef(plus) and is_nef(minus):
-            return plus, minus
-        lam = lam * 2 if lam else Fraction(1)
-        if lam > 2**40:
-            raise PrecisionExhausted(
-                f"nef decomposition of {divisor!r} did not stabilize"
-            )
-
-
-def _polarize(a: ToricAdelicDivisor, b: ToricAdelicDivisor):
-    return (avol(Pair(a + b)) - avol(Pair(a)) - avol(Pair(b))) / 2
-
-
-def _nef_split(x: ToricAdelicDivisor, x_nef: bool) -> tuple:
-    """(plus, minus) with x = plus - minus and both nef.  A nef input or one
-    with nef negation gets a trivial split, skipping the ample-lift search."""
-    zero = ToricAdelicDivisor.zero()
-    if x_nef:
-        return x, zero
-    neg = x.scale(-1)
-    if is_nef(neg):
-        return zero, neg
-    return nef_decomposition(x)
-
-
 def adeg_product(a, b):
-    """Arithmetic intersection number of two divisors, by polarization of
-    the volume on the nef cone and bilinear extension elsewhere.
+    """Arithmetic intersection number of two divisors, in closed form.
 
-    Expanding the polarization over a = ap - am, b = bp - bm cancels every
-    single-divisor volume, so only the four cross sums are evaluated; a nef
-    input keeps its trivial decomposition (itself, zero)."""
+    The height of a toric divisor is a sum over places of local integrals of
+    its roof functions (Burgos Gil, Philippon and Sombra, *Arithmetic
+    geometry of toric varieties*, Asterisque 360, Chapter 5).  On the line,
+    a convex potential psi with Legendre roof theta has
+    2 * int theta = sum_u [2 psi(u) D psi'(u) - u D(psi'^2)(u)] over its
+    breakpoints u, where D is the jump (right minus left) of a one-sided
+    slope.  Polarizing that quadratic form gives
+
+        adeg(a, b) = sum_v c_v sum_{u in U_v} [psi_a(u) D psi_b'(u)
+                     + psi_b(u) D psi_a'(u) - u D(psi_a' psi_b')(u)]
+
+    with c_v = 1 at the archimedean place and log p at p (the weights of the
+    global roof), and U_v the union of both potentials' breakpoints at v.
+    Both sides are bilinear, so the formula holds for raw potentials, convex
+    or not, and for any degree; on nef divisors it is the polarization
+    (avol(a + b) - avol(a) - avol(b)) / 2 of the volume.
+    """
     a = _as_divisor(a)
     b = _as_divisor(b)
-    a_nef, b_nef = is_nef(a), is_nef(b)
-    if a_nef and b_nef:
-        return _polarize(a, b)
-    ap, am = _nef_split(a, a_nef)
-    bp, bm = _nef_split(b, b_nef)
-    return (
-        avol(Pair(ap + bp))
-        - avol(Pair(ap + bm))
-        - avol(Pair(am + bp))
-        + avol(Pair(am + bm))
-    ) / 2
+    total = Fraction(0)
+    for place in dict.fromkeys((ARCH,) + a.places + b.places):
+        pot_a, pot_b = a.potential(place), b.potential(place)
+        us = _grid((u for u, _ in pot_a.points), (u for u, _ in pot_b.points))
+        local = Fraction(0)
+        for u, (ya, la, ra), (yb, lb, rb) in zip(
+                us, _jets_on_grid(pot_a, us), _jets_on_grid(pot_b, us)):
+            local = local + ya * (rb - lb) + yb * (ra - la) - u * (ra * rb - la * lb)
+        total = total + (local if place == ARCH else log_unit(place) * local)
+    return total
 
 
 def positive_intersection(pair, direction):

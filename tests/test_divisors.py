@@ -283,6 +283,25 @@ class TestGlobalRoof:
         assert len(calls) == 3
         assert len({id(p) for p in calls}) == 3
 
+    def test_canonical_unit_roof_built_once(self, monkeypatch):
+        calls = []
+        original = pa.legendre_roof
+
+        def counting(potential):
+            calls.append(potential)
+            return original(potential)
+
+        monkeypatch.setattr(pa, "legendre_roof", counting)
+        d = p_slant_divisor(2)
+        assert d.is_canonical_at(ARCH)
+        assert d.potential(ARCH) is d.potential(ARCH)
+        assert d.potential(5) is d.potential(ARCH)
+        for _ in range(3):
+            zariski_positive_part(Pair(d))
+        # one unit roof at 2 and one at the canonical archimedean place
+        assert len(calls) == 2
+        assert sum(p is d.potential(ARCH) for p in calls) == 1
+
     def test_roof_is_kept_on_the_divisor(self):
         d = slant_divisor() + p_slant_divisor(2)
         assert d.roof() is d.roof()

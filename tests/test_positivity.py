@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adelic_volumes.divisors import ARCH, Pair, ToricAdelicDivisor
 from adelic_volumes.errors import NotBig, NotNef, NotRelativelyNef
@@ -21,7 +23,7 @@ from adelic_volumes.gallery import (
     slant_divisor,
     tent_divisor,
 )
-from adelic_volumes.harness import sample_big_pair, sample_nef_divisor
+from adelic_volumes.harness import sample_big_pair, sample_divisor, sample_nef_divisor
 from adelic_volumes.pa import ConvexPA, PAGeneral
 from adelic_volumes.points import BaseCondition
 from adelic_volumes.positivity import (
@@ -38,7 +40,6 @@ from adelic_volumes.positivity import (
     is_relatively_nef,
     is_w_ample,
     nef_certificate,
-    nef_decomposition,
     positive_intersection,
     positive_intersection_lower,
     pseff_threshold,
@@ -170,17 +171,35 @@ class TestIntersection:
         assert adeg_product(E1 + E2, O) == adeg_product(E1, O) + adeg_product(E2, O)
         assert adeg_product(E1.scale(2), E2) == 2 * adeg_product(E1, E2)
 
-    def test_non_nef_goes_through_decomposition(self):
+    def test_non_nef_extends_bilinearly(self):
         E1, O = slant_divisor(), height_shift(1)
         assert not is_nef(E1 - O)
         assert adeg_product(E1 - O, O) == 1  # = adeg(E1, O) - adeg(O, O)
         assert adeg_product(kinked_slant(), ample_reference()) == 1
 
-    def test_nef_decomposition(self):
-        for d in (slant_divisor() - height_shift(1), kinked_slant()):
-            plus, minus = nef_decomposition(d)
-            assert is_nef(plus) and is_nef(minus)
-            assert plus == d + minus
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_nef_pairs_match_polarization(self, seed):
+        rng = random.Random(seed)
+        a, b = sample_nef_divisor(rng), sample_nef_divisor(rng)
+        polarized = (avol(Pair(a + b)) - avol(Pair(a)) - avol(Pair(b))) / 2
+        assert adeg_product(a, b) == polarized
+
+    def test_bilinear_on_non_convex_divisors(self):
+        rng = random.Random(17)
+        finite = 0
+        for _ in range(40):
+            a, a2, b = (sample_divisor(rng, convex=False) for _ in range(3))
+            assert not all(is_relatively_nef(d) for d in (a, a2, b))
+            finite += any(v != ARCH for d in (a, a2, b) for v in d.places)
+            ab = adeg_product(a, b)
+            assert ab == adeg_product(b, a)
+            assert adeg_product(a + a2, b) == ab + adeg_product(a2, b)
+            assert adeg_product(b, a - a2) == ab - adeg_product(b, a2)
+            q = F(rng.randint(-7, 7), rng.randint(1, 5))
+            assert adeg_product(a.scale(q), b) == q * ab
+            assert adeg_product(a, b.scale(q)) == q * ab
+        assert finite >= 10
 
 
 class TestPositiveIntersection:

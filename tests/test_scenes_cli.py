@@ -25,6 +25,7 @@ from adelic_volumes.gallery import (
     slant_divisor,
     tent_divisor,
 )
+from adelic_volumes.points import BaseCondition
 from adelic_volumes.scenes import load_scene, save_scene, scene_from_dict, scene_to_dict
 from adelic_volumes.sections import volume_estimate
 
@@ -265,10 +266,12 @@ class TestHugeScenes:
         assert payload["R"] == "1" + "0" * 400
 
 
-# Scene fuzzing: gallery scenes with 1-4 random edits, run through avol and
-# oracle --m 4 in-process.  The bound is well above the slowest example seen
-# (0.24 s over 11,000 examples on a 2-vCPU host); a hang or a traceback fails
-# the test.
+# Scene fuzzing: gallery scenes with 1-4 random edits, run in-process through
+# avol, oracle --m 4, diskant against the tent scene and derivative of the
+# slant scene with the edited scene as --direction.  The bound is well above
+# the slowest example seen on a 2-vCPU host (avol and oracle: 0.24 s over
+# 11,000 examples; diskant and derivative: 0.1 s over 3,000); a hang or a
+# traceback fails the test.
 _FUZZ_SECONDS = 10.0
 _FUZZ_BASES = [
     scene_to_dict(Pair(slant_divisor())),
@@ -350,7 +353,13 @@ def test_scene_fuzz(payload):
         path = os.path.join(tmp, "scene.json")
         with open(path, "w") as fh:
             json.dump(payload, fh)
-        for argv in (["avol", path], ["oracle", path, "--m", "4"]):
+        slant = os.path.join(tmp, "slant.json")
+        save_scene(Pair(slant_divisor()), slant)
+        tent = os.path.join(tmp, "tent.json")
+        save_scene(Pair(tent_divisor()), tent)
+        for argv in (["avol", path], ["oracle", path, "--m", "4"],
+                     ["diskant", path, tent],
+                     ["derivative", slant, "--direction", path]):
             start = time.perf_counter()
             code, out, err = _run_cli(argv)
             elapsed = time.perf_counter() - start
@@ -382,6 +391,14 @@ class TestCliDerivative:
         assert main(["derivative", scenes["slant"],
                      "--direction", scenes["shift"], "--h", "1/8,1/4"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_based_direction_exit_2(self, tmp_path, capsys, scenes):
+        path = str(tmp_path / "based_shift.json")
+        save_scene(Pair(height_shift(1), BaseCondition({"0": F(1, 2)})), path)
+        assert main(["derivative", scenes["slant"], "--direction", path]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "base" in err
 
 
 class TestCliDiskant:
