@@ -3,9 +3,10 @@
 Walking the slant divisor along a constant height shift crosses a wall:
 the volume is 1 + 2r for r >= 0 but (1 + r)^2 for r < 0.  The function
 is C^1 there (both one-sided derivatives equal 2) while the second
-derivative jumps from 2 to 0, which is exactly what the report's
-one-sided quadratic fits recover.  In general position no wall is
-crossed and the certified central difference equals the exact
+derivative jumps from 2 to 0.  The report reads each one-sided piece off
+a single volume at slant +- eps * shift, with eps a positive
+infinitesimal, so both sides come out exactly.  In general position no
+wall is crossed and the certified central difference equals the exact
 derivative 2 <positive part . direction> on the nose.
 
 Run with:  python3 demos/derivative_walk.py
@@ -38,16 +39,18 @@ def main() -> None:
         print(f"{str(row.h):>8}  {str(row.forward):>10}"
               f"  {str(row.backward):>10}  {str(row.central):>10}")
     print()
+    print("one volume each at slant + eps * shift and slant - eps * shift:")
     print(f"exact right derivative : {rep.exact_right}"
-          f"   (quadratic coefficient {rep.quad_right})")
+          f"   (t^2 coefficient {rep.quad_right})")
     print(f"exact left derivative  : {rep.exact_left}"
-          f"   (quadratic coefficient {rep.quad_left})")
+          f"   (t^2 coefficient {rep.quad_left})")
     print(f"two-sided derivative   : {rep.analytic}")
     print(f"central-difference deviation at the reference step: "
           f"{rep.deviation}")
     print()
-    print("the curvature jump (2 on the left, 0 on the right) is why the")
-    print("central difference only agrees to O(h) at this special point.\n")
+    print("the curvature jump (t^2 coefficient 1 on the left, 0 on the")
+    print("right) is why the central difference only agrees to O(h) at")
+    print("this special point.\n")
 
     print("=== general position: exact agreement ===\n")
     rng = random.Random(7)

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from .errors import AdelicVolumesError
 from .exactnum import scalar_float
@@ -53,10 +52,7 @@ def _cmd_derivative(args) -> int:
         raise ValueError(
             f"{args.direction}: a direction is a divisor; drop its \"base\""
         )
-    hs = None
-    if args.h:
-        hs = [Fraction(part) for part in args.h.split(",")]
-    report = check_differentiability(pair, direction, hs=hs)
+    report = check_differentiability(pair, direction)
     rows = [["h", "forward", "backward", "central"]]
     table = []
     for row in report.table:
@@ -71,8 +67,8 @@ def _cmd_derivative(args) -> int:
     payload = {
         "analytic": _scalar_json(report.analytic),
         "derivative": None if report.derivative is None else _scalar_json(report.derivative),
-        "exact_right": None if report.exact_right is None else _scalar_json(report.exact_right),
-        "exact_left": None if report.exact_left is None else _scalar_json(report.exact_left),
+        "exact_right": _scalar_json(report.exact_right),
+        "exact_left": _scalar_json(report.exact_left),
         "deviation": _scalar_json(report.deviation),
         "curvature_jump": report.curvature_jump,
         "table": table,
@@ -183,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene")
     p.add_argument("--direction", required=True,
                    help="scene file for the direction divisor")
-    p.add_argument("--h", default=None,
-                   help="comma-separated step sizes (default 2^-4..2^-12)")
 
     p = add("diskant", _cmd_diskant,
             "isoperimetric inequality chain for two scenes")

@@ -1,4 +1,4 @@
-"""Exact scalars in the field Q(log 2, log 3, ...).
+"""Exact scalars in the field Q(log 2, log 3, ...)(eps).
 
 Quantities produced by toric arithmetic on the projective line are rational
 linear combinations of 1 and logarithms of primes, together with the products
@@ -7,6 +7,7 @@ of clipped triangles).  All of it lives in the fraction field of the polynomial
 ring Q[log 2, log 3, ...], which this module implements directly:
 
 * a monomial is a sorted tuple of primes with multiplicity, ``()`` meaning 1;
+  the key ``0`` stands for eps (see below) and sorts before every prime;
 * a polynomial is a dict monomial -> Fraction;
 * a number is a quotient num/den of two polynomials, with the denominator
   folded into the numerator whenever it is purely rational.
@@ -28,6 +29,14 @@ rational dependence between products of prime logarithms; the widening loop is
 capped and raises :class:`~adelic_volumes.errors.PrecisionExhausted` rather
 than loop forever on such a miracle.
 
+:data:`EPS` is a positive infinitesimal, as in simulation of simplicity
+(Edelsbrunner and Muecke, ACM TOG 1990).  Its key 0 is not prime, so no
+scene, place or :func:`log_unit` call can make it.  A polynomial with eps
+and coefficients of both signs takes the sign of its lowest eps-degree
+coefficient, decided by the ladder above.  So a computation at D + eps*E
+takes every branch it takes at D + t*E for all small t > 0, and returns the
+exact piece beside 0 (:func:`eps_coefficients`).  eps has no interval.
+
 Plain ``fractions.Fraction`` values interoperate transparently: arithmetic
 promotes them, and the ``scalar_*`` helpers at the bottom give call sites one
 vocabulary for "Fraction or ExactNumber".
@@ -35,7 +44,6 @@ vocabulary for "Fraction or ExactNumber".
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from fractions import Fraction
 from math import copysign, gcd, inf, isqrt
@@ -50,23 +58,16 @@ Poly = dict  # dict[Mono, Fraction]
 
 _ONE_POLY = {(): Fraction(1)}
 
-_PRECISION_ENV = "ADELIC_PRECISION_BITS"
-_PRECISION_FLOOR = 64
+_EPS = 0  # the monomial key of eps
+_PRECISION_BITS = 64
 _PRECISION_CAP = 1 << 13
 
 
 def default_precision_bits() -> int:
-    """Working precision for interval evaluation, at least 64 bits.
-
-    The ``ADELIC_PRECISION_BITS`` environment variable raises (never lowers)
-    the starting precision.
-    """
-    raw = os.environ.get(_PRECISION_ENV, "")
-    try:
-        requested = int(raw)
-    except ValueError:
-        requested = 0
-    return max(_PRECISION_FLOOR, requested)
+    """The starting working precision for interval evaluation, 64 bits.
+    The sign ladder and ``sections._floor_scaled_exp`` widen it until their
+    result is decided."""
+    return _PRECISION_BITS
 
 
 @contextmanager
@@ -136,6 +137,10 @@ def _poly_interval(poly: Poly, bits: int):
         return acc
 
 
+def _has_eps(poly: Poly) -> bool:
+    return any(mono and mono[0] == _EPS for mono in poly)
+
+
 def _poly_sign(poly: Poly) -> int:
     if not poly:
         return 0
@@ -156,6 +161,10 @@ def _poly_sign(poly: Poly) -> int:
         return 1
     if not have_pos:
         return -1
+    if _has_eps(poly):
+        low = min(m.count(_EPS) for m in poly)
+        return _poly_sign({m[low:]: c for m, c in poly.items()
+                           if m.count(_EPS) == low})
     lo = hi = Fraction(0)
     for mono, c in poly.items():
         mlo, mhi = _mono_bounds(mono)
@@ -494,7 +503,8 @@ def _mono_str(mono: Mono) -> str:
         seen[p] = seen.get(p, 0) + 1
     for p in sorted(seen):
         e = seen[p]
-        parts.append(f"log({p})" if e == 1 else f"log({p})^{e}")
+        name = "eps" if p == _EPS else f"log({p})"
+        parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts)
 
 
@@ -549,7 +559,8 @@ ScalarLike = Union[int, Fraction, "ExactNumber"]
 
 
 class ExactNumber:
-    """An element of Q(log 2, log 3, ...), stored as a polynomial quotient."""
+    """An element of Q(log 2, log 3, ...)(eps), stored as a polynomial
+    quotient."""
 
     __slots__ = ("_num", "_den")
 
@@ -618,7 +629,10 @@ class ExactNumber:
         return _poly_sign(self._num)  # denominator is normalized positive
 
     def interval(self, bits: int | None = None):
-        """A rigorous mpmath interval enclosure at the given precision."""
+        """A rigorous mpmath interval enclosure at the given precision;
+        ValueError for a value that contains eps."""
+        if _has_eps(self._num) or _has_eps(self._den):
+            raise ValueError(f"{self!r} contains eps; it has no interval")
         bits = bits or default_precision_bits()
         num = _poly_interval(self._num, bits)
         if self._den == _ONE_POLY:
@@ -664,20 +678,7 @@ class ExactNumber:
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._den
-        if d is o._den or d == o._den:
-            if d is _ONE_POLY or d == _ONE_POLY:
-                obj = object.__new__(ExactNumber)
-                obj._num = _padd(self._num, _pneg(o._num))
-                obj._den = _ONE_POLY
-                return obj
-            return self._make(_padd(self._num, _pneg(o._num)), d)
-        return self._make(
-            _padd(_pmul(self._num, o._den), _pneg(_pmul(o._num, self._den))),
-            _pmul(self._den, o._den),
-        )
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -758,10 +759,6 @@ class ExactNumber:
             return True
         return _poly_sign(diff) == 0  # separates (False) or raises
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def _cmp_sign(self, other) -> int:
         # denominators are normalized positive, so the sign survives
         # cross-multiplication; this skips quotient normalization entirely
@@ -816,6 +813,38 @@ def log_unit(prime: int) -> ExactNumber:
     return ExactNumber.log_unit(prime)
 
 
+EPS = ExactNumber._make({(_EPS,): Fraction(1)}, _ONE_POLY)
+
+
+def _eps_layers(poly: Poly) -> list:
+    """The coefficients of poly in eps, lowest degree first, free of eps."""
+    layers: dict = {}
+    for mono, c in poly.items():
+        k = mono.count(_EPS)
+        layers.setdefault(k, {})[mono[k:]] = c
+    return [ExactNumber._make(layers.get(k, {}), _ONE_POLY)
+            for k in range(max(layers, default=0) + 1)]
+
+
+def eps_coefficients(x: ScalarLike, count: int) -> list:
+    """[c_0, ..., c_{count-1}], free of eps, with x = sum c_k eps^k.
+
+    ValueError unless x is a polynomial in eps of degree below count.  The
+    quotient x need not be cancelled: its numerator is divided by its
+    denominator as polynomials in eps, and a nonzero remainder raises."""
+    x = ExactNumber(x)
+    rem, den = _eps_layers(x._num), _eps_layers(x._den)
+    m = len(den) - 1
+    quo = [Fraction(0)] * max(count, len(rem) - m)
+    for i in range(len(rem) - 1 - m, -1, -1):
+        quo[i] = q = rem[i + m] / den[m]
+        for j, d in enumerate(den):
+            rem[i + j] = rem[i + j] - q * d
+    if len(quo) > count or any(rem):
+        raise ValueError(f"{x!r} is not a polynomial in eps of degree below {count}")
+    return [c.as_fraction() if c.is_rational else c for c in map(ExactNumber, quo)]
+
+
 def scalar_sign(x: Scalar) -> int:
     if isinstance(x, ExactNumber):
         return x.sign()
@@ -829,10 +858,6 @@ def scalar_float(x) -> float:
         return float(x)
     except OverflowError:
         return copysign(inf, scalar_sign(x))
-
-
-def scalar_is_rational(x: Scalar) -> bool:
-    return not isinstance(x, ExactNumber) or x.is_rational
 
 
 def scalar_fraction(x: Scalar) -> Fraction:

@@ -4,7 +4,8 @@ randomized property suites.
 
 The volume of a pair along a line of divisors is piecewise quadratic with
 exact rational (or symbolic-log) values, so derivative checks can be exact:
-one-sided derivatives are read off from stabilized quadratic fits, and in
+each one-sided quadratic piece beside 0 is one volume at D +- eps*E, with
+eps the positive infinitesimal of :mod:`~adelic_volumes.exactnum`, and in
 general position the central difference at a fixed step equals the analytic
 value on the nose.  Random samplers keep heights small (numerators and
 denominators at most 16, at most two finite places) so exact arithmetic
@@ -22,7 +23,8 @@ import mpmath
 
 from .divisors import ARCH, Pair, ToricAdelicDivisor, as_pair, min_adelic
 from .errors import NotBig, UnknownSuite
-from .exactnum import default_precision_bits, log_unit, scalar_float, scalar_sign
+from .exactnum import (EPS, default_precision_bits, eps_coefficients, log_unit,
+                       scalar_float, scalar_sign)
 from .gallery import half_zero_pair, height_shift, slant_divisor, tent_divisor
 from .pa import ConvexPA, PAGeneral, abs_scalar, convex_envelope, legendre_potential, legendre_roof
 from .points import BaseCondition
@@ -58,14 +60,16 @@ class FiniteDifferenceRow:
 
 @dataclass(frozen=True)
 class DerivativeReport:
-    """Finite-difference table for the volume along a direction, the exact
-    one-sided derivatives when the quadratic fits stabilize, and the
-    analytic value (twice the positive intersection against the direction).
+    """The volume t -> avol(D + tE) beside t = 0: exact one-sided
+    derivatives exact_right/left and t^2 coefficients quad_right/left of its
+    quadratic pieces (one volume over Q(log p)(eps) per side, never None),
+    the analytic value (twice the positive intersection against E), and the
+    finite-difference table at DEFAULT_HS as an independent oracle.
 
-    deviation is |central difference at the reference step - analytic|
-    relative to 1 + |analytic|; curvature_jump records that the two one-sided
-    quadratic coefficients differ (the volume is C^1 there but not C^2,
-    which is allowed and reported)."""
+    deviation is |central difference at REFERENCE_H - analytic| relative to
+    1 + |analytic|; curvature_jump records that the two quadratic
+    coefficients differ (the volume is C^1 there but not C^2, which is
+    allowed and reported)."""
 
     pair: Pair
     direction: ToricAdelicDivisor
@@ -79,56 +83,35 @@ class DerivativeReport:
 
     @property
     def derivative(self):
-        """The two-sided exact derivative, when both fits stabilized and
-        agree (the differentiability claim)."""
-        if self.exact_right is None or self.exact_left is None:
-            return None
-        if bool(self.exact_right == self.exact_left):
-            return self.exact_right
-        return None
+        """The two-sided derivative when the one-sided ones agree (the
+        differentiability claim), else None."""
+        return self.exact_right if bool(self.exact_right == self.exact_left) else None
 
     @property
     def curvature_jump(self) -> bool:
-        if self.quad_right is None or self.quad_left is None:
-            return False
         return not bool(self.quad_right == self.quad_left)
 
 
-def _onesided_fit(vol_at, v0, sign: int):
-    """Exact one-sided derivative and quadratic coefficient at 0, by
-    quadratic interpolation on successively halved steps until two fits
-    agree exactly; (None, None) if no stabilization within the budget."""
-    h = Fraction(1, 64)
-    prev = None
-    for _ in range(40):
-        y1 = vol_at(sign * h / 2)
-        y2 = vol_at(sign * h)
-        b = (4 * y1 - y2 - 3 * v0) / (sign * h)
-        a = 2 * (y2 - 2 * y1 + v0) / (h * h)
-        if prev is not None and bool(b == prev[0]) and bool(a == prev[1]):
-            return b, a
-        prev = (b, a)
-        h = h / 2
-    return None, None
+def _jet(pair: Pair, direction: ToricAdelicDivisor, sign: int) -> list:
+    """[v0, b, quad] with v0 + b t + quad t^2 the volume at
+    D + sign * t * E for small t > 0: one volume at t = eps."""
+    moved = Pair(pair.divisor + direction.scale(sign * EPS), pair.base)
+    return eps_coefficients(avol(moved), 3)
 
 
-def check_differentiability(pair, direction, hs=None) -> DerivativeReport:
+def check_differentiability(pair, direction) -> DerivativeReport:
     pair = as_pair(pair)
     direction = _as_divisor(direction)
     if not is_big(pair):
         raise NotBig(f"{pair!r} is not big")
-    if hs is None:
-        hs = DEFAULT_HS
-    hs = [Fraction(h) for h in hs]
-    if any(not h2 < h1 for h1, h2 in zip(hs, hs[1:])) or any(h <= 0 for h in hs):
-        raise ValueError("step sizes must be positive and strictly decreasing")
 
     def vol_at(r):
         return avol(Pair(pair.divisor + direction.scale(r), pair.base))
 
-    v0 = vol_at(Fraction(0))
+    v0, b_r, a_r = _jet(pair, direction, +1)
+    _, b_l, a_l = _jet(pair, direction, -1)
     rows = []
-    for h in hs:
+    for h in DEFAULT_HS:
         up, down = vol_at(h), vol_at(-h)
         rows.append(FiniteDifferenceRow(
             h=h,
@@ -137,10 +120,7 @@ def check_differentiability(pair, direction, hs=None) -> DerivativeReport:
             central=(up - down) / (2 * h),
         ))
     analytic = 2 * positive_intersection(pair, direction)
-    b_r, a_r = _onesided_fit(vol_at, v0, +1)
-    b_l, a_l = _onesided_fit(vol_at, v0, -1)
-    ref = REFERENCE_H if REFERENCE_H in hs else hs[-1]
-    central_ref = (vol_at(ref) - vol_at(-ref)) / (2 * ref)
+    central_ref = rows[DEFAULT_HS.index(REFERENCE_H)].central
     deviation = abs_scalar(central_ref - analytic) / (1 + abs_scalar(analytic))
     return DerivativeReport(
         pair=pair,
@@ -148,7 +128,7 @@ def check_differentiability(pair, direction, hs=None) -> DerivativeReport:
         table=tuple(rows),
         analytic=analytic,
         exact_right=b_r,
-        exact_left=b_l,
+        exact_left=-b_l,
         quad_right=a_r,
         quad_left=a_l,
         deviation=deviation,
@@ -420,10 +400,6 @@ def run_suite(name: str, count: int = 200, seed: int = 0) -> SuiteResult:
                        failing=failing)
 
 
-def _pair_payload(pair: Pair) -> dict:
-    return pair.to_payload()
-
-
 @_suite
 def _suite_brunn_minkowski(rng, count):
     for _ in range(count):
@@ -434,7 +410,7 @@ def _suite_brunn_minkowski(rng, count):
         gap = d * d - 4 * v1 * v2
         ok = scalar_sign(d) >= 0 and scalar_sign(gap) >= 0
         yield ok, scalar_float(gap), None if ok else {
-            "pair1": _pair_payload(p1), "pair2": _pair_payload(p2)}
+            "pair1": p1.to_payload(), "pair2": p2.to_payload()}
 
 
 @_suite
@@ -445,7 +421,7 @@ def _suite_homogeneity(rng, count):
         scaled = pair.scale(a)
         ok = bool(avol(scaled) == a * a * avol(pair))
         ok = ok and scaled.shifted_polytope() == pair.shifted_polytope().scale(a)
-        yield ok, 0.0, None if ok else {"pair": _pair_payload(pair), "a": str(a)}
+        yield ok, 0.0, None if ok else {"pair": pair.to_payload(), "a": str(a)}
 
 
 @_suite
@@ -460,7 +436,7 @@ def _suite_zariski(rng, count):
         ok = ok and diff.is_effective
         ok = ok and bool(window.lo <= zar.region.lo) and bool(
             zar.region.hi <= window.hi)
-        yield ok, 0.0, None if ok else {"pair": _pair_payload(pair)}
+        yield ok, 0.0, None if ok else {"pair": pair.to_payload()}
 
 
 @_suite
@@ -515,7 +491,7 @@ def _suite_continuity(rng, count):
         slack = bound - delta
         ok = scalar_sign(slack) >= 0
         yield ok, scalar_float(slack), None if ok else {
-            "pair": _pair_payload(pair), "place": str(place)}
+            "pair": pair.to_payload(), "place": str(place)}
 
 
 @_suite
@@ -586,7 +562,7 @@ def _suite_openness(rng, count):
         worst = pair.perturb(ARCH, PAGeneral.constant(-2 * delta))
         ok = delta > 0 and is_big(worst)
         yield ok, scalar_float(avol(worst)), None if ok else {
-            "pair": _pair_payload(pair), "delta": str(delta)}
+            "pair": pair.to_payload(), "delta": str(delta)}
 
 
 @_suite
@@ -630,7 +606,7 @@ def _suite_okounkov_match(rng, count):
             gap = abs(float(t) - scalar_float(data.transform.eval(w)))
             worst = max(worst, gap)
         ok = ok and worst <= 0.05
-        yield ok, 0.05 - worst, None if ok else {"pair": _pair_payload(pair)}
+        yield ok, 0.05 - worst, None if ok else {"pair": pair.to_payload()}
 
 
 @_suite
@@ -642,7 +618,7 @@ def _suite_diskant_random(rng, count):
         ok = rep.all_pass
         slacks = [float(c.slack) for c in rep.cases]
         yield ok, min(slacks), None if ok else {
-            "pair1": _pair_payload(p1), "pair2": _pair_payload(p2),
+            "pair1": p1.to_payload(), "pair2": p2.to_payload(),
             "cases": [(c.name, float(c.slack)) for c in rep.cases]}
 
 
@@ -660,7 +636,7 @@ def _suite_bonnesen_random(rng, count):
         nonneg = rep.case("mixed_discriminant_nonneg")
         ok = bon.passed and nonneg.passed
         yield ok, float(bon.slack), None if ok else {
-            "pair1": _pair_payload(p1), "pair2": _pair_payload(p2)}
+            "pair1": p1.to_payload(), "pair2": p2.to_payload()}
 
 
 @_suite
@@ -682,5 +658,5 @@ def _suite_superadditivity(rng, count):
             except NotBig:
                 pass
         yield ok, scalar_float(slack), None if ok else {
-            "pair1": _pair_payload(p1), "pair2": _pair_payload(p2),
+            "pair1": p1.to_payload(), "pair2": p2.to_payload(),
             "N": n.to_payload()}

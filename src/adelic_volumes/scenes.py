@@ -14,7 +14,9 @@ closed-point label.  All numbers are strings parsed as exact rationals, e.g.
     }
 
 Potentials at finite places are in log p units.  A "comment" key is ignored.
-Decimal exponents ("1e400") are read exactly and limited to +-4300.
+Decimal exponents ("1e400") are read exactly and limited to +-4300, and the
+potentials of a scene carry at most MAX_BREAKPOINTS breakpoints in all: the
+thresholds behind `diskant` cost about the cube of that count.
 Scene files are untrusted input: a malformed one raises ValueError (or an
 AdelicVolumesError) with a one-line message, never another exception.
 """
@@ -34,6 +36,11 @@ _TOP_KEYS = {"c0", "cinf", "potentials", "base", "comment"}
 # much longer than that
 _MAX_EXPONENT = 4300
 _DECIMAL_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+# `diskant` of a one-potential scene with this many breakpoints (six-digit
+# rationals) against itself takes about 2.5 s, and 5 s at 64 (2-vCPU host,
+# Python 3.11)
+MAX_BREAKPOINTS = 48
 
 
 def _check_strings(value, where: str) -> None:
@@ -78,6 +85,12 @@ def scene_from_dict(payload: dict) -> Pair:
         if not isinstance(payload.get(key, {}), dict):
             raise ValueError(f"{key} must be an object keyed by label, "
                              f"got {type(payload[key]).__name__}")
+    breakpoints = sum(
+        len(pot["points"]) for pot in payload.get("potentials", {}).values()
+        if isinstance(pot, dict) and isinstance(pot.get("points"), list))
+    if breakpoints > MAX_BREAKPOINTS:
+        raise ValueError(f"potentials carry {breakpoints} breakpoints; a scene "
+                         f"may carry at most {MAX_BREAKPOINTS}")
     try:
         return Pair.from_payload(payload)
     except (KeyError, ZeroDivisionError, TypeError, AttributeError) as exc:

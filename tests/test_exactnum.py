@@ -12,15 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adelic_volumes import exactnum
+from adelic_volumes.divisors import as_place
 from adelic_volumes.exactnum import (
+    EPS,
     ExactNumber,
     default_precision_bits,
+    eps_coefficients,
     exact,
     floor_fraction,
     log_unit,
     scalar_float,
     scalar_fraction,
-    scalar_is_rational,
     scalar_sign,
 )
 
@@ -96,9 +98,6 @@ def test_float_value():
 
 
 def test_is_rational_checks():
-    assert scalar_is_rational(Fraction(2, 5))
-    assert scalar_is_rational(exact(4))
-    assert not scalar_is_rational(L2)
     assert scalar_fraction(exact(Fraction(3, 7))) == Fraction(3, 7)
     with pytest.raises(ValueError):
         scalar_fraction(L2)
@@ -110,13 +109,72 @@ def test_floor_fraction():
     assert floor_fraction(Fraction(4)) == 4
 
 
-def test_default_precision_env(monkeypatch):
-    monkeypatch.delenv("ADELIC_PRECISION_BITS", raising=False)
+def test_default_precision_env():
     assert default_precision_bits() == 64
-    monkeypatch.setenv("ADELIC_PRECISION_BITS", "256")
-    assert default_precision_bits() == 256
-    monkeypatch.setenv("ADELIC_PRECISION_BITS", "16")
-    assert default_precision_bits() == 64  # the floor wins
+
+
+class TestEpsilon:
+    """eps is a positive infinitesimal: below every positive element of
+    Q(log 2, log 3, ...), and decided by its lowest-degree coefficient."""
+
+    def test_signs(self):
+        assert scalar_sign(EPS) == 1
+        assert scalar_sign(-EPS) == -1
+        assert scalar_sign(EPS - Fraction(1, 2**1000)) == -1
+        assert scalar_sign(EPS * L2 - EPS * EPS) == 1
+        assert scalar_sign(EPS * (L3 - L2) - 5 * EPS ** 2) == 1
+        assert scalar_sign(EPS * (Fraction(1585, 1000) * L2 - L3) - 1000 * EPS ** 2) == 1
+        assert scalar_sign((L2 - L3) * EPS ** 2 + EPS ** 3) == -1
+        assert EPS > 0 and EPS < Fraction(1, 2**1000) and EPS * EPS < EPS
+
+    def test_quotients_order(self):
+        # (1 - eps) / (1 + eps) is below 1 but above every 1 - 2^-k
+        x = (1 - EPS) / (1 + EPS)
+        assert x < 1 and x > 1 - Fraction(1, 2**60)
+        assert 1 / EPS > 10**100
+
+    def test_no_float_or_interval(self):
+        for x in (EPS, L2 + EPS, L2 / (1 + EPS)):
+            with pytest.raises(ValueError, match="eps"):
+                float(x)
+            with pytest.raises(ValueError, match="eps"):
+                x.interval()
+
+    def test_repr(self):
+        assert repr(EPS) == "eps"
+        assert repr(EPS * L2 - EPS * EPS) == "-eps^2 + eps*log(2)"
+
+    def test_zero_is_not_a_place(self):
+        with pytest.raises(ValueError):
+            log_unit(0)
+        with pytest.raises(ValueError):
+            as_place(0)
+
+    def test_coefficients(self):
+        assert eps_coefficients(Fraction(3, 2), 3) == [Fraction(3, 2), 0, 0]
+        x = L2 + 2 * EPS - L3 * EPS ** 2
+        c0, c1, c2 = eps_coefficients(x, 3)
+        assert c0 == L2 and c2 == -L3
+        assert isinstance(c1, Fraction) and c1 == 2
+        assert eps_coefficients((EPS ** 2 - 1) / (EPS + 1), 3) == [-1, 1, 0]
+
+    @pytest.mark.parametrize("x", [
+        1 / (1 + EPS), EPS / (L2 + EPS), EPS ** 3 + EPS])
+    def test_not_a_polynomial_of_low_degree(self, x):
+        with pytest.raises(ValueError, match="polynomial in eps"):
+            eps_coefficients(x, 3)
+
+    def test_coefficients_of_an_uncancelled_quotient(self, monkeypatch):
+        # with every gcd candidate rejected the quotient stays uncancelled;
+        # the read-out divides it out and still returns the coefficients
+        g = EPS * L2 + L3 + 1
+        p = L5 * EPS ** 2 + EPS + L2
+        monkeypatch.setattr(exactnum, "_zdivide", lambda f, h: None)
+        x = (g * p) / g
+        assert x._den != {(): 1}  # uncancelled
+        assert eps_coefficients(x, 3) == [L2, 1, L5]
+        with pytest.raises(ValueError, match="polynomial in eps"):
+            eps_coefficients(p / g, 3)
 
 
 _small = st.fractions(

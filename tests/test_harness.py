@@ -13,17 +13,26 @@ from fractions import Fraction
 
 import pytest
 
+from adelic_volumes import exactnum
 from adelic_volumes.divisors import Pair
 from adelic_volumes.errors import NotBig, UnknownSuite
-from adelic_volumes.gallery import half_zero_pair, height_shift, slant_divisor, tent_divisor
+from adelic_volumes.exactnum import log_unit
+from adelic_volumes.gallery import (
+    half_zero_pair,
+    height_shift,
+    p_slant_divisor,
+    slant_divisor,
+    tent_divisor,
+)
 from adelic_volumes.harness import (
     DEFAULT_HS,
-    REFERENCE_H,
+    _jet,
     check_differentiability,
     diskant_report,
     run_suite,
     sample_big_pair,
     sample_derivative_instance,
+    sample_direction,
     sample_divisor,
     sample_nef_divisor,
     suite_names,
@@ -31,6 +40,7 @@ from adelic_volumes.harness import (
 from adelic_volumes.positivity import avol, is_big, is_nef
 
 F = Fraction
+L3 = log_unit(3)
 
 
 class TestDerivativeReport:
@@ -68,20 +78,74 @@ class TestDerivativeReport:
         assert not rep.curvature_jump
         assert rep.quad_right == 1 == rep.quad_left
 
-    def test_reference_step_fallback(self):
-        rep = check_differentiability(Pair(slant_divisor()), height_shift(1),
-                                      hs=[F(1, 8)])
-        assert rep.deviation == F(1, 48)  # (h/2) / 3 at h = 1/8
-
     def test_rejections(self):
         with pytest.raises(NotBig):
             check_differentiability(Pair(height_shift(1)), slant_divisor())
-        with pytest.raises(ValueError):
-            check_differentiability(Pair(slant_divisor()), height_shift(1),
-                                    hs=[F(1, 8), F(1, 4)])
-        with pytest.raises(ValueError):
-            check_differentiability(Pair(slant_divisor()), height_shift(1),
-                                    hs=[F(0)])
+
+    def test_near_wall(self):
+        # 2^-50 below the wall of the slant fixture: the volume is
+        # (1 - 2^-50 + r)^2 for r < 2^-50, so both sides have derivative
+        # 2 (1 - 2^-50) and t^2 coefficient 1; the old fit loop never
+        # stabilised on the right within its 40 halvings
+        pair = Pair(slant_divisor() - height_shift(F(1, 2**50)))
+        rep = check_differentiability(pair, height_shift(1))
+        assert rep.exact_right == rep.exact_left == 2 * (1 - F(1, 2**50))
+        assert rep.quad_right == rep.quad_left == 1
+        assert rep.derivative == rep.analytic
+        assert not rep.curvature_jump
+
+    def test_finite_places_without_gcd(self, monkeypatch):
+        # the jets read the same coefficients when every gcd candidate is
+        # rejected and the volumes stay uncancelled quotients
+        def jets():
+            pair = Pair(slant_divisor() + p_slant_divisor(2))
+            direction = p_slant_divisor(3)
+            return [_jet(pair, direction, sign) for sign in (1, -1)]
+
+        want = jets()
+        monkeypatch.setattr(exactnum, "_zdivide", lambda f, h: None)
+        got = jets()
+        assert all(bool(a == b) for u, v in zip(want, got) for a, b in zip(u, v))
+        assert want[0][2] == L3 and want[1][1] == -want[0][1]
+
+
+def _fit_oracle(pair, direction, sign):
+    """The fit loop the jets replaced: quadratic interpolation on halved
+    steps until two fits agree exactly, or None after 40 halvings."""
+    def vol_at(r):
+        return avol(Pair(pair.divisor + direction.scale(r), pair.base))
+
+    v0 = vol_at(F(0))
+    h, prev = F(1, 64), None
+    for _ in range(40):
+        y1, y2 = vol_at(sign * h / 2), vol_at(sign * h)
+        b = (4 * y1 - y2 - 3 * v0) / (sign * h)
+        a = 2 * (y2 - 2 * y1 + v0) / (h * h)
+        if prev is not None and bool(b == prev[0]) and bool(a == prev[1]):
+            return v0, b, a
+        prev = (b, a)
+        h = h / 2
+    return None
+
+
+def test_jets_match_the_fit_oracle():
+    """150 seeded instances, no general-position filter: finite places, base
+    conditions and non-convex directions included."""
+    rng = random.Random(2024)
+    compared = 0
+    for _ in range(150):
+        pair = sample_big_pair(rng)
+        direction = sample_direction(rng)
+        rep = check_differentiability(pair, direction)
+        for sign, b, a in ((1, rep.exact_right, rep.quad_right),
+                           (-1, rep.exact_left, rep.quad_left)):
+            assert b is not None and a is not None
+            fit = _fit_oracle(pair, direction, sign)
+            if fit is None:
+                continue
+            assert bool(fit[0] == avol(pair)) and bool(fit[1] == b) and bool(fit[2] == a)
+            compared += 1
+    assert compared >= 290
 
 
 class TestDiskantReport:

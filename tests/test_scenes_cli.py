@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adelic_volumes.cli as cli
+import adelic_volumes.scenes as scenes_mod
 import adelic_volumes.sections as sections
 from adelic_volumes.cli import main
 from adelic_volumes.divisors import Pair
@@ -266,12 +267,64 @@ class TestHugeScenes:
         assert payload["R"] == "1" + "0" * 400
 
 
+def _convex_scene(counts: dict) -> dict:
+    """A big scene of degree 2 whose convex potential at each place carries
+    the given number of breakpoints, at u = i/3 with slopes spread over
+    (-1, 1)."""
+    potentials = {}
+    for place, k in counts.items():
+        y, pts = F(1 + k), []
+        for i in range(k):
+            if i:
+                y += (F(-1) + F(2 * i, k + 1)) / 3
+            pts.append([str(F(i, 3)), str(y)])
+        potentials[place] = {"kind": "convex", "points": pts,
+                             "left_slope": "-1", "right_slope": "1"}
+    return {"c0": "1", "cinf": "1", "potentials": potentials}
+
+
+class TestBreakpointCap:
+    def _save(self, tmp_path, counts):
+        path = str(tmp_path / "many.json")
+        with open(path, "w") as fh:
+            json.dump(_convex_scene(counts), fh)
+        return path
+
+    def test_largest_admitted_scene(self, tmp_path, capsys):
+        path = self._save(tmp_path, {"inf": scenes_mod.MAX_BREAKPOINTS})
+        start = time.perf_counter()
+        assert main(["diskant", path, path]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    @pytest.mark.parametrize("counts", [
+        {"inf": scenes_mod.MAX_BREAKPOINTS + 1},
+        {"inf": scenes_mod.MAX_BREAKPOINTS // 2 + 1,
+         "2": scenes_mod.MAX_BREAKPOINTS // 2},
+    ])
+    @pytest.mark.parametrize("command", ["avol", "derivative", "diskant", "oracle"])
+    def test_one_over_exit_2(self, tmp_path, capsys, counts, command):
+        path = self._save(tmp_path, counts)
+        argv = {"avol": [path], "oracle": [path],
+                "diskant": [path, path],
+                "derivative": [path, "--direction", path]}[command]
+        start = time.perf_counter()
+        assert main([command, *argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error:") and "breakpoints" in err
+        assert len(err.splitlines()) == 1
+
+
 # Scene fuzzing: gallery scenes with 1-4 random edits, run in-process through
-# avol, oracle --m 4, diskant against the tent scene and derivative of the
-# slant scene with the edited scene as --direction.  The bound is well above
-# the slowest example seen on a 2-vCPU host (avol and oracle: 0.24 s over
-# 11,000 examples; diskant and derivative: 0.1 s over 3,000); a hang or a
-# traceback fails the test.
+# avol, oracle --m 4, diskant against the tent scene and against a second
+# edited scene, derivative of the slant scene with the edited scene as
+# --direction, and derivative of the edited scene along the height shift.
+# The bound is well above the slowest example seen on a 2-vCPU host (avol
+# and oracle: 0.24 s over 11,000 examples; diskant and derivative: 0.1 s over
+# 3,000); a hang or a traceback fails the test.
 _FUZZ_SECONDS = 10.0
 _FUZZ_BASES = [
     scene_to_dict(Pair(slant_divisor())),
@@ -344,22 +397,28 @@ def _run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@given(mutated_scenes())
-@example(TestHugeScenes._HUGE)
-@example(TestHugeScenes._HUGE_BIG)
+@given(mutated_scenes(), mutated_scenes())
+@example(TestHugeScenes._HUGE, TestHugeScenes._HUGE_BIG)
+@example(TestHugeScenes._HUGE_BIG, scene_to_dict(Pair(slant_divisor())))
 @settings(max_examples=150, deadline=None)
-def test_scene_fuzz(payload):
+def test_scene_fuzz(payload, other):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scene.json")
         with open(path, "w") as fh:
             json.dump(payload, fh)
+        other_path = os.path.join(tmp, "other.json")
+        with open(other_path, "w") as fh:
+            json.dump(other, fh)
         slant = os.path.join(tmp, "slant.json")
         save_scene(Pair(slant_divisor()), slant)
         tent = os.path.join(tmp, "tent.json")
         save_scene(Pair(tent_divisor()), tent)
+        shift = os.path.join(tmp, "shift.json")
+        save_scene(Pair(height_shift(1)), shift)
         for argv in (["avol", path], ["oracle", path, "--m", "4"],
-                     ["diskant", path, tent],
-                     ["derivative", slant, "--direction", path]):
+                     ["diskant", path, tent], ["diskant", path, other_path],
+                     ["derivative", slant, "--direction", path],
+                     ["derivative", path, "--direction", shift]):
             start = time.perf_counter()
             code, out, err = _run_cli(argv)
             elapsed = time.perf_counter() - start
@@ -376,21 +435,31 @@ class TestCliDerivative:
         payload = json.loads(capsys.readouterr().out)
         assert payload["analytic"]["exact"] == "2"
         assert payload["derivative"]["exact"] == "2"
+        assert payload["exact_right"]["exact"] == "2"
+        assert payload["exact_left"]["exact"] == "2"
         assert payload["curvature_jump"] is True
         assert payload["deviation"]["float"] == pytest.approx(1 / 6144)
         assert len(payload["table"]) == 9
 
-    def test_custom_steps(self, scenes, capsys):
-        assert main(["derivative", scenes["slant"],
-                     "--direction", scenes["shift"], "--h", "1/8"]) == 0
+    def test_near_wall(self, tmp_path, capsys, scenes):
+        path = str(tmp_path / "near_wall.json")
+        save_scene(Pair(slant_divisor() - height_shift(F(1, 2**50))), path)
+        assert main(["derivative", path, "--direction", scenes["shift"]]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload["table"]) == 1
-        assert payload["table"][0]["h"] == "1/8"
+        want = str(2 * (1 - F(1, 2**50)))
+        assert payload["exact_right"]["exact"] == want
+        assert payload["exact_left"]["exact"] == want
+        assert payload["derivative"]["exact"] == want
+        assert payload["analytic"]["exact"] == want
 
-    def test_bad_steps_exit_2(self, scenes, capsys):
-        assert main(["derivative", scenes["slant"],
-                     "--direction", scenes["shift"], "--h", "1/8,1/4"]) == 2
-        assert "error:" in capsys.readouterr().err
+    def test_no_step_option(self, scenes, capsys):
+        # "--h" is now only a prefix of "--help": usage, and no table
+        with pytest.raises(SystemExit) as exc:
+            main(["derivative", scenes["slant"],
+                  "--direction", scenes["shift"], "--h", "1/8"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage:") and "step" not in out
 
     def test_based_direction_exit_2(self, tmp_path, capsys, scenes):
         path = str(tmp_path / "based_shift.json")
