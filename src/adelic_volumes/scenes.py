@@ -14,9 +14,11 @@ closed-point label.  All numbers are strings parsed as exact rationals, e.g.
     }
 
 Potentials at finite places are in log p units.  A "comment" key is ignored.
-Decimal exponents ("1e400") are read exactly and limited to +-4300, and the
-potentials of a scene carry at most MAX_BREAKPOINTS breakpoints in all: the
-thresholds behind `diskant` cost about the cube of that count.
+Decimal exponents ("1e400") are read exactly and limited to +-4300.  The
+potentials of a scene carry at most MAX_BREAKPOINTS breakpoints in all, and
+their breakpoint coordinates and slopes at most MAX_SCENE_BITS bits in all
+(numerator plus denominator): the thresholds behind `diskant` cost about the
+cube of the count, each step growing with the size of the numbers.
 Scene files are untrusted input: a malformed one raises ValueError (or an
 AdelicVolumesError) with a one-line message, never another exception.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 from .divisors import Pair
@@ -41,6 +44,10 @@ _DECIMAL_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE]([-+]?\d+(?:_\d+)*)\s*")
 # rationals) against itself takes about 2.5 s, and 5 s at 64 (2-vCPU host,
 # Python 3.11)
 MAX_BREAKPOINTS = 48
+# 48 breakpoints of twelve-digit rationals come to about 8000 bits, and
+# `diskant` of that scene against itself takes about 2.5 s (40 digits: 25,800
+# bits and 5 s; 2-vCPU host, Python 3.11)
+MAX_SCENE_BITS = 1 << 13
 
 
 def _check_strings(value, where: str) -> None:
@@ -92,9 +99,23 @@ def scene_from_dict(payload: dict) -> Pair:
         raise ValueError(f"potentials carry {breakpoints} breakpoints; a scene "
                          f"may carry at most {MAX_BREAKPOINTS}")
     try:
-        return Pair.from_payload(payload)
+        pair = Pair.from_payload(payload)
     except (KeyError, ZeroDivisionError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed scene: {exc!r}") from exc
+    bits = 0
+    for place in pair.divisor.places:
+        pot = pair.divisor.potential(place)
+        bits += _bits(pot.left_slope) + _bits(pot.right_slope)
+        bits += sum(_bits(x) + _bits(y) for x, y in pot.points)
+    if bits > MAX_SCENE_BITS:
+        raise ValueError(f"breakpoints and slopes carry {bits} bits; a scene "
+                         f"may carry at most {MAX_SCENE_BITS}")
+    return pair
+
+
+def _bits(x) -> int:
+    x = Fraction(x)
+    return x.numerator.bit_length() + x.denominator.bit_length()
 
 
 def scene_to_dict(pair: Pair) -> dict:

@@ -9,21 +9,29 @@ with denominator d_k = prod p^floor(m psi_p(k/m) / log p) and absolute value
 at most exp(m psi_inf(k/m)).  Counting boxes instead of the true ball costs
 at most a factor (m+1) per place, invisible in the m -> infinity limit.
 
-All per-exponent counts are exact integers.  The floor of d * e^q is decided
-by an interval enclosure whose precision starts at the bit size of the value
-(plus a margin) and doubles until both ends share a floor; e^q is irrational
-for rational q != 0, so the floor is well defined.  Only the final logarithm
-is floating point: the sum of the per-entry logs at the working precision,
-without forming the product of the counts.
+All per-exponent counts are exact integers.  On a maximal run of exponents
+whose grid points lie on one affine piece of the archimedean roof, q_k =
+m psi_inf(k/m) steps by the slope s of the piece.  So e^q is enclosed once
+per run, at its start, and stepped by one enclosure of e^s in integer
+arithmetic, the lower end rounded down and the upper end up; floor(d_k e^q_k)
+is read off both ends with one integer division each.  An entry whose two
+ends give different floors is decided on its own by an enclosure whose
+precision starts at the bit size of the value (plus a margin) and doubles
+until both ends share a floor; e^q is irrational for rational q != 0, so the
+floor is well defined.  Only the final logarithm is floating point: the sum
+of the per-entry logs at the working precision, without forming the product
+of the counts.
 
-Two budgets keep hostile input from hanging: a box has at most
-``_MAX_BOX_ENTRIES`` exponents, and no count or denominator may need more
-than ``_MAX_FLOOR_BITS`` bits.  Past either, the call fails at once, before
-the work is done.
+Budgets keep hostile input from hanging: a box has at most
+``_MAX_BOX_ENTRIES`` exponents, its counts may need at most
+``_MAX_BOX_BITS`` bits in all, and no count or denominator may need more
+than ``_MAX_FLOOR_BITS`` bits.  Past any of them the call fails at once,
+before any exp is taken.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,46 +40,73 @@ from mpmath import iv, mp
 
 from .divisors import ARCH, Pair, as_pair
 from .errors import EmptyPolytope, NotBig, OutOfDomain, PrecisionExhausted
-from .exactnum import default_precision_bits, floor_fraction, scalar_fraction
+from .exactnum import (
+    _iv_precision,
+    default_precision_bits,
+    floor_fraction,
+    scalar_fraction,
+)
 from .pa import (
     ConcavePA,
     Interval,
-    _eval_on_grid,
     integrate_positive_part,
     unit_roof,
 )
 
 _MAX_FLOOR_BITS = 1 << 16
+# bits past a value's integer part at which its first enclosure is taken
+_MARGIN_BITS = 32
+# bits of all counts of one box together, bounded from the roofs'
+# breakpoints before any exp is taken.  The costliest admitted box, 1025
+# counts of about 65,000 bits each (a roof of height 44 at m = 1024), takes
+# about 2.3 s (2-vCPU host, Python 3.11); a tent box at m = 4821, just under
+# the budget, about 0.7 s.
+_MAX_BOX_BITS = 1 << 26
 # exponents per box (or per Okounkov sample); the range is checked before
 # anything is built, so a huge polytope or multiple fails at once
 _MAX_BOX_ENTRIES = 1 << 16
 
 
+def _size_bits(num: int, den: int, q: Fraction) -> int:
+    """An upper bound on the bit size of the integer part of num/den * e^q:
+    num/den < 2^(len(num) - len(den) + 1) and e^q < 2^ceil(1.443 q) for
+    q > 0."""
+    size = num.bit_length() - den.bit_length() + 1
+    if q > 0:
+        size += -((-q * 1443) // 1000)
+    return size
+
+
+def _start_bits(size: int) -> int:
+    """The first enclosure precision for a value of at most ``size`` integer
+    bits: ``_MARGIN_BITS`` past it, never below the working precision."""
+    return max(default_precision_bits(), size + _MARGIN_BITS)
+
+
 def _floor_scaled_exp(d: Fraction, q: Fraction) -> int:
     """floor(d * e^q) for positive rational d and rational q, exactly.
 
-    The value is enclosed by ``iv.exp`` and the floor is accepted only when
-    both ends of the enclosure have the same floor.  The first attempt runs
-    at B + 32 bits, B an upper bound on the bit size of the integer part of
-    d * e^q (never below the working precision), so one attempt nearly
-    always decides; undecided enclosures double the precision up to
-    ``_MAX_FLOOR_BITS``, past which ``PrecisionExhausted`` is raised.  An
-    integer part provably wider than that cap can never be decided, so it
-    raises at once.
+    This is the per-entry decider: ``section_box`` reads most floors off
+    one enclosure per affine run of the roof and sends here only the
+    entries whose enclosure straddles an integer.  The value is enclosed by
+    ``iv.exp`` and the floor is accepted only when both ends of the
+    enclosure have the same floor.  The first attempt runs at B + 32 bits,
+    B an upper bound on the bit size of the integer part of d * e^q (never
+    below the working precision), so one attempt nearly always decides;
+    undecided enclosures double the precision up to ``_MAX_FLOOR_BITS``,
+    past which ``PrecisionExhausted`` is raised.  An integer part provably
+    wider than that cap can never be decided, so it raises at once.
     """
     if q == 0:
         return floor_fraction(d)
-    # d < 2^(len(num) - len(den) + 1) and e^q < 2^ceil(1.443 q) for q > 0
-    size = d.numerator.bit_length() - d.denominator.bit_length() + 1
-    if q > 0:
-        size += -((-q * 1443) // 1000)
+    size = _size_bits(d.numerator, d.denominator, q)
     # d e^q > 2^(len(num) - len(den) - 1 + floor(1.442 q)): an integer part
     # that wide has an ulp of 2 or more at every precision up to the cap
     if size > _MAX_FLOOR_BITS and q > 0 and (
             d.numerator.bit_length() - d.denominator.bit_length() - 1
             + (q * 1442) // 1000 > _MAX_FLOOR_BITS):
         raise PrecisionExhausted(f"a box count has more than {_MAX_FLOOR_BITS} bits")
-    bits = min(_MAX_FLOOR_BITS, max(default_precision_bits(), size + 32))
+    bits = min(_MAX_FLOOR_BITS, _start_bits(size))
     while bits <= _MAX_FLOOR_BITS:
         with mp.workprec(bits):
             old = iv.prec
@@ -92,6 +127,49 @@ def _floor_scaled_exp(d: Fraction, q: Fraction) -> int:
     raise PrecisionExhausted(
         f"floor of {d} * exp({q}) undecided at {_MAX_FLOOR_BITS} bits"
     )
+
+
+def _exp_mantissas(x: Fraction, bits: int) -> tuple:
+    """(lo, hi, e) with lo * 2^e <= e^x <= hi * 2^e, from one ``iv.exp``
+    at ``bits`` bits; both ends share the exponent e."""
+    with _iv_precision(bits):
+        (_, lo, lo_exp, _), (_, hi, hi_exp, _) = iv.exp(
+            iv.mpf(x.numerator) / x.denominator)._mpi_
+    e = min(lo_exp, hi_exp)
+    return int(lo) << (lo_exp - e), int(hi) << (hi_exp - e), e
+
+
+def _floor_times(num: int, den: int, man: int, e: int) -> int:
+    """floor(num * man * 2^e / den) for positive integers; floor(floor(x /
+    2^j) / den) = floor(x / (2^j den)), so a shift comes first."""
+    x = num * man
+    return (x << e if e >= 0 else x >> -e) // den
+
+
+def _affine_runs(roof: ConcavePA, m: int, k_lo: int, k_hi: int) -> list:
+    """(first k, last k, A, B, D) for each maximal run of exponents k in
+    [k_lo, k_hi] whose grid points k/m lie on one affine piece of the roof,
+    with m * roof(k/m) = (A + B k) / D on the run, D > 0.  A grid point on
+    a breakpoint opens the piece to its right."""
+    pts = [(scalar_fraction(x), scalar_fraction(y)) for x, y in roof.points]
+    if len(pts) == 1:
+        y = m * pts[0][1]
+        return [(k_lo, k_hi, y.numerator, 0, y.denominator)]
+    runs = []
+    start = k_lo
+    last = len(pts) - 2
+    for i, ((x0, y0), (x1, y1)) in enumerate(zip(pts, pts[1:])):
+        # k / m < x1, except that the last piece is closed on the right
+        end = k_hi if i == last else min(k_hi, -floor_fraction(-m * x1) - 1)
+        if start > end:
+            continue
+        s = (y1 - y0) / (x1 - x0)
+        c = m * (y0 - s * x0)
+        den = math.lcm(c.denominator, s.denominator)
+        runs.append((start, end, c.numerator * (den // c.denominator),
+                     s.numerator * (den // s.denominator), den))
+        start = end + 1
+    return runs
 
 
 def place_roofs(pair) -> tuple:
@@ -155,11 +233,50 @@ def _check_entries(lo: int, hi: int, m: int) -> None:
         )
 
 
+def _check_cost(psi_inf: ConcavePA, finite: dict, entries: int, m: int) -> None:
+    """Refuse a box before any exp is taken when its counts may need more
+    than ``_MAX_BOX_BITS`` bits in all, or one count more bits than a ladder
+    run can carry under ``_MAX_FLOOR_BITS``.
+
+    Each count needs at most 1.443 m max psi_inf^+ plus sum_p m max|psi_p|
+    log2 p bits, and the maxima of the roofs sit at their breakpoints."""
+    top = max(scalar_fraction(y) for _, y in psi_inf.points)
+    bits = Fraction(1443, 1000) * m * max(top, 0)
+    for p, roof in finite.items():
+        # (p - 1).bit_length() = ceil(log2 p)
+        bits += m * max(abs(scalar_fraction(y)) for _, y in roof.points) * (
+            (p - 1).bit_length())
+    # at least _size_bits of every entry
+    per_entry = floor_fraction(bits) + 3
+    room = _MAX_FLOOR_BITS - _MARGIN_BITS - 2 * entries.bit_length()
+    if per_entry > room:
+        raise ValueError(
+            f"a count at m = {m} may need {per_entry} bits; at most {room} "
+            f"are counted"
+        )
+    if entries * per_entry > _MAX_BOX_BITS:
+        raise ValueError(
+            f"the counts at m = {m} may need {entries} x {per_entry} bits; "
+            f"at most {_MAX_BOX_BITS} are counted"
+        )
+
+
 def section_box(pair, m: int) -> SectionBox:
     """Enumerate the coefficient boxes of the m-th multiple of a pair.
 
+    The exponents run in maximal runs whose grid points lie on one affine
+    piece of the archimedean roof.  On a run, q_k = m psi_inf(k/m) steps by
+    the slope s, so e^q_k is enclosed once at the run's start and then
+    stepped by an enclosure of e^s in integer arithmetic, the lower end
+    rounded down and the upper end up; the finite-place exponents are
+    integer floors of (A + B k) / D.  An entry whose two ends give different
+    floors, or a run whose precision would pass ``_MAX_FLOOR_BITS``, is
+    decided by ``_floor_scaled_exp``.
+
     Raises ValueError when the window holds more than ``_MAX_BOX_ENTRIES``
-    exponents."""
+    exponents or the counts may need more than ``_MAX_BOX_BITS`` bits, and
+    PrecisionExhausted when a denominator or a count needs more than
+    ``_MAX_FLOOR_BITS`` bits."""
     pair = as_pair(pair)
     m = _check_multiple(m)
     window = pair.shifted_polytope()
@@ -169,32 +286,84 @@ def section_box(pair, m: int) -> SectionBox:
     k_hi = floor_fraction(scalar_fraction(Fraction(m) * window.hi))
     _check_entries(k_lo, k_hi, m)
     psi_inf, finite = place_roofs(pair)
-    # the grid scan extrapolates silently, so the domains are checked here
+    # the runs extrapolate silently, so the domains are checked here
     lo, hi = Fraction(k_lo, m), Fraction(k_hi, m)
     for roof in (psi_inf, *finite.values()):
         if not (roof.domain.lo <= lo and hi <= roof.domain.hi):
             raise OutOfDomain(f"[{lo}, {hi}] is not inside {roof.domain}")
-    xs = [Fraction(k, m) for k in range(k_lo, k_hi + 1)]
-    qs = _eval_on_grid(psi_inf.points, xs)
-    # |e| log2 p past the bit cap: p^e is refused rather than built
-    finite_ys = [(Fraction(p), _eval_on_grid(roof.points, xs),
-                  _MAX_FLOOR_BITS // (p.bit_length() - 1))
-                 for p, roof in finite.items()]
+    _check_cost(psi_inf, finite, k_hi - k_lo + 1, m)
+    ds = _denominators(finite, m, k_lo, k_hi)
     entries = []
-    for i, k in enumerate(range(k_lo, k_hi + 1)):
-        d = Fraction(1)
-        for p, ys, top in finite_ys:
-            e = floor_fraction(scalar_fraction(m * ys[i]))
-            if abs(e) > top:
-                raise PrecisionExhausted(
-                    f"the denominator at k = {k} has more than "
-                    f"{_MAX_FLOOR_BITS} bits"
-                )
-            d *= p ** e
-        q = scalar_fraction(m * qs[i])
-        n = 2 * _floor_scaled_exp(d, q) + 1
-        entries.append(BoxEntry(k=k, denominator=d, log_bound=q, count=n))
+    for start, end, a, b, den in _affine_runs(psi_inf, m, k_lo, k_hi):
+        qs = [Fraction(a + b * k, den) for k in range(start, end + 1)]
+        run = ds[start - k_lo:end - k_lo + 1]
+        for k, (num, dn), q, n in zip(range(start, end + 1), run, qs,
+                                      _run_floors(run, qs, Fraction(b, den))):
+            entries.append(BoxEntry(k=k, denominator=Fraction(num, dn),
+                                    log_bound=q, count=2 * n + 1))
     return SectionBox(m=m, entries=tuple(entries))
+
+
+def _denominators(finite: dict, m: int, k_lo: int, k_hi: int) -> list:
+    """d_k = num / den for k in [k_lo, k_hi] as integer pairs (num, den):
+    p^e with e = floor(m psi_p(k/m)) goes above when e > 0 and below when
+    e < 0."""
+    nums = [1] * (k_hi - k_lo + 1)
+    dens = [1] * (k_hi - k_lo + 1)
+    for p, roof in finite.items():
+        # |e| log2 p past the bit cap: p^e is refused rather than built
+        cap = _MAX_FLOOR_BITS // (p.bit_length() - 1)
+        for start, end, a, b, den in _affine_runs(roof, m, k_lo, k_hi):
+            for k in range(start, end + 1):
+                e = (a + b * k) // den
+                if e > cap or -e > cap:
+                    raise PrecisionExhausted(
+                        f"the denominator at k = {k} has more than "
+                        f"{_MAX_FLOOR_BITS} bits"
+                    )
+                if e > 0:
+                    nums[k - k_lo] *= p ** e
+                elif e < 0:
+                    dens[k - k_lo] *= p ** -e
+    return list(zip(nums, dens))
+
+
+def _run_floors(ds: list, qs: list, slope: Fraction) -> list:
+    """floor(num/den * e^q) for each (num, den) of ``ds`` and q of ``qs``,
+    where the q step by ``slope``.
+
+    e^q is enclosed once at the first q and stepped by an enclosure of
+    e^slope, at P bits: the largest start precision of the run plus 2
+    bitlen(run length) guard bits, which cover the rounding of the steps.
+    Entries whose ends give different floors, and every entry of a run whose
+    P would pass ``_MAX_FLOOR_BITS``, are decided by ``_floor_scaled_exp``.
+    """
+    bits = max(_start_bits(_size_bits(num, den, q))
+               for (num, den), q in zip(ds, qs))
+    bits += 2 * len(qs).bit_length()
+    if bits > _MAX_FLOOR_BITS:
+        return [_floor_scaled_exp(Fraction(num, den), q)
+                for (num, den), q in zip(ds, qs)]
+    low, high, e = _exp_mantissas(qs[0], bits)
+    if len(qs) > 1:
+        step_low, step_high, step_e = _exp_mantissas(slope, bits)
+    out = []
+    for i, ((num, den), q) in enumerate(zip(ds, qs)):
+        if i:
+            # one step of e^slope, then back to about P bits
+            low *= step_low
+            high *= step_high
+            e += step_e
+            shift = high.bit_length() - bits
+            if shift > 0:
+                low >>= shift
+                high = -(-high >> shift)
+                e += shift
+        n = _floor_times(num, den, low, e)
+        if n != _floor_times(num, den, high, e):
+            n = _floor_scaled_exp(Fraction(num, den), q)
+        out.append(n)
+    return out
 
 
 def box_log_count(pair, m: int):

@@ -267,6 +267,45 @@ class TestHugeScenes:
         assert payload["R"] == "1" + "0" * 400
 
 
+class TestBoxBudget:
+    """The counts of one box may need at most sections._MAX_BOX_BITS bits in
+    all (entries x a per-entry bound read off the roofs' breakpoints).  The
+    tent box has 2m + 1 entries of at most floor(1.443 m) + 3 bits, so the
+    budget admits m = 4821 (about 0.7 s on a 2-vCPU host) and refuses
+    m = 4822 before any exp is taken."""
+
+    def test_just_over_exits_2_at_once(self, scenes, capsys):
+        start = time.perf_counter()
+        assert main(["oracle", scenes["tent"], "--m", "4822"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error:") and "bits" in err
+        assert len(err.splitlines()) == 1
+
+    def test_just_under_runs(self, scenes, capsys):
+        assert main(["oracle", scenes["tent"], "--m", "4821", "--format",
+                     "json"]) == 0
+        row, = json.loads(capsys.readouterr().out)["rows"]
+        assert abs(row["estimate"] - row["analytic_avol"]) < 4 / 4821
+
+    def test_one_count_past_the_floor_cap(self, tmp_path, capsys):
+        # a roof of height 64 at m = 1024 asks for counts of about 94,500
+        # bits, past what one enclosure under _MAX_FLOOR_BITS can decide,
+        # although the box as a whole is under the budget
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps({"c0": "1", "cinf": "0", "potentials": {
+            "inf": {"kind": "convex", "points": [["1", "64"]],
+                    "left_slope": "0", "right_slope": "1"}}}))
+        start = time.perf_counter()
+        assert main(["oracle", str(path), "--m", "1024"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "a count" in err
+        assert len(err.splitlines()) == 1
+
+
 def _convex_scene(counts: dict) -> dict:
     """A big scene of degree 2 whose convex potential at each place carries
     the given number of breakpoints, at u = i/3 with slopes spread over
@@ -316,6 +355,68 @@ class TestBreakpointCap:
         err = captured.err.strip()
         assert err.startswith("error:") and "breakpoints" in err
         assert len(err.splitlines()) == 1
+
+
+def _digits_scene(digits: int) -> dict:
+    """_convex_scene with 48 breakpoints, each coordinate moved by a rational
+    whose numerator and denominator have about ``digits`` digits."""
+    payload = _convex_scene({"inf": 48})
+    den = 10 ** (digits - 1) + 7
+    for i, pt in enumerate(payload["potentials"]["inf"]["points"]):
+        pt[0] = str(F(pt[0]) + F(10 ** (digits - 6) + i, den))
+        pt[1] = str(F(pt[1]) + F(10 ** (digits - 6) + 2 * i, den + 2))
+    return payload
+
+
+class TestSceneBitCap:
+    """Breakpoint coordinates and slopes carry at most MAX_SCENE_BITS bits
+    (numerator plus denominator) in all."""
+
+    @staticmethod
+    def _one_breakpoint(j: int) -> dict:
+        # slopes 0 and 1 (1 + 2 bits), the point (1, 2^j) (2 + j + 2 bits)
+        return {"c0": "1", "cinf": "0", "potentials": {"inf": {
+            "kind": "convex", "points": [["1", str(2 ** j)]],
+            "left_slope": "0", "right_slope": "1"}}}
+
+    def test_cap_is_inclusive(self):
+        cap = scenes_mod.MAX_SCENE_BITS
+        scene_from_dict(self._one_breakpoint(cap - 7))
+        with pytest.raises(ValueError, match=f"{cap + 1} bits"):
+            scene_from_dict(self._one_breakpoint(cap - 6))
+
+    def test_largest_admitted_scene(self, tmp_path, capsys):
+        # twelve digits: 48 breakpoints just under the cap
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(_digits_scene(12)))
+        start = time.perf_counter()
+        assert main(["diskant", str(path), str(path)]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    @pytest.mark.parametrize("command", ["avol", "derivative", "diskant", "oracle"])
+    def test_forty_digits_exit_2(self, tmp_path, capsys, command):
+        path = str(tmp_path / "digits.json")
+        with open(path, "w") as fh:
+            json.dump(_digits_scene(40), fh)
+        argv = {"avol": [path], "oracle": [path],
+                "diskant": [path, path],
+                "derivative": [path, "--direction", path]}[command]
+        start = time.perf_counter()
+        assert main([command, *argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "bits" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("pair", [
+        Pair(slant_divisor()), Pair(tent_divisor()), half_zero_pair(),
+        Pair(height_shift(1)), Pair(p_slant_divisor(2)),
+        Pair(slant_divisor() + p_slant_divisor(2) + p_slant_divisor(3)),
+        Pair(tent_divisor(), BaseCondition({"inf": F(1, 2)})),
+    ])
+    def test_gallery_scenes_load(self, pair):
+        assert scene_from_dict(scene_to_dict(pair)) == pair
 
 
 # Scene fuzzing: gallery scenes with 1-4 random edits, run in-process through

@@ -8,11 +8,12 @@ floor(e^4) = 54 this gives products 15, 225 and 1005525 at m = 1, 2, 4.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -26,10 +27,13 @@ from adelic_volumes.gallery import (
     tent_divisor,
 )
 from adelic_volumes.divisors import Pair
-from adelic_volumes.exactnum import log_unit
-from adelic_volumes.pa import Interval
+from adelic_volumes.exactnum import floor_fraction, log_unit, scalar_fraction
+from adelic_volumes.harness import sample_big_pair
+from adelic_volumes.pa import Interval, _eval_on_grid
 from adelic_volumes.points import BaseCondition
+from adelic_volumes.scenes import scene_from_dict
 from adelic_volumes.sections import (
+    BoxEntry,
     analytic_okounkov,
     box_log_count,
     empirical_transform,
@@ -135,6 +139,143 @@ class TestSectionBox:
         starved = Pair(slant_divisor(), BaseCondition({"0": F(2)}))
         with pytest.raises(EmptyPolytope):
             section_box(starved, 4)
+
+
+def _per_entry_box(pair, m):
+    """The box entries with every roof value read off the grid and every
+    floor decided on its own by _floor_scaled_exp."""
+    window = pair.shifted_polytope()
+    ks = range(-floor_fraction(-m * window.lo), floor_fraction(m * window.hi) + 1)
+    xs = [F(k, m) for k in ks]
+    psi_inf, finite = sections.place_roofs(pair)
+    qs = _eval_on_grid(psi_inf.points, xs)
+    ys = {p: _eval_on_grid(roof.points, xs) for p, roof in finite.items()}
+    entries = []
+    for i, k in enumerate(ks):
+        d = F(1)
+        for p in finite:
+            d *= F(p) ** floor_fraction(scalar_fraction(m * ys[p][i]))
+        q = scalar_fraction(m * qs[i])
+        n = sections._floor_scaled_exp(d, q)
+        entries.append(BoxEntry(k=k, denominator=d, log_bound=q, count=2 * n + 1))
+    return tuple(entries)
+
+
+def _fine_roof():
+    """A roof on [0, 1] with breakpoints at every j/8: at m = 8 each
+    exponent below 7 is a run of its own."""
+    points, y = [], F(0)
+    for j in range(8):
+        points.append([str(j), str(y)])
+        y += F(j + 1, 8)
+    return scene_from_dict({"c0": "1", "cinf": "0", "potentials": {"inf": {
+        "kind": "convex", "points": points, "left_slope": "0",
+        "right_slope": "1"}}})
+
+
+def _counting_fallbacks(monkeypatch):
+    calls = []
+    original = sections._floor_scaled_exp
+
+    def counting(d, q):
+        calls.append((d, q))
+        return original(d, q)
+
+    monkeypatch.setattr(sections, "_floor_scaled_exp", counting)
+    return calls
+
+
+_LADDER_CASES = {
+    "tent_128": (Pair(tent_divisor()), 128),
+    "slant_p2_p3_64": (_slant_p2_p3(), 64),
+    "slant_64": (Pair(slant_divisor()), 64),
+}
+
+
+class TestLadder:
+    """section_box encloses e^q once per affine run of the roof and steps it
+    in integer arithmetic; _floor_scaled_exp decides the entries whose
+    enclosure straddles an integer."""
+
+    @given(st.integers(0, 10 ** 6).map(
+               lambda seed: sample_big_pair(random.Random(seed))),
+           st.integers(1, 64))
+    # a breakpoint on the grid (x = 2), a zero-slope run and q = 0 at k = 3m
+    @example(_slant_p2_p3(), 4)
+    @example(_slant_p2_p3(), 5)
+    # every exponent a run of length 1
+    @example(_fine_roof(), 8)
+    # q = 0 at the end of a falling run
+    @example(Pair(slant_divisor()), 16)
+    # negative q past x = 1/2
+    @example(Pair(slant_divisor() + height_shift(F(-1, 2))), 12)
+    @example(Pair(tent_divisor()), 64)
+    @example(half_zero_pair(), 64)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_entry_floors(self, pair, m):
+        assert section_box(pair, m).entries == _per_entry_box(pair, m)
+
+    @pytest.mark.parametrize("margin", [-40, -24, -16])
+    @pytest.mark.parametrize("case", sorted(_LADDER_CASES))
+    def test_straddling_enclosures_fall_back(self, monkeypatch, margin, case):
+        # a margin below the working precision leaves enclosures wider than
+        # an integer, so the per-entry decider settles many entries
+        pair, m = _LADDER_CASES[case]
+        want = section_box(pair, m).entries
+        monkeypatch.setattr(sections, "_MARGIN_BITS", margin)
+        calls = _counting_fallbacks(monkeypatch)
+        assert section_box(pair, m).entries == want
+        assert len(calls) >= 5
+
+    @pytest.mark.parametrize("case", sorted(_LADDER_CASES))
+    def test_guard_bits_cover_the_run(self, monkeypatch, case):
+        # with the margin cut to -8 bits the 2 bitlen(run length) guard bits
+        # alone keep the stepped enclosures narrow: only the q = 0 entry (or
+        # none) is left to the per-entry decider
+        pair, m = _LADDER_CASES[case]
+        monkeypatch.setattr(sections, "_MARGIN_BITS", -8)
+        calls = _counting_fallbacks(monkeypatch)
+        section_box(pair, m)
+        assert len(calls) <= 2
+
+    def test_run_past_the_floor_cap_goes_per_entry(self, monkeypatch):
+        # _check_cost keeps every run under the cap; without it, a run whose
+        # precision would pass the cap is decided entry by entry
+        pair, m = _LADDER_CASES["tent_128"]
+        want = section_box(pair, m).entries
+        monkeypatch.setattr(sections, "_check_cost", lambda *args: None)
+        monkeypatch.setattr(sections, "_MAX_FLOOR_BITS", 200)
+        calls = _counting_fallbacks(monkeypatch)
+        assert section_box(pair, m).entries == want
+        assert len(calls) == len(want)
+
+    def test_one_enclosure_pair_per_run(self):
+        pair = _slant_p2_p3()
+        psi_inf, _ = sections.place_roofs(pair)
+        runs = sections._affine_runs(psi_inf, 256, 0, 768)
+        original = mpmath.iv.exp
+        calls = []
+
+        def counting_exp(*args, **kwargs):
+            calls.append(mpmath.iv.prec)
+            return original(*args, **kwargs)
+
+        mpmath.iv.exp = counting_exp
+        try:
+            box = section_box(pair, 256)
+        finally:
+            mpmath.iv.exp = original
+        assert len(box.entries) == 769
+        # the per-entry path made one call per entry, 769 in all
+        assert len(runs) == 2
+        assert len(calls) <= 3 * len(runs)
+
+    def test_runs_split_at_breakpoints(self):
+        # the roof of slant + p2 + p3 is 1 on [0, 2] and 3 - x on [2, 3]:
+        # the grid point on the breakpoint opens the second run
+        psi_inf, _ = sections.place_roofs(_slant_p2_p3())
+        assert sections._affine_runs(psi_inf, 4, 0, 12) == [
+            (0, 7, 4, 0, 1), (8, 12, 12, -1, 1)]
 
 
 _powers = st.builds(lambda a, b: 2 ** a * 3 ** b,
