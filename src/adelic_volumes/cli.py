@@ -157,15 +157,18 @@ def _cmd_suite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a mistyped or removed option is an error (exit 2),
+    # never a silent match of a longer one such as --help
     parser = argparse.ArgumentParser(
         prog="adelic-volumes",
+        allow_abbrev=False,
         description="Exact arithmetic volumes of divisor pairs on the "
                     "projective line over Q.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(fn=fn)
         p.add_argument("--format", choices=["json", "csv"],
                        default="csv" if name == "oracle" else "json")

@@ -33,12 +33,11 @@ from .positivity import (
     _as_divisor,
     adeg_product,
     avol,
-    circumradius,
-    inradius,
     is_big,
     is_nef,
     positive_intersection,
     positive_intersection_lower,
+    pseff_threshold,
     zariski_positive_part,
 )
 from .sections import okounkov_sample, volume_estimate
@@ -167,8 +166,9 @@ def diskant_report(pair1, pair2) -> DiskantReport:
     s0 = avol(p2)
     s2 = avol(p1)
     s1 = adeg_product(zar1.positive, zar2.positive)
-    r = inradius(p1, p2)
-    big_r = circumradius(p1, p2)
+    # inradius and circumradius, from the positive parts already in hand
+    r = pseff_threshold(p1, zar2.positive)
+    big_r = pseff_threshold(p2, zar1.positive).reciprocal()
     rv, Rv = r.value, big_r.value
     disc = s1 * s1 - s0 * s2
 

@@ -5,10 +5,10 @@ numbers, and the pseudo-effective thresholds behind the inradius/circumradius
 of a pair of pairs.
 
 Everything here is exact.  Volumes and intersection numbers are rational, or
-symbolic combinations of log p when finite places contribute.  Thresholds are
-the top of a convex polygon cut out by piecewise-affine data (the twisted
-window and the roof as a function of position and twist), computed in closed
-form in the same field and returned as a bracket with lo == hi.
+symbolic combinations of log p when finite places contribute.  A threshold,
+the top of the polygon where the twisted roof is nonnegative on the twisted
+window, comes from exact Newton steps along the roof's kink lines, highest
+span first until none reaches above the best zero, as a bracket lo == hi.
 """
 
 from __future__ import annotations
@@ -19,20 +19,8 @@ from fractions import Fraction
 from .divisors import ARCH, Pair, ToricAdelicDivisor, as_pair
 from .errors import NotBig, NotNef, NotRelativelyNef
 from .exactnum import Scalar, log_unit, scalar_float, scalar_sign
-from .pa import (
-    ConcavePA,
-    ConvexPA,
-    Interval,
-    PAGeneral,
-    _grid,
-    _jets_on_grid,
-    _SortKey,
-    convex_envelope,
-    integrate_positive_part,
-    legendre_potential,
-    legendre_roof,
-    unit_roof,
-)
+from .pa import (ConvexPA, Interval, _grid, _jets_on_grid, _SortKey,
+                 integrate_positive_part, legendre_potential, unit_roof)
 
 
 def _as_divisor(obj) -> ToricAdelicDivisor:
@@ -152,14 +140,9 @@ def zariski_positive_part(pair) -> ZariskiPart:
     roof = pair.global_roof()
     region = roof.nonneg_region()
     divisor = pair.divisor
-    pots = {ARCH: legendre_potential(
-        unit_roof(divisor.potential(ARCH)).restrict(region)
-    )}
-    for place in divisor.places:
-        if place == ARCH:
-            continue
-        pots[place] = legendre_potential(
-            unit_roof(divisor.potential(place)).restrict(region))
+    pots = {place: legendre_potential(
+        unit_roof(divisor.potential(place)).restrict(region))
+        for place in dict.fromkeys((ARCH,) + divisor.places)}
     positive = ToricAdelicDivisor(region.hi, -region.lo, pots)
     return ZariskiPart(pair=pair, positive=positive, region=region)
 
@@ -293,10 +276,12 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
     the breakpoints of both potentials at v.  The points (x, t) with x in
     W(t) and F >= 0 form a compact convex polygon, and the threshold is its
     top.  The top lies on a window edge or on a kink line of F, where two
-    pieces of one place tie: x = A + B * t.  Along each such line F is a sum
-    of lower envelopes of lines in t, so the line's highest point in the
-    polygon is the last zero of a concave piecewise-affine function, and the
-    threshold is the largest of these.
+    pieces of one place tie: x = A + B * t.  Along a line F is the concave,
+    piecewise-affine phi(t) = sum_v c_v * min_u (a_u - A * u - t * w_u), with
+    a_u = pD_v(u) and w_u = pN_v(u) + B * u, and the line's highest point in
+    the polygon is the last zero of phi on the line's span in the window.
+    Lines are visited by decreasing span top, until no span reaches above
+    the best zero found.
     """
     pair = as_pair(pair)
     n = _as_divisor(nef_divisor)
@@ -321,42 +306,56 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
 
     lines = [(lo0, n.cinf), (hi0, -n.c0)]
     for _, rows in data:
-        for i, (u, a, b) in enumerate(rows):
-            for u2, a2, b2 in rows[i + 1:]:
-                lines.append(((a2 - a) / (u2 - u), (b - b2) / (u2 - u)))
+        lines += [((a2 - a) / (u2 - u), (b - b2) / (u2 - u))
+                  for i, (u, a, b) in enumerate(rows) for u2, a2, b2 in rows[i + 1:]]
 
-    best = None
+    # a line's span: the t in [0, top] with A + B * t in W(t).  Each side of
+    # W is affine in t and cuts the span where its values at 0 and at top
+    # (where W is the point apex) differ in sign.  The sort is stable, so
+    # lines with equal span tops keep their listed order, window edges first.
+    apex = lo0 + n.cinf * top
+    spans = []
     for A, B in lines:
-        # the t in [0, top] where x = A + B t lies in W(t)
-        span = Interval(0, top)
-        for slope, at0 in ((B - n.cinf, A - lo0), (-B - n.c0, hi0 - A)):
-            edge = ConcavePA.affine(0, top, slope, at0)
-            span = span.intersect(edge.nonneg_region())
-        if span.is_empty:
-            continue
-        roof = None
-        for weight, rows in data:
-            # F on the line, at this place: min_u (a_u - t * w_u)
-            pieces = [(b + B * u, a - A * u) for u, a, b in rows]
-            part = _lower_envelope(pieces, span.lo, span.hi).scale(weight)
-            roof = part if roof is None else roof + part
-        region = roof.nonneg_region()
-        if not region.is_empty and (best is None or region.hi > best):
-            best = region.hi
+        lo, hi = Fraction(0), top
+        off = A + B * top - apex
+        for at0, at_top in ((A - lo0, off), (hi0 - A, -off)):
+            if at0 < 0:
+                if at_top < 0:
+                    break
+                lo = top * at0 / (at0 - at_top)
+            elif at_top < 0:
+                hi = top * at0 / (at0 - at_top)
+        else:
+            if not hi < lo:
+                spans.append((hi, lo, A, B))
+    spans.sort(key=lambda s: _SortKey(s[0]), reverse=True)
+    best = None
+    for t, lo, A, B in spans:
+        if best is not None and not t > best:
+            break
+        best = _line_top(data, A, B, t, lo, best)
     return Bracket(best, best)
 
 
-def _lower_envelope(pieces, lo, hi):
-    """t -> min over (w, a) of a - t * w on [lo, hi], as a concave function:
-    the Legendre roof of the convex envelope of the points (w, a)."""
-    pieces.sort(key=lambda p: _SortKey(p[0]))
-    pts = [pieces[0]]
-    for w, a in pieces[1:]:
-        if w != pts[-1][0]:
-            pts.append((w, a))
-        elif a < pts[-1][1]:
-            pts[-1] = (w, a)
-    return legendre_roof(convex_envelope(PAGeneral(pts, lo, hi)))
+def _line_top(data, A, B, t, lo, best):
+    """The last zero of phi in [lo, t] if it is above best, else best.  Each
+    exact Newton step goes to the zero of phi's piece left of t, read off the
+    minimising row at each place, ties going to the smallest w; so a step
+    lands on a new piece, and phi is negative on the ground it skips."""
+    pieces = [(c, [(b + B * u, a - A * u) for u, a, b in rows]) for c, rows in data]
+    while True:
+        value = slope = 0
+        for c, rows in pieces:
+            y, w = min((a - t * w, w) for w, a in rows)
+            value += c * y
+            slope -= c * w
+        if scalar_sign(value) >= 0:
+            return t
+        if scalar_sign(slope) >= 0:
+            return best
+        t = t - value / slope
+        if t < lo or (best is not None and not t > best):
+            return best
 
 
 def inradius(pair1, pair2) -> Bracket:

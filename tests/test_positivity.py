@@ -24,10 +24,20 @@ from adelic_volumes.gallery import (
     tent_divisor,
 )
 from adelic_volumes.harness import sample_big_pair, sample_divisor, sample_nef_divisor
-from adelic_volumes.pa import ConvexPA, PAGeneral
+from adelic_volumes.pa import (
+    ConcavePA,
+    ConvexPA,
+    Interval,
+    PAGeneral,
+    _grid,
+    _SortKey,
+    convex_envelope,
+    legendre_roof,
+)
 from adelic_volumes.points import BaseCondition
 from adelic_volumes.positivity import (
     Bracket,
+    _line_top,
     adeg_product,
     ample_reference,
     avol,
@@ -308,3 +318,152 @@ class TestThresholds:
         with pytest.raises(NotNef):
             # nef but volume zero: scaling it changes nothing, so no finite sup
             pseff_threshold(E1, height_shift(1))
+
+
+def _line_by_line_threshold(pair, n):
+    """The threshold with each line's roof built as a PA function: the span
+    as the nonnegative region of two affine functions on [0, top], the roof
+    along the line as a weighted sum of Legendre roofs of convex envelopes,
+    and the line's value as the top of that sum's nonnegative region.  The
+    best line is the first one listed with the largest value."""
+    d = pair.divisor
+    v0, vinf = pair._toric_orders()
+    lo0, hi0 = -d.cinf + v0, d.c0 - vinf
+    top = (hi0 - lo0) / n.degree
+    data = []
+    for place in dict.fromkeys((ARCH,) + d.places + n.places):
+        pd, pn = d.potential(place), n.potential(place)
+        us = _grid((u for u, _ in pd.points), (u for u, _ in pn.points))
+        weight = F(1) if place == ARCH else log_unit(place)
+        data.append((weight, [(u, pd.eval(u), pn.eval(u)) for u in us]))
+    lines = [(lo0, n.cinf), (hi0, -n.c0)]
+    for _, rows in data:
+        for i, (u, a, b) in enumerate(rows):
+            for u2, a2, b2 in rows[i + 1:]:
+                lines.append(((a2 - a) / (u2 - u), (b - b2) / (u2 - u)))
+    best = None
+    for A, B in lines:
+        span = Interval(0, top)
+        for slope, at0 in ((B - n.cinf, A - lo0), (-B - n.c0, hi0 - A)):
+            edge = ConcavePA.affine(0, top, slope, at0)
+            span = span.intersect(edge.nonneg_region())
+        if span.is_empty:
+            continue
+        roof = None
+        for weight, rows in data:
+            # t -> min over rows of a - t * w: the Legendre roof of the
+            # convex envelope of the points (w, a), lowest a per w
+            pieces = sorted(((b + B * u, a - A * u) for u, a, b in rows),
+                            key=lambda p: _SortKey(p[0]))
+            pts = [pieces[0]]
+            for w, a in pieces[1:]:
+                if w != pts[-1][0]:
+                    pts.append((w, a))
+                elif a < pts[-1][1]:
+                    pts[-1] = (w, a)
+            envelope = convex_envelope(PAGeneral(pts, span.lo, span.hi))
+            part = legendre_roof(envelope).scale(weight)
+            roof = part if roof is None else roof + part
+        region = roof.nonneg_region()
+        if not region.is_empty and (best is None or region.hi > best):
+            best = region.hi
+    return best
+
+
+def _assert_matches_line_by_line(pair, n):
+    got = pseff_threshold(pair, n)
+    want = _line_by_line_threshold(pair, n)
+    assert got.lo == got.hi == want
+    assert type(got.lo) is type(want)
+    if isinstance(want, F):
+        assert repr(got.lo) == repr(want)
+    return got.value
+
+
+def _two_kink_pair() -> Pair:
+    """Potential through (-1, 0) and (1, 1) with slopes -1, 1/2, 1: against
+    tent the threshold 1/2 is reached on a window edge after one Newton step,
+    and one kink line is negative on its whole span."""
+    pot = ConvexPA([(F(-1), F(0)), (F(1), F(1))], -1, 1)
+    return Pair(ToricAdelicDivisor(1, 1, {ARCH: pot}))
+
+
+def _plateau_pair() -> Pair:
+    """Potential through (-1, 1), (0, 1) and (1, 2): against slant + 1 the
+    threshold 1/2 takes two Newton steps down a window edge."""
+    pot = ConvexPA([(F(-1), F(1)), (F(0), F(1)), (F(1), F(2))], -1, 1)
+    return Pair(ToricAdelicDivisor(1, 1, {ARCH: pot}))
+
+
+class TestThresholdNewton:
+    """pseff_threshold against the line-by-line PA construction, and the
+    Newton search on one line."""
+
+    @given(st.integers(0, 2**32), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_line_by_line(self, seed, finite):
+        rng = random.Random(seed)
+        pair = sample_big_pair(rng, allow_finite=finite)
+        n = sample_nef_divisor(rng, allow_finite=finite)
+        other = sample_big_pair(rng, allow_finite=finite)
+        d = sample_divisor(rng, allow_finite=finite, convex=False)
+        # a sampled nef divisor, the positive part that inradius uses, and
+        # a pair with a non-convex potential
+        cases = [(pair, n), (pair, zariski_positive_part(other).positive)]
+        if is_big(Pair(d)):
+            cases.append((Pair(d), n))
+        for p, m in cases:
+            if is_big(Pair(m)):
+                _assert_matches_line_by_line(p, m)
+
+    def test_window_shrinks_to_a_point(self):
+        pair, n = Pair(slant_divisor()), slant_divisor().scale(2)
+        t = _assert_matches_line_by_line(pair, n)
+        assert t == F(1, 2)
+        twisted = Pair(pair.divisor + n.scale(-t), pair.base)
+        assert twisted.shifted_polytope().is_point
+
+    @pytest.mark.parametrize("pair, n", [
+        (_two_kink_pair(), tent_divisor()),
+        (_plateau_pair(), slant_divisor() + height_shift(1)),
+    ])
+    def test_top_on_a_window_edge(self, pair, n):
+        t = _assert_matches_line_by_line(pair, n)
+        assert t == F(1, 2)
+        twisted = Pair(pair.divisor + n.scale(-t), pair.base)
+        window = twisted.shifted_polytope()
+        roof = twisted.global_roof()
+        assert not window.is_point and roof.max_over_domain() == 0
+        assert 0 in (roof.eval(window.lo), roof.eval(window.hi))
+
+    def test_kink_line_with_log_weights(self):
+        # the top lies on a kink line, two Newton steps below its span top
+        pair = Pair(tent_divisor() + p_slant_divisor(2))
+        t = _assert_matches_line_by_line(pair, slant_divisor() + height_shift(1))
+        assert t == (1 + log_unit(2)) / 2
+
+    # one place, A = B = 0: phi(t) = min(3 - 3t, 1/2 - t) is -3 at t = 2;
+    # Newton goes to 1, where phi = -1/2, and then to the zero 1/2
+    _ROWS = [(F(1), [(F(0), F(3), F(3)), (F(1), F(1, 2), F(1))])]
+
+    def test_newton_takes_two_steps(self):
+        assert _line_top(self._ROWS, 0, 0, F(2), F(0), None) == F(1, 2)
+        assert _line_top(self._ROWS, 0, 0, F(2), F(0), F(1, 3)) == F(1, 2)
+        # the second step leaves the span [3/4, 2]: negative on all of it
+        assert _line_top(self._ROWS, 0, 0, F(2), F(3, 4), None) is None
+        # a zero at the best found so far is dropped: best comes back
+        best = F(1, 2)
+        assert _line_top(self._ROWS, 0, 0, F(2), F(0), best) is best
+
+    def test_newton_stops_at_once(self):
+        # phi(1/3) = 1/6 >= 0: the span top is the line's value, same object
+        top = F(1, 3)
+        assert _line_top(self._ROWS, 0, 0, top, F(0), None) is top
+
+    def test_flat_or_rising_left_slope_drops_the_line(self):
+        # phi = -1 everywhere: the left slope is 0, so no zero to the left
+        rows = [(F(1), [(F(0), F(-1), F(0))])]
+        assert _line_top(rows, 0, 0, F(2), F(0), None) is None
+        # phi(t) = t - 3 rises: negative on [0, 2]
+        rows = [(F(1), [(F(0), F(-3), F(-1))])]
+        assert _line_top(rows, 0, 0, F(2), F(0), None) is None

@@ -554,13 +554,20 @@ class TestCliDerivative:
         assert payload["analytic"]["exact"] == want
 
     def test_no_step_option(self, scenes, capsys):
-        # "--h" is now only a prefix of "--help": usage, and no table
+        # "--h" is no option, and no longer matches "--help" as a prefix
         with pytest.raises(SystemExit) as exc:
             main(["derivative", scenes["slant"],
                   "--direction", scenes["shift"], "--h", "1/8"])
-        assert exc.value.code == 0
-        out = capsys.readouterr().out
-        assert out.startswith("usage:") and "step" not in out
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--h" in captured.err
+
+    def test_option_prefix_exit_2(self, scenes, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["derivative", scenes["slant"], "--dir", scenes["shift"]])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_based_direction_exit_2(self, tmp_path, capsys, scenes):
         path = str(tmp_path / "based_shift.json")
