@@ -27,7 +27,7 @@ from .errors import (
     NotEffectiveInput,
     UnboundedPerturbation,
 )
-from .exactnum import ExactNumber, is_prime, log_unit, scalar_sign
+from .exactnum import ExactNumber, _proven_prime, log_unit, scalar_sign
 from .pa import (
     ConcavePA,
     ConvexPA,
@@ -52,7 +52,7 @@ def as_place(v) -> Place:
         return ARCH
     if isinstance(v, str) and v.isdigit():
         v = int(v)
-    if isinstance(v, int) and is_prime(v):
+    if isinstance(v, int) and _proven_prime(v):
         return v
     raise ValueError(f"{v!r} is not a place of Q (expected 'inf' or a prime)")
 

@@ -12,22 +12,24 @@ ring Q[log 2, log 3, ...], which this module implements directly:
 * a number is a quotient num/den of two polynomials, with the denominator
   folded into the numerator whenever it is purely rational.
 
-Quotients are kept small by cancelling the polynomial gcd of num and den.
-Common monomials, disjoint variables and affine factors are handled
-directly; the rest goes to the heuristic gcd of Char, Geddes and Gonnet
-(1989) over Z: evaluate one log variable at a large integer xi, recurse down
-to integer gcds, rebuild a candidate from its symmetric xi-adic digits and
-keep it only if it divides both polynomials exactly.  If a few values of xi
-all fail, the quotient stays uncancelled.  That is safe: the canonical form
-only controls size, and no result depends on it.
+Quotients are kept small by cancelling the polynomial gcd of num and den,
+computed over Z.  Disjoint variables need no gcd, and an affine side is
+irreducible, so it either divides the other side exactly or shares nothing
+with it; the rest goes to the heuristic gcd of Char, Geddes and Gonnet
+(1989): evaluate one log variable at a large integer xi, recurse down to
+integer gcds, rebuild a candidate from its symmetric xi-adic digits and keep
+it only if it divides both polynomials exactly.  If a few values of xi all
+fail, the quotient stays uncancelled.  That is safe: the canonical form only
+controls size, and no result depends on it.
 
 Equality is decided exactly, by cross-multiplied coefficient comparison.  The
-sign of a coefficient-wise nonzero value is decided by evaluating with mpmath
-interval arithmetic and doubling the working precision until the enclosure
-separates from zero.  A real zero invisible to the coefficients would be a
-rational dependence between products of prime logarithms; the widening loop is
-capped and raises :class:`~adelic_volumes.errors.PrecisionExhausted` rather
-than loop forever on such a miracle.
+sign of a coefficient-wise nonzero value is decided by one ladder: the signs
+of the coefficients when they agree (every log p is positive), then a sum of
+cached rational enclosures of the monomials at 128 bits, doubled until the
+enclosure separates from zero.  A real zero invisible to the coefficients
+would be a rational dependence between products of prime logarithms; the
+ladder is capped and raises :class:`~adelic_volumes.errors.PrecisionExhausted`
+rather than loop forever on such a miracle.
 
 :data:`EPS` is a positive infinitesimal, as in simulation of simplicity
 (Edelsbrunner and Muecke, ACM TOG 1990).  Its key 0 is not prime, so no
@@ -50,6 +52,7 @@ from math import copysign, gcd, inf, isqrt
 from typing import Iterator, Mapping, Union
 
 from mpmath import iv
+from mpmath.libmp import to_rational
 
 from .errors import PrecisionExhausted
 
@@ -60,12 +63,13 @@ _ONE_POLY = {(): Fraction(1)}
 
 _EPS = 0  # the monomial key of eps
 _PRECISION_BITS = 64
+_SIGN_BITS = 128  # the first rung of the sign ladder
 _PRECISION_CAP = 1 << 13
 
 
 def default_precision_bits() -> int:
-    """The starting working precision for interval evaluation, 64 bits.
-    The sign ladder and ``sections._floor_scaled_exp`` widen it until their
+    """The working precision of ``interval()`` and ``float()``, 64 bits.
+    ``sections`` starts its enclosures there and widens them until its
     result is decided."""
     return _PRECISION_BITS
 
@@ -91,38 +95,25 @@ def _log_interval(prime: int, bits: int):
     return _LOG_CACHE[key]
 
 
-def _fraction_interval(q: Fraction):
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+_MONO_BOUNDS: dict = {}  # (mono, bits) -> (Fraction, Fraction) enclosure
 
 
-_LOG_BOUNDS: dict = {}  # prime -> (Fraction, Fraction) enclosure of log(prime)
-_MONO_BOUNDS: dict = {(): (Fraction(1), Fraction(1))}
-
-
-def _endpoint_fraction(t) -> Fraction:
-    sign, man, exp, _ = t
-    q = Fraction(int(man)) * (Fraction(2) ** exp if exp >= 0 else Fraction(1, 2 ** -exp))
-    return -q if sign else q
-
-
-def _mono_bounds(mono: Mono) -> tuple:
-    """A cached Fraction enclosure of the monomial's value.
+def _mono_bounds(mono: Mono, bits: int) -> tuple:
+    """A cached Fraction enclosure of the monomial's value, from the
+    ``bits``-bit enclosures of its logarithms.
 
     Comparisons between roof breakpoints land here constantly; rational
-    bounds keep the common case inside Fraction arithmetic instead of
-    round-tripping through mpmath intervals on every call."""
-    b = _MONO_BOUNDS.get(mono)
+    bounds keep every rung of the sign ladder inside Fraction arithmetic."""
+    key = (mono, bits)
+    b = _MONO_BOUNDS.get(key)
     if b is None:
         lo = hi = Fraction(1)
         for p in mono:
-            pb = _LOG_BOUNDS.get(p)
-            if pb is None:
-                box = _log_interval(p, 128)
-                plo, phi = box._mpi_
-                _LOG_BOUNDS[p] = pb = (
-                    _endpoint_fraction(plo), _endpoint_fraction(phi))
-            lo, hi = lo * pb[0], hi * pb[1]  # every log p is positive
-        _MONO_BOUNDS[mono] = b = (lo, hi)
+            plo, phi = _log_interval(p, bits)._mpi_
+            # every log p is positive
+            lo *= Fraction(*to_rational(plo))
+            hi *= Fraction(*to_rational(phi))
+        _MONO_BOUNDS[key] = b = (lo, hi)
     return b
 
 
@@ -130,7 +121,7 @@ def _poly_interval(poly: Poly, bits: int):
     with _iv_precision(bits):
         acc = iv.mpf(0)
         for mono, coeff in poly.items():
-            term = _fraction_interval(coeff)
+            term = iv.mpf(coeff.numerator) / coeff.denominator
             for p in mono:
                 term = term * _log_interval(p, bits)
             acc = acc + term
@@ -142,48 +133,38 @@ def _has_eps(poly: Poly) -> bool:
 
 
 def _poly_sign(poly: Poly) -> int:
+    """The sign of a polynomial, by the ladder: uniform coefficient signs,
+    then the lowest eps layer, then rational enclosures at ``_SIGN_BITS``
+    bits, doubled up to ``_PRECISION_CAP``, past which PrecisionExhausted
+    is raised."""
     if not poly:
         return 0
     if len(poly) == 1 and () in poly:
         c = poly[()]
         return (c > 0) - (c < 0)
     # every monomial is a product of log p > 0, so uniform coefficient signs
-    # settle the sign without interval arithmetic
-    have_pos = have_neg = False
-    for c in poly.values():
-        if c > 0:
-            have_pos = True
-        else:
-            have_neg = True
-        if have_pos and have_neg:
-            break
-    if not have_neg:
-        return 1
-    if not have_pos:
-        return -1
+    # settle the sign without an enclosure
+    signs = {c.numerator > 0 for c in poly.values()}
+    if len(signs) == 1:
+        return 1 if True in signs else -1
     if _has_eps(poly):
         low = min(m.count(_EPS) for m in poly)
         return _poly_sign({m[low:]: c for m, c in poly.items()
                            if m.count(_EPS) == low})
-    lo = hi = Fraction(0)
-    for mono, c in poly.items():
-        mlo, mhi = _mono_bounds(mono)
-        if c > 0:
-            lo += c * mlo
-            hi += c * mhi
-        else:
-            lo += c * mhi
-            hi += c * mlo
-    if lo > 0:
-        return 1
-    if hi < 0:
-        return -1
-    bits = default_precision_bits()
+    bits = _SIGN_BITS
     while bits <= _PRECISION_CAP:
-        box = _poly_interval(poly, bits)
-        if box.a > 0:
+        lo = hi = Fraction(0)
+        for mono, c in poly.items():
+            mlo, mhi = _mono_bounds(mono, bits)
+            if c > 0:
+                lo += c * mlo
+                hi += c * mhi
+            else:
+                lo += c * mhi
+                hi += c * mlo
+        if lo > 0:
             return 1
-        if box.b < 0:
+        if hi < 0:
             return -1
         bits *= 2
     raise PrecisionExhausted(
@@ -237,90 +218,16 @@ def _pcontent(a: Poly) -> Fraction:
     return Fraction(num, den)
 
 
-def _strip_common_monomial(num: Poly, den: Poly) -> tuple:
-    """Divide out the largest monomial dividing every term of both polys."""
-    if () in num or () in den:
-        return num, den  # a constant term blocks any common monomial
-    common: dict = None
-    for poly in (num, den):
-        for mono in poly:
-            counts: dict = {}
-            for p in mono:
-                counts[p] = counts.get(p, 0) + 1
-            if common is None:
-                common = counts
-            else:
-                common = {p: min(e, counts.get(p, 0))
-                          for p, e in common.items() if p in counts}
-            if not common:
-                return num, den
-
-    def strip(poly):
-        out = {}
-        for mono, c in poly.items():
-            counts = dict()
-            for p in mono:
-                counts[p] = counts.get(p, 0) + 1
-            for p, e in common.items():
-                counts[p] -= e
-            out[tuple(sorted(p for p, e in counts.items() for _ in range(e)))] = c
-        return out
-
-    return strip(num), strip(den)
-
-
 def _pdegree(a: Poly) -> int:
     return max((len(m) for m in a), default=0)
 
 
-def _divide_by_affine(num: Poly, lin: Poly):
-    """Quotient of num by an affine polynomial, or None when it does not
-    divide exactly.  Affine polynomials are irreducible, so this settles
-    their gcd questions without a gcd computation."""
-    pivot = None
-    for mono in lin:
-        if len(mono) == 1:
-            pivot = mono[0]
-            break
-    if pivot is None:
-        return None
-    b = lin[(pivot,)]
-    rest = {m: c for m, c in lin.items() if m != (pivot,)}
-    # view num as a polynomial in the pivot with Poly coefficients
-    layers: dict = {}
-    for mono, c in num.items():
-        k = sum(1 for p in mono if p == pivot)
-        stripped = tuple(p for p in mono if p != pivot)
-        layers.setdefault(k, {})[stripped] = c
-    degree = max(layers, default=0)
-    quotient: Poly = {}
-    for k in range(degree, 0, -1):
-        top = layers.get(k, {})
-        if not top:
-            continue
-        q_layer = {m: c / b for m, c in top.items()}
-        for m, c in q_layer.items():
-            mono = tuple(sorted(m + (pivot,) * (k - 1)))
-            quotient[mono] = quotient.get(mono, 0) + c
-        layers[k] = {}
-        carry = _pmul(q_layer, rest)
-        low = layers.setdefault(k - 1, {})
-        for m, c in carry.items():
-            c2 = low.get(m, 0) - c
-            if c2:
-                low[m] = c2
-            else:
-                low.pop(m, None)
-    if any(layer for layer in layers.values()):
-        return None
-    return quotient
-
-
 # -- polynomial gcd over Z ------------------------------------------------
 #
-# _cancel hands the general case to the heuristic gcd of Char, Geddes and
-# Gonnet (1989) on integer polynomials in dense exponent form: a dict from
-# exponent tuples (one entry per log variable) to nonzero ints.
+# _cancel works on integer polynomials in dense exponent form: a dict from
+# exponent tuples (one entry per log variable) to nonzero ints.  An affine
+# side is divided out by _zdivide; the general case goes to the heuristic
+# gcd of Char, Geddes and Gonnet (1989).
 
 _HEU_GCD_TRIES = 6
 
@@ -332,6 +239,12 @@ def _zcontent(f: dict) -> int:
         if c == 1:
             break
     return c
+
+
+def _primitive(f: dict) -> tuple:
+    """(c, f / c) for c the content of f."""
+    c = _zcontent(f)
+    return c, {e: v // c for e, v in f.items()}
 
 
 def _zeval(f: dict, xi: int) -> dict:
@@ -420,9 +333,7 @@ def _heu_gcd(f: dict, g: dict):
         image = _heu_gcd(_zeval(f, xi), _zeval(g, xi))
         if image is None:
             return None
-        h = _zinterpolate(image[0], xi)
-        ch = _zcontent(h)
-        h = {e: v // ch for e, v in h.items()}
+        _, h = _primitive(_zinterpolate(image[0], xi))
         qf = _zdivide(f, h)
         if qf is not None:
             qg = _zdivide(g, h)
@@ -449,7 +360,8 @@ def _to_zpoly(poly: Poly, index: dict) -> tuple:
     return out, s
 
 
-def _from_zpoly(f: dict, primes: list, scale: int) -> Poly:
+def _from_zpoly(f: dict, primes: list, scale) -> Poly:
+    """scale * f back in sparse form; scale is an int or a Fraction."""
     return {tuple(p for p, e in zip(primes, exps) for _ in range(e)):
             Fraction(c * scale) for exps, c in f.items()}
 
@@ -460,39 +372,41 @@ def _cancel(num: Poly, den: Poly) -> tuple:
     (cut points of roofs are ratios of log combinations) compounds the
     denominators and the term count explodes.
 
-    Common monomials, disjoint variables and affine factors are settled
-    directly; everything else goes to the heuristic gcd over Z.  When the
-    heuristic gives up, num and den come back uncancelled: equality and
-    signs are decided by cross-multiplication, so the canonical form only
-    controls size, never a result.  A rational value cannot be left
-    uncancelled: when den divides num, the image gcd is den's own image and
-    the first xi rebuilds den."""
-    num, den = _strip_common_monomial(num, den)
+    Both sides go to integer form once.  Disjoint variables share no
+    factor.  An affine side is irreducible: its primitive part either
+    divides the other side or shares nothing with it.  Everything else goes
+    to the heuristic gcd over Z.  When the heuristic gives up, num and den
+    come back uncancelled: equality and signs are decided by
+    cross-multiplication, so the canonical form only controls size, never a
+    result.  A rational value cannot be left uncancelled: when den divides
+    num, the image gcd is den's own image and the first xi rebuilds den."""
     num_vars = {p for mono in num for p in mono}
     den_vars = {p for mono in den for p in mono}
     if not (num_vars & den_vars):
         return num, den
-    if _pdegree(den) == 1:
-        q = _divide_by_affine(num, den)
-        if q is None:
-            return num, den
-        return q, _ONE_POLY
-    if _pdegree(num) == 1:
-        q = _divide_by_affine(den, num)
-        if q is None:
-            return num, den
-        return _ONE_POLY, q
     primes = sorted(num_vars | den_vars)
     index = {p: i for i, p in enumerate(primes)}
+    # num / den = (a / sa) / (b / sb)
     a, sa = _to_zpoly(num, index)
     b, sb = _to_zpoly(den, index)
+    if _pdegree(den) == 1:
+        cb, pb = _primitive(b)
+        q = _zdivide(a, pb)
+        if q is None:
+            return num, den
+        return _from_zpoly(q, primes, Fraction(sb, sa * cb)), _ONE_POLY
+    if _pdegree(num) == 1:
+        ca, pa = _primitive(a)
+        q = _zdivide(b, pa)
+        if q is None:
+            return num, den
+        return {(): Fraction(ca * sb, sa)}, _from_zpoly(q, primes, 1)
     found = _heu_gcd(a, b)
     if found is None:
         return num, den
     h, qa, qb = found
     if len(h) == 1 and not any(next(iter(h))):  # the gcd is a constant
         return num, den
-    # num / den = (a / sa) / (b / sb) = (qa * sb) / (qb * sa)
     return _from_zpoly(qa, primes, sb), _from_zpoly(qb, primes, sa)
 
 
@@ -528,12 +442,15 @@ def _poly_str(poly: Poly) -> str:
     return out
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13: no composite below it passes all thirteen bases
+_PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the first twelve prime bases: deterministic below
-    3.3e24 (Sorenson-Webster 2015), a strong probable-prime test above."""
+    """Miller-Rabin to the first thirteen prime bases: deterministic below
+    psi_13 = 3317044064679887385961981 (Sorenson and Webster 2015), a strong
+    probable-prime test above.  ``_proven_prime`` refuses n from there up."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -553,6 +470,14 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _proven_prime(n: int) -> bool:
+    """is_prime(n) where the test is a proof; ValueError from psi_13 up."""
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"a {n.bit_length()}-bit integer is not a place: "
+                         f"primes are accepted below {_PRIME_BOUND}")
+    return is_prime(n)
 
 
 ScalarLike = Union[int, Fraction, "ExactNumber"]
@@ -586,12 +511,8 @@ class ExactNumber:
             obj._num = {}
             obj._den = _ONE_POLY
             return obj
-        if len(den) == 1 and () in den:
-            q = den[()]
-            obj._num = num if q == 1 else {m: c / q for m, c in num.items()}
-            obj._den = _ONE_POLY
-            return obj
-        num, den = _cancel(num, den)
+        if len(den) > 1 or () not in den:
+            num, den = _cancel(num, den)
         if len(den) == 1 and () in den:
             q = den[()]
             obj._num = num if q == 1 else {m: c / q for m, c in num.items()}
@@ -610,7 +531,7 @@ class ExactNumber:
     @classmethod
     def log_unit(cls, prime: int) -> "ExactNumber":
         """The symbolic value log(prime)."""
-        if not is_prime(prime):
+        if not _proven_prime(prime):
             raise ValueError(f"{prime} is not prime")
         return cls._make({(prime,): Fraction(1)}, _ONE_POLY)
 

@@ -142,7 +142,7 @@ class InequalityCase:
     """One named inequality lhs <= rhs with its slack = rhs - lhs.  passed is
     always decided by an exact sign; lhs, rhs and slack are exact scalars,
     except in the two cases whose sides involve sqrt(disc), where they are
-    floats for display."""
+    floats for display, formed from exact ratios."""
 
     name: str
     lhs: object
@@ -176,23 +176,25 @@ def diskant_report(pair1, pair2) -> DiskantReport:
     # conditions (s0 > 0, R > 0, s1 > sqrt(disc)):
     #   (s1 - sqrt(disc)) / s0 <= r   iff  a <= 0 or a^2 <= disc,
     #   R <= s2 / (s1 - sqrt(disc))   iff  b <= 0 or b^2 <= R^2 disc.
+    # Their display floats are u -+ sqrt(v) from the exact ratios u = s1/s0
+    # and v = disc/s0^2; the upper end is s2 / (s1 - sqrt(disc)) because
+    # s1^2 - disc = s0 s2.
     a = s1 - rv * s0
     b = Rv * s1 - s2
-    f0, f1, f2 = scalar_float(s0), scalar_float(s1), scalar_float(s2)
-    fa, fb = scalar_float(a), scalar_float(b)
-    frv, fRv = scalar_float(rv), scalar_float(Rv)
-    sq = math.sqrt(scalar_float(disc))
+    u = s1 / s0
+    sq = math.sqrt(scalar_float(disc / (s0 * s0)))
+    fu, frv, fRv = scalar_float(u), scalar_float(rv), scalar_float(Rv)
     cases = [
         _exact_case("mixed_discriminant_nonneg", Fraction(0), disc),
         _exact_case("diskant", a * a, disc),
         InequalityCase(
-            "chain_lower_vs_r", (f1 - sq) / f0, frv, (sq - fa) / f0,
+            "chain_lower_vs_r", fu - sq, frv, sq - scalar_float(u - rv),
             scalar_sign(a) <= 0 or scalar_sign(disc - a * a) >= 0),
         _exact_case("chain_r_vs_ratio", rv, s2 / s1),
-        _exact_case("chain_ratio_mono", s2 / s1, s1 / s0),
-        _exact_case("chain_ratio_vs_R", s1 / s0, Rv),
+        _exact_case("chain_ratio_mono", s2 / s1, u),
+        _exact_case("chain_ratio_vs_R", u, Rv),
         InequalityCase(
-            "chain_R_vs_upper", fRv, f2 / (f1 - sq), (fRv * sq - fb) / (f1 - sq),
+            "chain_R_vs_upper", fRv, fu + sq, sq - scalar_float(Rv - u),
             scalar_sign(b) <= 0 or scalar_sign(Rv * Rv * disc - b * b) >= 0),
     ]
     bl = s0 * (Rv - rv) / 2

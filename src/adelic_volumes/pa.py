@@ -508,12 +508,6 @@ class _LinePA:
         self.left_slope = ls
         self.right_slope = rs
 
-    @property
-    def anchor_domain(self) -> Interval:
-        """The hull of the stored breakpoints (the function extends affinely
-        beyond it)."""
-        return Interval(self.points[0][0], self.points[-1][0])
-
     def eval(self, x) -> Scalar:
         return _eval_points(
             self.points, as_scalar(x), self.left_slope, self.right_slope
@@ -727,17 +721,6 @@ def pa_from_payload(payload: dict):
 
 
 # -- free operations ------------------------------------------------------
-
-
-def add(f, g):
-    out = f.add(g) if hasattr(f, "add") else NotImplemented
-    if out is NotImplemented:
-        raise TypeError(f"cannot add {type(f).__name__} and {type(g).__name__}")
-    return out
-
-
-def scale(f, a):
-    return f.scale(a)
 
 
 def pointwise_min(fs: Sequence) -> PAGeneral:

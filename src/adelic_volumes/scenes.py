@@ -20,7 +20,9 @@ their breakpoint coordinates and slopes at most MAX_SCENE_BITS bits in all
 (numerator plus denominator): the thresholds behind `diskant` read spans off
 about the square of the count in kink lines and run a Newton search, one pass
 over the rows per step, on each line whose span reaches above the best zero
-so far; every step grows with the size of the numbers.
+so far; every step grows with the size of the numbers.  The labels of the
+base condition carry at most MAX_BASE_CHARS characters in all: each label of
+degree 2 or more is tested for irreducibility over Q.
 Scene files are untrusted input: a malformed one raises ValueError (or an
 AdelicVolumesError) with a one-line message, never another exception.
 """
@@ -50,6 +52,10 @@ MAX_BREAKPOINTS = 48
 # `diskant` of that scene against itself takes about 0.15 s (40 digits: 25,800
 # bits and 0.2 s; 2-vCPU host, Python 3.11)
 MAX_SCENE_BITS = 1 << 13
+# forty distinct degree-8 labels (t^8+3, t^8+5, ...) fill this budget, and
+# `avol` of that scene takes about 0.7 s from the command line, 0.35 s of
+# it importing sympy for the irreducibility tests (2-vCPU host, Python 3.11)
+MAX_BASE_CHARS = 256
 
 
 def _check_strings(value, where: str) -> None:
@@ -100,6 +106,10 @@ def scene_from_dict(payload: dict) -> Pair:
     if breakpoints > MAX_BREAKPOINTS:
         raise ValueError(f"potentials carry {breakpoints} breakpoints; a scene "
                          f"may carry at most {MAX_BREAKPOINTS}")
+    chars = sum(map(len, payload.get("base", {})))
+    if chars > MAX_BASE_CHARS:
+        raise ValueError(f"base labels carry {chars} characters; a scene may "
+                         f"carry at most {MAX_BASE_CHARS}")
     try:
         pair = Pair.from_payload(payload)
     except (KeyError, ZeroDivisionError, TypeError, AttributeError) as exc:

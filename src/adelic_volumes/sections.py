@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 from mpmath import iv, mp
 
 from .divisors import ARCH, Pair, as_pair
@@ -88,14 +87,15 @@ def _floor_scaled_exp(d: Fraction, q: Fraction) -> int:
 
     This is the per-entry decider: ``section_box`` reads most floors off
     one enclosure per affine run of the roof and sends here only the
-    entries whose enclosure straddles an integer.  The value is enclosed by
-    ``iv.exp`` and the floor is accepted only when both ends of the
-    enclosure have the same floor.  The first attempt runs at B + 32 bits,
-    B an upper bound on the bit size of the integer part of d * e^q (never
-    below the working precision), so one attempt nearly always decides;
-    undecided enclosures double the precision up to ``_MAX_FLOOR_BITS``,
-    past which ``PrecisionExhausted`` is raised.  An integer part provably
-    wider than that cap can never be decided, so it raises at once.
+    entries whose enclosure straddles an integer.  e^q is enclosed by
+    ``_exp_mantissas`` and the floor is accepted only when both ends of the
+    enclosure, times d, have the same floor.  The first attempt runs at
+    B + 32 bits, B an upper bound on the bit size of the integer part of
+    d * e^q (never below the working precision), so one attempt nearly
+    always decides; undecided enclosures double the precision up to
+    ``_MAX_FLOOR_BITS``, past which ``PrecisionExhausted`` is raised.  An
+    integer part provably wider than that cap can never be decided, so it
+    raises at once.
     """
     if q == 0:
         return floor_fraction(d)
@@ -106,23 +106,13 @@ def _floor_scaled_exp(d: Fraction, q: Fraction) -> int:
             d.numerator.bit_length() - d.denominator.bit_length() - 1
             + (q * 1442) // 1000 > _MAX_FLOOR_BITS):
         raise PrecisionExhausted(f"a box count has more than {_MAX_FLOOR_BITS} bits")
+    num, den = d.numerator, d.denominator
     bits = min(_MAX_FLOOR_BITS, _start_bits(size))
     while bits <= _MAX_FLOOR_BITS:
-        with mp.workprec(bits):
-            old = iv.prec
-            iv.prec = bits
-            try:
-                val = (
-                    iv.exp(iv.mpf(q.numerator) / q.denominator)
-                    * d.numerator
-                    / d.denominator
-                )
-                lo = int(mpmath.floor(val.a))
-                hi = int(mpmath.floor(val.b))
-            finally:
-                iv.prec = old
-        if lo == hi:
-            return lo
+        lo, hi, e = _exp_mantissas(q, bits)
+        n = _floor_times(num, den, lo, e)
+        if n == _floor_times(num, den, hi, e):
+            return n
         bits *= 2
     raise PrecisionExhausted(
         f"floor of {d} * exp({q}) undecided at {_MAX_FLOOR_BITS} bits"
@@ -131,7 +121,13 @@ def _floor_scaled_exp(d: Fraction, q: Fraction) -> int:
 
 def _exp_mantissas(x: Fraction, bits: int) -> tuple:
     """(lo, hi, e) with lo * 2^e <= e^x <= hi * 2^e, from one ``iv.exp``
-    at ``bits`` bits; both ends share the exponent e."""
+    at ``bits`` bits; both ends share the exponent e.
+
+    The precision is raised past the integer part of x when that is wider:
+    a huge x rounded at fewer bits would leave ends whose exponents lie too
+    far apart to share one."""
+    bits = max(bits, x.numerator.bit_length() - x.denominator.bit_length()
+               + 2 * _MARGIN_BITS)
     with _iv_precision(bits):
         (_, lo, lo_exp, _), (_, hi, hi_exp, _) = iv.exp(
             iv.mpf(x.numerator) / x.denominator)._mpi_

@@ -8,11 +8,12 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adelic_volumes import exactnum
 from adelic_volumes.divisors import as_place
+from adelic_volumes.errors import PrecisionExhausted
 from adelic_volumes.exactnum import (
     EPS,
     ExactNumber,
@@ -39,11 +40,33 @@ def test_rational_embedding_round_trip():
     assert Fraction(7, 3) == x
 
 
+# psi_12 = 399165290221 * 798330580441 and psi_13 = 1287836182261 *
+# 2575672364521 are the least strong pseudoprimes to the first twelve and
+# thirteen prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
 def test_log_unit_rejects_composites():
     # 561 is a Carmichael number, 2047 a strong pseudoprime to base 2
-    for n in (6, 1, 561, 2047):
+    for n in (6, 1, 561, 2047, PSI_12, PSI_13):
         with pytest.raises(ValueError):
             ExactNumber.log_unit(n)
+
+
+@pytest.mark.parametrize("n", [PSI_12, PSI_13, 2**4423 - 1, str(2**4423 - 1)])
+def test_places_are_proven_primes(n):
+    # 2^4423 - 1 is prime, but past the bound below which the test proves it
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        as_place(n)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_largest_place():
+    p = 3317044064679887385961813  # the largest prime below PSI_13
+    assert as_place(p) == as_place(str(p)) == p
+    assert scalar_sign(log_unit(p) - 56) > 0  # log(3.3e24) = 56.46...
 
 
 def test_log_unit_large_prime_is_fast():
@@ -67,6 +90,33 @@ def test_close_call_sign():
     # log 3 / log 2 = 1.58496...; 1.585 is barely above it
     assert scalar_sign(Fraction(1585, 1000) * L2 - L3) == 1
     assert scalar_sign(Fraction(1584, 1000) * L2 - L3) == -1
+
+
+def _log2_truncated(bits):
+    """log 2 rounded down to a multiple of 2^-bits."""
+    from mpmath import mp
+
+    with mp.workprec(bits + 64):
+        return Fraction(int(mp.floor(mp.log(2) * mp.mpf(2) ** bits)), 2**bits)
+
+
+def test_sign_needs_more_than_1024_bits():
+    # log 2 log 3 - q log 3 = (log 2 - q) log 3 is about 2^-5000: only the
+    # 8192-bit rung of the ladder separates it from zero
+    q = _log2_truncated(5000)
+    x = L2 * L3 - q * L3
+    assert scalar_sign(x) == 1
+    assert scalar_sign(-x) == -1
+    assert x > 0 and q * L3 < L2 * L3
+
+
+def test_precision_exhausted_at_the_cap(monkeypatch):
+    monkeypatch.setattr(exactnum, "_PRECISION_CAP", 1024)
+    x = L2 * L3 - _log2_truncated(5000) * L3
+    with pytest.raises(PrecisionExhausted, match="1024 bits"):
+        scalar_sign(x)
+    with pytest.raises(PrecisionExhausted):
+        bool(x == 0)
 
 
 def test_quotient_arithmetic_cancels():
@@ -255,7 +305,21 @@ def _sympy_cancel(num, den):
     return back(a.quo(g)), back(b.quo(g))
 
 
+def _p(*terms):
+    return {m: Fraction(c) for m, c in terms}
+
+
 @given(_polys, _polys, _polys)
+# an affine denominator that divides the numerator
+@example(_p(((3,), 1), ((2, 2), 2)), _p(((), 1)), _p(((2,), 1), ((3,), -1), ((), 3)))
+# an affine denominator that does not
+@example(_p(((2, 3), 1), ((5,), 1)), _p(((2,), 1), ((3,), 1)), _p(((), 1)))
+# an affine numerator that divides the denominator
+@example(_p(((), 1)), _p(((3, 5), 2), ((2,), -1)), _p(((2,), "1/2"), ((5,), 3)))
+# only a common monomial: log 2 log 3 over log 2 log 5
+@example(_p(((3,), 1)), _p(((5,), 1)), _p(((2,), 1)))
+# an affine denominator in eps: eps + log 2
+@example(_p(((3,), 1), ((0,), 1)), _p(((), 1)), _p(((0,), 1), ((2,), 1)))
 @settings(max_examples=60, deadline=None)
 def test_cancel_matches_sympy_gcd(a, b, g):
     num, den = exactnum._pmul(a, g), exactnum._pmul(b, g)

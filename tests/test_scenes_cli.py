@@ -5,6 +5,7 @@ import copy
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 import time
@@ -186,6 +187,11 @@ class TestHugeScenes:
     _HUGE_BIG = {"c0": "1e400", "cinf": "0", "potentials": {"inf": {
         "kind": "convex", "points": [["0", "1"]],
         "left_slope": "0", "right_slope": "1e400"}}}
+    # the roof 1 - 10^400 x: a volume of 10^-400 and a run whose exponent
+    # steps by -4 * 10^400 at m = 4
+    _STEEP = {"c0": "1", "cinf": "0", "potentials": {"inf": {
+        "kind": "convex", "points": [["1e400", "1"]],
+        "left_slope": "0", "right_slope": "1"}}}
 
     @pytest.mark.parametrize("command, payload, needle", [
         ("oracle", _HUGE, "exponents"),
@@ -251,6 +257,33 @@ class TestHugeScenes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["avol"]["exact"] == "2" + "0" * 400
         assert payload["avol"]["float"] == float("inf")
+
+    @pytest.mark.parametrize("point", ["1e20", "1e100", "1e400"])
+    def test_steep_roof_oracle(self, tmp_path, capsys, point):
+        path = tmp_path / "steep.json"
+        steep = copy.deepcopy(self._STEEP)
+        steep["potentials"]["inf"]["points"][0][0] = point
+        path.write_text(json.dumps(steep))
+        assert main(["oracle", str(path), "--m", "4,16", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        # the box at exponent 0 holds 2 floor(e^m) + 1 values, every
+        # other box a single one
+        assert [row["log_count"] for row in rows] == pytest.approx(
+            [math.log(2 * math.floor(math.exp(m)) + 1) for m in (4, 16)])
+
+    @pytest.mark.parametrize("first, second", [
+        (_STEEP, "tent"), ("tent", _STEEP), (_STEEP, "slant"), ("slant", _STEEP)])
+    def test_steep_roof_diskant(self, tmp_path, capsys, scenes, first, second):
+        paths = []
+        for name in (first, second):
+            if isinstance(name, dict):
+                paths.append(str(tmp_path / "steep.json"))
+                with open(paths[-1], "w") as fh:
+                    json.dump(name, fh)
+            else:
+                paths.append(scenes[name])
+        assert main(["diskant", *paths]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
     def test_diskant_beyond_float_range(self, tmp_path, capsys):
         tent = {"kind": "convex", "points": [["0", "1"]],
@@ -419,6 +452,70 @@ class TestSceneBitCap:
         assert scene_from_dict(scene_to_dict(pair)) == pair
 
 
+def _labels_scene(chars: int) -> dict:
+    """slant with a base condition of order -1 at distinct degree-8 points
+    t^8 + p, p = 3, 5, 7, ... (Eisenstein, so irreducible), whose labels
+    carry exactly ``chars`` characters in all."""
+    base, total, p = {}, 0, 1
+    while True:
+        p += 2
+        if any(p % d == 0 for d in range(3, p, 2)):
+            continue
+        label = f"t^8+{p}"
+        room = chars - total - len(label)
+        if room < 8:
+            # the last label is padded with blanks to reach the count
+            base[label.replace("+", "+" + " " * room)] = "-1"
+            return {"c0": "1", "cinf": "0", "base": base,
+                    "potentials": {"inf": TestHostileScenes._SLANT_INF}}
+        base[label] = "-1"
+        total += len(label)
+
+
+class TestSceneKeys:
+    """Keys are checked like values.  A place is a prime below psi_13, where
+    Miller-Rabin to thirteen bases proves it prime, and the base labels
+    carry at most MAX_BASE_CHARS characters in all, as each label of degree
+    2 or more costs an irreducibility test."""
+
+    @pytest.mark.parametrize("command", ["avol", "diskant"])
+    def test_huge_place_exit_2_at_once(self, tmp_path, capsys, command):
+        # 2^4423 - 1 is prime, but past the bound where the test proves it
+        path = str(tmp_path / "mersenne.json")
+        with open(path, "w") as fh:
+            json.dump({"c0": "1", "cinf": "0", "potentials": {
+                str(2**4423 - 1): TestHostileScenes._SLANT_INF}}, fh)
+        argv = [path] if command == "avol" else [path, path]
+        start = time.perf_counter()
+        assert main([command, *argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "3317044064679887385961981" in err
+        assert len(err.splitlines()) == 1
+
+    def test_labels_at_the_budget_run(self, tmp_path, capsys):
+        payload = _labels_scene(scenes_mod.MAX_BASE_CHARS)
+        assert sum(map(len, payload["base"])) == scenes_mod.MAX_BASE_CHARS
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        assert main(["avol", str(path)]) == 0
+        # about 0.5 s in-process with the import of sympy, 0.7 s from the
+        # command line (2-vCPU host)
+        assert time.perf_counter() - start < 2.0
+        assert json.loads(capsys.readouterr().out)["avol"]["exact"] == "1"
+
+    def test_labels_over_the_budget_exit_2_at_once(self, tmp_path, capsys):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(_labels_scene(scenes_mod.MAX_BASE_CHARS + 1)))
+        start = time.perf_counter()
+        assert main(["avol", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.strip()
+        assert f"{scenes_mod.MAX_BASE_CHARS + 1} characters" in err
+        assert len(err.splitlines()) == 1
+
+
 # Scene fuzzing: gallery scenes with 1-4 random edits, run in-process through
 # avol, oracle --m 4, diskant against the tent scene and against a second
 # edited scene, derivative of the slant scene with the edited scene as
@@ -501,6 +598,8 @@ def _run_cli(argv):
 @given(mutated_scenes(), mutated_scenes())
 @example(TestHugeScenes._HUGE, TestHugeScenes._HUGE_BIG)
 @example(TestHugeScenes._HUGE_BIG, scene_to_dict(Pair(slant_divisor())))
+@example(TestHugeScenes._STEEP, scene_to_dict(Pair(slant_divisor())))
+@example(scene_to_dict(Pair(slant_divisor())), TestHugeScenes._STEEP)
 @settings(max_examples=150, deadline=None)
 def test_scene_fuzz(payload, other):
     with tempfile.TemporaryDirectory() as tmp:

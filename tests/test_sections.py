@@ -316,6 +316,18 @@ class TestFloorScaledExp:
         assert len(precisions) == 1
         _assert_floor(n, d, q, precisions[0])
 
+    @pytest.mark.parametrize("q", [F(-4 * 10 ** 100), F(-4 * 10 ** 400, 3)])
+    def test_huge_negative_exponent(self, q):
+        # a steep roof steps its exponent by -m psi'; rounding q at fewer
+        # bits than its integer part would spread the enclosure of e^q over
+        # binary exponents too far apart to share one
+        n, precisions = _floor_with_precisions(F(2 ** 64), q)
+        assert n == 0
+        bits = q.numerator.bit_length() - q.denominator.bit_length()
+        assert len(precisions) == 1 and precisions[0] > bits
+        lo, hi, e = sections._exp_mantissas(q, 64)
+        assert 0 <= lo <= hi < 2 ** (bits + 128) and e < -abs(q)
+
     def test_large_value_starts_at_its_bit_size(self):
         # e^400 has 578 integer bits; one enclosure of about that size
         n, precisions = _floor_with_precisions(F(1), F(400))
