@@ -51,7 +51,6 @@ from .positivity import (
     is_nef,
     is_pseff,
     is_relatively_nef,
-    is_w_ample,
     positive_intersection,
     positive_intersection_lower,
     pseff_threshold,
@@ -62,7 +61,6 @@ from .sections import (
     OkounkovData,
     analytic_okounkov,
     box_log_count,
-    empirical_transform,
     okounkov_sample,
     section_box,
     volume_estimate,
@@ -103,7 +101,6 @@ __all__ = [
     "check_differentiability",
     "circumradius",
     "diskant_report",
-    "empirical_transform",
     "exact",
     "half_zero_pair",
     "height_shift",
@@ -113,7 +110,6 @@ __all__ = [
     "is_nef",
     "is_pseff",
     "is_relatively_nef",
-    "is_w_ample",
     "load_scene",
     "log_unit",
     "min_adelic",

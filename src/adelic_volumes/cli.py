@@ -3,7 +3,9 @@
 Subcommands mirror the library: avol, derivative, diskant, oracle, okounkov,
 suite.  Scenes are JSON files (see scenes.py).  Output is JSON by default
 (CSV for the oracle table); checking subcommands exit nonzero when a check
-fails, so they can sit in shell pipelines.
+fails, so they can sit in shell pipelines.  The JSON is strict: a display
+float that does not fit a float (a volume past the float range, say) is
+null, never NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .errors import AdelicVolumesError
@@ -26,15 +29,36 @@ def _scalar_json(x) -> dict:
     return {"exact": str(x), "float": scalar_float(x)}
 
 
+def _strict(value):
+    """The payload with every non-finite float as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
 def _emit(args, payload: dict, csv_rows) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_strict(payload), indent=2, allow_nan=False))
     else:
         out = io.StringIO()
         writer = csv.writer(out)
         for row in csv_rows:
             writer.writerow(row)
         sys.stdout.write(out.getvalue())
+
+
+def _load_scenes(*paths) -> list:
+    """The scenes at the given paths, each distinct path loaded (and its
+    base labels checked) once."""
+    loaded = {}
+    for path in paths:
+        if path not in loaded:
+            loaded[path] = load_scene(path)
+    return [loaded[path] for path in paths]
 
 
 def _cmd_avol(args) -> int:
@@ -46,8 +70,7 @@ def _cmd_avol(args) -> int:
 
 
 def _cmd_derivative(args) -> int:
-    pair = load_scene(args.scene)
-    direction = load_scene(args.direction)
+    pair, direction = _load_scenes(args.scene, args.direction)
     if not direction.base.is_zero:
         raise ValueError(
             f"{args.direction}: a direction is a divisor; drop its \"base\""
@@ -78,8 +101,7 @@ def _cmd_derivative(args) -> int:
 
 
 def _cmd_diskant(args) -> int:
-    p1 = load_scene(args.scene1)
-    p2 = load_scene(args.scene2)
+    p1, p2 = _load_scenes(args.scene1, args.scene2)
     report = diskant_report(p1, p2)
     payload = {
         "s": [str(report.s0), str(report.s1), str(report.s2)],

@@ -374,13 +374,6 @@ class Pair:
     def is_strictly_effective(self) -> bool:
         return self.is_effective and self.divisor.is_strictly_effective
 
-    def is_nu_effective(self, point) -> bool:
-        """Effective, with the divisor order matching the prescribed order
-        exactly at the given point."""
-        if not isinstance(point, ClosedPoint):
-            point = ClosedPoint.parse(point)
-        return self.is_effective and self.divisor.ord(point) == self.base.order(point)
-
     def perturb(self, place, phi) -> "Pair":
         """Add half of a bounded perturbation to the potential at one place.
 

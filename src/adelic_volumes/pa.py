@@ -106,11 +106,6 @@ class Interval:
         hi = self.hi if self.hi <= other.hi else other.hi
         return Interval(lo, hi) if lo <= hi else Interval.EMPTY
 
-    def minkowski_sum(self, other: "Interval") -> "Interval":
-        if self.is_empty or other.is_empty:
-            return Interval.EMPTY
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
     def scale(self, a) -> "Interval":
         if self.is_empty:
             return Interval.EMPTY
@@ -355,11 +350,16 @@ class ConcavePA:
         return max((y for _, y in self.points), key=_SortKey)
 
     def argmax(self):
-        best = self.points[0]
-        for p in self.points[1:]:
-            if p[1] > best[1]:
-                best = p
-        return best
+        """(x, max f), x the midpoint of the top when f is flat there.  By
+        concavity the values rise up to the top and fall after it."""
+        pts = self.points
+        i = 0
+        while i + 1 < len(pts) and pts[i + 1][1] > pts[i][1]:
+            i += 1
+        x, y = pts[i]
+        if i + 1 < len(pts) and pts[i + 1][1] == y:
+            x = (x + pts[i + 1][0]) / 2
+        return x, y
 
     def min_over_domain(self) -> Scalar:
         first, last = self.points[0][1], self.points[-1][1]
@@ -387,24 +387,6 @@ class ConcavePA:
         for (x1, y1), (x2, y2) in zip(self.points, self.points[1:]):
             total = total + (x2 - x1) * (y1 + y2) / 2
         return total
-
-    def sup_convolution(self, other: "ConcavePA") -> "ConcavePA":
-        """sup-convolution (f [] g)(x) = sup {f(x1) + g(x2) : x1 + x2 = x}.
-
-        For concave piecewise-affine summands this is the classic greedy
-        merge: concatenate the segments of both functions in decreasing slope
-        order, starting from the sum of the left endpoints.  The domain is
-        the Minkowski sum of the domains.
-        """
-        segs = _segments(self) + _segments(other)
-        segs.sort(key=lambda s: _SortKey(s[0]), reverse=True)
-        x = self.points[0][0] + other.points[0][0]
-        y = self.points[0][1] + other.points[0][1]
-        pts = [(x, y)]
-        for slope, dx in segs:
-            x, y = x + dx, y + slope * dx
-            pts.append((x, y))
-        return ConcavePA(pts)
 
     def to_payload(self) -> dict:
         return {
@@ -444,12 +426,6 @@ class _SortKey:
 
     def __lt__(self, other):
         return self.value < other.value
-
-
-def _segments(f: ConcavePA) -> list:
-    return [
-        (_slope(p, q), q[0] - p[0]) for p, q in zip(f.points, f.points[1:])
-    ]
 
 
 def _nonneg_run(pts):
@@ -878,10 +854,6 @@ def legendre_potential(roof: ConcavePA) -> ConvexPA:
         m = _slope(p, q)
         out.append((-m, p[0] * (-m) + p[1]))
     return ConvexPA(out, pts[0][0], pts[-1][0])
-
-
-def sup_convolution(f: ConcavePA, g: ConcavePA) -> ConcavePA:
-    return f.sup_convolution(g)
 
 
 def integrate_positive_part(f: ConcavePA, window: Interval | None = None) -> Scalar:

@@ -5,10 +5,10 @@ numbers, and the pseudo-effective thresholds behind the inradius/circumradius
 of a pair of pairs.
 
 Everything here is exact.  Volumes and intersection numbers are rational, or
-symbolic combinations of log p when finite places contribute.  A threshold,
-the top of the polygon where the twisted roof is nonnegative on the twisted
-window, comes from exact Newton steps along the roof's kink lines, highest
-span first until none reaches above the best zero, as a bracket lo == hi.
+symbolic combinations of log p when finite places contribute.  A threshold
+is the last zero of the maximum of the twisted roof, a concave and
+piecewise-affine function of the twist; exact Newton steps find it after a
+few roof builds, and it comes back as a bracket lo == hi.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from .divisors import ARCH, Pair, ToricAdelicDivisor, as_pair
 from .errors import NotBig, NotNef, NotRelativelyNef
 from .exactnum import Scalar, log_unit, scalar_float, scalar_sign
-from .pa import (ConvexPA, Interval, _grid, _jets_on_grid, _SortKey,
+from .pa import (ConvexPA, Interval, PAGeneral, _grid, _jets_on_grid,
                  integrate_positive_part, legendre_potential, unit_roof)
 
 
@@ -77,18 +77,6 @@ def is_ample(divisor) -> bool:
         return False
     roof = Pair(divisor).global_roof()
     return scalar_sign(roof.min_over_domain()) > 0
-
-
-def is_w_ample(divisor) -> bool:
-    """Ampleness in the weak (height) sense.  For relatively nef data this
-    coincides with ampleness on a curve; data that is not relatively nef is
-    rejected outright rather than classified."""
-    divisor = _as_divisor(divisor)
-    if not is_relatively_nef(divisor):
-        raise NotRelativelyNef(
-            f"{divisor!r} is not relatively nef; refusing to classify"
-        )
-    return is_ample(divisor)
 
 
 # -- volume and bigness ----------------------------------------------------
@@ -273,15 +261,13 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
         F(x, t) = sum_v c_v * min_u (pD_v(u) - t * pN_v(u) - x * u),
 
     with c_v = 1 at the archimedean place and log p at p, and u running over
-    the breakpoints of both potentials at v.  The points (x, t) with x in
-    W(t) and F >= 0 form a compact convex polygon, and the threshold is its
-    top.  The top lies on a window edge or on a kink line of F, where two
-    pieces of one place tie: x = A + B * t.  Along a line F is the concave,
-    piecewise-affine phi(t) = sum_v c_v * min_u (a_u - A * u - t * w_u), with
-    a_u = pD_v(u) and w_u = pN_v(u) + B * u, and the line's highest point in
-    the polygon is the last zero of phi on the line's span in the window.
-    Lines are visited by decreasing span top, until no span reaches above
-    the best zero found.
+    the breakpoints of both potentials at v.  The threshold is the last zero
+    of g(t) = max of F(., t) over W(t), which is concave and piecewise
+    affine in t; g is the maximum of the twisted pair's global roof.  Exact
+    Newton steps find it from the top, where W is a point: each step follows
+    the piece of g left of t, whose slope is read off the rows that attain
+    the minimum at the argmax, so it stays at or right of the zero and lands
+    on a new piece.
     """
     pair = as_pair(pair)
     n = _as_divisor(nef_divisor)
@@ -293,69 +279,57 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
         raise NotNef(f"{n!r} is nef but has volume zero")
     d = pair.divisor
     v0, vinf = pair._toric_orders()
-    lo0, hi0 = -d.cinf + v0, d.c0 - vinf
-    top = (hi0 - lo0) / n.degree  # the window shrinks to a point here
+    t = (d.c0 - vinf + d.cinf - v0) / n.degree  # the window is a point here
 
     # per place: the weight c_v and rows (u, pD_v(u), pN_v(u))
-    data = []
+    data = {}
     for place in dict.fromkeys((ARCH,) + d.places + n.places):
         pd, pn = d.potential(place), n.potential(place)
         us = _grid((u for u, _ in pd.points), (u for u, _ in pn.points))
         weight = Fraction(1) if place == ARCH else log_unit(place)
-        data.append((weight, [(u, pd.eval(u), pn.eval(u)) for u in us]))
+        data[place] = (weight, [(u, a, b) for u, (a, _, _), (b, _, _) in zip(
+            us, _jets_on_grid(pd, us), _jets_on_grid(pn, us))])
 
-    lines = [(lo0, n.cinf), (hi0, -n.c0)]
-    for _, rows in data:
-        lines += [((a2 - a) / (u2 - u), (b - b2) / (u2 - u))
-                  for i, (u, a, b) in enumerate(rows) for u2, a2, b2 in rows[i + 1:]]
-
-    # a line's span: the t in [0, top] with A + B * t in W(t).  Each side of
-    # W is affine in t and cuts the span where its values at 0 and at top
-    # (where W is the point apex) differ in sign.  The sort is stable, so
-    # lines with equal span tops keep their listed order, window edges first.
-    apex = lo0 + n.cinf * top
-    spans = []
-    for A, B in lines:
-        lo, hi = Fraction(0), top
-        off = A + B * top - apex
-        for at0, at_top in ((A - lo0, off), (hi0 - A, -off)):
-            if at0 < 0:
-                if at_top < 0:
-                    break
-                lo = top * at0 / (at0 - at_top)
-            elif at_top < 0:
-                hi = top * at0 / (at0 - at_top)
-        else:
-            if not hi < lo:
-                spans.append((hi, lo, A, B))
-    spans.sort(key=lambda s: _SortKey(s[0]), reverse=True)
-    best = None
-    for t, lo, A, B in spans:
-        if best is not None and not t > best:
-            break
-        best = _line_top(data, A, B, t, lo, best)
-    return Bracket(best, best)
-
-
-def _line_top(data, A, B, t, lo, best):
-    """The last zero of phi in [lo, t] if it is above best, else best.  Each
-    exact Newton step goes to the zero of phi's piece left of t, read off the
-    minimising row at each place, ties going to the smallest w; so a step
-    lands on a new piece, and phi is negative on the ground it skips."""
-    pieces = [(c, [(b + B * u, a - A * u) for u, a, b in rows]) for c, rows in data]
     while True:
-        value = slope = 0
-        for c, rows in pieces:
-            y, w = min((a - t * w, w) for w, a in rows)
-            value += c * y
-            slope -= c * w
-        if scalar_sign(value) >= 0:
-            return t
-        if scalar_sign(slope) >= 0:
-            return best
-        t = t - value / slope
-        if t < lo or (best is not None and not t > best):
-            return best
+        c0, cinf = d.c0 - t * n.c0, d.cinf - t * n.cinf
+        pots = {place: [(u, a - t * b) for u, a, b in rows]
+                for place, (_, rows) in data.items()}
+        twisted = ToricAdelicDivisor(c0, cinf, {
+            place: PAGeneral(pts, -cinf, c0) for place, pts in pots.items()})
+        roof = Pair(twisted, pair.base).global_roof()
+        x, g = roof.argmax()
+        if scalar_sign(g) >= 0:
+            return Bracket(t, t)
+        t = t + g / _fall_rate(data, pots, roof, x, n)
+
+
+def _fall_rate(data, pots, roof, x, n):
+    """The rate M at which g rises as t falls, g(t - s) = g(t) + M * s for
+    small s > 0, read at the argmax x.
+
+    Moving t down by s and x by s * delta raises the row (u, pD, pN) of
+    place v by s * (pN - u * delta), so M is the maximum, over the moves
+    that keep x in W(t - s), of h(delta) = sum_v c_v * min (pN - u * delta)
+    over the rows that attain the minimum at (x, t).  delta is free inside
+    the window, at least -cinf_N on its lower edge and at most c0_N on its
+    upper edge.  h is concave and piecewise affine, so its maximum is at
+    delta = 0, at a bound, or where two active rows of one place cross.
+    """
+    active = []
+    for place, (weight, rows) in data.items():
+        ys = [p - x * u for u, p in pots[place]]
+        y = min(ys)
+        active.append((weight, [(b, u) for (u, _, b), yu in zip(rows, ys)
+                                if yu == y]))
+    lo = -n.cinf if x == roof.points[0][0] else None
+    hi = n.c0 if x == roof.points[-1][0] else None
+    deltas = [e for e in (lo, hi) if e is not None] or [Fraction(0)]
+    for _, rows in active:
+        deltas += [(b - b2) / (u - u2) for i, (b, u) in enumerate(rows)
+                   for b2, u2 in rows[i + 1:]]
+    return max(sum(w * min(b - u * e for b, u in rows) for w, rows in active)
+               for e in deltas
+               if (lo is None or e >= lo) and (hi is None or e <= hi))
 
 
 def inradius(pair1, pair2) -> Bracket:

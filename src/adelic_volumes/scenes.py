@@ -17,12 +17,12 @@ Potentials at finite places are in log p units.  A "comment" key is ignored.
 Decimal exponents ("1e400") are read exactly and limited to +-4300.  The
 potentials of a scene carry at most MAX_BREAKPOINTS breakpoints in all, and
 their breakpoint coordinates and slopes at most MAX_SCENE_BITS bits in all
-(numerator plus denominator): the thresholds behind `diskant` read spans off
-about the square of the count in kink lines and run a Newton search, one pass
-over the rows per step, on each line whose span reaches above the best zero
-so far; every step grows with the size of the numbers.  The labels of the
-base condition carry at most MAX_BASE_CHARS characters in all: each label of
-degree 2 or more is tested for irreducibility over Q.
+(numerator plus denominator): each Newton step of the thresholds behind
+`diskant` builds a roof from every breakpoint, and each exact `derivative`
+jet a volume, at a cost that grows with the count and with the size of the
+numbers.  The labels of the base condition carry at most MAX_BASE_CHARS
+characters in all: each label of degree 2 or more is tested for
+irreducibility over Q.
 Scene files are untrusted input: a malformed one raises ValueError (or an
 AdelicVolumesError) with a one-line message, never another exception.
 """
@@ -44,10 +44,20 @@ _TOP_KEYS = {"c0", "cinf", "potentials", "base", "comment"}
 _MAX_EXPONENT = 4300
 _DECIMAL_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE]([-+]?\d+(?:_\d+)*)\s*")
 
-# `diskant` of a one-potential scene with this many breakpoints (six-digit
-# rationals) against itself takes about 0.1 s, and 0.2 s at 64; against a
-# second 48-breakpoint scene up to about 2 s (2-vCPU host, Python 3.11)
-MAX_BREAKPOINTS = 48
+# Cold command-line runs at this cap, 2-vCPU host, Python 3.11.7.  `diskant`
+# of the CI scene (192 breakpoints) against itself takes 0.3-0.4 s, and
+# against six-digit random breakpoints (84, just under MAX_SCENE_BITS) or
+# twelve-digit ones (47) 0.35-0.57 s in either order, as do those two
+# against each other.  The slowest pair found splits 64 integer breakpoints
+# over each of inf, 2 and 3 against the CI scene: 1.9-2.4 s, the log
+# weights making every step exact in Q(log 2, log 3); at 224 it takes 2.4 s.
+# On the CI scene `avol` takes 0.26 s, `derivative` along itself 2.3-2.5 s,
+# `okounkov` 0.33 s and `oracle --m 16` 0.35 s.  On the three-place scene
+# `avol` takes 0.29 s, `derivative` along itself 1.6 s and along the CI
+# scene 2.5 s, and `okounkov` 4.8 s, since its 8,193 samples (window
+# [-64, 64] at m = 64) each scan the roofs; `oracle --m 16` refuses it for
+# its count bits in 0.3 s.
+MAX_BREAKPOINTS = 192
 # 48 breakpoints of twelve-digit rationals come to about 8000 bits, and
 # `diskant` of that scene against itself takes about 0.15 s (40 digits: 25,800
 # bits and 0.2 s; 2-vCPU host, Python 3.11)

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from mpmath import iv, mp
 
-from .divisors import ARCH, Pair, as_pair
+from .divisors import ARCH, as_pair
 from .errors import EmptyPolytope, NotBig, OutOfDomain, PrecisionExhausted
 from .exactnum import (
     _iv_precision,
@@ -377,30 +377,14 @@ def volume_estimate(pair, m: int):
     return _estimate(box_log_count(pair, m), m)
 
 
-def empirical_transform(pair, m: int, w):
-    """Largest filtration parameter t at which the exponent identified with
-    w still carries a nonzero admissible coefficient, or None when the
-    exponent lies outside the shifted polytope (no sections at w at all).
+def _transform_at(roofs, m: int, x: Fraction):
+    """Largest filtration parameter t at which the exponent at x still
+    carries a nonzero admissible coefficient at level m.
 
     The filtration twists the divisor by -(0, 2t[infinity]); the potential
     dictionary turns that into psi_inf - t, and the box at exponent k goes
     empty as soon as t exceeds psi_inf(k/m) + log(d_k)/m.
     """
-    pair = as_pair(pair)
-    m = _check_multiple(m)
-    w = Fraction(w)
-    x = -w
-    window = pair.shifted_polytope()
-    if window.is_empty:
-        raise EmptyPolytope(f"{pair!r} has an empty shifted polytope")
-    if not (window.lo <= x <= window.hi):
-        return None
-    if (w * m).denominator != 1:
-        raise ValueError(f"w = {w} is not a multiple of 1/{m}")
-    return _transform_at(place_roofs(pair), m, x)
-
-
-def _transform_at(roofs, m: int, x: Fraction):
     psi_inf, finite = roofs
     t = scalar_fraction(psi_inf.eval(x))
     with mp.workprec(default_precision_bits() + 32):

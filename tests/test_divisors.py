@@ -153,11 +153,6 @@ class TestEffectivity:
         # a negative prescribed order is a lower bound the divisor clears
         assert Pair(d, BaseCondition({"inf": F(-1)})).is_effective
 
-    def test_nu_effective(self):
-        p = Pair(slant_divisor(), BaseCondition({"0": F(1)}))
-        assert p.is_nu_effective("0")
-        assert not half_zero_pair().is_nu_effective("0")  # 1 > 1/2
-
 
 class TestMinAdelic:
     def test_min_with_canonical(self):

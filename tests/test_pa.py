@@ -20,19 +20,40 @@ from adelic_volumes.pa import (
     ConvexPA,
     Interval,
     PAGeneral,
+    _slope,
     convex_envelope,
     integrate_positive_part,
     legendre_potential,
     legendre_roof,
     pa_from_payload,
     pointwise_min,
-    sup_convolution,
     unit_roof,
 )
 
 L2 = log_unit(2)
 L3 = log_unit(3)
 F = Fraction
+
+
+def sup_convolution(f: ConcavePA, g: ConcavePA) -> ConcavePA:
+    """The sup-convolution (f [] g)(x) = sup {f(x1) + g(x2) : x1 + x2 = x},
+    an independent oracle for the roof of a sum of potentials.
+
+    For concave piecewise-affine summands this is the classic greedy merge:
+    concatenate the segments of both functions in decreasing slope order,
+    starting from the sum of the left endpoints.  The domain is the
+    Minkowski sum of the domains.
+    """
+    segs = sorted(((_slope(p, q), q[0] - p[0]) for h in (f, g)
+                   for p, q in zip(h.points, h.points[1:])),
+                  key=lambda s: s[0], reverse=True)
+    x = f.points[0][0] + g.points[0][0]
+    y = f.points[0][1] + g.points[0][1]
+    pts = [(x, y)]
+    for slope, dx in segs:
+        x, y = x + dx, y + slope * dx
+        pts.append((x, y))
+    return ConcavePA(pts)
 
 
 class TestInterval:
@@ -58,8 +79,7 @@ class TestInterval:
         assert a.intersect(Interval(5, 6)) == Interval.EMPTY
         assert a.intersect(Interval.EMPTY).is_empty
 
-    def test_minkowski_and_scale(self):
-        assert Interval(0, 1).minkowski_sum(Interval(-2, 5)) == Interval(-2, 6)
+    def test_scale(self):
         assert Interval(1, 2).scale(F(-1)) == Interval(-2, -1)
         assert Interval(1, 2).scale(3) == Interval(3, 6)
 
@@ -116,6 +136,12 @@ class TestConcavePA:
         f = ConcavePA([(0, -1), (1, 2), (4, -4)])
         assert f.max_over_domain() == 2
         assert f.argmax() == (F(1), F(2))
+        # a flat top gives its midpoint; a peak at an end gives that end
+        assert ConcavePA([(0, 0), (1, 2), (3, 2), (4, 0)]).argmax() == (2, 2)
+        assert ConcavePA([(0, 1), (2, 1)]).argmax() == (1, 1)
+        assert ConcavePA([(0, 3), (1, 2), (4, -4)]).argmax() == (0, 3)
+        assert ConcavePA([(0, -1), (1, 2)]).argmax() == (1, 2)
+        assert ConcavePA([(3, 5)]).argmax() == (3, 5)
         assert f.min_over_domain() == -4
 
     def test_nonneg_region_rational(self):
@@ -147,7 +173,7 @@ class TestSupConvolution:
         g = ConcavePA([(-1, 0), (0, 1), (1, 0)])
         h = sup_convolution(f, g)
         assert h.points == ((F(-1), F(1)), (F(0), F(2)), (F(2), F(0)))
-        assert h.domain == f.domain.minkowski_sum(g.domain)
+        assert h.domain == Interval(-1, 2)  # [0, 1] + [-1, 1]
 
     def test_with_point_domain(self):
         f = ConcavePA([(2, 3)])

@@ -37,7 +37,6 @@ from adelic_volumes.pa import (
 from adelic_volumes.points import BaseCondition
 from adelic_volumes.positivity import (
     Bracket,
-    _line_top,
     adeg_product,
     ample_reference,
     avol,
@@ -48,7 +47,6 @@ from adelic_volumes.positivity import (
     is_nef,
     is_pseff,
     is_relatively_nef,
-    is_w_ample,
     nef_certificate,
     positive_intersection,
     positive_intersection_lower,
@@ -98,12 +96,6 @@ class TestNefAmple:
         assert is_ample(ample_reference())
         assert not is_ample(slant_divisor())  # roof touches zero
         assert not is_ample(height_shift(1))  # degree zero
-
-    def test_w_ample(self):
-        assert is_w_ample(ample_reference())
-        assert not is_w_ample(slant_divisor())
-        with pytest.raises(NotRelativelyNef):
-            is_w_ample(kinked_slant())
 
 
 class TestVolume:
@@ -382,22 +374,92 @@ def _assert_matches_line_by_line(pair, n):
 
 def _two_kink_pair() -> Pair:
     """Potential through (-1, 0) and (1, 1) with slopes -1, 1/2, 1: against
-    tent the threshold 1/2 is reached on a window edge after one Newton step,
-    and one kink line is negative on its whole span."""
+    tent the threshold 1/2 lies on a window edge, one Newton step from the
+    top, where the window is a point."""
     pot = ConvexPA([(F(-1), F(0)), (F(1), F(1))], -1, 1)
     return Pair(ToricAdelicDivisor(1, 1, {ARCH: pot}))
 
 
 def _plateau_pair() -> Pair:
     """Potential through (-1, 1), (0, 1) and (1, 2): against slant + 1 the
-    threshold 1/2 takes two Newton steps down a window edge."""
+    threshold 1/2 takes two Newton steps, the second from a flat top of the
+    twisted roof."""
     pot = ConvexPA([(F(-1), F(1)), (F(0), F(1)), (F(1), F(2))], -1, 1)
     return Pair(ToricAdelicDivisor(1, 1, {ARCH: pot}))
 
 
+def _lower_edge_case():
+    """A pair whose twisted roof falls across the window, against a nef
+    divisor whose polytope [1/4, 5/6] moves the window's lower edge up as t
+    falls: the second step starts from the lower edge."""
+    pot = ConvexPA([(F(2), F(3)), (F(4), F(2))], -7, 1)
+    pot_n = ConvexPA([(F(5, 4), F(13, 5))], F(1, 4), F(5, 6))
+    return (Pair(ToricAdelicDivisor(1, 7, {ARCH: pot})),
+            ToricAdelicDivisor(F(5, 6), F(-1, 4), {ARCH: pot_n}))
+
+
+def _upper_edge_case():
+    """A pair whose twisted roof rises across the window: the second step
+    starts from the window's upper edge."""
+    pot = ConvexPA([(F(-7, 3), F(3, 8)), (F(-2), F(-49, 240))], -2, F(4, 5))
+    pot_n = ConvexPA([(F(-7, 4), F(0))], 0, F(6, 5))
+    return (Pair(ToricAdelicDivisor(F(4, 5), 2, {ARCH: pot})),
+            ToricAdelicDivisor(F(6, 5), 0, {ARCH: pot_n}))
+
+
+def _crossing_case():
+    """A pair whose slope rate peaks where two active rows of the
+    archimedean place cross, not at delta = 0 or at a window bound."""
+    pot = ConvexPA([(F(-3, 4), F(16)), (F(1), F(1789, 96))], F(-3, 7), F(8, 3))
+    pot_n = ConvexPA([(F(-4), F(13))], F(1, 3), F(1, 2))
+    return (Pair(ToricAdelicDivisor(F(8, 3), F(3, 7), {ARCH: pot})),
+            ToricAdelicDivisor(F(1, 2), F(-1, 3), {ARCH: pot_n}))
+
+
+def _newton_starts(monkeypatch, pair, n):
+    """pseff_threshold(pair, n) and, for each Newton step it takes, where
+    the argmax of the twisted roof lies: "point" (the window is a point),
+    "lower" or "upper" (a window edge), "interior" (a kink inside the
+    window) or "flat" (the midpoint of a flat top)."""
+    starts = []
+    argmax = ConcavePA.argmax
+
+    def spy(roof):
+        x, g = argmax(roof)
+        if g < 0:  # a step is taken from here
+            pts = roof.points
+            starts.append(
+                "point" if len(pts) == 1 else "lower" if x == pts[0][0]
+                else "upper" if x == pts[-1][0]
+                else "interior" if any(x == u for u, _ in pts) else "flat")
+        return x, g
+
+    monkeypatch.setattr(ConcavePA, "argmax", spy)
+    return pseff_threshold(pair, n), starts
+
+
+def _cap_divisor(digits=None, seed=0, k=48) -> ToricAdelicDivisor:
+    """The scene that CI runs at the breakpoint cap: degree 2, a convex
+    archimedean potential with k breakpoints at u = i/3 and slopes spread
+    over (-1, 1).  With digits, each coordinate moves by a random rational
+    with a denominator of that many digits, too little to break convexity."""
+    rng = random.Random(seed)
+    y, pts = F(1 + k), []
+    for i in range(k):
+        if i:
+            y += (F(-1) + F(2 * i, k + 1)) / 3
+        pts.append([F(i, 3), y])
+    if digits:
+        for pt in pts:
+            for j in (0, 1):
+                den = rng.randrange(10 ** (digits - 1), 10 ** digits)
+                pt[j] += F(rng.randrange(1, 10 ** (digits - 5)), den)
+    return ToricAdelicDivisor(1, 1, {ARCH: ConvexPA(pts, -1, 1)})
+
+
 class TestThresholdNewton:
     """pseff_threshold against the line-by-line PA construction, and the
-    Newton search on one line."""
+    Newton steps on the maximum of the twisted roof."""
 
     @given(st.integers(0, 2**32), st.booleans())
     @settings(max_examples=30, deadline=None)
@@ -437,33 +499,65 @@ class TestThresholdNewton:
         assert 0 in (roof.eval(window.lo), roof.eval(window.hi))
 
     def test_kink_line_with_log_weights(self):
-        # the top lies on a kink line, two Newton steps below its span top
+        # the top lies on a kink line of F, two Newton steps from the top,
+        # the second from a kink inside the window
         pair = Pair(tent_divisor() + p_slant_divisor(2))
         t = _assert_matches_line_by_line(pair, slant_divisor() + height_shift(1))
         assert t == (1 + log_unit(2)) / 2
 
-    # one place, A = B = 0: phi(t) = min(3 - 3t, 1/2 - t) is -3 at t = 2;
-    # Newton goes to 1, where phi = -1/2, and then to the zero 1/2
-    _ROWS = [(F(1), [(F(0), F(3), F(3)), (F(1), F(1, 2), F(1))])]
+    def test_newton_takes_two_steps(self, monkeypatch):
+        # g(2) = -4 where the window is a point; the step lands at 2/3,
+        # where g = -1/3 on a flat top, and the next one at the zero 1/2
+        t, starts = _newton_starts(monkeypatch, _plateau_pair(),
+                                   slant_divisor() + height_shift(1))
+        assert t == Bracket(F(1, 2), F(1, 2))
+        assert starts == ["point", "flat"]
 
-    def test_newton_takes_two_steps(self):
-        assert _line_top(self._ROWS, 0, 0, F(2), F(0), None) == F(1, 2)
-        assert _line_top(self._ROWS, 0, 0, F(2), F(0), F(1, 3)) == F(1, 2)
-        # the second step leaves the span [3/4, 2]: negative on all of it
-        assert _line_top(self._ROWS, 0, 0, F(2), F(3, 4), None) is None
-        # a zero at the best found so far is dropped: best comes back
-        best = F(1, 2)
-        assert _line_top(self._ROWS, 0, 0, F(2), F(0), best) is best
+    def test_newton_stops_at_once(self, monkeypatch):
+        # the window shrinks to a point at t = 1/2, where the twisted roof
+        # is 0: the top is the threshold, and no step is taken
+        t, starts = _newton_starts(monkeypatch, Pair(slant_divisor()),
+                                   slant_divisor().scale(2))
+        assert t.value == F(1, 2) and starts == []
 
-    def test_newton_stops_at_once(self):
-        # phi(1/3) = 1/6 >= 0: the span top is the line's value, same object
-        top = F(1, 3)
-        assert _line_top(self._ROWS, 0, 0, top, F(0), None) is top
+    @pytest.mark.parametrize("case, starts", [
+        ((_two_kink_pair(), tent_divisor()), ["point"]),
+        (_lower_edge_case(), ["point", "lower"]),
+        (_upper_edge_case(), ["point", "upper"]),
+        ((Pair(tent_divisor() + p_slant_divisor(2)),
+          slant_divisor() + height_shift(1)), ["point", "interior"]),
+        (_crossing_case(), ["point", "interior"]),
+        ((_plateau_pair(), slant_divisor() + height_shift(1)),
+         ["point", "flat"]),
+    ])
+    def test_each_branch_of_the_slope_rule(self, monkeypatch, case, starts):
+        # the slope is read off the active rows at the argmax, with the
+        # moves that keep it in the window: free inside, bounded at an edge
+        # and at both ends of a point window
+        pair, n = case
+        t, got = _newton_starts(monkeypatch, pair, n)
+        assert got == starts
+        assert t.lo == _line_by_line_threshold(pair, n)
 
-    def test_flat_or_rising_left_slope_drops_the_line(self):
-        # phi = -1 everywhere: the left slope is 0, so no zero to the left
-        rows = [(F(1), [(F(0), F(-1), F(0))])]
-        assert _line_top(rows, 0, 0, F(2), F(0), None) is None
-        # phi(t) = t - 3 rises: negative on [0, 2]
-        rows = [(F(1), [(F(0), F(-3), F(-1))])]
-        assert _line_top(rows, 0, 0, F(2), F(0), None) is None
+    # recorded with the kink-line search that this Newton search replaced
+    _CAP_FROZEN = [
+        ("ci", "r6", F(34075546555264000652635, 34075596792198509085509)),
+        ("r6", "ci", F(60217641943540, 60217648397767)),
+    ]
+
+    @pytest.mark.parametrize("first, second, want", _CAP_FROZEN)
+    def test_cap_size_pairs_frozen(self, first, second, want):
+        # the CI scene and a 6-digit random potential, 48 breakpoints each
+        scenes = {"ci": _cap_divisor(), "r6": _cap_divisor(digits=6, seed=1)}
+        got = inradius(Pair(scenes[first]), Pair(scenes[second]))
+        assert got.lo == got.hi == want
+        assert repr(got.lo) == repr(want)
+
+    def test_cap_size_pair_with_a_finite_place_frozen(self):
+        pair = Pair(_cap_divisor() + p_slant_divisor(2))
+        got = inradius(pair, Pair(_cap_divisor(digits=6, seed=1))).value
+        L2 = log_unit(2)
+        assert got == ((4337360732481 + 265552697907 * L2)
+                       / (4337361949181 + 177035131938 * L2))
+        assert repr(got) == ("(4337360732481 + 265552697907*log(2))/"
+                             "(4337361949181 + 177035131938*log(2))")

@@ -34,6 +34,13 @@ from adelic_volumes.sections import volume_estimate
 F = Fraction
 
 
+def _strict_loads(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise AssertionError(f"{name} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture
 def scenes(tmp_path):
     paths = {}
@@ -181,7 +188,7 @@ class TestHugeScenes:
     """Numbers like 1e400 are exact, so a scene can ask for far more work
     than can be done: a polytope of 10^400 at m = 4 has about 4 * 10^400
     exponents.  Such requests exit 2 at once; values past the float range
-    print their float as inf."""
+    print their float as null."""
 
     _HUGE = {"c0": "1e400", "cinf": "0"}
     _HUGE_BIG = {"c0": "1e400", "cinf": "0", "potentials": {"inf": {
@@ -254,9 +261,9 @@ class TestHugeScenes:
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(self._HUGE_BIG))
         assert main(["avol", str(path)]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = _strict_loads(capsys.readouterr().out)
         assert payload["avol"]["exact"] == "2" + "0" * 400
-        assert payload["avol"]["float"] == float("inf")
+        assert payload["avol"]["float"] is None
 
     @pytest.mark.parametrize("point", ["1e20", "1e100", "1e400"])
     def test_steep_roof_oracle(self, tmp_path, capsys, point):
@@ -283,7 +290,11 @@ class TestHugeScenes:
             else:
                 paths.append(scenes[name])
         assert main(["diskant", *paths]) == 0
-        assert json.loads(capsys.readouterr().out)["pass"] is True
+        payload = _strict_loads(capsys.readouterr().out)
+        assert payload["pass"] is True
+        if first == "slant":
+            # its slack sqrt(v) - float(u - r) is inf - inf, NaN: null
+            assert payload["slacks"]["chain_lower_vs_r"] is None
 
     def test_diskant_beyond_float_range(self, tmp_path, capsys):
         tent = {"kind": "convex", "points": [["0", "1"]],
@@ -295,7 +306,7 @@ class TestHugeScenes:
                 json.dump({"c0": "1", "cinf": "1", "potentials": {
                     "inf": {**tent, "points": [["0", top]]}}}, fh)
         assert main(["diskant", *paths]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = _strict_loads(capsys.readouterr().out)
         assert payload["pass"] is True
         assert payload["R"] == "1" + "0" * 400
 
@@ -368,6 +379,19 @@ class TestBreakpointCap:
         assert main(["diskant", path, path]) == 0
         assert time.perf_counter() - start < 5.0
         assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    def test_two_different_largest_scenes(self, tmp_path, capsys):
+        # the scene at the breakpoint cap against the one just under the
+        # bit cap (48 breakpoints of twelve-digit rationals), both orders
+        big = self._save(tmp_path, {"inf": scenes_mod.MAX_BREAKPOINTS})
+        digits = str(tmp_path / "digits.json")
+        with open(digits, "w") as fh:
+            json.dump(_digits_scene(12), fh)
+        for argv in ([big, digits], [digits, big]):
+            start = time.perf_counter()
+            assert main(["diskant", *argv]) == 0
+            assert time.perf_counter() - start < 5.0
+            assert _strict_loads(capsys.readouterr().out)["pass"] is True
 
     @pytest.mark.parametrize("counts", [
         {"inf": scenes_mod.MAX_BREAKPOINTS + 1},
@@ -626,6 +650,8 @@ def test_scene_fuzz(payload, other):
             assert len(err.splitlines()) <= 1, err
             assert (code == 2) == bool(err), (code, err)
             assert elapsed < _FUZZ_SECONDS, (argv[0], elapsed, payload)
+            if code != 2 and argv[0] != "oracle":  # the oracle prints CSV
+                _strict_loads(out)
 
 
 class TestCliDerivative:
@@ -690,6 +716,26 @@ class TestCliDiskant:
     def test_not_big_exit_2(self, scenes, capsys):
         assert main(["diskant", scenes["slant"], scenes["shift"]]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, loads", [
+        (["diskant", "slant", "slant"], 1),
+        (["diskant", "slant", "tent"], 2),
+        (["derivative", "slant", "--direction", "slant"], 1),
+        (["derivative", "slant", "--direction", "shift"], 2),
+    ])
+    def test_each_distinct_path_loads_once(self, scenes, capsys, monkeypatch,
+                                           argv, loads):
+        calls = []
+
+        def counting_load(path):
+            calls.append(path)
+            return load_scene(path)
+
+        monkeypatch.setattr(cli, "load_scene", counting_load)
+        argv = [scenes.get(arg, arg) for arg in argv]
+        assert main(argv) == 0
+        assert len(calls) == loads == len(set(calls))
+        _strict_loads(capsys.readouterr().out)
 
 
 class TestCliOracle:

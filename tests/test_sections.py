@@ -36,7 +36,6 @@ from adelic_volumes.sections import (
     BoxEntry,
     analytic_okounkov,
     box_log_count,
-    empirical_transform,
     okounkov_sample,
     section_box,
     volume_estimate,
@@ -351,30 +350,23 @@ class TestVolumeEstimate:
 
 
 class TestEmpiricalTransform:
+    """The empirical concave transform, sampled by okounkov_sample at each
+    exponent w of the level-m grid in the reflected shifted polytope."""
+
     def test_values_on_grid(self):
-        t = empirical_transform(slant_divisor(), 2, F(-1, 2))
-        assert abs(float(t) - 0.5) < 1e-12
-        t = empirical_transform(slant_divisor(), 2, F(0))
-        assert abs(float(t) - 1.0) < 1e-12
-
-    def test_outside_window_is_none(self):
-        assert empirical_transform(slant_divisor(), 2, F(1, 2)) is None
-        assert empirical_transform(slant_divisor(), 2, F(-3, 2)) is None
-
-    def test_off_grid_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_transform(slant_divisor(), 2, F(-1, 3))
+        # tent: the window [-1, 1] on both sides of 0, roof 1 - |x|
+        sample = okounkov_sample(tent_divisor(), 2)
+        assert [w for w, _ in sample.entries] == [F(k, 2) for k in range(-2, 3)]
+        assert [float(t) for _, t in sample.entries] == pytest.approx(
+            [0.0, 0.5, 1.0, 0.5, 0.0], abs=1e-12)
 
     def test_finite_place_contribution(self):
-        t = empirical_transform(p_slant_divisor(2), 1, F(0))
-        assert abs(float(t) - math.log(2)) < 1e-12
-        t = empirical_transform(p_slant_divisor(2), 1, F(-1))
-        assert abs(float(t)) < 1e-12
+        values = dict(okounkov_sample(p_slant_divisor(2), 1).entries)
+        assert abs(float(values[F(0)]) - math.log(2)) < 1e-12
+        assert abs(float(values[F(-1)])) < 1e-12
 
     @pytest.mark.parametrize("m", [0, -2])
     def test_rejects_bad_multiple(self, m):
-        with pytest.raises(ValueError, match="positive integer"):
-            empirical_transform(slant_divisor(), m, F(0))
         with pytest.raises(ValueError, match="positive integer"):
             okounkov_sample(slant_divisor(), m)
 
