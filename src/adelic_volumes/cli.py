@@ -20,6 +20,7 @@ import sys
 from .errors import AdelicVolumesError
 from .exactnum import scalar_float
 from .harness import check_differentiability, diskant_report, run_suite, suite_names
+from .pa import _eval_on_grid
 from .positivity import avol
 from .scenes import load_scene
 from .sections import _estimate, analytic_okounkov, okounkov_sample, section_box
@@ -149,8 +150,10 @@ def _cmd_okounkov(args) -> int:
     sample = okounkov_sample(pair, args.m)
     gaps = []
     entries = []
-    for w, t in sample.entries:
-        analytic = scalar_float(data.transform.eval(w))
+    # the sample's w increase, so the transform is read in one joint scan
+    values = _eval_on_grid(data.transform.points, [w for w, _ in sample.entries])
+    for (w, t), value in zip(sample.entries, values):
+        analytic = scalar_float(value)
         empirical = None if t is None else float(t)
         if empirical is not None:
             gaps.append(abs(empirical - analytic))

@@ -76,10 +76,12 @@ def _coeff(x):
 
 def canonical_potential(c0, cinf):
     """The invariant potential carried by every unlisted place."""
+    # one breakpoint at 0 with slopes -cinf, c0: canonical, and convex
+    # exactly when -cinf <= c0
     pts = [(Fraction(0), Fraction(0))]
     if c0 + cinf >= 0:
-        return ConvexPA(pts, -cinf, c0)
-    return PAGeneral(pts, -cinf, c0)
+        return ConvexPA._raw(pts, -cinf, c0)
+    return PAGeneral._raw(pts, -cinf, c0)
 
 
 def _coerce_potential(place, pot, c0: Fraction, cinf: Fraction):
@@ -96,7 +98,8 @@ def _coerce_potential(place, pot, c0: Fraction, cinf: Fraction):
             f"({-cinf}, {c0})"
         )
     if isinstance(pot, PAGeneral) and pot.is_convex():
-        pot = pot.as_convex()
+        # canonical PAGeneral data that passes is_convex is ConvexPA data
+        pot = ConvexPA._raw(pot.points, pot.left_slope, pot.right_slope)
     return pot
 
 

@@ -25,8 +25,9 @@ controls size, and no result depends on it.
 Equality is decided exactly, by cross-multiplied coefficient comparison.  The
 sign of a coefficient-wise nonzero value is decided by one ladder: the signs
 of the coefficients when they agree (every log p is positive), then a sum of
-cached rational enclosures of the monomials at 128 bits, doubled until the
-enclosure separates from zero.  A real zero invisible to the coefficients
+cached dyadic enclosures of the monomials at 128 bits, doubled until the
+enclosure separates from zero; each rung sums integer numerators over one
+common denominator.  A real zero invisible to the coefficients
 would be a rational dependence between products of prime logarithms; the
 ladder is capped and raises :class:`~adelic_volumes.errors.PrecisionExhausted`
 rather than loop forever on such a miracle.
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from math import copysign, gcd, inf, isqrt
+from math import copysign, gcd, inf, isqrt, lcm
 from typing import Iterator, Mapping, Union
 
 from mpmath import iv
@@ -95,15 +96,17 @@ def _log_interval(prime: int, bits: int):
     return _LOG_CACHE[key]
 
 
-_MONO_BOUNDS: dict = {}  # (mono, bits) -> (Fraction, Fraction) enclosure
+_MONO_BOUNDS: dict = {}  # (mono, bits) -> (lo, hi, k) dyadic enclosure
 
 
 def _mono_bounds(mono: Mono, bits: int) -> tuple:
-    """A cached Fraction enclosure of the monomial's value, from the
-    ``bits``-bit enclosures of its logarithms.
+    """A cached dyadic enclosure lo / 2^k <= value <= hi / 2^k of the
+    monomial, lo, hi and k integers, from the ``bits``-bit enclosures of its
+    logarithms.
 
-    Comparisons between roof breakpoints land here constantly; rational
-    bounds keep every rung of the sign ladder inside Fraction arithmetic."""
+    Comparisons between roof breakpoints land here constantly; integer
+    bounds over one power of two let every rung of the sign ladder sum
+    integers."""
     key = (mono, bits)
     b = _MONO_BOUNDS.get(key)
     if b is None:
@@ -113,7 +116,10 @@ def _mono_bounds(mono: Mono, bits: int) -> tuple:
             # every log p is positive
             lo *= Fraction(*to_rational(plo))
             hi *= Fraction(*to_rational(phi))
-        _MONO_BOUNDS[key] = b = (lo, hi)
+        # both denominators are powers of two
+        k = max(lo.denominator, hi.denominator).bit_length() - 1
+        _MONO_BOUNDS[key] = b = (lo.numerator * ((1 << k) // lo.denominator),
+                                 hi.numerator * ((1 << k) // hi.denominator), k)
     return b
 
 
@@ -151,17 +157,23 @@ def _poly_sign(poly: Poly) -> int:
         low = min(m.count(_EPS) for m in poly)
         return _poly_sign({m[low:]: c for m, c in poly.items()
                            if m.count(_EPS) == low})
+    # each rung sums integers: the coefficients over their common
+    # denominator, times the bounds over the rung's largest power of two
+    common = lcm(*(c.denominator for c in poly.values()))
+    terms = [(mono, c.numerator * (common // c.denominator))
+             for mono, c in poly.items()]
     bits = _SIGN_BITS
     while bits <= _PRECISION_CAP:
-        lo = hi = Fraction(0)
-        for mono, c in poly.items():
-            mlo, mhi = _mono_bounds(mono, bits)
-            if c > 0:
-                lo += c * mlo
-                hi += c * mhi
+        bounds = [_mono_bounds(mono, bits) for mono, _ in terms]
+        top = max(k for _, _, k in bounds)
+        lo = hi = 0
+        for (_, n), (mlo, mhi, k) in zip(terms, bounds):
+            if n > 0:
+                lo += (n * mlo) << (top - k)
+                hi += (n * mhi) << (top - k)
             else:
-                lo += c * mhi
-                hi += c * mlo
+                lo += (n * mhi) << (top - k)
+                hi += (n * mlo) << (top - k)
         if lo > 0:
             return 1
         if hi < 0:

@@ -26,6 +26,23 @@ Three shapes of function are distinguished:
 Canonical form merges collinear neighbours and stores a globally affine
 function by its value at 0, so structural equality of the stored data is
 equality of functions.
+
+The public constructors check their input: sorted breakpoints, the collinear
+merge and, for ConvexPA and ConcavePA, strict convexity or concavity.  An
+operation whose output is canonical by proof skips them through ``_raw``,
+which keeps only the affine normal form.  The proofs relied on:
+
+* a canonical convex or concave function has a strict kink at each
+  breakpoint, tails included, so its Legendre transform has strictly
+  monotone slopes (:func:`legendre_roof`, :func:`legendre_potential`), and
+  so has a sum of such functions on the union of their kinks
+  (``ConvexPA.add``, ``ConcavePA.add``);
+* the lower hull of :func:`convex_envelope` drops every point that is not
+  strictly below its neighbours;
+* scaling by a nonzero factor keeps kinks and collinear triples (by a
+  positive one, convexity too), and shifting or reflecting keeps both;
+* a single breakpoint with tails of slopes s <= t is convex, and one that
+  passed ``PAGeneral.is_convex`` is ConvexPA data already.
 """
 
 from __future__ import annotations
@@ -200,10 +217,11 @@ def _eval_points(pts, x, left_slope=None, right_slope=None):
     return pts[0][1]  # single-point domain, x == the point
 
 
-def _eval_on_grid(pts, xs) -> list:
-    """Interpolated values at each x of a sorted grid inside the breakpoint
-    hull, in one joint scan (repeated _eval_points calls would rescan the
-    breakpoint list and re-divide at shared abscissae)."""
+def _eval_on_grid(pts, xs, left_slope=None, right_slope=None) -> list:
+    """The values at each x of a sorted grid, in one joint scan (repeated
+    _eval_points calls would rescan the breakpoint list), by the same
+    formulas as _eval_points.  Outside the breakpoint hull the function
+    follows the tails, which must then be given."""
     out = []
     i = 0
     top = len(pts) - 1
@@ -211,8 +229,12 @@ def _eval_on_grid(pts, xs) -> list:
         while i < top and pts[i + 1][0] <= x:
             i += 1
         x0, y0 = pts[i]
-        if x == x0 or i == top:
+        if x == x0:
             out.append(y0)
+        elif i == 0 and x < x0:
+            out.append(y0 + left_slope * (x - x0))
+        elif i == top:
+            out.append(y0 + right_slope * (x - x0))
         else:
             x1, y1 = pts[i + 1]
             out.append(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
@@ -262,9 +284,13 @@ class ConcavePA:
 
     @classmethod
     def _raw(cls, pts) -> "ConcavePA":
-        """Wrap a breakpoint list known to be canonical already (strictly
-        decreasing slopes, no collinear triples), skipping validation.  Used
-        by operations that provably preserve canonical form."""
+        """Wrap a breakpoint list known to be canonical already (sorted,
+        strictly decreasing slopes), skipping validation.  The callers and
+        their proofs: ``legendre_roof`` (the potential's strictly rising
+        slopes and breakpoints), ``add`` and ``ToricAdelicDivisor.roof``
+        (every grid point is a strict kink of a summand), ``scale`` by a
+        positive factor, ``shift``, ``reflect`` and ``restrict`` (cutting
+        an affine piece leaves no collinear triple)."""
         obj = object.__new__(cls)
         obj.points = tuple(pts)
         return obj
@@ -469,12 +495,12 @@ class _LinePA:
 
     __slots__ = ("points", "left_slope", "right_slope", "_roof")
 
-    def _init_data(self, points, left_slope, right_slope, merge=True):
-        self._roof = None  # filled by unit_roof; not part of the value
-        pts = _clean_points(points)
+    def _init_data(self, points, left_slope, right_slope):
         ls, rs = as_scalar(left_slope), as_scalar(right_slope)
-        if merge:
-            pts = _merge_collinear(pts, ls, rs)
+        self._set(_merge_collinear(_clean_points(points), ls, rs), ls, rs)
+
+    def _set(self, pts, ls, rs):
+        self._roof = None  # filled by unit_roof; not part of the value
         if len(pts) == 1 and bool(ls == rs):
             # a globally affine function is stored by its value at 0, so
             # that equal functions have equal data
@@ -483,6 +509,23 @@ class _LinePA:
         self.points = tuple(pts)
         self.left_slope = ls
         self.right_slope = rs
+
+    @classmethod
+    def _raw(cls, pts, left_slope, right_slope):
+        """Wrap breakpoints (sorted, exact, no collinear triple with the
+        tails) and tail slopes known to be canonical data of ``cls``, skipping
+        every check; only the affine normal form is applied.  The callers
+        and their proofs: ``legendre_potential`` (the roof's strictly
+        falling slopes and breakpoints), ``convex_envelope`` (the hull
+        keeps strict kinks only), ``ConvexPA.add`` (a strict kink of a
+        summand at each grid point), ``scale`` (a nonzero factor keeps
+        kinks and collinear triples, a positive one convexity too),
+        ``as_general``, and in ``divisors`` the one-point canonical
+        potential and a potential that passed ``is_convex``.  ``PAGeneral``
+        sums and minima run the collinear merge first."""
+        obj = object.__new__(cls)
+        obj._set(pts, left_slope, right_slope)
+        return obj
 
     def eval(self, x) -> Scalar:
         return _eval_points(
@@ -528,6 +571,21 @@ class _LinePA:
         return f"slopes ({_fmt(self.left_slope)}, {_fmt(self.right_slope)}); {pts}"
 
 
+def _breakpoint_grid(*fs) -> list:
+    return _grid(*((x for x, _ in f.points) for f in fs))
+
+
+def _values_on_grid(f: _LinePA, xs) -> list:
+    return _eval_on_grid(f.points, xs, f.left_slope, f.right_slope)
+
+
+def _sum_on_grid(f: _LinePA, g: _LinePA, xs) -> list:
+    """The points of f + g over the sorted grid xs, each summand read in
+    one joint scan."""
+    return [(x, y1 + y2) for x, y1, y2 in zip(
+        xs, _values_on_grid(f, xs), _values_on_grid(g, xs))]
+
+
 def abs_scalar(x: Scalar) -> Scalar:
     return -x if scalar_sign(x) < 0 else x
 
@@ -566,9 +624,13 @@ class ConvexPA(_LinePA):
 
     def add(self, other):
         if isinstance(other, ConvexPA):
-            xs = _grid((x for x, _ in self.points), (x for x, _ in other.points))
-            return ConvexPA(
-                [(x, self.eval(x) + other.eval(x)) for x in xs],
+            # each breakpoint of a summand is a strict kink of it, where the
+            # other's slope cannot fall, so the sum is canonical on the union
+            # of the breakpoints; an affine summand (equal tails) has none
+            kinked = [f for f in (self, other)
+                      if bool(f.left_slope != f.right_slope)] or [self]
+            return ConvexPA._raw(
+                _sum_on_grid(self, other, _breakpoint_grid(*kinked)),
                 self.left_slope + other.left_slope,
                 self.right_slope + other.right_slope,
             )
@@ -582,7 +644,8 @@ class ConvexPA(_LinePA):
         a = as_scalar(a)
         s = scalar_sign(a)
         if s > 0:
-            return ConvexPA(
+            # a positive factor keeps every strict kink
+            return ConvexPA._raw(
                 [(x, a * y) for x, y in self.points],
                 a * self.left_slope,
                 a * self.right_slope,
@@ -592,7 +655,7 @@ class ConvexPA(_LinePA):
         return self.as_general().scale(a)
 
     def as_general(self) -> "PAGeneral":
-        return PAGeneral(self.points, self.left_slope, self.right_slope)
+        return PAGeneral._raw(self.points, self.left_slope, self.right_slope)
 
     def to_payload(self) -> dict:
         return {"kind": "convex", **self._payload()}
@@ -631,12 +694,10 @@ class PAGeneral(_LinePA):
             other = other.as_general()
         if not isinstance(other, PAGeneral):
             return NotImplemented
-        xs = _grid((x for x, _ in self.points), (x for x, _ in other.points))
-        return PAGeneral(
-            [(x, self.eval(x) + other.eval(x)) for x in xs],
-            self.left_slope + other.left_slope,
-            self.right_slope + other.right_slope,
-        )
+        ls = self.left_slope + other.left_slope
+        rs = self.right_slope + other.right_slope
+        pts = _sum_on_grid(self, other, _breakpoint_grid(self, other))
+        return PAGeneral._raw(_merge_collinear(pts, ls, rs), ls, rs)
 
     __add__ = add
 
@@ -644,8 +705,9 @@ class PAGeneral(_LinePA):
         a = as_scalar(a)
         if scalar_sign(a) == 0:
             return PAGeneral.constant(0)
+        # a nonzero factor keeps every kink and every collinear triple
         pts = [(x, a * y) for x, y in self.points]
-        return PAGeneral(pts, a * self.left_slope, a * self.right_slope)
+        return PAGeneral._raw(pts, a * self.left_slope, a * self.right_slope)
 
     def __neg__(self) -> "PAGeneral":
         return self.scale(Fraction(-1))
@@ -711,33 +773,29 @@ def pointwise_min(fs: Sequence) -> PAGeneral:
 
 
 def _min2_line(f: PAGeneral, g: PAGeneral) -> PAGeneral:
-    xs = _grid((x for x, _ in f.points), (x for x, _ in g.points))
-    extra = []
+    xs = _breakpoint_grid(f, g)
+    fs, gs = _values_on_grid(f, xs), _values_on_grid(g, xs)
     # interior crossings
-    for a, b in zip(xs, xs[1:]):
-        x = _crossing(f, g, a, b)
-        if x is not None:
-            extra.append(x)
+    extra = [x for x in map(_crossing, xs, xs[1:], fs, gs, fs[1:], gs[1:])
+             if x is not None]
     # tail crossings: extend the grid far enough that the lower tail is settled
-    for x in _tail_crossings(f, g, xs):
-        extra.append(x)
+    extra += _tail_crossings(f, g, xs, fs, gs)
     if extra:
         xs = _grid(xs, extra)
-    pts = [(x, _min_scalar(f.eval(x), g.eval(x))) for x in xs]
+        fs, gs = _values_on_grid(f, xs), _values_on_grid(g, xs)
+    pts = [(x, _min_scalar(y1, y2)) for x, y1, y2 in zip(xs, fs, gs)]
     ls = f.left_slope if f.left_slope >= g.left_slope else g.left_slope
     rs = f.right_slope if f.right_slope <= g.right_slope else g.right_slope
-    return PAGeneral(pts, ls, rs)
+    return PAGeneral._raw(_merge_collinear(pts, ls, rs), ls, rs)
 
 
 def _min_scalar(a, b):
     return a if a <= b else b
 
 
-def _crossing(f, g, a, b):
+def _crossing(a, b, fa, ga, fb, gb):
     """The x in the open interval (a, b) where the affine pieces of f and g
-    cross with a sign change, or None."""
-    fa, ga = f.eval(a), g.eval(a)
-    fb, gb = f.eval(b), g.eval(b)
+    cross with a sign change, or None; fa = f(a) and so on."""
     da, db = scalar_sign(fa - ga), scalar_sign(fb - gb)
     if da * db >= 0:
         return None
@@ -746,19 +804,19 @@ def _crossing(f, g, a, b):
     return a + (b - a) * diff_a / (diff_a - diff_b)
 
 
-def _tail_crossings(f, g, xs):
+def _tail_crossings(f, g, xs, fs, gs):
     out = []
     x0, xn = xs[0], xs[-1]
     dl = f.left_slope - g.left_slope
     if scalar_sign(dl) != 0:
-        v = f.eval(x0) - g.eval(x0)
+        v = fs[0] - gs[0]
         # f - g = v + dl*(x - x0) for x <= x0; crossing at x0 - v/dl if left of x0
         x = x0 - v / dl
         if x < x0:
             out.append(x)
     dr = f.right_slope - g.right_slope
     if scalar_sign(dr) != 0:
-        v = f.eval(xn) - g.eval(xn)
+        v = fs[-1] - gs[-1]
         x = xn - v / dr
         if x > xn:
             out.append(x)
@@ -804,7 +862,8 @@ def convex_envelope(f) -> ConvexPA:
     while len(hull) > 1 and hull[-1][1] - hull[-2][1] >= s_plus * (
             hull[-1][0] - hull[-2][0]):
         hull.pop()
-    return ConvexPA(hull, s_minus, s_plus)
+    # every point left is a strict kink, tails included
+    return ConvexPA._raw(hull, s_minus, s_plus)
 
 
 def legendre_roof(potential: ConvexPA) -> ConcavePA:
@@ -822,13 +881,15 @@ def legendre_roof(potential: ConvexPA) -> ConcavePA:
     if bool(slopes[0] == slopes[-1]):  # globally affine potential
         s = slopes[0]
         u0, g0 = pts[0]
-        return ConcavePA([(s, g0 - s * u0)])
+        return ConcavePA._raw([(s, g0 - s * u0)])
     out = []
     for j, (u, gval) in enumerate(pts):
         out.append((slopes[j], gval - slopes[j] * u))
     un, gn = pts[-1]
     out.append((slopes[-1], gn - slopes[-1] * un))
-    return ConcavePA(out)
+    # the potential's slopes increase strictly, so these x do, and the
+    # segment slopes -u fall strictly: canonical as built
+    return ConcavePA._raw(out)
 
 
 def unit_roof(potential) -> ConcavePA:
@@ -843,17 +904,48 @@ def unit_roof(potential) -> ConcavePA:
     return roof
 
 
-def legendre_potential(roof: ConcavePA) -> ConvexPA:
-    """potential(u) = sup_x (x*u + roof(x)), a convex function on all of R."""
+def legendre_potential(roof: ConcavePA, window: Interval | None = None) -> ConvexPA:
+    """potential(u) = sup_x (x*u + roof(x)), a convex function on all of R,
+    the sup taken over the window (default: the roof's domain).
+
+    Each segment of the roof, of slope m from (x, y), gives the breakpoint
+    (-m, y - m*x), and the ends of the window are the tails.  With a window
+    this is ``legendre_potential(roof.restrict(window))``, read off the
+    segments that meet the open window: no point is cut at the window's
+    ends, so a rational roof gives rational breakpoints even when the ends
+    are symbolic (the Zariski positive part cuts at zeros of the global
+    roof, which involve log p), and no exact quotient is formed.
+    """
     pts = roof.points
+    if window is None:
+        lo, hi = pts[0][0], pts[-1][0]
+        segments = zip(pts, pts[1:])
+    else:
+        if window.is_empty:
+            raise EmptyDomain("cannot restrict to the empty interval")
+        lo, hi = window.lo, window.hi
+        if not (pts[0][0] <= lo and hi <= pts[-1][0]):
+            raise OutOfDomain(f"{window} is not inside {roof.domain}")
+        if window.is_point:
+            return ConvexPA._raw([(Fraction(0), roof.eval(lo))], lo, lo)
+        i = 1
+        while pts[i][0] <= lo:
+            i += 1
+        j = i
+        while j < len(pts) - 1 and pts[j][0] < hi:
+            j += 1
+        segments = zip(pts[i - 1:j], pts[i:j + 1])
     if len(pts) == 1:
         x0, y0 = pts[0]
-        return ConvexPA([(Fraction(0), y0)], x0, x0)
+        return ConvexPA._raw([(Fraction(0), y0)], x0, x0)
     out = []
-    for p, q in zip(pts, pts[1:]):
+    for p, q in segments:
         m = _slope(p, q)
         out.append((-m, p[0] * (-m) + p[1]))
-    return ConvexPA(out, pts[0][0], pts[-1][0])
+    # the roof's slopes fall strictly, so the -m rise strictly, and the
+    # potential's slopes are the roof's breakpoints inside the window,
+    # strictly between its ends: canonical as built
+    return ConvexPA._raw(out, lo, hi)
 
 
 def integrate_positive_part(f: ConcavePA, window: Interval | None = None) -> Scalar:

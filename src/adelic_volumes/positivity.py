@@ -122,15 +122,22 @@ class ZariskiPart:
 
 
 def zariski_positive_part(pair) -> ZariskiPart:
+    """The Zariski positive part of a big pair.
+
+    The region is {global roof >= 0}; its ends are zeros of the roof, so
+    they may involve log p.  At each place the potential is the Legendre
+    dual of the unit roof over the region, read off the rational unit roof
+    (``legendre_potential`` with a window): its breakpoints stay rational
+    and only its tails, the region's ends, can be symbolic.
+    """
     pair = as_pair(pair)
     if not is_big(pair):
         raise NotBig(f"{pair!r} has volume zero; no positive part")
     roof = pair.global_roof()
     region = roof.nonneg_region()
     divisor = pair.divisor
-    pots = {place: legendre_potential(
-        unit_roof(divisor.potential(place)).restrict(region))
-        for place in dict.fromkeys((ARCH,) + divisor.places)}
+    pots = {place: legendre_potential(unit_roof(divisor.potential(place)), region)
+            for place in dict.fromkeys((ARCH,) + divisor.places)}
     positive = ToricAdelicDivisor(region.hi, -region.lo, pots)
     return ZariskiPart(pair=pair, positive=positive, region=region)
 

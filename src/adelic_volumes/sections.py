@@ -48,6 +48,7 @@ from .exactnum import (
 from .pa import (
     ConcavePA,
     Interval,
+    _eval_on_grid,
     integrate_positive_part,
     unit_roof,
 )
@@ -377,22 +378,21 @@ def volume_estimate(pair, m: int):
     return _estimate(box_log_count(pair, m), m)
 
 
-def _transform_at(roofs, m: int, x: Fraction):
-    """Largest filtration parameter t at which the exponent at x still
-    carries a nonzero admissible coefficient at level m.
+def _transform_at(m: int, psi: Fraction, finite: list):
+    """Largest filtration parameter t at which an exponent still carries a
+    nonzero admissible coefficient at level m, from psi = psi_inf(x) and
+    the pairs (p, psi_p(x)) at the exponent's point x, at the caller's
+    working precision.
 
     The filtration twists the divisor by -(0, 2t[infinity]); the potential
     dictionary turns that into psi_inf - t, and the box at exponent k goes
     empty as soon as t exceeds psi_inf(k/m) + log(d_k)/m.
     """
-    psi_inf, finite = roofs
-    t = scalar_fraction(psi_inf.eval(x))
-    with mp.workprec(default_precision_bits() + 32):
-        out = mp.mpf(t.numerator) / t.denominator
-        for p, roof in finite.items():
-            f_p = floor_fraction(scalar_fraction(m * roof.eval(x)))
-            out += mp.mpf(f_p) * mp.log(p) / m
-        return +out
+    out = mp.mpf(psi.numerator) / psi.denominator
+    for p, y in finite:
+        f_p = floor_fraction(scalar_fraction(m * y))
+        out += mp.mpf(f_p) * mp.log(p) / m
+    return +out
 
 
 @dataclass(frozen=True)
@@ -412,11 +412,18 @@ def okounkov_sample(pair, m: int) -> OkounkovSample:
     lo = -floor_fraction(scalar_fraction(Fraction(m) * window.hi))
     hi = floor_fraction(scalar_fraction(-Fraction(m) * window.lo))
     _check_entries(lo, hi, m)
-    roofs = place_roofs(pair)
+    psi_inf, finite = place_roofs(pair)
+    # the exponent of w = j/m sits at x = -w; every roof is read in one
+    # joint scan of the grid of x, in increasing order
+    xs = [Fraction(-j, m) for j in range(hi, lo - 1, -1)]
+    psis = _eval_on_grid(psi_inf.points, xs)
+    ys = [(p, _eval_on_grid(roof.points, xs)) for p, roof in finite.items()]
     entries = []
-    for j in range(lo, hi + 1):
-        w = Fraction(j, m)
-        entries.append((w, _transform_at(roofs, m, -w)))
+    with mp.workprec(default_precision_bits() + 32):
+        for i in reversed(range(len(xs))):
+            t = _transform_at(m, scalar_fraction(psis[i]),
+                              [(p, v[i]) for p, v in ys])
+            entries.append((-xs[i], t))
     return OkounkovSample(m=m, entries=tuple(entries))
 
 

@@ -85,6 +85,30 @@ class TestConstruction:
         assert isinstance(d.potential(ARCH), ConvexPA)
         assert d == slant_divisor()
 
+    @pytest.mark.parametrize("c0, cinf", [
+        (F(1), F(0)), (F(0), F(0)), (F(-1), F(1)), (F(2), F(-3)),
+        (F(1, 3), F(5, 7)), (log_unit(2), F(-1, 2))])
+    def test_canonical_potential_is_canonical(self, c0, cinf):
+        pot = canonical_potential(c0, cinf)
+        again = type(pot)(pot.points, pot.left_slope, pot.right_slope)
+        assert pot == again and repr(pot) == repr(again)
+
+    def test_sampled_upgrades_are_canonical(self):
+        # a convex potential handed over as PAGeneral is stored as the
+        # ConvexPA that the checking constructor builds from the same data
+        rng = random.Random(12)
+        for _ in range(100):
+            d = sample_divisor(rng)
+            for place in d.places:
+                pot = d.potential(place)
+                if not isinstance(pot, ConvexPA):
+                    continue
+                general = PAGeneral(pot.points, pot.left_slope, pot.right_slope)
+                stored = ToricAdelicDivisor(d.c0, d.cinf, {place: general}).potential(place)
+                want = ConvexPA(pot.points, pot.left_slope, pot.right_slope)
+                assert type(stored) is ConvexPA
+                assert stored == want and repr(stored) == repr(want)
+
     def test_duplicate_place_rejected(self):
         pot = ConvexPA([(F(1), F(1))], 0, 1)
         with pytest.raises(ValueError):

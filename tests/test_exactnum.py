@@ -119,6 +119,70 @@ def test_precision_exhausted_at_the_cap(monkeypatch):
         bool(x == 0)
 
 
+def _fraction_ladder(poly):
+    """The enclosure rungs of the sign ladder as they were before integer
+    sums: Fraction products of each coefficient and the rational bounds of
+    its monomial, summed per rung."""
+    from mpmath.libmp import to_rational
+
+    bits = exactnum._SIGN_BITS
+    while bits <= exactnum._PRECISION_CAP:
+        lo = hi = Fraction(0)
+        for mono, c in poly.items():
+            mlo = mhi = Fraction(1)
+            for p in mono:
+                plo, phi = exactnum._log_interval(p, bits)._mpi_
+                mlo *= Fraction(*to_rational(plo))
+                mhi *= Fraction(*to_rational(phi))
+            if c > 0:
+                lo += c * mlo
+                hi += c * mhi
+            else:
+                lo += c * mhi
+                hi += c * mlo
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+    raise PrecisionExhausted(f"below {exactnum._PRECISION_CAP} bits")
+
+
+_MONOS = [(), (2,), (3,), (5,), (2, 2), (2, 3), (3, 5), (2, 3, 5)]
+
+
+@st.composite
+def _mixed_polys(draw):
+    """Polynomials in log 2, log 3, log 5 with coefficients of both signs,
+    optionally times log 2 - q for q = log 2 cut at 60-3000 bits, so that
+    the value is that much smaller than its coefficients and only a high
+    rung separates it."""
+    monos = draw(st.lists(st.sampled_from(_MONOS), min_size=2, max_size=5,
+                          unique=True))
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+    poly = {m: draw(coeffs.filter(bool)) for m in monos}
+    if draw(st.booleans()):
+        q = _log2_truncated(draw(st.integers(60, 3000)))
+        poly = exactnum._pmul(poly, {(2,): Fraction(1), (): -q})
+    return poly
+
+
+def _sign_or_exhausted(sign, poly):
+    try:
+        return sign(poly)
+    except PrecisionExhausted:
+        return "exhausted"
+
+
+@given(_mixed_polys())
+@example({(2, 3): Fraction(1), (3,): -_log2_truncated(5000)})
+@example({(2,): Fraction(1, 3), (3,): Fraction(-2, 7), (): Fraction(1, 5)})
+@settings(max_examples=150, deadline=None)
+def test_integer_rungs_match_the_fraction_ladder(poly):
+    want = _sign_or_exhausted(_fraction_ladder, poly)
+    assert _sign_or_exhausted(exactnum._poly_sign, poly) == want
+
+
 def test_quotient_arithmetic_cancels():
     x = (L2 * L2 - L3 * L3) / (L2 - L3)
     assert x == L2 + L3

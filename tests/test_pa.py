@@ -467,3 +467,112 @@ def concave_pas(draw):
 @settings(max_examples=200, deadline=None)
 def test_integrate_positive_part_matches_restrict_route(f):
     assert integrate_positive_part(f) == _old_integrate_positive_part(f)
+
+
+# -- canonical by construction: the checking constructors agree with _raw --
+
+
+def _assert_canonical(f):
+    """f equals, with an identical repr, the checking constructor of its
+    type applied to its own data."""
+    if isinstance(f, ConcavePA):
+        g = ConcavePA(f.points)
+    else:
+        g = type(f)(f.points, f.left_slope, f.right_slope)
+    assert type(g) is type(f)
+    assert g == f and repr(g) == repr(f)
+
+
+# fractions of a domain's length: rational, or log-valued in [0, 0.97]
+_window_fracs = st.one_of(
+    st.fractions(min_value=F(0), max_value=F(1), max_denominator=5),
+    st.fractions(min_value=F(0), max_value=F(1), max_denominator=5).map(
+        lambda t: t * 5 * (L2 - F(1, 2))))
+
+
+@given(convex_potentials(), convex_potentials(), general_potentials(),
+       _coords, _window_fracs, _window_fracs)
+@example(ConvexPA.affine(1, 2), ConvexPA([(F(1), F(1))], -1, 1),
+         PAGeneral([(F(0), F(1)), (F(1), F(2))], 1, 1), F(2), F(0), F(1))
+@example(ConvexPA.affine(1, 2), ConvexPA.affine(F(1, 2), -1),
+         PAGeneral([(F(0), F(0))], 0, 1), F(-1), F(1, 2), F(1, 2))
+@settings(max_examples=150, deadline=None)
+def test_raw_call_sites_are_canonical(f, g, h, a, t1, t2):
+    roof = legendre_roof(f)
+    _assert_canonical(roof)
+    _assert_canonical(legendre_potential(roof))
+    _assert_canonical(convex_envelope(h))
+    _assert_canonical(f + g)
+    _assert_canonical(f + ConvexPA.affine(a, a))
+    _assert_canonical(f.as_general())
+    _assert_canonical(h + f.as_general())
+    _assert_canonical(pointwise_min([h, f]))
+    if a:
+        _assert_canonical(f.scale(a))
+        _assert_canonical(h.scale(a))
+    # the windowed transform is the transform of the restricted roof
+    dom = roof.domain
+    lo, hi = (dom.lo + dom.length * t for t in (t1, t2))
+    if hi < lo:
+        lo, hi = hi, lo
+    window = Interval(lo, hi)
+    got = legendre_potential(roof, window)
+    _assert_canonical(got)
+    want = legendre_potential(roof.restrict(window))
+    assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("f", [
+    # a chord on the left tail, two collinear chords, a chord on the right tail
+    PAGeneral([(F(0), F(0)), (F(1), F(3)), (F(2), F(-2))], -1, 1),
+    PAGeneral([(F(0), F(0)), (F(1), F(5)), (F(2), F(1)), (F(3), F(5)),
+               (F(4), F(2))], -1, 1),
+    PAGeneral([(F(0), F(0)), (F(1), F(5)), (F(2), F(1))], -1, F(1, 2)),
+])
+def test_envelope_drops_ties(f):
+    _assert_canonical(convex_envelope(f))
+
+
+def test_windowed_transform_checks_the_window():
+    roof = legendre_roof(ConvexPA([(F(1), F(1))], 0, 1))  # on [0, 1]
+    with pytest.raises(OutOfDomain):
+        legendre_potential(roof, Interval(F(-1), F(1, 2)))
+    with pytest.raises(OutOfDomain):
+        legendre_potential(roof, Interval(F(1, 2), L2 + 1))
+    with pytest.raises(EmptyDomain):
+        legendre_potential(roof, Interval.EMPTY)
+    # a point window gives the affine potential of slope the point
+    assert legendre_potential(roof, Interval(L2, L2)) == ConvexPA.affine(
+        L2, roof(L2))
+
+
+def test_checking_constructors_still_check():
+    from adelic_volumes.scenes import scene_from_dict
+
+    with pytest.raises(NotConvex):
+        ConvexPA([(F(0), F(0)), (F(1), F(1)), (F(2), F(0))], -1, 1)
+    with pytest.raises(NotConvex):
+        ConvexPA([(F(0), F(0))], 1, -1)
+    with pytest.raises(NotConvex):
+        PAGeneral([(F(0), F(0)), (F(1), F(1)), (F(2), F(0))], -1, 1).as_convex()
+    with pytest.raises(NotConvex):
+        ConvexPA.from_payload({"points": [["0", "0"], ["1", "1"]],
+                               "left_slope": "2", "right_slope": "3"})
+    with pytest.raises(NotConcave):
+        ConcavePA([(F(0), F(0)), (F(1), F(-1)), (F(2), F(0))])
+    unsorted = [(F(1), F(0)), (F(0), F(1))]
+    for build in (lambda: ConvexPA(unsorted, -5, 5),
+                  lambda: PAGeneral(unsorted, 0, 0),
+                  lambda: ConcavePA(unsorted)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build()
+
+    def scene(kind, points):
+        return {"c0": "1", "cinf": "1", "potentials": {"inf": {
+            "kind": kind, "points": points,
+            "left_slope": "-1", "right_slope": "1"}}}
+
+    with pytest.raises(NotConvex):
+        scene_from_dict(scene("convex", [["0", "0"], ["1", "1"], ["2", "0"]]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        scene_from_dict(scene("general", [["1", "0"], ["0", "1"]]))

@@ -32,7 +32,9 @@ from adelic_volumes.pa import (
     _grid,
     _SortKey,
     convex_envelope,
+    legendre_potential,
     legendre_roof,
+    unit_roof,
 )
 from adelic_volumes.points import BaseCondition
 from adelic_volumes.positivity import (
@@ -150,6 +152,32 @@ class TestZariski:
         for pair in (half_zero_pair(), Pair(lowered_slant())):
             z = zariski_positive_part(pair)
             assert (pair.divisor - z.positive).is_effective
+
+    def test_matches_the_restricted_roof_route(self):
+        # the old route, written out: restrict each unit roof to the region,
+        # then take its Legendre dual
+        rng = random.Random(2024)
+        seen = {"finite": 0, "base": 0, "log_region": 0}
+        for _ in range(240):
+            pair = sample_big_pair(rng)
+            zar = zariski_positive_part(pair)
+            region = pair.global_roof().nonneg_region()
+            d = pair.divisor
+            pots = {place: legendre_potential(
+                unit_roof(d.potential(place)).restrict(region))
+                for place in dict.fromkeys((ARCH,) + d.places)}
+            want = ToricAdelicDivisor(region.hi, -region.lo, pots)
+            assert zar.region == region and repr(zar.region) == repr(region)
+            assert zar.positive == want
+            assert zar.positive.to_payload() == want.to_payload()
+            for place in pots:
+                got = zar.positive.potential(place)
+                assert repr(got) == repr(want.potential(place))
+            seen["finite"] += any(place != ARCH for place in d.places)
+            seen["base"] += not pair.base.is_zero
+            seen["log_region"] += not all(
+                isinstance(x, Fraction) for x in (region.lo, region.hi))
+        assert min(seen.values()) >= 20, seen
 
     def test_requires_big(self):
         with pytest.raises(NotBig):

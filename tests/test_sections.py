@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+import adelic_volumes.pa as pa
 import adelic_volumes.sections as sections
 from adelic_volumes.errors import EmptyPolytope, NotBig, OutOfDomain
 from adelic_volumes.gallery import (
@@ -369,6 +370,43 @@ class TestEmpiricalTransform:
     def test_rejects_bad_multiple(self, m):
         with pytest.raises(ValueError, match="positive integer"):
             okounkov_sample(slant_divisor(), m)
+
+    @staticmethod
+    def _per_exponent(pair, m):
+        """The sample read exponent by exponent through ConcavePA.eval, the
+        route before the joint scan."""
+        psi_inf, finite = sections.place_roofs(pair)
+        window = pair.shifted_polytope()
+        lo = -floor_fraction(scalar_fraction(m * window.hi))
+        hi = floor_fraction(scalar_fraction(-m * window.lo))
+        out = []
+        with mp.workprec(sections.default_precision_bits() + 32):
+            for j in range(lo, hi + 1):
+                x = F(-j, m)
+                t = scalar_fraction(psi_inf.eval(x))
+                value = mp.mpf(t.numerator) / t.denominator
+                for p, roof in finite.items():
+                    e = floor_fraction(scalar_fraction(m * roof.eval(x)))
+                    value += mp.mpf(e) * mp.log(p) / m
+                out.append((F(j, m), +value))
+        return tuple(out)
+
+    @pytest.mark.parametrize("pair", [
+        Pair(slant_divisor()), Pair(tent_divisor()), half_zero_pair(),
+        Pair(p_slant_divisor(2)), _slant_p2_p3(),
+        Pair(tent_divisor() + p_slant_divisor(3),
+             BaseCondition({"inf": F(1, 2)}))])
+    @pytest.mark.parametrize("m", [1, 7, 64])
+    def test_one_joint_scan_per_roof(self, monkeypatch, pair, m):
+        want = self._per_exponent(pair, m)
+
+        def per_point_eval(*args):
+            raise AssertionError("okounkov_sample evaluated a roof per point")
+
+        monkeypatch.setattr(pa, "_eval_points", per_point_eval)
+        got = okounkov_sample(pair, m).entries
+        assert got == want
+        assert [repr(t) for _, t in got] == [repr(t) for _, t in want]
 
     def test_okounkov_sample_grid(self):
         sample = okounkov_sample(slant_divisor(), 2)
