@@ -126,9 +126,18 @@ def _cmd_diskant(args) -> int:
     return 0 if report.all_pass else 1
 
 
+def _multiples(text: str) -> list:
+    """The grid scales of ``--m``: comma-separated integers."""
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"--m takes comma-separated integers, got {text!r}") from None
+
+
 def _cmd_oracle(args) -> int:
+    ms = _multiples(args.m)
     pair = load_scene(args.scene)
-    ms = [int(part) for part in args.m.split(",")]
     analytic = avol(pair)
     fa = scalar_float(analytic)
     rows = [["m", "log_count", "estimate", "analytic_avol", "error"]]
@@ -231,9 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser is read-only once built, so one instance serves every call
+# to main in a process
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except (AdelicVolumesError, ValueError, OSError) as exc:

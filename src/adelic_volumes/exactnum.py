@@ -332,8 +332,8 @@ def _heu_gcd(f: dict, g: dict):
     from its symmetric xi-adic digits and accept its primitive part only if
     it divides both f and g exactly.  With xi above twice the smaller
     max-norm plus 2, an accepted candidate is the gcd (Char, Geddes and
-    Gonnet, 1989); a rejected one means xi was unlucky, and a larger xi is
-    tried, a fixed number of times."""
+    Gonnet, 1989); a rejected one, or a zero image, means xi was unlucky,
+    and a larger xi is tried, a fixed number of times."""
     cf, cg = _zcontent(f), _zcontent(g)
     c = gcd(cf, cg)
     if not next(iter(f)):  # no variable left: f and g are integers
@@ -342,17 +342,21 @@ def _heu_gcd(f: dict, g: dict):
     g = {e: v // cg for e, v in g.items()}
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(_HEU_GCD_TRIES):
-        image = _heu_gcd(_zeval(f, xi), _zeval(g, xi))
-        if image is None:
-            return None
-        _, h = _primitive(_zinterpolate(image[0], xi))
-        qf = _zdivide(f, h)
-        if qf is not None:
-            qg = _zdivide(g, h)
-            if qg is not None:
-                return ({e: v * c for e, v in h.items()},
-                        {e: v * (cf // c) for e, v in qf.items()},
-                        {e: v * (cg // c) for e, v in qg.items()})
+        fx, gx = _zeval(f, xi), _zeval(g, xi)
+        # xi is sized by the smaller norm, so it can be a root of the other
+        # polynomial; a zero image is an unlucky xi like a rejected candidate
+        if fx and gx:
+            image = _heu_gcd(fx, gx)
+            if image is None:
+                return None
+            _, h = _primitive(_zinterpolate(image[0], xi))
+            qf = _zdivide(f, h)
+            if qf is not None:
+                qg = _zdivide(g, h)
+                if qg is not None:
+                    return ({e: v * c for e, v in h.items()},
+                            {e: v * (cf // c) for e, v in qf.items()},
+                            {e: v * (cg // c) for e, v in qg.items()})
         xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
     return None
 

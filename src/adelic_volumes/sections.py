@@ -18,9 +18,10 @@ is read off both ends with one integer division each.  An entry whose two
 ends give different floors is decided on its own by an enclosure whose
 precision starts at the bit size of the value (plus a margin) and doubles
 until both ends share a floor; e^q is irrational for rational q != 0, so the
-floor is well defined.  Only the final logarithm is floating point: the sum
-of the per-entry logs at the working precision, without forming the product
-of the counts.
+floor is well defined.  Only the final logarithm is floating point: the
+counts are multiplied exactly in chunks of a few thousand bits, and the logs
+of the chunks are summed at the working precision, so the full product of
+the counts is never formed.
 
 Budgets keep hostile input from hanging: a box has at most
 ``_MAX_BOX_ENTRIES`` exponents, its counts may need at most
@@ -59,9 +60,14 @@ _MARGIN_BITS = 32
 # bits of all counts of one box together, bounded from the roofs'
 # breakpoints before any exp is taken.  The costliest admitted box, 1025
 # counts of about 65,000 bits each (a roof of height 44 at m = 1024), takes
-# about 2.3 s (2-vCPU host, Python 3.11); a tent box at m = 4821, just under
-# the budget, about 0.7 s.
+# 4.0-4.7 s (2-vCPU host, Python 3.11); a tent box at m = 4821, just under
+# the budget, 1.2-1.4 s.
 _MAX_BOX_BITS = 1 << 26
+# bits past which ``SectionBox.log_count`` closes a chunk of the product of
+# the counts and takes its log: one log per 4,096 bits or per entry,
+# whichever is fewer, and no product wide enough to make a multiplication
+# quadratic in the box
+_LOG_CHUNK_BITS = 1 << 12
 # exponents per box (or per Okounkov sample); the range is checked before
 # anything is built, so a huge polytope or multiple fails at once
 _MAX_BOX_ENTRIES = 1 << 16
@@ -72,8 +78,9 @@ def _size_bits(num: int, den: int, q: Fraction) -> int:
     num/den < 2^(len(num) - len(den) + 1) and e^q < 2^ceil(1.443 q) for
     q > 0."""
     size = num.bit_length() - den.bit_length() + 1
-    if q > 0:
-        size += -((-q * 1443) // 1000)
+    a, b = q.numerator, q.denominator
+    if a > 0:
+        size += -((-a * 1443) // (1000 * b))
     return size
 
 
@@ -209,10 +216,28 @@ class SectionBox:
         return out
 
     def log_count(self):
-        """log of ``count_product``, as the sum of the per-entry logs at the
-        working precision; the product itself is never formed."""
+        """log of ``count_product`` at the working precision plus 32 bits.
+
+        The counts are multiplied exactly in chunks; a chunk closes as soon
+        as its product passes ``_LOG_CHUNK_BITS`` bits, and the logs of the
+        chunks are summed by ``mp.fsum``.  Each multiplication stays small,
+        so the cost is linear in the bits of the counts, and the result is
+        rounded no more often than a sum of per-entry logs."""
         with mp.workprec(default_precision_bits() + 32):
-            return mp.fsum(mp.log(e.count) for e in self.entries)
+            return mp.fsum(_chunk_logs(e.count for e in self.entries))
+
+
+def _chunk_logs(counts):
+    """The log of each chunk product of ``counts``, a chunk closing once it
+    passes ``_LOG_CHUNK_BITS`` bits; the last chunk may be the empty
+    product, whose log is 0."""
+    chunk = 1
+    for n in counts:
+        chunk *= n
+        if chunk.bit_length() > _LOG_CHUNK_BITS:
+            yield mp.log(chunk)
+            chunk = 1
+    yield mp.log(chunk)
 
 
 def _check_multiple(m) -> int:

@@ -384,11 +384,31 @@ def _p(*terms):
 @example(_p(((3,), 1)), _p(((5,), 1)), _p(((2,), 1)))
 # an affine denominator in eps: eps + log 2
 @example(_p(((3,), 1), ((0,), 1)), _p(((), 1)), _p(((0,), 1), ((2,), 1)))
+# 6 log 5 - 3 log 2 - 3 log 3 has a zero image: with log 2 and log 3 set
+# to 31 it is 6 (log 5 - 31), and the next point is 31 again
+@example(_p(((2,), -3), ((3,), -3), ((5,), 6)), _p(((), 1)), _p(((2, 2), 1)))
+@example(_p(((), 1)), _p(((2,), -3), ((3,), -3), ((5,), 6)), _p(((2, 2), 1)))
 @settings(max_examples=60, deadline=None)
 def test_cancel_matches_sympy_gcd(a, b, g):
     num, den = exactnum._pmul(a, g), exactnum._pmul(b, g)
     assert _normalize(*exactnum._cancel(num, den)) == \
         _normalize(*_sympy_cancel(num, den))
+
+
+def test_zero_image_is_an_unlucky_xi():
+    # an evaluation point of the heuristic gcd is a root of the image of
+    # x log(2)^2; both quotients crashed inside _heu_gcd
+    x = 6 * L5 - 3 * L2 - 3 * L3
+    sq = (L2 * L2)._num
+    up = x * L2 * L2 / (L2 * L2)
+    assert (up._num, up._den) == _normalize(
+        *_sympy_cancel(exactnum._pmul(x._num, sq), sq))
+    assert up == x
+    down = (L2 * L2) / (x * L2 * L2) + 1
+    xsq = exactnum._pmul(x._num, sq)
+    assert (down._num, down._den) == _normalize(
+        *_sympy_cancel(exactnum._padd(sq, xsq), xsq))
+    assert down == (1 + x) / x
 
 
 def _load_terms(terms):

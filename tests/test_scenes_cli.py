@@ -315,7 +315,7 @@ class TestBoxBudget:
     """The counts of one box may need at most sections._MAX_BOX_BITS bits in
     all (entries x a per-entry bound read off the roofs' breakpoints).  The
     tent box has 2m + 1 entries of at most floor(1.443 m) + 3 bits, so the
-    budget admits m = 4821 (about 0.7 s on a 2-vCPU host) and refuses
+    budget admits m = 4821 (1.2-1.4 s on a 2-vCPU host) and refuses
     m = 4822 before any exp is taken."""
 
     def test_just_over_exits_2_at_once(self, scenes, capsys):
@@ -776,6 +776,63 @@ class TestCliOracle:
         assert main(["oracle", path, "--m", "64", "--format", "json"]) == 0
         (row,) = json.loads(capsys.readouterr().out)["rows"]
         assert row["estimate"] == float(volume_estimate(pair, 64))
+
+    @pytest.mark.parametrize("m", ["4,", "", "1e3"])
+    def test_bad_multiples_exit_2(self, scenes, capsys, m):
+        assert main(["oracle", scenes["slant"], "--m", m]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error:") and "--m" in err
+        assert len(err.splitlines()) == 1
+
+
+def _run_main(argv, capsys):
+    """(exit code, stdout, stderr) of one main call; argparse's own exits
+    count as the code they exit with."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    def test_built_once_per_process(self, scenes, capsys, monkeypatch):
+        calls = []
+        original = cli.build_parser
+
+        def counting_build():
+            calls.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        assert main(["avol", scenes["slant"]]) == 0
+        assert main(["oracle", scenes["slant"], "--m", "1"]) == 0
+        assert len(calls) == 1
+
+    def test_calls_do_not_leak_into_each_other(self, scenes, capsys,
+                                               monkeypatch):
+        commands = [
+            ["oracle", scenes["slant"], "--m", "1,2"],
+            ["avol", scenes["tent"]],
+            ["avol", scenes["slant"], "--bogus"],
+            ["oracle", scenes["half_zero"], "--m", "4", "--format", "json"],
+        ]
+        alone = []
+        for argv in commands:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            alone.append(_run_main(argv, capsys))
+        codes = [code for code, _, _ in alone]
+        assert codes == [0, 0, 2, 0]
+        assert alone[0][1].startswith("m,log_count")  # CSV by default
+        json.loads(alone[1][1])  # JSON by default
+        json.loads(alone[3][1])
+        monkeypatch.setattr(cli, "_PARSER", None)
+        for _ in range(2):
+            assert [_run_main(argv, capsys) for argv in commands] == alone
 
 
 class TestCliOkounkov:

@@ -141,6 +141,48 @@ class TestSectionBox:
             section_box(starved, 4)
 
 
+_LOG_COUNT_BOXES = {
+    # 513 counts of a few hundred bits each: many counts per chunk
+    "many_small": (half_zero_pair(), 1024),
+    # nine counts of 4,618 bits or more: every count closes its own chunk
+    "each_wider": (Pair(slant_divisor() + height_shift(400)), 8),
+    # the window [1/3, 2/3] holds no exponent at m = 1
+    "empty": (Pair(slant_divisor(),
+                   BaseCondition({"0": F(1, 3), "inf": F(1, 3)})), 1),
+}
+
+
+class TestLogCount:
+    @pytest.mark.parametrize("case", sorted(_LOG_COUNT_BOXES))
+    def test_matches_the_log_of_the_product(self, case):
+        box = section_box(*_LOG_COUNT_BOXES[case])
+        if case == "each_wider":
+            assert min(e.count.bit_length() for e in box.entries) \
+                > sections._LOG_CHUNK_BITS
+        got = box.log_count()
+        with mp.workprec(300):
+            want = mp.log(box.count_product)
+            if case == "empty":
+                assert box.entries == () and got == 0
+            else:
+                assert abs(got - want) <= abs(want) * mp.mpf(2) ** -80
+
+    @pytest.mark.parametrize("case", sorted(_LOG_COUNT_BOXES))
+    def test_one_log_per_chunk(self, monkeypatch, case):
+        box = section_box(*_LOG_COUNT_BOXES[case])
+        original = mp.log
+        calls = []
+
+        def counting_log(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "log", counting_log)
+        box.log_count()
+        total = sum(e.count.bit_length() for e in box.entries)
+        assert len(calls) <= total // sections._LOG_CHUNK_BITS + 2
+
+
 def _per_entry_box(pair, m):
     """The box entries with every roof value read off the grid and every
     floor decided on its own by _floor_scaled_exp."""
@@ -299,6 +341,19 @@ class TestFloorScaledExp:
         else:
             assert len(precisions) == 1
             _assert_floor(n, d, q, precisions[0])
+
+    @given(st.integers(1, 2 ** 200), st.integers(1, 2 ** 200),
+           st.one_of(st.fractions(), st.builds(
+               F, st.integers(-2 ** 1000, 2 ** 1000), st.integers(1, 2 ** 1000))))
+    @example(1, 1, F(0))
+    @example(3, 5, F(-7, 2))
+    @example(2 ** 100, 3, F(2 ** 1000 + 1, 3 ** 600))
+    @settings(max_examples=200, deadline=None)
+    def test_size_bits_matches_the_fraction_formula(self, num, den, q):
+        want = num.bit_length() - den.bit_length() + 1
+        if q > 0:
+            want += -((-q * 1443) // 1000)
+        assert sections._size_bits(num, den, q) == want
 
     def test_zero_exponent_is_exact(self):
         assert _floor_with_precisions(F(7, 2), F(0)) == (3, [])
