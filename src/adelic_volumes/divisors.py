@@ -103,6 +103,22 @@ def _coerce_potential(place, pot, c0: Fraction, cinf: Fraction):
     return pot
 
 
+def _roof_sum(arch_roof: ConcavePA, finite: Sequence) -> ConcavePA:
+    """The global roof from the archimedean unit roof and the pairs
+    (log p, unit roof) of the finite places, all on one polytope: one
+    weighted sum of values on the union of their breakpoints, summed in the
+    order given.  Each interior grid point is a strict kink of a summand and
+    the weights are positive, so the sum is canonical as built."""
+    if not finite:
+        return arch_roof
+    xs = _grid([x for x, _ in arch_roof.points],
+               *([x for x, _ in r.points] for _, r in finite))
+    ys = _eval_on_grid(arch_roof.points, xs)
+    for weight, r in finite:
+        ys = [y + weight * v for y, v in zip(ys, _eval_on_grid(r.points, xs))]
+    return ConcavePA._raw(list(zip(xs, ys)))
+
+
 class ToricAdelicDivisor:
     """A toric adelic R-divisor: coefficients plus one potential per place."""
 
@@ -166,27 +182,17 @@ class ToricAdelicDivisor:
         divisor (divisors are immutable) and kept on it.
 
         Every unit roof lives on the polytope, so the sum is one weighted
-        sum of values on the union of their breakpoints.  Each interior grid
-        point is a strict kink of a summand and the weights are positive,
-        so the sum is canonical as built.
+        sum of values on the union of their breakpoints (``_roof_sum``).
         """
         if self._roof is not None:
             return self._roof
         if self.polytope().is_empty:
             raise EmptyPolytope(f"{self!r} has an empty polytope; no roof")
-        roof = unit_roof(self.potential(ARCH))
-        finite = [(log_unit(place), unit_roof(self._potentials[place]))
-                  for place in self.places if place != ARCH]
-        if finite:
-            xs = _grid([x for x, _ in roof.points],
-                       *([x for x, _ in r.points] for _, r in finite))
-            ys = _eval_on_grid(roof.points, xs)
-            for weight, r in finite:
-                ys = [y + weight * v
-                      for y, v in zip(ys, _eval_on_grid(r.points, xs))]
-            roof = ConcavePA._raw(list(zip(xs, ys)))
-        self._roof = roof
-        return roof
+        self._roof = _roof_sum(
+            unit_roof(self.potential(ARCH)),
+            [(log_unit(place), unit_roof(self._potentials[place]))
+             for place in self.places if place != ARCH])
+        return self._roof
 
     def add(self, other: "ToricAdelicDivisor") -> "ToricAdelicDivisor":
         c0 = self.c0 + other.c0
@@ -291,15 +297,23 @@ def min_adelic(divisors: Sequence[ToricAdelicDivisor]) -> ToricAdelicDivisor:
 
 
 class Pair:
-    """An adelic divisor together with a base condition on sections."""
+    """An adelic divisor together with a base condition on sections.
 
-    __slots__ = ("divisor", "base")
+    A pair is immutable, like its divisor.  It keeps its shifted window, its
+    global roof and its volume (set by ``positivity.avol``) the first time
+    each is computed; they are not part of the value (``==``, ``repr``,
+    ``to_payload``).  An error is not kept: it is raised again on every
+    call.
+    """
+
+    __slots__ = ("divisor", "base", "_window", "_roof", "_avol")
 
     def __init__(self, divisor: ToricAdelicDivisor, base: BaseCondition | None = None):
         if not isinstance(divisor, ToricAdelicDivisor):
             raise TypeError("Pair needs a ToricAdelicDivisor")
         self.divisor = divisor
         self.base = base if base is not None else BaseCondition()
+        self._window = self._roof = self._avol = None
 
     def polytope(self) -> Interval:
         return self.divisor.polytope()
@@ -325,12 +339,12 @@ class Pair:
         are clamped to zero here; effectivity comparisons elsewhere use
         the raw values.
         """
-        v0, vinf = self._toric_orders()
-        lo = -self.divisor.cinf + v0
-        hi = self.divisor.c0 - vinf
-        if lo > hi:
-            return Interval.EMPTY
-        return Interval(lo, hi)
+        if self._window is None:
+            v0, vinf = self._toric_orders()
+            lo = -self.divisor.cinf + v0
+            hi = self.divisor.c0 - vinf
+            self._window = Interval.EMPTY if lo > hi else Interval(lo, hi)
+        return self._window
 
     def global_roof(self) -> ConcavePA:
         """Sum over places of the Legendre roofs of the convexified
@@ -338,13 +352,15 @@ class Pair:
         contribute with a symbolic log p factor, so values are exact.
 
         The sum is the divisor's roof, built once per divisor on its whole
-        polytope; each pair restricts it to its own window."""
-        window = self.shifted_polytope()
-        if window.is_empty:
-            raise EmptyPolytope(
-                f"{self!r} has an empty shifted polytope; no sections to count"
-            )
-        return self.divisor.roof().restrict(window)
+        polytope; each pair restricts it to its own window once."""
+        if self._roof is None:
+            window = self.shifted_polytope()
+            if window.is_empty:
+                raise EmptyPolytope(
+                    f"{self!r} has an empty shifted polytope; no sections to count"
+                )
+            self._roof = self.divisor.roof().restrict(window)
+        return self._roof
 
     def add(self, other: "Pair") -> "Pair":
         return Pair(self.divisor + other.divisor, self.base + other.base)

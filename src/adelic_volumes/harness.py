@@ -377,11 +377,14 @@ def suite_names() -> tuple:
 
 def run_suite(name: str, count: int = 200, seed: int = 0) -> SuiteResult:
     """Evaluate one named property on `count` random instances (fixed-
-    instance suites run their fixed checks once).  Deterministic in seed."""
+    instance suites run their fixed checks once).  Deterministic in seed.
+    A count below 1 is a ValueError."""
     if name not in _SUITES:
         raise UnknownSuite(
             f"unknown suite {name!r}; choose from {', '.join(suite_names())}"
         )
+    if count < 1:
+        raise ValueError(f"count must be a positive integer, got {count}")
     rng = random.Random(f"{name}:{seed}")
     passes = failures = performed = 0
     worst = None

@@ -42,7 +42,9 @@ which keeps only the affine normal form.  The proofs relied on:
 * scaling by a nonzero factor keeps kinks and collinear triples (by a
   positive one, convexity too), and shifting or reflecting keeps both;
 * a single breakpoint with tails of slopes s <= t is convex, and one that
-  passed ``PAGeneral.is_convex`` is ConvexPA data already.
+  passed ``PAGeneral.is_convex`` is ConvexPA data already;
+* the hull of :func:`convex_envelope` drops collinear points, so the raw
+  rows of a threshold's Newton step need no merge before it.
 """
 
 from __future__ import annotations
@@ -521,8 +523,11 @@ class _LinePA:
         summand at each grid point), ``scale`` (a nonzero factor keeps
         kinks and collinear triples, a positive one convexity too),
         ``as_general``, and in ``divisors`` the one-point canonical
-        potential and a potential that passed ``is_convex``.  ``PAGeneral``
-        sums and minima run the collinear merge first."""
+        potential and a potential that passed ``is_convex``, and in
+        ``positivity._twisted_roof`` the rows of a Newton step (tails
+        (-cinf, c0) by construction, fed only to ``convex_envelope``, whose
+        hull drops collinear points).  ``PAGeneral`` sums and minima run the
+        collinear merge first."""
         obj = object.__new__(cls)
         obj._set(pts, left_slope, right_slope)
         return obj

@@ -16,11 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .divisors import ARCH, Pair, ToricAdelicDivisor, as_pair
+from .divisors import (ARCH, Pair, ToricAdelicDivisor, _coeff, _place_sort_key,
+                       _roof_sum, as_pair, canonical_potential)
 from .errors import NotBig, NotNef, NotRelativelyNef
 from .exactnum import Scalar, log_unit, scalar_float, scalar_sign
-from .pa import (ConvexPA, Interval, PAGeneral, _grid, _jets_on_grid,
-                 integrate_positive_part, legendre_potential, unit_roof)
+from .pa import (ConvexPA, Interval, PAGeneral, _clean_points, _grid,
+                 _jets_on_grid, convex_envelope, integrate_positive_part,
+                 legendre_potential, legendre_roof, unit_roof)
 
 
 def _as_divisor(obj) -> ToricAdelicDivisor:
@@ -86,13 +88,17 @@ def avol(pair):
     """Arithmetic volume: twice the area between the global roof and zero.
 
     Exact: a Fraction for log-free data, a symbolic-log scalar otherwise.
-    An empty or degenerate polytope gives volume zero.
+    An empty or degenerate polytope gives volume zero.  Kept on the pair,
+    which is immutable.
     """
     pair = as_pair(pair)
-    window = pair.shifted_polytope()
-    if window.is_empty or window.is_point:
-        return Fraction(0)
-    return 2 * integrate_positive_part(pair.global_roof())
+    if pair._avol is None:
+        window = pair.shifted_polytope()
+        if window.is_empty or window.is_point:
+            pair._avol = Fraction(0)
+        else:
+            pair._avol = 2 * integrate_positive_part(pair.global_roof())
+    return pair._avol
 
 
 def is_big(pair) -> bool:
@@ -274,7 +280,11 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
     Newton steps find it from the top, where W is a point: each step follows
     the piece of g left of t, whose slope is read off the rows that attain
     the minimum at the argmax, so it stays at or right of the zero and lands
-    on a new piece.
+    on a new piece.  Each step reads the twisted roof straight off its rows
+    (u, pD_v(u) - t * pN_v(u)) (``_twisted_roof``); no divisor or pair is
+    built per step.  The guards (the pair big, the divisor nef and of
+    positive volume) run on every call; a pair keeps its volume, so
+    ``is_big`` of a pair already measured costs nothing.
     """
     pair = as_pair(pair)
     n = _as_divisor(nef_divisor)
@@ -301,13 +311,48 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
         c0, cinf = d.c0 - t * n.c0, d.cinf - t * n.cinf
         pots = {place: [(u, a - t * b) for u, a, b in rows]
                 for place, (_, rows) in data.items()}
-        twisted = ToricAdelicDivisor(c0, cinf, {
-            place: PAGeneral(pts, -cinf, c0) for place, pts in pots.items()})
-        roof = Pair(twisted, pair.base).global_roof()
+        roof = _twisted_roof(data, pots, c0, cinf, v0, vinf)
         x, g = roof.argmax()
         if scalar_sign(g) >= 0:
             return Bracket(t, t)
         t = t + g / _fall_rate(data, pots, roof, x, n)
+
+
+def _twisted_roof(data, pots, c0, cinf, v0, vinf):
+    """The global roof of the twisted pair, read off its rows
+    (u, pD - t * pN): per place the Legendre roof of the convex envelope of
+    the rows, weighted and summed by ``_roof_sum`` on the polytope
+    [-cinf, c0], then restricted to the window [-cinf + v0, c0 - vinf].
+
+    It is ``Pair(ToricAdelicDivisor(c0, cinf, {place: PAGeneral(rows,
+    -cinf, c0)}), base).global_roof()``, coordinate for coordinate: the
+    envelope of the rows is that of their collinear merge, a place whose
+    twisted potential is canonical is left out of the sum as that
+    constructor drops it (the archimedean place then takes the canonical
+    roof of the coefficients), and the window is cut at the coefficients
+    as the constructor stores them.  Every call checks the order of the
+    rows.
+    """
+    stored_c0, stored_cinf = _coeff(c0), _coeff(cinf)
+    roofs = {}
+    for place, pts in pots.items():
+        pts = _clean_points(pts)
+        # raw: the tails are (-cinf, c0) by construction, and the hull
+        # drops collinear points, so no merge is needed
+        env = convex_envelope(PAGeneral._raw(pts, -cinf, c0))
+        if len(env.points) == 1 and env.points[0] == (0, 0):
+            # the envelope is canonical; the potential is too unless it
+            # lies above it somewhere
+            canonical = canonical_potential(stored_c0, stored_cinf)
+            if PAGeneral(pts, -cinf, c0) == canonical:
+                if place == ARCH:
+                    roofs[ARCH] = legendre_roof(canonical)
+                continue
+        roofs[place] = legendre_roof(env)
+    roof = _roof_sum(roofs.pop(ARCH), [
+        (data[place][0], roofs[place])
+        for place in sorted(roofs, key=_place_sort_key)])
+    return roof.restrict(Interval(-stored_cinf + v0, stored_c0 - vinf))
 
 
 def _fall_rate(data, pots, roof, x, n):

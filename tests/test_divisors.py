@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import adelic_volumes.pa as pa
+import adelic_volumes.positivity as positivity
 from adelic_volumes.divisors import (
     ARCH,
     Pair,
@@ -37,7 +38,13 @@ from adelic_volumes.gallery import (
 from adelic_volumes.harness import sample_divisor
 from adelic_volumes.pa import ConvexPA, PAGeneral, convex_envelope, legendre_roof
 from adelic_volumes.points import BaseCondition
-from adelic_volumes.positivity import avol, is_nef, zariski_positive_part
+from adelic_volumes.positivity import (
+    avol,
+    is_big,
+    is_nef,
+    is_pseff,
+    zariski_positive_part,
+)
 
 F = Fraction
 
@@ -331,6 +338,56 @@ class TestGlobalRoof:
     def test_roof_of_empty_polytope(self):
         with pytest.raises(EmptyPolytope):
             ToricAdelicDivisor(-1, 0).roof()
+
+
+class TestPairMemo:
+    """A pair keeps its window, roof and volume; they are not its value."""
+
+    @staticmethod
+    def _pairs():
+        return [
+            Pair(slant_divisor()),
+            half_zero_pair(),
+            Pair(tent_divisor() + p_slant_divisor(2),
+                 BaseCondition({"inf": F(1, 3)})),
+        ]
+
+    def test_memo_is_invisible(self):
+        for pair, twin in zip(self._pairs(), self._pairs()):
+            before = (repr(pair), pair.to_payload())
+            assert avol(pair) > 0 and is_pseff(pair)
+            assert pair == twin and twin == pair
+            assert (repr(pair), pair.to_payload()) == before
+            assert (repr(twin), twin.to_payload()) == before
+
+    def test_avol_integrates_once(self, monkeypatch):
+        calls = []
+        original = positivity.integrate_positive_part
+
+        def counting(roof, window=None):
+            calls.append(roof)
+            return original(roof, window)
+
+        monkeypatch.setattr(positivity, "integrate_positive_part", counting)
+        pair = self._pairs()[2]
+        first = avol(pair)
+        assert avol(pair) is first and is_big(pair)
+        assert len(calls) == 1
+        assert pair.shifted_polytope() is pair.shifted_polytope()
+        assert pair.global_roof() is pair.global_roof() is calls[0]
+        # an equal pair is another object, with its own memo
+        assert avol(self._pairs()[2]) == first
+        assert len(calls) == 2
+
+    def test_errors_are_raised_on_every_call(self):
+        nontoric = Pair(slant_divisor(), BaseCondition({"t^2+1": F(1)}))
+        empty = Pair(slant_divisor(), BaseCondition({"0": F(2)}))
+        for _ in range(2):
+            with pytest.raises(NonToricBaseCondition):
+                avol(nontoric)
+            with pytest.raises(EmptyPolytope):
+                empty.global_roof()
+            assert avol(empty) == 0
 
 
 class TestPerturb:

@@ -225,6 +225,11 @@ class TestSuites:
         with pytest.raises(UnknownSuite):
             run_suite("isoperimetric_disco")
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_nonpositive_count(self, count):
+        with pytest.raises(ValueError, match="positive integer"):
+            run_suite("homogeneity", count=count)
+
     @pytest.mark.parametrize("name", sorted(
         n for n in (
             "brunn_minkowski", "homogeneity", "zariski", "siu", "hodge",

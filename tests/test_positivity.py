@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adelic_volumes.positivity as positivity
 from adelic_volumes.divisors import ARCH, Pair, ToricAdelicDivisor
 from adelic_volumes.errors import NotBig, NotNef, NotRelativelyNef
-from adelic_volumes.exactnum import log_unit
+from adelic_volumes.exactnum import exact, log_unit
 from adelic_volumes.gallery import (
     half_zero_pair,
     height_shift,
@@ -23,7 +24,12 @@ from adelic_volumes.gallery import (
     slant_divisor,
     tent_divisor,
 )
-from adelic_volumes.harness import sample_big_pair, sample_divisor, sample_nef_divisor
+from adelic_volumes.harness import (
+    diskant_report,
+    sample_big_pair,
+    sample_divisor,
+    sample_nef_divisor,
+)
 from adelic_volumes.pa import (
     ConcavePA,
     ConvexPA,
@@ -293,6 +299,19 @@ class TestThresholds:
         assert inradius(E1, E1.scale(2)).value == F(1, 2)
         assert circumradius(E1, E1.scale(2)).value == F(1, 2)
 
+    def test_diskant_of_one_pair_object(self):
+        # the CLI passes one object for two equal scene paths; what that
+        # pair keeps from the first threshold must not change the second
+        pair = Pair(tent_divisor() + p_slant_divisor(2) + p_slant_divisor(3),
+                    BaseCondition({"0": F(1, 4)}))
+        payload = pair.to_payload()
+        one = Pair.from_payload(payload)
+        same = diskant_report(one, one)
+        apart = diskant_report(Pair.from_payload(payload),
+                               Pair.from_payload(payload))
+        assert repr(same) == repr(apart)
+        assert same.all_pass and same.r.value == 1
+
     def test_finite_place_fixtures(self):
         L2, L3 = log_unit(2), log_unit(3)
         pair = Pair(slant_divisor() + p_slant_divisor(2) + p_slant_divisor(3))
@@ -400,6 +419,29 @@ def _assert_matches_line_by_line(pair, n):
     return got.value
 
 
+def _check_twisted_roofs(mp, pair) -> list:
+    """Spy on every Newton step of thresholds of this pair: the twisted
+    roof read off the rows must be the roof of the twisted pair built as
+    objects, in value, repr and the type of every coordinate.  Returns the
+    steps' maxima as ExactNumbers, filled as the steps run."""
+    original = positivity._twisted_roof
+    tops = []
+
+    def spy(data, pots, c0, cinf, v0, vinf):
+        roof = original(data, pots, c0, cinf, v0, vinf)
+        twisted = ToricAdelicDivisor(c0, cinf, {
+            place: PAGeneral(pts, -cinf, c0) for place, pts in pots.items()})
+        want = Pair(twisted, pair.base).global_roof()
+        assert roof == want and repr(roof) == repr(want)
+        assert ([tuple(map(type, pt)) for pt in roof.points]
+                == [tuple(map(type, pt)) for pt in want.points])
+        tops.append(exact(roof.max_over_domain()))
+        return roof
+
+    mp.setattr(positivity, "_twisted_roof", spy)
+    return tops
+
+
 def _two_kink_pair() -> Pair:
     """Potential through (-1, 0) and (1, 1) with slopes -1, 1/2, 1: against
     tent the threshold 1/2 lies on a window edge, one Newton step from the
@@ -504,7 +546,31 @@ class TestThresholdNewton:
             cases.append((Pair(d), n))
         for p, m in cases:
             if is_big(Pair(m)):
-                _assert_matches_line_by_line(p, m)
+                with pytest.MonkeyPatch.context() as mp:
+                    steps = _check_twisted_roofs(mp, p)
+                    _assert_matches_line_by_line(p, m)
+                assert steps
+
+    def test_twisted_roofs_at_finite_places(self, monkeypatch):
+        # steps whose rows carry log p weights: with a base condition and a
+        # direction canonical at 2; against the pair's own positive part,
+        # where t = 1 makes the finite places canonical; and with both
+        # archimedean potentials canonical, where the twisted one is too
+        pair = Pair(tent_divisor() + p_slant_divisor(2) + p_slant_divisor(3),
+                    BaseCondition({"0": F(1, 4)}))
+        finite = Pair(p_slant_divisor(2) + p_slant_divisor(3))
+        cases = [(pair, slant_divisor() + height_shift(1)),
+                 (pair, tent_divisor() + p_slant_divisor(3)),
+                 (pair, zariski_positive_part(pair).positive),
+                 (finite, p_slant_divisor(2) + p_slant_divisor(3).scale(2))]
+        tops = []
+        for p, n in cases:
+            with monkeypatch.context() as mp:
+                steps = _check_twisted_roofs(mp, p)
+                _assert_matches_line_by_line(p, n)
+            assert steps
+            tops += steps
+        assert sum(not top.is_rational for top in tops) >= 3
 
     def test_window_shrinks_to_a_point(self):
         pair, n = Pair(slant_divisor()), slant_divisor().scale(2)

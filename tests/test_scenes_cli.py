@@ -869,3 +869,16 @@ class TestCliSuite:
     def test_unknown_name_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["suite", "isoperimetric_disco"])
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_count_exit_2(self, capsys, count):
+        assert main(["suite", "homogeneity", "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error:") and "positive integer" in err
+        assert len(err.splitlines()) == 1
+
+    def test_count_one(self, capsys):
+        assert main(["suite", "homogeneity", "--count", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["performed"] == 1
