@@ -159,9 +159,6 @@ class ToricAdelicDivisor:
         place = as_place(place)
         return self._potentials.get(place, self._canonical)
 
-    def is_canonical_at(self, place) -> bool:
-        return as_place(place) not in self._potentials
-
     def ord(self, point):
         if not isinstance(point, ClosedPoint):
             point = ClosedPoint.parse(point)

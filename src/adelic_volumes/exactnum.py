@@ -40,9 +40,13 @@ coefficient, decided by the ladder above.  So a computation at D + eps*E
 takes every branch it takes at D + t*E for all small t > 0, and returns the
 exact piece beside 0 (:func:`eps_coefficients`).  eps has no interval.
 
-Plain ``fractions.Fraction`` values interoperate transparently: arithmetic
-promotes them, and the ``scalar_*`` helpers at the bottom give call sites one
-vocabulary for "Fraction or ExactNumber".
+A rational value has one type, ``fractions.Fraction``: every arithmetic
+result, and every coefficient from :func:`eps_coefficients`, is a Fraction
+exactly when it is rational (log terms that cancel, ``x * 0``, ``x ** 0``
+included), and an ExactNumber otherwise.  ``exact(q)`` is the only way to
+hold a rational as an ExactNumber.  Fractions mix freely with ExactNumbers
+in arithmetic and comparisons, and the ``scalar_*`` helpers at the bottom
+give call sites one vocabulary for "Fraction or ExactNumber".
 """
 
 from __future__ import annotations
@@ -499,6 +503,17 @@ def _proven_prime(n: int) -> bool:
 ScalarLike = Union[int, Fraction, "ExactNumber"]
 
 
+def _value(num: Poly, den: Poly):
+    """The normalized quotient num / den as a value: the Fraction when den
+    is 1 and num is constant (0 included), else an ExactNumber."""
+    if den is _ONE_POLY and (not num or len(num) == 1 and () in num):
+        return num.get((), Fraction(0))
+    obj = object.__new__(ExactNumber)
+    obj._num = num
+    obj._den = den
+    return obj
+
+
 class ExactNumber:
     """An element of Q(log 2, log 3, ...)(eps), stored as a polynomial
     quotient."""
@@ -516,33 +531,29 @@ class ExactNumber:
         else:
             raise TypeError(f"cannot build ExactNumber from {type(value).__name__}")
 
-    @classmethod
-    def _make(cls, num: Poly, den: Poly) -> "ExactNumber":
+    @staticmethod
+    def _make(num: Poly, den: Poly):
+        """num / den cancelled and normalized, through ``_value``."""
         num = {m: c for m, c in num.items() if c}
         den = {m: c for m, c in den.items() if c}
         if not den:
             raise ZeroDivisionError("ExactNumber with zero denominator")
-        obj = object.__new__(cls)
         if not num:
-            obj._num = {}
-            obj._den = _ONE_POLY
-            return obj
+            return Fraction(0)
         if len(den) > 1 or () not in den:
             num, den = _cancel(num, den)
         if len(den) == 1 and () in den:
             q = den[()]
-            obj._num = num if q == 1 else {m: c / q for m, c in num.items()}
-            obj._den = _ONE_POLY
-            return obj
+            if q != 1:
+                num = {m: c / q for m, c in num.items()}
+            return _value(num, _ONE_POLY)
         if _poly_sign(den) < 0:
             num, den = _pneg(num), _pneg(den)
         content = _pcontent(den)
         if content != 1:
             num = _pscale(num, 1 / content)
             den = _pscale(den, 1 / content)
-        obj._num = num
-        obj._den = den
-        return obj
+        return _value(num, den)
 
     @classmethod
     def log_unit(cls, prime: int) -> "ExactNumber":
@@ -595,10 +606,7 @@ class ExactNumber:
         if d is o._den or d == o._den:
             if d is _ONE_POLY or d == _ONE_POLY:
                 # polynomial + polynomial stays normalized: skip _make
-                obj = object.__new__(ExactNumber)
-                obj._num = _padd(self._num, o._num)
-                obj._den = _ONE_POLY
-                return obj
+                return _value(_padd(self._num, o._num), _ONE_POLY)
             return self._make(_padd(self._num, o._num), d)
         return self._make(
             _padd(_pmul(self._num, o._den), _pmul(o._num, self._den)),
@@ -608,20 +616,17 @@ class ExactNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        obj = object.__new__(ExactNumber)
-        obj._num = _pneg(self._num)
-        obj._den = self._den
-        return obj
+        return _value(_pneg(self._num), self._den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self + (-o)
+        if not isinstance(other, (int, Fraction, ExactNumber)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o + (-self)
+        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -630,21 +635,10 @@ class ExactNumber:
         if o.is_rational:
             q = o._num.get(())
             if q is None:
-                return ExactNumber(0)
+                return Fraction(0)
             # scaling by a nonzero rational preserves every normalization
-            # invariant, so construct directly
-            obj = object.__new__(ExactNumber)
-            obj._num = _pscale(self._num, q)
-            obj._den = self._den
-            return obj
-        if self.is_rational:
-            q = self._num.get(())
-            if q is None:
-                return ExactNumber(0)
-            obj = object.__new__(ExactNumber)
-            obj._num = _pscale(o._num, q)
-            obj._den = o._den
-            return obj
+            # invariant
+            return _value(_pscale(self._num, q), self._den)
         return self._make(_pmul(self._num, o._num), _pmul(self._den, o._den))
 
     __rmul__ = __mul__
@@ -657,10 +651,7 @@ class ExactNumber:
             q = o._num.get(())
             if q is None:
                 raise ZeroDivisionError("ExactNumber division by zero")
-            obj = object.__new__(ExactNumber)
-            obj._num = _pscale(self._num, 1 / q)
-            obj._den = self._den
-            return obj
+            return _value(_pscale(self._num, 1 / q), self._den)
         return self._make(_pmul(self._num, o._den), _pmul(self._den, o._num))
 
     def __rtruediv__(self, other):
@@ -674,13 +665,13 @@ class ExactNumber:
             return NotImplemented
         if exponent < 0:
             return 1 / (self ** (-exponent))
-        out = ExactNumber(1)
+        out = Fraction(1)
         for _ in range(exponent):
-            out = out * self
+            out = self * out
         return out
 
     def __abs__(self):
-        return -self if self.sign() < 0 else self
+        return -self if self.sign() < 0 else _value(self._num, self._den)
 
     # -- comparisons -------------------------------------------------------
 
@@ -759,7 +750,7 @@ def _eps_layers(poly: Poly) -> list:
     for mono, c in poly.items():
         k = mono.count(_EPS)
         layers.setdefault(k, {})[mono[k:]] = c
-    return [ExactNumber._make(layers.get(k, {}), _ONE_POLY)
+    return [_value(layers.get(k, {}), _ONE_POLY)
             for k in range(max(layers, default=0) + 1)]
 
 
@@ -768,7 +759,8 @@ def eps_coefficients(x: ScalarLike, count: int) -> list:
 
     ValueError unless x is a polynomial in eps of degree below count.  The
     quotient x need not be cancelled: its numerator is divided by its
-    denominator as polynomials in eps, and a nonzero remainder raises."""
+    denominator as polynomials in eps, and a nonzero remainder raises.  A
+    rational coefficient is a Fraction, as every arithmetic result is."""
     x = ExactNumber(x)
     rem, den = _eps_layers(x._num), _eps_layers(x._den)
     m = len(den) - 1
@@ -779,7 +771,7 @@ def eps_coefficients(x: ScalarLike, count: int) -> list:
             rem[i + j] = rem[i + j] - q * d
     if len(quo) > count or any(rem):
         raise ValueError(f"{x!r} is not a polynomial in eps of degree below {count}")
-    return [c.as_fraction() if c.is_rational else c for c in map(ExactNumber, quo)]
+    return quo
 
 
 def scalar_sign(x: Scalar) -> int:

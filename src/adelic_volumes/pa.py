@@ -198,32 +198,11 @@ def _merge_collinear(pts: list, left_slope=None, right_slope=None) -> list:
     return out
 
 
-def _eval_points(pts, x, left_slope=None, right_slope=None):
-    if x < pts[0][0]:
-        if left_slope is None:
-            raise OutOfDomain(f"{x} lies left of the domain")
-        x0, y0 = pts[0]
-        return y0 + left_slope * (x - x0)
-    if x > pts[-1][0]:
-        if right_slope is None:
-            raise OutOfDomain(f"{x} lies right of the domain")
-        xn, yn = pts[-1]
-        return yn + right_slope * (x - xn)
-    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
-        if x1 <= x <= x2:
-            if x == x1:
-                return y1
-            if x == x2:
-                return y2
-            return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-    return pts[0][1]  # single-point domain, x == the point
-
-
 def _eval_on_grid(pts, xs, left_slope=None, right_slope=None) -> list:
-    """The values at each x of a sorted grid, in one joint scan (repeated
-    _eval_points calls would rescan the breakpoint list), by the same
-    formulas as _eval_points.  Outside the breakpoint hull the function
-    follows the tails, which must then be given."""
+    """The values at each x of a sorted grid, in one joint scan of the
+    breakpoints: a breakpoint's value, the chord between two breakpoints,
+    or a tail.  Outside the breakpoint hull the function follows the tails,
+    which must then be given."""
     out = []
     i = 0
     top = len(pts) - 1
@@ -317,7 +296,12 @@ class ConcavePA:
         return Interval(self.points[0][0], self.points[-1][0])
 
     def eval(self, x) -> Scalar:
-        return _eval_points(self.points, as_scalar(x))
+        x = as_scalar(x)
+        if x < self.points[0][0]:
+            raise OutOfDomain(f"{x} lies left of the domain")
+        if x > self.points[-1][0]:
+            raise OutOfDomain(f"{x} lies right of the domain")
+        return _eval_on_grid(self.points, [x])[0]
 
     __call__ = eval
 
@@ -375,7 +359,7 @@ class ConcavePA:
         return ConcavePA._raw([(-x, y) for x, y in reversed(self.points)])
 
     def max_over_domain(self) -> Scalar:
-        return max((y for _, y in self.points), key=_SortKey)
+        return max(y for _, y in self.points)
 
     def argmax(self):
         """(x, max f), x the midpoint of the top when f is flat there.  By
@@ -444,18 +428,6 @@ class ConcavePA:
         return f"ConcavePA[{pts}]"
 
 
-class _SortKey:
-    """Total-order adapter so exact scalars can pass through max()/sort()."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return self.value < other.value
-
-
 def _nonneg_run(pts):
     """(first, last, signs) for the breakpoints of a concave function: the
     signs of the values and the first and last index with value >= 0, or
@@ -484,7 +456,7 @@ def _grid(*groups) -> list:
     xs: list = []
     for group in groups:
         xs.extend(group)
-    xs.sort(key=_SortKey)
+    xs.sort()
     out = [xs[0]]
     for x in xs[1:]:
         if not x == out[-1]:
@@ -515,27 +487,21 @@ class _LinePA:
     @classmethod
     def _raw(cls, pts, left_slope, right_slope):
         """Wrap breakpoints (sorted, exact, no collinear triple with the
-        tails) and tail slopes known to be canonical data of ``cls``, skipping
-        every check; only the affine normal form is applied.  The callers
-        and their proofs: ``legendre_potential`` (the roof's strictly
-        falling slopes and breakpoints), ``convex_envelope`` (the hull
-        keeps strict kinks only), ``ConvexPA.add`` (a strict kink of a
-        summand at each grid point), ``scale`` (a nonzero factor keeps
-        kinks and collinear triples, a positive one convexity too),
-        ``as_general``, and in ``divisors`` the one-point canonical
-        potential and a potential that passed ``is_convex``, and in
-        ``positivity._twisted_roof`` the rows of a Newton step (tails
-        (-cinf, c0) by construction, fed only to ``convex_envelope``, whose
-        hull drops collinear points).  ``PAGeneral`` sums and minima run the
-        collinear merge first."""
+        tails) and tail slopes known to be canonical data of ``cls``,
+        skipping every check but the affine normal form.  The proofs are
+        listed in the module docstring; the callers are
+        ``legendre_potential``, ``convex_envelope``, ``ConvexPA.add``,
+        ``scale``, ``as_general``, ``PAGeneral`` sums and minima (after the
+        collinear merge), the canonical potential and an ``is_convex``
+        potential in ``divisors``, and the rows of a Newton step in
+        ``positivity._twisted_roof``, fed only to ``convex_envelope``."""
         obj = object.__new__(cls)
         obj._set(pts, left_slope, right_slope)
         return obj
 
     def eval(self, x) -> Scalar:
-        return _eval_points(
-            self.points, as_scalar(x), self.left_slope, self.right_slope
-        )
+        return _eval_on_grid(self.points, [as_scalar(x)],
+                             self.left_slope, self.right_slope)[0]
 
     __call__ = eval
 
@@ -545,7 +511,7 @@ class _LinePA:
     def sup_norm(self) -> Scalar:
         if not self.is_bounded():
             raise UnboundedBelow("sup norm of an unbounded function")
-        return max((abs_scalar(y) for _, y in self.points), key=_SortKey)
+        return max(abs_scalar(y) for _, y in self.points)
 
     def lower_bound(self):
         """The infimum over R, or None when the function is unbounded below."""
@@ -564,12 +530,24 @@ class _LinePA:
             "right_slope": str(self.right_slope),
         }
 
-    def _eq_data(self, other) -> bool:
+    @classmethod
+    def from_payload(cls, payload: dict):
+        return cls(
+            [(Fraction(x), Fraction(y)) for x, y in payload["points"]],
+            Fraction(payload["left_slope"]),
+            Fraction(payload["right_slope"]),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, _LinePA):
+            return NotImplemented
         return (
             _points_equal(self.points, other.points)
             and bool(self.left_slope == other.left_slope)
             and bool(self.right_slope == other.right_slope)
         )
+
+    __hash__ = None
 
     def _repr_data(self) -> str:
         pts = ", ".join(f"({_fmt(x)}, {_fmt(y)})" for x, y in self.points)
@@ -665,21 +643,6 @@ class ConvexPA(_LinePA):
     def to_payload(self) -> dict:
         return {"kind": "convex", **self._payload()}
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ConvexPA":
-        return cls(
-            [(Fraction(x), Fraction(y)) for x, y in payload["points"]],
-            Fraction(payload["left_slope"]),
-            Fraction(payload["right_slope"]),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, (ConvexPA, PAGeneral)):
-            return NotImplemented
-        return self._eq_data(other)
-
-    __hash__ = None
-
     def __repr__(self):
         return f"ConvexPA({self._repr_data()})"
 
@@ -735,21 +698,6 @@ class PAGeneral(_LinePA):
 
     def to_payload(self) -> dict:
         return {"kind": "general", **self._payload()}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "PAGeneral":
-        return cls(
-            [(Fraction(x), Fraction(y)) for x, y in payload["points"]],
-            Fraction(payload["left_slope"]),
-            Fraction(payload["right_slope"]),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, (ConvexPA, PAGeneral)):
-            return NotImplemented
-        return self._eq_data(other)
-
-    __hash__ = None
 
     def __repr__(self):
         return f"PAGeneral({self._repr_data()})"

@@ -3,9 +3,9 @@
 A closed point is the zero of the coordinate, the point at infinity, or the
 vanishing locus of a monic irreducible polynomial in the coordinate (read by a
 small grammar that evaluates nothing, and validated by exact factorization
-over Q, with a configurable degree cap).  A base condition is a finitely
-supported map from closed points to rationals: the prescribed vanishing
-orders for sections.
+over Q, with a configurable degree cap; from degree 2 that test needs the
+optional sympy).  A base condition is a finitely supported map from closed
+points to rationals: the prescribed vanishing orders for sections.
 """
 
 from __future__ import annotations
@@ -115,7 +115,12 @@ def _coeffs_from_spec(spec, max_degree: int) -> tuple:
     if coeffs[-1] != 1:
         raise InvalidPoint(f"{spec!r} is not monic")
     if degree >= 2:
-        import sympy  # only the irreducibility test needs it
+        try:
+            import sympy  # only the irreducibility test needs it
+        except ImportError as err:
+            raise InvalidPoint(
+                f"{spec!r} has degree {degree}: its irreducibility test needs "
+                "sympy (pip install 'adelic-volumes[points]')") from err
 
         poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                            for c in reversed(coeffs)], sympy.Symbol("t"),
@@ -240,15 +245,16 @@ def _normalize(entries: Mapping) -> dict:
     return out
 
 
-class _PointWeights:
-    """Shared machinery for finitely supported point -> rational maps."""
+class BaseCondition:
+    """Prescribed vanishing orders for sections, a finitely supported map
+    from closed points to rationals; may be ineffective."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Mapping | None = None):
         self.entries = _normalize(entries or {})
 
-    def weight(self, point) -> Fraction:
+    def order(self, point) -> Fraction:
         return self.entries.get(_point_of(point), Fraction(0))
 
     @property
@@ -259,6 +265,11 @@ class _PointWeights:
     def is_zero(self) -> bool:
         return not self.entries
 
+    def nontoric_positive_support(self) -> tuple:
+        return tuple(
+            p for p in self.support if not p.is_toric and self.entries[p] > 0
+        )
+
     def _combine(self, other, sign: int):
         out = dict(self.entries)
         for point, value in other.entries.items():
@@ -267,34 +278,27 @@ class _PointWeights:
                 out[point] = c
             else:
                 out.pop(point, None)
-        return type(self)(out)
+        return BaseCondition(out)
 
     def __add__(self, other):
-        if type(other) is not type(self):
+        if not isinstance(other, BaseCondition):
             return NotImplemented
         return self._combine(other, 1)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
+        if not isinstance(other, BaseCondition):
             return NotImplemented
         return self._combine(other, -1)
 
-    def scale(self, a) -> "_PointWeights":
+    def scale(self, a) -> "BaseCondition":
         a = Fraction(a)
-        return type(self)({p: a * v for p, v in self.entries.items()})
+        return BaseCondition({p: a * v for p, v in self.entries.items()})
 
     def __neg__(self):
         return self.scale(-1)
 
-    def positive_part(self):
-        return type(self)({p: v for p, v in self.entries.items() if v > 0})
-
-    def negative_part(self):
-        """The (positive) entries of the negative part, so self = pos - neg."""
-        return type(self)({p: -v for p, v in self.entries.items() if v < 0})
-
     def __eq__(self, other):
-        if type(other) is not type(self):
+        if not isinstance(other, BaseCondition):
             return NotImplemented
         return self.entries == other.entries
 
@@ -302,24 +306,7 @@ class _PointWeights:
 
     def __repr__(self):
         if not self.entries:
-            return f"{type(self).__name__}(0)"
+            return "BaseCondition(0)"
         body = " + ".join(f"{v}[{p.label()}]" for p, v in sorted(
             self.entries.items(), key=lambda kv: kv[0].label()))
-        return f"{type(self).__name__}({body})"
-
-
-class BaseCondition(_PointWeights):
-    """Prescribed vanishing orders for sections; may be ineffective."""
-
-    def order(self, point) -> Fraction:
-        return self.weight(point)
-
-    @property
-    def is_toric(self) -> bool:
-        return all(p.is_toric for p in self.entries)
-
-    def nontoric_positive_support(self) -> tuple:
-        return tuple(
-            p for p in self.support if not p.is_toric and self.entries[p] > 0
-        )
-
+        return f"BaseCondition({body})"

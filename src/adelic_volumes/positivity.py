@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .divisors import (ARCH, Pair, ToricAdelicDivisor, _coeff, _place_sort_key,
-                       _roof_sum, as_pair, canonical_potential)
+from .divisors import (ARCH, Pair, ToricAdelicDivisor, _place_sort_key,
+                       _roof_sum, as_pair)
 from .errors import NotBig, NotNef, NotRelativelyNef
 from .exactnum import Scalar, log_unit, scalar_float, scalar_sign
 from .pa import (ConvexPA, Interval, PAGeneral, _clean_points, _grid,
@@ -323,36 +323,21 @@ def _twisted_roof(data, pots, c0, cinf, v0, vinf):
     (u, pD - t * pN): per place the Legendre roof of the convex envelope of
     the rows, weighted and summed by ``_roof_sum`` on the polytope
     [-cinf, c0], then restricted to the window [-cinf + v0, c0 - vinf].
-
-    It is ``Pair(ToricAdelicDivisor(c0, cinf, {place: PAGeneral(rows,
-    -cinf, c0)}), base).global_roof()``, coordinate for coordinate: the
-    envelope of the rows is that of their collinear merge, a place whose
-    twisted potential is canonical is left out of the sum as that
-    constructor drops it (the archimedean place then takes the canonical
-    roof of the coefficients), and the window is cut at the coefficients
-    as the constructor stores them.  Every call checks the order of the
-    rows.
+    This is the global roof of the twisted pair built as objects,
+    coordinate for coordinate: a canonical place adds the zero roof, and a
+    rational coordinate is a Fraction on both routes.  The rows' order is
+    checked on every call.
     """
-    stored_c0, stored_cinf = _coeff(c0), _coeff(cinf)
     roofs = {}
     for place, pts in pots.items():
-        pts = _clean_points(pts)
         # raw: the tails are (-cinf, c0) by construction, and the hull
         # drops collinear points, so no merge is needed
-        env = convex_envelope(PAGeneral._raw(pts, -cinf, c0))
-        if len(env.points) == 1 and env.points[0] == (0, 0):
-            # the envelope is canonical; the potential is too unless it
-            # lies above it somewhere
-            canonical = canonical_potential(stored_c0, stored_cinf)
-            if PAGeneral(pts, -cinf, c0) == canonical:
-                if place == ARCH:
-                    roofs[ARCH] = legendre_roof(canonical)
-                continue
-        roofs[place] = legendre_roof(env)
+        roofs[place] = legendre_roof(convex_envelope(
+            PAGeneral._raw(_clean_points(pts), -cinf, c0)))
     roof = _roof_sum(roofs.pop(ARCH), [
         (data[place][0], roofs[place])
         for place in sorted(roofs, key=_place_sort_key)])
-    return roof.restrict(Interval(-stored_cinf + v0, stored_c0 - vinf))
+    return roof.restrict(Interval(-cinf + v0, c0 - vinf))
 
 
 def _fall_rate(data, pots, roof, x, n):

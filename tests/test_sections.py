@@ -458,7 +458,9 @@ class TestEmpiricalTransform:
         def per_point_eval(*args):
             raise AssertionError("okounkov_sample evaluated a roof per point")
 
-        monkeypatch.setattr(pa, "_eval_points", per_point_eval)
+        for cls in (pa.ConcavePA, pa._LinePA):
+            for name in ("eval", "__call__"):
+                monkeypatch.setattr(cls, name, per_point_eval)
         got = okounkov_sample(pair, m).entries
         assert got == want
         assert [repr(t) for _, t in got] == [repr(t) for _, t in want]
