@@ -229,14 +229,6 @@ class ToricAdelicDivisor:
                 return False
         return True
 
-    @property
-    def is_strictly_effective(self) -> bool:
-        if not self.is_effective:
-            return False
-        arch = self.potential(ARCH)
-        bound = arch.lower_bound()
-        return bound is not None and bound > 0
-
     def to_payload(self) -> dict:
         return {
             "c0": str(self.c0),
@@ -385,10 +377,6 @@ class Pair:
         return all(
             self.divisor.ord(p) >= v for p, v in self.base.entries.items()
         )
-
-    @property
-    def is_strictly_effective(self) -> bool:
-        return self.is_effective and self.divisor.is_strictly_effective
 
     def perturb(self, place, phi) -> "Pair":
         """Add half of a bounded perturbation to the potential at one place.

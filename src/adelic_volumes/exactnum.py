@@ -57,7 +57,7 @@ from math import copysign, gcd, inf, isqrt, lcm
 from typing import Iterator, Mapping, Union
 
 from mpmath import iv
-from mpmath.libmp import to_rational
+from mpmath.libmp import round_nearest, to_float, to_rational
 
 from .errors import PrecisionExhausted
 
@@ -73,7 +73,7 @@ _PRECISION_CAP = 1 << 13
 
 
 def default_precision_bits() -> int:
-    """The working precision of ``interval()`` and ``float()``, 64 bits.
+    """The working precision of ``interval()``, 64 bits.
     ``sections`` starts its enclosures there and widens them until its
     result is decided."""
     return _PRECISION_BITS
@@ -718,8 +718,21 @@ class ExactNumber:
         return bool(self._num)
 
     def __float__(self):
-        box = self.interval(max(default_precision_bits(), 128))
-        return (float(box.a) + float(box.b)) / 2
+        """The nearest float, ties to even.  The enclosure is refined on the
+        rungs of the sign ladder until both of its ends round to one float,
+        which is then the rounding of the value; an irrational value is
+        never a tie, so this ends, and past ``_PRECISION_CAP`` bits
+        PrecisionExhausted is raised, as for a sign."""
+        bits = _SIGN_BITS
+        while bits <= _PRECISION_CAP:
+            lo, hi = self.interval(bits)._mpi_
+            lo = to_float(lo, rnd=round_nearest)
+            if lo == to_float(hi, rnd=round_nearest):
+                return lo
+            bits *= 2
+        raise PrecisionExhausted(
+            f"could not round {self!r} to a float below {_PRECISION_CAP} bits"
+        )
 
     def __repr__(self):
         num = _poly_str(self._num)

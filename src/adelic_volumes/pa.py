@@ -693,9 +693,6 @@ class PAGeneral(_LinePA):
         p, q = pts[-2], pts[-1]
         return bool(q[1] - p[1] <= self.right_slope * (q[0] - p[0]))
 
-    def as_convex(self) -> ConvexPA:
-        return ConvexPA(self.points, self.left_slope, self.right_slope)
-
     def to_payload(self) -> dict:
         return {"kind": "general", **self._payload()}
 

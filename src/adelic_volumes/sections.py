@@ -11,17 +11,24 @@ at most a factor (m+1) per place, invisible in the m -> infinity limit.
 
 All per-exponent counts are exact integers.  On a maximal run of exponents
 whose grid points lie on one affine piece of the archimedean roof, q_k =
-m psi_inf(k/m) steps by the slope s of the piece.  So e^q is enclosed once
-per run, at its start, and stepped by one enclosure of e^s in integer
-arithmetic, the lower end rounded down and the upper end up; floor(d_k e^q_k)
-is read off both ends with one integer division each.  An entry whose two
-ends give different floors is decided on its own by an enclosure whose
-precision starts at the bit size of the value (plus a margin) and doubles
-until both ends share a floor; e^q is irrational for rational q != 0, so the
-floor is well defined.  Only the final logarithm is floating point: the
-counts are multiplied exactly in chunks of a few thousand bits, and the logs
-of the chunks are summed at the working precision, so the full product of
-the counts is never formed.
+m psi_inf(k/m) = (A + B k) / D steps by the slope s = B / D of the piece.
+So e^q is enclosed once per run, at its start, and stepped by one enclosure
+of e^s in integer arithmetic.  The enclosure is carried as its lower end,
+rounded down, plus an integer error bound, rounded up: a step makes one
+full-width product, of the two lower ends, and the error grows by two
+narrow ones.  floor(d_k e^q_k) is read off both ends, the upper one
+reusing the product of d_k's numerator with the lower end.  An entry whose two ends give different floors is decided on
+its own by an enclosure whose precision starts at the bit size of the value
+(plus a margin) and doubles until both ends share a floor; e^q is
+irrational for rational q != 0, so the floor is well defined.
+
+A box keeps only the counts and the integer columns they came from (the
+exponents, the denominators as integer pairs, the runs' A, B and D); the
+per-exponent ``BoxEntry`` records are built the first time they are read,
+so the count product and its log never pay for them.  Only the final
+logarithm is floating point: the counts are multiplied exactly in chunks of
+a few thousand bits, and the logs of the chunks are summed at the working
+precision, so the full product of the counts is never formed.
 
 Budgets keep hostile input from hanging: a box has at most
 ``_MAX_BOX_ENTRIES`` exponents, its counts may need at most
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from mpmath import iv, mp
@@ -60,8 +68,8 @@ _MARGIN_BITS = 32
 # bits of all counts of one box together, bounded from the roofs'
 # breakpoints before any exp is taken.  The costliest admitted box, 1025
 # counts of about 65,000 bits each (a roof of height 44 at m = 1024), takes
-# 4.0-4.7 s (2-vCPU host, Python 3.11); a tent box at m = 4821, just under
-# the budget, 1.2-1.4 s.
+# 2.4-2.6 s, one 65,000-bit product per count (2-vCPU host, Python 3.11);
+# a tent box at m = 4821, just under the budget, about 0.7 s.
 _MAX_BOX_BITS = 1 << 26
 # bits past which ``SectionBox.log_count`` closes a chunk of the product of
 # the counts and takes its log: one log per 4,096 bits or per entry,
@@ -73,12 +81,11 @@ _LOG_CHUNK_BITS = 1 << 12
 _MAX_BOX_ENTRIES = 1 << 16
 
 
-def _size_bits(num: int, den: int, q: Fraction) -> int:
-    """An upper bound on the bit size of the integer part of num/den * e^q:
-    num/den < 2^(len(num) - len(den) + 1) and e^q < 2^ceil(1.443 q) for
-    q > 0."""
+def _size_bits(num: int, den: int, a: int, b: int) -> int:
+    """An upper bound on the bit size of the integer part of num/den * e^q,
+    q = a/b with b > 0, reduced or not: num/den < 2^(len(num) - len(den) +
+    1) and e^q < 2^ceil(1.443 q) for q > 0."""
     size = num.bit_length() - den.bit_length() + 1
-    a, b = q.numerator, q.denominator
     if a > 0:
         size += -((-a * 1443) // (1000 * b))
     return size
@@ -107,7 +114,7 @@ def _floor_scaled_exp(d: Fraction, q: Fraction) -> int:
     """
     if q == 0:
         return floor_fraction(d)
-    size = _size_bits(d.numerator, d.denominator, q)
+    size = _size_bits(d.numerator, d.denominator, q.numerator, q.denominator)
     # d e^q > 2^(len(num) - len(den) - 1 + floor(1.442 q)): an integer part
     # that wide has an ulp of 2 or more at every precision up to the cap
     if size > _MAX_FLOOR_BITS and q > 0 and (
@@ -157,8 +164,9 @@ def _affine_runs(roof: ConcavePA, m: int, k_lo: int, k_hi: int) -> list:
     a breakpoint opens the piece to its right."""
     pts = [(scalar_fraction(x), scalar_fraction(y)) for x, y in roof.points]
     if len(pts) == 1:
+        # a point window off the grid holds no exponent
         y = m * pts[0][1]
-        return [(k_lo, k_hi, y.numerator, 0, y.denominator)]
+        return [(k_lo, k_hi, y.numerator, 0, y.denominator)] if k_lo <= k_hi else []
     runs = []
     start = k_lo
     last = len(pts) - 2
@@ -203,16 +211,50 @@ class BoxEntry:
     count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SectionBox:
+    """The coefficient boxes of the m-th multiple, as ``section_box`` counts
+    them: the count of each exponent k, in increasing order, with the
+    integer columns it came from, the denominators d_k = num / den as pairs
+    (num, den) and the runs (first k, last k, A, B, D), which cover the
+    exponents in order, on which the log bound is (A + B k) / D.
+
+    ``count_product`` and ``log_count`` read only the counts.  ``entries``,
+    one ``BoxEntry`` per exponent, is built from the columns the first time
+    it is read.  A box is immutable, and two boxes are equal when their m
+    and entries are."""
+
     m: int
-    entries: tuple
+    _counts: tuple
+    _denominators: list
+    _runs: list
+
+    @cached_property
+    def entries(self) -> tuple:
+        bounds = ((k, a + b * k, den) for start, end, a, b, den in self._runs
+                  for k in range(start, end + 1))
+        return tuple(
+            BoxEntry(k=k, denominator=Fraction(num, dn),
+                     log_bound=Fraction(q, den), count=n)
+            for (k, q, den), (num, dn), n in zip(
+                bounds, self._denominators, self._counts))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.entries) == (other.m, other.entries)
+
+    def __hash__(self):
+        return hash((self.m, self.entries))
+
+    def __repr__(self):
+        return f"SectionBox(m={self.m!r}, entries={self.entries!r})"
 
     @property
     def count_product(self) -> int:
         out = 1
-        for e in self.entries:
-            out *= e.count
+        for n in self._counts:
+            out *= n
         return out
 
     def log_count(self):
@@ -224,7 +266,7 @@ class SectionBox:
         so the cost is linear in the bits of the counts, and the result is
         rounded no more often than a sum of per-entry logs."""
         with mp.workprec(default_precision_bits() + 32):
-            return mp.fsum(_chunk_logs(e.count for e in self.entries))
+            return mp.fsum(_chunk_logs(self._counts))
 
 
 def _chunk_logs(counts):
@@ -287,13 +329,15 @@ def section_box(pair, m: int) -> SectionBox:
     """Enumerate the coefficient boxes of the m-th multiple of a pair.
 
     The exponents run in maximal runs whose grid points lie on one affine
-    piece of the archimedean roof.  On a run, q_k = m psi_inf(k/m) steps by
-    the slope s, so e^q_k is enclosed once at the run's start and then
-    stepped by an enclosure of e^s in integer arithmetic, the lower end
-    rounded down and the upper end up; the finite-place exponents are
-    integer floors of (A + B k) / D.  An entry whose two ends give different
-    floors, or a run whose precision would pass ``_MAX_FLOOR_BITS``, is
-    decided by ``_floor_scaled_exp``.
+    piece of the archimedean roof.  On a run, q_k = m psi_inf(k/m) = (A + B
+    k) / D steps by the slope B / D, so e^q_k is enclosed once at the run's
+    start and then stepped by an enclosure of e^(B/D) in integer arithmetic,
+    as a lower end plus an error bound; the finite-place exponents are
+    integer floors of (A' + B' k) / D'.  An entry whose two ends give
+    different floors, or a run whose precision would pass
+    ``_MAX_FLOOR_BITS``, is decided by ``_floor_scaled_exp``.  The box
+    keeps the counts and these integer columns, and builds its entries when
+    they are first read.
 
     Raises ValueError when the window holds more than ``_MAX_BOX_ENTRIES``
     exponents or the counts may need more than ``_MAX_BOX_BITS`` bits, and
@@ -315,15 +359,12 @@ def section_box(pair, m: int) -> SectionBox:
             raise OutOfDomain(f"[{lo}, {hi}] is not inside {roof.domain}")
     _check_cost(psi_inf, finite, k_hi - k_lo + 1, m)
     ds = _denominators(finite, m, k_lo, k_hi)
-    entries = []
-    for start, end, a, b, den in _affine_runs(psi_inf, m, k_lo, k_hi):
-        qs = [Fraction(a + b * k, den) for k in range(start, end + 1)]
-        run = ds[start - k_lo:end - k_lo + 1]
-        for k, (num, dn), q, n in zip(range(start, end + 1), run, qs,
-                                      _run_floors(run, qs, Fraction(b, den))):
-            entries.append(BoxEntry(k=k, denominator=Fraction(num, dn),
-                                    log_bound=q, count=2 * n + 1))
-    return SectionBox(m=m, entries=tuple(entries))
+    runs = _affine_runs(psi_inf, m, k_lo, k_hi)
+    counts = []
+    for start, end, a, b, den in runs:
+        counts += [2 * n + 1 for n in _run_floors(
+            ds[start - k_lo:end - k_lo + 1], start, a, b, den)]
+    return SectionBox(m, tuple(counts), ds, runs)
 
 
 def _denominators(finite: dict, m: int, k_lo: int, k_hi: int) -> list:
@@ -350,40 +391,59 @@ def _denominators(finite: dict, m: int, k_lo: int, k_hi: int) -> list:
     return list(zip(nums, dens))
 
 
-def _run_floors(ds: list, qs: list, slope: Fraction) -> list:
-    """floor(num/den * e^q) for each (num, den) of ``ds`` and q of ``qs``,
-    where the q step by ``slope``.
+def _run_floors(ds: list, start: int, a: int, b: int, den: int) -> list:
+    """floor(num/d * e^q_k) for each (num, d) of ``ds`` and k = start,
+    start + 1, ..., where q_k = (a + b k) / den, den > 0.
 
     e^q is enclosed once at the first q and stepped by an enclosure of
-    e^slope, at P bits: the largest start precision of the run plus 2
+    e^(b/den), at P bits: the largest start precision of the run plus 2
     bitlen(run length) guard bits, which cover the rounding of the steps.
-    Entries whose ends give different floors, and every entry of a run whose
-    P would pass ``_MAX_FLOOR_BITS``, are decided by ``_floor_scaled_exp``.
+    The enclosure is carried as its lower end ``low`` and an integer error
+    ``err``, the upper end being low + err.  A step multiplies the lower
+    ends, the one full-width product, and (low + err)(step_low + step_err)
+    - low step_low = low step_err + err (step_low + step_err) gives the new
+    error from two products with a narrow factor; both ends are then
+    rounded back to about P bits, down and up, as a pair of explicit ends
+    would be, so the ends are the same integers.  The floor of the upper
+    end reuses num * low.  Entries whose ends give different floors, and
+    every entry of a run whose P would pass ``_MAX_FLOOR_BITS``, are decided
+    by ``_floor_scaled_exp``.
     """
-    bits = max(_start_bits(_size_bits(num, den, q))
-               for (num, den), q in zip(ds, qs))
-    bits += 2 * len(qs).bit_length()
+    ks = range(start, start + len(ds))
+    bits = _start_bits(max(_size_bits(num, d, a + b * k, den)
+                           for k, (num, d) in zip(ks, ds)))
+    bits += 2 * len(ds).bit_length()
     if bits > _MAX_FLOOR_BITS:
-        return [_floor_scaled_exp(Fraction(num, den), q)
-                for (num, den), q in zip(ds, qs)]
-    low, high, e = _exp_mantissas(qs[0], bits)
-    if len(qs) > 1:
-        step_low, step_high, step_e = _exp_mantissas(slope, bits)
+        return [_floor_scaled_exp(Fraction(num, d), Fraction(a + b * k, den))
+                for k, (num, d) in zip(ks, ds)]
+    low, high, e = _exp_mantissas(Fraction(a + b * start, den), bits)
+    err = high - low
+    if len(ds) > 1:
+        step_low, step_high, step_e = _exp_mantissas(Fraction(b, den), bits)
+        step_err = step_high - step_low
     out = []
-    for i, ((num, den), q) in enumerate(zip(ds, qs)):
-        if i:
-            # one step of e^slope, then back to about P bits
+    for k, (num, d) in zip(ks, ds):
+        if k != start:
+            # one step of e^(b/den), then back to about P bits
+            err = low * step_err + err * step_high
             low *= step_low
-            high *= step_high
             e += step_e
-            shift = high.bit_length() - bits
+            shift = (low + err).bit_length() - bits
             if shift > 0:
+                # ceil((low + err) / 2^shift) - floor(low / 2^shift)
+                mask = (1 << shift) - 1
+                err = ((low & mask) + err + mask) >> shift
                 low >>= shift
-                high = -(-high >> shift)
                 e += shift
-        n = _floor_times(num, den, low, e)
-        if n != _floor_times(num, den, high, e):
-            n = _floor_scaled_exp(Fraction(num, den), q)
+        x = num * low
+        y = x + num * err
+        if e >= 0:
+            x, y = x << e, y << e
+        else:
+            x, y = x >> -e, y >> -e
+        n = x // d
+        if y != x and y // d != n:
+            n = _floor_scaled_exp(Fraction(num, d), Fraction(a + b * k, den))
         out.append(n)
     return out
 

@@ -165,17 +165,13 @@ class TestAlgebra:
 class TestEffectivity:
     def test_gallery_shapes(self):
         assert slant_divisor().is_effective
-        assert slant_divisor().is_strictly_effective  # potential min is 1
-        assert height_shift(1).is_strictly_effective
         assert not height_shift(-1).is_effective
         assert not ToricAdelicDivisor(-1, 2).is_effective
 
     def test_canonical_boundary_case(self):
-        # canonical potential of (1, 0) touches zero, so effective but not
-        # strictly so
+        # canonical potential of (1, 0) touches zero, so effective
         d = ToricAdelicDivisor(1, 0)
         assert d.is_effective
-        assert not d.is_strictly_effective
 
     def test_pair_effectivity_uses_raw_orders(self):
         d = slant_divisor()

@@ -8,7 +8,8 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from mpmath import mp
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adelic_volumes import exactnum
@@ -488,3 +489,69 @@ def test_give_up_keeps_the_value(monkeypatch):
     monkeypatch.undo()
     assert x == p / q
     assert float(x) == pytest.approx(float(p / q), rel=1e-14)
+
+
+def _mp_float(x):
+    """float(x) through a 1,000-bit mpmath value of its numerator and
+    denominator polynomials."""
+    def value(poly):
+        out = mp.mpf(0)
+        for mono, c in poly.items():
+            term = mp.mpf(c.numerator) / c.denominator
+            for p in mono:
+                term *= mp.log(p)
+            out += term
+        return out
+
+    with mp.workprec(1000):
+        return float(value(x._num) / value(x._den))
+
+
+def _from_poly(poly):
+    out = Fraction(0)
+    for mono, c in poly.items():
+        term = c
+        for p in mono:
+            term = term * log_unit(p)
+        out = out + term
+    return out
+
+
+@given(_polys, st.one_of(st.just({(): Fraction(1)}), _polys),
+       st.sampled_from([8, 16, 128]))
+@example({(2,): Fraction(1)}, {(): Fraction(1)}, 8)
+@example({(2,): Fraction(1), (3,): Fraction(-1)}, {(2, 5): Fraction(3)}, 16)
+@settings(max_examples=200, deadline=None)
+def test_float_is_correctly_rounded(num, den, rung):
+    # a first rung below 53 bits makes every value refine its enclosure
+    x = _from_poly(num)
+    d = _from_poly(den)
+    assume(isinstance(x, ExactNumber) and d != 0)
+    x = x / d
+    assume(isinstance(x, ExactNumber))
+    want = _mp_float(x)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactnum, "_SIGN_BITS", rung)
+        assert float(x) == want
+    assert float(x) == want
+
+
+def test_float_refines_and_gives_up(monkeypatch):
+    # the rational 157/88 held as an ExactNumber: the nearest float, which
+    # the mean of the two truncated ends of an enclosure was not
+    assert float(exact(Fraction(157, 88))) == 1.7840909090909092
+    precisions = []
+    original = ExactNumber.interval
+
+    def recording(self, bits=None):
+        precisions.append(bits)
+        return original(self, bits)
+
+    monkeypatch.setattr(ExactNumber, "interval", recording)
+    monkeypatch.setattr(exactnum, "_SIGN_BITS", 8)
+    assert float(L3 / L2) == _mp_float(L3 / L2)
+    assert precisions[0] == 8 and len(precisions) >= 4
+    assert precisions == [8 * 2 ** i for i in range(len(precisions))]
+    monkeypatch.setattr(exactnum, "_PRECISION_CAP", 32)
+    with pytest.raises(PrecisionExhausted, match="32 bits"):
+        float(L3 / L2)

@@ -562,8 +562,6 @@ def test_checking_constructors_still_check():
     with pytest.raises(NotConvex):
         ConvexPA([(F(0), F(0))], 1, -1)
     with pytest.raises(NotConvex):
-        PAGeneral([(F(0), F(0)), (F(1), F(1)), (F(2), F(0))], -1, 1).as_convex()
-    with pytest.raises(NotConvex):
         ConvexPA.from_payload({"points": [["0", "0"], ["1", "1"]],
                                "left_slope": "2", "right_slope": "3"})
     with pytest.raises(NotConcave):

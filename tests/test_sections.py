@@ -7,6 +7,7 @@ on [0, 1], so the box at exponent k of the m-th multiple holds the odd count
 floor(e^4) = 54 this gives products 15, 225 and 1005525 at m = 1, 2, 4.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+import adelic_volumes.cli as cli
 import adelic_volumes.pa as pa
 import adelic_volumes.sections as sections
 from adelic_volumes.errors import EmptyPolytope, NotBig, OutOfDomain
@@ -32,7 +34,7 @@ from adelic_volumes.exactnum import floor_fraction, log_unit, scalar_fraction
 from adelic_volumes.harness import sample_big_pair
 from adelic_volumes.pa import Interval, _eval_on_grid
 from adelic_volumes.points import BaseCondition
-from adelic_volumes.scenes import scene_from_dict
+from adelic_volumes.scenes import save_scene, scene_from_dict
 from adelic_volumes.sections import (
     BoxEntry,
     analytic_okounkov,
@@ -75,6 +77,38 @@ def _assert_floor(n, d, q, bits):
 
 
 class TestSectionBox:
+    def test_counts_never_build_entries(self, monkeypatch, tmp_path):
+        # the oracle reads only the counts: no BoxEntry is built for it
+        scene = tmp_path / "slant_p2_p3.json"
+        save_scene(_slant_p2_p3(), scene)
+        box = section_box(_slant_p2_p3(), 64)
+
+        def refuse(**fields):
+            raise AssertionError("a BoxEntry was built")
+
+        monkeypatch.setattr(sections, "BoxEntry", refuse)
+        assert cli.main(["oracle", str(scene), "--m", "64"]) == 0
+        fresh = section_box(_slant_p2_p3(), 64)
+        assert fresh.count_product == box.count_product
+        assert float(fresh.log_count()) == float(box.log_count())
+        with pytest.raises(AssertionError, match="BoxEntry"):
+            fresh.entries
+
+    def test_entries_match_per_entry_floors(self):
+        pair = _slant_p2_p3()
+        box = section_box(pair, 64)
+        assert box.entries == _per_entry_box(pair, 64)
+        # built once, and the box stays a value
+        assert box.entries is box.entries
+        assert box == section_box(pair, 64)
+        assert hash(box) == hash(section_box(pair, 64))
+        assert box != section_box(pair, 63)
+        assert repr(box) == f"SectionBox(m=64, entries={box.entries!r})"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            box.entries = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            box.m = 3
+
     def test_slant_product_m1(self):
         box = section_box(slant_divisor(), 1)
         assert [e.count for e in box.entries] == [5, 3]
@@ -134,6 +168,14 @@ class TestSectionBox:
             section_box(slant_divisor(), 0)
         with pytest.raises(ValueError):
             section_box(slant_divisor(), -3)
+
+    def test_point_window_off_the_grid(self):
+        # the window [1/3, 1/3] holds no exponent at m = 1 and one at m = 3
+        pair = scene_from_dict({"c0": "1/3", "cinf": "-1/3", "potentials": {}})
+        box = section_box(pair, 1)
+        assert box.entries == () and box.count_product == 1
+        assert box.log_count() == 0
+        assert [(e.k, e.count) for e in section_box(pair, 3).entries] == [(1, 3)]
 
     def test_empty_window(self):
         starved = Pair(slant_divisor(), BaseCondition({"0": F(2)}))
@@ -227,6 +269,51 @@ def _counting_fallbacks(monkeypatch):
     return calls
 
 
+@st.composite
+def _runs(draw):
+    """(ds, start, a, b, den) for _run_floors: denominators as a finite
+    place makes them, 2^i 3^j above or below, and q_k = (a + b k) / den
+    from about -400 to 700 on the run."""
+    den = draw(st.integers(1, 300))
+    start = draw(st.integers(-64, 64))
+    b = draw(st.integers(-8 * den, 8 * den))
+    a = draw(st.integers(-60 * den, 300 * den)) - b * start
+    exps = draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(-25, 25)),
+                         min_size=1, max_size=40))
+    ds = [(2 ** max(i, 0) * 3 ** max(j, 0), 2 ** max(-i, 0) * 3 ** max(-j, 0))
+          for i, j in exps]
+    return ds, start, a, b, den
+
+
+def _two_ended_floors(ds, start, a, b, den, bits):
+    """The run ladder with both ends of the enclosure stepped by full
+    products, at ``bits`` bits: the floors, and the k whose ends straddle
+    an integer and go to the per-entry decider."""
+    low, high, e = sections._exp_mantissas(F(a + b * start, den), bits)
+    step_low, step_high, step_e = sections._exp_mantissas(F(b, den), bits)
+    floors, fallbacks = [], []
+    for k, (num, d) in zip(range(start, start + len(ds)), ds):
+        if k != start:
+            low *= step_low
+            high *= step_high
+            e += step_e
+            shift = high.bit_length() - bits
+            if shift > 0:
+                low >>= shift
+                high = -(-high >> shift)
+                e += shift
+        n = sections._floor_times(num, d, low, e)
+        if n != sections._floor_times(num, d, high, e):
+            fallbacks.append(k)
+            n = sections._floor_scaled_exp(F(num, d), F(a + b * k, den))
+        floors.append(n)
+    return floors, fallbacks
+
+
+def _long_run(length):
+    return [(1, 1)] * length, 0, 7 * length, -5, 3
+
+
 _LADDER_CASES = {
     "tent_128": (Pair(tent_divisor()), 128),
     "slant_p2_p3_64": (_slant_p2_p3(), 64),
@@ -291,6 +378,45 @@ class TestLadder:
         assert section_box(pair, m).entries == want
         assert len(calls) == len(want)
 
+    @given(_runs(), st.sampled_from([32, -16, -40, None]))
+    # long enough that the error carried through the steps needs its guard
+    # bits
+    @example(_long_run(300), 32)
+    @example(_long_run(300), -40)
+    @example(([(3 ** 20, 2 ** 9)] * 64, 5, 1000, 7, 1), -16)
+    @example(([(1, 1)], 0, 0, 1, 1), 32)
+    @example(([(1, 1)] * 3, 0, 0, 0, 1), None)
+    @settings(max_examples=80, deadline=None)
+    def test_run_matches_per_entry_floors(self, run, margin):
+        # A margin below the working precision leaves enclosures wider than
+        # an integer: the carried error must send the same entries to the
+        # per-entry decider as two stepped ends do.  margin None keeps the
+        # default and lowers _MAX_FLOOR_BITS just under the run's precision,
+        # so the whole run goes to the per-entry decider, whose first
+        # attempt still fits under the lowered cap.
+        ds, start, a, b, den = run
+        ks = range(start, start + len(ds))
+        want = [sections._floor_scaled_exp(F(num, d), F(a + b * k, den))
+                for k, (num, d) in zip(ks, ds)]
+        with pytest.MonkeyPatch.context() as patch:
+            if margin is not None:
+                patch.setattr(sections, "_MARGIN_BITS", margin)
+            size = max(sections._size_bits(num, d, a + b * k, den)
+                       for k, (num, d) in zip(ks, ds))
+            bits = sections._start_bits(size) + 2 * len(ds).bit_length()
+            if margin is None:
+                patch.setattr(sections, "_MAX_FLOOR_BITS", bits - 1)
+                fallbacks = ks
+            else:
+                floors, fallbacks = _two_ended_floors(ds, start, a, b, den, bits)
+                assert floors == want
+            calls = []
+            original = sections._floor_scaled_exp
+            patch.setattr(sections, "_floor_scaled_exp",
+                          lambda d, q: calls.append(q) or original(d, q))
+            assert sections._run_floors(ds, start, a, b, den) == want
+        assert calls == [F(a + b * k, den) for k in fallbacks]
+
     def test_one_enclosure_pair_per_run(self):
         pair = _slant_p2_p3()
         psi_inf, _ = sections.place_roofs(pair)
@@ -344,16 +470,23 @@ class TestFloorScaledExp:
 
     @given(st.integers(1, 2 ** 200), st.integers(1, 2 ** 200),
            st.one_of(st.fractions(), st.builds(
-               F, st.integers(-2 ** 1000, 2 ** 1000), st.integers(1, 2 ** 1000))))
-    @example(1, 1, F(0))
-    @example(3, 5, F(-7, 2))
-    @example(2 ** 100, 3, F(2 ** 1000 + 1, 3 ** 600))
+               F, st.integers(-2 ** 1000, 2 ** 1000), st.integers(1, 2 ** 1000))),
+           st.integers(1, 2 ** 70))
+    @example(1, 1, F(0), 1)
+    @example(3, 5, F(-7, 2), 6)
+    @example(2 ** 100, 3, F(2 ** 1000 + 1, 3 ** 600), 1)
+    @example(1, 1, F(1000, 1443), 7)
+    @example(1, 1, F(1001, 1443), 2 ** 70)
     @settings(max_examples=200, deadline=None)
-    def test_size_bits_matches_the_fraction_formula(self, num, den, q):
+    def test_size_bits_matches_the_fraction_formula(self, num, den, q, scale):
+        # q = a/b reaches _size_bits as integers, reduced or, as a run's
+        # (A + B k) / D, not
         want = num.bit_length() - den.bit_length() + 1
         if q > 0:
             want += -((-q * 1443) // 1000)
-        assert sections._size_bits(num, den, q) == want
+        a, b = q.numerator, q.denominator
+        assert sections._size_bits(num, den, a, b) == want
+        assert sections._size_bits(num, den, a * scale, b * scale) == want
 
     def test_zero_exponent_is_exact(self):
         assert _floor_with_precisions(F(7, 2), F(0)) == (3, [])
