@@ -4,33 +4,34 @@ Quantities produced by toric arithmetic on the projective line are rational
 linear combinations of 1 and logarithms of primes, together with the products
 and quotients that convex geometry makes from them (cut points of roofs, areas
 of clipped triangles).  All of it lives in the fraction field of the polynomial
-ring Q[log 2, log 3, ...], which this module implements directly:
+ring Q[log 2, log 3, ...], which this module implements directly, over Z:
 
 * a monomial is a sorted tuple of primes with multiplicity, ``()`` meaning 1;
   the key ``0`` stands for eps (see below) and sorts before every prime;
-* a polynomial is a dict monomial -> Fraction;
-* a number is a quotient num/den of two polynomials, with the denominator
-  folded into the numerator whenever it is purely rational.
+* a polynomial is a dict monomial -> nonzero int;
+* a number is n / (s * d): n and d polynomials, s a positive int with
+  gcd(content(n), s) = 1, and d primitive with a positive value, or the
+  shared unit ``_UNIT`` whenever it would be the constant 1.
 
-Quotients are kept small by cancelling the polynomial gcd of num and den,
-computed over Z.  Disjoint variables need no gcd, and an affine side is
-irreducible, so it either divides the other side exactly or shares nothing
-with it; the rest goes to the heuristic gcd of Char, Geddes and Gonnet
-(1989): evaluate one log variable at a large integer xi, recurse down to
-integer gcds, rebuild a candidate from its symmetric xi-adic digits and keep
-it only if it divides both polynomials exactly.  If a few values of xi all
-fail, the quotient stays uncancelled.  That is safe: the canonical form only
-controls size, and no result depends on it.
+Quotients are kept small by cancelling the polynomial gcd of n and d.
+Disjoint variables need no gcd, and an affine side is irreducible, so it
+either divides the other side exactly or shares nothing with it; the rest goes
+to the heuristic gcd of Char, Geddes and Gonnet (1989): evaluate one log
+variable at a large integer xi, recurse down to integer gcds, rebuild a
+candidate from its symmetric xi-adic digits and keep it only if it divides
+both polynomials exactly.  If a few values of xi all fail, the quotient stays
+uncancelled.  That is safe: the canonical form only controls size, and no
+result depends on it.
 
 Equality is decided exactly, by cross-multiplied coefficient comparison.  The
 sign of a coefficient-wise nonzero value is decided by one ladder: the signs
 of the coefficients when they agree (every log p is positive), then a sum of
 cached dyadic enclosures of the monomials at 128 bits, doubled until the
-enclosure separates from zero; each rung sums integer numerators over one
-common denominator.  A real zero invisible to the coefficients
-would be a rational dependence between products of prime logarithms; the
-ladder is capped and raises :class:`~adelic_volumes.errors.PrecisionExhausted`
-rather than loop forever on such a miracle.
+enclosure separates from zero; each rung sums integers over one power of two.
+A real zero invisible to the coefficients would be a rational dependence
+between products of prime logarithms; the ladder is capped and raises
+:class:`~adelic_volumes.errors.PrecisionExhausted` rather than loop forever on
+such a miracle.  ``float`` reads the same rungs.
 
 :data:`EPS` is a positive infinitesimal, as in simulation of simplicity
 (Edelsbrunner and Muecke, ACM TOG 1990).  Its key 0 is not prime, so no
@@ -38,33 +39,33 @@ scene, place or :func:`log_unit` call can make it.  A polynomial with eps
 and coefficients of both signs takes the sign of its lowest eps-degree
 coefficient, decided by the ladder above.  So a computation at D + eps*E
 takes every branch it takes at D + t*E for all small t > 0, and returns the
-exact piece beside 0 (:func:`eps_coefficients`).  eps has no interval.
+exact piece beside 0 (:func:`eps_coefficients`).  eps has no float.
 
 A rational value has one type, ``fractions.Fraction``: every arithmetic
 result, and every coefficient from :func:`eps_coefficients`, is a Fraction
 exactly when it is rational (log terms that cancel, ``x * 0``, ``x ** 0``
 included), and an ExactNumber otherwise.  ``exact(q)`` is the only way to
-hold a rational as an ExactNumber.  Fractions mix freely with ExactNumbers
-in arithmetic and comparisons, and the ``scalar_*`` helpers at the bottom
-give call sites one vocabulary for "Fraction or ExactNumber".
+hold a rational as an ExactNumber.  Fractions and ints mix freely with
+ExactNumbers in arithmetic and comparisons, and the ``scalar_*`` helpers at
+the bottom give call sites one vocabulary for "Fraction or ExactNumber".
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from math import copysign, gcd, inf, isqrt, lcm
-from typing import Iterator, Mapping, Union
+from math import copysign, gcd, inf, isqrt
+from typing import Iterator, Union
 
 from mpmath import iv
-from mpmath.libmp import round_nearest, to_float, to_rational
+from mpmath.libmp import to_rational
 
 from .errors import PrecisionExhausted
 
 Mono = tuple  # tuple[int, ...], sorted primes with multiplicity
-Poly = dict  # dict[Mono, Fraction]
+Poly = dict  # dict[Mono, int]
 
-_ONE_POLY = {(): Fraction(1)}
+_UNIT = {(): 1}  # the denominator of every value whose d is 1
 
 _EPS = 0  # the monomial key of eps
 _PRECISION_BITS = 64
@@ -73,9 +74,8 @@ _PRECISION_CAP = 1 << 13
 
 
 def default_precision_bits() -> int:
-    """The working precision of ``interval()``, 64 bits.
-    ``sections`` starts its enclosures there and widens them until its
-    result is decided."""
+    """The starting precision, 64 bits, of the mpmath enclosures in
+    ``sections``, which widens them until its result is decided."""
     return _PRECISION_BITS
 
 
@@ -127,15 +127,20 @@ def _mono_bounds(mono: Mono, bits: int) -> tuple:
     return b
 
 
-def _poly_interval(poly: Poly, bits: int):
-    with _iv_precision(bits):
-        acc = iv.mpf(0)
-        for mono, coeff in poly.items():
-            term = iv.mpf(coeff.numerator) / coeff.denominator
-            for p in mono:
-                term = term * _log_interval(p, bits)
-            acc = acc + term
-        return acc
+def _poly_bounds(poly: Poly, bits: int) -> tuple:
+    """(lo, hi, top) with lo / 2^top <= poly <= hi / 2^top, all integers:
+    one rung of the ladder, from the ``bits``-bit monomial bounds."""
+    bounds = [(c, _mono_bounds(mono, bits)) for mono, c in poly.items()]
+    top = max((k for _, (_, _, k) in bounds), default=0)
+    lo = hi = 0
+    for n, (mlo, mhi, k) in bounds:
+        if n > 0:
+            lo += (n * mlo) << (top - k)
+            hi += (n * mhi) << (top - k)
+        else:
+            lo += (n * mhi) << (top - k)
+            hi += (n * mlo) << (top - k)
+    return lo, hi, top
 
 
 def _has_eps(poly: Poly) -> bool:
@@ -144,40 +149,27 @@ def _has_eps(poly: Poly) -> bool:
 
 def _poly_sign(poly: Poly) -> int:
     """The sign of a polynomial, by the ladder: uniform coefficient signs,
-    then the lowest eps layer, then rational enclosures at ``_SIGN_BITS``
-    bits, doubled up to ``_PRECISION_CAP``, past which PrecisionExhausted
-    is raised."""
+    then the lowest eps layer, then the rungs of ``_poly_bounds`` from
+    ``_SIGN_BITS`` bits, doubled up to ``_PRECISION_CAP``, past which
+    PrecisionExhausted is raised."""
     if not poly:
         return 0
-    if len(poly) == 1 and () in poly:
-        c = poly[()]
-        return (c > 0) - (c < 0)
     # every monomial is a product of log p > 0, so uniform coefficient signs
     # settle the sign without an enclosure
-    signs = {c.numerator > 0 for c in poly.values()}
-    if len(signs) == 1:
-        return 1 if True in signs else -1
+    it = iter(poly.values())
+    positive = next(it) > 0
+    for c in it:
+        if (c > 0) is not positive:
+            break
+    else:
+        return 1 if positive else -1
     if _has_eps(poly):
         low = min(m.count(_EPS) for m in poly)
         return _poly_sign({m[low:]: c for m, c in poly.items()
                            if m.count(_EPS) == low})
-    # each rung sums integers: the coefficients over their common
-    # denominator, times the bounds over the rung's largest power of two
-    common = lcm(*(c.denominator for c in poly.values()))
-    terms = [(mono, c.numerator * (common // c.denominator))
-             for mono, c in poly.items()]
     bits = _SIGN_BITS
     while bits <= _PRECISION_CAP:
-        bounds = [_mono_bounds(mono, bits) for mono, _ in terms]
-        top = max(k for _, _, k in bounds)
-        lo = hi = 0
-        for (_, n), (mlo, mhi, k) in zip(terms, bounds):
-            if n > 0:
-                lo += (n * mlo) << (top - k)
-                hi += (n * mhi) << (top - k)
-            else:
-                lo += (n * mhi) << (top - k)
-                hi += (n * mlo) << (top - k)
+        lo, hi, _ = _poly_bounds(poly, bits)
         if lo > 0:
             return 1
         if hi < 0:
@@ -188,50 +180,38 @@ def _poly_sign(poly: Poly) -> int:
     )
 
 
-def _padd(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for mono, coeff in b.items():
-        c = out.get(mono, 0) + coeff
-        if c:
-            out[mono] = c
+# -- integer polynomials ---------------------------------------------------
+
+
+def _lin(a: Poly, x: int, b: Poly, y: int) -> Poly:
+    """x * a + y * b."""
+    out = {m: c * x for m, c in a.items()} if x != 1 else dict(a)
+    for m, c in b.items():
+        v = out.get(m, 0) + c * y
+        if v:
+            out[m] = v
         else:
-            out.pop(mono, None)
+            del out[m]
     return out
 
 
-def _pneg(a: Poly) -> Poly:
-    return {mono: -coeff for mono, coeff in a.items()}
+def _mono_mul(a: Mono, b: Mono) -> Mono:
+    if not a or not b or a[-1] <= b[0]:
+        return a + b
+    return tuple(sorted(a + b))
 
 
-def _pmul(a: Poly, b: Poly) -> Poly:
+def _mul(a: Poly, b: Poly) -> Poly:
+    if b is _UNIT:
+        return a
+    if a is _UNIT:
+        return b
     out: Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            mono = tuple(sorted(ma + mb))
-            c = out.get(mono, 0) + ca * cb
-            if c:
-                out[mono] = c
-            else:
-                out.pop(mono, None)
-    return out
-
-
-def _pscale(a: Poly, q: Fraction) -> Poly:
-    if not q:
-        return {}
-    return {mono: coeff * q for mono, coeff in a.items()}
-
-
-def _pcontent(a: Poly) -> Fraction:
-    """gcd of the coefficients, as a positive rational; 1 for the empty poly."""
-    num = 0
-    den = 1
-    for coeff in a.values():
-        num = gcd(num, abs(coeff.numerator))
-        den = den * coeff.denominator // gcd(den, coeff.denominator)
-    if num == 0:
-        return Fraction(1)
-    return Fraction(num, den)
+            m = _mono_mul(ma, mb)
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
 
 
 def _pdegree(a: Poly) -> int:
@@ -240,10 +220,9 @@ def _pdegree(a: Poly) -> int:
 
 # -- polynomial gcd over Z ------------------------------------------------
 #
-# _cancel works on integer polynomials in dense exponent form: a dict from
-# exponent tuples (one entry per log variable) to nonzero ints.  An affine
-# side is divided out by _zdivide; the general case goes to the heuristic
-# gcd of Char, Geddes and Gonnet (1989).
+# An affine side is divided out by _zdivide; the general case goes to the
+# heuristic gcd of Char, Geddes and Gonnet (1989), which evaluates the
+# variables of both sides in increasing order.
 
 _HEU_GCD_TRIES = 6
 
@@ -263,62 +242,95 @@ def _primitive(f: dict) -> tuple:
     return c, {e: v // c for e, v in f.items()}
 
 
-def _zeval(f: dict, xi: int) -> dict:
-    """f with its first variable set to xi."""
+def _zeval(f: dict, var: int, xi: int) -> dict:
+    """f with var, a variable below every other one in f, set to xi."""
     powers = [1]
     out: dict = {}
-    for exps, c in f.items():
-        e = exps[0]
+    for mono, c in f.items():
+        e = mono.count(var)
         while len(powers) <= e:
             powers.append(powers[-1] * xi)
-        rest = exps[1:]
+        rest = mono[e:]
         out[rest] = out.get(rest, 0) + c * powers[e]
-    return {e: c for e, c in out.items() if c}
+    return {m: c for m, c in out.items() if c}
 
 
-def _zinterpolate(h: dict, xi: int) -> dict:
-    """The polynomial whose coefficients of x^i are the symmetric base-xi
-    digits of weight xi^i of h's coefficients, x a new first variable."""
+def _zinterpolate(h: dict, var: int, xi: int) -> dict:
+    """The polynomial whose coefficients of var^i are the symmetric base-xi
+    digits of weight xi^i of h's coefficients, var below h's variables."""
     out: dict = {}
     half = xi // 2
     i = 0
     while h:
         higher = {}
-        for exps, c in h.items():
+        for mono, c in h.items():
             d = c % xi
             if d > half:
                 d -= xi
             if d:
-                out[(i,) + exps] = d
+                out[(var,) * i + mono] = d
             c = (c - d) // xi
             if c:
-                higher[exps] = c
+                higher[mono] = c
         h = higher
         i += 1
     return out
 
 
+def _mono_quo(m: Mono, n: Mono):
+    """m / n, or None when n does not divide m."""
+    out = []
+    i = 0
+    for p in n:
+        while i < len(m) and m[i] < p:
+            out.append(m[i])
+            i += 1
+        if i == len(m) or m[i] != p:
+            return None
+        i += 1
+    out.extend(m[i:])
+    return tuple(out)
+
+
+def _degrees(f: dict) -> dict:
+    """The degree of f in each of its variables."""
+    out: dict = {}
+    for mono in f:
+        for p in set(mono):
+            out[p] = max(out.get(p, 0), mono.count(p))
+    return out
+
+
+def _order(mono: Mono) -> tuple:
+    # total degree first; among equal degrees a sorted tuple is smaller when
+    # its first differing variable has the larger exponent, and that order
+    # is kept by multiplication
+    return len(mono), mono
+
+
 def _zdivide(f: dict, g: dict):
-    """The exact quotient f / g in Z[x, ...], or None when g does not
-    divide f.  Long division by lex-leading terms; every quotient exponent
-    is capped by the degrees of f minus those of g, so it ends either way."""
-    lead_g = max(g)
+    """The exact quotient f / g in Z[log 2, ...], or None when g does not
+    divide f.  Long division by leading terms in ``_order``; every quotient
+    exponent is capped by the degrees of f minus those of g, so it ends
+    either way."""
+    lead_g = max(g, key=_order)
     c_g = g[lead_g]
-    tail_g = [(e, c) for e, c in g.items() if e != lead_g]
-    caps = [max(fcol) - max(gcol) for fcol, gcol in zip(zip(*f), zip(*g))]
+    tail_g = [(m, c) for m, c in g.items() if m != lead_g]
+    deg_g = _degrees(g)
+    caps = {p: k - deg_g.get(p, 0) for p, k in _degrees(f).items()}
     rem = dict(f)
     quo: dict = {}
     while rem:
-        lead = max(rem)
-        e = tuple(a - b for a, b in zip(lead, lead_g))
-        if any(k < 0 or k > cap for k, cap in zip(e, caps)):
+        lead = max(rem, key=_order)
+        e = _mono_quo(lead, lead_g)
+        if e is None or any(e.count(p) > caps.get(p, 0) for p in set(e)):
             return None
         c, r = divmod(rem.pop(lead), c_g)
         if r:
             return None
         quo[e] = c
-        for eg, cg in tail_g:
-            m = tuple(a + b for a, b in zip(e, eg))
+        for mg, cg in tail_g:
+            m = _mono_mul(e, mg)
             v = rem.get(m, 0) - c * cg
             if v:
                 rem[m] = v
@@ -327,9 +339,9 @@ def _zdivide(f: dict, g: dict):
     return quo
 
 
-def _heu_gcd(f: dict, g: dict):
-    """(h, f/h, g/h) for h the gcd of two nonzero integer polynomials, or
-    None when the heuristic gives up.
+def _heu_gcd(f: dict, g: dict, variables: tuple):
+    """(h, f/h, g/h) for h the gcd of two nonzero integer polynomials in
+    the given variables, increasing, or None when the heuristic gives up.
 
     Evaluate the first variable at an integer xi, take the gcd of the images
     recursively (math.gcd once no variable is left), rebuild a candidate
@@ -340,20 +352,21 @@ def _heu_gcd(f: dict, g: dict):
     and a larger xi is tried, a fixed number of times."""
     cf, cg = _zcontent(f), _zcontent(g)
     c = gcd(cf, cg)
-    if not next(iter(f)):  # no variable left: f and g are integers
+    if not variables:  # f and g are integers
         return {(): c}, {(): f[()] // c}, {(): g[()] // c}
+    var, rest = variables[0], variables[1:]
     f = {e: v // cf for e, v in f.items()}
     g = {e: v // cg for e, v in g.items()}
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(_HEU_GCD_TRIES):
-        fx, gx = _zeval(f, xi), _zeval(g, xi)
+        fx, gx = _zeval(f, var, xi), _zeval(g, var, xi)
         # xi is sized by the smaller norm, so it can be a root of the other
         # polynomial; a zero image is an unlucky xi like a rejected candidate
         if fx and gx:
-            image = _heu_gcd(fx, gx)
+            image = _heu_gcd(fx, gx, rest)
             if image is None:
                 return None
-            _, h = _primitive(_zinterpolate(image[0], xi))
+            _, h = _primitive(_zinterpolate(image[0], var, xi))
             qf = _zdivide(f, h)
             if qf is not None:
                 qg = _zdivide(g, h)
@@ -365,69 +378,40 @@ def _heu_gcd(f: dict, g: dict):
     return None
 
 
-def _to_zpoly(poly: Poly, index: dict) -> tuple:
-    """(f, s) with f = s * poly in dense exponent form, s the lcm of the
-    coefficient denominators."""
-    s = 1
-    for c in poly.values():
-        s = s * c.denominator // gcd(s, c.denominator)
-    out = {}
-    for mono, c in poly.items():
-        exps = [0] * len(index)
-        for p in mono:
-            exps[index[p]] += 1
-        out[tuple(exps)] = c.numerator * (s // c.denominator)
-    return out, s
-
-
-def _from_zpoly(f: dict, primes: list, scale) -> Poly:
-    """scale * f back in sparse form; scale is an int or a Fraction."""
-    return {tuple(p for p, e in zip(primes, exps) for _ in range(e)):
-            Fraction(c * scale) for exps, c in f.items()}
-
-
 def _cancel(num: Poly, den: Poly) -> tuple:
-    """Remove the polynomial gcd of num and den, the log monomials acting as
-    independent variables.  Without this, iterated arithmetic on quotients
-    (cut points of roofs are ratios of log combinations) compounds the
-    denominators and the term count explodes.
+    """(a, b) with num / den = a / b and the polynomial gcd of num and den
+    removed, the log monomials acting as independent variables.  Without
+    this, iterated arithmetic on quotients (cut points of roofs are ratios
+    of log combinations) compounds the denominators and the term count
+    explodes.
 
-    Both sides go to integer form once.  Disjoint variables share no
-    factor.  An affine side is irreducible: its primitive part either
-    divides the other side or shares nothing with it.  Everything else goes
-    to the heuristic gcd over Z.  When the heuristic gives up, num and den
-    come back uncancelled: equality and signs are decided by
-    cross-multiplication, so the canonical form only controls size, never a
-    result.  A rational value cannot be left uncancelled: when den divides
-    num, the image gcd is den's own image and the first xi rebuilds den."""
+    Disjoint variables share no factor.  An affine side is irreducible: its
+    primitive part either divides the other side or shares nothing with it.
+    Everything else goes to the heuristic gcd over Z.  When the heuristic
+    gives up, num and den come back uncancelled: equality and signs are
+    decided by cross-multiplication, so the canonical form only controls
+    size, never a result.  A rational value cannot be left uncancelled: when
+    den divides num, the image gcd is den's own image and the first xi
+    rebuilds den."""
     num_vars = {p for mono in num for p in mono}
     den_vars = {p for mono in den for p in mono}
     if not (num_vars & den_vars):
         return num, den
-    primes = sorted(num_vars | den_vars)
-    index = {p: i for i, p in enumerate(primes)}
-    # num / den = (a / sa) / (b / sb)
-    a, sa = _to_zpoly(num, index)
-    b, sb = _to_zpoly(den, index)
     if _pdegree(den) == 1:
-        cb, pb = _primitive(b)
-        q = _zdivide(a, pb)
-        if q is None:
-            return num, den
-        return _from_zpoly(q, primes, Fraction(sb, sa * cb)), _ONE_POLY
+        c, prim = _primitive(den)
+        q = _zdivide(num, prim)
+        return (num, den) if q is None else (q, {(): c})
     if _pdegree(num) == 1:
-        ca, pa = _primitive(a)
-        q = _zdivide(b, pa)
-        if q is None:
-            return num, den
-        return {(): Fraction(ca * sb, sa)}, _from_zpoly(q, primes, 1)
-    found = _heu_gcd(a, b)
+        c, prim = _primitive(num)
+        q = _zdivide(den, prim)
+        return (num, den) if q is None else ({(): c}, q)
+    found = _heu_gcd(num, den, tuple(sorted(num_vars | den_vars)))
     if found is None:
         return num, den
     h, qa, qb = found
-    if len(h) == 1 and not any(next(iter(h))):  # the gcd is a constant
+    if len(h) == 1 and () in h:  # the gcd is a constant
         return num, den
-    return _from_zpoly(qa, primes, sb), _from_zpoly(qb, primes, sa)
+    return qa, qb
 
 
 def _mono_str(mono: Mono) -> str:
@@ -442,12 +426,13 @@ def _mono_str(mono: Mono) -> str:
     return "*".join(parts)
 
 
-def _poly_str(poly: Poly) -> str:
+def _poly_str(poly: Poly, scale: int = 1) -> str:
+    """poly / scale, written out."""
     if not poly:
         return "0"
     terms = []
     for mono in sorted(poly, key=lambda m: (len(m), m)):
-        coeff = poly[mono]
+        coeff = Fraction(poly[mono], scale)
         if mono == ():
             terms.append(str(coeff))
         elif coeff == 1:
@@ -503,162 +488,190 @@ def _proven_prime(n: int) -> bool:
 ScalarLike = Union[int, Fraction, "ExactNumber"]
 
 
-def _value(num: Poly, den: Poly):
-    """The normalized quotient num / den as a value: the Fraction when den
+def _is_constant(num: Poly, den: Poly) -> bool:
+    return den is _UNIT and (not num or len(num) == 1 and () in num)
+
+
+def _value(num: Poly, scale: int, den: Poly):
+    """The normalized num / (scale * den) as a value: the Fraction when den
     is 1 and num is constant (0 included), else an ExactNumber."""
-    if den is _ONE_POLY and (not num or len(num) == 1 and () in num):
-        return num.get((), Fraction(0))
+    if _is_constant(num, den):
+        return Fraction(num.get((), 0), scale)
     obj = object.__new__(ExactNumber)
     obj._num = num
+    obj._scale = scale
     obj._den = den
     return obj
 
 
-class ExactNumber:
-    """An element of Q(log 2, log 3, ...)(eps), stored as a polynomial
-    quotient."""
+def _scaled(num: Poly, p: int, q: int, den: Poly):
+    """p * num / (q * den) for ints p and q > 0 and a normalized den,
+    through ``_value``: the common factors of p and q, and of num's content
+    and q, come out."""
+    g = gcd(p, q)
+    if g != 1:
+        p //= g
+        q //= g
+    if q != 1 and num:
+        g = q
+        for c in num.values():
+            g = gcd(g, c)
+            if g == 1:
+                break
+        if g != 1:
+            q //= g
+            return _value({m: c // g * p for m, c in num.items()}, q, den)
+    if p != 1:
+        num = {m: c * p for m, c in num.items()}
+    return _value(num, q, den)
 
-    __slots__ = ("_num", "_den")
+
+def _make(num: Poly, p: int, q: int, den: Poly):
+    """p * num / (q * den) cancelled and normalized, for ints p and
+    q > 0."""
+    if not num:
+        return Fraction(0)
+    if den is not _UNIT and (len(den) > 1 or () not in den):
+        num, den = _cancel(num, den)
+    if len(den) == 1 and () in den:
+        c = den[()]
+        return _scaled(num, p if c > 0 else -p, q * abs(c), _UNIT)
+    c = _zcontent(den)
+    if _poly_sign(den) < 0:
+        c = -c
+    if c != 1:
+        den = {m: v // c for m, v in den.items()}
+        if c < 0:
+            p, c = -p, -c
+        q *= c
+    return _scaled(num, p, q, den)
+
+
+def _parts(x):
+    """(num, scale, den) of an int, a Fraction or an ExactNumber; None for
+    anything else."""
+    if isinstance(x, ExactNumber):
+        return x._num, x._scale, x._den
+    if isinstance(x, (int, Fraction)):
+        a = x.numerator
+        return ({(): a} if a else {}), x.denominator, _UNIT
+    return None
+
+
+def _sum(n1, s1, d1, n2, s2, d2, sign: int):
+    """n1 / (s1 d1) + sign * n2 / (s2 d2)."""
+    if d1 is d2 or d1 == d2:
+        g = gcd(s1, s2)
+        num = _lin(n1, s2 // g, n2, sign * (s1 // g))
+        if d1 is _UNIT:
+            # polynomial + polynomial keeps d = 1: no cancel
+            return _scaled(num, 1, s1 // g * s2, _UNIT)
+        return _make(num, 1, s1 // g * s2, d1)
+    num = _lin(_mul(n1, d2), s2, _mul(n2, d1), sign * s1)
+    return _make(num, 1, s1 * s2, _mul(d1, d2))
+
+
+def _diff_sign(n1, s1, d1, n2, s2, d2) -> int:
+    """The sign of n1 / (s1 d1) - n2 / (s2 d2).  Denominators are
+    normalized positive, so the sign survives cross-multiplication; this
+    skips quotient normalization entirely."""
+    if d1 is d2 or d1 == d2:
+        g = gcd(s1, s2)
+        return _poly_sign(_lin(n1, s2 // g, n2, -(s1 // g)))
+    return _poly_sign(_lin(_mul(n1, d2), s2, _mul(n2, d1), -s1))
+
+
+class ExactNumber:
+    """An element of Q(log 2, log 3, ...)(eps), stored as n / (s * d) for
+    integer polynomials n and d and a positive int s."""
+
+    __slots__ = ("_num", "_scale", "_den")
 
     def __init__(self, value: ScalarLike = 0):
-        if isinstance(value, ExactNumber):
-            self._num = value._num
-            self._den = value._den
-        elif isinstance(value, (int, Fraction)):
-            q = Fraction(value)
-            self._num = {(): q} if q else {}
-            self._den = _ONE_POLY
-        else:
+        parts = _parts(value)
+        if parts is None:
             raise TypeError(f"cannot build ExactNumber from {type(value).__name__}")
-
-    @staticmethod
-    def _make(num: Poly, den: Poly):
-        """num / den cancelled and normalized, through ``_value``."""
-        num = {m: c for m, c in num.items() if c}
-        den = {m: c for m, c in den.items() if c}
-        if not den:
-            raise ZeroDivisionError("ExactNumber with zero denominator")
-        if not num:
-            return Fraction(0)
-        if len(den) > 1 or () not in den:
-            num, den = _cancel(num, den)
-        if len(den) == 1 and () in den:
-            q = den[()]
-            if q != 1:
-                num = {m: c / q for m, c in num.items()}
-            return _value(num, _ONE_POLY)
-        if _poly_sign(den) < 0:
-            num, den = _pneg(num), _pneg(den)
-        content = _pcontent(den)
-        if content != 1:
-            num = _pscale(num, 1 / content)
-            den = _pscale(den, 1 / content)
-        return _value(num, den)
+        self._num, self._scale, self._den = parts
 
     @classmethod
     def log_unit(cls, prime: int) -> "ExactNumber":
         """The symbolic value log(prime)."""
         if not _proven_prime(prime):
             raise ValueError(f"{prime} is not prime")
-        return cls._make({(prime,): Fraction(1)}, _ONE_POLY)
+        return _value({(prime,): 1}, 1, _UNIT)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return self._den == _ONE_POLY and set(self._num) <= {()}
+        return _is_constant(self._num, self._den)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self!r} is not rational")
-        return self._num.get((), Fraction(0))
+        return Fraction(self._num.get((), 0), self._scale)
 
     def sign(self) -> int:
-        return _poly_sign(self._num)  # denominator is normalized positive
-
-    def interval(self, bits: int | None = None):
-        """A rigorous mpmath interval enclosure at the given precision;
-        ValueError for a value that contains eps."""
-        if _has_eps(self._num) or _has_eps(self._den):
-            raise ValueError(f"{self!r} contains eps; it has no interval")
-        bits = bits or default_precision_bits()
-        num = _poly_interval(self._num, bits)
-        if self._den == _ONE_POLY:
-            return num
-        with _iv_precision(bits):
-            return num / _poly_interval(self._den, bits)
+        return _poly_sign(self._num)  # s and the value of d are positive
 
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "ExactNumber | None":
-        if isinstance(other, ExactNumber):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExactNumber(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        d = self._den
-        if d is o._den or d == o._den:
-            if d is _ONE_POLY or d == _ONE_POLY:
-                # polynomial + polynomial stays normalized: skip _make
-                return _value(_padd(self._num, o._num), _ONE_POLY)
-            return self._make(_padd(self._num, o._num), d)
-        return self._make(
-            _padd(_pmul(self._num, o._den), _pmul(o._num, self._den)),
-            _pmul(self._den, o._den),
-        )
+        return _sum(self._num, self._scale, self._den, *o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _value(_pneg(self._num), self._den)
+        return _value({m: -c for m, c in self._num.items()}, self._scale, self._den)
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, ExactNumber)):
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return self + (-other)
+        return _sum(self._num, self._scale, self._den, *o, -1)
 
     def __rsub__(self, other):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return -self + other
+        n, s, d = _parts(other)
+        return _sum(n, s, d, self._num, self._scale, self._den, -1)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        if o.is_rational:
-            q = o._num.get(())
-            if q is None:
+        n2, s2, d2 = o
+        if _is_constant(n2, d2):
+            if not n2:
                 return Fraction(0)
             # scaling by a nonzero rational preserves every normalization
-            # invariant
-            return _value(_pscale(self._num, q), self._den)
-        return self._make(_pmul(self._num, o._num), _pmul(self._den, o._den))
+            # invariant but the content of n against s
+            return _scaled(self._num, n2[()], self._scale * s2, self._den)
+        return _make(_mul(self._num, n2), 1, self._scale * s2,
+                     _mul(self._den, d2))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        if o.is_rational:
-            q = o._num.get(())
-            if q is None:
+        n2, s2, d2 = o
+        if _is_constant(n2, d2):
+            if not n2:
                 raise ZeroDivisionError("ExactNumber division by zero")
-            return _value(_pscale(self._num, 1 / q), self._den)
-        return self._make(_pmul(self._num, o._den), _pmul(self._den, o._num))
+            a = n2[()]
+            return _scaled(self._num, s2 if a > 0 else -s2, self._scale * abs(a),
+                           self._den)
+        return _make(_mul(self._num, d2), s2, self._scale, _mul(self._den, n2))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o / self
+        return ExactNumber(other) / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -671,46 +684,36 @@ class ExactNumber:
         return out
 
     def __abs__(self):
-        return -self if self.sign() < 0 else _value(self._num, self._den)
+        return -self if self.sign() < 0 else _value(self._num, self._scale, self._den)
 
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        if self._den == o._den:
-            diff = _padd(self._num, _pneg(o._num))
-        else:
-            diff = _padd(_pmul(self._num, o._den), _pneg(_pmul(o._num, self._den)))
-        if not diff:
-            return True
-        return _poly_sign(diff) == 0  # separates (False) or raises
-
-    def _cmp_sign(self, other) -> int:
-        # denominators are normalized positive, so the sign survives
-        # cross-multiplication; this skips quotient normalization entirely
-        if self._den == other._den:
-            return _poly_sign(_padd(self._num, _pneg(other._num)))
-        return _poly_sign(_padd(
-            _pmul(self._num, other._den), _pneg(_pmul(other._num, self._den))
-        ))
+        # a nonzero difference separates (False) or raises
+        return _diff_sign(self._num, self._scale, self._den, *o) == 0
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._cmp_sign(o) < 0
+        o = _parts(other)
+        return NotImplemented if o is None else \
+            _diff_sign(self._num, self._scale, self._den, *o) < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._cmp_sign(o) <= 0
+        o = _parts(other)
+        return NotImplemented if o is None else \
+            _diff_sign(self._num, self._scale, self._den, *o) <= 0
 
     def __gt__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._cmp_sign(o) > 0
+        o = _parts(other)
+        return NotImplemented if o is None else \
+            _diff_sign(self._num, self._scale, self._den, *o) > 0
 
     def __ge__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._cmp_sign(o) >= 0
+        o = _parts(other)
+        return NotImplemented if o is None else \
+            _diff_sign(self._num, self._scale, self._den, *o) >= 0
 
     __hash__ = None  # mutable-free but deliberately unhashable
 
@@ -718,27 +721,44 @@ class ExactNumber:
         return bool(self._num)
 
     def __float__(self):
-        """The nearest float, ties to even.  The enclosure is refined on the
-        rungs of the sign ladder until both of its ends round to one float,
-        which is then the rounding of the value; an irrational value is
-        never a tie, so this ends, and past ``_PRECISION_CAP`` bits
-        PrecisionExhausted is raised, as for a sign."""
+        """The nearest float, ties to even.  The enclosures of n and d on
+        the rungs of the sign ladder are refined until both ends of their
+        quotient round to one float, which is then the rounding of the
+        value; an irrational value is never a tie, so this ends, and past
+        ``_PRECISION_CAP`` bits PrecisionExhausted is raised, as for a
+        sign.  ValueError for a value that contains eps."""
+        num, den = self._num, self._den
+        if _has_eps(num) or _has_eps(den):
+            raise ValueError(f"{self!r} contains eps; it has no float")
         bits = _SIGN_BITS
         while bits <= _PRECISION_CAP:
-            lo, hi = self.interval(bits)._mpi_
-            lo = to_float(lo, rnd=round_nearest)
-            if lo == to_float(hi, rnd=round_nearest):
-                return lo
+            nlo, nhi, kn = _poly_bounds(num, bits)
+            dlo, dhi, kd = _poly_bounds(den, bits)
+            if dlo > 0:
+                # n / d with d > 0, over the scale and the powers of two
+                lo = _nearest(nlo << kd, (dhi if nlo >= 0 else dlo) * self._scale << kn)
+                hi = _nearest(nhi << kd, (dlo if nhi >= 0 else dhi) * self._scale << kn)
+                if lo == hi:
+                    return lo
             bits *= 2
         raise PrecisionExhausted(
             f"could not round {self!r} to a float below {_PRECISION_CAP} bits"
         )
 
     def __repr__(self):
-        num = _poly_str(self._num)
-        if self._den == _ONE_POLY:
+        num = _poly_str(self._num, self._scale)
+        if self._den is _UNIT:
             return num
         return f"({num})/({_poly_str(self._den)})"
+
+
+def _nearest(a: int, b: int) -> float:
+    """The float nearest a / b for b > 0, ties to even; +-inf past the
+    float range."""
+    try:
+        return a / b
+    except OverflowError:
+        return copysign(inf, a)
 
 
 # -- helpers over "Fraction or ExactNumber" -------------------------------
@@ -754,16 +774,17 @@ def log_unit(prime: int) -> ExactNumber:
     return ExactNumber.log_unit(prime)
 
 
-EPS = ExactNumber._make({(_EPS,): Fraction(1)}, _ONE_POLY)
+EPS = _value({(_EPS,): 1}, 1, _UNIT)
 
 
-def _eps_layers(poly: Poly) -> list:
-    """The coefficients of poly in eps, lowest degree first, free of eps."""
+def _eps_layers(poly: Poly, scale: int) -> list:
+    """The coefficients of poly / scale in eps, lowest degree first, free of
+    eps."""
     layers: dict = {}
     for mono, c in poly.items():
         k = mono.count(_EPS)
         layers.setdefault(k, {})[mono[k:]] = c
-    return [_value(layers.get(k, {}), _ONE_POLY)
+    return [_scaled(layers.get(k, {}), 1, scale, _UNIT)
             for k in range(max(layers, default=0) + 1)]
 
 
@@ -775,7 +796,7 @@ def eps_coefficients(x: ScalarLike, count: int) -> list:
     denominator as polynomials in eps, and a nonzero remainder raises.  A
     rational coefficient is a Fraction, as every arithmetic result is."""
     x = ExactNumber(x)
-    rem, den = _eps_layers(x._num), _eps_layers(x._den)
+    rem, den = _eps_layers(x._num, x._scale), _eps_layers(x._den, 1)
     m = len(den) - 1
     quo = [Fraction(0)] * max(count, len(rem) - m)
     for i in range(len(rem) - 1 - m, -1, -1):
@@ -811,4 +832,3 @@ def scalar_fraction(x: Scalar) -> Fraction:
 
 def floor_fraction(q: Fraction) -> int:
     return q.numerator // q.denominator
-

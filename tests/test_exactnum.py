@@ -1,10 +1,12 @@
 """Field arithmetic in Q(log 2, log 3, ...) and the rational helpers."""
 
 import json
+import operator
 import sys
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -122,8 +124,8 @@ def test_precision_exhausted_at_the_cap(monkeypatch):
 
 def _fraction_ladder(poly):
     """The enclosure rungs of the sign ladder as they were before integer
-    sums: Fraction products of each coefficient and the rational bounds of
-    its monomial, summed per rung."""
+    sums: Fraction products of each integer coefficient and the rational
+    bounds of its monomial, summed per rung."""
     from mpmath.libmp import to_rational
 
     bits = exactnum._SIGN_BITS
@@ -152,19 +154,24 @@ def _fraction_ladder(poly):
 _MONOS = [(), (2,), (3,), (5,), (2, 2), (2, 3), (3, 5), (2, 3, 5)]
 
 
+def _times_log2_minus(poly, q):
+    """poly * (log 2 - q) times the denominator of q: an integer
+    polynomial."""
+    return exactnum._mul(poly, {(2,): q.denominator, (): -q.numerator})
+
+
 @st.composite
 def _mixed_polys(draw):
-    """Polynomials in log 2, log 3, log 5 with coefficients of both signs,
-    optionally times log 2 - q for q = log 2 cut at 60-3000 bits, so that
-    the value is that much smaller than its coefficients and only a high
-    rung separates it."""
+    """Integer polynomials in log 2, log 3, log 5 with coefficients of both
+    signs, optionally times log 2 - q (cleared of its denominator) for
+    q = log 2 cut at 60-3000 bits, so that the value is that much smaller
+    than its coefficients and only a high rung separates it."""
     monos = draw(st.lists(st.sampled_from(_MONOS), min_size=2, max_size=5,
                           unique=True))
-    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+    coeffs = st.integers(min_value=-1200, max_value=1200)
     poly = {m: draw(coeffs.filter(bool)) for m in monos}
     if draw(st.booleans()):
-        q = _log2_truncated(draw(st.integers(60, 3000)))
-        poly = exactnum._pmul(poly, {(2,): Fraction(1), (): -q})
+        poly = _times_log2_minus(poly, _log2_truncated(draw(st.integers(60, 3000))))
     return poly
 
 
@@ -176,8 +183,8 @@ def _sign_or_exhausted(sign, poly):
 
 
 @given(_mixed_polys())
-@example({(2, 3): Fraction(1), (3,): -_log2_truncated(5000)})
-@example({(2,): Fraction(1, 3), (3,): Fraction(-2, 7), (): Fraction(1, 5)})
+@example(_times_log2_minus({(3,): 1}, _log2_truncated(5000)))
+@example({(2,): 35, (3,): -30, (): 21})
 @settings(max_examples=150, deadline=None)
 def test_integer_rungs_match_the_fraction_ladder(poly):
     want = _sign_or_exhausted(_fraction_ladder, poly)
@@ -248,12 +255,10 @@ class TestEpsilon:
         assert x < 1 and x > 1 - Fraction(1, 2**60)
         assert 1 / EPS > 10**100
 
-    def test_no_float_or_interval(self):
+    def test_no_float(self):
         for x in (EPS, L2 + EPS, L2 / (1 + EPS)):
             with pytest.raises(ValueError, match="eps"):
                 float(x)
-            with pytest.raises(ValueError, match="eps"):
-                x.interval()
 
     def test_repr(self):
         assert repr(EPS) == "eps"
@@ -375,16 +380,31 @@ _coeff = st.fractions(min_value=Fraction(-9), max_value=Fraction(9),
                       max_denominator=6).filter(bool)
 _polys = st.dictionaries(st.sampled_from(_MONOS), _coeff,
                          min_size=1, max_size=5)
+_zpolys = st.dictionaries(st.sampled_from(_MONOS),
+                          st.integers(min_value=-60, max_value=60).filter(bool),
+                          min_size=1, max_size=5)
 
 
 def _normalize(num, den):
-    """The canonical form _make gives a cancelled quotient."""
-    if len(den) == 1 and () in den:
-        return exactnum._pscale(num, 1 / den[()]), exactnum._ONE_POLY
-    if exactnum._poly_sign(den) < 0:
-        num, den = exactnum._pneg(num), exactnum._pneg(den)
-    c = exactnum._pcontent(den)
-    return exactnum._pscale(num, 1 / c), exactnum._pscale(den, 1 / c)
+    """The canonical parts (n, s, d) that _make gives the cancelled quotient
+    num / den, for integer or rational coefficients: d primitive with a
+    positive value (the unit when constant), n an integer polynomial and
+    s > 0 coprime to its content."""
+    num = {m: Fraction(c) for m, c in num.items()}
+    den = {m: Fraction(c) for m, c in den.items()}
+    k = Fraction(gcd(*(c.numerator for c in den.values())),
+                 lcm(*(c.denominator for c in den.values())))
+    d = {m: int(c / k) for m, c in den.items()}
+    if exactnum._poly_sign(d) < 0:
+        k, d = -k, {m: -c for m, c in d.items()}
+    q = {m: c / k for m, c in num.items()}  # num / den = q / d
+    s = lcm(*(c.denominator for c in q.values()))
+    n = {m: int(c * s) for m, c in q.items()}
+    return n, s, exactnum._UNIT if d == {(): 1} else d
+
+
+def _parts(x):
+    return x._num, x._scale, x._den
 
 
 def _sympy_cancel(num, den):
@@ -414,16 +434,16 @@ def _sympy_cancel(num, den):
 
 
 def _p(*terms):
-    return {m: Fraction(c) for m, c in terms}
+    return dict(terms)
 
 
-@given(_polys, _polys, _polys)
+@given(_zpolys, _zpolys, _zpolys)
 # an affine denominator that divides the numerator
 @example(_p(((3,), 1), ((2, 2), 2)), _p(((), 1)), _p(((2,), 1), ((3,), -1), ((), 3)))
 # an affine denominator that does not
 @example(_p(((2, 3), 1), ((5,), 1)), _p(((2,), 1), ((3,), 1)), _p(((), 1)))
 # an affine numerator that divides the denominator
-@example(_p(((), 1)), _p(((3, 5), 2), ((2,), -1)), _p(((2,), "1/2"), ((5,), 3)))
+@example(_p(((), 1)), _p(((3, 5), 2), ((2,), -1)), _p(((2,), 1), ((5,), 6)))
 # only a common monomial: log 2 log 3 over log 2 log 5
 @example(_p(((3,), 1)), _p(((5,), 1)), _p(((2,), 1)))
 # an affine denominator in eps: eps + log 2
@@ -434,7 +454,7 @@ def _p(*terms):
 @example(_p(((), 1)), _p(((2,), -3), ((3,), -3), ((5,), 6)), _p(((2, 2), 1)))
 @settings(max_examples=60, deadline=None)
 def test_cancel_matches_sympy_gcd(a, b, g):
-    num, den = exactnum._pmul(a, g), exactnum._pmul(b, g)
+    num, den = exactnum._mul(a, g), exactnum._mul(b, g)
     assert _normalize(*exactnum._cancel(num, den)) == \
         _normalize(*_sympy_cancel(num, den))
 
@@ -445,13 +465,13 @@ def test_zero_image_is_an_unlucky_xi():
     x = 6 * L5 - 3 * L2 - 3 * L3
     sq = (L2 * L2)._num
     up = x * L2 * L2 / (L2 * L2)
-    assert (up._num, up._den) == _normalize(
-        *_sympy_cancel(exactnum._pmul(x._num, sq), sq))
+    assert _parts(up) == _normalize(
+        *_sympy_cancel(exactnum._mul(x._num, sq), sq))
     assert up == x
     down = (L2 * L2) / (x * L2 * L2) + 1
-    xsq = exactnum._pmul(x._num, sq)
-    assert (down._num, down._den) == _normalize(
-        *_sympy_cancel(exactnum._padd(sq, xsq), xsq))
+    xsq = exactnum._mul(x._num, sq)
+    assert _parts(down) == _normalize(
+        *_sympy_cancel(exactnum._lin(sq, 1, xsq, 1), xsq))
     assert down == (1 + x) / x
 
 
@@ -465,11 +485,15 @@ def test_cancel_three_variables_degree_five():
     data = json.loads((Path(__file__).parent / "data" /
                        "gcd_3var_deg5.json").read_text())
     num, den = _load_terms(data["num"]), _load_terms(data["den"])
+    # one common factor clears the denominators of both sides
+    common = lcm(*(c.denominator for c in (*num.values(), *den.values())))
+    num = {m: int(c * common) for m, c in num.items()}
+    den = {m: int(c * common) for m, c in den.items()}
     t0 = time.perf_counter()
     out = exactnum._cancel(num, den)
     assert time.perf_counter() - t0 < 1.0
-    assert _normalize(*out) == (_load_terms(data["reduced_num"]),
-                                _load_terms(data["reduced_den"]))
+    assert _normalize(*out) == _normalize(_load_terms(data["reduced_num"]),
+                                          _load_terms(data["reduced_den"]))
 
 
 def test_cancel_does_not_need_sympy(monkeypatch):
@@ -497,14 +521,14 @@ def _mp_float(x):
     def value(poly):
         out = mp.mpf(0)
         for mono, c in poly.items():
-            term = mp.mpf(c.numerator) / c.denominator
+            term = mp.mpf(c)
             for p in mono:
                 term *= mp.log(p)
             out += term
         return out
 
     with mp.workprec(1000):
-        return float(value(x._num) / value(x._den))
+        return float(value(x._num) / (x._scale * value(x._den)))
 
 
 def _from_poly(poly):
@@ -540,18 +564,151 @@ def test_float_refines_and_gives_up(monkeypatch):
     # the rational 157/88 held as an ExactNumber: the nearest float, which
     # the mean of the two truncated ends of an enclosure was not
     assert float(exact(Fraction(157, 88))) == 1.7840909090909092
-    precisions = []
-    original = ExactNumber.interval
+    calls = []
+    original = exactnum._poly_bounds
 
-    def recording(self, bits=None):
-        precisions.append(bits)
-        return original(self, bits)
+    def recording(poly, bits):
+        calls.append(bits)
+        return original(poly, bits)
 
-    monkeypatch.setattr(ExactNumber, "interval", recording)
+    monkeypatch.setattr(exactnum, "_poly_bounds", recording)
     monkeypatch.setattr(exactnum, "_SIGN_BITS", 8)
     assert float(L3 / L2) == _mp_float(L3 / L2)
+    # each rung bounds the numerator and the denominator once
+    precisions = calls[::2]
+    assert calls == [b for b in precisions for _ in "nd"]
     assert precisions[0] == 8 and len(precisions) >= 4
     assert precisions == [8 * 2 ** i for i in range(len(precisions))]
     monkeypatch.setattr(exactnum, "_PRECISION_CAP", 32)
     with pytest.raises(PrecisionExhausted, match="32 bits"):
         float(L3 / L2)
+
+
+# -- arithmetic against sympy's rational functions -------------------------
+
+_PRIMES = (2, 3, 5)
+
+
+def _field():
+    """Q(l2, l3, l5) in sympy, whose elements are cancelled quotients, and
+    the generators of its polynomial ring."""
+    import sympy
+
+    field = sympy.field("l2,l3,l5", sympy.QQ)[0]
+    return field, dict(zip(_PRIMES, field.ring.gens))
+
+
+def _to_field(poly):
+    import sympy
+
+    field, gens = _field()
+    ring = field.ring
+    out = ring(0)
+    for m, c in poly.items():
+        term = ring(sympy.QQ(c.numerator, c.denominator))
+        for p in m:
+            term *= gens[p]
+        out += term
+    return field(out)
+
+
+def _from_ring(poly):
+    """A sympy polynomial in l2, l3, l5 as a dict monomial -> Fraction."""
+    return {tuple(p for p, e in zip(_PRIMES, exps) for _ in range(e)):
+            Fraction(int(c.numerator), int(c.denominator))
+            for exps, c in poly.terms()}
+
+
+def _from_repr(text):
+    """The element of the field that an ExactNumber's repr writes out:
+    (num)/(den) or num, terms joined by " + " and " - ", factors by "*"."""
+    import re
+
+    import sympy
+
+    field, gens = _field()
+
+    ring = field.ring
+
+    def poly(part):
+        total = ring(0)
+        for term in part.replace(" - ", " + -").split(" + "):
+            value = ring(-1 if term.startswith("-") else 1)
+            for factor in term.lstrip("-").split("*"):
+                log = re.fullmatch(r"log\((\d+)\)(?:\^(\d+))?", factor)
+                if log:
+                    value *= gens[int(log[1])] ** int(log[2] or 1)
+                else:
+                    q = Fraction(factor)
+                    value *= ring(sympy.QQ(q.numerator, q.denominator))
+            total += value
+        return total
+
+    sides = re.fullmatch(r"\((.*)\)/\((.*)\)", text)
+    return field.new(*(map(poly, sides.groups()) if sides else (poly(text), ring(1))))
+
+
+def _below_zero(q) -> bool:
+    """q < 0 at l_p = log p, for a nonzero element q of the field."""
+    def value(poly):
+        out = mp.mpf(0)
+        for m, c in _from_ring(poly).items():
+            term = mp.mpf(c.numerator) / c.denominator
+            for p in m:
+                term *= mp.log(p)
+            out += term
+        return out
+
+    with mp.workprec(400):
+        return value(q.numer) / value(q.denom) < 0
+
+
+def _check_result(r, want):
+    """r is the field element want: a Fraction exactly when want is
+    constant, else the canonical parts of sympy's cancelled quotient, with
+    a repr that reads back as want."""
+    num, den = _from_ring(want.numer), _from_ring(want.denom)
+    if set(num) <= {()} and set(den) == {()}:
+        assert type(r) is Fraction
+        assert r == num.get((), 0) / den[()]
+        return
+    assert type(r) is ExactNumber
+    assert _parts(r) == _normalize(num, den)
+    assert _from_repr(repr(r)) == want
+
+
+# polynomials of degree at most 2
+_small_polys = st.dictionaries(st.sampled_from([m for m in _MONOS if len(m) < 3]),
+                               _coeff, min_size=1, max_size=4)
+
+
+@given(_small_polys, _small_polys, _small_polys, _small_polys,
+       st.sampled_from(["quotient", "rational", "same"]))
+@example({(2,): Fraction(1)}, {(3,): Fraction(1)}, {(): Fraction(-1, 2)},
+         {(): Fraction(1)}, "rational")
+@example({(2, 2): Fraction(1), (3, 3): Fraction(-1)}, {(2,): Fraction(1), (3,): Fraction(-1)},
+         {(5,): Fraction(2, 3), (): Fraction(1)}, {(): Fraction(1)}, "same")
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_matches_sympy(pn, pd, qn, qd, kind):
+    x = _from_poly(pn) / _from_poly(pd)
+    assume(isinstance(x, ExactNumber))
+    big_x = _to_field(pn) / _to_field(pd)
+    if kind == "quotient":
+        y, big_y = _from_poly(qn) / _from_poly(qd), _to_field(qn) / _to_field(qd)
+    elif kind == "rational":
+        y = sum(qn.values(), Fraction(0))
+        big_y = _to_field({(): y})
+    else:  # x again, through a common factor
+        g = _from_poly(qn)
+        y, big_y = (_from_poly(pn) * g) / (_from_poly(pd) * g), big_x
+    _check_result(x, big_x)
+    _check_result(y, big_y)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b, big_a, big_b in ((x, y, big_x, big_y), (y, x, big_y, big_x)):
+            if op is not operator.truediv or big_b != 0:
+                _check_result(op(a, b), op(big_a, big_b))
+    diff = big_x - big_y
+    assert (x == y) == (y == x) == (diff == 0)
+    below = diff != 0 and _below_zero(diff)
+    assert (x < y) == (y > x) == below
+    assert (x >= y) == (not below)
