@@ -37,7 +37,7 @@ from .harness import (
     suite_names,
 )
 from .pa import ConcavePA, ConvexPA, Interval, PAGeneral
-from .points import BaseCondition, ClosedPoint
+from .points import BaseCondition
 from .positivity import (
     Bracket,
     DiskantReport,
@@ -73,7 +73,6 @@ __all__ = [
     "AdelicVolumesError",
     "BaseCondition",
     "Bracket",
-    "ClosedPoint",
     "ConcavePA",
     "ConvexPA",
     "DerivativeReport",

@@ -23,7 +23,6 @@ from typing import Mapping, Sequence, Union
 
 from .errors import (
     EmptyPolytope,
-    NonToricBaseCondition,
     NotEffectiveInput,
     UnboundedPerturbation,
 )
@@ -39,7 +38,7 @@ from .pa import (
     pointwise_min,
     unit_roof,
 )
-from .points import BaseCondition, ClosedPoint
+from .points import BaseCondition, _label
 
 ARCH = "inf"
 
@@ -159,14 +158,9 @@ class ToricAdelicDivisor:
         place = as_place(place)
         return self._potentials.get(place, self._canonical)
 
-    def ord(self, point):
-        if not isinstance(point, ClosedPoint):
-            point = ClosedPoint.parse(point)
-        if point.kind == "zero":
-            return self.c0
-        if point.kind == "infinity":
-            return self.cinf
-        return Fraction(0)
+    def ord(self, label: str):
+        """The coefficient at the torus-fixed point "0" or "inf"."""
+        return self.c0 if _label(label) == "0" else self.cinf
 
     def polytope(self) -> Interval:
         if -self.cinf > self.c0:
@@ -308,15 +302,7 @@ class Pair:
         return self.divisor.polytope()
 
     def _toric_orders(self) -> tuple:
-        bad = self.base.nontoric_positive_support()
-        if bad:
-            labels = ", ".join(p.label() for p in bad)
-            raise NonToricBaseCondition(
-                f"base condition has positive orders at non-toric points: {labels}"
-            )
-        v0 = max(self.base.order(ClosedPoint.zero()), Fraction(0))
-        vinf = max(self.base.order(ClosedPoint.infinity()), Fraction(0))
-        return v0, vinf
+        return max(self.base.v0, Fraction(0)), max(self.base.vinf, Fraction(0))
 
     def shifted_polytope(self) -> Interval:
         """The polytope cut down by the base condition.
@@ -374,9 +360,8 @@ class Pair:
     def is_effective(self) -> bool:
         if not self.divisor.is_effective:
             return False
-        return all(
-            self.divisor.ord(p) >= v for p, v in self.base.entries.items()
-        )
+        return (self.divisor.c0 >= self.base.v0
+                and self.divisor.cinf >= self.base.vinf)
 
     def perturb(self, place, phi) -> "Pair":
         """Add half of a bounded perturbation to the potential at one place.
@@ -404,19 +389,14 @@ class Pair:
     def to_payload(self) -> dict:
         payload = self.divisor.to_payload()
         if not self.base.is_zero:
-            payload["base"] = {
-                p.label(): str(v) for p, v in sorted(
-                    self.base.entries.items(), key=lambda kv: kv[0].label())
-            }
+            orders = (("0", self.base.v0), ("inf", self.base.vinf))
+            payload["base"] = {label: str(v) for label, v in orders if v}
         return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "Pair":
         divisor = ToricAdelicDivisor.from_payload(payload)
-        base = BaseCondition(
-            {key: Fraction(val) for key, val in (payload.get("base") or {}).items()}
-        )
-        return cls(divisor, base)
+        return cls(divisor, BaseCondition(payload.get("base") or {}))
 
     def __eq__(self, other):
         if not isinstance(other, Pair):

@@ -31,12 +31,8 @@ class NotConvex(AdelicVolumesError):
 
 
 class InvalidPoint(AdelicVolumesError):
-    """A closed-point description is rejected (reducible, non-monic, too large)."""
-
-
-class NonToricBaseCondition(AdelicVolumesError):
-    """A base condition carries a positive order at a point outside {0, infinity},
-    which the toric model cannot express as a polytope constraint."""
+    """A base condition names a point other than the torus-fixed 0 and inf,
+    which the toric model cannot express."""
 
 
 class EmptyPolytope(AdelicVolumesError):

@@ -1,8 +1,11 @@
 """Scene files: one JSON object describing a divisor pair.
 
 A scene holds the toric coefficients, the non-canonical potentials keyed by
-place label ("inf" or a prime), and optionally a base condition keyed by
-closed-point label.  All numbers are strings parsed as exact rationals, e.g.
+place label ("inf" or a prime), and optionally a base condition: its orders
+at the torus-fixed points, keyed by "0" and "inf" (or "infinity", "oo").
+Any other base key raises InvalidPoint, since a base condition at a
+non-toric point is outside the toric model.  All numbers are strings parsed
+as exact rationals, e.g.
 
     {
       "c0": "1", "cinf": "0",
@@ -20,10 +23,7 @@ their breakpoint coordinates and slopes at most MAX_SCENE_BITS bits in all
 (numerator plus denominator): each Newton step of the thresholds behind
 `diskant` builds a roof from every breakpoint, and each exact `derivative`
 jet a volume, at a cost that grows with the count and with the size of the
-numbers.  The labels of the base condition carry at most MAX_BASE_CHARS
-characters in all: each label of degree 2 or more is tested for
-irreducibility over Q.
-Scene files are untrusted input: a malformed one raises ValueError (or an
+numbers.  Scene files are untrusted input: a malformed one raises ValueError (or an
 AdelicVolumesError) with a one-line message, never another exception.
 """
 
@@ -44,28 +44,25 @@ _TOP_KEYS = {"c0", "cinf", "potentials", "base", "comment"}
 _MAX_EXPONENT = 4300
 _DECIMAL_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE]([-+]?\d+(?:_\d+)*)\s*")
 
-# Cold command-line runs at this cap, 2-vCPU host, Python 3.11.7.  `diskant`
-# of the CI scene (192 breakpoints) against itself takes 0.3-0.4 s, and
-# against six-digit random breakpoints (84, just under MAX_SCENE_BITS) or
-# twelve-digit ones (47) 0.35-0.57 s in either order, as do those two
-# against each other.  The slowest pair found splits 64 integer breakpoints
-# over each of inf, 2 and 3 against the CI scene: 1.9-2.4 s, the log
-# weights making every step exact in Q(log 2, log 3); at 224 it takes 2.4 s.
-# On the CI scene `avol` takes 0.26 s, `derivative` along itself 2.3-2.5 s,
-# `okounkov` 0.33 s and `oracle --m 16` 0.35 s.  On the three-place scene
-# `avol` takes 0.29 s, `derivative` along itself 1.6 s and along the CI
-# scene 2.5 s, and `okounkov` 4.8 s, since its 8,193 samples (window
-# [-64, 64] at m = 64) each scan the roofs; `oracle --m 16` refuses it for
-# its count bits in 0.3 s.
+# Cold command-line runs at this cap, five each (min-max), 2-vCPU host,
+# Python 3.11.7.  `diskant` of the CI scene (192 breakpoints) against itself
+# takes 0.26-0.32 s, and against six-digit random breakpoints (87, just
+# under MAX_SCENE_BITS) or twelve-digit ones (47) 0.32-0.48 s in either
+# order, as do those two against each other.  The slowest pair found splits
+# 64 integer breakpoints over each of inf, 2 and 3 against the CI scene:
+# 0.57-0.87 s in either order, the log weights making every step exact in
+# Q(log 2, log 3).  On the CI scene `avol` takes 0.22-0.27 s, `derivative`
+# along itself 0.42-0.52 s, `okounkov` 0.27-0.54 s and `oracle --m 16`
+# 0.27-0.37 s.  On the three-place scene `avol` takes 0.21-0.27 s,
+# `derivative` along itself 0.37-0.57 s and along the CI scene 0.73-0.97 s,
+# and `okounkov` 1.4-2.4 s, since its 8,193 samples (window [-64, 64] at
+# m = 64) each scan the roofs; `oracle --m 16` refuses it for its count
+# bits in 0.2 s.
 MAX_BREAKPOINTS = 192
 # 48 breakpoints of twelve-digit rationals come to about 8000 bits, and
 # `diskant` of that scene against itself takes about 0.15 s (40 digits: 25,800
 # bits and 0.2 s; 2-vCPU host, Python 3.11)
 MAX_SCENE_BITS = 1 << 13
-# forty distinct degree-8 labels (t^8+3, t^8+5, ...) fill this budget, and
-# `avol` of that scene takes about 0.7 s from the command line, 0.35 s of
-# it importing sympy for the irreducibility tests (2-vCPU host, Python 3.11)
-MAX_BASE_CHARS = 256
 
 
 def _check_strings(value, where: str) -> None:
@@ -116,10 +113,6 @@ def scene_from_dict(payload: dict) -> Pair:
     if breakpoints > MAX_BREAKPOINTS:
         raise ValueError(f"potentials carry {breakpoints} breakpoints; a scene "
                          f"may carry at most {MAX_BREAKPOINTS}")
-    chars = sum(map(len, payload.get("base", {})))
-    if chars > MAX_BASE_CHARS:
-        raise ValueError(f"base labels carry {chars} characters; a scene may "
-                         f"carry at most {MAX_BASE_CHARS}")
     try:
         pair = Pair.from_payload(payload)
     except (KeyError, ZeroDivisionError, TypeError, AttributeError) as exc:
