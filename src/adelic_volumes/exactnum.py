@@ -809,9 +809,24 @@ def eps_coefficients(x: ScalarLike, count: int) -> list:
 
 
 def scalar_sign(x: Scalar) -> int:
+    if type(x) is Fraction:  # read off the numerator, in place
+        n = x.numerator
+        return (n > 0) - (n < 0)
     if isinstance(x, ExactNumber):
         return x.sign()
     return (x > 0) - (x < 0)
+
+
+def scalar_cmp(a: Scalar, b: Scalar) -> int:
+    """The sign of a - b, without forming a - b: cross-multiplied integers
+    for two Fractions, one exact sign of the difference otherwise, as
+    ``a < b`` decides it."""
+    if type(a) is Fraction and type(b) is Fraction:
+        n, d = a.as_integer_ratio()
+        m, e = b.as_integer_ratio()
+        t = n * e - m * d
+        return (t > 0) - (t < 0)
+    return _diff_sign(*_parts(a), *_parts(b))
 
 
 def scalar_float(x) -> float:

@@ -321,7 +321,7 @@ def sample_derivative_instance(rng, allow_finite: bool = True) -> tuple:
         def vol_at(t):
             return avol(Pair(pair.divisor + direction.scale(t), pair.base))
 
-        y0 = vol_at(Fraction(0))
+        y0 = avol(pair)  # measured by is_big in sample_big_pair
         ym1, yp1 = vol_at(-h / 2), vol_at(h / 2)
         ym2 = vol_at(-h)
         if not bool(y0 - 2 * ym1 + ym2 == yp1 - 2 * y0 + ym1):

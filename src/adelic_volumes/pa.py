@@ -45,11 +45,26 @@ which keeps only the affine normal form.  The proofs relied on:
   passed ``PAGeneral.is_convex`` is ConvexPA data already;
 * the hull of :func:`convex_envelope` drops collinear points, so the raw
   rows of a threshold's Newton step need no merge before it.
+
+On rational data every coordinate is a Fraction, and the cost is that of
+the Fraction operators.  So a few exact primitives read Fraction operands
+in place and compute on their numerators and denominators: ``_slope``, the
+orientation signs ``_turn`` and ``_tail_turn`` (the envelope's drop and
+tail tests, the collinear merge and the shape checks), ``_on_line`` for
+y0 + s (x - x0) (Legendre roofs, jets, threshold rows), ``_jet_pairing``
+(the local sums of ``adeg_product``), and one integer pass per call in
+``_eval_on_grid`` and :func:`integrate_positive_part`;
+``exactnum.scalar_sign`` and ``exactnum.scalar_cmp`` do the same for signs
+and comparisons.  Any ExactNumber operand takes the operator formula the
+primitive replaced, kept beside the integer route.  Outputs are canonical
+Fractions built by the public constructor, so results are byte-identical
+to the operator route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -59,7 +74,7 @@ from .errors import (
     OutOfDomain,
     UnboundedBelow,
 )
-from .exactnum import ExactNumber, Scalar, scalar_sign
+from .exactnum import ExactNumber, Scalar, scalar_cmp, scalar_sign
 
 
 def as_scalar(value) -> Scalar:
@@ -84,7 +99,7 @@ class Interval:
 
     def __init__(self, lo, hi):
         lo, hi = as_scalar(lo), as_scalar(hi)
-        if lo > hi:
+        if scalar_cmp(lo, hi) > 0:
             raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
@@ -151,8 +166,102 @@ class Interval:
 Interval.EMPTY = Interval._empty()
 
 
+# -- exact primitives ------------------------------------------------------
+#
+# Fraction operands are read in place (``as_integer_ratio``) and one
+# Fraction is built per value, none for a sign; any other operand takes the
+# operator formula after the integer route.  Nothing else dispatches on the
+# type.
+
+
 def _slope(p, q) -> Scalar:
-    return (q[1] - p[1]) / (q[0] - p[0])
+    """(q.y - p.y) / (q.x - p.x)."""
+    (x1, y1), (x2, y2) = p, q
+    if type(x1) is type(y1) is type(x2) is type(y2) is Fraction:
+        a1, b1 = x1.as_integer_ratio()
+        a2, b2 = x2.as_integer_ratio()
+        dx = a2 * b1 - a1 * b2
+        if dx:
+            c1, d1 = y1.as_integer_ratio()
+            c2, d2 = y2.as_integer_ratio()
+            return Fraction((c2 * d1 - c1 * d2) * b1 * b2, dx * d1 * d2)
+    return (y2 - y1) / (x2 - x1)
+
+
+def _turn(p, q, r) -> int:
+    """The sign of slope(p, q) - slope(q, r) for points in x order: 1 where
+    the chain bends down at q, -1 where it bends up, 0 where p, q and r are
+    collinear.  Cross-multiplied: no quotient is formed."""
+    (x1, y1), (x2, y2), (x3, y3) = p, q, r
+    if type(x1) is type(y1) is type(x2) is type(y2) is type(x3) is type(y3) \
+            is Fraction:
+        a1, b1 = x1.as_integer_ratio()
+        a2, b2 = x2.as_integer_ratio()
+        a3, b3 = x3.as_integer_ratio()
+        c1, d1 = y1.as_integer_ratio()
+        c2, d2 = y2.as_integer_ratio()
+        c3, d3 = y3.as_integer_ratio()
+        # (y2 - y1)(x3 - x2) - (y3 - y2)(x2 - x1), times b1 b2 b3 d1 d2 d3
+        t = ((c2 * d1 - c1 * d2) * (a3 * b2 - a2 * b3) * b1 * d3
+             - (c3 * d2 - c2 * d3) * (a2 * b1 - a1 * b2) * b3 * d1)
+        return (t > 0) - (t < 0)
+    return scalar_cmp((y2 - y1) * (x3 - x2), (y3 - y2) * (x2 - x1))
+
+
+def _tail_turn(s, p, q) -> int:
+    """The sign of s - slope(p, q) for points in x order: ``_turn`` with a
+    tail of slope s in place of a segment."""
+    (x1, y1), (x2, y2) = p, q
+    if type(s) is type(x1) is type(y1) is type(x2) is type(y2) is Fraction:
+        n, e = s.as_integer_ratio()
+        a1, b1 = x1.as_integer_ratio()
+        a2, b2 = x2.as_integer_ratio()
+        c1, d1 = y1.as_integer_ratio()
+        c2, d2 = y2.as_integer_ratio()
+        # s (x2 - x1) - (y2 - y1), times e b1 b2 d1 d2
+        t = n * (a2 * b1 - a1 * b2) * d1 * d2 - (c2 * d1 - c1 * d2) * e * b1 * b2
+        return (t > 0) - (t < 0)
+    return scalar_cmp(s * (x2 - x1), y2 - y1)
+
+
+def _on_line(x0, y0, s, x=None) -> Scalar:
+    """y0 + s (x - x0), the value at x of the line of slope s through
+    (x0, y0); without x, its value at 0, y0 - s x0."""
+    if type(x0) is type(y0) is type(s) is Fraction and (
+            x is None or type(x) is Fraction):
+        a, b = x0.as_integer_ratio()
+        c, d = y0.as_integer_ratio()
+        n, e = s.as_integer_ratio()
+        if x is None:
+            return Fraction(c * e * b - n * a * d, d * e * b)
+        u, v = x.as_integer_ratio()
+        return Fraction(c * e * b * v + n * (u * b - a * v) * d, d * e * b * v)
+    if x is None:
+        return y0 - s * x0
+    return y0 + s * (x - x0)
+
+
+def _sum_terms(terms) -> tuple:
+    """(n, d) with n / d the sum of the quotients tn / td of the integer
+    pairs (tn, td), td > 0, reduced after every term: n and d stay those of
+    a partial sum, never the product of every term's denominator."""
+    n, d = 0, 1
+    for tn, td in terms:
+        n, d = n * td + tn * d, d * td
+        g = gcd(n, d)
+        n, d = n // g, d // g
+    return n, d
+
+
+def _ratios(values):
+    """The (numerator, denominator) of each value, or None unless every
+    value is a Fraction."""
+    out = []
+    for v in values:
+        if type(v) is not Fraction:
+            return None
+        out.append(v.as_integer_ratio())
+    return out
 
 
 def _clean_points(points) -> list:
@@ -160,15 +269,9 @@ def _clean_points(points) -> list:
     if not pts:
         raise ValueError("at least one breakpoint is required")
     for (x1, _), (x2, _) in zip(pts, pts[1:]):
-        if not x1 < x2:
+        if scalar_cmp(x1, x2) >= 0:
             raise ValueError("breakpoint x-coordinates must be strictly increasing")
     return pts
-
-
-def _collinear(p, q, r) -> bool:
-    """Whether q lies on the segment p -> r, by cross-multiplication (no
-    divisions: exact quotients are far costlier than products here)."""
-    return bool((q[1] - p[1]) * (r[0] - q[0]) == (r[1] - q[1]) * (q[0] - p[0]))
 
 
 def _merge_collinear(pts: list, left_slope=None, right_slope=None) -> list:
@@ -179,19 +282,15 @@ def _merge_collinear(pts: list, left_slope=None, right_slope=None) -> list:
     of the surviving segments around it."""
     out = list(pts)
     if left_slope is not None:
-        while len(out) > 1 and bool(
-            out[1][1] - out[0][1] == left_slope * (out[1][0] - out[0][0])
-        ):
+        while len(out) > 1 and _tail_turn(left_slope, out[0], out[1]) == 0:
             out.pop(0)
     if right_slope is not None:
-        while len(out) > 1 and bool(
-            out[-1][1] - out[-2][1] == right_slope * (out[-1][0] - out[-2][0])
-        ):
+        while len(out) > 1 and _tail_turn(right_slope, out[-2], out[-1]) == 0:
             out.pop()
     if len(out) > 2:
         kept = [out[0]]
         for i in range(1, len(out) - 1):
-            if not _collinear(kept[-1], out[i], out[i + 1]):
+            if _turn(kept[-1], out[i], out[i + 1]) != 0:
                 kept.append(out[i])
         kept.append(out[-1])
         out = kept
@@ -206,6 +305,28 @@ def _eval_on_grid(pts, xs, left_slope=None, right_slope=None) -> list:
     out = []
     i = 0
     top = len(pts) - 1
+    xr = _ratios(xs)
+    pr = xr and _ratios(x for x, _ in pts)
+    yr = pr and _ratios(y for _, y in pts)
+    if yr:
+        # all rational: one integer pass, x_i = a/b, y_i = c/d, x = u/v
+        for x, (u, v) in zip(xs, xr):
+            while i < top and pr[i + 1][0] * v <= u * pr[i + 1][1]:
+                i += 1
+            a, b = pr[i]
+            t = u * b - a * v  # the sign of x - x_i
+            if not t:
+                out.append(pts[i][1])
+            elif i == 0 and t < 0:
+                out.append(_on_line(*pts[0], left_slope, x))
+            elif i == top:
+                out.append(_on_line(*pts[top], right_slope, x))
+            else:
+                (a1, b1), (c, d), (c1, d1) = pr[i + 1], yr[i], yr[i + 1]
+                # y_i + (y_i+1 - y_i) (x - x_i) / (x_i+1 - x_i)
+                e = (a1 * b - a * b1) * v * d1
+                out.append(Fraction(c * e + (c1 * d - c * d1) * b1 * t, d * e))
+        return out
     for x in xs:
         while i < top and pts[i + 1][0] <= x:
             i += 1
@@ -233,15 +354,37 @@ def _jets_on_grid(f, xs) -> list:
     j = 0  # the first breakpoint at or right of x
     n = len(pts)
     for x in xs:
-        while j < n and pts[j][0] < x:
+        c = 1  # the sign of pts[j].x - x
+        while j < n and (c := scalar_cmp(pts[j][0], x)) < 0:
             j += 1
-        if j < n and pts[j][0] == x:
+        if j < n and c == 0:
             out.append((pts[j][1], slopes[j], slopes[j + 1]))
         else:
             s = slopes[j]
-            x0, y0 = pts[min(j, n - 1)]
-            out.append((y0 + s * (x - x0), s, s))
+            out.append((_on_line(*pts[min(j, n - 1)], s, x), s, s))
     return out
+
+
+def _jet_pairing(us, jets_a, jets_b) -> Scalar:
+    """The sum over u of ya (rb - lb) + yb (ra - la) - u (ra rb - la lb),
+    for the jets (value, left slope, right slope) of two functions at the
+    points us: the local sum of ``positivity.adeg_product``."""
+    flat = _ratios(v for u, ja, jb in zip(us, jets_a, jets_b) for v in (u, *ja, *jb))
+    if flat:
+        # all rational: each term as (rb - lb)(ya - u la) + (ra - la)(yb - u rb)
+        terms = []
+        for i in range(0, len(flat), 7):
+            ((un, ud), (yan, yad), (lan, lad), (ran, rad),
+             (ybn, ybd), (lbn, lbd), (rbn, rbd)) = flat[i:i + 7]
+            terms.append((
+                (rbn * lbd - lbn * rbd) * (yan * ud * lad - un * lan * yad) * rad * ybd
+                + (ran * lad - lan * rad) * (ybn * ud * rbd - un * rbn * ybd) * lbd * yad,
+                ud * lad * rbd * lbd * yad * rad * ybd))
+        return Fraction(*_sum_terms(terms))
+    local = Fraction(0)
+    for u, (ya, la, ra), (yb, lb, rb) in zip(us, jets_a, jets_b):
+        local = local + ya * (rb - lb) + yb * (ra - la) - u * (ra * rb - la * lb)
+    return local
 
 
 class ConcavePA:
@@ -256,8 +399,7 @@ class ConcavePA:
     def __init__(self, points: Iterable):
         pts = _merge_collinear(_clean_points(points))
         for p, q, r in zip(pts, pts[1:], pts[2:]):
-            # slope(p,q) > slope(q,r), cross-multiplied (both dx > 0)
-            if not (q[1] - p[1]) * (r[0] - q[0]) > (r[1] - q[1]) * (q[0] - p[0]):
+            if not _turn(p, q, r) > 0:
                 raise NotConcave(
                     f"slopes are not strictly decreasing at x = {q[0]}"
                 )
@@ -339,20 +481,18 @@ class ConcavePA:
     def restrict(self, window: Interval) -> "ConcavePA":
         if window.is_empty:
             raise EmptyDomain("cannot restrict to the empty interval")
-        if not (self.domain.lo <= window.lo and window.hi <= self.domain.hi):
+        pts, lo, hi = self.points, window.lo, window.hi
+        if not (pts[0][0] <= lo and hi <= pts[-1][0]):
             raise OutOfDomain(f"{window} is not inside {self.domain}")
         if window.is_point:
-            return ConcavePA._raw([(window.lo, self.eval(window.lo))])
-        if bool(window.lo == self.points[0][0]) and bool(
-            window.hi == self.points[-1][0]
-        ):
+            return ConcavePA._raw([(lo, self.eval(lo))])
+        if bool(lo == pts[0][0]) and bool(hi == pts[-1][0]):
             return self
-        pts = [(window.lo, self.eval(window.lo))]
-        pts += [(x, y) for x, y in self.points if window.lo < x < window.hi]
-        pts += [(window.hi, self.eval(window.hi))]
+        y_lo, y_hi = _eval_on_grid(pts, [lo, hi])
         # cutting an affine piece cannot create a collinear triple among the
         # survivors, so the result is canonical
-        return ConcavePA._raw(pts)
+        return ConcavePA._raw(
+            [(lo, y_lo), *((x, y) for x, y in pts if lo < x < hi), (hi, y_hi)])
 
     def reflect(self) -> "ConcavePA":
         """The function x -> f(-x)."""
@@ -584,17 +724,14 @@ class ConvexPA(_LinePA):
             if scalar_sign(d) < 0:
                 raise NotConvex("tail slopes are not increasing")
             return  # equal tails: globally affine
-        # all comparisons cross-multiplied (dx > 0), avoiding exact division
-        p, q = pts[0], pts[1]
-        if not self.left_slope * (q[0] - p[0]) < q[1] - p[1]:
+        if not _tail_turn(self.left_slope, pts[0], pts[1]) < 0:
             raise NotConvex("left tail slope is not below the first segment")
         for p, q, r in zip(pts, pts[1:], pts[2:]):
-            if not (q[1] - p[1]) * (r[0] - q[0]) < (r[1] - q[1]) * (q[0] - p[0]):
+            if not _turn(p, q, r) < 0:
                 raise NotConvex(
                     f"slopes are not strictly increasing at x = {q[0]}"
                 )
-        p, q = pts[-2], pts[-1]
-        if not q[1] - p[1] < self.right_slope * (q[0] - p[0]):
+        if not _tail_turn(self.right_slope, pts[-2], pts[-1]) > 0:
             raise NotConvex("right tail slope is not above the last segment")
 
     @classmethod
@@ -684,14 +821,11 @@ class PAGeneral(_LinePA):
         pts = self.points
         if len(pts) == 1:
             return scalar_sign(self.right_slope - self.left_slope) >= 0
-        p, q = pts[0], pts[1]
-        if not bool(self.left_slope * (q[0] - p[0]) <= q[1] - p[1]):
+        if _tail_turn(self.left_slope, pts[0], pts[1]) > 0:
             return False
-        for p, q, r in zip(pts, pts[1:], pts[2:]):
-            if not bool((q[1] - p[1]) * (r[0] - q[0]) <= (r[1] - q[1]) * (q[0] - p[0])):
-                return False
-        p, q = pts[-2], pts[-1]
-        return bool(q[1] - p[1] <= self.right_slope * (q[0] - p[0]))
+        if any(_turn(p, q, r) > 0 for p, q, r in zip(pts, pts[1:], pts[2:])):
+            return False
+        return _tail_turn(self.right_slope, pts[-2], pts[-1]) >= 0
 
     def to_payload(self) -> dict:
         return {"kind": "general", **self._payload()}
@@ -795,22 +929,13 @@ def convex_envelope(f) -> ConvexPA:
     hull: list = []
     for p in f.points:
         # drop q while its incoming slope (the left tail for the first
-        # point) is at least the slope from q to p; all cross-multiplied
-        while hull:
-            q = hull[-1]
-            dx, dy = p[0] - q[0], p[1] - q[1]
-            if len(hull) == 1:
-                drop = s_minus * dx >= dy
-            else:
-                o = hull[-2]
-                drop = (q[1] - o[1]) * dx >= dy * (q[0] - o[0])
-            if not drop:
-                break
+        # point) is at least the slope from q to p
+        while hull and (_tail_turn(s_minus, hull[0], p) if len(hull) == 1
+                        else _turn(hull[-2], hull[-1], p)) >= 0:
             hull.pop()
         hull.append(p)
     # then the right tail: drop q while its incoming slope is at least s_plus
-    while len(hull) > 1 and hull[-1][1] - hull[-2][1] >= s_plus * (
-            hull[-1][0] - hull[-2][0]):
+    while len(hull) > 1 and _tail_turn(s_plus, hull[-2], hull[-1]) <= 0:
         hull.pop()
     # every point left is a strict kink, tails included
     return ConvexPA._raw(hull, s_minus, s_plus)
@@ -829,14 +954,9 @@ def legendre_roof(potential: ConvexPA) -> ConcavePA:
         + [potential.right_slope]
     )
     if bool(slopes[0] == slopes[-1]):  # globally affine potential
-        s = slopes[0]
-        u0, g0 = pts[0]
-        return ConcavePA._raw([(s, g0 - s * u0)])
-    out = []
-    for j, (u, gval) in enumerate(pts):
-        out.append((slopes[j], gval - slopes[j] * u))
-    un, gn = pts[-1]
-    out.append((slopes[-1], gn - slopes[-1] * un))
+        return ConcavePA._raw([(slopes[0], _on_line(*pts[0], slopes[0]))])
+    out = [(s, _on_line(u, g, s)) for s, (u, g) in zip(slopes, pts)]
+    out.append((slopes[-1], _on_line(*pts[-1], slopes[-1])))
     # the potential's slopes increase strictly, so these x do, and the
     # segment slopes -u fall strictly: canonical as built
     return ConcavePA._raw(out)
@@ -917,13 +1037,38 @@ def integrate_positive_part(f: ConcavePA, window: Interval | None = None) -> Sca
     if run is None:
         return Fraction(0)
     first, last, signs = run
+    clip_lo = first > 0 and signs[first] > 0
+    clip_hi = last < len(pts) - 1 and signs[last] > 0
+    run_pts = pts[first - clip_lo:last + 1 + clip_hi]
+    xr = _ratios(x for x, _ in run_pts)
+    yr = xr and _ratios(y for _, y in run_pts)
+    if yr:
+        # all rational: the same terms over the integers, x = a/b, y = c/e
+        rows = list(zip(xr, yr))
+        terms = []
+        if clip_lo:
+            ((a1, b1), (c0, e0)), ((a2, b2), (c, e)) = rows[:2]
+            # (x2 - x1) y_in^2 / (y_in - y_out)
+            terms.append(((a2 * b1 - a1 * b2) * c * c * e0,
+                          b1 * b2 * e * (c * e0 - c0 * e)))
+        if clip_hi:
+            ((a1, b1), (c, e)), ((a2, b2), (c0, e0)) = rows[-2:]
+            terms.append(((a2 * b1 - a1 * b2) * c * c * e0,
+                          b1 * b2 * e * (c * e0 - c0 * e)))
+        rows = rows[clip_lo:len(rows) - clip_hi]
+        for ((a1, b1), (c1, e1)), ((a2, b2), (c2, e2)) in zip(rows, rows[1:]):
+            # (x2 - x1)(y1 + y2)
+            terms.append(((a2 * b1 - a1 * b2) * (c1 * e2 + c2 * e1),
+                          b1 * b2 * e1 * e2))
+        n, d = _sum_terms(terms)
+        return Fraction(n, 2 * d)
     total: Scalar = Fraction(0)
     for (x1, y1), (x2, y2) in zip(pts[first:last], pts[first + 1:last + 1]):
         total = total + (x2 - x1) * (y1 + y2)
-    if first > 0 and signs[first] > 0:
+    if clip_lo:
         (x1, y_out), (x2, y_in) = pts[first - 1], pts[first]
         total = total + (x2 - x1) * y_in * y_in / (y_in - y_out)
-    if last < len(pts) - 1 and signs[last] > 0:
+    if clip_hi:
         (x1, y_in), (x2, y_out) = pts[last], pts[last + 1]
         total = total + (x2 - x1) * y_in * y_in / (y_in - y_out)
     return total / 2

@@ -21,8 +21,9 @@ from .divisors import (ARCH, Pair, ToricAdelicDivisor, _place_sort_key,
 from .errors import NotBig, NotNef, NotRelativelyNef
 from .exactnum import Scalar, log_unit, scalar_float, scalar_sign
 from .pa import (ConvexPA, Interval, PAGeneral, _clean_points, _grid,
-                 _jets_on_grid, convex_envelope, integrate_positive_part,
-                 legendre_potential, legendre_roof, unit_roof)
+                 _jet_pairing, _jets_on_grid, _on_line, _slope, convex_envelope,
+                 integrate_positive_part, legendre_potential, legendre_roof,
+                 unit_roof)
 
 
 def _as_divisor(obj) -> ToricAdelicDivisor:
@@ -185,10 +186,7 @@ def adeg_product(a, b):
     for place in dict.fromkeys((ARCH,) + a.places + b.places):
         pot_a, pot_b = a.potential(place), b.potential(place)
         us = _grid((u for u, _ in pot_a.points), (u for u, _ in pot_b.points))
-        local = Fraction(0)
-        for u, (ya, la, ra), (yb, lb, rb) in zip(
-                us, _jets_on_grid(pot_a, us), _jets_on_grid(pot_b, us)):
-            local = local + ya * (rb - lb) + yb * (ra - la) - u * (ra * rb - la * lb)
+        local = _jet_pairing(us, _jets_on_grid(pot_a, us), _jets_on_grid(pot_b, us))
         total = total + (local if place == ARCH else log_unit(place) * local)
     return total
 
@@ -309,7 +307,7 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
 
     while True:
         c0, cinf = d.c0 - t * n.c0, d.cinf - t * n.cinf
-        pots = {place: [(u, a - t * b) for u, a, b in rows]
+        pots = {place: [(u, _on_line(b, a, t)) for u, a, b in rows]  # a - t * b
                 for place, (_, rows) in data.items()}
         roof = _twisted_roof(data, pots, c0, cinf, v0, vinf)
         x, g = roof.argmax()
@@ -354,7 +352,7 @@ def _fall_rate(data, pots, roof, x, n):
     """
     active = []
     for place, (weight, rows) in data.items():
-        ys = [p - x * u for u, p in pots[place]]
+        ys = [_on_line(u, p, x) for u, p in pots[place]]  # p - x * u
         y = min(ys)
         active.append((weight, [(b, u) for (u, _, b), yu in zip(rows, ys)
                                 if yu == y]))
@@ -362,9 +360,10 @@ def _fall_rate(data, pots, roof, x, n):
     hi = n.c0 if x == roof.points[-1][0] else None
     deltas = [e for e in (lo, hi) if e is not None] or [Fraction(0)]
     for _, rows in active:
-        deltas += [(b - b2) / (u - u2) for i, (b, u) in enumerate(rows)
+        deltas += [_slope((u2, b2), (u, b)) for i, (b, u) in enumerate(rows)
                    for b2, u2 in rows[i + 1:]]
-    return max(sum(w * min(b - u * e for b, u in rows) for w, rows in active)
+    return max(sum(w * min(_on_line(e, b, u) for b, u in rows)  # b - u * e
+                   for w, rows in active)
                for e in deltas
                if (lo is None or e >= lo) and (hi is None or e <= hi))
 

@@ -35,6 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .divisors import Pair
+from .errors import AdelicVolumesError
 
 _TOP_KEYS = {"c0", "cinf", "potentials", "base", "comment"}
 
@@ -149,6 +150,9 @@ def load_scene(path) -> Pair:
         return scene_from_dict(payload)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    except AdelicVolumesError as exc:
+        # InvalidPoint, NotConvex, ...: keep the type, name the scene
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def save_scene(pair: Pair, path, comment: str = None) -> None:

@@ -26,6 +26,7 @@ from adelic_volumes.exactnum import (
     floor_fraction,
     log_unit,
     scalar_float,
+    scalar_cmp,
     scalar_fraction,
     scalar_sign,
 )
@@ -360,6 +361,29 @@ def test_arithmetic_keeps_one_type(a, b, c, d, e, f, q):
         results += [x / y, (x * y) / y, (x / y) * y, x / y - x / y]
     for r in results:
         _assert_one_type(r)
+
+
+# numerators and denominators up to 200 bits, and zero; ints too
+_big_scalars = st.one_of(
+    st.builds(Fraction, st.integers(-2**200, 2**200), st.integers(1, 2**200)),
+    _small, st.just(Fraction(0)), st.integers(-3, 3))
+
+
+@given(st.one_of(_big_scalars, st.builds(_en, _small, _small, _small)))
+@settings(max_examples=200, deadline=None)
+def test_scalar_sign_agrees_with_the_operators(x):
+    # a Fraction's sign is read off its numerator
+    assert scalar_sign(x) == (x > 0) - (x < 0)
+
+
+@given(st.one_of(_big_scalars, st.builds(_en, _small, _small, _small)),
+       st.one_of(_big_scalars, st.builds(_en, _small, _small, _small)),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_scalar_cmp_agrees_with_the_operators(a, b, equal):
+    if equal:
+        b = a + 0
+    assert scalar_cmp(a, b) == (a > b) - (a < b)
 
 
 @given(_small, _small, _small)

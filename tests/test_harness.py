@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from adelic_volumes import exactnum
+from adelic_volumes import divisors, exactnum, harness
 from adelic_volumes.divisors import Pair
 from adelic_volumes.errors import NotBig, UnknownSuite
 from adelic_volumes.exactnum import log_unit
@@ -207,6 +207,34 @@ class TestSamplers:
         assert rep.derivative is not None
         assert rep.derivative == rep.analytic
         assert central == rep.analytic
+
+    def test_sampled_pair_keeps_its_volume(self, monkeypatch):
+        # the volume at t = 0 is the sampled pair's own, measured by is_big;
+        # an attempt builds roofs only for the other four steps
+        roofs, marks = [], []
+        real_roof_sum, real_sampler = divisors._roof_sum, harness.sample_big_pair
+
+        def counting_roof_sum(*args):
+            roofs.append(1)
+            return real_roof_sum(*args)
+
+        def marking_sampler(*args, **kwargs):
+            marks.append(len(roofs))  # the previous attempt ends here
+            pair = real_sampler(*args, **kwargs)
+            marks.append(len(roofs))
+            return pair
+
+        monkeypatch.setattr(divisors, "_roof_sum", counting_roof_sum)
+        monkeypatch.setattr(harness, "sample_big_pair", marking_sampler)
+        for seed in (11, 12, 13):
+            roofs.clear()
+            marks.clear()
+            sample_derivative_instance(random.Random(seed))
+            marks.append(len(roofs))
+            per_attempt = [b - a for a, b in zip(marks[1::2], marks[2::2])]
+            # the last attempt succeeded: volumes at -h/2, h/2, -h and h
+            assert per_attempt[-1] == 4
+            assert all(n <= 4 for n in per_attempt)
 
 
 class TestSuites:

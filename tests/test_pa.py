@@ -2,6 +2,7 @@
 duality, sup-convolution, envelopes, integration."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,13 +15,18 @@ from adelic_volumes.errors import (
     OutOfDomain,
     UnboundedBelow,
 )
-from adelic_volumes.exactnum import log_unit
+from adelic_volumes.exactnum import exact, log_unit, scalar_sign
 from adelic_volumes.pa import (
     ConcavePA,
     ConvexPA,
     Interval,
     PAGeneral,
+    _eval_on_grid,
+    _jet_pairing,
+    _on_line,
     _slope,
+    _tail_turn,
+    _turn,
     convex_envelope,
     integrate_positive_part,
     legendre_potential,
@@ -582,3 +588,208 @@ def test_checking_constructors_still_check():
         scene_from_dict(scene("convex", [["0", "0"], ["1", "1"], ["2", "0"]]))
     with pytest.raises(ValueError, match="strictly increasing"):
         scene_from_dict(scene("general", [["1", "0"], ["0", "1"]]))
+
+
+# -- the exact primitives agree with the operator formulas they replace ----
+#
+# Each reference below is the formula a primitive replaced, written with the
+# scalar operators.  Results must agree in type and repr, and a zero
+# denominator must raise the same ZeroDivisionError.
+
+# numerators and denominators up to 200 bits, small values (so that x
+# coordinates and values coincide often), and zero
+_big = st.builds(F, st.integers(-2**200, 2**200), st.integers(1, 2**200))
+_tiny = st.fractions(min_value=F(-2), max_value=F(2), max_denominator=3)
+_q = st.one_of(_tiny, _big, st.just(F(0)))
+# an ExactNumber, a rational plus a multiple of log 2 or a rational held as
+# an ExactNumber, takes the field formula
+_field = st.one_of(st.builds(lambda q, c: q + c * L2, _q, _tiny), _q.map(exact))
+_mixed = st.one_of(_q, _q, _q, _q, _q, _q, _field)
+
+
+def _ref_slope(p, q):
+    return (q[1] - p[1]) / (q[0] - p[0])
+
+
+def _ref_turn(p, q, r):
+    a, b = (q[1] - p[1]) * (r[0] - q[0]), (r[1] - q[1]) * (q[0] - p[0])
+    return (a > b) - (a < b)
+
+
+def _ref_tail_turn(s, p, q):
+    a, b = s * (q[0] - p[0]), q[1] - p[1]
+    return (a > b) - (a < b)
+
+
+def _ref_on_line(x0, y0, s, x=None):
+    return y0 - s * x0 if x is None else y0 + s * (x - x0)
+
+
+def _ref_eval(pts, x, left_slope, right_slope):
+    (x0, y0), (xn, yn) = pts[0], pts[-1]
+    if x < x0:
+        return y0 + left_slope * (x - x0)
+    if x > xn:
+        return yn + right_slope * (x - xn)
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
+        if x1 < x < x2:
+            return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+    return next(y for u, y in pts if u == x)
+
+
+def _ref_integrate_positive_part(f):
+    pts = f.points
+    signs = [scalar_sign(y) for _, y in pts]
+    keep = [i for i, s in enumerate(signs) if s >= 0]
+    if not keep:
+        return F(0)
+    first, last = keep[0], keep[-1]
+    total = F(0)
+    for (x1, y1), (x2, y2) in zip(pts[first:last], pts[first + 1:last + 1]):
+        total = total + (x2 - x1) * (y1 + y2)
+    if first > 0 and signs[first] > 0:
+        (x1, y_out), (x2, y_in) = pts[first - 1], pts[first]
+        total = total + (x2 - x1) * y_in * y_in / (y_in - y_out)
+    if last < len(pts) - 1 and signs[last] > 0:
+        (x1, y_in), (x2, y_out) = pts[last], pts[last + 1]
+        total = total + (x2 - x1) * y_in * y_in / (y_in - y_out)
+    return total / 2
+
+
+def _outcome(fn, *args):
+    """The result, or the type and message of a ZeroDivisionError."""
+    try:
+        return fn(*args)
+    except ZeroDivisionError as exc:
+        return ZeroDivisionError, str(exc)
+
+
+def _same(got, want):
+    assert type(got) is type(want) and repr(got) == repr(want)
+
+
+_points = st.tuples(_mixed, _mixed)
+
+
+@given(_points, _points, st.booleans())
+@example((F(1), F(2)), (F(1), F(5)), False)            # coincident x
+@example((F(1), F(2)), (F(1), F(2) + L2), False)       # coincident, field
+@settings(max_examples=300, deadline=None)
+def test_slope_primitive(p, q, same_x):
+    if same_x:
+        q = (p[0], q[1])
+    _same(_outcome(_slope, p, q), _outcome(_ref_slope, p, q))
+
+
+@given(_points, _points, _points, st.sampled_from(["any", "collinear", "x"]))
+@example((F(0), F(0)), (F(1), F(1)), (F(2), F(2)), "any")
+@settings(max_examples=300, deadline=None)
+def test_turn_primitive(p, q, r, how):
+    if how == "collinear" and bool(p[0] != q[0]):
+        # r on the line through p and q
+        r = (r[0], p[1] + (q[1] - p[1]) * (r[0] - p[0]) / (q[0] - p[0]))
+    elif how == "x":
+        q = (p[0], q[1])
+    _same(_turn(p, q, r), _ref_turn(p, q, r))
+
+
+@given(_mixed, _points, _points, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_tail_turn_primitive(s, p, q, on_tail):
+    if on_tail:
+        q = (q[0], p[1] + s * (q[0] - p[0]))
+    _same(_tail_turn(s, p, q), _ref_tail_turn(s, p, q))
+
+
+@given(_mixed, _mixed, _mixed, st.one_of(st.none(), _mixed))
+@settings(max_examples=300, deadline=None)
+def test_on_line_primitive(x0, y0, s, x):
+    args = (x0, y0, s) if x is None else (x0, y0, s, x)
+    _same(_on_line(*args), _ref_on_line(*args))
+
+
+@given(st.lists(_q, min_size=1, max_size=6, unique=True),
+       st.lists(_q, min_size=6, max_size=6), _mixed, _mixed,
+       st.lists(_q, max_size=8), st.booleans(),
+       st.one_of(st.none(), st.tuples(st.integers(0, 11), _field)))
+@example([F(0), F(1)], [F(0), F(1)] + [F(0)] * 4, F(0), F(0),
+         [F(-1), F(0), F(1, 2), F(1), F(2)], False, None)
+@settings(max_examples=300, deadline=None)
+def test_eval_on_grid_primitive(xs, ys, left, right, extra, with_breakpoints,
+                                field):
+    if field is not None:
+        # one ExactNumber value, or one ExactNumber x in the grid
+        i, v = field
+        if i < 6:
+            ys[i] = v
+        else:
+            extra.append(v)
+    pts = list(zip(sorted(xs), ys))
+    grid = sorted(extra + ([x for x, _ in pts] if with_breakpoints else []))
+    got = _eval_on_grid(pts, grid, left, right)
+    assert len(got) == len(grid)
+    for x, y in zip(grid, got):
+        _same(y, _ref_eval(pts, x, left, right))
+
+
+def _ref_jet_pairing(us, jets_a, jets_b):
+    local = F(0)
+    for u, (ya, la, ra), (yb, lb, rb) in zip(us, jets_a, jets_b):
+        local = local + ya * (rb - lb) + yb * (ra - la) - u * (ra * rb - la * lb)
+    return local
+
+
+@given(st.lists(st.tuples(_q, st.tuples(_q, _q, _q), st.tuples(_q, _q, _q)),
+                min_size=1, max_size=6),
+       st.one_of(st.none(), st.tuples(st.integers(0, 41), _field)))
+@settings(max_examples=300, deadline=None)
+def test_jet_pairing_primitive(rows, field):
+    flat = [[u, *ja, *jb] for u, ja, jb in rows]
+    if field is not None:
+        # one ExactNumber among the points and jets
+        i, v = field
+        flat[i // 7 % len(flat)][i % 7] = v
+    us = [r[0] for r in flat]
+    jets_a = [tuple(r[1:4]) for r in flat]
+    jets_b = [tuple(r[4:7]) for r in flat]
+    _same(_jet_pairing(us, jets_a, jets_b), _ref_jet_pairing(us, jets_a, jets_b))
+
+
+@st.composite
+def big_concave_pas(draw):
+    """Concave PAs with 200-bit coordinates, values shifted so that a
+    breakpoint or a random level sits at 0, and sometimes a log 2 term."""
+    xs = sorted(draw(st.sets(_q, min_size=1, max_size=6)))
+    slopes = sorted(draw(st.sets(_q, min_size=len(xs) - 1,
+                                 max_size=len(xs) - 1)), reverse=True)
+    ys = [draw(_q)]
+    for s, x1, x2 in zip(slopes, xs, xs[1:]):
+        ys.append(ys[-1] + s * (x2 - x1))
+    shift = draw(st.one_of(_q, st.sampled_from([-y for y in ys]),
+                           _q.map(lambda q: q + L2)))
+    return ConcavePA([(x, y + shift) for x, y in zip(xs, ys)])
+
+
+@given(big_concave_pas())
+@example(ConcavePA([(F(-2), F(-1)), (F(0), F(1)), (F(2), F(-1))]))
+@settings(max_examples=300, deadline=None)
+def test_integrate_positive_part_primitive(f):
+    _same(integrate_positive_part(f), _ref_integrate_positive_part(f))
+
+
+def test_integral_stays_reduced(monkeypatch):
+    # 200 segments whose terms all have denominator 3 * 3 * 9 * 9: the sum
+    # is reduced as the terms come in, so its numerator and denominator
+    # never grow with the number of segments
+    import adelic_volumes.pa as pa
+
+    sizes = []
+
+    def recording_gcd(a, b):
+        sizes.append(max(abs(a), abs(b)).bit_length())
+        return gcd(a, b)
+
+    monkeypatch.setattr(pa, "gcd", recording_gcd)
+    f = ConcavePA([(F(i, 3), 10**6 - F(i, 3) ** 2) for i in range(201)])
+    _same(integrate_positive_part(f), _ref_integrate_positive_part(f))
+    assert len(sizes) == 200 and max(sizes) < 100

@@ -22,6 +22,7 @@ import adelic_volumes.scenes as scenes_mod
 import adelic_volumes.sections as sections
 from adelic_volumes.cli import main
 from adelic_volumes.divisors import Pair
+from adelic_volumes.errors import InvalidPoint
 from adelic_volumes.gallery import (
     half_zero_pair,
     height_shift,
@@ -550,8 +551,22 @@ class TestSceneKeys:
         assert main(["avol", str(path)]) == 2
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err.strip()
-        assert err.startswith("error:") and "non-toric" in err
-        assert len(err.splitlines()) == 1 and len(err) < 200
+        assert err.startswith(f"error: {path}: ") and "non-toric" in err
+        # bounded whatever the label's length; the scene path comes on top
+        assert len(err.splitlines()) == 1 and len(err) - len(str(path)) < 200
+
+    def test_base_key_error_names_the_scene(self, scenes, tmp_path, capsys):
+        # the InvalidPoint of the second scene says which file it came from
+        path = tmp_path / "quadratic.json"
+        path.write_text(json.dumps({
+            "c0": "1", "cinf": "0", "base": {"t^2+1": "1"},
+            "potentials": {"inf": TestHostileScenes._SLANT_INF}}))
+        assert main(["diskant", scenes["slant"], str(path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: ") and "t^2+1" in err
+        with pytest.raises(InvalidPoint, match="quadratic.json"):
+            load_scene(path)
 
 
 # Scene fuzzing: gallery scenes with 1-4 random edits, run in-process through
