@@ -5,7 +5,9 @@ s2 = avol of the first, and s1 their mixed product, the chain bounds the
 discriminant s1^2 - s0 s2 from below by inradius and circumradius
 expressions and sandwiches the Bonnesen quantity between them.  For
 proportional pairs every inequality collapses to equality, which the
-exact arithmetic exhibits with zero slack.
+exact arithmetic exhibits with zero slack.  Every slack is exact: the two
+ends with sqrt(disc) are stated as signed squares, a |a| <= disc and
+b |b| <= R^2 disc, so their slacks have squared units.
 
 Run with:  python3 demos/diskant_chain.py
 """

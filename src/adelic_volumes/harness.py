@@ -139,10 +139,10 @@ def check_differentiability(pair, direction) -> DerivativeReport:
 
 @dataclass(frozen=True)
 class InequalityCase:
-    """One named inequality lhs <= rhs with its slack = rhs - lhs.  passed is
-    always decided by an exact sign; lhs, rhs and slack are exact scalars,
-    except in the two cases whose sides involve sqrt(disc), where they are
-    floats for display, formed from exact ratios."""
+    """One named inequality lhs <= rhs with its slack = rhs - lhs.  lhs, rhs
+    and slack are exact scalars and passed is the sign of the slack.  The two
+    chain ends with sqrt(disc) are stated as signed squares, a |a| <= disc
+    and b |b| <= R^2 disc, so their slacks have squared units."""
 
     name: str
     lhs: object
@@ -172,30 +172,23 @@ def diskant_report(pair1, pair2) -> DiskantReport:
     rv, Rv = r.value, big_r.value
     disc = s1 * s1 - s0 * s2
 
-    # The two ends with sqrt(disc) are decided by squaring under sign
-    # conditions (s0 > 0, R > 0, s1 > sqrt(disc)):
-    #   (s1 - sqrt(disc)) / s0 <= r   iff  a <= 0 or a^2 <= disc,
-    #   R <= s2 / (s1 - sqrt(disc))   iff  b <= 0 or b^2 <= R^2 disc.
-    # Their display floats are u -+ sqrt(v) from the exact ratios u = s1/s0
-    # and v = disc/s0^2; the upper end is s2 / (s1 - sqrt(disc)) because
-    # s1^2 - disc = s0 s2.
+    # The two ends with sqrt(disc) are stated as signed squares: x -> x |x|
+    # is increasing, so for s0 > 0, R > 0 and disc >= 0
+    #   (s1 - sqrt(disc)) / s0 <= r   iff  a |a| <= disc,
+    #   R <= s2 / (s1 - sqrt(disc))   iff  b |b| <= R^2 disc,
+    # with a = s1 - r s0 and b = R s1 - s2 (the upper end because
+    # s1^2 - disc = s0 s2).  Every side stays in Q(log 2, log 3, ...).
     a = s1 - rv * s0
     b = Rv * s1 - s2
     u = s1 / s0
-    sq = math.sqrt(scalar_float(disc / (s0 * s0)))
-    fu, frv, fRv = scalar_float(u), scalar_float(rv), scalar_float(Rv)
     cases = [
         _exact_case("mixed_discriminant_nonneg", Fraction(0), disc),
         _exact_case("diskant", a * a, disc),
-        InequalityCase(
-            "chain_lower_vs_r", fu - sq, frv, sq - scalar_float(u - rv),
-            scalar_sign(a) <= 0 or scalar_sign(disc - a * a) >= 0),
+        _exact_case("chain_lower_vs_r", a * abs_scalar(a), disc),
         _exact_case("chain_r_vs_ratio", rv, s2 / s1),
         _exact_case("chain_ratio_mono", s2 / s1, u),
         _exact_case("chain_ratio_vs_R", u, Rv),
-        InequalityCase(
-            "chain_R_vs_upper", fRv, fu + sq, sq - scalar_float(Rv - u),
-            scalar_sign(b) <= 0 or scalar_sign(Rv * Rv * disc - b * b) >= 0),
+        _exact_case("chain_R_vs_upper", b * abs_scalar(b), Rv * Rv * disc),
     ]
     bl = s0 * (Rv - rv) / 2
     cases.append(_exact_case("bonnesen", bl * bl, disc))

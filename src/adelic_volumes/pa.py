@@ -1011,15 +1011,15 @@ def legendre_potential(roof: ConcavePA, window: Interval | None = None) -> Conve
     out = []
     for p, q in segments:
         m = _slope(p, q)
-        out.append((-m, p[0] * (-m) + p[1]))
+        out.append((-m, _on_line(*p, m)))
     # the roof's slopes fall strictly, so the -m rise strictly, and the
     # potential's slopes are the roof's breakpoints inside the window,
     # strictly between its ends: canonical as built
     return ConvexPA._raw(out, lo, hi)
 
 
-def integrate_positive_part(f: ConcavePA, window: Interval | None = None) -> Scalar:
-    """The exact integral of max(f, 0) over the window (default: the domain).
+def integrate_positive_part(f: ConcavePA) -> Scalar:
+    """The exact integral of max(f, 0) over the domain.
 
     One pass over the breakpoints: twice the area is the sum of
     (x2 - x1)(y1 + y2) over the segments where f >= 0 at both ends, plus,
@@ -1028,10 +1028,6 @@ def integrate_positive_part(f: ConcavePA, window: Interval | None = None) -> Sca
     is halved once.  The sign-change roots themselves are never formed.  The
     result is a Fraction for rational data and an ExactNumber otherwise.
     """
-    if window is not None:
-        if window.is_empty:
-            return Fraction(0)
-        f = f.restrict(window)
     pts = f.points
     run = _nonneg_run(pts)
     if run is None:

@@ -360,9 +360,9 @@ class TestPairMemo:
         calls = []
         original = positivity.integrate_positive_part
 
-        def counting(roof, window=None):
+        def counting(roof):
             calls.append(roof)
-            return original(roof, window)
+            return original(roof)
 
         monkeypatch.setattr(positivity, "integrate_positive_part", counting)
         pair = self._pairs()[2]

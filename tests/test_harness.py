@@ -8,6 +8,7 @@ is 2 - h/2, so the reported relative deviation at the reference step 2^-10
 is exactly (2^-11) / 3 = 1/6144.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import pytest
 from adelic_volumes import divisors, exactnum, harness
 from adelic_volumes.divisors import Pair
 from adelic_volumes.errors import NotBig, UnknownSuite
-from adelic_volumes.exactnum import log_unit
+from adelic_volumes.exactnum import log_unit, scalar_float, scalar_sign
 from adelic_volumes.gallery import (
     half_zero_pair,
     height_shift,
@@ -155,8 +156,13 @@ class TestDiskantReport:
         assert rep.r.exact and rep.r.value == F(1, 2)
         assert rep.R.exact and rep.R.value == 1
         assert rep.all_pass
-        assert all(c.slack >= 0 or float(c.slack) >= -1e-9 for c in rep.cases)
+        assert all(c.slack >= 0 for c in rep.cases)
         assert rep.case("bonnesen").slack == F(7, 4)
+        # the sqrt(disc) ends as signed squares: a |a| = 1 <= disc = 2 and
+        # b |b| = 1 <= R^2 disc = 2
+        assert rep.case("chain_lower_vs_r").slack == F(1)
+        assert rep.case("chain_R_vs_upper").slack == F(1)
+        assert all(type(c.slack) is F for c in rep.cases)
         # generic pair: no equality diagnostics
         names = [c.name for c in rep.cases]
         assert "equality_mixed_product" not in names
@@ -173,6 +179,9 @@ class TestDiskantReport:
         assert rep.s1 * rep.s1 == rep.s0 * rep.s2
         names = [c.name for c in rep.cases]
         assert "equality_mixed_product" in names and "equality_r_vs_R" in names
+        assert rep.case("chain_lower_vs_r").slack == F(0)
+        assert rep.case("chain_R_vs_upper").slack == F(0)
+        assert all(type(c.slack) is F for c in rep.cases)
         assert rep.all_pass
 
     def test_identical_nef_pair(self):
@@ -180,6 +189,48 @@ class TestDiskantReport:
         assert (rep.s0, rep.s1, rep.s2) == (2, 2, 2)
         assert rep.r.value == 1 == rep.R.value
         assert rep.all_pass
+
+    def test_negative_discriminant_fails_the_report(self, monkeypatch):
+        # a mixed product of 1 for slant vs tent makes disc = 1 - 2 = -1: a
+        # counterexample the report must fail, not crash on
+        monkeypatch.setattr(harness, "adeg_product", lambda d1, d2: F(1))
+        rep = diskant_report(Pair(slant_divisor()), Pair(tent_divisor()))
+        assert rep.s1 * rep.s1 - rep.s0 * rep.s2 == -1
+        failed = {c.name for c in rep.cases if not c.passed}
+        assert {"mixed_discriminant_nonneg", "diskant", "chain_lower_vs_r",
+                "chain_R_vs_upper"} <= failed
+        assert not rep.all_pass
+
+    @pytest.mark.parametrize("block", range(3))
+    def test_signed_squares_keep_the_sqrt_decisions(self, block):
+        # 3 x 60 sampled pairs, finite places on odd seeds, every 7th pair
+        # proportional.  The reference is the rule the sqrt(disc) ends were
+        # decided by before they became signed squares, and the sign of their
+        # float slacks sqrt(v) - (u - r) and sqrt(v) - (R - u), v = disc / s0^2
+        for seed in range(60 * block, 60 * (block + 1)):
+            rng = random.Random(f"signed-squares:{seed}")
+            finite = seed % 2 == 1
+            p1 = sample_big_pair(rng, allow_finite=finite)
+            if seed % 7 == 0:
+                p2 = p1.scale(F(rng.randint(1, 6), rng.randint(1, 3)))
+            else:
+                p2 = sample_big_pair(rng, allow_finite=finite)
+            rep = diskant_report(p1, p2)
+            s0, s1, s2 = rep.s0, rep.s1, rep.s2
+            r, big_r = rep.r.value, rep.R.value
+            disc = s1 * s1 - s0 * s2
+            a, b, u = s1 - r * s0, big_r * s1 - s2, s1 / s0
+            sq = math.sqrt(scalar_float(disc / (s0 * s0)))
+            for name, x, bound2, ref in (
+                    ("chain_lower_vs_r", a, disc,
+                     sq - scalar_float(u - r)),
+                    ("chain_R_vs_upper", b, big_r * big_r * disc,
+                     sq - scalar_float(big_r - u))):
+                case = rep.case(name)
+                assert case.passed == (scalar_sign(x) <= 0
+                                       or scalar_sign(bound2 - x * x) >= 0)
+                if math.isfinite(ref) and abs(ref) > 1e-9:
+                    assert scalar_sign(case.slack) == (1 if ref > 0 else -1)
 
 
 class TestSamplers:

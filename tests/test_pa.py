@@ -321,7 +321,7 @@ class TestIntegratePositivePart:
 
     def test_window(self):
         roof = ConcavePA([(0, 1), (2, -1)])
-        assert integrate_positive_part(roof, Interval(0, F(1, 2))) == F(3, 8)
+        assert integrate_positive_part(roof.restrict(Interval(0, F(1, 2)))) == F(3, 8)
 
     def test_all_negative(self):
         roof = ConcavePA([(0, -1), (1, -2)])

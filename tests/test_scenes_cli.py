@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adelic_volumes.cli as cli
+import adelic_volumes.harness as harness
 import adelic_volumes.scenes as scenes_mod
 import adelic_volumes.sections as sections
 from adelic_volumes.cli import main
@@ -295,9 +296,10 @@ class TestHugeScenes:
         assert main(["diskant", *paths]) == 0
         payload = _strict_loads(capsys.readouterr().out)
         assert payload["pass"] is True
-        if first == "slant":
-            # its slack sqrt(v) - float(u - r) is inf - inf, NaN: null
-            assert payload["slacks"]["chain_lower_vs_r"] is None
+        # every slack is exact; a display float past the float range is null
+        slacks = payload["slacks"]
+        assert all(v is None or isinstance(v, float) for v in slacks.values())
+        assert slacks["chain_lower_vs_r"] >= 0
 
     def test_diskant_beyond_float_range(self, tmp_path, capsys):
         tent = {"kind": "convex", "points": [["0", "1"]],
@@ -741,6 +743,15 @@ class TestCliDiskant:
         assert payload["R"] == "1"
         assert payload["pass"] is True
         assert payload["slacks"]["bonnesen"] == pytest.approx(1.75)
+
+    def test_negative_discriminant_exits_1(self, scenes, capsys, monkeypatch):
+        # a counterexample (disc = 1 - 2 = -1) is reported as failed cases
+        monkeypatch.setattr(harness, "adeg_product", lambda d1, d2: F(1))
+        assert main(["diskant", scenes["slant"], scenes["tent"]]) == 1
+        payload = _strict_loads(capsys.readouterr().out)
+        assert payload["pass"] is False
+        assert payload["slacks"]["mixed_discriminant_nonneg"] == -1.0
+        assert payload["slacks"]["chain_lower_vs_r"] == -1.0
 
     def test_not_big_exit_2(self, scenes, capsys):
         assert main(["diskant", scenes["slant"], scenes["shift"]]) == 2
