@@ -112,7 +112,7 @@ def _cmd_diskant(args) -> int:
         "R": str(report.R.value),
         "r_bracket": [str(report.r.lo), str(report.r.hi)],
         "R_bracket": [str(report.R.lo), str(report.R.hi)],
-        "slacks": {c.name: scalar_float(c.slack) for c in report.cases},
+        "slacks": {c.name: _scalar_json(c.slack) for c in report.cases},
         "pass": report.all_pass,
     }
     rows = [["quantity", "value"],

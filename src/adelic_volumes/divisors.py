@@ -19,6 +19,7 @@ condition.  It is the integrand of every volume-type quantity downstream.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence, Union
 
 from .errors import (
@@ -26,7 +27,8 @@ from .errors import (
     NotEffectiveInput,
     UnboundedPerturbation,
 )
-from .exactnum import ExactNumber, _proven_prime, log_unit, scalar_sign
+from .exactnum import (ExactNumber, _from_coeffs, _poly_parts, _proven_prime,
+                       log_unit, scalar_cmp, scalar_sign)
 from .pa import (
     ConcavePA,
     ConvexPA,
@@ -34,6 +36,8 @@ from .pa import (
     PAGeneral,
     _eval_on_grid,
     _grid,
+    _grid_ratios,
+    _ratios,
     pa_from_payload,
     pointwise_min,
     unit_roof,
@@ -68,6 +72,8 @@ def _coeff(x):
     """Divisor coefficients are rationals, except that operations such as the
     Zariski positive part may cut the polytope at a symbolic-log point; exact
     scalars are passed through unchanged."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, ExactNumber):
         return x.as_fraction() if x.is_rational else x
     return Fraction(x)
@@ -84,7 +90,8 @@ def canonical_potential(c0, cinf):
 
 
 def _coerce_potential(place, pot, c0: Fraction, cinf: Fraction):
-    if isinstance(pot, Mapping):
+    if type(pot) is not ConvexPA and type(pot) is not PAGeneral \
+            and isinstance(pot, Mapping):
         pot = pa_from_payload(pot)
     if not isinstance(pot, (ConvexPA, PAGeneral)):
         raise TypeError(
@@ -104,17 +111,42 @@ def _coerce_potential(place, pot, c0: Fraction, cinf: Fraction):
 
 def _roof_sum(arch_roof: ConcavePA, finite: Sequence) -> ConcavePA:
     """The global roof from the archimedean unit roof and the pairs
-    (log p, unit roof) of the finite places, all on one polytope: one
-    weighted sum of values on the union of their breakpoints, summed in the
-    order given.  Each interior grid point is a strict kink of a summand and
-    the weights are positive, so the sum is canonical as built."""
+    (p, unit roof) of the finite places, all on one polytope: the sum of
+    the archimedean values and the values at p weighted by log p on the
+    union of their breakpoints.  Each interior grid point is a strict kink
+    of a summand and the weights are positive, so the sum is canonical as
+    built.
+
+    With rational finite roofs and archimedean values polynomial in the
+    logs and eps, each value is a linear form built once from its integer
+    coefficients; otherwise the places are summed in the order given
+    through the field."""
     if not finite:
         return arch_roof
     xs = _grid([x for x, _ in arch_roof.points],
                *([x for x, _ in r.points] for _, r in finite))
-    ys = _eval_on_grid(arch_roof.points, xs)
-    for weight, r in finite:
-        ys = [y + weight * v for y, v in zip(ys, _eval_on_grid(r.points, xs))]
+    xr = _ratios(xs)
+    cols = [None if xr is None else _grid_ratios(r.points, xr) for _, r in finite]
+    arch = None if xr is None else _grid_ratios(arch_roof.points, xr)
+    if arch is None:
+        arch = [_poly_parts(y) for y in _eval_on_grid(arch_roof.points, xs)]
+    else:
+        arch = [({(): n} if n else {}, d) for n, d in arch]
+    if all(c is not None for c in cols) and all(arch):
+        ys = []
+        for (n0, s0), *vals in zip(arch, *cols):
+            s = s0
+            for _, d in vals:
+                s = s // gcd(s, d) * d
+            coeffs = {m: c * (s // s0) for m, c in n0.items()}
+            for (p, _), (n, d) in zip(finite, vals):
+                coeffs[(p,)] = coeffs.get((p,), 0) + n * (s // d)
+            ys.append(_from_coeffs(coeffs, s))
+    else:
+        ys = _eval_on_grid(arch_roof.points, xs)
+        for p, r in finite:
+            weight = log_unit(p)
+            ys = [y + weight * v for y, v in zip(ys, _eval_on_grid(r.points, xs))]
     return ConcavePA._raw(list(zip(xs, ys)))
 
 
@@ -127,18 +159,21 @@ class ToricAdelicDivisor:
         self.c0 = _coeff(c0)
         self.cinf = _coeff(cinf)
         stored = {}
-        canonical = canonical_potential(self.c0, self.cinf)
         for key, pot in (potentials or {}).items():
             place = as_place(key)
             pot = _coerce_potential(place, pot, self.c0, self.cinf)
-            if pot == canonical:
+            # with the divisor's slopes, pot is canonical exactly when its
+            # only breakpoint is (0, 0)
+            pts = pot.points
+            if len(pts) == 1 and not pts[0][0] and not pts[0][1]:
                 continue
             if place in stored:
                 raise ValueError(f"duplicate potential for {place_label(place)}")
             stored[place] = pot
         self._potentials = stored
-        # one object for every unlisted place, so its unit roof is built once
-        self._canonical = canonical
+        # one object for every unlisted place, built on first use, so its
+        # unit roof is built once
+        self._canonical = None
         self._roof = None  # filled by roof(); not part of the value
 
     @classmethod
@@ -155,17 +190,22 @@ class ToricAdelicDivisor:
         return tuple(sorted(self._potentials, key=_place_sort_key))
 
     def potential(self, place):
-        place = as_place(place)
-        return self._potentials.get(place, self._canonical)
+        pot = self._potentials.get(as_place(place))
+        if pot is not None:
+            return pot
+        if self._canonical is None:
+            self._canonical = canonical_potential(self.c0, self.cinf)
+        return self._canonical
 
     def ord(self, label: str):
         """The coefficient at the torus-fixed point "0" or "inf"."""
         return self.c0 if _label(label) == "0" else self.cinf
 
     def polytope(self) -> Interval:
-        if -self.cinf > self.c0:
+        lo = -self.cinf
+        if scalar_cmp(lo, self.c0) > 0:
             return Interval.EMPTY
-        return Interval(-self.cinf, self.c0)
+        return Interval(lo, self.c0)
 
     def roof(self) -> ConcavePA:
         """The global roof on the polytope [-cinf, c0]: the sum over places
@@ -181,7 +221,7 @@ class ToricAdelicDivisor:
             raise EmptyPolytope(f"{self!r} has an empty polytope; no roof")
         self._roof = _roof_sum(
             unit_roof(self.potential(ARCH)),
-            [(log_unit(place), unit_roof(self._potentials[place]))
+            [(place, unit_roof(self._potentials[place]))
              for place in self.places if place != ARCH])
         return self._roof
 

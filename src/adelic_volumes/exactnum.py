@@ -48,6 +48,13 @@ included), and an ExactNumber otherwise.  ``exact(q)`` is the only way to
 hold a rational as an ExactNumber.  Fractions and ints mix freely with
 ExactNumbers in arithmetic and comparisons, and the ``scalar_*`` helpers at
 the bottom give call sites one vocabulary for "Fraction or ExactNumber".
+
+A value whose d is 1, such as every global-roof value (a Q-linear form in
+1, log 2, log 3, ...), has exactly one canonical n / s.  So callers that
+sum many such values (the roof sum, the chords and integrals of roofs in
+``pa``) read them with ``_poly_parts``, add integer coefficient vectors
+per monomial and build the result once with ``_from_coeffs``: the value
+every chain of field operations would return, without the chain.
 """
 
 from __future__ import annotations
@@ -524,6 +531,29 @@ def _scaled(num: Poly, p: int, q: int, den: Poly):
     if p != 1:
         num = {m: c * p for m, c in num.items()}
     return _value(num, q, den)
+
+
+def _from_coeffs(coeffs: Poly, s: int):
+    """The canonical value coeffs / s, for an integer polynomial given as
+    monomial -> int (zero entries allowed) and an int s > 0: the Fraction
+    when no non-constant coefficient is left, else the ExactNumber n / s
+    with d = 1 and the common factor of s and n's content taken out.  That
+    form is unique, so it is the one every chain of field operations with
+    this value returns: a sum of k log-weighted terms costs one call
+    instead of k multiplications and k additions."""
+    return _scaled({m: c for m, c in coeffs.items() if c}, 1, s, _UNIT)
+
+
+def _poly_parts(x):
+    """(n, s) with x = n / s, n an integer polynomial read in place (not to
+    be mutated), for a Fraction or an ExactNumber whose d is 1 (a
+    polynomial in the logs and eps); None for any other value."""
+    if type(x) is Fraction:
+        a, s = x.as_integer_ratio()
+        return ({(): a} if a else {}), s
+    if type(x) is ExactNumber and x._den is _UNIT:
+        return x._num, x._scale
+    return None
 
 
 def _make(num: Poly, p: int, q: int, den: Poly):

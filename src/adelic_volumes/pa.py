@@ -52,13 +52,22 @@ in place and compute on their numerators and denominators: ``_slope``, the
 orientation signs ``_turn`` and ``_tail_turn`` (the envelope's drop and
 tail tests, the collinear merge and the shape checks), ``_on_line`` for
 y0 + s (x - x0) (Legendre roofs, jets, threshold rows), ``_jet_pairing``
-(the local sums of ``adeg_product``), and one integer pass per call in
-``_eval_on_grid`` and :func:`integrate_positive_part`;
-``exactnum.scalar_sign`` and ``exactnum.scalar_cmp`` do the same for signs
-and comparisons.  Any ExactNumber operand takes the operator formula the
-primitive replaced, kept beside the integer route.  Outputs are canonical
-Fractions built by the public constructor, so results are byte-identical
-to the operator route.
+(the local sums of ``adeg_product``), ``_grid`` (integer sort keys over a
+common denominator), ``_grid_ratios`` (the one integer scan of a grid
+behind ``_eval_on_grid`` and the sums ``_sum_on_grid``) and
+:func:`integrate_positive_part`; ``exactnum.scalar_sign`` and
+``exactnum.scalar_cmp`` do the same for signs and comparisons.
+
+Roof values are Q-linear forms in 1, log 2, log 3, ... (and eps), stored
+as n / s with denominator polynomial 1.  ``_chord`` (the ends of
+``ConcavePA.restrict``) and :func:`integrate_positive_part` read them with
+``exactnum._poly_parts``, sum per monomial over Z and build each result
+once with ``exactnum._from_coeffs``.
+
+Any other operand takes the operator formula the primitive replaced, kept
+beside the integer route.  A Fraction or an n / s has one canonical form,
+which every route builds, so results are byte-identical to the operator
+route.
 """
 
 from __future__ import annotations
@@ -74,7 +83,8 @@ from .errors import (
     OutOfDomain,
     UnboundedBelow,
 )
-from .exactnum import ExactNumber, Scalar, scalar_cmp, scalar_sign
+from .exactnum import (ExactNumber, Scalar, _from_coeffs, _poly_parts, scalar_cmp,
+                       scalar_sign)
 
 
 def as_scalar(value) -> Scalar:
@@ -297,36 +307,90 @@ def _merge_collinear(pts: list, left_slope=None, right_slope=None) -> list:
     return out
 
 
+def _poly_sum(*terms) -> dict:
+    """The integer polynomial sum k n over the pairs (k, n) of an int and
+    an integer polynomial; zero entries are kept (``_from_coeffs`` drops
+    them)."""
+    out: dict = {}
+    for k, n in terms:
+        for m, c in n.items():
+            out[m] = out.get(m, 0) + k * c
+    return out
+
+
+def _chord(p, q, x) -> Scalar:
+    """y_p + (y_q - y_p) (x - x_p) / (x_q - x_p), the value at x of the
+    chord through p and q.  With Fraction x coordinates and values that are
+    polynomials in the logs and eps (d = 1, Fractions included), the
+    numerator is summed per monomial over Z and built once."""
+    (x0, y0), (x1, y1) = p, q
+    if type(x0) is type(x1) is type(x) is Fraction:
+        a0, b0 = x0.as_integer_ratio()
+        a1, b1 = x1.as_integer_ratio()
+        u, v = x.as_integer_ratio()
+        # (x - x0) / (x1 - x0) = tn / td
+        tn, td = (u * b0 - a0 * v) * b1, (a1 * b0 - a0 * b1) * v
+        if type(y0) is type(y1) is Fraction and td:
+            c0, d0 = y0.as_integer_ratio()
+            c1, d1 = y1.as_integer_ratio()
+            return Fraction(c0 * d1 * (td - tn) + c1 * d0 * tn, d0 * d1 * td)
+        r0, r1 = _poly_parts(y0), _poly_parts(y1)
+        if r0 and r1 and td:
+            (n0, s0), (n1, s1) = r0, r1
+            if td < 0:
+                tn, td = -tn, -td
+            return _from_coeffs(_poly_sum((s1 * (td - tn), n0), (s0 * tn, n1)),
+                                s0 * s1 * td)
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def _grid_ratios(pts, xr, left_slope=None, right_slope=None):
+    """The values at each x = u / v of a sorted grid, given by its
+    ``_ratios`` xr, as integer pairs (n, d) with d > 0, not reduced, read
+    in one joint scan of the breakpoints as ``_eval_on_grid`` reads them;
+    None unless every breakpoint, and the slope of every tail reached, is a
+    Fraction."""
+    pr = _ratios(x for x, _ in pts)
+    yr = pr and _ratios(y for _, y in pts)
+    if not yr:
+        return None
+    out = []
+    i = 0
+    top = len(pts) - 1
+    for u, v in xr:
+        while i < top and pr[i + 1][0] * v <= u * pr[i + 1][1]:
+            i += 1
+        (a, b), (c, d) = pr[i], yr[i]
+        t = u * b - a * v  # the sign of x - x_i
+        if not t:
+            out.append((c, d))
+        elif t < 0 or i == top:
+            # a tail (x_i the first breakpoint when t < 0): y_i + s (x - x_i)
+            s = left_slope if t < 0 else right_slope
+            if type(s) is not Fraction:
+                return None
+            n, e = s.as_integer_ratio()
+            out.append((c * e * b * v + n * t * d, d * e * b * v))
+        else:
+            (a1, b1), (c1, d1) = pr[i + 1], yr[i + 1]
+            # y_i + (y_i+1 - y_i) (x - x_i) / (x_i+1 - x_i)
+            e = (a1 * b - a * b1) * v * d1
+            out.append((c * e + (c1 * d - c * d1) * b1 * t, d * e))
+    return out
+
+
 def _eval_on_grid(pts, xs, left_slope=None, right_slope=None) -> list:
     """The values at each x of a sorted grid, in one joint scan of the
     breakpoints: a breakpoint's value, the chord between two breakpoints,
     or a tail.  Outside the breakpoint hull the function follows the tails,
     which must then be given."""
+    xr = _ratios(xs)
+    rows = None if xr is None else _grid_ratios(pts, xr, left_slope, right_slope)
+    if rows is not None:
+        return [Fraction(n, d) for n, d in rows]
     out = []
     i = 0
     top = len(pts) - 1
-    xr = _ratios(xs)
-    pr = xr and _ratios(x for x, _ in pts)
-    yr = pr and _ratios(y for _, y in pts)
-    if yr:
-        # all rational: one integer pass, x_i = a/b, y_i = c/d, x = u/v
-        for x, (u, v) in zip(xs, xr):
-            while i < top and pr[i + 1][0] * v <= u * pr[i + 1][1]:
-                i += 1
-            a, b = pr[i]
-            t = u * b - a * v  # the sign of x - x_i
-            if not t:
-                out.append(pts[i][1])
-            elif i == 0 and t < 0:
-                out.append(_on_line(*pts[0], left_slope, x))
-            elif i == top:
-                out.append(_on_line(*pts[top], right_slope, x))
-            else:
-                (a1, b1), (c, d), (c1, d1) = pr[i + 1], yr[i], yr[i + 1]
-                # y_i + (y_i+1 - y_i) (x - x_i) / (x_i+1 - x_i)
-                e = (a1 * b - a * b1) * v * d1
-                out.append(Fraction(c * e + (c1 * d - c * d1) * b1 * t, d * e))
-        return out
     for x in xs:
         while i < top and pts[i + 1][0] <= x:
             i += 1
@@ -338,8 +402,7 @@ def _eval_on_grid(pts, xs, left_slope=None, right_slope=None) -> list:
         elif i == top:
             out.append(y0 + right_slope * (x - x0))
         else:
-            x1, y1 = pts[i + 1]
-            out.append(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+            out.append(_chord(pts[i], pts[i + 1], x))
     return out
 
 
@@ -482,17 +545,25 @@ class ConcavePA:
         if window.is_empty:
             raise EmptyDomain("cannot restrict to the empty interval")
         pts, lo, hi = self.points, window.lo, window.hi
-        if not (pts[0][0] <= lo and hi <= pts[-1][0]):
+        if scalar_cmp(pts[0][0], lo) > 0 or scalar_cmp(hi, pts[-1][0]) > 0:
             raise OutOfDomain(f"{window} is not inside {self.domain}")
         if window.is_point:
             return ConcavePA._raw([(lo, self.eval(lo))])
-        if bool(lo == pts[0][0]) and bool(hi == pts[-1][0]):
+        # pts[i] is the first breakpoint at or right of lo, pts[j] the last
+        # at or left of hi; an end between breakpoints reads their chord
+        i, j = 0, len(pts) - 1
+        while (c := scalar_cmp(pts[i][0], lo)) < 0:
+            i += 1
+        while (d := scalar_cmp(pts[j][0], hi)) > 0:
+            j -= 1
+        if i == 0 and j == len(pts) - 1:  # the whole domain
             return self
-        y_lo, y_hi = _eval_on_grid(pts, [lo, hi])
+        y_lo = pts[i][1] if c == 0 else _chord(pts[i - 1], pts[i], lo)
+        y_hi = pts[j][1] if d == 0 else _chord(pts[j], pts[j + 1], hi)
         # cutting an affine piece cannot create a collinear triple among the
         # survivors, so the result is canonical
         return ConcavePA._raw(
-            [(lo, y_lo), *((x, y) for x, y in pts if lo < x < hi), (hi, y_hi)])
+            [(lo, y_lo), *pts[i + (c == 0):j + (d != 0)], (hi, y_hi)])
 
     def reflect(self) -> "ConcavePA":
         """The function x -> f(-x)."""
@@ -593,9 +664,19 @@ def _points_equal(a, b) -> bool:
 
 
 def _grid(*groups) -> list:
-    xs: list = []
-    for group in groups:
-        xs.extend(group)
+    """The sorted union of the groups, each value once.  Fractions are
+    sorted as integer keys over their common denominator, the first of
+    equal values kept; any other value takes the operator sort."""
+    xs = [x for group in groups for x in group]
+    rs = _ratios(xs)
+    if rs:
+        m = 1
+        for _, d in rs:
+            m = m // gcd(m, d) * d
+        keyed: dict = {}
+        for x, (n, d) in zip(xs, rs):
+            keyed.setdefault(n * (m // d), x)
+        return [keyed[k] for k in sorted(keyed)]
     xs.sort()
     out = [xs[0]]
     for x in xs[1:]:
@@ -695,6 +776,8 @@ class _LinePA:
 
 
 def _breakpoint_grid(*fs) -> list:
+    if len(fs) == 1:  # one function's breakpoints increase strictly
+        return [x for x, _ in fs[0].points]
     return _grid(*((x for x, _ in f.points) for f in fs))
 
 
@@ -704,7 +787,14 @@ def _values_on_grid(f: _LinePA, xs) -> list:
 
 def _sum_on_grid(f: _LinePA, g: _LinePA, xs) -> list:
     """The points of f + g over the sorted grid xs, each summand read in
-    one joint scan."""
+    one joint scan; on rational data both are read and summed as integer
+    pairs, one Fraction per point."""
+    xr = _ratios(xs)
+    rf = None if xr is None else _grid_ratios(f.points, xr, f.left_slope, f.right_slope)
+    rg = None if rf is None else _grid_ratios(g.points, xr, g.left_slope, g.right_slope)
+    if rg is not None:
+        return [(x, Fraction(n1 * d2 + n2 * d1, d1 * d2))
+                for x, (n1, d1), (n2, d2) in zip(xs, rf, rg)]
     return [(x, y1 + y2) for x, y1, y2 in zip(
         xs, _values_on_grid(f, xs), _values_on_grid(g, xs))]
 
@@ -1058,9 +1148,25 @@ def integrate_positive_part(f: ConcavePA) -> Scalar:
                           b1 * b2 * e1 * e2))
         n, d = _sum_terms(terms)
         return Fraction(n, 2 * d)
-    total: Scalar = Fraction(0)
-    for (x1, y1), (x2, y2) in zip(pts[first:last], pts[first + 1:last + 1]):
-        total = total + (x2 - x1) * (y1 + y2)
+    rows = xr and [_poly_parts(y) for _, y in run_pts[clip_lo:len(run_pts) - clip_hi]]
+    if rows and all(rows):
+        # rational x = a/b, values polynomial in the logs and eps, y = n/s:
+        # twice the unclipped area is the sum of y_i (x_i+1 - x_i-1), each
+        # end weighted by its one segment, summed per monomial over Z; the
+        # clipped triangles then go through the field as below
+        xr = xr[clip_lo:clip_lo + len(rows)]
+        top = len(xr) - 1
+        terms, den = [], 1
+        for i, (n, s) in enumerate(rows):
+            (a1, b1), (a2, b2) = xr[max(i - 1, 0)], xr[min(i + 1, top)]
+            e = b1 * b2 * s
+            terms.append((a2 * b1 - a1 * b2, e, n))
+            den = den // gcd(den, e) * e
+        total = _from_coeffs(_poly_sum(*((den // e * w, n) for w, e, n in terms)), den)
+    else:
+        total = Fraction(0)
+        for (x1, y1), (x2, y2) in zip(pts[first:last], pts[first + 1:last + 1]):
+            total = total + (x2 - x1) * (y1 + y2)
     if clip_lo:
         (x1, y_out), (x2, y_in) = pts[first - 1], pts[first]
         total = total + (x2 - x1) * y_in * y_in / (y_in - y_out)

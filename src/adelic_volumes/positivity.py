@@ -333,8 +333,7 @@ def _twisted_roof(data, pots, c0, cinf, v0, vinf):
         roofs[place] = legendre_roof(convex_envelope(
             PAGeneral._raw(_clean_points(pts), -cinf, c0)))
     roof = _roof_sum(roofs.pop(ARCH), [
-        (data[place][0], roofs[place])
-        for place in sorted(roofs, key=_place_sort_key)])
+        (place, roofs[place]) for place in sorted(roofs, key=_place_sort_key)])
     return roof.restrict(Interval(-cinf + v0, c0 - vinf))
 
 

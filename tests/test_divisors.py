@@ -6,16 +6,21 @@ roofs are computable by hand: slant has roof 1 - x on [0, 1], tent has
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import adelic_volumes.divisors as divisors
 import adelic_volumes.pa as pa
 import adelic_volumes.positivity as positivity
 from adelic_volumes.divisors import (
     ARCH,
     Pair,
     ToricAdelicDivisor,
+    _roof_sum,
     as_pair,
     as_place,
     canonical_potential,
@@ -27,7 +32,7 @@ from adelic_volumes.errors import (
     NotEffectiveInput,
     UnboundedPerturbation,
 )
-from adelic_volumes.exactnum import log_unit
+from adelic_volumes.exactnum import EPS, ExactNumber, exact, log_unit
 from adelic_volumes.gallery import (
     half_zero_pair,
     height_shift,
@@ -35,8 +40,9 @@ from adelic_volumes.gallery import (
     slant_divisor,
     tent_divisor,
 )
-from adelic_volumes.harness import sample_divisor
-from adelic_volumes.pa import ConvexPA, PAGeneral, convex_envelope, legendre_roof
+from adelic_volumes.harness import sample_big_pair, sample_divisor
+from adelic_volumes.pa import (ConcavePA, ConvexPA, PAGeneral, convex_envelope,
+                               legendre_roof)
 from adelic_volumes.points import BaseCondition
 from adelic_volumes.positivity import (
     avol,
@@ -437,3 +443,159 @@ class TestPayloads:
         assert as_pair(Pair(d)) == Pair(d)
         with pytest.raises(TypeError):
             as_pair("slant")
+
+
+# -- the constructor reads "canonical" off the data; the roof sum ----------
+
+_SLANT_PAYLOAD = {"kind": "convex", "points": [["1", "1"]],
+                  "left_slope": "0", "right_slope": "1"}
+
+
+class TestConstructorShortcuts:
+    def test_a_sum_that_comes_out_canonical_is_dropped(self):
+        slant = ConvexPA([(F(1), F(1))], 0, 1)
+        # max(0, u) - max(1, u): the canonical potential of (1, 0) minus slant
+        dent = PAGeneral([(F(0), F(-1)), (F(1), F(0))], 0, 0)
+        d = ToricAdelicDivisor(1, 0, {2: slant}) + ToricAdelicDivisor(0, 0, {2: dent})
+        assert d.places == ()
+        assert d == ToricAdelicDivisor(1, 0)
+        pair = Pair(slant_divisor()).perturb(3, PAGeneral([(F(0), F(2))], 0, 0))
+        assert pair.divisor.places == (ARCH, 3)
+        back = pair.perturb(3, PAGeneral([(F(0), F(-2))], 0, 0))
+        assert back.divisor.places == (ARCH,)
+        assert back == Pair(slant_divisor())
+
+    def test_an_affine_potential_of_value_zero_is_dropped(self):
+        # c0 = -cinf: the canonical potential is the line u -> c0 u
+        zero = ConvexPA.affine(F(1, 2), 0)
+        d = ToricAdelicDivisor(F(1, 2), F(-1, 2), {ARCH: zero, 5: zero + ConvexPA.constant(1)})
+        assert d.places == (5,)
+
+    def test_unlisted_places_share_one_canonical_object(self, monkeypatch):
+        calls = []
+        original = divisors.canonical_potential
+
+        def counting(c0, cinf):
+            calls.append((c0, cinf))
+            return original(c0, cinf)
+
+        d = slant_divisor() + p_slant_divisor(2)
+        monkeypatch.setattr(divisors, "canonical_potential", counting)
+        d.roof()
+        # every place read by the roof is listed: nothing canonical is built
+        assert calls == []
+        e = p_slant_divisor(3)
+        assert e.potential(ARCH) is e.potential(2) is e.potential(ARCH)
+        assert e.potential(2) == canonical_potential(F(1), F(0))
+        assert calls == [(F(1), F(0))]
+
+    def test_payload_mappings_are_still_coerced(self):
+        assert ToricAdelicDivisor(1, 0, {"inf": _SLANT_PAYLOAD}) == slant_divisor()
+        general = dict(_SLANT_PAYLOAD, kind="general")
+        d = ToricAdelicDivisor(1, 0, {"2": general})
+        assert type(d.potential(2)) is ConvexPA and d == p_slant_divisor(2)
+        canonical = {"kind": "general", "points": [["0", "0"]],
+                     "left_slope": "0", "right_slope": "1"}
+        assert ToricAdelicDivisor(1, 0, {"3": canonical}).places == ()
+        with pytest.raises(TypeError, match="must be piecewise affine"):
+            ToricAdelicDivisor(1, 0, {"inf": [["1", "1"]]})
+
+    def test_wrong_slopes_raise_the_same_text(self):
+        want = ("potential at 2 has asymptotic slopes (0, 2); "
+                "the divisor requires (0, 1)")
+        for pot in (ConvexPA([(F(0), F(0))], 0, 2),
+                    dict(_SLANT_PAYLOAD, right_slope="2", points=[["0", "0"]])):
+            with pytest.raises(ValueError, match=re.escape(want)):
+                ToricAdelicDivisor(1, 0, {2: pot})
+
+    def test_coefficients_keep_their_type(self):
+        third = F(1, 3)
+        assert ToricAdelicDivisor(third, 0).c0 is third
+        assert type(ToricAdelicDivisor(exact(F(1, 2)), 1).c0) is Fraction
+        assert ToricAdelicDivisor(2, 0).c0 == 2 and type(ToricAdelicDivisor(2, 0).c0) is Fraction
+
+    @pytest.mark.parametrize("seed", [3, 10, 29, 30])
+    def test_zariski_exact_coefficients_round_trip(self, seed):
+        # these seeds cut the polytope at a log point: c0 or cinf is an
+        # ExactNumber
+        pos = zariski_positive_part(sample_big_pair(random.Random(seed))).positive
+        assert isinstance(pos.c0, ExactNumber) or isinstance(pos.cinf, ExactNumber)
+        again = ToricAdelicDivisor(pos.c0, pos.cinf,
+                                   {v: pos.potential(v) for v in pos.places})
+        assert again == pos and repr(again) == repr(pos)
+        assert (type(again.c0), type(again.cinf)) == (type(pos.c0), type(pos.cinf))
+        assert repr(again.roof()) == repr(pos.roof())
+
+
+def _ref_roof_sum(arch_roof, finite):
+    """The operator route: every value at each point of the sorted union
+    of the breakpoints, summed place by place through the field."""
+    xs = []
+    for x in sorted(x for r in (arch_roof, *(r for _, r in finite)) for x, _ in r.points):
+        if not xs or not x == xs[-1]:
+            xs.append(x)
+
+    def value(pts, x):
+        for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
+            if x1 < x < x2:
+                return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+        return next(y for u, y in pts if u == x)
+
+    ys = [value(arch_roof.points, x) for x in xs]
+    for p, r in finite:
+        ys = [y + log_unit(p) * value(r.points, x) for x, y in zip(xs, ys)]
+    return list(zip(xs, ys))
+
+
+_tiny = st.fractions(min_value=F(-2), max_value=F(2), max_denominator=3)
+_big = st.builds(F, st.integers(-2**200, 2**200), st.integers(1, 2**200))
+_q = st.one_of(_tiny, _tiny, _big)
+
+
+@st.composite
+def _roofs_on(draw, lo, hi, values):
+    """A concave PA on [lo, hi]: interior breakpoints, rational concave
+    values, plus an affine term alpha x + beta drawn from ``values``."""
+    inner = draw(st.sets(st.fractions(min_value=0, max_value=1, max_denominator=7),
+                         max_size=3))
+    xs = sorted({lo, hi} | {lo + (hi - lo) * t for t in inner})
+    slopes = sorted(draw(st.sets(_q, min_size=len(xs) - 1, max_size=len(xs) - 1)),
+                    reverse=True)
+    ys = [draw(_q)]
+    for s, x1, x2 in zip(slopes, xs, xs[1:]):
+        ys.append(ys[-1] + s * (x2 - x1))
+    alpha, beta = draw(values), draw(values)
+    return ConcavePA([(x, y + alpha * x + beta) for x, y in zip(xs, ys)])
+
+
+_arch_values = st.one_of(st.just(F(0)), _q,
+                         st.builds(lambda q, c: q + c * EPS, _q, _tiny),
+                         st.builds(lambda q, c: q + c * log_unit(2), _q, _tiny))
+# a quotient makes a place's values leave the polynomials: the field route
+_finite_values = st.one_of(st.just(F(0)), _q, _q, _q,
+                           st.builds(lambda q: q / (1 + log_unit(3)), _tiny))
+
+
+@st.composite
+def _roof_sums(draw):
+    lo = draw(st.fractions(min_value=-3, max_value=2, max_denominator=5))
+    hi = lo + draw(st.fractions(min_value=F(1, 5), max_value=4, max_denominator=5))
+    arch = draw(_roofs_on(lo, hi, _arch_values))
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7]), max_size=3, unique=True))
+    return arch, [(p, draw(_roofs_on(lo, hi, _finite_values))) for p in sorted(primes)]
+
+
+@given(_roof_sums())
+@example((ConcavePA([(F(0), F(1)), (F(1), F(0))]),
+          [(2, ConcavePA([(F(0), F(0)), (F(1), F(0))]))]))  # a zero column
+@settings(max_examples=200, deadline=None)
+def test_roof_sum_matches_the_field_sum(case):
+    arch, finite = case
+    got = _roof_sum(arch, finite).points
+    want = _ref_roof_sum(arch, finite)
+    assert len(got) == len(want)
+    for (x, y), (u, v) in zip(got, want):
+        assert type(x) is type(u) and repr(x) == repr(u)
+        assert type(y) is type(v) and repr(y) == repr(v)
+        if isinstance(v, ExactNumber):
+            assert (y._num, y._scale, y._den) == (v._num, v._scale, v._den)

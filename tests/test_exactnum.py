@@ -736,3 +736,60 @@ def test_arithmetic_matches_sympy(pn, pd, qn, qd, kind):
     below = diff != 0 and _below_zero(diff)
     assert (x < y) == (y > x) == below
     assert (x >= y) == (not below)
+
+
+# -- the coefficient-vector constructor and reader -------------------------
+#
+# The reference is the operator route the constructor replaces: each
+# coefficient times its monomial, summed through the field, divided by s.
+# Results must agree in type, repr and stored parts (a repr alone does not
+# show whether s and the content of n were reduced).
+
+# monomials of the roof values: 1, eps, logs, and products of two
+_LINEAR_MONOS = [(), (0,), (2,), (3,), (0, 0), (0, 2), (2, 3)]
+_zint = st.one_of(st.integers(-3, 3), st.integers(-2**200, 2**200), st.just(0))
+
+
+def _ref_from_coeffs(coeffs, s):
+    total = Fraction(0)
+    for mono, c in coeffs.items():
+        term = Fraction(c)
+        for p in mono:
+            term = term * (EPS if p == 0 else log_unit(p))
+        total = total + term
+    return total / s
+
+
+def _same_parts(got, want):
+    assert type(got) is type(want) and repr(got) == repr(want)
+    if isinstance(want, ExactNumber):
+        assert _parts(got) == _parts(want)
+        assert got._den is exactnum._UNIT
+
+
+@given(st.dictionaries(st.sampled_from(_LINEAR_MONOS), _zint, max_size=7),
+       st.one_of(st.integers(1, 12), st.integers(1, 2**200)),
+       st.integers(1, 30), st.booleans())
+@example({(): 6, (2,): 0, (3,): 0}, 4, 1, False)      # zero columns: a Fraction
+@example({(2,): 0}, 1, 1, False)                       # every column zero
+@example({(): 3, (2,): 6, (0, 2): 9}, 12, 5, False)    # content against s
+@example({(2,): 2**200, (3,): -(2**199)}, 2**201, 1, False)
+@example({(): 1, (2,): 1}, 3, 7, True)                 # only the constant left
+@settings(max_examples=300, deadline=None)
+def test_from_coeffs_matches_the_field_sum(coeffs, s, k, constant_only):
+    if constant_only:
+        coeffs = {m: (c if m == () else 0) for m, c in coeffs.items()}
+    # a common factor k of every coefficient and of s must come out
+    coeffs = {m: c * k for m, c in coeffs.items()}
+    got = exactnum._from_coeffs(coeffs, s * k)
+    _same_parts(got, _ref_from_coeffs(coeffs, s * k))
+
+
+def test_poly_parts_reads_polynomials_only():
+    assert exactnum._poly_parts(Fraction(-3, 4)) == ({(): -3}, 4)
+    assert exactnum._poly_parts(Fraction(0)) == ({}, 1)
+    x = Fraction(1, 6) * L2 - EPS / 4
+    n, s = exactnum._poly_parts(x)
+    assert (n, s) == (x._num, 12) and n == {(2,): 2, (0,): -3}
+    assert exactnum._poly_parts(L2 / (1 + L3)) is None
+    assert exactnum._poly_parts(3) is None

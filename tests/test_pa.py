@@ -15,16 +15,19 @@ from adelic_volumes.errors import (
     OutOfDomain,
     UnboundedBelow,
 )
-from adelic_volumes.exactnum import exact, log_unit, scalar_sign
+from adelic_volumes.exactnum import EPS, ExactNumber, exact, log_unit, scalar_sign
 from adelic_volumes.pa import (
     ConcavePA,
     ConvexPA,
     Interval,
     PAGeneral,
+    _chord,
     _eval_on_grid,
+    _grid,
     _jet_pairing,
     _on_line,
     _slope,
+    _sum_on_grid,
     _tail_turn,
     _turn,
     convex_envelope,
@@ -793,3 +796,193 @@ def test_integral_stays_reduced(monkeypatch):
     f = ConcavePA([(F(i, 3), 10**6 - F(i, 3) ** 2) for i in range(201)])
     _same(integrate_positive_part(f), _ref_integrate_positive_part(f))
     assert len(sizes) == 200 and max(sizes) < 100
+
+
+# -- per-monomial routes for log-linear values ------------------------------
+#
+# Roof values are Q-linear forms in the logs (and eps): ExactNumbers n / s
+# whose denominator polynomial is 1.  The routes below sum them per
+# monomial over Z; each reference is the operator formula it replaced.
+# Results must agree in type, repr and, for an ExactNumber, stored parts.
+
+# a coefficient of a form: small, 200-bit or zero
+_form_coeff = st.one_of(_tiny, _tiny, _big, st.just(F(0)))
+# a Q-linear form in 1, log 2, log 3 and eps, with an eps * log 2 term
+_form = st.builds(lambda a, b, c, e, f: a + b * L2 + c * L3 + e * EPS + f * EPS * L2,
+                  _form_coeff, _tiny, _tiny, _tiny, _tiny)
+# not a polynomial: the operator route
+_quotient = st.builds(lambda q: (q + L2) / (1 + L3), _tiny)
+
+
+def _same_parts(got, want):
+    _same(got, want)
+    if isinstance(want, ExactNumber):
+        assert (got._num, got._scale, got._den) == (want._num, want._scale, want._den)
+
+
+@st.composite
+def log_linear_pas(draw):
+    """A concave PA with rational breakpoints (200-bit ones included) and
+    values rational + alpha x + beta, alpha and beta forms (or, rarely, a
+    quotient), shifted so that a breakpoint sits at 0 or the ends clip."""
+    xs = sorted(draw(st.sets(_q, min_size=1, max_size=6)))
+    slopes = sorted(draw(st.sets(_q, min_size=len(xs) - 1,
+                                 max_size=len(xs) - 1)), reverse=True)
+    ys = [draw(_q)]
+    for s, x1, x2 in zip(slopes, xs, xs[1:]):
+        ys.append(ys[-1] + s * (x2 - x1))
+    alpha = draw(st.one_of(_form, _form, _form, st.just(F(0)), _quotient))
+    ys = [y + alpha * x for x, y in zip(xs, ys)]
+    i = draw(st.integers(0, len(ys) - 1))
+    beta = draw(st.one_of(_form, st.just(-ys[i]), st.just(-ys[i] + EPS),
+                          st.just(-ys[i] - EPS)))
+    return ConcavePA([(x, y + beta) for x, y in zip(xs, ys)])
+
+
+@given(log_linear_pas())
+@example(ConcavePA([(F(-2), -1 + EPS), (F(0), 1 + L2), (F(2), -1 - EPS)]))
+@example(ConcavePA([(F(0), L2), (F(1), L2 - 1 + EPS * L2)]))   # clipped high end
+@example(ConcavePA([(F(1, 3), L3 + EPS)]))                     # point domain
+@settings(max_examples=200, deadline=None)
+def test_integrate_positive_part_log_linear(f):
+    _same_parts(integrate_positive_part(f), _ref_integrate_positive_part(f))
+
+
+@given(_q, _q, st.one_of(_form, _quotient, _q), st.one_of(_form, _quotient, _q),
+       st.one_of(_q, _window_fracs))
+@example(F(0), F(1), L2, L2, F(1, 2))        # constant: the log term stays
+@example(F(0), F(1), L2, -L2 + 1, F(1, 2))   # the log term cancels
+@example(F(1), F(1), L2, L3, F(1))           # coincident x
+@settings(max_examples=300, deadline=None)
+def test_chord_primitive(x0, x1, y0, y1, x):
+    def ref(p, q, x):
+        return p[1] + (q[1] - p[1]) * (x - p[0]) / (q[0] - p[0])
+
+    got = _outcome(_chord, (x0, y0), (x1, y1), x)
+    want = _outcome(ref, (x0, y0), (x1, y1), x)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _same_parts(got, want)
+
+
+def _ref_grid(*groups):
+    xs = [x for group in groups for x in group]
+    xs.sort()
+    out = [xs[0]]
+    for x in xs[1:]:
+        if not x == out[-1]:
+            out.append(x)
+    return out
+
+
+# few distinct values, so that groups share some
+_pool = st.sampled_from([F(-1), F(0), F(1, 3), F(2, 6), F(1, 2), F(7, 5), F(3)])
+_grid_value = st.one_of(_pool, _pool, _q)
+
+
+@given(st.lists(st.lists(_grid_value, min_size=1, max_size=6), min_size=1, max_size=4),
+       st.one_of(st.none(), st.tuples(st.integers(0, 3), _field)))
+@example([[F(1), F(0)], [F(0), F(1, 2)], [F(1, 2), F(1)]], None)   # duplicates
+@example([[F(1, 3), F(2, 5)], [F(1, 2), F(1, 3)]], None)  # coprime denominators
+@example([[F(1), F(2)], [F(1)]], (1, exact(F(1))))       # rational ExactNumber
+@settings(max_examples=300, deadline=None)
+def test_grid_primitive(groups, field):
+    if field is not None:
+        i, v = field
+        groups[i % len(groups)].append(v)
+    got, want = _grid(*groups), _ref_grid(*groups)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        _same(a, b)
+
+
+def _ref_restrict(f, window):
+    pts, lo, hi = f.points, window.lo, window.hi
+    if lo == hi:
+        return [(lo, _ref_eval(pts, lo, None, None))]
+    if lo == pts[0][0] and hi == pts[-1][0]:
+        return list(pts)
+    return [(lo, _ref_eval(pts, lo, None, None)),
+            *((x, y) for x, y in pts if lo < x < hi),
+            (hi, _ref_eval(pts, hi, None, None))]
+
+
+@given(log_linear_pas(), _window_fracs, _window_fracs,
+       st.sampled_from(["fractions", "breakpoints", "whole"]), st.integers(0, 5),
+       st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_restrict_primitive(f, t1, t2, how, i, j):
+    pts = f.points
+    dom = f.domain
+    if how == "breakpoints":
+        lo, hi = pts[i % len(pts)][0], pts[j % len(pts)][0]
+    elif how == "whole":
+        lo, hi = dom.lo, dom.hi
+    else:
+        lo, hi = (dom.lo + dom.length * t for t in (t1, t2))
+    if hi < lo:
+        lo, hi = hi, lo
+    window = Interval(lo, hi)
+    got = f.restrict(window)
+    if how == "whole" and not window.is_point:
+        assert got is f
+    want = _ref_restrict(f, window)
+    assert len(got.points) == len(want)
+    for (x, y), (u, v) in zip(got.points, want):
+        _same(x, u)
+        _same_parts(y, v)
+
+
+@st.composite
+def line_pas(draw, kind):
+    """A convex or general PA with rational breakpoints (200-bit ones
+    included) and, rarely, an ExactNumber value or slope."""
+    if kind is ConvexPA:
+        xs = sorted(draw(st.sets(_q, min_size=1, max_size=5)))
+        slopes = sorted(draw(st.sets(_q, min_size=len(xs) + 1, max_size=len(xs) + 1)))
+        ys = [draw(_q)]
+        for s, x1, x2 in zip(slopes[1:], xs, xs[1:]):
+            ys.append(ys[-1] + s * (x2 - x1))
+        shift = draw(st.one_of(_q, _q, _q, _field))
+        return ConvexPA([(x, y + shift) for x, y in zip(xs, ys)], slopes[0], slopes[-1])
+    xs = sorted(draw(st.sets(_q, min_size=1, max_size=5)))
+    ys = [draw(_mixed) for _ in xs]
+    return PAGeneral(list(zip(xs, ys)), draw(_mixed), draw(_mixed))
+
+
+@given(st.one_of(line_pas(ConvexPA), line_pas(PAGeneral)),
+       st.one_of(line_pas(ConvexPA), line_pas(PAGeneral)),
+       st.lists(_q, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_sum_on_grid_primitive(f, g, extra):
+    # the grid of both summands' breakpoints and points beyond them
+    xs = _ref_grid([x for x, _ in f.points], [x for x, _ in g.points], extra)
+    got = _sum_on_grid(f, g, xs)
+    assert [x for x, _ in got] == xs
+    for x, y in got:
+        want = (_ref_eval(f.points, x, f.left_slope, f.right_slope)
+                + _ref_eval(g.points, x, g.left_slope, g.right_slope))
+        _same_parts(y, want)
+
+
+@given(line_pas(ConvexPA), line_pas(ConvexPA))
+@example(ConvexPA.affine(1, 2), ConvexPA([(F(1), F(1))], -1, 1))
+@settings(max_examples=100, deadline=None)
+def test_convex_add_pass(f, g):
+    # the operator route: the kinked summands' breakpoint grid, each point
+    # the sum of both values through the field
+    kinked = [h for h in (f, g) if h.left_slope != h.right_slope] or [f]
+    xs = _ref_grid(*([x for x, _ in h.points] for h in kinked))
+    got = f + g
+    _assert_canonical(got)
+    assert (got.left_slope, got.right_slope) == (
+        f.left_slope + g.left_slope, f.right_slope + g.right_slope)
+    want = ConvexPA._raw(
+        [(x, _ref_eval(f.points, x, f.left_slope, f.right_slope)
+          + _ref_eval(g.points, x, g.left_slope, g.right_slope)) for x in xs],
+        got.left_slope, got.right_slope)
+    assert len(got.points) == len(want.points)
+    for (x, y), (u, v) in zip(got.points, want.points):
+        _same(x, u)
+        _same_parts(y, v)

@@ -298,8 +298,11 @@ class TestHugeScenes:
         assert payload["pass"] is True
         # every slack is exact; a display float past the float range is null
         slacks = payload["slacks"]
-        assert all(v is None or isinstance(v, float) for v in slacks.values())
-        assert slacks["chain_lower_vs_r"] >= 0
+        assert all(v["float"] is None or isinstance(v["float"], float)
+                   for v in slacks.values())
+        assert slacks["chain_lower_vs_r"]["float"] >= 0
+        # the exact string keeps the sign that a 0.0 display float hides
+        assert Fraction(slacks["chain_lower_vs_r"]["exact"]) > 0
 
     def test_diskant_beyond_float_range(self, tmp_path, capsys):
         tent = {"kind": "convex", "points": [["0", "1"]],
@@ -742,7 +745,8 @@ class TestCliDiskant:
         assert payload["r"] == "1/2"
         assert payload["R"] == "1"
         assert payload["pass"] is True
-        assert payload["slacks"]["bonnesen"] == pytest.approx(1.75)
+        assert payload["slacks"]["bonnesen"]["float"] == pytest.approx(1.75)
+        assert payload["slacks"]["bonnesen"]["exact"] == "7/4"
 
     def test_negative_discriminant_exits_1(self, scenes, capsys, monkeypatch):
         # a counterexample (disc = 1 - 2 = -1) is reported as failed cases
@@ -750,8 +754,9 @@ class TestCliDiskant:
         assert main(["diskant", scenes["slant"], scenes["tent"]]) == 1
         payload = _strict_loads(capsys.readouterr().out)
         assert payload["pass"] is False
-        assert payload["slacks"]["mixed_discriminant_nonneg"] == -1.0
-        assert payload["slacks"]["chain_lower_vs_r"] == -1.0
+        assert payload["slacks"]["mixed_discriminant_nonneg"] == {
+            "exact": "-1", "float": -1.0}
+        assert payload["slacks"]["chain_lower_vs_r"] == {"exact": "-1", "float": -1.0}
 
     def test_not_big_exit_2(self, scenes, capsys):
         assert main(["diskant", scenes["slant"], scenes["shift"]]) == 2
