@@ -16,7 +16,6 @@ from .errors import (
     EmptyPolytope,
     NotBig,
     NotNef,
-    NotRelativelyNef,
     PrecisionExhausted,
     UnknownSuite,
 )
@@ -42,17 +41,14 @@ from .positivity import (
     Bracket,
     DiskantReport,
     adeg_product,
-    ample_reference,
     avol,
     circumradius,
     inradius,
-    is_ample,
     is_big,
     is_nef,
     is_pseff,
     is_relatively_nef,
     positive_intersection,
-    positive_intersection_lower,
     pseff_threshold,
     zariski_positive_part,
 )
@@ -82,7 +78,6 @@ __all__ = [
     "Interval",
     "NotBig",
     "NotNef",
-    "NotRelativelyNef",
     "OkounkovData",
     "PAGeneral",
     "Pair",
@@ -91,7 +86,6 @@ __all__ = [
     "ToricAdelicDivisor",
     "UnknownSuite",
     "adeg_product",
-    "ample_reference",
     "analytic_okounkov",
     "as_pair",
     "avol",
@@ -104,7 +98,6 @@ __all__ = [
     "half_zero_pair",
     "height_shift",
     "inradius",
-    "is_ample",
     "is_big",
     "is_nef",
     "is_pseff",
@@ -115,7 +108,6 @@ __all__ = [
     "okounkov_sample",
     "p_slant_divisor",
     "positive_intersection",
-    "positive_intersection_lower",
     "pseff_threshold",
     "run_suite",
     "save_scene",

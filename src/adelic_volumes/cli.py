@@ -163,9 +163,8 @@ def _cmd_okounkov(args) -> int:
     values = _eval_on_grid(data.transform.points, [w for w, _ in sample.entries])
     for (w, t), value in zip(sample.entries, values):
         analytic = scalar_float(value)
-        empirical = None if t is None else float(t)
-        if empirical is not None:
-            gaps.append(abs(empirical - analytic))
+        empirical = scalar_float(t)
+        gaps.append(abs(empirical - analytic))
         entries.append({"w": str(w), "empirical": empirical, "analytic": analytic})
     payload = {
         "domain": [str(data.domain.lo), str(data.domain.hi)],

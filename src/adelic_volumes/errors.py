@@ -55,11 +55,6 @@ class NotNef(AdelicVolumesError):
     """An operation defined only for nef divisors received a non-nef one."""
 
 
-class NotRelativelyNef(AdelicVolumesError):
-    """Weak ampleness is only decided for relatively nef input; anything else is
-    rejected rather than guessed."""
-
-
 class UnknownSuite(AdelicVolumesError):
     """run_suite received a suite name it does not know."""
 

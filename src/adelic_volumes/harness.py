@@ -36,7 +36,6 @@ from .positivity import (
     is_big,
     is_nef,
     positive_intersection,
-    positive_intersection_lower,
     pseff_threshold,
     zariski_positive_part,
 )
@@ -591,16 +590,16 @@ def _suite_okounkov_match(rng, count):
     for pair in (Pair(slant_divisor()), Pair(tent_divisor()), half_zero_pair()):
         data = analytic_okounkov(pair)
         ok = bool(data.avol == avol(pair))
-        sample = okounkov_sample(pair, m)
-        worst = 0.0
-        for w, t in sample.entries:
-            if t is None:
-                ok = False
-                continue
-            gap = abs(float(t) - scalar_float(data.transform.eval(w)))
-            worst = max(worst, gap)
-        ok = ok and worst <= 0.05
-        yield ok, 0.05 - worst, None if ok else {"pair": pair.to_payload()}
+        # the floor at place p takes less than log p / m off the transform,
+        # and nothing when there is no finite place
+        bound = sum((log_unit(p) for p in pair.divisor.places if p != ARCH),
+                    Fraction(0)) / m
+        slack = bound
+        for w, t in okounkov_sample(pair, m).entries:
+            gap = data.transform.eval(w) - t
+            ok = ok and (not gap or 0 < gap < bound)
+            slack = min(slack, bound - gap)
+        yield ok, scalar_float(slack), None if ok else {"pair": pair.to_payload()}
 
 
 @_suite
@@ -635,7 +634,7 @@ def _suite_bonnesen_random(rng, count):
 
 @_suite
 def _suite_superadditivity(rng, count):
-    for i in range(count):
+    for _ in range(count):
         p1 = sample_big_pair(rng)
         p2 = sample_big_pair(rng)
         n = sample_nef_divisor(rng)
@@ -644,13 +643,6 @@ def _suite_superadditivity(rng, count):
         e2 = positive_intersection(p2, n)
         slack = e12 - e1 - e2
         ok = scalar_sign(slack) >= 0
-        if i % 4 == 0:
-            # the sampled-minorant estimator must stay below the exact value
-            try:
-                lower = positive_intersection_lower(p1, n)
-                ok = ok and scalar_sign(e1 - lower) >= 0
-            except NotBig:
-                pass
         yield ok, scalar_float(slack), None if ok else {
             "pair1": p1.to_payload(), "pair2": p2.to_payload(),
             "N": n.to_payload()}

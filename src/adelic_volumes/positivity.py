@@ -1,5 +1,5 @@
-"""Positivity theory for toric adelic divisors and pairs: nef and ample
-cones, arithmetic volumes, Zariski positive parts, the bilinear intersection
+"""Positivity theory for toric adelic divisors and pairs: the nef cone,
+arithmetic volumes, Zariski positive parts, the bilinear intersection
 pairing in closed form on the potentials' breakpoints, positive intersection
 numbers, and the pseudo-effective thresholds behind the inradius/circumradius
 of a pair of pairs.
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .divisors import (ARCH, Pair, ToricAdelicDivisor, _place_sort_key,
                        _roof_sum, as_pair)
-from .errors import NotBig, NotNef, NotRelativelyNef
+from .errors import NotBig, NotNef
 from .exactnum import Scalar, log_unit, scalar_float, scalar_sign
 from .pa import (ConvexPA, Interval, PAGeneral, _clean_points, _grid,
                  _jet_pairing, _jets_on_grid, _on_line, _slope, convex_envelope,
@@ -34,16 +34,7 @@ def _as_divisor(obj) -> ToricAdelicDivisor:
     raise TypeError(f"expected a divisor, got {type(obj).__name__}")
 
 
-# -- nef and ample ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NefCertificate:
-    """Witness of nefness: all potentials convex and the recorded minimum of
-    the global roof over the polytope is nonnegative."""
-
-    divisor: ToricAdelicDivisor
-    min_roof_value: object
+# -- nef ------------------------------------------------------------------
 
 
 def is_relatively_nef(divisor) -> bool:
@@ -55,31 +46,12 @@ def is_relatively_nef(divisor) -> bool:
     )
 
 
-def nef_certificate(divisor) -> NefCertificate:
-    divisor = _as_divisor(divisor)
-    if not is_relatively_nef(divisor):
-        raise NotRelativelyNef(f"{divisor!r} has a non-convex potential")
-    roof = Pair(divisor).global_roof()
-    m = roof.min_over_domain()
-    if scalar_sign(m) < 0:
-        raise NotNef(f"{divisor!r} has roof minimum {m} < 0")
-    return NefCertificate(divisor=divisor, min_roof_value=m)
-
-
 def is_nef(divisor) -> bool:
-    try:
-        nef_certificate(divisor)
-    except (NotRelativelyNef, NotNef):
-        return False
-    return True
-
-
-def is_ample(divisor) -> bool:
+    """Relatively nef (every potential convex, degree >= 0) with a global
+    roof that stays nonnegative over the polytope."""
     divisor = _as_divisor(divisor)
-    if scalar_sign(divisor.degree) <= 0 or not is_relatively_nef(divisor):
-        return False
-    roof = Pair(divisor).global_roof()
-    return scalar_sign(roof.min_over_domain()) > 0
+    return is_relatively_nef(divisor) and scalar_sign(
+        Pair(divisor).global_roof().min_over_domain()) >= 0
 
 
 # -- volume and bigness ----------------------------------------------------
@@ -152,14 +124,6 @@ def zariski_positive_part(pair) -> ZariskiPart:
 # -- intersection numbers --------------------------------------------------
 
 
-def ample_reference() -> ToricAdelicDivisor:
-    """A fixed ample divisor: coefficients (1, 1), archimedean potential
-    |u| + 1.  Its roof is constant 1 on [-1, 1], so its volume is 4."""
-    return ToricAdelicDivisor(
-        1, 1, {ARCH: ConvexPA([(Fraction(0), Fraction(1))], -1, 1)}
-    )
-
-
 def adeg_product(a, b):
     """Arithmetic intersection number of two divisors, in closed form.
 
@@ -196,32 +160,6 @@ def positive_intersection(pair, direction):
     intersection of the Zariski positive part with the direction."""
     zar = zariski_positive_part(as_pair(pair))
     return adeg_product(zar.positive, _as_divisor(direction))
-
-
-def positive_intersection_lower(pair, direction, offsets=(
-        Fraction(1, 4), Fraction(1, 16), Fraction(1, 64))):
-    """Estimate the positive intersection from below by sampling nef
-    minorants: positive parts of the pair pushed off the ample reference.
-    For a nef direction the estimate increases toward the exact value as the
-    offsets shrink; it never exceeds it."""
-    pair = as_pair(pair)
-    direction = _as_divisor(direction)
-    h = ample_reference()
-    best = None
-    for eps in offsets:
-        shrunk = Pair(pair.divisor + h.scale(-eps), pair.base)
-        if not is_big(shrunk):
-            continue
-        q = zariski_positive_part(shrunk).positive
-        val = adeg_product(q, direction)
-        if best is None or val > best:
-            best = val
-    if best is None:
-        raise NotBig(
-            "no sampled minorant stayed big; the pair sits too close to the "
-            "boundary for the coarsest offset"
-        )
-    return best
 
 
 # -- thresholds, inradius, circumradius ------------------------------------

@@ -53,11 +53,11 @@ _DECIMAL_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE]([-+]?\d+(?:_\d+)*)\s*")
 # 64 integer breakpoints over each of inf, 2 and 3 against the CI scene:
 # 0.57-0.87 s in either order, the log weights making every step exact in
 # Q(log 2, log 3).  On the CI scene `avol` takes 0.22-0.27 s, `derivative`
-# along itself 0.42-0.52 s, `okounkov` 0.27-0.54 s and `oracle --m 16`
+# along itself 0.42-0.52 s, `okounkov` 0.20-0.21 s and `oracle --m 16`
 # 0.27-0.37 s.  On the three-place scene `avol` takes 0.21-0.27 s,
 # `derivative` along itself 0.37-0.57 s and along the CI scene 0.73-0.97 s,
-# and `okounkov` 1.4-2.4 s, since its 8,193 samples (window [-64, 64] at
-# m = 64) each scan the roofs; `oracle --m 16` refuses it for its count
+# and `okounkov` 0.78-0.84 s for its 8,193 exact samples (window [-64, 64]
+# at m = 64) and their floats; `oracle --m 16` refuses it for its count
 # bits in 0.2 s.
 MAX_BREAKPOINTS = 192
 # 48 breakpoints of twelve-digit rationals come to about 8000 bits, and

@@ -30,6 +30,10 @@ logarithm is floating point: the counts are multiplied exactly in chunks of
 a few thousand bits, and the logs of the chunks are summed at the working
 precision, so the full product of the counts is never formed.
 
+The Okounkov sample takes no float: its value at an exponent, m psi_inf
+plus the log of the box's denominator, over m, is built exactly in
+Q(log 2, log 3, ...).
+
 Budgets keep hostile input from hanging: a box has at most
 ``_MAX_BOX_ENTRIES`` exponents, its counts may need at most
 ``_MAX_BOX_BITS`` bits in all, and no count or denominator may need more
@@ -49,6 +53,7 @@ from mpmath import iv, mp
 from .divisors import ARCH, as_pair
 from .errors import EmptyPolytope, NotBig, OutOfDomain, PrecisionExhausted
 from .exactnum import (
+    _from_coeffs,
     _iv_precision,
     default_precision_bits,
     floor_fraction,
@@ -463,32 +468,27 @@ def volume_estimate(pair, m: int):
     return _estimate(box_log_count(pair, m), m)
 
 
-def _transform_at(m: int, psi: Fraction, finite: list):
-    """Largest filtration parameter t at which an exponent still carries a
-    nonzero admissible coefficient at level m, from psi = psi_inf(x) and
-    the pairs (p, psi_p(x)) at the exponent's point x, at the caller's
-    working precision.
-
-    The filtration twists the divisor by -(0, 2t[infinity]); the potential
-    dictionary turns that into psi_inf - t, and the box at exponent k goes
-    empty as soon as t exceeds psi_inf(k/m) + log(d_k)/m.
-    """
-    out = mp.mpf(psi.numerator) / psi.denominator
-    for p, y in finite:
-        f_p = floor_fraction(scalar_fraction(m * y))
-        out += mp.mpf(f_p) * mp.log(p) / m
-    return +out
-
-
 @dataclass(frozen=True)
 class OkounkovSample:
-    """Empirical concave-transform samples at level m: pairs (w, t_max)."""
+    """Empirical concave-transform samples at level m: pairs (w, t_max),
+    t_max exact, a Fraction or a Q-linear form in 1, log 2, log 3, ..."""
 
     m: int
     entries: tuple
 
 
 def okounkov_sample(pair, m: int) -> OkounkovSample:
+    """The empirical concave transform at each exponent w = j/m of the
+    reflected shifted polytope: the largest filtration parameter t at which
+    the exponent's box still holds a nonzero coefficient.
+
+    The filtration twists the divisor by -(0, 2t[infinity]); the potential
+    dictionary turns that into psi_inf - t, and the box at the exponent's
+    point x = -w goes empty as soon as t exceeds psi_inf(x) + log(d)/m,
+    with log d = sum_p floor(m psi_p(x)) log p.  So
+    t = (m psi_inf(x) + sum_p floor(m psi_p(x)) log p) / m, built exactly
+    from its integer coefficients.
+    """
     pair = as_pair(pair)
     m = _check_multiple(m)
     window = pair.shifted_polytope()
@@ -502,13 +502,15 @@ def okounkov_sample(pair, m: int) -> OkounkovSample:
     # joint scan of the grid of x, in increasing order
     xs = [Fraction(-j, m) for j in range(hi, lo - 1, -1)]
     psis = _eval_on_grid(psi_inf.points, xs)
-    ys = [(p, _eval_on_grid(roof.points, xs)) for p, roof in finite.items()]
+    ys = [((p,), _eval_on_grid(roof.points, xs)) for p, roof in finite.items()]
     entries = []
-    with mp.workprec(default_precision_bits() + 32):
-        for i in reversed(range(len(xs))):
-            t = _transform_at(m, scalar_fraction(psis[i]),
-                              [(p, v[i]) for p, v in ys])
-            entries.append((-xs[i], t))
+    for i in reversed(range(len(xs))):
+        # t = a / b + sum_p e_p log p / m = (a m + sum_p e_p b log p) / (b m)
+        a, b = scalar_fraction(psis[i]).as_integer_ratio()
+        coeffs = {(): a * m}
+        for mono, v in ys:
+            coeffs[mono] = floor_fraction(scalar_fraction(m * v[i])) * b
+        entries.append((-xs[i], _from_coeffs(coeffs, b * m)))
     return OkounkovSample(m=m, entries=tuple(entries))
 
 

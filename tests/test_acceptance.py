@@ -141,12 +141,9 @@ class TestOkounkovConsistency:
         assert data.body_volume == F(1, 2)
         assert data.avol == 2 * data.body_volume == 1
         sample = okounkov_sample(E1(), 64)
-        worst = 0.0
+        # no finite place: the empirical transform is exact on the grid
         for w, t in sample.entries:
-            if t is None:
-                continue
-            worst = max(worst, abs(float(t) - float(data.transform.eval(w))))
-        assert worst <= 0.05
+            assert t == data.transform.eval(w)
 
 
 class TestPropertySuites:

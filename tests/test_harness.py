@@ -327,6 +327,11 @@ class TestSuites:
         res = run_suite(name, count=1)
         assert res.ok and res.failures == 0
 
+    def test_okounkov_match_is_exact(self):
+        # the gallery pairs have no finite place, so every sample equals
+        # the transform and the bound is 0
+        assert run_suite("okounkov_match", count=1).worst_slack == 0
+
     def test_run_suite_deterministic(self):
         a = run_suite("brunn_minkowski", count=3, seed=9).to_payload()
         b = run_suite("brunn_minkowski", count=3, seed=9).to_payload()

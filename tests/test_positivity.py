@@ -1,4 +1,4 @@
-"""Positivity layer: nef/ample tests, exact volumes, Zariski positive parts,
+"""Positivity layer: nef tests, exact volumes, Zariski positive parts,
 intersection numbers, positive intersections, and threshold brackets.
 
 Hand-checked fixtures: the slant divisor has roof 1 - x on [0, 1] (volume 1),
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import adelic_volumes.positivity as positivity
 from adelic_volumes.divisors import ARCH, Pair, ToricAdelicDivisor
-from adelic_volumes.errors import NotBig, NotNef, NotRelativelyNef
+from adelic_volumes.errors import NotBig, NotNef
 from adelic_volumes.exactnum import exact, log_unit
 from adelic_volumes.gallery import (
     half_zero_pair,
@@ -45,18 +45,14 @@ from adelic_volumes.points import BaseCondition
 from adelic_volumes.positivity import (
     Bracket,
     adeg_product,
-    ample_reference,
     avol,
     circumradius,
     inradius,
-    is_ample,
     is_big,
     is_nef,
     is_pseff,
     is_relatively_nef,
-    nef_certificate,
     positive_intersection,
-    positive_intersection_lower,
     pseff_threshold,
     zariski_positive_part,
 )
@@ -68,6 +64,16 @@ def lowered_slant() -> ToricAdelicDivisor:
     """Slant coefficients with the potential plateau lowered to 1/2, so the
     roof 1/2 - x dips below zero on half the polytope."""
     return ToricAdelicDivisor(1, 0, {ARCH: ConvexPA([(F(1), F(1, 2))], 0, 1)})
+
+
+def ample_reference() -> ToricAdelicDivisor:
+    """An ample divisor: coefficients (1, 1), archimedean potential
+    |u| + 1.  Its roof is constant 1 on [-1, 1], so its volume is 4."""
+    return ToricAdelicDivisor(1, 1, {ARCH: ConvexPA([(F(0), F(1))], -1, 1)})
+
+
+def roof_minimum(divisor):
+    return Pair(divisor).global_roof().min_over_domain()
 
 
 def kinked_slant() -> ToricAdelicDivisor:
@@ -85,24 +91,28 @@ class TestNefAmple:
         assert is_nef(ToricAdelicDivisor(1, 0))  # canonical slant, roof 0
 
     def test_certificate_records_minimum(self):
-        assert nef_certificate(slant_divisor()).min_roof_value == 0
-        assert nef_certificate(ample_reference()).min_roof_value == 1
+        # a nonnegative roof minimum is what makes these nef
+        assert is_nef(slant_divisor()) and roof_minimum(slant_divisor()) == 0
+        assert is_nef(ample_reference()) and roof_minimum(ample_reference()) == 1
 
     def test_certificate_rejections(self):
-        with pytest.raises(NotNef):
-            nef_certificate(height_shift(-1))
-        with pytest.raises(NotRelativelyNef):
-            nef_certificate(kinked_slant())
+        # relatively nef, but the roof dips below zero
+        assert is_relatively_nef(height_shift(-1))
+        assert roof_minimum(height_shift(-1)) == -1
+        assert not is_nef(height_shift(-1))
+        # a non-convex potential is not nef, even when the roof of its
+        # convex envelope stays positive: here |u| + 1 with a bump
+        assert not is_nef(kinked_slant())
+        bump = PAGeneral([(F(-1), F(2)), (F(0), F(1)), (F(1, 2), F(2)),
+                          (F(1), F(2))], -1, 1)
+        bumped = ToricAdelicDivisor(1, 1, {ARCH: bump})
+        assert roof_minimum(bumped) == 1
+        assert not is_nef(bumped)
 
     def test_relatively_nef(self):
         assert is_relatively_nef(slant_divisor())
         assert not is_relatively_nef(kinked_slant())
         assert not is_relatively_nef(ToricAdelicDivisor(-1, 0))
-
-    def test_ample(self):
-        assert is_ample(ample_reference())
-        assert not is_ample(slant_divisor())  # roof touches zero
-        assert not is_ample(height_shift(1))  # degree zero
 
 
 class TestVolume:
@@ -243,18 +253,6 @@ class TestPositiveIntersection:
         assert positive_intersection(slant_divisor(), O) == 1
         assert positive_intersection(half_zero_pair(), O) == F(1, 2)
         assert positive_intersection(Pair(lowered_slant()), O) == F(1, 2)
-
-    def test_lower_estimate_sits_below(self):
-        O = height_shift(1)
-        low = positive_intersection_lower(half_zero_pair(), O)
-        assert low <= F(1, 2)
-        assert low >= F(1, 4)  # coarse but not vacuous
-
-    def test_lower_estimate_requires_margin(self):
-        # too small to survive even the finest ample offset
-        tiny = slant_divisor().scale(F(1, 128))
-        with pytest.raises(NotBig):
-            positive_intersection_lower(Pair(tiny), height_shift(1))
 
 
 class TestBracket:

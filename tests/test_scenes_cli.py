@@ -888,7 +888,8 @@ class TestCliOkounkov:
         assert payload["body_volume"]["exact"] == "1/2"
         assert payload["avol"]["exact"] == "1"
         assert [e["w"] for e in payload["samples"]] == ["-1", "-1/2", "0"]
-        assert payload["max_gap"] <= 0.05
+        assert [e["empirical"] for e in payload["samples"]] == [0.0, 0.5, 1.0]
+        assert payload["max_gap"] == 0.0
 
     def test_not_big_exit_2(self, scenes, capsys):
         assert main(["okounkov", scenes["shift"]]) == 2

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import adelic_volumes.cli as cli
+import adelic_volumes.exactnum as exactnum
 import adelic_volumes.pa as pa
 import adelic_volumes.sections as sections
 from adelic_volumes.errors import EmptyPolytope, NotBig, OutOfDomain
@@ -546,13 +547,12 @@ class TestEmpiricalTransform:
         # tent: the window [-1, 1] on both sides of 0, roof 1 - |x|
         sample = okounkov_sample(tent_divisor(), 2)
         assert [w for w, _ in sample.entries] == [F(k, 2) for k in range(-2, 3)]
-        assert [float(t) for _, t in sample.entries] == pytest.approx(
-            [0.0, 0.5, 1.0, 0.5, 0.0], abs=1e-12)
+        assert [t for _, t in sample.entries] == [0, F(1, 2), 1, F(1, 2), 0]
 
     def test_finite_place_contribution(self):
         values = dict(okounkov_sample(p_slant_divisor(2), 1).entries)
-        assert abs(float(values[F(0)]) - math.log(2)) < 1e-12
-        assert abs(float(values[F(-1)])) < 1e-12
+        assert values[F(0)] == log_unit(2)
+        assert values[F(-1)] == 0
 
     @pytest.mark.parametrize("m", [0, -2])
     def test_rejects_bad_multiple(self, m):
@@ -561,22 +561,21 @@ class TestEmpiricalTransform:
 
     @staticmethod
     def _per_exponent(pair, m):
-        """The sample read exponent by exponent through ConcavePA.eval, the
-        route before the joint scan."""
+        """The sample read exponent by exponent through ConcavePA.eval and
+        the field operators, psi_inf(x) + sum_p floor(m psi_p(x)) log p / m:
+        the route before the joint scan and the integer coefficients."""
         psi_inf, finite = sections.place_roofs(pair)
         window = pair.shifted_polytope()
         lo = -floor_fraction(scalar_fraction(m * window.hi))
         hi = floor_fraction(scalar_fraction(-m * window.lo))
         out = []
-        with mp.workprec(sections.default_precision_bits() + 32):
-            for j in range(lo, hi + 1):
-                x = F(-j, m)
-                t = scalar_fraction(psi_inf.eval(x))
-                value = mp.mpf(t.numerator) / t.denominator
-                for p, roof in finite.items():
-                    e = floor_fraction(scalar_fraction(m * roof.eval(x)))
-                    value += mp.mpf(e) * mp.log(p) / m
-                out.append((F(j, m), +value))
+        for j in range(lo, hi + 1):
+            x = F(-j, m)
+            value = psi_inf.eval(x)
+            for p, roof in finite.items():
+                e = floor_fraction(scalar_fraction(m * roof.eval(x)))
+                value = value + e * log_unit(p) / m
+            out.append((F(j, m), value))
         return tuple(out)
 
     @pytest.mark.parametrize("pair", [
@@ -598,12 +597,38 @@ class TestEmpiricalTransform:
         assert got == want
         assert [repr(t) for _, t in got] == [repr(t) for _, t in want]
 
+    def test_no_mpmath(self, monkeypatch):
+        class NoMpmath:
+            def __getattr__(self, name):
+                raise AssertionError(f"okounkov_sample called mpmath's {name}")
+
+        want = okounkov_sample(_slant_p2_p3(), 64)
+        for module, name in ((sections, "mp"), (sections, "iv"), (exactnum, "iv")):
+            monkeypatch.setattr(module, name, NoMpmath())
+        assert okounkov_sample(_slant_p2_p3(), 64) == want
+
+    @pytest.mark.parametrize("m", [1, 7, 64])
+    def test_sampled_pairs_within_the_floor_bound(self, m):
+        # the floor at place p takes at least 0 and less than log p / m off
+        # the transform, so 0 <= transform(w) - t < sum_p log p / m
+        strict = 0
+        for seed in range(60):
+            pair = sample_big_pair(random.Random(seed), allow_finite=seed % 2 == 1)
+            transform = analytic_okounkov(pair).transform
+            bound = sum((log_unit(p) for p in sections.place_roofs(pair)[1]),
+                        F(0)) / m
+            for w, t in okounkov_sample(pair, m).entries:
+                gap = transform.eval(w) - t
+                assert gap >= 0, (seed, w)
+                assert not gap or gap < bound, (seed, w)
+                strict += gap > 0
+        assert strict > 0
+
     def test_okounkov_sample_grid(self):
         sample = okounkov_sample(slant_divisor(), 2)
         ws = [w for w, _ in sample.entries]
         assert ws == [F(-1), F(-1, 2), F(0)]
-        vals = [float(t) for _, t in sample.entries]
-        assert vals == pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
+        assert [t for _, t in sample.entries] == [0, F(1, 2), 1]
 
 
 class TestAnalyticOkounkov:
@@ -636,10 +661,9 @@ class TestAnalyticOkounkov:
             analytic_okounkov(height_shift(1))
 
     def test_transform_matches_empirical(self):
-        # at each grid point the empirical value underestimates the
-        # transform by at most the discretization error
+        # with no finite place nothing is floored, so the empirical value
+        # is the transform at every grid point
         data = analytic_okounkov(slant_divisor())
         sample = okounkov_sample(slant_divisor(), 8)
         for w, t in sample.entries:
-            target = float(data.transform.eval(w))
-            assert abs(float(t) - target) <= 0.05
+            assert t == data.transform.eval(w)
