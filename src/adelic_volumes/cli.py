@@ -1,18 +1,17 @@
 """Command line front end.
 
 Subcommands mirror the library: avol, derivative, diskant, oracle, okounkov,
-suite.  Scenes are JSON files (see scenes.py).  Output is JSON by default
-(CSV for the oracle table); checking subcommands exit nonzero when a check
-fails, so they can sit in shell pipelines.  The JSON is strict: a display
-float that does not fit a float (a volume past the float range, say) is
-null, never NaN or Infinity.
+suite.  Scenes are JSON files (see scenes.py).  Output is JSON, except the
+oracle table, which is CSV unless ``--format json``; checking subcommands
+exit nonzero when a check fails, so they can sit in shell pipelines.  The
+JSON is strict: a display float that does not fit a float (a volume past
+the float range, say) is null, never NaN or Infinity.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -41,15 +40,8 @@ def _strict(value):
     return value
 
 
-def _emit(args, payload: dict, csv_rows) -> None:
-    if args.format == "json":
-        print(json.dumps(_strict(payload), indent=2, allow_nan=False))
-    else:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        for row in csv_rows:
-            writer.writerow(row)
-        sys.stdout.write(out.getvalue())
+def _emit(payload: dict) -> None:
+    print(json.dumps(_strict(payload), indent=2, allow_nan=False))
 
 
 def _load_scenes(*paths) -> list:
@@ -65,8 +57,7 @@ def _load_scenes(*paths) -> list:
 def _cmd_avol(args) -> int:
     pair = load_scene(args.scene)
     value = avol(pair)
-    payload = {"avol": _scalar_json(value)}
-    _emit(args, payload, [["avol"], [scalar_float(value)]])
+    _emit({"avol": _scalar_json(value)})
     return 0
 
 
@@ -77,18 +68,15 @@ def _cmd_derivative(args) -> int:
             f"{args.direction}: a direction is a divisor; drop its \"base\""
         )
     report = check_differentiability(pair, direction)
-    rows = [["h", "forward", "backward", "central"]]
     table = []
     for row in report.table:
-        rows.append([float(row.h), scalar_float(row.forward),
-                     scalar_float(row.backward), scalar_float(row.central)])
         table.append({
             "h": str(row.h),
             "forward": _scalar_json(row.forward),
             "backward": _scalar_json(row.backward),
             "central": _scalar_json(row.central),
         })
-    payload = {
+    _emit({
         "analytic": _scalar_json(report.analytic),
         "derivative": None if report.derivative is None else _scalar_json(report.derivative),
         "exact_right": _scalar_json(report.exact_right),
@@ -96,15 +84,14 @@ def _cmd_derivative(args) -> int:
         "deviation": _scalar_json(report.deviation),
         "curvature_jump": report.curvature_jump,
         "table": table,
-    }
-    _emit(args, payload, rows)
+    })
     return 0
 
 
 def _cmd_diskant(args) -> int:
     p1, p2 = _load_scenes(args.scene1, args.scene2)
     report = diskant_report(p1, p2)
-    payload = {
+    _emit({
         "s": [str(report.s0), str(report.s1), str(report.s2)],
         "s_float": [scalar_float(report.s0), scalar_float(report.s1),
                     scalar_float(report.s2)],
@@ -114,15 +101,7 @@ def _cmd_diskant(args) -> int:
         "R_bracket": [str(report.R.lo), str(report.R.hi)],
         "slacks": {c.name: _scalar_json(c.slack) for c in report.cases},
         "pass": report.all_pass,
-    }
-    rows = [["quantity", "value"],
-            ["s0", scalar_float(report.s0)], ["s1", scalar_float(report.s1)],
-            ["s2", scalar_float(report.s2)],
-            ["r", float(report.r)], ["R", float(report.R)],
-            [], ["case", "slack", "passed"]]
-    for c in report.cases:
-        rows.append([c.name, scalar_float(c.slack), c.passed])
-    _emit(args, payload, rows)
+    })
     return 0 if report.all_pass else 1
 
 
@@ -135,21 +114,25 @@ def _multiples(text: str) -> list:
             f"--m takes comma-separated integers, got {text!r}") from None
 
 
+_ORACLE_COLUMNS = ("m", "log_count", "estimate", "analytic_avol", "error")
+
+
 def _cmd_oracle(args) -> int:
     ms = _multiples(args.m)
     pair = load_scene(args.scene)
     analytic = avol(pair)
     fa = scalar_float(analytic)
-    rows = [["m", "log_count", "estimate", "analytic_avol", "error"]]
-    table = []
+    rows = []
     for m in ms:
         value = section_box(pair, m).log_count()
-        log_count = float(value)
         est = float(_estimate(value, m))
-        rows.append([m, log_count, est, fa, abs(est - fa)])
-        table.append({"m": m, "log_count": log_count, "estimate": est,
-                      "analytic_avol": fa, "error": abs(est - fa)})
-    _emit(args, {"rows": table}, rows)
+        rows.append((m, float(value), est, fa, abs(est - fa)))
+    if args.format == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(_ORACLE_COLUMNS)
+        writer.writerows(rows)
+    else:
+        _emit({"rows": [dict(zip(_ORACLE_COLUMNS, row)) for row in rows]})
     return 0
 
 
@@ -166,26 +149,20 @@ def _cmd_okounkov(args) -> int:
         empirical = scalar_float(t)
         gaps.append(abs(empirical - analytic))
         entries.append({"w": str(w), "empirical": empirical, "analytic": analytic})
-    payload = {
+    _emit({
         "domain": [str(data.domain.lo), str(data.domain.hi)],
         "body_volume": _scalar_json(data.body_volume),
         "avol": _scalar_json(data.avol),
         "m": args.m,
         "max_gap": max(gaps) if gaps else None,
         "samples": entries,
-    }
-    rows = [["w", "empirical", "analytic"]]
-    for e in entries:
-        rows.append([e["w"], e["empirical"], e["analytic"]])
-    _emit(args, payload, rows)
+    })
     return 0
 
 
 def _cmd_suite(args) -> int:
     result = run_suite(args.name, count=args.count, seed=args.seed)
-    payload = result.to_payload()
-    rows = [list(payload), [payload[k] for k in payload]]
-    _emit(args, payload, rows)
+    _emit(result.to_payload())
     return 0 if result.ok else 1
 
 
@@ -203,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=["json", "csv"],
-                       default="csv" if name == "oracle" else "json")
         return p
 
     p = add("avol", _cmd_avol, "arithmetic volume of a scene")
@@ -225,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene")
     p.add_argument("--m", default="1,2,4,8,16",
                    help="comma-separated grid scales")
+    p.add_argument("--format", choices=["json", "csv"], default="csv")
 
     p = add("okounkov", _cmd_okounkov,
             "convex body data and empirical filtration values")

@@ -42,7 +42,7 @@ from .pa import (
     pointwise_min,
     unit_roof,
 )
-from .points import BaseCondition, _label
+from .points import BaseCondition
 
 ARCH = "inf"
 
@@ -197,10 +197,6 @@ class ToricAdelicDivisor:
             self._canonical = canonical_potential(self.c0, self.cinf)
         return self._canonical
 
-    def ord(self, label: str):
-        """The coefficient at the torus-fixed point "0" or "inf"."""
-        return self.c0 if _label(label) == "0" else self.cinf
-
     def polytope(self) -> Interval:
         lo = -self.cinf
         if scalar_cmp(lo, self.c0) > 0:
@@ -337,9 +333,6 @@ class Pair:
         self.divisor = divisor
         self.base = base if base is not None else BaseCondition()
         self._window = self._roof = self._avol = None
-
-    def polytope(self) -> Interval:
-        return self.divisor.polytope()
 
     def _toric_orders(self) -> tuple:
         return max(self.base.v0, Fraction(0)), max(self.base.vinf, Fraction(0))

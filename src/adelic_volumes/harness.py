@@ -25,7 +25,7 @@ from .divisors import ARCH, Pair, ToricAdelicDivisor, as_pair, min_adelic
 from .errors import NotBig, UnknownSuite
 from .exactnum import (EPS, default_precision_bits, eps_coefficients, log_unit,
                        scalar_float, scalar_sign)
-from .gallery import half_zero_pair, height_shift, slant_divisor, tent_divisor
+from .gallery import half_zero_pair, height_shift, p_slant_divisor, slant_divisor, tent_divisor
 from .pa import ConvexPA, PAGeneral, abs_scalar, convex_envelope, legendre_potential, legendre_roof
 from .points import BaseCondition
 from .positivity import (
@@ -335,7 +335,7 @@ class SuiteResult:
     performed: int
     passes: int
     failures: int
-    worst_slack: object
+    worst_slack: object  # the least exact slack; None when no check has one
     failing: object
 
     @property
@@ -349,7 +349,7 @@ class SuiteResult:
             "performed": self.performed,
             "passes": self.passes,
             "failures": self.failures,
-            "worst_slack": None if self.worst_slack is None else float(self.worst_slack),
+            "worst_slack": None if self.worst_slack is None else scalar_float(self.worst_slack),
             "ok": self.ok,
             "failing": self.failing,
         }
@@ -406,7 +406,7 @@ def _suite_brunn_minkowski(rng, count):
         d = v12 - v1 - v2
         gap = d * d - 4 * v1 * v2
         ok = scalar_sign(d) >= 0 and scalar_sign(gap) >= 0
-        yield ok, scalar_float(gap), None if ok else {
+        yield ok, gap, None if ok else {
             "pair1": p1.to_payload(), "pair2": p2.to_payload()}
 
 
@@ -418,7 +418,7 @@ def _suite_homogeneity(rng, count):
         scaled = pair.scale(a)
         ok = bool(avol(scaled) == a * a * avol(pair))
         ok = ok and scaled.shifted_polytope() == pair.shifted_polytope().scale(a)
-        yield ok, 0.0, None if ok else {"pair": pair.to_payload(), "a": str(a)}
+        yield ok, None, None if ok else {"pair": pair.to_payload(), "a": str(a)}
 
 
 @_suite
@@ -433,7 +433,7 @@ def _suite_zariski(rng, count):
         ok = ok and diff.is_effective
         ok = ok and bool(window.lo <= zar.region.lo) and bool(
             zar.region.hi <= window.hi)
-        yield ok, 0.0, None if ok else {"pair": pair.to_payload()}
+        yield ok, None, None if ok else {"pair": pair.to_payload()}
 
 
 @_suite
@@ -445,7 +445,7 @@ def _suite_siu(rng, count):
         rhs = adeg_product(m, m) - 2 * adeg_product(m, n)
         slack = lhs - rhs
         ok = scalar_sign(slack) >= 0
-        yield ok, scalar_float(slack), None if ok else {
+        yield ok, slack, None if ok else {
             "M": m.to_payload(), "N": n.to_payload()}
 
 
@@ -456,7 +456,7 @@ def _suite_hodge(rng, count):
         d0 = d - ToricAdelicDivisor(d.degree, 0)
         x = adeg_product(d0, d0)
         ok = scalar_sign(x) <= 0
-        yield ok, scalar_float(-x), None if ok else {"D": d0.to_payload()}
+        yield ok, -x, None if ok else {"D": d0.to_payload()}
 
 
 @_suite
@@ -467,7 +467,7 @@ def _suite_kt(rng, count):
         de = adeg_product(d, e)
         gap = de * de - adeg_product(d, d) * adeg_product(e, e)
         ok = scalar_sign(gap) >= 0
-        yield ok, scalar_float(gap), None if ok else {
+        yield ok, gap, None if ok else {
             "D": d.to_payload(), "E": e.to_payload()}
 
 
@@ -487,7 +487,7 @@ def _suite_continuity(rng, count):
         bound = (window.hi - window.lo) * unit * phi.sup_norm()
         slack = bound - delta
         ok = scalar_sign(slack) >= 0
-        yield ok, scalar_float(slack), None if ok else {
+        yield ok, slack, None if ok else {
             "pair": pair.to_payload(), "place": str(place)}
 
 
@@ -519,7 +519,7 @@ def _suite_min_valuation(rng, count):
                 want = min((p.eval(u) for p in pots))
                 ok = ok and bool(m.potential(v).eval(u) == want)
         ok = ok and min_adelic([ds[0], ds[0]]) == ds[0]
-        yield ok, 0.0, None if ok else {"divisors": [x.to_payload() for x in ds]}
+        yield ok, None, None if ok else {"divisors": [x.to_payload() for x in ds]}
 
 
 @_suite
@@ -539,7 +539,7 @@ def _suite_legendre_involution(rng, count):
         grid = sorted({u for u, _ in bumpy.points})
         ok = ok and all(scalar_sign(bumpy.eval(u) - env.eval(u)) >= 0 for u in grid)
         ok = ok and legendre_roof(env) == legendre_roof(convex_envelope(bumpy))
-        yield ok, 0.0, None if ok else {"potential": pot.to_payload()}
+        yield ok, None, None if ok else {"potential": pot.to_payload()}
 
 
 @_suite
@@ -554,7 +554,7 @@ def _suite_openness(rng, count):
             delta = Fraction(1, 1 << 30)
         worst = pair.perturb(ARCH, PAGeneral.constant(-2 * delta))
         ok = delta > 0 and is_big(worst)
-        yield ok, scalar_float(avol(worst)), None if ok else {
+        yield ok, avol(worst), None if ok else {
             "pair": pair.to_payload(), "delta": str(delta)}
 
 
@@ -587,7 +587,11 @@ def _suite_okounkov_match(rng, count):
     from .sections import analytic_okounkov
 
     m = 64
-    for pair in (Pair(slant_divisor()), Pair(tent_divisor()), half_zero_pair()):
+    # the last pair's roof at 2 is not integral on the grid, so its floors
+    # leave strict gaps
+    pairs = (Pair(slant_divisor()), Pair(tent_divisor()), half_zero_pair(),
+             Pair(slant_divisor() + p_slant_divisor(2).scale(Fraction(1, 3))))
+    for pair in pairs:
         data = analytic_okounkov(pair)
         ok = bool(data.avol == avol(pair))
         # the floor at place p takes less than log p / m off the transform,
@@ -599,7 +603,7 @@ def _suite_okounkov_match(rng, count):
             gap = data.transform.eval(w) - t
             ok = ok and (not gap or 0 < gap < bound)
             slack = min(slack, bound - gap)
-        yield ok, scalar_float(slack), None if ok else {"pair": pair.to_payload()}
+        yield ok, slack, None if ok else {"pair": pair.to_payload()}
 
 
 @_suite
@@ -609,10 +613,9 @@ def _suite_diskant_random(rng, count):
         p2 = sample_big_pair(rng, allow_finite=False)
         rep = diskant_report(p1, p2)
         ok = rep.all_pass
-        slacks = [float(c.slack) for c in rep.cases]
-        yield ok, min(slacks), None if ok else {
+        yield ok, min(c.slack for c in rep.cases), None if ok else {
             "pair1": p1.to_payload(), "pair2": p2.to_payload(),
-            "cases": [(c.name, float(c.slack)) for c in rep.cases]}
+            "cases": [(c.name, scalar_float(c.slack)) for c in rep.cases]}
 
 
 @_suite
@@ -628,7 +631,7 @@ def _suite_bonnesen_random(rng, count):
         bon = rep.case("bonnesen")
         nonneg = rep.case("mixed_discriminant_nonneg")
         ok = bon.passed and nonneg.passed
-        yield ok, float(bon.slack), None if ok else {
+        yield ok, bon.slack, None if ok else {
             "pair1": p1.to_payload(), "pair2": p2.to_payload()}
 
 
@@ -643,6 +646,6 @@ def _suite_superadditivity(rng, count):
         e2 = positive_intersection(p2, n)
         slack = e12 - e1 - e2
         ok = scalar_sign(slack) >= 0
-        yield ok, scalar_float(slack), None if ok else {
+        yield ok, slack, None if ok else {
             "pair1": p1.to_payload(), "pair2": p2.to_payload(),
             "N": n.to_payload()}

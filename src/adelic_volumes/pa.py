@@ -40,7 +40,7 @@ which keeps only the affine normal form.  The proofs relied on:
 * the lower hull of :func:`convex_envelope` drops every point that is not
   strictly below its neighbours;
 * scaling by a nonzero factor keeps kinks and collinear triples (by a
-  positive one, convexity too), and shifting or reflecting keeps both;
+  positive one, convexity too), and reflecting keeps both;
 * a single breakpoint with tails of slopes s <= t is convex, and one that
   passed ``PAGeneral.is_convex`` is ConvexPA data already;
 * the hull of :func:`convex_envelope` drops collinear points, so the raw
@@ -130,18 +130,6 @@ class Interval:
     @property
     def is_point(self) -> bool:
         return not self.is_empty and self.lo == self.hi
-
-    @property
-    def length(self) -> Scalar:
-        return Fraction(0) if self.is_empty else self.hi - self.lo
-
-    def contains(self, x) -> bool:
-        if self.is_empty:
-            return False
-        x = as_scalar(x)
-        return self.lo <= x <= self.hi
-
-    __contains__ = contains
 
     def intersect(self, other: "Interval") -> "Interval":
         if self.is_empty or other.is_empty:
@@ -474,27 +462,11 @@ class ConcavePA:
         strictly decreasing slopes), skipping validation.  The callers and
         their proofs: ``legendre_roof`` (the potential's strictly rising
         slopes and breakpoints), ``add`` and ``ToricAdelicDivisor.roof``
-        (every grid point is a strict kink of a summand), ``scale`` by a
-        positive factor, ``shift``, ``reflect`` and ``restrict`` (cutting
-        an affine piece leaves no collinear triple)."""
+        (every grid point is a strict kink of a summand), ``reflect`` and
+        ``restrict`` (cutting an affine piece leaves no collinear triple)."""
         obj = object.__new__(cls)
         obj.points = tuple(pts)
         return obj
-
-    @classmethod
-    def constant(cls, lo, hi, value) -> "ConcavePA":
-        lo, hi, value = as_scalar(lo), as_scalar(hi), as_scalar(value)
-        if lo == hi:
-            return cls([(lo, value)])
-        return cls([(lo, value), (hi, value)])
-
-    @classmethod
-    def affine(cls, lo, hi, slope, value_at_lo) -> "ConcavePA":
-        lo, hi = as_scalar(lo), as_scalar(hi)
-        slope, y0 = as_scalar(slope), as_scalar(value_at_lo)
-        if lo == hi:
-            return cls([(lo, y0)])
-        return cls([(lo, y0), (hi, y0 + slope * (hi - lo))])
 
     @property
     def domain(self) -> Interval:
@@ -527,19 +499,6 @@ class ConcavePA:
             [(x, y1 + y2) for x, y1, y2 in zip(xs, ys1, ys2)])
 
     __add__ = add
-
-    def scale(self, a) -> "ConcavePA":
-        a = as_scalar(a)
-        s = scalar_sign(a)
-        if s < 0:
-            raise NotConcave("scaling a concave function by a negative factor")
-        if s == 0:
-            return ConcavePA([(x, a * y) for x, y in self.points])
-        return ConcavePA._raw([(x, a * y) for x, y in self.points])
-
-    def shift(self, c) -> "ConcavePA":
-        c = as_scalar(c)
-        return ConcavePA._raw([(x, y + c) for x, y in self.points])
 
     def restrict(self, window: Interval) -> "ConcavePA":
         if window.is_empty:
@@ -604,28 +563,6 @@ class ConcavePA:
         else:
             hi = _zero_between(self.points[last], self.points[last + 1])
         return Interval(lo, hi)
-
-    def integrate(self) -> Scalar:
-        total: Scalar = Fraction(0)
-        for (x1, y1), (x2, y2) in zip(self.points, self.points[1:]):
-            total = total + (x2 - x1) * (y1 + y2) / 2
-        return total
-
-    def to_payload(self) -> dict:
-        return {
-            "domain": [str(self.points[0][0]), str(self.points[-1][0])],
-            "points": [[str(x), str(y)] for x, y in self.points],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ConcavePA":
-        pts = [(Fraction(x), Fraction(y)) for x, y in payload["points"]]
-        f = cls(pts)
-        if "domain" in payload:
-            lo, hi = (Fraction(v) for v in payload["domain"])
-            if f.domain != Interval(lo, hi):
-                raise ValueError("payload domain disagrees with its points")
-        return f
 
     def __eq__(self, other):
         if not isinstance(other, ConcavePA):
@@ -925,11 +862,16 @@ class PAGeneral(_LinePA):
 
 
 def pa_from_payload(payload: dict):
-    if "domain" in payload or payload.get("kind") == "concave":
-        return ConcavePA.from_payload(payload)
-    if payload.get("kind") == "general":
+    """A potential, finite on all of R, from its payload: kind "convex" (the
+    default) or "general".  A roof payload, with a "domain", is refused
+    like any other kind."""
+    kind = "concave" if "domain" in payload else payload.get("kind", "convex")
+    if kind == "convex":
+        return ConvexPA.from_payload(payload)
+    if kind == "general":
         return PAGeneral.from_payload(payload)
-    return ConvexPA.from_payload(payload)
+    raise ValueError(
+        f"potential kind {kind!r} is unknown; expected 'convex' or 'general'")
 
 
 # -- free operations ------------------------------------------------------

@@ -48,10 +48,6 @@ class BaseCondition:
             orders[_label(key)] += Fraction(value)
         self.v0, self.vinf = orders["0"], orders["inf"]
 
-    def order(self, label: str) -> Fraction:
-        """The prescribed order at the point "0" or "inf"."""
-        return self.v0 if _label(label) == "0" else self.vinf
-
     @property
     def is_zero(self) -> bool:
         return not (self.v0 or self.vinf)

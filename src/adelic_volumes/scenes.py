@@ -16,15 +16,17 @@ as exact rationals, e.g.
       "base": {"0": "1/2"}
     }
 
-Potentials at finite places are in log p units.  A "comment" key is ignored.
-Decimal exponents ("1e400") are read exactly and limited to +-4300.  The
-potentials of a scene carry at most MAX_BREAKPOINTS breakpoints in all, and
-their breakpoint coordinates and slopes at most MAX_SCENE_BITS bits in all
-(numerator plus denominator): each Newton step of the thresholds behind
-`diskant` builds a roof from every breakpoint, and each exact `derivative`
-jet a volume, at a cost that grows with the count and with the size of the
-numbers.  Scene files are untrusted input: a malformed one raises ValueError (or an
-AdelicVolumesError) with a one-line message, never another exception.
+A potential's "kind" is "convex" (the default) or "general"; any other kind
+is refused.  Potentials at finite places are in log p units.  A "comment"
+key is ignored.  Decimal exponents ("1e400") are read exactly and limited to
++-4300.  The potentials of a scene carry at most MAX_BREAKPOINTS breakpoints
+in all, and their breakpoint coordinates and slopes at most MAX_SCENE_BITS
+bits in all (numerator plus denominator): each Newton step of the thresholds
+behind `diskant` builds a roof from every breakpoint, and each exact
+`derivative` jet a volume, at a cost that grows with the count and with the
+size of the numbers.  Scene files are untrusted input: a malformed one
+raises ValueError (or an AdelicVolumesError) with a one-line message, never
+another exception.
 """
 
 from __future__ import annotations

@@ -381,7 +381,7 @@ def _line_by_line_threshold(pair, n):
     for A, B in lines:
         span = Interval(0, top)
         for slope, at0 in ((B - n.cinf, A - lo0), (-B - n.c0, hi0 - A)):
-            edge = ConcavePA.affine(0, top, slope, at0)
+            edge = ConcavePA([(0, at0), (top, at0 + slope * top)])
             span = span.intersect(edge.nonneg_region())
         if span.is_empty:
             continue
@@ -398,7 +398,8 @@ def _line_by_line_threshold(pair, n):
                 elif a < pts[-1][1]:
                     pts[-1] = (w, a)
             envelope = convex_envelope(PAGeneral(pts, span.lo, span.hi))
-            part = legendre_roof(envelope).scale(weight)
+            part = ConcavePA([(u, weight * y)
+                              for u, y in legendre_roof(envelope).points])
             roof = part if roof is None else roof + part
         region = roof.nonneg_region()
         if not region.is_empty and (best is None or region.hi > best):

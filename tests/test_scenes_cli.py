@@ -122,12 +122,6 @@ class TestCliAvol:
         payload = json.loads(capsys.readouterr().out)
         assert payload["avol"]["exact"] == "1/4"
 
-    def test_csv(self, scenes, capsys):
-        assert main(["avol", scenes["slant"], "--format", "csv"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "avol"
-        assert float(lines[1]) == 1.0
-
     def test_missing_file(self, tmp_path, capsys):
         assert main(["avol", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -156,6 +150,11 @@ class TestHostileScenes:
         ({"c0": "1", "potentials": {"inf": {**_SLANT_INF, "points": [["1", 1]]}}},
          "numbers are strings"),
         ({"c0": "1", "potentials": {"inf": "convex"}}, "malformed"),
+        # a potential is convex or general; a typo or a roof is refused
+        ({"c0": "1", "potentials": {"inf": {**_SLANT_INF, "kind": "foo"}}},
+         "potential kind 'foo'"),
+        ({"c0": "1", "potentials": {"inf": {**_SLANT_INF, "kind": "concave"}}},
+         "potential kind 'concave'"),
     ])
     def test_malformed_exit_2(self, tmp_path, capsys, payload, needle):
         path = tmp_path / "bad.json"
@@ -841,6 +840,19 @@ def _run_main(argv, capsys):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", ["avol", "derivative", "diskant", "okounkov",
+                                     "suite"])
+def test_format_is_oracle_only(scenes, capsys, command):
+    args = {"avol": [scenes["slant"]],
+            "derivative": [scenes["slant"], "--direction", scenes["shift"]],
+            "diskant": [scenes["slant"], scenes["slant"]],
+            "okounkov": [scenes["slant"]],
+            "suite": ["homogeneity"]}[command]
+    code, out, err = _run_main([command, *args, "--format", "csv"], capsys)
+    assert (code, out) == (2, "")
+    assert "--format" in err
 
 
 class TestParserReuse:
