@@ -12,8 +12,6 @@ Run with:  python3 demos/counting_and_okounkov.py
 
 from __future__ import annotations
 
-from mpmath import mp
-
 from adelic_volumes import (
     analytic_okounkov,
     avol,
@@ -34,7 +32,7 @@ def counting_table(pair, label: str, levels=(1, 2, 4, 8, 16, 32, 64)) -> None:
         log_n = box_log_count(pair, m)
         est = 2 * log_n / m**2
         gap = scalar_float(exact) - float(est)
-        print(f"{m:>4}  {mp.nstr(log_n, 8):>12}  {mp.nstr(est, 8):>16}"
+        print(f"{m:>4}  {float(log_n):>12.8g}  {float(est):>16.8g}"
               f"  {gap:>10.6f}")
     print()
 

@@ -59,13 +59,9 @@ every chain of field operations would return, without the chain.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 from math import copysign, gcd, inf, isqrt
-from typing import Iterator, Union
-
-from mpmath import iv
-from mpmath.libmp import to_rational
+from typing import Union
 
 from .errors import PrecisionExhausted
 
@@ -81,30 +77,43 @@ _PRECISION_CAP = 1 << 13
 
 
 def default_precision_bits() -> int:
-    """The starting precision, 64 bits, of the mpmath enclosures in
-    ``sections``, which widens them until its result is decided."""
+    """The starting precision, 64 bits, of the e^x enclosures in ``sections``."""
     return _PRECISION_BITS
 
 
-@contextmanager
-def _iv_precision(bits: int) -> Iterator[None]:
-    old = iv.prec
-    iv.prec = bits
-    try:
-        yield
-    finally:
-        iv.prec = old
+def _atanh(num: int, den: int, bits: int) -> tuple:
+    """(s, err) with s <= 2^bits atanh(num / den) <= s + err for 0 <= num /
+    den <= 1/3, err counted (0 for num = 0): each power x^(2j+1), floored
+    from the last, falls short by less than 9/8 and its term by less than
+    2, and the terms after the first power that floors to 0 sum to less
+    than 2."""
+    x2n, x2d = num * num, den * den
+    power = (num << bits) // den
+    s = n = 0
+    while power:
+        s += power // (2 * n + 1)
+        power = power * x2n // x2d
+        n += 1
+    return s, 2 * n + 2 if num else 0
 
 
-_LOG_CACHE: dict = {}  # (prime, bits) -> interval enclosure of log(prime)
+_LOG_BOUNDS: dict = {}  # (p, bits) -> (lo, hi)
 
 
-def _log_interval(prime: int, bits: int):
-    key = (prime, bits)
-    if key not in _LOG_CACHE:
-        with _iv_precision(bits):
-            _LOG_CACHE[key] = iv.log(prime)
-    return _LOG_CACHE[key]
+def _log_bounds(p: int, bits: int) -> tuple:
+    """Cached integers lo <= 2^bits log p <= hi, at most 2 apart: log p =
+    2 (k atanh(1/3) + atanh((p - 2^k) / (p + 2^k))) for 2^k <= p < 2^(k+1),
+    summed g bits past ``bits``, where the k + 1 counted errors, each at
+    most 2 (bits + g) / 3 + 4, stay below 2^(g-1)."""
+    key = (p, bits)
+    b = _LOG_BOUNDS.get(key)
+    if b is None:
+        k, g = p.bit_length() - 1, p.bit_length().bit_length() + bits.bit_length() + 4
+        s, err = _atanh(p - (1 << k), p + (1 << k), bits + g)
+        s2, err2 = _atanh(1, 3, bits + g) if k else (0, 0)
+        s, err = s + k * s2, err + k * err2
+        _LOG_BOUNDS[key] = b = (s >> (g - 1), -(-(s + err) >> (g - 1)))
+    return b
 
 
 _MONO_BOUNDS: dict = {}  # (mono, bits) -> (lo, hi, k) dyadic enclosure
@@ -112,8 +121,8 @@ _MONO_BOUNDS: dict = {}  # (mono, bits) -> (lo, hi, k) dyadic enclosure
 
 def _mono_bounds(mono: Mono, bits: int) -> tuple:
     """A cached dyadic enclosure lo / 2^k <= value <= hi / 2^k of the
-    monomial, lo, hi and k integers, from the ``bits``-bit enclosures of its
-    logarithms.
+    monomial, lo, hi and k integers: the product of the ``bits``-bit
+    enclosures of its logarithms, k = bits times its degree.
 
     Comparisons between roof breakpoints land here constantly; integer
     bounds over one power of two let every rung of the sign ladder sum
@@ -121,16 +130,13 @@ def _mono_bounds(mono: Mono, bits: int) -> tuple:
     key = (mono, bits)
     b = _MONO_BOUNDS.get(key)
     if b is None:
-        lo = hi = Fraction(1)
+        lo = hi = 1
         for p in mono:
-            plo, phi = _log_interval(p, bits)._mpi_
             # every log p is positive
-            lo *= Fraction(*to_rational(plo))
-            hi *= Fraction(*to_rational(phi))
-        # both denominators are powers of two
-        k = max(lo.denominator, hi.denominator).bit_length() - 1
-        _MONO_BOUNDS[key] = b = (lo.numerator * ((1 << k) // lo.denominator),
-                                 hi.numerator * ((1 << k) // hi.denominator), k)
+            plo, phi = _log_bounds(p, bits)
+            lo *= plo
+            hi *= phi
+        _MONO_BOUNDS[key] = b = (lo, hi, bits * len(mono))
     return b
 
 

@@ -19,12 +19,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .divisors import ARCH, Pair, ToricAdelicDivisor, as_pair, min_adelic
 from .errors import NotBig, UnknownSuite
-from .exactnum import (EPS, default_precision_bits, eps_coefficients, log_unit,
-                       scalar_float, scalar_sign)
+from .exactnum import EPS, eps_coefficients, log_unit, scalar_float, scalar_sign
 from .gallery import half_zero_pair, height_shift, p_slant_divisor, slant_divisor, tent_divisor
 from .pa import ConvexPA, PAGeneral, abs_scalar, convex_envelope, legendre_potential, legendre_roof
 from .points import BaseCondition
@@ -562,14 +559,9 @@ def _suite_openness(rng, count):
 def _suite_oracle_convergence(rng, count):
     del rng, count  # fixed-instance suite
     e1 = Pair(slant_divisor())
-    with mpmath.mp.workprec(default_precision_bits() + 32):
-        target1 = 2 * mpmath.mp.log(15)
-        target2 = mpmath.mp.log(225) / 2
-    tiny = mpmath.mpf(2) ** -40
-    est1 = volume_estimate(e1, 1)
-    yield abs(est1 - target1) < tiny, None, None
-    est2 = volume_estimate(e1, 2)
-    yield abs(est2 - target2) < tiny, None, None
+    log15, tiny = log_unit(3) + log_unit(5), Fraction(1, 1 << 40)
+    yield abs(volume_estimate(e1, 1) - 2 * log15) < tiny, None, None
+    yield abs(volume_estimate(e1, 2) - log15) < tiny, None, None
     prev = None
     for m in (4, 16, 64, 256):
         est = volume_estimate(e1, m)

@@ -25,10 +25,9 @@ irrational for rational q != 0, so the floor is well defined.
 A box keeps only the counts and the integer columns they came from (the
 exponents, the denominators as integer pairs, the runs' A, B and D); the
 per-exponent ``BoxEntry`` records are built the first time they are read,
-so the count product and its log never pay for them.  Only the final
-logarithm is floating point: the counts are multiplied exactly in chunks of
-a few thousand bits, and the logs of the chunks are summed at the working
-precision, so the full product of the counts is never formed.
+so the count product and its log never pay for them.  The log takes no
+float either: two mantissas of about a hundred bits enclose the product of
+the counts, and one atanh series gives its log as a dyadic Fraction.
 
 The Okounkov sample takes no float: its value at an exponent, m psi_inf
 plus the log of the box's denominator, over m, is built exactly in
@@ -48,17 +47,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from mpmath import iv, mp
-
 from .divisors import ARCH, as_pair
 from .errors import EmptyPolytope, NotBig, OutOfDomain, PrecisionExhausted
-from .exactnum import (
-    _from_coeffs,
-    _iv_precision,
-    default_precision_bits,
-    floor_fraction,
-    scalar_fraction,
-)
+from .exactnum import (_atanh, _from_coeffs, _log_bounds, default_precision_bits,
+                       floor_fraction, scalar_fraction)
 from .pa import (
     ConcavePA,
     Interval,
@@ -76,11 +68,6 @@ _MARGIN_BITS = 32
 # 2.4-2.6 s, one 65,000-bit product per count (2-vCPU host, Python 3.11);
 # a tent box at m = 4821, just under the budget, about 0.7 s.
 _MAX_BOX_BITS = 1 << 26
-# bits past which ``SectionBox.log_count`` closes a chunk of the product of
-# the counts and takes its log: one log per 4,096 bits or per entry,
-# whichever is fewer, and no product wide enough to make a multiplication
-# quadratic in the box
-_LOG_CHUNK_BITS = 1 << 12
 # exponents per box (or per Okounkov sample); the range is checked before
 # anything is built, so a huge polytope or multiple fails at once
 _MAX_BOX_ENTRIES = 1 << 16
@@ -103,20 +90,14 @@ def _start_bits(size: int) -> int:
 
 
 def _floor_scaled_exp(d: Fraction, q: Fraction) -> int:
-    """floor(d * e^q) for positive rational d and rational q, exactly.
-
-    This is the per-entry decider: ``section_box`` reads most floors off
-    one enclosure per affine run of the roof and sends here only the
-    entries whose enclosure straddles an integer.  e^q is enclosed by
-    ``_exp_mantissas`` and the floor is accepted only when both ends of the
-    enclosure, times d, have the same floor.  The first attempt runs at
-    B + 32 bits, B an upper bound on the bit size of the integer part of
-    d * e^q (never below the working precision), so one attempt nearly
-    always decides; undecided enclosures double the precision up to
-    ``_MAX_FLOOR_BITS``, past which ``PrecisionExhausted`` is raised.  An
-    integer part provably wider than that cap can never be decided, so it
-    raises at once.
-    """
+    """floor(d * e^q) for positive rational d and rational q, exactly: the
+    per-entry decider for the entries whose run enclosure straddles an
+    integer.  The floor is accepted when both ends of an ``_exp_mantissas``
+    enclosure, times d, share it.  The first attempt runs at B + 32 bits, B
+    an upper bound on the bit size of the integer part of d e^q (never below
+    the working precision), so it nearly always decides; undecided ones
+    double the precision up to ``_MAX_FLOOR_BITS``, past which, or at once
+    for an integer part provably wider, ``PrecisionExhausted`` is raised."""
     if q == 0:
         return floor_fraction(d)
     size = _size_bits(d.numerator, d.denominator, q.numerator, q.denominator)
@@ -140,23 +121,50 @@ def _floor_scaled_exp(d: Fraction, q: Fraction) -> int:
 
 
 def _exp_mantissas(x: Fraction, bits: int) -> tuple:
-    """(lo, hi, e) with lo * 2^e <= e^x <= hi * 2^e, from one ``iv.exp``
-    at ``bits`` bits; both ends share the exponent e.
+    """(lo, hi, e), lo * 2^e <= e^x <= hi * 2^e with lo and hi of ``bits``
+    bits at most 2 apart: e^x = (e^y)^(2^s), |y| = |x| / 2^s < 2^-7.  The
+    Taylor series of e^y, summed by binary splitting to a term below
+    2^-(w+1), w = bits + s + 6, is squared s times as a lower end plus an
+    error, rounded to w + 1 bits each time: a square doubles the log of the
+    ends' ratio and a rounding adds under 2^(2-w), so it ends under 2^-bits/4."""
+    c, d = x.numerator, x.denominator
+    s = max(0, abs(c).bit_length() - d.bit_length() + 8)
+    w = bits + s + 6
+    low, err, e = 1 << w, 0, -w
+    if c:
+        # |y| < 2^-tau, so |y|^j / j! < 2^-drop
+        tau = d.bit_length() + s - abs(c).bit_length() - 1
+        j, drop = 2, 2 * tau + 1
+        while drop <= w:
+            j += 1
+            drop += tau + j.bit_length() - 1
+        # 2^w e^y lies from 1 below the floor of the sum to 2 above it
+        _, q, t = _exp_series(c, d, s, 1, j)
+        low, err = low - 1 + _floor_times(t, q, 1, w - s * (j - 1)), 3
+    for _ in range(s):
+        # (low + err)^2 = low^2 + err (2 low + err)
+        err *= 2 * low + err
+        low *= low
+        shift = (low + err).bit_length() - w - 1
+        mask = (1 << shift) - 1
+        low, err, e = low >> shift, ((low & mask) + err + mask) >> shift, 2 * e + shift
+    shift = (low + err).bit_length() - bits
+    return low >> shift, -(-(low + err) >> shift), e + shift
 
-    The precision is raised past the integer part of x when that is wider:
-    a huge x rounded at fewer bits would leave ends whose exponents lie too
-    far apart to share one."""
-    bits = max(bits, x.numerator.bit_length() - x.denominator.bit_length()
-               + 2 * _MARGIN_BITS)
-    with _iv_precision(bits):
-        (_, lo, lo_exp, _), (_, hi, hi_exp, _) = iv.exp(
-            iv.mpf(x.numerator) / x.denominator)._mpi_
-    e = min(lo_exp, hi_exp)
-    return int(lo) << (lo_exp - e), int(hi) << (hi_exp - e), e
+
+def _exp_series(c: int, d: int, s: int, i: int, j: int) -> tuple:
+    """(P, Q, T) with sum_{k=i}^{j-1} prod_{l=i}^{k} c / (d l 2^s) = T / (Q
+    2^(s (j-i))), the last product P / (Q 2^(s (j-i))): binary splitting."""
+    if j - i == 1:
+        return c, d * i, c
+    mid = (i + j) // 2
+    p1, q1, t1 = _exp_series(c, d, s, i, mid)
+    p2, q2, t2 = _exp_series(c, d, s, mid, j)
+    return p1 * p2, q1 * q2, (t1 * q2 << s * (j - mid)) + p1 * t2
 
 
 def _floor_times(num: int, den: int, man: int, e: int) -> int:
-    """floor(num * man * 2^e / den) for positive integers; floor(floor(x /
+    """floor(num * man * 2^e / den) for integers, den > 0; floor(floor(x /
     2^j) / den) = floor(x / (2^j den)), so a shift comes first."""
     x = num * man
     return (x << e if e >= 0 else x >> -e) // den
@@ -262,29 +270,26 @@ class SectionBox:
             out *= n
         return out
 
-    def log_count(self):
-        """log of ``count_product`` at the working precision plus 32 bits.
-
-        The counts are multiplied exactly in chunks; a chunk closes as soon
-        as its product passes ``_LOG_CHUNK_BITS`` bits, and the logs of the
-        chunks are summed by ``mp.fsum``.  Each multiplication stays small,
-        so the cost is linear in the bits of the counts, and the result is
-        rounded no more often than a sum of per-entry logs."""
-        with mp.workprec(default_precision_bits() + 32):
-            return mp.fsum(_chunk_logs(self._counts))
-
-
-def _chunk_logs(counts):
-    """The log of each chunk product of ``counts``, a chunk closing once it
-    passes ``_LOG_CHUNK_BITS`` bits; the last chunk may be the empty
-    product, whose log is 0."""
-    chunk = 1
-    for n in counts:
-        chunk *= n
-        if chunk.bit_length() > _LOG_CHUNK_BITS:
-            yield mp.log(chunk)
-            chunk = 1
-    yield mp.log(chunk)
+    def log_count(self) -> Fraction:
+        """log of ``count_product``, a dyadic Fraction within 2^-96 relative:
+        a lower and an upper mantissa of w + 1 bits, w = 96 + bitlen(number
+        of counts), carry the product, each count (rounded first if wider)
+        widening the log of their ratio by under 2^(3-w), only past 2^w.
+        Their mean M 2^E, M of t + 1 bits, has log (E + t) log 2 + 2 atanh((M
+        - 2^t) / (M + 2^t)); the middle of its enclosure is returned."""
+        w = default_precision_bits() + 32 + len(self._counts).bit_length()
+        lo, hi, e = 1, 1, 0
+        for n in self._counts:
+            cut = max(0, n.bit_length() - w - 1)
+            lo, hi = lo * (n >> cut), hi * -(-n >> cut)
+            shift = max(0, hi.bit_length() - w - 1)
+            lo, hi, e = lo >> shift, -(-hi >> shift), e + cut + shift
+        m, bits = lo + hi, w + 16  # twice the mean, under 2^(e - 1)
+        t = m.bit_length() - 1
+        s, err = _atanh(m - (1 << t), m + (1 << t), bits)
+        # k log 2 + 2 atanh, with l2lo <= 2^bits log 2 <= l2hi
+        k, (l2lo, l2hi) = e - 1 + t, _log_bounds(2, bits)
+        return Fraction(k * (l2lo + l2hi) + 4 * s + 2 * err, 1 << (bits + 1))
 
 
 def _check_multiple(m) -> int:
@@ -331,18 +336,10 @@ def _check_cost(psi_inf: ConcavePA, finite: dict, entries: int, m: int) -> None:
 
 
 def section_box(pair, m: int) -> SectionBox:
-    """Enumerate the coefficient boxes of the m-th multiple of a pair.
-
-    The exponents run in maximal runs whose grid points lie on one affine
-    piece of the archimedean roof.  On a run, q_k = m psi_inf(k/m) = (A + B
-    k) / D steps by the slope B / D, so e^q_k is enclosed once at the run's
-    start and then stepped by an enclosure of e^(B/D) in integer arithmetic,
-    as a lower end plus an error bound; the finite-place exponents are
-    integer floors of (A' + B' k) / D'.  An entry whose two ends give
-    different floors, or a run whose precision would pass
-    ``_MAX_FLOOR_BITS``, is decided by ``_floor_scaled_exp``.  The box
-    keeps the counts and these integer columns, and builds its entries when
-    they are first read.
+    """Enumerate the coefficient boxes of the m-th multiple of a pair: the
+    counts of each affine run of the archimedean roof by ``_run_floors``, as
+    the module docstring describes; the finite-place exponents are integer
+    floors of (A' + B' k) / D'.
 
     Raises ValueError when the window holds more than ``_MAX_BOX_ENTRIES``
     exponents or the counts may need more than ``_MAX_BOX_BITS`` bits, and
@@ -453,18 +450,18 @@ def _run_floors(ds: list, start: int, a: int, b: int, den: int) -> list:
     return out
 
 
-def box_log_count(pair, m: int):
+def box_log_count(pair, m: int) -> Fraction:
     """log of the number of strictly small sections of the m-th multiple,
-    in the coefficient-box model."""
+    in the coefficient-box model, as ``SectionBox.log_count`` gives it."""
     return section_box(pair, m).log_count()
 
 
-def _estimate(log_count, m: int):
-    return 2 * log_count / mp.mpf(m * m)
+def _estimate(log_count: Fraction, m: int) -> Fraction:
+    return 2 * log_count / (m * m)
 
 
-def volume_estimate(pair, m: int):
-    """Finite-level volume estimate 2 log #sections / m^2."""
+def volume_estimate(pair, m: int) -> Fraction:
+    """Finite-level volume estimate 2 log #sections / m^2, a Fraction."""
     return _estimate(box_log_count(pair, m), m)
 
 

@@ -127,17 +127,15 @@ def _fraction_ladder(poly):
     """The enclosure rungs of the sign ladder as they were before integer
     sums: Fraction products of each integer coefficient and the rational
     bounds of its monomial, summed per rung."""
-    from mpmath.libmp import to_rational
-
     bits = exactnum._SIGN_BITS
     while bits <= exactnum._PRECISION_CAP:
         lo = hi = Fraction(0)
         for mono, c in poly.items():
             mlo = mhi = Fraction(1)
             for p in mono:
-                plo, phi = exactnum._log_interval(p, bits)._mpi_
-                mlo *= Fraction(*to_rational(plo))
-                mhi *= Fraction(*to_rational(phi))
+                plo, phi = exactnum._log_bounds(p, bits)
+                mlo *= Fraction(plo, 1 << bits)
+                mhi *= Fraction(phi, 1 << bits)
             if c > 0:
                 lo += c * mlo
                 hi += c * mhi
@@ -234,6 +232,26 @@ def test_floor_fraction():
 
 def test_default_precision_env():
     assert default_precision_bits() == 64
+
+
+# the largest prime below the proven-prime bound
+_PRIME_BELOW_BOUND = 3317044064679887385961813
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65537, _PRIME_BELOW_BOUND])
+def test_log_bounds_enclose_mpmath(p):
+    """Every rung of the sign ladder against mpmath at 200 more bits.  The
+    width relies on the count in ``_atanh``: n terms fall short by less
+    than 2n + 2, and k + 1 such sums stay below the guard bits."""
+    assert exactnum.is_prime(_PRIME_BELOW_BOUND)
+    assert _PRIME_BELOW_BOUND < exactnum._PRIME_BOUND
+    bits = exactnum._SIGN_BITS
+    while bits <= exactnum._PRECISION_CAP:
+        lo, hi = exactnum._log_bounds(p, bits)
+        with mp.workprec(bits + 200):
+            assert lo <= mp.log(p) * mp.mpf(2) ** bits <= hi, bits
+        assert 0 <= hi - lo <= 2, bits
+        bits *= 2
 
 
 class TestEpsilon:

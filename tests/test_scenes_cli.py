@@ -799,6 +799,14 @@ class TestCliOracle:
         assert payload["rows"][0]["m"] == 4
         assert payload["rows"][0]["analytic_avol"] == 1.0
 
+    def test_estimate_is_correctly_rounded(self, scenes, capsys):
+        # 2 log N_7 / 49 for the slant divisor lies nearer 1.3837184451685065
+        # than its neighbour ...063, which a division at 53 bits gave
+        assert main(["oracle", scenes["slant"], "--m", "7", "--format",
+                     "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["estimate"] == 1.3837184451685065
+
     def test_one_box_per_row(self, scenes, capsys, monkeypatch):
         calls = []
         original = cli.section_box

@@ -9,10 +9,13 @@ floor(e^4) = 54 this gives products 15, 225 and 1005525 at m = 1, 2, 4.
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
+import types
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -53,20 +56,20 @@ def _slant_p2_p3():
 
 
 def _floor_with_precisions(d, q):
-    """sections._floor_scaled_exp(d, q) and the interval precision of every
-    iv.exp call it made."""
-    original = mpmath.iv.exp
+    """sections._floor_scaled_exp(d, q) and the precision of every
+    _exp_mantissas call it made."""
+    original = sections._exp_mantissas
     precisions = []
 
-    def counting_exp(*args, **kwargs):
-        precisions.append(mpmath.iv.prec)
-        return original(*args, **kwargs)
+    def counting_exp(x, bits):
+        precisions.append(bits)
+        return original(x, bits)
 
-    mpmath.iv.exp = counting_exp
+    sections._exp_mantissas = counting_exp
     try:
         n = sections._floor_scaled_exp(d, q)
     finally:
-        mpmath.iv.exp = original
+        sections._exp_mantissas = original
     return n, precisions
 
 
@@ -154,6 +157,11 @@ class TestSectionBox:
         want = float(mp.log(box.count_product))
         assert abs(got - want) <= 1e-12 * abs(want)
 
+    def test_log_count_is_a_dyadic_fraction(self):
+        got = section_box(_slant_p2_p3(), 64).log_count()
+        assert type(got) is Fraction
+        assert got.denominator & (got.denominator - 1) == 0
+
     def test_roof_domain_checked_once_per_box(self, monkeypatch):
         # a roof narrower than the exponent window must still be refused,
         # although the grid evaluation itself does not check domains
@@ -185,9 +193,11 @@ class TestSectionBox:
 
 
 _LOG_COUNT_BOXES = {
-    # 513 counts of a few hundred bits each: many counts per chunk
+    # 513 counts of a few hundred bits each: the product passes the
+    # mantissas after a few counts and is rounded at nearly every count
     "many_small": (half_zero_pair(), 1024),
-    # nine counts of 4,618 bits or more: every count closes its own chunk
+    # nine counts of 4,618 bits or more: every count is wider than the
+    # mantissas and is rounded before it is multiplied in
     "each_wider": (Pair(slant_divisor() + height_shift(400)), 8),
     # the window [1/3, 2/3] holds no exponent at m = 1
     "empty": (Pair(slant_divisor(),
@@ -200,30 +210,27 @@ class TestLogCount:
     def test_matches_the_log_of_the_product(self, case):
         box = section_box(*_LOG_COUNT_BOXES[case])
         if case == "each_wider":
-            assert min(e.count.bit_length() for e in box.entries) \
-                > sections._LOG_CHUNK_BITS
+            assert min(e.count.bit_length() for e in box.entries) > 1 << 12
         got = box.log_count()
         with mp.workprec(300):
             want = mp.log(box.count_product)
             if case == "empty":
                 assert box.entries == () and got == 0
             else:
+                got = mp.mpf(got.numerator) / got.denominator
                 assert abs(got - want) <= abs(want) * mp.mpf(2) ** -80
 
     @pytest.mark.parametrize("case", sorted(_LOG_COUNT_BOXES))
-    def test_one_log_per_chunk(self, monkeypatch, case):
+    def test_one_log_per_box(self, monkeypatch, case):
+        # the product is carried as two mantissas, and one atanh series
+        # takes its log at the end
         box = section_box(*_LOG_COUNT_BOXES[case])
-        original = mp.log
         calls = []
-
-        def counting_log(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(mp, "log", counting_log)
+        original = sections._atanh
+        monkeypatch.setattr(sections, "_atanh",
+                            lambda *args: calls.append(args) or original(*args))
         box.log_count()
-        total = sum(e.count.bit_length() for e in box.entries)
-        assert len(calls) <= total // sections._LOG_CHUNK_BITS + 2
+        assert len(calls) == 1
 
 
 def _per_entry_box(pair, m):
@@ -422,18 +429,18 @@ class TestLadder:
         pair = _slant_p2_p3()
         psi_inf, _ = sections.place_roofs(pair)
         runs = sections._affine_runs(psi_inf, 256, 0, 768)
-        original = mpmath.iv.exp
+        original = sections._exp_mantissas
         calls = []
 
-        def counting_exp(*args, **kwargs):
-            calls.append(mpmath.iv.prec)
-            return original(*args, **kwargs)
+        def counting_exp(x, bits):
+            calls.append(bits)
+            return original(x, bits)
 
-        mpmath.iv.exp = counting_exp
+        sections._exp_mantissas = counting_exp
         try:
             box = section_box(pair, 256)
         finally:
-            mpmath.iv.exp = original
+            sections._exp_mantissas = original
         assert len(box.entries) == 769
         # the per-entry path made one call per entry, 769 in all
         assert len(runs) == 2
@@ -455,6 +462,53 @@ _powers = st.builds(lambda a, b: 2 ** a * 3 ** b,
 def _exponents(draw):
     den = draw(st.integers(1, 300))
     return F(draw(st.integers(-60 * den, 400 * den)), den)
+
+
+def _mp_encloses(lo, hi, e, value):
+    return lo * mp.mpf(2) ** e <= value <= hi * mp.mpf(2) ** e
+
+
+def _sampled_exponents():
+    """Zero, tiny and extreme exponents, and 300 seeded rationals with
+    |numerator| <= 10^6 and denominator <= 10^4."""
+    rng = random.Random(0)
+    return [F(0), F(1, 10 ** 9), F(-1, 10 ** 9), F(10 ** 6), F(-10 ** 6)] + [
+        F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
+        for _ in range(300)]
+
+
+class TestExpMantissas:
+    """_exp_mantissas against mpmath at four times the precision.  The
+    width relies on the count in its docstring: the Taylor tail and the
+    floor of the sum put 2^w e^y within 3 units, each of the s squares
+    doubles the log of the ends' ratio and each rounding adds less than
+    2^(2-w), so at w = bits + s + 6 the ends round to at most 2 apart."""
+
+    @pytest.mark.parametrize("bits", [64, 128, 512, 2048])
+    def test_encloses_mpmath(self, bits):
+        with mp.workprec(4 * bits):
+            for x in _sampled_exponents():
+                lo, hi, e = sections._exp_mantissas(x, bits)
+                assert hi.bit_length() == bits and 0 <= hi - lo <= 2, x
+                if x == 0:
+                    assert lo == hi == 1 << -e
+                value = mp.exp(mp.mpf(x.numerator) / x.denominator)
+                assert _mp_encloses(lo, hi, e, value), x
+
+    def test_at_the_floor_cap(self):
+        # the exponent of the costliest admitted box, a roof of height 44 at
+        # m = 1024, at the widest precision a floor may take
+        bits = sections._MAX_FLOOR_BITS
+        lo, hi, e = sections._exp_mantissas(F(45056), bits)
+        assert hi.bit_length() == bits and 0 <= hi - lo <= 2
+        with mp.workprec(4 * bits):
+            assert _mp_encloses(lo, hi, e, mp.exp(45056))
+
+
+def test_import_does_not_load_mpmath():
+    code = "import sys, adelic_volumes; assert 'mpmath' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 class TestFloorScaledExp:
@@ -507,15 +561,16 @@ class TestFloorScaledExp:
 
     @pytest.mark.parametrize("q", [F(-4 * 10 ** 100), F(-4 * 10 ** 400, 3)])
     def test_huge_negative_exponent(self, q):
-        # a steep roof steps its exponent by -m psi'; rounding q at fewer
-        # bits than its integer part would spread the enclosure of e^q over
-        # binary exponents too far apart to share one
+        # a steep roof steps its exponent by -m psi'; the ends of the
+        # enclosure of e^q share one binary exponent by construction, so a
+        # precision below the bits of q's integer part encloses it
         n, precisions = _floor_with_precisions(F(2 ** 64), q)
         assert n == 0
         bits = q.numerator.bit_length() - q.denominator.bit_length()
-        assert len(precisions) == 1 and precisions[0] > bits
+        assert len(precisions) == 1 and precisions[0] < bits
         lo, hi, e = sections._exp_mantissas(q, 64)
         assert 0 <= lo <= hi < 2 ** (bits + 128) and e < -abs(q)
+        assert hi - lo <= 2 and hi.bit_length() == 64
 
     def test_large_value_starts_at_its_bit_size(self):
         # e^400 has 578 integer bits; one enclosure of about that size
@@ -597,15 +652,14 @@ class TestEmpiricalTransform:
         assert got == want
         assert [repr(t) for _, t in got] == [repr(t) for _, t in want]
 
-    def test_no_mpmath(self, monkeypatch):
-        class NoMpmath:
-            def __getattr__(self, name):
-                raise AssertionError(f"okounkov_sample called mpmath's {name}")
-
-        want = okounkov_sample(_slant_p2_p3(), 64)
-        for module, name in ((sections, "mp"), (sections, "iv"), (exactnum, "iv")):
-            monkeypatch.setattr(module, name, NoMpmath())
-        assert okounkov_sample(_slant_p2_p3(), 64) == want
+    def test_no_mpmath(self):
+        # neither the sample nor the enclosures under it can reach mpmath:
+        # the modules bind no name that comes from it
+        for module in (sections, exactnum):
+            for name, value in vars(module).items():
+                origin = (value.__name__ if isinstance(value, types.ModuleType)
+                          else getattr(value, "__module__", None) or "")
+                assert not origin.startswith("mpmath"), (module.__name__, name)
 
     @pytest.mark.parametrize("m", [1, 7, 64])
     def test_sampled_pairs_within_the_floor_bound(self, m):
