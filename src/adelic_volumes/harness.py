@@ -87,11 +87,15 @@ class DerivativeReport:
         return not bool(self.quad_right == self.quad_left)
 
 
+def _volume_at(pair: Pair, direction: ToricAdelicDivisor, t):
+    """avol(D + t E), with the pair's base condition."""
+    return avol(Pair(pair.divisor + direction.scale(t), pair.base))
+
+
 def _jet(pair: Pair, direction: ToricAdelicDivisor, sign: int) -> list:
     """[v0, b, quad] with v0 + b t + quad t^2 the volume at
     D + sign * t * E for small t > 0: one volume at t = eps."""
-    moved = Pair(pair.divisor + direction.scale(sign * EPS), pair.base)
-    return eps_coefficients(avol(moved), 3)
+    return eps_coefficients(_volume_at(pair, direction, sign * EPS), 3)
 
 
 def check_differentiability(pair, direction) -> DerivativeReport:
@@ -99,15 +103,11 @@ def check_differentiability(pair, direction) -> DerivativeReport:
     direction = _as_divisor(direction)
     if not is_big(pair):
         raise NotBig(f"{pair!r} is not big")
-
-    def vol_at(r):
-        return avol(Pair(pair.divisor + direction.scale(r), pair.base))
-
     v0, b_r, a_r = _jet(pair, direction, +1)
     _, b_l, a_l = _jet(pair, direction, -1)
     rows = []
     for h in DEFAULT_HS:
-        up, down = vol_at(h), vol_at(-h)
+        up, down = _volume_at(pair, direction, h), _volume_at(pair, direction, -h)
         rows.append(FiniteDifferenceRow(
             h=h,
             forward=(up - v0) / h,
@@ -293,7 +293,7 @@ def sample_direction(rng, allow_finite: bool = True) -> ToricAdelicDivisor:
     return d.scale(Fraction(1, 4))
 
 
-def sample_derivative_instance(rng, allow_finite: bool = True) -> tuple:
+def sample_derivative_instance(rng) -> tuple:
     """A big pair and direction in general position, plus the central
     difference of the volume at the reference step.
 
@@ -304,18 +304,13 @@ def sample_derivative_instance(rng, allow_finite: bool = True) -> tuple:
     configurations are covered by fixed examples, not sampled."""
     h = REFERENCE_H
     for _ in range(64):
-        pair = sample_big_pair(rng, allow_finite=allow_finite)
-        direction = sample_direction(rng, allow_finite=allow_finite)
-
-        def vol_at(t):
-            return avol(Pair(pair.divisor + direction.scale(t), pair.base))
-
+        pair = sample_big_pair(rng)
+        direction = sample_direction(rng)
         y0 = avol(pair)  # measured by is_big in sample_big_pair
-        ym1, yp1 = vol_at(-h / 2), vol_at(h / 2)
-        ym2 = vol_at(-h)
+        ym2, ym1, yp1 = (_volume_at(pair, direction, t) for t in (-h, -h / 2, h / 2))
         if not bool(y0 - 2 * ym1 + ym2 == yp1 - 2 * y0 + ym1):
             continue
-        yp2 = vol_at(h)
+        yp2 = _volume_at(pair, direction, h)
         if not bool(yp2 - 2 * yp1 + y0 == yp1 - 2 * y0 + ym1):
             continue
         return pair, direction, (yp2 - ym2) / (2 * h)

@@ -1019,29 +1019,22 @@ def legendre_potential(roof: ConcavePA, window: Interval | None = None) -> Conve
     roof, which involve log p), and no exact quotient is formed.
     """
     pts = roof.points
-    if window is None:
-        lo, hi = pts[0][0], pts[-1][0]
-        segments = zip(pts, pts[1:])
-    else:
-        if window.is_empty:
-            raise EmptyDomain("cannot restrict to the empty interval")
-        lo, hi = window.lo, window.hi
-        if not (pts[0][0] <= lo and hi <= pts[-1][0]):
-            raise OutOfDomain(f"{window} is not inside {roof.domain}")
-        if window.is_point:
-            return ConvexPA._raw([(Fraction(0), roof.eval(lo))], lo, lo)
-        i = 1
-        while pts[i][0] <= lo:
-            i += 1
-        j = i
-        while j < len(pts) - 1 and pts[j][0] < hi:
-            j += 1
-        segments = zip(pts[i - 1:j], pts[i:j + 1])
-    if len(pts) == 1:
-        x0, y0 = pts[0]
-        return ConvexPA._raw([(Fraction(0), y0)], x0, x0)
+    window = roof.domain if window is None else window
+    if window.is_empty:
+        raise EmptyDomain("cannot restrict to the empty interval")
+    lo, hi = window.lo, window.hi
+    if not (pts[0][0] <= lo and hi <= pts[-1][0]):
+        raise OutOfDomain(f"{window} is not inside {roof.domain}")
+    if window.is_point:
+        return ConvexPA._raw([(Fraction(0), roof.eval(lo))], lo, lo)
+    i = 1
+    while pts[i][0] <= lo:
+        i += 1
+    j = i
+    while j < len(pts) - 1 and pts[j][0] < hi:
+        j += 1
     out = []
-    for p, q in segments:
+    for p, q in zip(pts[i - 1:j], pts[i:j + 1]):
         m = _slope(p, q)
         out.append((-m, _on_line(*p, m)))
     # the roof's slopes fall strictly, so the -m rise strictly, and the

@@ -247,14 +247,14 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
         c0, cinf = d.c0 - t * n.c0, d.cinf - t * n.cinf
         pots = {place: [(u, _on_line(b, a, t)) for u, a, b in rows]  # a - t * b
                 for place, (_, rows) in data.items()}
-        roof = _twisted_roof(data, pots, c0, cinf, v0, vinf)
+        roof = _twisted_roof(pots, c0, cinf, v0, vinf)
         x, g = roof.argmax()
         if scalar_sign(g) >= 0:
             return Bracket(t, t)
         t = t + g / _fall_rate(data, pots, roof, x, n)
 
 
-def _twisted_roof(data, pots, c0, cinf, v0, vinf):
+def _twisted_roof(pots, c0, cinf, v0, vinf):
     """The global roof of the twisted pair, read off its rows
     (u, pD - t * pN): per place the Legendre roof of the convex envelope of
     the rows, weighted and summed by ``_roof_sum`` on the polytope

@@ -57,10 +57,9 @@ _DECIMAL_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE]([-+]?\d+(?:_\d+)*)\s*")
 # Q(log 2, log 3).  On the CI scene `avol` takes 0.22-0.27 s, `derivative`
 # along itself 0.42-0.52 s, `okounkov` 0.20-0.21 s and `oracle --m 16`
 # 0.27-0.37 s.  On the three-place scene `avol` takes 0.21-0.27 s,
-# `derivative` along itself 0.37-0.57 s and along the CI scene 0.73-0.97 s,
-# and `okounkov` 0.78-0.84 s for its 8,193 exact samples (window [-64, 64]
-# at m = 64) and their floats; `oracle --m 16` refuses it for its count
-# bits in 0.2 s.
+# `derivative` along itself 0.37-0.57 s and along the CI scene 0.73-0.97 s;
+# `okounkov` builds its 8,193 exact samples (window [-64, 64] at m = 64),
+# and `oracle --m 16` refuses it for its count bits in 0.2 s.
 MAX_BREAKPOINTS = 192
 # 48 breakpoints of twelve-digit rationals come to about 8000 bits, and
 # `diskant` of that scene against itself takes about 0.15 s (40 digits: 25,800

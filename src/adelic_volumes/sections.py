@@ -5,9 +5,10 @@ module counts actual small sections, so the two routes can be compared.  A
 section of the m-th multiple is a Laurent monomial coefficient vector; for
 invariant metrics the sup-norm unit ball is a product of coefficient boxes,
 one per admissible exponent.  The box at exponent k collects the rationals
-with denominator d_k = prod p^floor(m psi_p(k/m) / log p) and absolute value
-at most exp(m psi_inf(k/m)).  Counting boxes instead of the true ball costs
-at most a factor (m+1) per place, invisible in the m -> infinity limit.
+with denominator d_k = prod p^e_p(k), e_p(k) = floor(m psi_p(k/m)) with
+psi_p in log p units, and absolute value at most exp(m psi_inf(k/m)).
+Counting boxes instead of the true ball costs at most a factor (m+1) per
+place, invisible in the m -> infinity limit.
 
 All per-exponent counts are exact integers.  On a maximal run of exponents
 whose grid points lie on one affine piece of the archimedean roof, q_k =
@@ -17,10 +18,13 @@ of e^s in integer arithmetic.  The enclosure is carried as its lower end,
 rounded down, plus an integer error bound, rounded up: a step makes one
 full-width product, of the two lower ends, and the error grows by two
 narrow ones.  floor(d_k e^q_k) is read off both ends, the upper one
-reusing the product of d_k's numerator with the lower end.  An entry whose two ends give different floors is decided on
-its own by an enclosure whose precision starts at the bit size of the value
-(plus a margin) and doubles until both ends share a floor; e^q is
-irrational for rational q != 0, so the floor is well defined.
+reusing the product of d_k's numerator with the lower end.  An entry whose
+two ends give different floors is decided on its own by an enclosure whose
+precision starts at the bit size of the value (plus a margin) and doubles
+until both ends share a floor; e^q is irrational for rational q != 0, so
+the floor is well defined.  A floor proven 0 takes no enclosure: for
+q < 0, d e^q < 2^(len(num) - len(den) + 1 + ceil(1.442 q)), and such
+entries gather at a run's ends (nearly all of a steep run).
 
 A box keeps only the counts and the integer columns they came from (the
 exponents, the denominators as integer pairs, the runs' A, B and D); the
@@ -29,9 +33,10 @@ so the count product and its log never pay for them.  The log takes no
 float either: two mantissas of about a hundred bits enclose the product of
 the counts, and one atanh series gives its log as a dyadic Fraction.
 
-The Okounkov sample takes no float: its value at an exponent, m psi_inf
-plus the log of the box's denominator, over m, is built exactly in
-Q(log 2, log 3, ...).
+Both oracles read one exponent table (``_lattice``): the exponents k of
+the level-m window, the archimedean runs and the floors e_p(k).  The
+Okounkov sample, which takes no float, reads t_k = (A + B k + D sum_p
+e_p(k) log p) / (D m) off it, exact in Q(log 2, log 3, ...).
 
 Budgets keep hostile input from hanging: a box has at most
 ``_MAX_BOX_ENTRIES`` exponents, its counts may need at most
@@ -51,13 +56,7 @@ from .divisors import ARCH, as_pair
 from .errors import EmptyPolytope, NotBig, OutOfDomain, PrecisionExhausted
 from .exactnum import (_atanh, _from_coeffs, _log_bounds, default_precision_bits,
                        floor_fraction, scalar_fraction)
-from .pa import (
-    ConcavePA,
-    Interval,
-    _eval_on_grid,
-    integrate_positive_part,
-    unit_roof,
-)
+from .pa import ConcavePA, Interval, integrate_positive_part, unit_roof
 
 _MAX_FLOOR_BITS = 1 << 16
 # bits past a value's integer part at which its first enclosure is taken
@@ -83,6 +82,14 @@ def _size_bits(num: int, den: int, a: int, b: int) -> int:
     return size
 
 
+def _zero_floor(num: int, den: int, a: int, b: int) -> bool:
+    """Whether floor(num/den * e^q) = 0 is proven for q = a/b, b > 0, in
+    integers: for q < 0, num/den * e^q < 2^(len(num) - len(den) + 1 +
+    ceil(1.442 q)), and an exponent of 0 or less leaves no integer part."""
+    return a < 0 and (num.bit_length() - den.bit_length() + 1
+                      - (-a * 1442) // (1000 * b)) <= 0
+
+
 def _start_bits(size: int) -> int:
     """The first enclosure precision for a value of at most ``size`` integer
     bits: ``_MARGIN_BITS`` past it, never below the working precision."""
@@ -92,14 +99,17 @@ def _start_bits(size: int) -> int:
 def _floor_scaled_exp(d: Fraction, q: Fraction) -> int:
     """floor(d * e^q) for positive rational d and rational q, exactly: the
     per-entry decider for the entries whose run enclosure straddles an
-    integer.  The floor is accepted when both ends of an ``_exp_mantissas``
-    enclosure, times d, share it.  The first attempt runs at B + 32 bits, B
+    integer.  A floor ``_zero_floor`` proves 0 takes no enclosure; any other
+    is accepted when both ends of an ``_exp_mantissas`` enclosure, times d,
+    share it.  The first attempt runs at B + 32 bits, B
     an upper bound on the bit size of the integer part of d e^q (never below
     the working precision), so it nearly always decides; undecided ones
     double the precision up to ``_MAX_FLOOR_BITS``, past which, or at once
     for an integer part provably wider, ``PrecisionExhausted`` is raised."""
     if q == 0:
         return floor_fraction(d)
+    if _zero_floor(d.numerator, d.denominator, q.numerator, q.denominator):
+        return 0
     size = _size_bits(d.numerator, d.denominator, q.numerator, q.denominator)
     # d e^q > 2^(len(num) - len(den) - 1 + floor(1.442 q)): an integer part
     # that wide has an ulp of 2 or more at every precision up to the cap
@@ -292,21 +302,6 @@ class SectionBox:
         return Fraction(k * (l2lo + l2hi) + 4 * s + 2 * err, 1 << (bits + 1))
 
 
-def _check_multiple(m) -> int:
-    if m < 1 or m != int(m):
-        raise ValueError(f"multiple m must be a positive integer, got {m!r}")
-    return int(m)
-
-
-def _check_entries(lo: int, hi: int, m: int) -> None:
-    n = hi - lo + 1
-    if n > _MAX_BOX_ENTRIES:
-        raise ValueError(
-            f"the multiple m = {m} has more than 2^{n.bit_length() - 1} "
-            f"exponents; at most 2^{_MAX_BOX_ENTRIES.bit_length() - 1} are counted"
-        )
-
-
 def _check_cost(psi_inf: ConcavePA, finite: dict, entries: int, m: int) -> None:
     """Refuse a box before any exp is taken when its counts may need more
     than ``_MAX_BOX_BITS`` bits in all, or one count more bits than a ladder
@@ -335,33 +330,54 @@ def _check_cost(psi_inf: ConcavePA, finite: dict, entries: int, m: int) -> None:
         )
 
 
-def section_box(pair, m: int) -> SectionBox:
-    """Enumerate the coefficient boxes of the m-th multiple of a pair: the
-    counts of each affine run of the archimedean roof by ``_run_floors``, as
-    the module docstring describes; the finite-place exponents are integer
-    floors of (A' + B' k) / D'.
-
-    Raises ValueError when the window holds more than ``_MAX_BOX_ENTRIES``
-    exponents or the counts may need more than ``_MAX_BOX_BITS`` bits, and
-    PrecisionExhausted when a denominator or a count needs more than
-    ``_MAX_FLOOR_BITS`` bits."""
+def _lattice(pair, m) -> tuple:
+    """The exponent table of the m-th multiple that both oracles read, (m,
+    k_lo, n, psi_inf, finite, runs, floors): the n exponents of the window
+    from k_lo up, the ``_affine_runs`` of psi_inf, and per finite place p
+    the floors e_p(k) = (A + B k) // D off the runs of its roof, in
+    increasing k.  The multiple, the window's size and the roofs' domains
+    are checked first."""
     pair = as_pair(pair)
-    m = _check_multiple(m)
+    if m < 1 or m != int(m):
+        raise ValueError(f"multiple m must be a positive integer, got {m!r}")
+    m = int(m)
     window = pair.shifted_polytope()
     if window.is_empty:
         raise EmptyPolytope(f"{pair!r} has an empty shifted polytope")
     k_lo = -floor_fraction(scalar_fraction(-Fraction(m) * window.lo))
     k_hi = floor_fraction(scalar_fraction(Fraction(m) * window.hi))
-    _check_entries(k_lo, k_hi, m)
+    n = k_hi - k_lo + 1
+    if n > _MAX_BOX_ENTRIES:
+        raise ValueError(
+            f"the multiple m = {m} has more than 2^{n.bit_length() - 1} "
+            f"exponents; at most 2^{_MAX_BOX_ENTRIES.bit_length() - 1} are counted"
+        )
     psi_inf, finite = place_roofs(pair)
     # the runs extrapolate silently, so the domains are checked here
     lo, hi = Fraction(k_lo, m), Fraction(k_hi, m)
     for roof in (psi_inf, *finite.values()):
         if not (roof.domain.lo <= lo and hi <= roof.domain.hi):
             raise OutOfDomain(f"[{lo}, {hi}] is not inside {roof.domain}")
-    _check_cost(psi_inf, finite, k_hi - k_lo + 1, m)
-    ds = _denominators(finite, m, k_lo, k_hi)
-    runs = _affine_runs(psi_inf, m, k_lo, k_hi)
+    floors = {p: [(a + b * k) // den
+                  for start, end, a, b, den in _affine_runs(roof, m, k_lo, k_hi)
+                  for k in range(start, end + 1)]
+              for p, roof in finite.items()}
+    return m, k_lo, n, psi_inf, finite, _affine_runs(psi_inf, m, k_lo, k_hi), floors
+
+
+def section_box(pair, m: int) -> SectionBox:
+    """Enumerate the coefficient boxes of the m-th multiple of a pair from
+    the exponent table ``_lattice`` shares with ``okounkov_sample``: the
+    denominators from its floor columns, and the counts of each of its
+    archimedean runs by ``_run_floors``, as the module docstring describes.
+
+    Raises ValueError when the window holds more than ``_MAX_BOX_ENTRIES``
+    exponents or the counts may need more than ``_MAX_BOX_BITS`` bits, and
+    PrecisionExhausted when a denominator or a count needs more than
+    ``_MAX_FLOOR_BITS`` bits."""
+    m, k_lo, size, psi_inf, finite, runs, floors = _lattice(pair, m)
+    _check_cost(psi_inf, finite, size, m)
+    ds = _denominators(floors, k_lo, size)
     counts = []
     for start, end, a, b, den in runs:
         counts += [2 * n + 1 for n in _run_floors(
@@ -369,27 +385,24 @@ def section_box(pair, m: int) -> SectionBox:
     return SectionBox(m, tuple(counts), ds, runs)
 
 
-def _denominators(finite: dict, m: int, k_lo: int, k_hi: int) -> list:
-    """d_k = num / den for k in [k_lo, k_hi] as integer pairs (num, den):
-    p^e with e = floor(m psi_p(k/m)) goes above when e > 0 and below when
-    e < 0."""
-    nums = [1] * (k_hi - k_lo + 1)
-    dens = [1] * (k_hi - k_lo + 1)
-    for p, roof in finite.items():
+def _denominators(floors: dict, k_lo: int, n: int) -> list:
+    """d_k = num / den for the n exponents k from k_lo up as integer pairs
+    (num, den): p^e with e the floor of place p at k goes above when e > 0
+    and below when e < 0."""
+    nums, dens = [1] * n, [1] * n
+    for p, column in floors.items():
         # |e| log2 p past the bit cap: p^e is refused rather than built
         cap = _MAX_FLOOR_BITS // (p.bit_length() - 1)
-        for start, end, a, b, den in _affine_runs(roof, m, k_lo, k_hi):
-            for k in range(start, end + 1):
-                e = (a + b * k) // den
-                if e > cap or -e > cap:
-                    raise PrecisionExhausted(
-                        f"the denominator at k = {k} has more than "
-                        f"{_MAX_FLOOR_BITS} bits"
-                    )
-                if e > 0:
-                    nums[k - k_lo] *= p ** e
-                elif e < 0:
-                    dens[k - k_lo] *= p ** -e
+        for i, e in enumerate(column):
+            if e > cap or -e > cap:
+                raise PrecisionExhausted(
+                    f"the denominator at k = {k_lo + i} has more than "
+                    f"{_MAX_FLOOR_BITS} bits"
+                )
+            if e > 0:
+                nums[i] *= p ** e
+            elif e < 0:
+                dens[i] *= p ** -e
     return list(zip(nums, dens))
 
 
@@ -410,20 +423,31 @@ def _run_floors(ds: list, start: int, a: int, b: int, den: int) -> list:
     end reuses num * low.  Entries whose ends give different floors, and
     every entry of a run whose P would pass ``_MAX_FLOOR_BITS``, are decided
     by ``_floor_scaled_exp``.
+
+    q is monotone along the run, so the entries whose floor ``_zero_floor``
+    proves 0 (nearly all of a steep run) gather at its ends: those are
+    answered 0 with no enclosure, and the entries between them stepped.
     """
+    n, head, end = len(ds), 0, len(ds)
+    while head < end and _zero_floor(*ds[head], a + b * (start + head), den):
+        head += 1
+    while head < end and _zero_floor(*ds[end - 1], a + b * (start + end - 1), den):
+        end -= 1
+    if head == end:
+        return [0] * n
+    ds, start, out, tail = ds[head:end], start + head, [0] * head, [0] * (n - end)
     ks = range(start, start + len(ds))
     bits = _start_bits(max(_size_bits(num, d, a + b * k, den)
                            for k, (num, d) in zip(ks, ds)))
     bits += 2 * len(ds).bit_length()
     if bits > _MAX_FLOOR_BITS:
-        return [_floor_scaled_exp(Fraction(num, d), Fraction(a + b * k, den))
-                for k, (num, d) in zip(ks, ds)]
+        return out + [_floor_scaled_exp(Fraction(num, d), Fraction(a + b * k, den))
+                      for k, (num, d) in zip(ks, ds)] + tail
     low, high, e = _exp_mantissas(Fraction(a + b * start, den), bits)
     err = high - low
     if len(ds) > 1:
         step_low, step_high, step_e = _exp_mantissas(Fraction(b, den), bits)
         step_err = step_high - step_low
-    out = []
     for k, (num, d) in zip(ks, ds):
         if k != start:
             # one step of e^(b/den), then back to about P bits
@@ -447,7 +471,7 @@ def _run_floors(ds: list, start: int, a: int, b: int, den: int) -> list:
         if y != x and y // d != n:
             n = _floor_scaled_exp(Fraction(num, d), Fraction(a + b * k, den))
         out.append(n)
-    return out
+    return out + tail
 
 
 def box_log_count(pair, m: int) -> Fraction:
@@ -481,33 +505,20 @@ def okounkov_sample(pair, m: int) -> OkounkovSample:
 
     The filtration twists the divisor by -(0, 2t[infinity]); the potential
     dictionary turns that into psi_inf - t, and the box at the exponent's
-    point x = -w goes empty as soon as t exceeds psi_inf(x) + log(d)/m,
-    with log d = sum_p floor(m psi_p(x)) log p.  So
-    t = (m psi_inf(x) + sum_p floor(m psi_p(x)) log p) / m, built exactly
-    from its integer coefficients.
+    point x = k/m = -w goes empty as soon as t exceeds psi_inf(x) +
+    log(d_k)/m, with log d_k = sum_p e_p(k) log p.  So t is read off the
+    exponent table ``section_box`` reads, (A + B k) / D = m psi_inf(x) and
+    the floors e_p(k): t = (A + B k + D sum_p e_p(k) log p) / (D m), built
+    exactly from its integer coefficients.
     """
-    pair = as_pair(pair)
-    m = _check_multiple(m)
-    window = pair.shifted_polytope()
-    if window.is_empty:
-        raise EmptyPolytope(f"{pair!r} has an empty shifted polytope")
-    lo = -floor_fraction(scalar_fraction(Fraction(m) * window.hi))
-    hi = floor_fraction(scalar_fraction(-Fraction(m) * window.lo))
-    _check_entries(lo, hi, m)
-    psi_inf, finite = place_roofs(pair)
-    # the exponent of w = j/m sits at x = -w; every roof is read in one
-    # joint scan of the grid of x, in increasing order
-    xs = [Fraction(-j, m) for j in range(hi, lo - 1, -1)]
-    psis = _eval_on_grid(psi_inf.points, xs)
-    ys = [((p,), _eval_on_grid(roof.points, xs)) for p, roof in finite.items()]
+    m, k_lo, _, _, _, runs, floors = _lattice(pair, m)
     entries = []
-    for i in reversed(range(len(xs))):
-        # t = a / b + sum_p e_p log p / m = (a m + sum_p e_p b log p) / (b m)
-        a, b = scalar_fraction(psis[i]).as_integer_ratio()
-        coeffs = {(): a * m}
-        for mono, v in ys:
-            coeffs[mono] = floor_fraction(scalar_fraction(m * v[i])) * b
-        entries.append((-xs[i], _from_coeffs(coeffs, b * m)))
+    for start, end, a, b, den in reversed(runs):
+        for k in range(end, start - 1, -1):
+            coeffs = {(): a + b * k}
+            for p, column in floors.items():
+                coeffs[(p,)] = den * column[k - k_lo]
+            entries.append((Fraction(-k, m), _from_coeffs(coeffs, den * m)))
     return OkounkovSample(m=m, entries=tuple(entries))
 
 

@@ -425,8 +425,8 @@ def _check_twisted_roofs(mp, pair) -> list:
     original = positivity._twisted_roof
     tops = []
 
-    def spy(data, pots, c0, cinf, v0, vinf):
-        roof = original(data, pots, c0, cinf, v0, vinf)
+    def spy(pots, c0, cinf, v0, vinf):
+        roof = original(pots, c0, cinf, v0, vinf)
         twisted = ToricAdelicDivisor(c0, cinf, {
             place: PAGeneral(pts, -cinf, c0) for place, pts in pots.items()})
         want = Pair(twisted, pair.base).global_roof()

@@ -73,6 +73,13 @@ def _floor_with_precisions(d, q):
     return n, precisions
 
 
+def _proven_zero(d, q):
+    """Whether d e^q < 2^(len(num) - len(den) + 1 + ceil(1.442 q)) <= 1 for
+    q < 0: the bound under which a floor is 0 with no enclosure."""
+    return q < 0 and (d.numerator.bit_length() - d.denominator.bit_length() + 1
+                      + math.ceil(F(1442, 1000) * q)) <= 0
+
+
 def _assert_floor(n, d, q, bits):
     with mp.workprec(4 * bits):
         value = mp.mpf(d.numerator) / d.denominator * mp.exp(
@@ -394,6 +401,9 @@ class TestLadder:
     @example(([(3 ** 20, 2 ** 9)] * 64, 5, 1000, 7, 1), -16)
     @example(([(1, 1)], 0, 0, 1, 1), 32)
     @example(([(1, 1)] * 3, 0, 0, 0, 1), None)
+    # every floor proven 0, and 0 proven at both ends only
+    @example(([(1, 1)] * 4, 0, -100, 0, 1), 32)
+    @example(([(1, 1), (2 ** 200, 1), (1, 1)], 0, -100, 0, 1), -16)
     @settings(max_examples=80, deadline=None)
     def test_run_matches_per_entry_floors(self, run, margin):
         # A margin below the working precision leaves enclosures wider than
@@ -401,23 +411,34 @@ class TestLadder:
         # per-entry decider as two stepped ends do.  margin None keeps the
         # default and lowers _MAX_FLOOR_BITS just under the run's precision,
         # so the whole run goes to the per-entry decider, whose first
-        # attempt still fits under the lowered cap.
+        # attempt still fits under the lowered cap.  The entries proven 0
+        # at either end of the run are answered with no enclosure, so
+        # neither route sees them; the run's precision is taken over the
+        # entries between them.
         ds, start, a, b, den = run
         ks = range(start, start + len(ds))
         want = [sections._floor_scaled_exp(F(num, d), F(a + b * k, den))
                 for k, (num, d) in zip(ks, ds)]
+        inner = [i for i, (k, (num, d)) in enumerate(zip(ks, ds))
+                 if not _proven_zero(F(num, d), F(a + b * k, den))]
+        lo, hi = (inner[0], inner[-1] + 1) if inner else (0, 0)
+        assert not any(want[:lo] + want[hi:])
+        ds_in, ks_in = ds[lo:hi], ks[lo:hi]
         with pytest.MonkeyPatch.context() as patch:
             if margin is not None:
                 patch.setattr(sections, "_MARGIN_BITS", margin)
-            size = max(sections._size_bits(num, d, a + b * k, den)
-                       for k, (num, d) in zip(ks, ds))
-            bits = sections._start_bits(size) + 2 * len(ds).bit_length()
-            if margin is None:
-                patch.setattr(sections, "_MAX_FLOOR_BITS", bits - 1)
-                fallbacks = ks
-            else:
-                floors, fallbacks = _two_ended_floors(ds, start, a, b, den, bits)
-                assert floors == want
+            fallbacks = []
+            if ds_in:
+                size = max(sections._size_bits(num, d, a + b * k, den)
+                           for k, (num, d) in zip(ks_in, ds_in))
+                bits = sections._start_bits(size) + 2 * len(ds_in).bit_length()
+                if margin is None:
+                    patch.setattr(sections, "_MAX_FLOOR_BITS", bits - 1)
+                    fallbacks = ks_in
+                else:
+                    floors, fallbacks = _two_ended_floors(
+                        ds_in, ks_in.start, a, b, den, bits)
+                    assert floors == want[lo:hi]
             calls = []
             original = sections._floor_scaled_exp
             patch.setattr(sections, "_floor_scaled_exp",
@@ -445,6 +466,22 @@ class TestLadder:
         # the per-entry path made one call per entry, 769 in all
         assert len(runs) == 2
         assert len(calls) <= 3 * len(runs)
+
+    @pytest.mark.parametrize("m, counts", [
+        (4, [109] + [1] * 4), (16, [17772221] + [1] * 16)])
+    def test_steep_roof_takes_no_huge_exponential(self, monkeypatch, m, counts):
+        # the roof 1 - 10^2400 x gives q_k = m - 10^2400 k: past k = 0 every
+        # floor is proven 0, so neither e^q_1 nor the step e^(-10^2400) is
+        # enclosed; k = 0 holds 2 floor(e^m) + 1
+        pair = scene_from_dict({"c0": "1", "cinf": "0", "potentials": {"inf": {
+            "kind": "convex", "points": [["1e2400", "1"]], "left_slope": "0",
+            "right_slope": "1"}}})
+        original = sections._exp_mantissas
+        calls = []
+        monkeypatch.setattr(sections, "_exp_mantissas",
+                            lambda x, bits: calls.append(x) or original(x, bits))
+        assert [e.count for e in section_box(pair, m).entries] == counts
+        assert calls and all(abs(x) <= 2 ** 20 for x in calls)
 
     def test_runs_split_at_breakpoints(self):
         # the roof of slant + p2 + p3 is 1 on [0, 2] and 3 - x on [2, 3]:
@@ -519,6 +556,9 @@ class TestFloorScaledExp:
         n, precisions = _floor_with_precisions(d, q)
         if q == 0:
             assert (n, precisions) == (math.floor(d), [])
+        elif _proven_zero(d, q):
+            assert (n, precisions) == (0, [])
+            _assert_floor(n, d, q, 64)
         else:
             assert len(precisions) == 1
             _assert_floor(n, d, q, precisions[0])
@@ -554,20 +594,22 @@ class TestFloorScaledExp:
         (F(2 ** 40), F(-7, 3), 106621806235),
     ])
     def test_negative_exponent(self, d, q, want):
+        # e^-1 and 3^20 / 2^5 e^-60 are below 2^0 by the bit bound, so their
+        # floors take no enclosure
         n, precisions = _floor_with_precisions(d, q)
         assert n == want
-        assert len(precisions) == 1
-        _assert_floor(n, d, q, precisions[0])
+        assert len(precisions) == (0 if _proven_zero(d, q) else 1)
+        _assert_floor(n, d, q, (precisions or [64])[0])
 
     @pytest.mark.parametrize("q", [F(-4 * 10 ** 100), F(-4 * 10 ** 400, 3)])
     def test_huge_negative_exponent(self, q):
-        # a steep roof steps its exponent by -m psi'; the ends of the
+        # a steep roof steps its exponent by -m psi'; 2^64 e^q < 1 by the
+        # bit bound, so its floor takes no enclosure.  The ends of the
         # enclosure of e^q share one binary exponent by construction, so a
         # precision below the bits of q's integer part encloses it
         n, precisions = _floor_with_precisions(F(2 ** 64), q)
-        assert n == 0
+        assert (n, precisions) == (0, [])
         bits = q.numerator.bit_length() - q.denominator.bit_length()
-        assert len(precisions) == 1 and precisions[0] < bits
         lo, hi, e = sections._exp_mantissas(q, 64)
         assert 0 <= lo <= hi < 2 ** (bits + 128) and e < -abs(q)
         assert hi - lo <= 2 and hi.bit_length() == 64
@@ -592,6 +634,15 @@ class TestVolumeEstimate:
         # 2 int max(roof, 0) = 1 from above for the slant divisor
         est = float(volume_estimate(slant_divisor(), 32))
         assert 1.0 < est < 1.0 + 4 / 32
+
+
+def _valuation(d, p):
+    """The exponent of the prime p in the Fraction d."""
+    v = 0
+    for n, sign in ((d.numerator, 1), (d.denominator, -1)):
+        while n % p == 0:
+            n, v = n // p, v + sign
+    return v
 
 
 class TestEmpiricalTransform:
@@ -677,6 +728,32 @@ class TestEmpiricalTransform:
                 assert not gap or gap < bound, (seed, w)
                 strict += gap > 0
         assert strict > 0
+
+    def test_the_oracles_read_one_lattice(self):
+        # the sample's exponents are the box's, and m t_k - log bound_k is
+        # the log of the box's denominator d_k, exactly
+        checked = skipped = with_primes = 0
+        for seed in range(40):
+            pair = sample_big_pair(random.Random(seed), allow_finite=seed % 2 == 1)
+            primes = sections.place_roofs(pair)[1]
+            for m in (1, 7, 64):
+                try:
+                    box = section_box(pair, m)
+                except ValueError as exc:
+                    assert "may need" in str(exc)  # refused by _check_cost
+                    skipped += 1
+                    continue
+                sample = okounkov_sample(pair, m)
+                assert sorted(-w * m for w, _ in sample.entries) == [
+                    e.k for e in box.entries]
+                ts = {-w * m: t for w, t in sample.entries}
+                for e in box.entries:
+                    log_d = sum((_valuation(e.denominator, p) * log_unit(p)
+                                 for p in primes), F(0))
+                    assert m * ts[e.k] - e.log_bound == log_d, (seed, m, e.k)
+                checked += 1
+                with_primes += any(e.denominator != 1 for e in box.entries)
+        assert checked > 3 * skipped and with_primes, (checked, skipped, with_primes)
 
     def test_okounkov_sample_grid(self):
         sample = okounkov_sample(slant_divisor(), 2)
