@@ -7,9 +7,13 @@ exact rational (or symbolic-log) values, so derivative checks can be exact:
 each one-sided quadratic piece beside 0 is one volume at D +- eps*E, with
 eps the positive infinitesimal of :mod:`~adelic_volumes.exactnum`, and in
 general position the central difference at a fixed step equals the analytic
-value on the nose.  Random samplers keep heights small (numerators and
-denominators at most 16, at most two finite places) so exact arithmetic
-stays fast while the piecewise structure is genuinely exercised.
+value on the nose.  Every volume along a line (the jets, the
+finite-difference table, the sampler's general-position test) is read off
+the line kernel of :mod:`~adelic_volumes.positivity` (``_Line``), which
+builds the line's rows once and evaluates each t from scratch on them.
+Random samplers keep heights small (numerators and denominators at most 16,
+at most two finite places) so exact arithmetic stays fast while the
+piecewise structure is genuinely exercised.
 """
 
 from __future__ import annotations
@@ -20,14 +24,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisors import ARCH, Pair, ToricAdelicDivisor, as_pair, min_adelic
-from .errors import NotBig, UnknownSuite
+from .errors import NotBig, NotConvex, UnknownSuite
 from .exactnum import EPS, eps_coefficients, log_unit, scalar_float, scalar_sign
 from .gallery import half_zero_pair, height_shift, p_slant_divisor, slant_divisor, tent_divisor
-from .pa import ConvexPA, PAGeneral, abs_scalar, convex_envelope, legendre_potential, legendre_roof
+from .pa import (ConvexPA, PAGeneral, _on_line, abs_scalar, convex_envelope,
+                 legendre_potential, legendre_roof)
 from .points import BaseCondition
 from .positivity import (
     DiskantReport,
     _as_divisor,
+    _Line,
     adeg_product,
     avol,
     is_big,
@@ -59,7 +65,9 @@ class DerivativeReport:
     derivatives exact_right/left and t^2 coefficients quad_right/left of its
     quadratic pieces (one volume over Q(log p)(eps) per side, never None),
     the analytic value (twice the positive intersection against E), and the
-    finite-difference table at DEFAULT_HS as an independent oracle.
+    finite-difference table at DEFAULT_HS as an independent oracle: each of
+    its volumes is evaluated from scratch through the line kernel, and none
+    is read off a quadratic piece.
 
     deviation is |central difference at REFERENCE_H - analytic| relative to
     1 + |analytic|; curvature_jump records that the two quadratic
@@ -87,27 +95,26 @@ class DerivativeReport:
         return not bool(self.quad_right == self.quad_left)
 
 
-def _volume_at(pair: Pair, direction: ToricAdelicDivisor, t):
-    """avol(D + t E), with the pair's base condition."""
-    return avol(Pair(pair.divisor + direction.scale(t), pair.base))
-
-
-def _jet(pair: Pair, direction: ToricAdelicDivisor, sign: int) -> list:
+def _jet(line: _Line, sign: int) -> list:
     """[v0, b, quad] with v0 + b t + quad t^2 the volume at
     D + sign * t * E for small t > 0: one volume at t = eps."""
-    return eps_coefficients(_volume_at(pair, direction, sign * EPS), 3)
+    return eps_coefficients(line.volume(sign * EPS), 3)
 
 
 def check_differentiability(pair, direction) -> DerivativeReport:
+    """The derivative report of the volume along the direction beside the
+    pair: the jets and the table rows at +-h are volumes of one line
+    kernel, built once; each is evaluated from scratch."""
     pair = as_pair(pair)
     direction = _as_divisor(direction)
     if not is_big(pair):
         raise NotBig(f"{pair!r} is not big")
-    v0, b_r, a_r = _jet(pair, direction, +1)
-    _, b_l, a_l = _jet(pair, direction, -1)
+    line = _Line(pair, direction)
+    v0, b_r, a_r = _jet(line, +1)
+    _, b_l, a_l = _jet(line, -1)
     rows = []
     for h in DEFAULT_HS:
-        up, down = _volume_at(pair, direction, h), _volume_at(pair, direction, -h)
+        up, down = line.volume(h), line.volume(-h)
         rows.append(FiniteDifferenceRow(
             h=h,
             forward=(up - v0) / h,
@@ -208,8 +215,12 @@ def _frac(rng, num_lo: int, num_hi: int, max_den: int = 16) -> Fraction:
 
 def sample_convex_potential(rng, c0: Fraction, cinf: Fraction) -> ConvexPA:
     """A random convex potential with the required asymptotic slopes
-    (-cinf, c0); needs positive degree."""
+    (-cinf, c0); needs positive degree.  The cuts are distinct, so the
+    slopes rise strictly from -cinf to c0 and every breakpoint is a strict
+    kink: the points are canonical convex data as drawn."""
     lo_s, hi_s = -cinf, c0
+    if not hi_s > lo_s:
+        raise NotConvex(f"a convex sample needs positive degree, got {c0 + cinf}")
     cuts = sorted({Fraction(rng.randint(1, 31), 32)
                    for _ in range(rng.randint(0, 4))})
     slopes = [lo_s] + [lo_s + (hi_s - lo_s) * c for c in cuts] + [hi_s]
@@ -217,12 +228,10 @@ def sample_convex_potential(rng, c0: Fraction, cinf: Fraction) -> ConvexPA:
     while len(us) < len(slopes) - 1:
         us.add(_frac(rng, -8, 8, 4))
     us = sorted(us)
-    y = _frac(rng, 0, 16, 8)
-    pts = [(us[0], y)]
-    for i in range(1, len(us)):
-        y = y + slopes[i] * (us[i] - us[i - 1])
-        pts.append((us[i], y))
-    return ConvexPA(pts, lo_s, hi_s)
+    pts = [(us[0], _frac(rng, 0, 16, 8))]
+    for u, s in zip(us[1:], slopes[1:]):
+        pts.append((u, _on_line(*pts[-1], s, u)))
+    return ConvexPA._raw(pts, lo_s, hi_s)
 
 
 def _nonconvex_bump(rng) -> PAGeneral:
@@ -306,11 +315,12 @@ def sample_derivative_instance(rng) -> tuple:
     for _ in range(64):
         pair = sample_big_pair(rng)
         direction = sample_direction(rng)
+        line = _Line(pair, direction)
         y0 = avol(pair)  # measured by is_big in sample_big_pair
-        ym2, ym1, yp1 = (_volume_at(pair, direction, t) for t in (-h, -h / 2, h / 2))
+        ym2, ym1, yp1 = (line.volume(t) for t in (-h, -h / 2, h / 2))
         if not bool(y0 - 2 * ym1 + ym2 == yp1 - 2 * y0 + ym1):
             continue
-        yp2 = _volume_at(pair, direction, h)
+        yp2 = line.volume(h)
         if not bool(yp2 - 2 * yp1 + y0 == yp1 - 2 * y0 + ym1):
             continue
         return pair, direction, (yp2 - ym2) / (2 * h)

@@ -43,8 +43,11 @@ which keeps only the affine normal form.  The proofs relied on:
   positive one, convexity too), and reflecting keeps both;
 * a single breakpoint with tails of slopes s <= t is convex, and one that
   passed ``PAGeneral.is_convex`` is ConvexPA data already;
+* sorted breakpoints joined by strictly rising slopes, tails included, are
+  strict kinks (``harness.sample_convex_potential``);
 * the hull of :func:`convex_envelope` drops collinear points, so the raw
-  rows of a threshold's Newton step need no merge before it.
+  rows of a line's twisted potential (``positivity._Line``) need no merge
+  before it.
 
 On rational data every coordinate is a Fraction, and the cost is that of
 the Fraction operators.  So a few exact primitives read Fraction operands
@@ -56,7 +59,10 @@ y0 + s (x - x0) (Legendre roofs, jets, threshold rows), ``_jet_pairing``
 common denominator), ``_grid_ratios`` (the one integer scan of a grid
 behind ``_eval_on_grid`` and the sums ``_sum_on_grid``) and
 :func:`integrate_positive_part`; ``exactnum.scalar_sign`` and
-``exactnum.scalar_cmp`` do the same for signs and comparisons.
+``exactnum.scalar_cmp`` do the same for signs and comparisons.  The line
+kernel ``positivity._Line`` keeps a line's rows as integers over one
+denominator and runs the lower hull and the Legendre step on them, with
+the sign tests of ``_turn`` and ``_tail_turn`` over common denominators.
 
 Roof values are Q-linear forms in 1, log 2, log 3, ... (and eps), stored
 as n / s with denominator polynomial 1.  ``_chord`` (the ends of
@@ -651,8 +657,10 @@ class _LinePA:
         ``legendre_potential``, ``convex_envelope``, ``ConvexPA.add``,
         ``scale``, ``as_general``, ``PAGeneral`` sums and minima (after the
         collinear merge), the canonical potential and an ``is_convex``
-        potential in ``divisors``, and the rows of a Newton step in
-        ``positivity._twisted_roof``, fed only to ``convex_envelope``."""
+        potential in ``divisors``, the sampled potentials of
+        ``harness.sample_convex_potential``, and the rows of a line's
+        twisted potential in ``positivity._Line``, fed only to
+        ``convex_envelope``."""
         obj = object.__new__(cls)
         obj._set(pts, left_slope, right_slope)
         return obj

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .divisors import (ARCH, Pair, ToricAdelicDivisor, _place_sort_key,
                        _roof_sum, as_pair)
-from .errors import NotBig, NotNef
+from .errors import EmptyPolytope, NotBig, NotNef
 from .exactnum import Scalar, log_unit, scalar_float, scalar_sign
-from .pa import (ConvexPA, Interval, PAGeneral, _clean_points, _grid,
-                 _jet_pairing, _jets_on_grid, _on_line, _slope, convex_envelope,
-                 integrate_positive_part, legendre_potential, legendre_roof,
-                 unit_roof)
+from .pa import (ConcavePA, ConvexPA, Interval, PAGeneral, _grid,
+                 _jet_pairing, _jets_on_grid, _on_line, _ratios, _slope,
+                 _values_on_grid, convex_envelope, integrate_positive_part, legendre_potential,
+                 legendre_roof, unit_roof)
 
 
 def _as_divisor(obj) -> ToricAdelicDivisor:
@@ -216,11 +217,12 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
     Newton steps find it from the top, where W is a point: each step follows
     the piece of g left of t, whose slope is read off the rows that attain
     the minimum at the argmax, so it stays at or right of the zero and lands
-    on a new piece.  Each step reads the twisted roof straight off its rows
-    (u, pD_v(u) - t * pN_v(u)) (``_twisted_roof``); no divisor or pair is
-    built per step.  The guards (the pair big, the divisor nef and of
-    positive volume) run on every call; a pair keeps its volume, so
-    ``is_big`` of a pair already measured costs nothing.
+    on a new piece.  Each step reads the twisted roof off the line kernel at
+    -t (``_Line(pair, nef_divisor).roof``), whose rows (u, pD_v(u), pN_v(u))
+    the slope rule reads too; no divisor or pair is built per step.  The
+    guards (the pair big, the divisor nef and of positive volume) run on
+    every call; a pair keeps its volume, so ``is_big`` of a pair already
+    measured costs nothing.
     """
     pair = as_pair(pair)
     n = _as_divisor(nef_divisor)
@@ -233,49 +235,158 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
     d = pair.divisor
     v0, vinf = pair._toric_orders()
     t = (d.c0 - vinf + d.cinf - v0) / n.degree  # the window is a point here
-
-    # per place: the weight c_v and rows (u, pD_v(u), pN_v(u))
-    data = {}
-    for place in dict.fromkeys((ARCH,) + d.places + n.places):
-        pd, pn = d.potential(place), n.potential(place)
-        us = _grid((u for u, _ in pd.points), (u for u, _ in pn.points))
-        weight = Fraction(1) if place == ARCH else log_unit(place)
-        data[place] = (weight, [(u, a, b) for u, (a, _, _), (b, _, _) in zip(
-            us, _jets_on_grid(pd, us), _jets_on_grid(pn, us))])
-
+    line = _Line(pair, n)
     while True:
-        c0, cinf = d.c0 - t * n.c0, d.cinf - t * n.cinf
-        pots = {place: [(u, _on_line(b, a, t)) for u, a, b in rows]  # a - t * b
-                for place, (_, rows) in data.items()}
-        roof = _twisted_roof(pots, c0, cinf, v0, vinf)
+        roof = line.roof(-t)
         x, g = roof.argmax()
         if scalar_sign(g) >= 0:
             return Bracket(t, t)
-        t = t + g / _fall_rate(data, pots, roof, x, n)
+        t = t + g / _fall_rate(line, t, roof, x, n)
 
 
-def _twisted_roof(pots, c0, cinf, v0, vinf):
-    """The global roof of the twisted pair, read off its rows
-    (u, pD - t * pN): per place the Legendre roof of the convex envelope of
-    the rows, weighted and summed by ``_roof_sum`` on the polytope
-    [-cinf, c0], then restricted to the window [-cinf + v0, c0 - vinf].
-    This is the global roof of the twisted pair built as objects,
-    coordinate for coordinate: a canonical place adds the zero roof, and a
-    rational coordinate is a Fraction on both routes.  The rows' order is
-    checked on every call.
+class _Line:
+    """The pairs D + t E along a line, for a pair (D, base) and a direction
+    E: ``roof(t)`` is ``Pair(D + t E, base).global_roof()`` and
+    ``volume(t)`` is ``avol`` of that pair, in value, ``repr`` and the type
+    of every coordinate, with no divisor or pair built per t.
+
+    Per place the rows (u, pD(u), pE(u)) on the union of both potentials'
+    breakpoints are built once; D + t E is linear between them, so its
+    unit roof is the Legendre roof of the lower hull of the points
+    (u, pD(u) + t pE(u)) with the tails (-cinf, c0) of D + t E.  A
+    canonical place adds the zero roof, and the roofs are summed by
+    ``_roof_sum`` and restricted to the window as the pair's roof is.
+
+    For a Fraction t with rational rows and tails, a place's rows are kept
+    as integers over one denominator, u = X / U and y = Y / (C m) for
+    t = n / m, and the hull and the Legendre step run on those integers:
+    ``convex_envelope``'s drop and tail tests, and ``legendre_roof``'s
+    slopes and values at 0, cross-multiplied, one Fraction per roof
+    coordinate.  Any other t or row takes ``convex_envelope`` and
+    ``legendre_roof`` on the rows, which are sorted and exact by
+    construction, so they are not checked again.
     """
-    roofs = {}
-    for place, pts in pots.items():
-        # raw: the tails are (-cinf, c0) by construction, and the hull
-        # drops collinear points, so no merge is needed
-        roofs[place] = legendre_roof(convex_envelope(
-            PAGeneral._raw(_clean_points(pts), -cinf, c0)))
-    roof = _roof_sum(roofs.pop(ARCH), [
-        (place, roofs[place]) for place in sorted(roofs, key=_place_sort_key)])
-    return roof.restrict(Interval(-cinf + v0, c0 - vinf))
+
+    __slots__ = ("_c0", "_cinf", "_orders", "_places")
+
+    def __init__(self, pair, direction):
+        d = pair.divisor
+        # (-E's coefficient, D's): _on_line(-e, d, t) is d + t e
+        self._c0 = (-direction.c0, d.c0)
+        self._cinf = (-direction.cinf, d.cinf)
+        self._orders = pair._toric_orders()
+        # per place: its weight c_v, the rows (u, pD, pE) and their
+        # integer form from ``_integer_rows``, or None
+        self._places = []
+        for place in sorted(dict.fromkeys((ARCH,) + d.places + direction.places),
+                            key=_place_sort_key):
+            pd, pe = d.potential(place), direction.potential(place)
+            us = _grid((u for u, _ in pd.points), (u for u, _ in pe.points))
+            rows = list(zip(us, _values_on_grid(pd, us), _values_on_grid(pe, us)))
+            weight = Fraction(1) if place == ARCH else log_unit(place)
+            self._places.append((place, weight, rows, _integer_rows(rows)))
+
+    def _window(self, t):
+        """c0 and cinf of D + t E and its shifted polytope."""
+        c0, cinf = _on_line(*self._c0, t), _on_line(*self._cinf, t)
+        v0, vinf = self._orders
+        lo, hi = -cinf + v0, c0 - vinf
+        return c0, cinf, Interval.EMPTY if lo > hi else Interval(lo, hi)
+
+    def roof(self, t):
+        c0, cinf, window = self._window(t)
+        if window.is_empty:
+            raise EmptyPolytope(f"the pair at t = {t} has an empty shifted "
+                                "polytope; no sections to count")
+        return self._roof(t, c0, cinf, window)
+
+    def volume(self, t):
+        c0, cinf, window = self._window(t)
+        if window.is_empty or window.is_point:
+            return Fraction(0)
+        return 2 * integrate_positive_part(self._roof(t, c0, cinf, window))
+
+    def _roof(self, t, c0, cinf, window):
+        exact = type(t) is type(c0) is type(cinf) is Fraction
+        if exact:
+            n, m = t.as_integer_ratio()
+        roofs = []
+        for place, _, rows, ints in self._places:
+            if exact and ints is not None:
+                roof = ConcavePA._raw(_integer_roof(ints, n, m, -cinf, c0))
+            else:
+                roof = legendre_roof(convex_envelope(PAGeneral._raw(
+                    [(u, a + t * b if b else a) for u, a, b in rows], -cinf, c0)))
+            roofs.append((place, roof))
+        return _roof_sum(roofs[0][1], roofs[1:]).restrict(window)
 
 
-def _fall_rate(data, pots, roof, x, n):
+def _integer_rows(rows):
+    """(X, U, P, C, Q) with u = X_i / U, pD(u) = P_i / C and pE(u) = Q_i / C
+    over the least common denominators U and C, for rows (u, pD, pE) of
+    Fractions; None otherwise."""
+    us = _ratios(u for u, _, _ in rows)
+    ys = us and _ratios(y for _, a, b in rows for y in (a, b))
+    if not ys:
+        return None
+    big_u = c = 1
+    for _, e in us:
+        big_u = big_u // gcd(big_u, e) * e
+    for _, e in ys:
+        c = c // gcd(c, e) * e
+    return ([a * (big_u // e) for a, e in us], big_u,
+            [a * (c // e) for a, e in ys[0::2]], c,
+            [a * (c // e) for a, e in ys[1::2]])
+
+
+def _integer_roof(ints, n, m, ls, rs) -> list:
+    """legendre_roof(convex_envelope(rows at t = n / m with tails ls, rs))
+    as breakpoints, on the integer rows of ``_integer_rows``.  The points
+    are (X_i, Y_i) with Y_i = P_i m + Q_i n, u = X / U and y = Y / (C m), so
+    every sign below is the sign of the rational test it stands for times
+    a positive factor."""
+    xs, big_u, ps, c, qs = ints
+    den = c * m
+    ln, ld = ls.as_integer_ratio()
+    rn, rd = rs.as_integer_ratio()
+    # s (x2 - x1) - (y2 - y1) for a tail of slope s = sn / sd, times
+    # U den sd: sn den (X2 - X1) - U sd (Y2 - Y1)
+    l1, l2, r1, r2 = ln * den, big_u * ld, rn * den, big_u * rd
+    hull = []
+    for x, p, q in zip(xs, ps, qs):
+        y = p * m + q * n
+        # drop the last point while its incoming slope (the left tail for
+        # the first point) is at least the slope from it to (x, y)
+        while hull:
+            x2, y2 = hull[-1]
+            if len(hull) == 1:
+                turn = l1 * (x - x2) - l2 * (y - y2)
+            else:
+                x1, y1 = hull[-2]
+                turn = (y2 - y1) * (x - x2) - (y - y2) * (x2 - x1)
+            if turn < 0:
+                break
+            hull.pop()
+        hull.append((x, y))
+    while len(hull) > 1:
+        (x1, y1), (x2, y2) = hull[-2:]
+        if r1 * (x2 - x1) - r2 * (y2 - y1) > 0:
+            break
+        hull.pop()
+    # the roof: each slope with the value at 0 of its line, y - s u
+    x, y = hull[0]
+    out = [(ls, Fraction(y * l2 - ln * x * den, den * l2))]
+    if ln * rd == rn * ld:  # globally affine: one point
+        return out
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        dx = (x2 - x1) * den
+        out.append((Fraction((y2 - y1) * big_u, dx), Fraction(y1 * x2 - y2 * x1, dx)))
+    x, y = hull[-1]
+    out.append((rs, Fraction(y * r2 - rn * x * den, den * r2)))
+    return out
+
+
+def _fall_rate(line, t, roof, x, n):
     """The rate M at which g rises as t falls, g(t - s) = g(t) + M * s for
     small s > 0, read at the argmax x.
 
@@ -288,8 +399,9 @@ def _fall_rate(data, pots, roof, x, n):
     delta = 0, at a bound, or where two active rows of one place cross.
     """
     active = []
-    for place, (weight, rows) in data.items():
-        ys = [_on_line(u, p, x) for u, p in pots[place]]  # p - x * u
+    for _, weight, rows, _ in line._places:
+        # pD - t * pN - x * u
+        ys = [_on_line(u, _on_line(b, a, t), x) for u, a, b in rows]
         y = min(ys)
         active.append((weight, [(b, u) for (u, _, b), yu in zip(rows, ys)
                                 if yu == y]))

@@ -20,7 +20,7 @@ import pytest
 
 from adelic_volumes.divisors import ARCH, place_label
 from adelic_volumes.harness import _jet, sample_big_pair, sample_direction
-from adelic_volumes.positivity import (avol, positive_intersection,
+from adelic_volumes.positivity import (_Line, avol, positive_intersection,
                                        zariski_positive_part)
 
 DATA = Path(__file__).parent / "data" / "exact_reprs.json"
@@ -43,6 +43,7 @@ def record(seed: int) -> dict:
             break
     zar = zariski_positive_part(pair)
     positive = zar.positive
+    line = _Line(pair, direction)
     return {
         "pair": repr(pair),
         "avol": _typed(avol(pair)),
@@ -52,8 +53,8 @@ def record(seed: int) -> dict:
         "zariski_potentials": [[place_label(v)] + _typed(positive.potential(v))
                                for v in (ARCH,) + positive.places],
         "positive_intersection": _typed(positive_intersection(pair, direction)),
-        "jet_right": [_typed(c) for c in _jet(pair, direction, +1)],
-        "jet_left": [_typed(c) for c in _jet(pair, direction, -1)],
+        "jet_right": [_typed(c) for c in _jet(line, +1)],
+        "jet_left": [_typed(c) for c in _jet(line, -1)],
     }
 
 

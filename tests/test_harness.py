@@ -8,16 +8,18 @@ is 2 - h/2, so the reported relative deviation at the reference step 2^-10
 is exactly (2^-11) / 3 = 1/6144.
 """
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from adelic_volumes import divisors, exactnum, harness
-from adelic_volumes.divisors import Pair
+from adelic_volumes import exactnum, harness
+from adelic_volumes.divisors import ARCH, Pair, ToricAdelicDivisor
 from adelic_volumes.errors import NotBig, UnknownSuite
-from adelic_volumes.exactnum import log_unit, scalar_float, scalar_sign
+from adelic_volumes.exactnum import EPS, log_unit, scalar_float, scalar_sign
 from adelic_volumes.gallery import (
     half_zero_pair,
     height_shift,
@@ -38,7 +40,8 @@ from adelic_volumes.harness import (
     sample_nef_divisor,
     suite_names,
 )
-from adelic_volumes.positivity import avol, is_big, is_nef
+from adelic_volumes.pa import ConvexPA
+from adelic_volumes.positivity import _Line, avol, is_big, is_nef
 
 F = Fraction
 L3 = log_unit(3)
@@ -101,7 +104,8 @@ class TestDerivativeReport:
         def jets():
             pair = Pair(slant_divisor() + p_slant_divisor(2))
             direction = p_slant_divisor(3)
-            return [_jet(pair, direction, sign) for sign in (1, -1)]
+            line = _Line(pair, direction)
+            return [_jet(line, sign) for sign in (1, -1)]
 
         want = jets()
         monkeypatch.setattr(exactnum, "_zdivide", lambda f, h: None)
@@ -147,6 +151,86 @@ def test_jets_match_the_fit_oracle():
             assert bool(fit[0] == avol(pair)) and bool(fit[1] == b) and bool(fit[2] == a)
             compared += 1
     assert compared >= 290
+
+
+def _outcome(f):
+    """(type name, repr, the type names of its coordinates) of f(), a
+    scalar or a roof, or the type of the exception it raises."""
+    try:
+        x = f()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc)
+    return (type(x).__name__, repr(x),
+            [type(c).__name__ for pt in getattr(x, "points", ()) for c in pt])
+
+
+def _three_place_pair() -> Pair:
+    """The three-place scene of CI: degree 128 and 64 integer breakpoints
+    (i, i^2 + s), i = -32 ... 31, at infinity (s = 2000), 2 and 3."""
+    def parabola(s):
+        return ConvexPA([(F(i), F(i * i + s)) for i in range(-32, 32)], -64, 64)
+
+    return Pair(ToricAdelicDivisor(64, 64, {ARCH: parabola(2000), 2: parabola(0),
+                                            3: parabola(0)}))
+
+
+class TestLineKernel:
+    """The line kernel against the pair built as objects: volume(t) is
+    avol(Pair(D + tE, base)) and roof(t) its global roof, in value, type,
+    repr and the type of every coordinate, and each raises what the pair
+    raises."""
+
+    @staticmethod
+    def _steps(pair, direction, rng) -> list:
+        """The table's steps, +-eps, six random rationals and, when E has a
+        nonzero degree, the t where the window is a point and one past it,
+        where it is empty; the window's width does not move with t
+        otherwise."""
+        ts = [s * h for h in DEFAULT_HS for s in (1, -1)] + [EPS, -EPS]
+        ts += [F(rng.randint(-64, 64), rng.randint(1, 64)) for _ in range(6)]
+        deg = direction.degree
+        if deg:
+            window = pair.shifted_polytope()
+            point = -(window.hi - window.lo) / deg
+            ts += [point, point - 1 / deg]
+        return ts
+
+    @staticmethod
+    def _check(pair, direction, ts) -> int:
+        """Compare at every t; returns how many volumes were zero."""
+        line = _Line(pair, direction)
+        zeros = 0
+        for t in ts:
+            built = Pair(pair.divisor + direction.scale(t), pair.base)
+            want = _outcome(lambda: avol(built))
+            assert _outcome(lambda: line.volume(t)) == want, (pair, direction, t)
+            assert (_outcome(lambda: line.roof(t))
+                    == _outcome(built.global_roof)), (pair, direction, t)
+            zeros += want == ("Fraction", repr(F(0)), [])
+        return zeros
+
+    @pytest.mark.parametrize("block", range(3))
+    def test_sampled_lines(self, block):
+        # 3 x 100 sampled lines, finite places on odd seeds
+        finite = zeros = empty = 0
+        for seed in range(100 * block, 100 * (block + 1)):
+            rng = random.Random(f"line-kernel:{seed}")
+            pair = sample_big_pair(rng, allow_finite=seed % 2 == 1)
+            direction = sample_direction(rng, allow_finite=seed % 2 == 1)
+            finite += bool(set(pair.divisor.places + direction.places) - {ARCH})
+            ts = self._steps(pair, direction, rng)
+            empty += len(ts) > 26
+            zeros += self._check(pair, direction, ts)
+        assert finite >= 20 and empty >= 40 and zeros >= 2 * empty
+
+    @pytest.mark.parametrize("pair, direction", [
+        (Pair(slant_divisor() + p_slant_divisor(2)), p_slant_divisor(3)),
+        (_three_place_pair(), _three_place_pair().divisor),
+    ], ids=["slant_p2_along_p3", "three_places_along_itself"])
+    def test_finite_place_lines(self, pair, direction):
+        ts = self._steps(pair, direction, random.Random(0))
+        assert len(ts) == 28
+        assert self._check(pair, direction, ts) >= 2
 
 
 class TestDiskantReport:
@@ -233,6 +317,11 @@ class TestDiskantReport:
                     assert scalar_sign(case.slack) == (1 if ref > 0 else -1)
 
 
+def _derivative_payload(rng):
+    pair, direction, central = sample_derivative_instance(rng)
+    return [pair.to_payload(), direction.to_payload(), str(central)]
+
+
 class TestSamplers:
     def test_deterministic(self):
         a = sample_divisor(random.Random(7))
@@ -261,31 +350,53 @@ class TestSamplers:
 
     def test_sampled_pair_keeps_its_volume(self, monkeypatch):
         # the volume at t = 0 is the sampled pair's own, measured by is_big;
-        # an attempt builds roofs only for the other four steps
-        roofs, marks = [], []
-        real_roof_sum, real_sampler = divisors._roof_sum, harness.sample_big_pair
+        # an attempt reads the line kernel only at the other four steps
+        volumes, marks = [], []
+        real_volume, real_sampler = _Line.volume, harness.sample_big_pair
 
-        def counting_roof_sum(*args):
-            roofs.append(1)
-            return real_roof_sum(*args)
+        def counting_volume(line, t):
+            volumes.append(t)
+            return real_volume(line, t)
 
         def marking_sampler(*args, **kwargs):
-            marks.append(len(roofs))  # the previous attempt ends here
+            marks.append(len(volumes))  # the previous attempt ends here
             pair = real_sampler(*args, **kwargs)
-            marks.append(len(roofs))
+            marks.append(len(volumes))
             return pair
 
-        monkeypatch.setattr(divisors, "_roof_sum", counting_roof_sum)
+        monkeypatch.setattr(_Line, "volume", counting_volume)
         monkeypatch.setattr(harness, "sample_big_pair", marking_sampler)
         for seed in (11, 12, 13):
-            roofs.clear()
+            volumes.clear()
             marks.clear()
             sample_derivative_instance(random.Random(seed))
-            marks.append(len(roofs))
+            marks.append(len(volumes))
             per_attempt = [b - a for a, b in zip(marks[1::2], marks[2::2])]
             # the last attempt succeeded: volumes at -h/2, h/2, -h and h
             assert per_attempt[-1] == 4
             assert all(n <= 4 for n in per_attempt)
+
+    # sha256 of the JSON payloads of the first 200 draws of each sampler
+    # from random.Random(f"sampler-digest:{name}"), recorded before the
+    # derivative sampler read its volumes off the line kernel and the
+    # potential sampler skipped the checking constructor
+    _DIGESTS = {
+        "derivative": "fd93b5800a386ff4f7c2aecbcc900482babe8d2400663ffd6133253285ca9042",
+        "big_pair": "4866ccc897205fb483e061263c397fbe2812fa8ccb48ef61a48175129a96b497",
+        "nef": "315721e1046f88ec03b4627a5c72b26b155e6f4ba93370979973cb643ec8d79c",
+    }
+
+    @pytest.mark.parametrize("name, draw", [
+        ("derivative", _derivative_payload),
+        ("big_pair", lambda rng: sample_big_pair(rng).to_payload()),
+        ("nef", lambda rng: sample_nef_divisor(rng).to_payload()),
+    ], ids=["derivative", "big_pair", "nef"])
+    def test_instance_streams_are_pinned(self, name, draw):
+        rng = random.Random(f"sampler-digest:{name}")
+        digest = hashlib.sha256()
+        for _ in range(200):
+            digest.update(json.dumps(draw(rng), sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == self._DIGESTS[name]
 
 
 class TestSuites:

@@ -417,26 +417,25 @@ def _assert_matches_line_by_line(pair, n):
     return got.value
 
 
-def _check_twisted_roofs(mp, pair) -> list:
-    """Spy on every Newton step of thresholds of this pair: the twisted
-    roof read off the rows must be the roof of the twisted pair built as
-    objects, in value, repr and the type of every coordinate.  Returns the
-    steps' maxima as ExactNumbers, filled as the steps run."""
-    original = positivity._twisted_roof
+def _check_kernel_roofs(mp, pair, n) -> list:
+    """Spy on every Newton step of thresholds of this pair against n: the
+    line kernel's roof at -t must be the roof of the twisted pair
+    D - t n built as objects, in value, repr and the type of every
+    coordinate.  Returns the steps' maxima as ExactNumbers, filled as the
+    steps run."""
+    original = positivity._Line.roof
     tops = []
 
-    def spy(pots, c0, cinf, v0, vinf):
-        roof = original(pots, c0, cinf, v0, vinf)
-        twisted = ToricAdelicDivisor(c0, cinf, {
-            place: PAGeneral(pts, -cinf, c0) for place, pts in pots.items()})
-        want = Pair(twisted, pair.base).global_roof()
+    def spy(line, t):
+        roof = original(line, t)
+        want = Pair(pair.divisor + n.scale(t), pair.base).global_roof()
         assert roof == want and repr(roof) == repr(want)
         assert ([tuple(map(type, pt)) for pt in roof.points]
                 == [tuple(map(type, pt)) for pt in want.points])
         tops.append(exact(roof.max_over_domain()))
         return roof
 
-    mp.setattr(positivity, "_twisted_roof", spy)
+    mp.setattr(positivity._Line, "roof", spy)
     return tops
 
 
@@ -545,11 +544,11 @@ class TestThresholdNewton:
         for p, m in cases:
             if is_big(Pair(m)):
                 with pytest.MonkeyPatch.context() as mp:
-                    steps = _check_twisted_roofs(mp, p)
+                    steps = _check_kernel_roofs(mp, p, m)
                     _assert_matches_line_by_line(p, m)
                 assert steps
 
-    def test_twisted_roofs_at_finite_places(self, monkeypatch):
+    def test_kernel_roofs_at_finite_places(self, monkeypatch):
         # steps whose rows carry log p weights: with a base condition and a
         # direction canonical at 2; against the pair's own positive part,
         # where t = 1 makes the finite places canonical; and with both
@@ -564,7 +563,7 @@ class TestThresholdNewton:
         tops = []
         for p, n in cases:
             with monkeypatch.context() as mp:
-                steps = _check_twisted_roofs(mp, p)
+                steps = _check_kernel_roofs(mp, p, n)
                 _assert_matches_line_by_line(p, n)
             assert steps
             tops += steps

@@ -669,7 +669,9 @@ class TestEmpiricalTransform:
     def _per_exponent(pair, m):
         """The sample read exponent by exponent through ConcavePA.eval and
         the field operators, psi_inf(x) + sum_p floor(m psi_p(x)) log p / m:
-        the route before the joint scan and the integer coefficients."""
+        the route before the sample read the exponent table of
+        ``sections._lattice`` and built its values from integer
+        coefficients."""
         psi_inf, finite = sections.place_roofs(pair)
         window = pair.shifted_polytope()
         lo = -floor_fraction(scalar_fraction(m * window.hi))
@@ -691,6 +693,9 @@ class TestEmpiricalTransform:
              BaseCondition({"inf": F(1, 2)}))])
     @pytest.mark.parametrize("m", [1, 7, 64])
     def test_one_joint_scan_per_roof(self, monkeypatch, pair, m):
+        # the sample reads the exponent table of ``sections._lattice``: no
+        # roof is evaluated per point, and the values are those of the
+        # per-exponent route byte for byte
         want = self._per_exponent(pair, m)
 
         def per_point_eval(*args):
