@@ -15,7 +15,9 @@ ring Q[log 2, log 3, ...], which this module implements directly, over Z:
 
 Quotients are kept small by cancelling the polynomial gcd of n and d.
 Disjoint variables need no gcd, and an affine side is irreducible, so it
-either divides the other side exactly or shares nothing with it; the rest goes
+either divides the other side exactly or shares nothing with it (one
+integer evaluation in ``_zdivide`` rejects most non-divisors before any
+long division); the rest goes
 to the heuristic gcd of Char, Geddes and Gonnet (1989): evaluate one log
 variable at a large integer xi, recurse down to integer gcds, rebuild a
 candidate from its symmetric xi-adic digits and keep it only if it divides
@@ -54,13 +56,17 @@ A value whose d is 1, such as every global-roof value (a Q-linear form in
 sum many such values (the roof sum, the chords and integrals of roofs in
 ``pa``) read them with ``_poly_parts``, add integer coefficient vectors
 per monomial and build the result once with ``_from_coeffs``: the value
-every chain of field operations would return, without the chain.
+every chain of field operations would return, without the chain.  A sum
+of such values and quotients over affine denominators (the clipped ends of
+an integral, products with a Zariski region's ends) is built once the same
+way by ``_affine_quotient_sum``, whose only cancellation is trial division
+by the primitive affine parts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import copysign, gcd, inf, isqrt
+from math import copysign, gcd, inf, isqrt, prod
 from typing import Union
 
 from .errors import PrecisionExhausted
@@ -321,11 +327,25 @@ def _order(mono: Mono) -> tuple:
     return len(mono), mono
 
 
+def _zpoint(f: dict) -> int:
+    """f at the integer point where each log p is p and eps is 1."""
+    # eps has the key 0, and no prime is 0
+    return sum(c * (prod(m) or prod(m[m.count(_EPS):])) for m, c in f.items())
+
+
 def _zdivide(f: dict, g: dict):
     """The exact quotient f / g in Z[log 2, ...], or None when g does not
-    divide f.  Long division by leading terms in ``_order``; every quotient
-    exponent is capped by the degrees of f minus those of g, so it ends
-    either way."""
+    divide f.
+
+    A screen runs first: with X the point of ``_zpoint``, f = g q in
+    Z[eps, log 2, ...] gives f(X) = g(X) q(X) with q(X) an integer, so a
+    nonzero g(X) that does not divide f(X) proves that g does not divide
+    f, and None comes back with no division.  Otherwise long division by
+    leading terms in ``_order``; every quotient exponent is capped by the
+    degrees of f minus those of g, so it ends either way."""
+    gx = _zpoint(g)
+    if gx and _zpoint(f) % gx:
+        return None
     lead_g = max(g, key=_order)
     c_g = g[lead_g]
     tail_g = [(m, c) for m, c in g.items() if m != lead_g]
@@ -548,6 +568,65 @@ def _from_coeffs(coeffs: Poly, s: int):
     this value returns: a sum of k log-weighted terms costs one call
     instead of k multiplications and k additions."""
     return _scaled({m: c for m, c in coeffs.items() if c}, 1, s, _UNIT)
+
+
+def _affine_quotient_sum(num: Poly, s: int, terms):
+    """The canonical value of num / s plus the sum of a / (b l) over the
+    terms (a, b, l), built once: num, a and l integer polynomials (zero
+    entries allowed), s and b positive ints, each l of positive value and
+    constant or affine; None when an l has an eps term or a degree above 1,
+    for the caller's operator route.
+
+    The denominator is s times the product of the primitive parts of the
+    nonconstant l.  A primitive affine form is irreducible in
+    Z[log 2, log 3, ...], and it has a positive value, so the numerator
+    can share no other factor with the denominator: each part is tried
+    once by ``_zdivide``, as often as it occurs, and no heuristic gcd runs.
+    What is left is the form ``_make`` gives: the product of primitive
+    parts of positive value is primitive (Gauss) and positive, and
+    ``_scaled`` takes out the common factor of s and the numerator's
+    content."""
+    num = {m: c for m, c in num.items() if c}
+    parts: list = []  # the primitive parts in the denominator
+    for a, b, l in terms:
+        c, prim = _primitive({m: v for m, v in l.items() if v})
+        a = _mul(a, _product(parts))
+        if len(prim) == 1 and () in prim:
+            num = _lin(num, b * c, a, s)
+        elif _pdegree(prim) > 1 or _has_eps(prim):
+            return None
+        else:
+            num = _lin(_mul(num, prim), b * c, a, s)
+            parts.append(prim)
+        s *= b * c
+    for f in list(parts):
+        q = _zdivide(num, f)
+        if q is not None:
+            num = q
+            parts.remove(f)
+    return _scaled(num, 1, s, _product(parts))
+
+
+def _linear_combination(base, pairs):
+    """base + sum t c over the pairs (t, c), built once by
+    ``_affine_quotient_sum``: base and every c a Fraction or a value whose
+    d is 1, every t a Fraction or an ExactNumber; None when a t's
+    denominator has an eps term or a degree above 1."""
+    n0, s0 = _poly_parts(base)
+    terms = []
+    for t, c in pairs:
+        if c:
+            n, s, d = _parts(t)
+            nc, sc = _poly_parts(c)
+            terms.append((_mul(n, nc), s * sc, d))
+    return _affine_quotient_sum(n0, s0, terms)
+
+
+def _product(polys) -> Poly:
+    out = _UNIT
+    for f in polys:
+        out = _mul(out, f)
+    return out
 
 
 def _poly_parts(x):

@@ -27,7 +27,7 @@ from .divisors import ARCH, Pair, ToricAdelicDivisor, as_pair, min_adelic
 from .errors import NotBig, NotConvex, UnknownSuite
 from .exactnum import EPS, eps_coefficients, log_unit, scalar_float, scalar_sign
 from .gallery import half_zero_pair, height_shift, p_slant_divisor, slant_divisor, tent_divisor
-from .pa import (ConvexPA, PAGeneral, _on_line, abs_scalar, convex_envelope,
+from .pa import (ConvexPA, PAGeneral, _grid, _values_on_grid, abs_scalar, convex_envelope,
                  legendre_potential, legendre_roof)
 from .points import BaseCondition
 from .positivity import (
@@ -217,20 +217,35 @@ def sample_convex_potential(rng, c0: Fraction, cinf: Fraction) -> ConvexPA:
     """A random convex potential with the required asymptotic slopes
     (-cinf, c0); needs positive degree.  The cuts are distinct, so the
     slopes rise strictly from -cinf to c0 and every breakpoint is a strict
-    kink: the points are canonical convex data as drawn."""
+    kink: the points are canonical convex data as drawn.
+
+    The draws stay integers: a cut k / 32 as k, a breakpoint n / d
+    (d <= 4) as its key 12 n / d, so that the set and the sort run on ints,
+    and with -cinf = a / b and c0 = c / d each slope as one numerator over
+    32 b d.  The values are summed along the segments over one common
+    denominator and one Fraction is built per coordinate; the random calls
+    are those of drawing Fractions, in the same order."""
     lo_s, hi_s = -cinf, c0
     if not hi_s > lo_s:
         raise NotConvex(f"a convex sample needs positive degree, got {c0 + cinf}")
-    cuts = sorted({Fraction(rng.randint(1, 31), 32)
-                   for _ in range(rng.randint(0, 4))})
-    slopes = [lo_s] + [lo_s + (hi_s - lo_s) * c for c in cuts] + [hi_s]
-    us: set = set()
-    while len(us) < len(slopes) - 1:
-        us.add(_frac(rng, -8, 8, 4))
-    us = sorted(us)
-    pts = [(us[0], _frac(rng, 0, 16, 8))]
-    for u, s in zip(us[1:], slopes[1:]):
-        pts.append((u, _on_line(*pts[-1], s, u)))
+    cuts = sorted({rng.randint(1, 31) for _ in range(rng.randint(0, 4))})
+    keys: set = set()
+    while len(keys) <= len(cuts):
+        n = rng.randint(-8, 8)
+        keys.add(12 * n // rng.randint(1, 4))
+    keys = sorted(keys)
+    a, b = lo_s.as_integer_ratio()
+    c, d = hi_s.as_integer_ratio()
+    # the slope of the segment ending at keys[i + 1] is lo + (hi - lo) k / 32,
+    # k the cut (32 on the last segment), over 32 b d
+    rise = c * b - a * d
+    yn, yd = rng.randint(0, 16), rng.randint(1, 8)
+    den = 384 * b * d * yd  # y = Y / den; 384 = 12 * 32
+    y = yn * 384 * b * d
+    pts = [(Fraction(keys[0], 12), Fraction(yn, yd))]
+    for k, u0, u in zip(cuts + [32], keys, keys[1:]):
+        y += (32 * a * d + rise * k) * (u - u0) * yd
+        pts.append((Fraction(u, 12), Fraction(y, den)))
     return ConvexPA._raw(pts, lo_s, hi_s)
 
 
@@ -516,10 +531,10 @@ def _suite_min_valuation(rng, count):
         places = {v for x in ds for v in x.places}
         for v in places:
             pots = [x.potential(v) for x in ds]
-            grid = sorted({u for p in pots for u, _ in p.points} | {Fraction(-9), Fraction(9)})
-            for u in grid:
-                want = min((p.eval(u) for p in pots))
-                ok = ok and bool(m.potential(v).eval(u) == want)
+            grid = _grid([Fraction(-9), Fraction(9)], *([u for u, _ in p.points] for p in pots))
+            cols = [_values_on_grid(p, grid) for p in pots]
+            for got, *want in zip(_values_on_grid(m.potential(v), grid), *cols):
+                ok = ok and bool(got == min(want))
         ok = ok and min_adelic([ds[0], ds[0]]) == ds[0]
         yield ok, None, None if ok else {"divisors": [x.to_payload() for x in ds]}
 

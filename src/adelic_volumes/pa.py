@@ -55,20 +55,28 @@ in place and compute on their numerators and denominators: ``_slope``, the
 orientation signs ``_turn`` and ``_tail_turn`` (the envelope's drop and
 tail tests, the collinear merge and the shape checks), ``_on_line`` for
 y0 + s (x - x0) (Legendre roofs, jets, threshold rows), ``_jet_pairing``
-(the local sums of ``adeg_product``), ``_grid`` (integer sort keys over a
-common denominator), ``_grid_ratios`` (the one integer scan of a grid
-behind ``_eval_on_grid`` and the sums ``_sum_on_grid``) and
-:func:`integrate_positive_part`; ``exactnum.scalar_sign`` and
-``exactnum.scalar_cmp`` do the same for signs and comparisons.  The line
-kernel ``positivity._Line`` keeps a line's rows as integers over one
-denominator and runs the lower hull and the Legendre step on them, with
-the sign tests of ``_turn`` and ``_tail_turn`` over common denominators.
+(the local sums of ``adeg_product``, which pairs the rational jets of
+``_jets_on_grid``, linear in the tail slopes, one basis jet per symbolic
+tail), ``_grid`` (integer sort keys over a common denominator),
+``_grid_ratios`` (the one integer scan of a grid behind ``_eval_on_grid``
+and the sums ``_sum_on_grid``) and :func:`integrate_positive_part`;
+``exactnum.scalar_sign`` and ``exactnum.scalar_cmp`` do the same for signs
+and comparisons.  ``_nonneg_run`` reads signs only from each end of a
+concave function up to its first nonnegative value: concavity gives the
+rest.  The line kernel ``positivity._Line`` keeps a line's rows as
+integers over one denominator and runs the lower hull and the Legendre
+step on them, with the sign tests of ``_turn`` and ``_tail_turn`` over
+common denominators.
 
 Roof values are Q-linear forms in 1, log 2, log 3, ... (and eps), stored
 as n / s with denominator polynomial 1.  ``_chord`` (the ends of
 ``ConcavePA.restrict``) and :func:`integrate_positive_part` read them with
 ``exactnum._poly_parts``, sum per monomial over Z and build each result
-once with ``exactnum._from_coeffs``.
+once with ``exactnum._from_coeffs``.  The clipped ends of the integral,
+(x2 - x1) y_in^2 / (y_in - y_out) (``_clipped_end``), join that sum as one
+quotient over the clip denominators, reduced by trial division by their
+primitive affine parts (``exactnum._affine_quotient_sum``): no heuristic
+gcd runs.
 
 Any other operand takes the operator formula the primitive replaced, kept
 beside the integer route.  A Fraction or an n / s has one canonical form,
@@ -89,8 +97,8 @@ from .errors import (
     OutOfDomain,
     UnboundedBelow,
 )
-from .exactnum import (ExactNumber, Scalar, _from_coeffs, _poly_parts, scalar_cmp,
-                       scalar_sign)
+from .exactnum import (ExactNumber, Scalar, _affine_quotient_sum, _from_coeffs, _mul,
+                       _poly_parts, scalar_cmp, scalar_sign)
 
 
 def as_scalar(value) -> Scalar:
@@ -400,13 +408,13 @@ def _eval_on_grid(pts, xs, left_slope=None, right_slope=None) -> list:
     return out
 
 
-def _jets_on_grid(f, xs) -> list:
-    """(value, left slope, right slope) of a function finite on R at each x
-    of a sorted grid, in one joint scan; beyond the breakpoints the function
-    follows its asymptotic slopes."""
-    pts = f.points
-    slopes = ([f.left_slope] + [_slope(p, q) for p, q in zip(pts, pts[1:])]
-              + [f.right_slope])
+def _jets_on_grid(pts, xs, left_slope, right_slope) -> list:
+    """(value, left slope, right slope) at each x of a sorted grid of the
+    function finite on R with breakpoints pts and the given asymptotic
+    slopes, in one joint scan; beyond the breakpoints it follows the tails.
+    The jets are linear in the values and the two tail slopes."""
+    slopes = ([left_slope] + [_slope(p, q) for p, q in zip(pts, pts[1:])]
+              + [right_slope])
     out = []
     j = 0  # the first breakpoint at or right of x
     n = len(pts)
@@ -559,7 +567,7 @@ class ConcavePA:
         run = _nonneg_run(self.points)
         if run is None:
             return Interval.EMPTY
-        first, last, _ = run
+        first, last = run[:2]
         if first == 0:
             lo = self.points[0][0]
         else:
@@ -583,16 +591,22 @@ class ConcavePA:
 
 
 def _nonneg_run(pts):
-    """(first, last, signs) for the breakpoints of a concave function: the
-    signs of the values and the first and last index with value >= 0, or
-    None when every value is negative.  By concavity every breakpoint
-    between first and last is nonnegative too."""
-    signs = [scalar_sign(y) for _, y in pts]
-    first = next((i for i, s in enumerate(signs) if s >= 0), None)
-    if first is None:
+    """(first, last, sign_first, sign_last) for the breakpoints of a concave
+    function: the first and last index with value >= 0 and the signs of
+    those two values, or None when every value is negative.  By concavity
+    every breakpoint between first and last is nonnegative too, so signs
+    are read only from each end up to the first nonnegative value."""
+    for first, (_, y) in enumerate(pts):
+        sign_first = scalar_sign(y)
+        if sign_first >= 0:
+            break
+    else:
         return None
-    last = len(signs) - 1 - next(i for i, s in enumerate(reversed(signs)) if s >= 0)
-    return first, last, signs
+    for last in range(len(pts) - 1, first, -1):
+        sign_last = scalar_sign(pts[last][1])
+        if sign_last >= 0:
+            return first, last, sign_first, sign_last
+    return first, first, sign_first, sign_first
 
 
 def _zero_between(p, q) -> Scalar:
@@ -1060,14 +1074,20 @@ def integrate_positive_part(f: ConcavePA) -> Scalar:
     (x2 - x1) y^2 / (y_in - y_out), y = y_in the nonnegative end; the total
     is halved once.  The sign-change roots themselves are never formed.  The
     result is a Fraction for rational data and an ExactNumber otherwise.
+
+    With rational x and values polynomial in the logs and eps (d = 1), the
+    unclipped part is summed per monomial over Z, and with the clipped ends
+    it makes one quotient over the clip denominators L = y_in - y_out,
+    built once by ``exactnum._affine_quotient_sum``; an L with an eps term
+    sends the clipped ends through the field operators.
     """
     pts = f.points
     run = _nonneg_run(pts)
     if run is None:
         return Fraction(0)
-    first, last, signs = run
-    clip_lo = first > 0 and signs[first] > 0
-    clip_hi = last < len(pts) - 1 and signs[last] > 0
+    first, last, sign_first, sign_last = run
+    clip_lo = first > 0 and sign_first > 0
+    clip_hi = last < len(pts) - 1 and sign_last > 0
     run_pts = pts[first - clip_lo:last + 1 + clip_hi]
     xr = _ratios(x for x, _ in run_pts)
     yr = xr and _ratios(y for _, y in run_pts)
@@ -1091,21 +1111,32 @@ def integrate_positive_part(f: ConcavePA) -> Scalar:
                           b1 * b2 * e1 * e2))
         n, d = _sum_terms(terms)
         return Fraction(n, 2 * d)
-    rows = xr and [_poly_parts(y) for _, y in run_pts[clip_lo:len(run_pts) - clip_hi]]
-    if rows and all(rows):
+    ys = xr and [_poly_parts(y) for _, y in run_pts]
+    if ys and all(ys):
         # rational x = a/b, values polynomial in the logs and eps, y = n/s:
         # twice the unclipped area is the sum of y_i (x_i+1 - x_i-1), each
-        # end weighted by its one segment, summed per monomial over Z; the
-        # clipped triangles then go through the field as below
-        xr = xr[clip_lo:clip_lo + len(rows)]
-        top = len(xr) - 1
+        # end weighted by its one segment, summed per monomial over Z
+        rows = ys[clip_lo:len(ys) - clip_hi]
+        inner = xr[clip_lo:clip_lo + len(rows)]
+        top = len(inner) - 1
         terms, den = [], 1
         for i, (n, s) in enumerate(rows):
-            (a1, b1), (a2, b2) = xr[max(i - 1, 0)], xr[min(i + 1, top)]
+            (a1, b1), (a2, b2) = inner[max(i - 1, 0)], inner[min(i + 1, top)]
             e = b1 * b2 * s
             terms.append((a2 * b1 - a1 * b2, e, n))
             den = den // gcd(den, e) * e
-        total = _from_coeffs(_poly_sum(*((den // e * w, n) for w, e, n in terms)), den)
+        coeffs = _poly_sum(*((den // e * w, n) for w, e, n in terms))
+        ends = []
+        if clip_lo:
+            ends.append(_clipped_end(xr[0], xr[1], ys[1], ys[0]))
+        if clip_hi:
+            ends.append(_clipped_end(xr[-2], xr[-1], ys[-2], ys[-1]))
+        # the total, halved: coeffs / (2 den) + sum a / (2 b l)
+        total = _affine_quotient_sum(coeffs, 2 * den,
+                                     [(a, 2 * b, l) for a, b, l in ends])
+        if total is not None:
+            return total
+        total = _from_coeffs(coeffs, den)
     else:
         total = Fraction(0)
         for (x1, y1), (x2, y2) in zip(pts[first:last], pts[first + 1:last + 1]):
@@ -1117,3 +1148,15 @@ def integrate_positive_part(f: ConcavePA) -> Scalar:
         (x1, y_in), (x2, y_out) = pts[last], pts[last + 1]
         total = total + (x2 - x1) * y_in * y_in / (y_in - y_out)
     return total / 2
+
+
+def _clipped_end(x1, x2, y_in, y_out) -> tuple:
+    """(a, b, l) with a / (b l) = (x2 - x1) y_in^2 / (y_in - y_out), the
+    twice-area of a clipped end, for x = p / q and y = n / s given as their
+    integer parts: l = s_out n_in - s_in n_out, of positive value since
+    y_in > 0 > y_out, and a = (x2 - x1) q1 q2 s_out n_in^2, b = q1 q2 s_in."""
+    (a1, b1), (a2, b2) = x1, x2
+    (n, s), (n0, s0) = y_in, y_out
+    w = (a2 * b1 - a1 * b2) * s0
+    return ({m: c * w for m, c in _mul(n, n).items()}, b1 * b2 * s,
+            _poly_sum((s0, n), (-s, n0)))

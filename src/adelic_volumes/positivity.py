@@ -20,7 +20,8 @@ from math import gcd
 from .divisors import (ARCH, Pair, ToricAdelicDivisor, _place_sort_key,
                        _roof_sum, as_pair)
 from .errors import EmptyPolytope, NotBig, NotNef
-from .exactnum import Scalar, log_unit, scalar_float, scalar_sign
+from .exactnum import (Scalar, _from_coeffs, _linear_combination, log_unit, scalar_float,
+                       scalar_sign)
 from .pa import (ConcavePA, ConvexPA, Interval, PAGeneral, _grid,
                  _jet_pairing, _jets_on_grid, _on_line, _ratios, _slope,
                  _values_on_grid, convex_envelope, integrate_positive_part, legendre_potential,
@@ -144,16 +145,98 @@ def adeg_product(a, b):
     Both sides are bilinear, so the formula holds for raw potentials, convex
     or not, and for any degree; on nef divisors it is the polarization
     (avol(a + b) - avol(a) - avol(b)) / 2 of the volume.
+
+    Every potential of a divisor has the tails (-cinf, c0), and with the
+    breakpoints fixed its jets (value, left and right slope) on the grid
+    are linear in the values and those two tails.  So with rational
+    breakpoints they are J_0 + sum_k t_k J_k, one rational basis jet J_k
+    per tail t_k that is not a Fraction (a Zariski positive part has the
+    ends of its region, which may involve log p, as tails), the Fraction
+    tails folded into J_0.  The local sum is bilinear, so adeg(a, b) is
+    sum_ij t_i s_j S_ij, where S_ij = sum_v c_v (pairing of J_i and J_j at
+    v) is rational at each place (``_jet_pairing``) and is built once over
+    the places from its integer coefficients (``_from_coeffs``); the
+    symbolic tails multiply in only at the end.  Breakpoints that are not
+    all Fractions take the field operators place by place.
     """
     a = _as_divisor(a)
     b = _as_divisor(b)
-    total = Fraction(0)
-    for place in dict.fromkeys((ARCH,) + a.places + b.places):
-        pot_a, pot_b = a.potential(place), b.potential(place)
-        us = _grid((u for u, _ in pot_a.points), (u for u, _ in pot_b.points))
-        local = _jet_pairing(us, _jets_on_grid(pot_a, us), _jets_on_grid(pot_b, us))
-        total = total + (local if place == ARCH else log_unit(place) * local)
+    places = list(dict.fromkeys((ARCH,) + a.places + b.places))
+    pots = [(a.potential(v), b.potential(v)) for v in places]
+    if not all(type(z) is Fraction for pair in pots for f in pair
+               for p in f.points for z in p):
+        total = Fraction(0)
+        for place, pair in zip(places, pots):
+            us = _grid(*((u for u, _ in f.points) for f in pair))
+            local = _jet_pairing(us, *(_jets_on_grid(f.points, us, f.left_slope, f.right_slope)
+                                       for f in pair))
+            total = total + (local if place == ARCH else log_unit(place) * local)
+        return total
+    # per (i, j): the pairing at each place, with the monomial of its weight
+    pairings: dict = {}
+    for place, pair in zip(places, pots):
+        us = _grid(*((u for u, _ in f.points) for f in pair))
+        mono = () if place == ARCH else (place,)
+        basis_a, basis_b = (_jet_basis(f, us) for f in pair)
+        for i, ja in enumerate(basis_a):
+            for j, jb in enumerate(basis_b):
+                pairings.setdefault((i, j), []).append((mono, _jet_pairing(us, ja, jb)))
+    sums = {key: _place_sum(terms) for key, terms in pairings.items()}
+    # every potential of a divisor has the divisor's tails
+    ta = [t for t in (-a.cinf, a.c0) if type(t) is not Fraction]
+    tb = [t for t in (-b.cinf, b.c0) if type(t) is not Fraction]
+    total = None
+    if not tb:
+        total = _linear_combination(sums[0, 0], [(t, sums[i, 0]) for i, t in enumerate(ta, 1)])
+    elif not ta:
+        total = _linear_combination(sums[0, 0], [(t, sums[0, j]) for j, t in enumerate(tb, 1)])
+    if total is None:
+        # symbolic tails on both sides: sum_i t_i sum_j s_j S_ij in the field
+        total = Fraction(0)
+        for i, t in enumerate([None] + ta):
+            inner = sums[i, 0]
+            for j, s in enumerate(tb, 1):
+                if sums[i, j]:
+                    inner = _plus(inner, s * sums[i, j])
+            if inner:
+                total = _plus(total, inner if t is None else t * inner)
     return total
+
+
+def _plus(x, y):
+    """x + y, with no field operation when one of them is 0."""
+    if not x:
+        return y
+    return x + y if y else x
+
+
+def _jet_basis(pot, us) -> list:
+    """[J_0, J_1, ...], rational jets on the grid us with jets(pot) =
+    J_0 + sum_k t_k J_k over the tails t_k of pot, left then right, that
+    are not Fractions: J_0 has those tails set to 0, and J_k is the jet of
+    zero breakpoint values with tail k set to 1 and the other to 0."""
+    zero, one = Fraction(0), Fraction(1)
+    ls, rs = (t if type(t) is Fraction else zero for t in (pot.left_slope, pot.right_slope))
+    out = [_jets_on_grid(pot.points, us, ls, rs)]
+    flat = [(u, zero) for u, _ in pot.points]
+    if type(pot.left_slope) is not Fraction:
+        out.append(_jets_on_grid(flat, us, one, zero))
+    if type(pot.right_slope) is not Fraction:
+        out.append(_jets_on_grid(flat, us, zero, one))
+    return out
+
+
+def _place_sum(terms):
+    """sum_v c_v q_v for the pairs (monomial of c_v, Fraction q_v), built
+    once from integer coefficients over the least common denominator."""
+    den = 1
+    for _, q in terms:
+        d = q.denominator
+        den = den // gcd(den, d) * d
+    coeffs: dict = {}
+    for mono, q in terms:
+        coeffs[mono] = coeffs.get(mono, 0) + q.numerator * (den // q.denominator)
+    return _from_coeffs(coeffs, den)
 
 
 def positive_intersection(pair, direction):
@@ -397,11 +480,25 @@ def _fall_rate(line, t, roof, x, n):
     the window, at least -cinf_N on its lower edge and at most c0_N on its
     upper edge.  h is concave and piecewise affine, so its maximum is at
     delta = 0, at a bound, or where two active rows of one place cross.
+
+    For Fractions t = tn / tm and x = xn / xd on a place's integer rows
+    (``_integer_rows``), pD - t pN - x u is
+    ((P tm - tn Q) U xd - xn X C tm) / (C tm U xd) with a positive
+    denominator, so the active rows are read off the integer numerators.
     """
+    exact = type(t) is type(x) is Fraction
+    if exact:
+        tn, tm = t.as_integer_ratio()
+        xn, xd = x.as_integer_ratio()
     active = []
-    for _, weight, rows, _ in line._places:
-        # pD - t * pN - x * u
-        ys = [_on_line(u, _on_line(b, a, t), x) for u, a, b in rows]
+    for _, weight, rows, ints in line._places:
+        if exact and ints is not None:
+            xs, big_u, ps, c, qs = ints
+            k1, k2 = big_u * xd, xn * c * tm
+            ys = [(p * tm - tn * q) * k1 - k2 * u for u, p, q in zip(xs, ps, qs)]
+        else:
+            # pD - t * pN - x * u
+            ys = [_on_line(u, _on_line(b, a, t), x) for u, a, b in rows]
         y = min(ys)
         active.append((weight, [(b, u) for (u, _, b), yu in zip(rows, ys)
                                 if yu == y]))

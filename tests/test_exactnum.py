@@ -811,3 +811,77 @@ def test_poly_parts_reads_polynomials_only():
     assert (n, s) == (x._num, 12) and n == {(2,): 2, (0,): -3}
     assert exactnum._poly_parts(L2 / (1 + L3)) is None
     assert exactnum._poly_parts(3) is None
+
+
+# -- the screened exact division --------------------------------------------
+#
+# _zdivide first compares f and g at the integer point where each log p is
+# p and eps is 1: g | f forces g(X) | f(X).  The reference is the long
+# division alone.
+
+
+def _long_division(f, g):
+    """The exact quotient f / g by long division, with no screen."""
+    lead_g = max(g, key=exactnum._order)
+    c_g = g[lead_g]
+    tail_g = [(m, c) for m, c in g.items() if m != lead_g]
+    deg_g = exactnum._degrees(g)
+    caps = {p: k - deg_g.get(p, 0) for p, k in exactnum._degrees(f).items()}
+    rem = dict(f)
+    quo = {}
+    while rem:
+        lead = max(rem, key=exactnum._order)
+        e = exactnum._mono_quo(lead, lead_g)
+        if e is None or any(e.count(p) > caps.get(p, 0) for p in set(e)):
+            return None
+        c, r = divmod(rem.pop(lead), c_g)
+        if r:
+            return None
+        quo[e] = c
+        for mg, cg in tail_g:
+            m = exactnum._mono_mul(e, mg)
+            v = rem.get(m, 0) - c * cg
+            if v:
+                rem[m] = v
+            else:
+                del rem[m]
+    return quo
+
+
+# affine forms in eps, log 2, log 3 and log 5, and polynomials of degree up
+# to 3 in them
+_AFFINE_MONOS = [(), (0,), (2,), (3,), (5,)]
+_EPS_MONOS = [m for k in range(4) for m in combinations_with_replacement((0, 2, 3, 5), k)]
+_nonzero = st.one_of(st.integers(-9, 9), st.integers(-2**80, 2**80)).filter(bool)
+_affine = st.dictionaries(st.sampled_from(_AFFINE_MONOS), _nonzero, min_size=1, max_size=4)
+_eps_polys = st.dictionaries(st.sampled_from(_EPS_MONOS), _nonzero, min_size=1, max_size=6)
+
+
+@given(_affine, _eps_polys)
+# g(X) = 0 at the point (log 3 -> 3): the screen is skipped
+@example(_p(((3,), 1), ((), -3)), _p(((2,), 5), ((0, 3), 1)))
+# g(X) = +-1: every f(X) passes the screen
+@example(_p(((2,), 1), ((), -1)), _p(((5, 5), 2)))
+@settings(max_examples=300, deadline=None)
+def test_zdivide_recovers_the_quotient(g, q):
+    assert exactnum._zdivide(exactnum._mul(g, q), g) == q
+
+
+@given(_eps_polys, st.one_of(_affine, _eps_polys), _eps_polys,
+       st.one_of(st.just({}), _eps_polys))
+@example(_p(((2,), 1), ((), 1)), _p(((3,), 1), ((), 1)), _p(((), 1)), {})
+@settings(max_examples=300, deadline=None)
+def test_screened_zdivide_is_long_division(f, g, q, r):
+    # f itself, or g q + r: divisible when r is 0, and mostly not otherwise
+    for num in (f, exactnum._lin(exactnum._mul(g, q), 1, r, 1)):
+        assert exactnum._zdivide(num, g) == _long_division(num, g)
+
+
+def test_screen_rejects_without_division(monkeypatch):
+    # log 2 + 1 is 3 at the point and log 3 + 1 is 4: no quotient, and no
+    # leading term is divided to find that out
+    def no_division(*args):
+        raise AssertionError("long division ran")
+
+    monkeypatch.setattr(exactnum, "_mono_quo", no_division)
+    assert exactnum._zdivide(_p(((2,), 1), ((), 1)), _p(((3,), 1), ((), 1))) is None

@@ -322,7 +322,47 @@ def _derivative_payload(rng):
     return [pair.to_payload(), direction.to_payload(), str(central)]
 
 
+def _fraction_sampler(rng, c0, cinf):
+    """The potential sampler on Fractions, as it was before it drew its
+    values as integers: every slope, breakpoint and value a Fraction,
+    and each value through the field operators."""
+    lo_s, hi_s = -cinf, c0
+    cuts = sorted({F(rng.randint(1, 31), 32) for _ in range(rng.randint(0, 4))})
+    slopes = [lo_s] + [lo_s + (hi_s - lo_s) * c for c in cuts] + [hi_s]
+    us = set()
+    while len(us) < len(slopes) - 1:
+        us.add(F(rng.randint(-8, 8), rng.randint(1, 4)))
+    us = sorted(us)
+    pts = [(us[0], F(rng.randint(0, 16), rng.randint(1, 8)))]
+    for u, s in zip(us[1:], slopes[1:]):
+        x, y = pts[-1]
+        pts.append((u, y + s * (u - x)))
+    return ConvexPA._raw(pts, lo_s, hi_s)
+
+
 class TestSamplers:
+    def test_potential_sampler_matches_fraction_draws(self):
+        # 3,000 draws of both samplers from one seed: equal potentials, in
+        # the type and repr of every coordinate, and the same random state
+        # after each draw
+        rng, ref = random.Random("potential-sampler"), random.Random("potential-sampler")
+        tails = random.Random("potential-sampler-tails")
+        kinks = set()
+        for _ in range(3000):
+            c0 = cinf = F(0)
+            while c0 + cinf <= 0:
+                c0 = F(tails.randint(0, 12), tails.randint(1, 8))
+                cinf = F(tails.randint(-4, 12), tails.randint(1, 8))
+            got = harness.sample_convex_potential(rng, c0, cinf)
+            want = _fraction_sampler(ref, c0, cinf)
+            assert rng.getstate() == ref.getstate()
+            assert [[type(z), repr(z)] for p in got.points for z in p] == \
+                [[type(z), repr(z)] for p in want.points for z in p]
+            assert (repr(got.left_slope), repr(got.right_slope)) == \
+                (repr(want.left_slope), repr(want.right_slope))
+            kinks.add(len(got.points))
+        assert kinks == {1, 2, 3, 4, 5}
+
     def test_deterministic(self):
         a = sample_divisor(random.Random(7))
         b = sample_divisor(random.Random(7))

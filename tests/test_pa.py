@@ -1,6 +1,7 @@
 """Piecewise-affine calculus: intervals, concave/convex shapes, Legendre
 duality, sup-convolution, envelopes, integration."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adelic_volumes.divisors import ARCH
 from adelic_volumes.errors import (
     EmptyDomain,
     NotConcave,
@@ -16,6 +18,7 @@ from adelic_volumes.errors import (
     UnboundedBelow,
 )
 from adelic_volumes.exactnum import EPS, ExactNumber, exact, log_unit, scalar_sign
+from adelic_volumes.harness import sample_big_pair
 from adelic_volumes.pa import (
     ConcavePA,
     ConvexPA,
@@ -839,9 +842,49 @@ def log_linear_pas(draw):
 @example(ConcavePA([(F(-2), -1 + EPS), (F(0), 1 + L2), (F(2), -1 - EPS)]))
 @example(ConcavePA([(F(0), L2), (F(1), L2 - 1 + EPS * L2)]))   # clipped high end
 @example(ConcavePA([(F(1, 3), L3 + EPS)]))                     # point domain
+# clip denominators that divide the numerator: one end, both ends alike,
+# and both ends over different affine forms
+@example(ConcavePA([(F(0), -L2), (F(1), L2), (F(2), L2)]))
+@example(ConcavePA([(F(-1), -L2), (F(0), L2), (F(1), -L2)]))
+@example(ConcavePA([(F(-1), -L2), (F(0), L2), (F(1), L2 - 3 * L3)]))
 @settings(max_examples=200, deadline=None)
 def test_integrate_positive_part_log_linear(f):
     _same_parts(integrate_positive_part(f), _ref_integrate_positive_part(f))
+
+
+def _clipped_roofs(seed):
+    """(roof, shift) for a sampled pair's global roof with a finite place
+    (log-linear values), lowered to cross 0 once and twice, each as it is
+    ("none"), with eps added at every value ("eps") and with eps x added
+    along it ("eps x", so that the clip denominators have an eps term)."""
+    rng = random.Random(f"clipped-roofs:{seed}")
+    while True:
+        pair = sample_big_pair(rng)
+        if set(pair.divisor.places) - {ARCH}:
+            break
+    roof = pair.global_roof()
+    pts = roof.points
+    low, high = sorted([pts[0][1], pts[-1][1]], key=float)
+    top = roof.max_over_domain()
+    for a, b in ((low, high), (high, top)):
+        c = F((float(a) + float(b)) / 2).limit_denominator(64)
+        if a < c < b:
+            for shift, eps in (("none", F(0)), ("eps", EPS), ("eps x", None)):
+                yield ConcavePA._raw([(x, y - c + (EPS * x if eps is None else eps))
+                                      for x, y in pts]), shift
+
+
+def test_integrate_positive_part_on_clipped_roofs():
+    # one quotient over the clip denominators against the operator chain,
+    # in type, repr and stored parts; an eps term in a clip denominator
+    # keeps the operator route
+    kinds = {}
+    for seed in range(60):
+        for f, shift in _clipped_roofs(seed):
+            _same_parts(integrate_positive_part(f), _ref_integrate_positive_part(f))
+            ends = (scalar_sign(f.points[0][1]) < 0) + (scalar_sign(f.points[-1][1]) < 0)
+            kinds[ends, shift] = kinds.get((ends, shift), 0) + 1
+    assert len(kinds) == 6 and min(kinds.values()) >= 20, kinds
 
 
 @given(_q, _q, st.one_of(_form, _quotient, _q), st.one_of(_form, _quotient, _q),

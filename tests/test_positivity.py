@@ -27,6 +27,7 @@ from adelic_volumes.gallery import (
 from adelic_volumes.harness import (
     diskant_report,
     sample_big_pair,
+    sample_direction,
     sample_divisor,
     sample_nef_divisor,
 )
@@ -36,6 +37,7 @@ from adelic_volumes.pa import (
     Interval,
     PAGeneral,
     _grid,
+    _jets_on_grid,
     convex_envelope,
     legendre_potential,
     legendre_roof,
@@ -245,6 +247,77 @@ class TestIntersection:
             assert adeg_product(a.scale(q), b) == q * ab
             assert adeg_product(a, b.scale(q)) == q * ab
         assert finite >= 10
+
+
+def _operator_adeg_product(a, b):
+    """adeg_product place by place through the field operators: the local
+    sum over the jets on the union grid, times log p, added into the total
+    one place at a time, as the intersection number was formed before its
+    jets were split along the symbolic tails."""
+    total = F(0)
+    for place in dict.fromkeys((ARCH,) + a.places + b.places):
+        pot_a, pot_b = a.potential(place), b.potential(place)
+        us = _grid((u for u, _ in pot_a.points), (u for u, _ in pot_b.points))
+        jets = [_jets_on_grid(f.points, us, f.left_slope, f.right_slope)
+                for f in (pot_a, pot_b)]
+        local = F(0)
+        for u, (ya, la, ra), (yb, lb, rb) in zip(us, *jets):
+            local = local + ya * (rb - lb) + yb * (ra - la) - u * (ra * rb - la * lb)
+        total = total + (local if place == ARCH else log_unit(place) * local)
+    return total
+
+
+def _symbolic_tails(d) -> int:
+    return sum(type(t) is not F for t in (d.c0, d.cinf))
+
+
+class TestIntersectionRoutes:
+    """adeg_product against the operator formula it replaced, byte for byte
+    by typed repr, on sampled instances with finite places on odd seeds:
+    the positive part of a big pair against a nef divisor, against a
+    sampled direction (non-convex ones included) and against another
+    positive part, and rational pairs."""
+
+    COUNT = 80
+
+    @staticmethod
+    def _instance(seed):
+        rng = random.Random(f"adeg-routes:{seed}")
+        finite = seed % 2 == 1
+
+        def positive_part():
+            while True:
+                pair = sample_big_pair(rng, allow_finite=finite)
+                if not finite or set(pair.divisor.places) - {ARCH}:
+                    break
+            roof = pair.global_roof()
+            end = max(roof.points[0][1], roof.points[-1][1])
+            c = F((float(end) + float(roof.max_over_domain())) / 2).limit_denominator(64)
+            if finite and end < c < roof.max_over_domain():
+                # lowered halfway from its higher end to its top: the
+                # region ends are zeros of a roof with log p terms
+                pair = Pair(pair.divisor + height_shift(-c), pair.base)
+            return zariski_positive_part(pair).positive
+
+        p1, p2 = positive_part(), positive_part()
+        n = sample_nef_divisor(rng, allow_finite=finite)
+        e = sample_direction(rng, allow_finite=finite)
+        return [(p1, n), (p1, e), (p1, p2), (n, e)]
+
+    def test_matches_the_operator_formula(self):
+        kinds = {"symbolic_x_rational": 0, "four_symbolic": 0, "non_convex": 0,
+                 "log_weighted_rational": 0}
+        for seed in range(self.COUNT):
+            for a, b in self._instance(seed):
+                got, want = adeg_product(a, b), _operator_adeg_product(a, b)
+                assert [type(got), repr(got)] == [type(want), repr(want)], seed
+                sa, sb = _symbolic_tails(a), _symbolic_tails(b)
+                kinds["symbolic_x_rational"] += bool(sa) and not sb
+                kinds["four_symbolic"] += sa == sb == 2
+                kinds["non_convex"] += not is_relatively_nef(b)
+                kinds["log_weighted_rational"] += not (sa or sb) and any(
+                    v != ARCH for v in a.places + b.places)
+        assert all(k >= 8 for k in kinds.values()), kinds
 
 
 class TestPositiveIntersection:
