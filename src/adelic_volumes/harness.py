@@ -10,7 +10,9 @@ general position the central difference at a fixed step equals the analytic
 value on the nose.  Every volume along a line (the jets, the
 finite-difference table, the sampler's general-position test) is read off
 the line kernel of :mod:`~adelic_volumes.positivity` (``_Line``), which
-builds the line's rows once and evaluates each t from scratch on them.
+reads the line's potentials once and evaluates each t from scratch: a
+rational t (the table, the sampler) in one integer pass that builds no
+roof, t = +-eps (the jets) through the roofs over Q(log p)(eps).
 Random samplers keep heights small (numerators and denominators at most 16,
 at most two finite places) so exact arithmetic stays fast while the
 piecewise structure is genuinely exercised.

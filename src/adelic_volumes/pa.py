@@ -64,9 +64,11 @@ and the sums ``_sum_on_grid``) and :func:`integrate_positive_part`;
 and comparisons.  ``_nonneg_run`` reads signs only from each end of a
 concave function up to its first nonnegative value: concavity gives the
 rest.  The line kernel ``positivity._Line`` keeps a line's rows as
-integers over one denominator and runs the lower hull and the Legendre
-step on them, with the sign tests of ``_turn`` and ``_tail_turn`` over
-common denominators.
+integers over one denominator and runs the lower hull on them, with the
+sign tests of ``_turn`` and ``_tail_turn`` over common denominators; its
+volume at a rational t reads the roofs' breakpoints and values off the
+hulls as integers and forms the integral of ``integrate_positive_part``
+once, with no roof built.
 
 Roof values are Q-linear forms in 1, log 2, log 3, ... (and eps), stored
 as n / s with denominator polynomial 1.  ``_chord`` (the ends of
@@ -564,7 +566,7 @@ class ConcavePA:
     def nonneg_region(self) -> Interval:
         """The interval {f >= 0} (possibly empty or a point), with exact
         endpoints: sign-change roots are solved in the scalar field."""
-        run = _nonneg_run(self.points)
+        run = _nonneg_run([y for _, y in self.points])
         if run is None:
             return Interval.EMPTY
         first, last = run[:2]
@@ -590,20 +592,21 @@ class ConcavePA:
         return f"ConcavePA[{pts}]"
 
 
-def _nonneg_run(pts):
-    """(first, last, sign_first, sign_last) for the breakpoints of a concave
-    function: the first and last index with value >= 0 and the signs of
-    those two values, or None when every value is negative.  By concavity
-    every breakpoint between first and last is nonnegative too, so signs
-    are read only from each end up to the first nonnegative value."""
-    for first, (_, y) in enumerate(pts):
-        sign_first = scalar_sign(y)
+def _nonneg_run(ys, sign=scalar_sign):
+    """(first, last, sign_first, sign_last) for the values ys of a concave
+    function at its breakpoints, whose signs the function sign gives: the
+    first and last index with value >= 0 and the signs of those two values,
+    or None when every value is negative.  By concavity every value between
+    first and last is nonnegative too, so signs are read only from each end
+    up to the first nonnegative value."""
+    for first, y in enumerate(ys):
+        sign_first = sign(y)
         if sign_first >= 0:
             break
     else:
         return None
-    for last in range(len(pts) - 1, first, -1):
-        sign_last = scalar_sign(pts[last][1])
+    for last in range(len(ys) - 1, first, -1):
+        sign_last = sign(ys[last])
         if sign_last >= 0:
             return first, last, sign_first, sign_last
     return first, first, sign_first, sign_first
@@ -1082,7 +1085,7 @@ def integrate_positive_part(f: ConcavePA) -> Scalar:
     sends the clipped ends through the field operators.
     """
     pts = f.points
-    run = _nonneg_run(pts)
+    run = _nonneg_run([y for _, y in pts])
     if run is None:
         return Fraction(0)
     first, last, sign_first, sign_last = run

@@ -15,17 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .divisors import (ARCH, Pair, ToricAdelicDivisor, _place_sort_key,
                        _roof_sum, as_pair)
 from .errors import EmptyPolytope, NotBig, NotNef
-from .exactnum import (Scalar, _from_coeffs, _linear_combination, log_unit, scalar_float,
-                       scalar_sign)
-from .pa import (ConcavePA, ConvexPA, Interval, PAGeneral, _grid,
-                 _jet_pairing, _jets_on_grid, _on_line, _ratios, _slope,
-                 _values_on_grid, convex_envelope, integrate_positive_part, legendre_potential,
-                 legendre_roof, unit_roof)
+from .exactnum import (Scalar, _affine_quotient_sum, _from_coeffs, _linear_combination,
+                       _mul, _poly_sign, log_unit, scalar_float, scalar_sign)
+from .pa import (ConcavePA, ConvexPA, Interval, PAGeneral, _grid, _grid_ratios,
+                 _jet_pairing, _jets_on_grid, _nonneg_run, _on_line, _poly_sum, _ratios,
+                 _slope, _values_on_grid, convex_envelope, integrate_positive_part,
+                 legendre_potential, legendre_roof, unit_roof)
 
 
 def _as_divisor(obj) -> ToricAdelicDivisor:
@@ -333,24 +333,31 @@ class _Line:
     ``volume(t)`` is ``avol`` of that pair, in value, ``repr`` and the type
     of every coordinate, with no divisor or pair built per t.
 
-    Per place the rows (u, pD(u), pE(u)) on the union of both potentials'
-    breakpoints are built once; D + t E is linear between them, so its
-    unit roof is the Legendre roof of the lower hull of the points
-    (u, pD(u) + t pE(u)) with the tails (-cinf, c0) of D + t E.  A
-    canonical place adds the zero roof, and the roofs are summed by
-    ``_roof_sum`` and restricted to the window as the pair's roof is.
+    Per place the potentials of D and E are read once on the union of their
+    breakpoints u; D + t E is linear between them, so its unit roof is the
+    Legendre roof of the lower hull of the points (u, pD(u) + t pE(u)) with
+    the tails (-cinf, c0) of D + t E.  The global roof is the sum of the unit
+    roofs weighted by 1 and log p, on the window [-cinf + v0, c0 - vinf].
 
-    For a Fraction t with rational rows and tails, a place's rows are kept
-    as integers over one denominator, u = X / U and y = Y / (C m) for
-    t = n / m, and the hull and the Legendre step run on those integers:
-    ``convex_envelope``'s drop and tail tests, and ``legendre_roof``'s
-    slopes and values at 0, cross-multiplied, one Fraction per roof
-    coordinate.  Any other t or row takes ``convex_envelope`` and
-    ``legendre_roof`` on the rows, which are sorted and exact by
-    construction, so they are not checked again.
+    On rational breakpoints and values a place keeps its rows as integers,
+    u = X / U, pD(u) = P / C and pE(u) = Q / C (``_integer_rows``), and at
+    t = n / m its hull runs on the integer points (X, P m + Q n)
+    (``_integer_hull``).  ``volume`` at a Fraction t, with every place's
+    rows, the coefficients and the base orders rational, is then one
+    integer pass (``_integer_volume``): the roofs' breakpoints, which are
+    the hulls' slopes, merged on one common denominator, the summed values
+    there as integer numerators (linear forms in the log p at finite
+    places), and twice the area of the positive part formed once.  It
+    builds no roof.  ``roof`` at a Fraction t builds each place's unit roof
+    from its hull (``_integer_roof``) and sums and restricts them as the
+    pair does (``_roof_sum``, ``restrict``).  Any other t or row (+-eps for
+    the jets, thresholds in Q(log p), symbolic tails) takes
+    ``convex_envelope`` and ``legendre_roof`` on the rows (u, pD(u), pE(u))
+    of ``rows()``, which are sorted and exact by construction, so they are
+    not checked again.
     """
 
-    __slots__ = ("_c0", "_cinf", "_orders", "_places")
+    __slots__ = ("_c0", "_cinf", "_orders", "_places", "_rows", "_kernel")
 
     def __init__(self, pair, direction):
         d = pair.divisor
@@ -358,16 +365,42 @@ class _Line:
         self._c0 = (-direction.c0, d.c0)
         self._cinf = (-direction.cinf, d.cinf)
         self._orders = pair._toric_orders()
-        # per place: its weight c_v, the rows (u, pD, pE) and their
-        # integer form from ``_integer_rows``, or None
-        self._places = []
+        # per place: its weight c_v and its integer rows, or None; the
+        # Fraction or field rows are built here only when there are none
+        self._places, self._rows = [], []
         for place in sorted(dict.fromkeys((ARCH,) + d.places + direction.places),
                             key=_place_sort_key):
             pd, pe = d.potential(place), direction.potential(place)
-            us = _grid((u for u, _ in pd.points), (u for u, _ in pe.points))
-            rows = list(zip(us, _values_on_grid(pd, us), _values_on_grid(pe, us)))
+            ints = _integer_rows(pd, pe)
+            rows = None
+            if ints is None:
+                us = _grid((u for u, _ in pd.points), (u for u, _ in pe.points))
+                rows = list(zip(us, _values_on_grid(pd, us), _values_on_grid(pe, us)))
             weight = Fraction(1) if place == ARCH else log_unit(place)
-            self._places.append((place, weight, rows, _integer_rows(rows)))
+            self._places.append((place, weight, ints))
+            self._rows.append(rows)
+        # the integer pass of ``volume``: the tails and base orders as
+        # integers over one denominator k, and per place the monomial of
+        # its weight with the factors that bring its values to one
+        # denominator e, for a multiple e of every U and C
+        self._kernel = None
+        ends = _ratios((d.cinf, direction.cinf, d.c0, direction.c0) + self._orders)
+        if ends and all(ints is not None for _, _, ints in self._places):
+            k = lcm(*(b for _, b in ends))
+            e = lcm(*(ints[i] for _, _, ints in self._places for i in (1, 3)))
+            self._kernel = (k, [a * (k // b) for a, b in ends], e,
+                            [(() if place == ARCH else (place,), e // ints[3], e // ints[1])
+                             for place, _, ints in self._places])
+
+    def rows(self) -> list:
+        """Per place the rows (u, pD(u), pE(u)) on its grid, read off the
+        integer rows on first use."""
+        for i, rows in enumerate(self._rows):
+            if rows is None:
+                xs, big_u, ps, c, qs = self._places[i][2]
+                self._rows[i] = [(Fraction(x, big_u), Fraction(p, c), Fraction(q, c))
+                                 for x, p, q in zip(xs, ps, qs)]
+        return self._rows
 
     def _window(self, t):
         """c0 and cinf of D + t E and its shifted polytope."""
@@ -384,6 +417,8 @@ class _Line:
         return self._roof(t, c0, cinf, window)
 
     def volume(self, t):
+        if type(t) is Fraction and self._kernel is not None:
+            return self._integer_volume(*t.as_integer_ratio())
         c0, cinf, window = self._window(t)
         if window.is_empty or window.is_point:
             return Fraction(0)
@@ -394,44 +429,135 @@ class _Line:
         if exact:
             n, m = t.as_integer_ratio()
         roofs = []
-        for place, _, rows, ints in self._places:
+        for i, (place, _, ints) in enumerate(self._places):
             if exact and ints is not None:
                 roof = ConcavePA._raw(_integer_roof(ints, n, m, -cinf, c0))
             else:
                 roof = legendre_roof(convex_envelope(PAGeneral._raw(
-                    [(u, a + t * b if b else a) for u, a, b in rows], -cinf, c0)))
+                    [(u, a + t * b if b else a) for u, a, b in self.rows()[i]],
+                    -cinf, c0)))
             roofs.append((place, roof))
         return _roof_sum(roofs[0][1], roofs[1:]).restrict(window)
 
+    def _integer_volume(self, n, m):
+        """volume(n / m) in one integer pass.
 
-def _integer_rows(rows):
-    """(X, U, P, C, Q) with u = X_i / U, pD(u) = P_i / C and pE(u) = Q_i / C
-    over the least common denominators U and C, for rows (u, pD, pE) of
-    Fractions; None otherwise."""
-    us = _ratios(u for u, _, _ in rows)
-    ys = us and _ratios(y for _, a, b in rows for y in (a, b))
-    if not ys:
+        The tails are ls = -cinf and rs = c0 of D + t E and the window is
+        [lo, hi] = [ls + v0, rs - vinf], all over k m.  A place's unit roof
+        has the breakpoints ls, s_1, ..., s_r, rs, s_j the slope of the
+        hull's j-th segment, and on [s_j, s_j+1] it is y_j - x u_j, read
+        off hull point j (the active point).  The breakpoints inside the
+        window are merged over the places on one denominator d, as keys g
+        with x = g / d, between the window's ends; at each key the value of
+        place v is the numerator Y_j (e / C) d - g X_j (e / U) m over
+        e m d.  Twice the area of the positive part of their weighted sum
+        is that of ``integrate_positive_part``: (x2 - x1)(y1 + y2) over the
+        segments where it is nonnegative at both ends, and the clipped
+        ends (x2 - x1) y_in^2 / (y_in - y_out), summed over the one
+        denominator e m d^2 and formed once, as a Fraction or, at finite
+        places, by ``exactnum._affine_quotient_sum``.
+        """
+        k, (ci_d, ci_e, c0_d, c0_e, v0, vinf), e, scales = self._kernel
+        km = k * m
+        ls, rs = -ci_d * m - ci_e * n, c0_d * m + c0_e * n
+        lo, hi = ls + v0 * m, rs - vinf * m
+        if lo >= hi:  # an empty window or a point
+            return Fraction(0)
+        # per place: its hull, the index of the point active at lo and the
+        # slopes (sn, sd) of the breakpoints inside the window
+        places, dens = [], [km]
+        for _, _, ints in self._places:
+            big_u, c = ints[1], ints[3]
+            hull = _integer_hull(ints, n, m, ls, km, rs, km)
+            start, inside = 0, []
+            for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+                sn, sd = (y2 - y1) * big_u, (x2 - x1) * c * m
+                if sn * km <= lo * sd:
+                    start += 1
+                elif sn * km < hi * sd:
+                    inside.append((sn, sd))
+                    dens.append(sd)
+                else:
+                    break
+            places.append((hull, start, inside))
+        d = lcm(*dens)
+        places = [(hull, start, [sn * (d // sd) for sn, sd in inside])
+                  for hull, start, inside in places]
+        keys = {g for _, _, inside in places for g in inside}
+        grid = [lo * (d // km), *sorted(keys), hi * (d // km)]
+        # per place the value numerators at the keys, read off the active point
+        cols = []
+        for (hull, start, inside), (_, alpha, beta) in zip(places, scales):
+            a, b, i, col = alpha * d, beta * m, 0, []
+            for g in grid:
+                while i < len(inside) and inside[i] <= g:
+                    i += 1
+                x, y = hull[start + i]
+                col.append(y * a - g * x * b)
+            cols.append(col)
+        den = e * m * d * d
+        if len(cols) == 1:
+            ys, sign = cols[0], scalar_sign
+        else:
+            ys = [{mono: y for (mono, _, _), y in zip(scales, row) if y}
+                  for row in zip(*cols)]
+            sign = _poly_sign
+        run = _nonneg_run(ys, sign)
+        if run is None:
+            return Fraction(0)
+        first, last, sign_first, sign_last = run
+        clips = []
+        if first > 0 and sign_first > 0:
+            clips.append((grid[first] - grid[first - 1], ys[first], ys[first - 1]))
+        if last < len(grid) - 1 and sign_last > 0:
+            clips.append((grid[last + 1] - grid[last], ys[last], ys[last + 1]))
+        steps = [g2 - g1 for g1, g2 in zip(grid[first:last], grid[first + 1:last + 1])]
+        sums = [sum(w * (y1 + y2) for w, y1, y2 in zip(steps, col[first:], col[first + 1:]))
+                for col in cols]
+        if len(cols) == 1:
+            num, q = sums[0], 1
+            for w, y_in, y_out in clips:
+                lin = y_in - y_out
+                num, q = num * lin + w * y_in * y_in * q, q * lin
+            return Fraction(num, den * q)
+        return _affine_quotient_sum(
+            {mono: s for (mono, _, _), s in zip(scales, sums)}, den,
+            [({mo: w * v for mo, v in _mul(y_in, y_in).items()}, den,
+              _poly_sum((1, y_in), (-1, y_out))) for w, y_in, y_out in clips])
+
+
+def _integer_rows(pd, pe):
+    """(X, U, P, C, Q) for two potentials on the union of their
+    breakpoints u: u = X_i / U, pd(u) = P_i / C and pe(u) = Q_i / C, the
+    values read as integer pairs by ``_grid_ratios``, with U and C positive
+    and no common factor of C and every P and Q; None unless every
+    breakpoint, and the slope of every tail reached, is a Fraction."""
+    xr = _ratios(u for f in (pd, pe) for u, _ in f.points)
+    if xr is None:
         return None
-    big_u = c = 1
-    for _, e in us:
-        big_u = big_u // gcd(big_u, e) * e
-    for _, e in ys:
-        c = c // gcd(c, e) * e
-    return ([a * (big_u // e) for a, e in us], big_u,
-            [a * (c // e) for a, e in ys[0::2]], c,
-            [a * (c // e) for a, e in ys[1::2]])
+    big_u = lcm(*(b for _, b in xr))
+    xs = sorted({a * (big_u // b) for a, b in xr})
+    grid = [(x, big_u) for x in xs]
+    cols = [_grid_ratios(f.points, grid, f.left_slope, f.right_slope) for f in (pd, pe)]
+    if None in cols:
+        return None
+    c = lcm(*(b for col in cols for _, b in col))
+    ps, qs = ([a * (c // b) for a, b in col] for col in cols)
+    g = gcd(c, *ps, *qs)
+    if g > 1:
+        c, ps, qs = c // g, [p // g for p in ps], [q // g for q in qs]
+    return xs, big_u, ps, c, qs
 
 
-def _integer_roof(ints, n, m, ls, rs) -> list:
-    """legendre_roof(convex_envelope(rows at t = n / m with tails ls, rs))
-    as breakpoints, on the integer rows of ``_integer_rows``.  The points
-    are (X_i, Y_i) with Y_i = P_i m + Q_i n, u = X / U and y = Y / (C m), so
-    every sign below is the sign of the rational test it stands for times
-    a positive factor."""
+def _integer_hull(ints, n, m, ln, ld, rn, rd) -> list:
+    """The lower hull, as ``convex_envelope`` builds it, of the points
+    (X_i, Y_i) with Y_i = P_i m + Q_i n, for the integer rows of
+    ``_integer_rows`` at t = n / m and the tails of slopes ln / ld and
+    rn / rd (ld, rd > 0).  A point stands for (X / U, Y / (C m)), so every
+    sign below is the sign of the rational test it stands for times a
+    positive factor."""
     xs, big_u, ps, c, qs = ints
     den = c * m
-    ln, ld = ls.as_integer_ratio()
-    rn, rd = rs.as_integer_ratio()
     # s (x2 - x1) - (y2 - y1) for a tail of slope s = sn / sd, times
     # U den sd: sn den (X2 - X1) - U sd (Y2 - Y1)
     l1, l2, r1, r2 = ln * den, big_u * ld, rn * den, big_u * rd
@@ -456,16 +582,26 @@ def _integer_roof(ints, n, m, ls, rs) -> list:
         if r1 * (x2 - x1) - r2 * (y2 - y1) > 0:
             break
         hull.pop()
-    # the roof: each slope with the value at 0 of its line, y - s u
+    return hull
+
+
+def _integer_roof(ints, n, m, ls, rs) -> list:
+    """legendre_roof(convex_envelope(rows at t = n / m with tails ls, rs))
+    as breakpoints, from the hull of ``_integer_hull``: each slope with the
+    value at 0 of its line, y - s u, one Fraction per coordinate."""
+    ln, ld = ls.as_integer_ratio()
+    rn, rd = rs.as_integer_ratio()
+    hull = _integer_hull(ints, n, m, ln, ld, rn, rd)
+    big_u, den = ints[1], ints[3] * m
     x, y = hull[0]
-    out = [(ls, Fraction(y * l2 - ln * x * den, den * l2))]
+    out = [(ls, Fraction(y * big_u * ld - ln * x * den, den * big_u * ld))]
     if ln * rd == rn * ld:  # globally affine: one point
         return out
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         dx = (x2 - x1) * den
         out.append((Fraction((y2 - y1) * big_u, dx), Fraction(y1 * x2 - y2 * x1, dx)))
     x, y = hull[-1]
-    out.append((rs, Fraction(y * r2 - rn * x * den, den * r2)))
+    out.append((rs, Fraction(y * big_u * rd - rn * x * den, den * big_u * rd)))
     return out
 
 
@@ -491,7 +627,7 @@ def _fall_rate(line, t, roof, x, n):
         tn, tm = t.as_integer_ratio()
         xn, xd = x.as_integer_ratio()
     active = []
-    for _, weight, rows, ints in line._places:
+    for (_, weight, ints), rows in zip(line._places, line.rows()):
         if exact and ints is not None:
             xs, big_u, ps, c, qs = ints
             k1, k2 = big_u * xd, xn * c * tm

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from adelic_volumes import exactnum, harness
+from adelic_volumes import divisors, exactnum, harness, pa, positivity
 from adelic_volumes.divisors import ARCH, Pair, ToricAdelicDivisor
 from adelic_volumes.errors import NotBig, UnknownSuite
 from adelic_volumes.exactnum import EPS, log_unit, scalar_float, scalar_sign
@@ -41,6 +41,7 @@ from adelic_volumes.harness import (
     suite_names,
 )
 from adelic_volumes.pa import ConvexPA
+from adelic_volumes.points import BaseCondition
 from adelic_volumes.positivity import _Line, avol, is_big, is_nef
 
 F = Fraction
@@ -174,6 +175,23 @@ def _three_place_pair() -> Pair:
                                             3: parabola(0)}))
 
 
+def _tents(lift, shared=False) -> ToricAdelicDivisor:
+    """The tent 1 + max(|u| - 1, 0) at infinity and at 3, lifted by the
+    constant lift at infinity: the tent divisor plus the tent carried at 3
+    (coefficients (2, 2)), or, with shared, one divisor with the tent at
+    both places (coefficients (1, 1)), whose roofs both break at 0."""
+    tent = tent_divisor().potential(ARCH)
+    if shared:
+        return ToricAdelicDivisor(1, 1, {ARCH: tent, 3: tent}) + height_shift(lift)
+    return tent_divisor() + ToricAdelicDivisor(1, 1, {3: tent}) + height_shift(lift)
+
+
+def _steep400() -> ToricAdelicDivisor:
+    """The steep scene of CI: coefficients (1, 0), potential
+    1 + max(0, u - 10^400) at infinity."""
+    return ToricAdelicDivisor(1, 0, {ARCH: ConvexPA([(F(10**400), F(1))], 0, 1)})
+
+
 class TestLineKernel:
     """The line kernel against the pair built as objects: volume(t) is
     avol(Pair(D + tE, base)) and roof(t) its global roof, in value, type,
@@ -223,14 +241,54 @@ class TestLineKernel:
             zeros += self._check(pair, direction, ts)
         assert finite >= 20 and empty >= 40 and zeros >= 2 * empty
 
-    @pytest.mark.parametrize("pair, direction", [
-        (Pair(slant_divisor() + p_slant_divisor(2)), p_slant_divisor(3)),
-        (_three_place_pair(), _three_place_pair().divisor),
-    ], ids=["slant_p2_along_p3", "three_places_along_itself"])
-    def test_finite_place_lines(self, pair, direction):
+    @pytest.mark.parametrize("pair, direction, extra", [
+        (Pair(slant_divisor() + p_slant_divisor(2)), p_slant_divisor(3), ()),
+        (_three_place_pair(), _three_place_pair().divisor, ()),
+        # at t = 0 the window [-1, 1] ends on the roof breakpoints -1 and 1
+        # of two places
+        (Pair(_tents(0), BaseCondition({"0": 1, "inf": 1})),
+         p_slant_divisor(2), (F(0),)),
+        # at t = 0 the places at infinity and 3 break at x = 1, inside the
+        # window [-1, 2]
+        (Pair(_tents(0), BaseCondition({"0": 1})), p_slant_divisor(2), (F(0),)),
+        # at t = 0 the roof (1/2 - |x|) + log 3 (1 - |x|) is nonnegative at
+        # its one breakpoint 0 alone: both ends clipped, no whole segment
+        (Pair(_tents(F(-1, 2), shared=True)), p_slant_divisor(2), (F(0),)),
+        # at t = 0 every value on the window [-2, 2] is negative
+        (Pair(_tents(-5)), p_slant_divisor(2), (F(0),)),
+        # the base orders make the window the point 0 at t = 0
+        (Pair(_tents(0), BaseCondition({"0": 2, "inf": 2})),
+         p_slant_divisor(2), ()),
+        # 400-digit rows at two places, either way round
+        (Pair(_steep400()), slant_divisor() + p_slant_divisor(2), ()),
+        (Pair(slant_divisor() + p_slant_divisor(2)), _steep400(), ()),
+    ], ids=["slant_p2_along_p3", "three_places_along_itself", "window_ends_on_breakpoints",
+            "shared_breakpoint", "both_ends_clipped", "all_negative", "point_window",
+            "steep400_along_slant_p2", "slant_p2_along_steep400"])
+    def test_finite_place_lines(self, pair, direction, extra):
         ts = self._steps(pair, direction, random.Random(0))
         assert len(ts) == 28
-        assert self._check(pair, direction, ts) >= 2
+        assert self._check(pair, direction, ts + list(extra)) >= 2
+
+    def test_rational_volume_builds_no_roof(self, monkeypatch):
+        # a Fraction t on rational rows is one integer pass: no roof is
+        # built, summed, restricted or integrated
+        lines = [_Line(pair, direction) for pair, direction in (
+            (half_zero_pair(), height_shift(1)),
+            (Pair(slant_divisor() + p_slant_divisor(2)), p_slant_divisor(3)),
+            (_three_place_pair(), _three_place_pair().divisor))]
+        ts = [s * h for h in DEFAULT_HS for s in (1, -1)] + [F(0), F(-7, 3)]
+        want = [repr(line.volume(t)) for line in lines for t in ts]
+
+        def refuse(*args):
+            raise AssertionError("a Fraction t built a roof")
+
+        for owner, name in ((pa.ConcavePA, "_raw"), (pa.ConcavePA, "restrict"),
+                            (positivity, "_roof_sum"), (divisors, "_roof_sum"),
+                            (positivity, "integrate_positive_part"),
+                            (pa, "integrate_positive_part")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert [repr(line.volume(t)) for line in lines for t in ts] == want
 
 
 class TestDiskantReport:
