@@ -5,6 +5,7 @@ numbers, isoperimetric inequalities, and brute-force section-count oracles.
 
 from .divisors import (
     ARCH,
+    BaseCondition,
     Pair,
     ToricAdelicDivisor,
     as_pair,
@@ -36,14 +37,11 @@ from .harness import (
     suite_names,
 )
 from .pa import ConcavePA, ConvexPA, Interval, PAGeneral
-from .points import BaseCondition
 from .positivity import (
     Bracket,
     DiskantReport,
     adeg_product,
     avol,
-    circumradius,
-    inradius,
     is_big,
     is_nef,
     is_pseff,
@@ -92,12 +90,10 @@ __all__ = [
     "box_log_count",
     "canonical_potential",
     "check_differentiability",
-    "circumradius",
     "diskant_report",
     "exact",
     "half_zero_pair",
     "height_shift",
-    "inradius",
     "is_big",
     "is_nef",
     "is_pseff",

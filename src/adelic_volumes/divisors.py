@@ -14,6 +14,13 @@ The global roof of a divisor is the place-by-place Legendre transform of the
 divisor's polytope.  It is built once per divisor and kept on it; the global
 roof of a pair is that roof restricted to the polytope cut down by the base
 condition.  It is the integrand of every volume-type quantity downstream.
+
+A base condition prescribes vanishing orders for sections.  In the toric
+model it acts only through its orders at the two torus-fixed points, Zero
+and Infinity, so it is stored as those two rationals.  It is built from a
+mapping keyed by "0" or by "inf" (or "infinity", "oo"); the orders of one
+point's aliases add up.  Any other key raises InvalidPoint: a base condition
+at a non-toric closed point is outside the toric model.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from typing import Mapping, Sequence, Union
 
 from .errors import (
     EmptyPolytope,
+    InvalidPoint,
     NotEffectiveInput,
     UnboundedPerturbation,
 )
@@ -42,7 +50,6 @@ from .pa import (
     pointwise_min,
     unit_roof,
 )
-from .points import BaseCondition
 
 ARCH = "inf"
 
@@ -176,10 +183,6 @@ class ToricAdelicDivisor:
         self._canonical = None
         self._roof = None  # filled by roof(); not part of the value
 
-    @classmethod
-    def zero(cls) -> "ToricAdelicDivisor":
-        return cls(0, 0)
-
     @property
     def degree(self):
         return self.c0 + self.cinf
@@ -234,20 +237,12 @@ class ToricAdelicDivisor:
     def scale(self, a) -> "ToricAdelicDivisor":
         a = _coeff(a)
         if scalar_sign(a) == 0:
-            return ToricAdelicDivisor.zero()
+            return ToricAdelicDivisor(0, 0)
         pots = {place: pot.scale(a) for place, pot in self._potentials.items()}
         return ToricAdelicDivisor(a * self.c0, a * self.cinf, pots)
 
     def __sub__(self, other: "ToricAdelicDivisor") -> "ToricAdelicDivisor":
         return self.add(other.scale(-1))
-
-    def __mul__(self, a) -> "ToricAdelicDivisor":
-        return self.scale(a)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ToricAdelicDivisor":
-        return self.scale(-1)
 
     @property
     def is_effective(self) -> bool:
@@ -315,6 +310,68 @@ def min_adelic(divisors: Sequence[ToricAdelicDivisor]) -> ToricAdelicDivisor:
     return ToricAdelicDivisor(c0, cinf, pots)
 
 
+_LABELS = {"0": "0", "inf": "inf", "infinity": "inf", "oo": "inf"}
+
+# echoed labels are cut to this many characters of their repr
+_SHOWN_CHARS = 40
+
+
+def _label(key) -> str:
+    """The canonical label, "0" or "inf", of a base-condition key."""
+    if not isinstance(key, str):
+        raise InvalidPoint(f"a base-condition key is a label such as '0' or "
+                           f"'inf', got {type(key).__name__}")
+    label = _LABELS.get(key.strip())
+    if label is None:
+        shown = repr(key[:_SHOWN_CHARS + 1])
+        if len(shown) > _SHOWN_CHARS:
+            shown = shown[:_SHOWN_CHARS] + "..."
+        raise InvalidPoint(f"base-condition key {shown} is neither 0 nor inf: "
+                           "non-toric base conditions are outside the toric model")
+    return label
+
+
+class BaseCondition:
+    """Prescribed vanishing orders v0 at Zero and vinf at Infinity, rational
+    and possibly negative (ineffective)."""
+
+    __slots__ = ("v0", "vinf")
+
+    def __init__(self, entries: Mapping | None = None):
+        orders = {"0": Fraction(0), "inf": Fraction(0)}
+        for key, value in (entries or {}).items():
+            orders[_label(key)] += Fraction(value)
+        self.v0, self.vinf = orders["0"], orders["inf"]
+
+    @property
+    def is_zero(self) -> bool:
+        return not (self.v0 or self.vinf)
+
+    def __add__(self, other):
+        if not isinstance(other, BaseCondition):
+            return NotImplemented
+        return BaseCondition({"0": self.v0 + other.v0,
+                              "inf": self.vinf + other.vinf})
+
+    def scale(self, a) -> "BaseCondition":
+        a = Fraction(a)
+        return BaseCondition({"0": a * self.v0, "inf": a * self.vinf})
+
+    def __eq__(self, other):
+        if not isinstance(other, BaseCondition):
+            return NotImplemented
+        return (self.v0, self.vinf) == (other.v0, other.vinf)
+
+    __hash__ = None
+
+    def __repr__(self):
+        if self.is_zero:
+            return "BaseCondition(0)"
+        body = " + ".join(f"{v}[{label}]" for label, v in
+                          (("0", self.v0), ("inf", self.vinf)) if v)
+        return f"BaseCondition({body})"
+
+
 class Pair:
     """An adelic divisor together with a base condition on sections.
 
@@ -380,21 +437,6 @@ class Pair:
             return Pair(self.divisor.scale(a))
         a = Fraction(a)
         return Pair(self.divisor.scale(a), self.base.scale(a))
-
-    def __sub__(self, other: "Pair") -> "Pair":
-        return self.add(other.scale(-1))
-
-    def __mul__(self, a) -> "Pair":
-        return self.scale(a)
-
-    __rmul__ = __mul__
-
-    @property
-    def is_effective(self) -> bool:
-        if not self.divisor.is_effective:
-            return False
-        return (self.divisor.c0 >= self.base.v0
-                and self.divisor.cinf >= self.base.vinf)
 
     def perturb(self, place, phi) -> "Pair":
         """Add half of a bounded perturbation to the potential at one place.

@@ -45,7 +45,7 @@ exact piece beside 0 (:func:`eps_coefficients`).  eps has no float.
 
 A rational value has one type, ``fractions.Fraction``: every arithmetic
 result, and every coefficient from :func:`eps_coefficients`, is a Fraction
-exactly when it is rational (log terms that cancel, ``x * 0``, ``x ** 0``
+exactly when it is rational (log terms that cancel, ``x * 0``, ``x / x``
 included), and an ExactNumber otherwise.  ``exact(q)`` is the only way to
 hold a rational as an ExactNumber.  Fractions and ints mix freely with
 ExactNumbers in arithmetic and comparisons, and the ``scalar_*`` helpers at
@@ -787,16 +787,6 @@ class ExactNumber:
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         return ExactNumber(other) / self
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return 1 / (self ** (-exponent))
-        out = Fraction(1)
-        for _ in range(exponent):
-            out = self * out
-        return out
 
     def __abs__(self):
         return -self if self.sign() < 0 else _value(self._num, self._scale, self._den)

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .divisors import ARCH, Pair, ToricAdelicDivisor
+from .divisors import ARCH, BaseCondition, Pair, ToricAdelicDivisor
 from .pa import ConvexPA
-from .points import BaseCondition
 
 
 def slant_divisor() -> ToricAdelicDivisor:

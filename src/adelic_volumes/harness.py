@@ -25,13 +25,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .divisors import ARCH, Pair, ToricAdelicDivisor, as_pair, min_adelic
+from .divisors import ARCH, BaseCondition, Pair, ToricAdelicDivisor, as_pair, min_adelic
 from .errors import NotBig, NotConvex, UnknownSuite
 from .exactnum import EPS, eps_coefficients, log_unit, scalar_float, scalar_sign
 from .gallery import half_zero_pair, height_shift, p_slant_divisor, slant_divisor, tent_divisor
 from .pa import (ConvexPA, PAGeneral, _grid, _values_on_grid, abs_scalar, convex_envelope,
                  legendre_potential, legendre_roof)
-from .points import BaseCondition
 from .positivity import (
     DiskantReport,
     _as_divisor,

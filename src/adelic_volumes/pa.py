@@ -35,8 +35,11 @@ which keeps only the affine normal form.  The proofs relied on:
 * a canonical convex or concave function has a strict kink at each
   breakpoint, tails included, so its Legendre transform has strictly
   monotone slopes (:func:`legendre_roof`, :func:`legendre_potential`), and
-  so has a sum of such functions on the union of their kinks
-  (``ConvexPA.add``, ``ConcavePA.add``);
+  so has a sum of such functions with positive weights on the union of
+  their kinks (``ConvexPA.add``, ``ConcavePA.add``, the global roofs of
+  ``divisors._roof_sum`` and the rational line roofs of
+  ``positivity._Line``, where every interior key is a strict kink of one
+  place's roof);
 * the lower hull of :func:`convex_envelope` drops every point that is not
   strictly below its neighbours;
 * scaling by a nonzero factor keeps kinks and collinear triples (by a
@@ -45,9 +48,11 @@ which keeps only the affine normal form.  The proofs relied on:
   passed ``PAGeneral.is_convex`` is ConvexPA data already;
 * sorted breakpoints joined by strictly rising slopes, tails included, are
   strict kinks (``harness.sample_convex_potential``);
-* the hull of :func:`convex_envelope` drops collinear points, so the raw
-  rows of a line's twisted potential (``positivity._Line``) need no merge
-  before it.
+* the hull of :func:`convex_envelope`, and its integer form
+  ``positivity._integer_hull``, drops collinear points, so the raw rows of
+  a line's twisted potential (``positivity._Line``) need no merge before
+  it, and the slopes of its segments, a place's roof breakpoints, rise
+  strictly.
 
 On rational data every coordinate is a Fraction, and the cost is that of
 the Fraction operators.  So a few exact primitives read Fraction operands
@@ -65,10 +70,12 @@ and comparisons.  ``_nonneg_run`` reads signs only from each end of a
 concave function up to its first nonnegative value: concavity gives the
 rest.  The line kernel ``positivity._Line`` keeps a line's rows as
 integers over one denominator and runs the lower hull on them, with the
-sign tests of ``_turn`` and ``_tail_turn`` over common denominators; its
-volume at a rational t reads the roofs' breakpoints and values off the
-hulls as integers and forms the integral of ``integrate_positive_part``
-once, with no roof built.
+sign tests of ``_turn`` and ``_tail_turn`` over common denominators.  At a
+rational t it reads the roofs' breakpoints and values off the hulls as
+integers, merged on one grid: its volume forms the integral of
+``integrate_positive_part`` from them once, and its roof takes one
+Fraction, or one ``exactnum._from_coeffs`` value, per point; no place's
+roof is built.
 
 Roof values are Q-linear forms in 1, log 2, log 3, ... (and eps), stored
 as n / s with denominator polynomial 1.  ``_chord`` (the ends of
@@ -477,9 +484,11 @@ class ConcavePA:
         """Wrap a breakpoint list known to be canonical already (sorted,
         strictly decreasing slopes), skipping validation.  The callers and
         their proofs: ``legendre_roof`` (the potential's strictly rising
-        slopes and breakpoints), ``add`` and ``ToricAdelicDivisor.roof``
-        (every grid point is a strict kink of a summand), ``reflect`` and
-        ``restrict`` (cutting an affine piece leaves no collinear triple)."""
+        slopes and breakpoints), ``add``, ``ToricAdelicDivisor.roof`` and
+        the rational line roof of ``positivity._Line`` (every interior grid
+        point is a strict kink of a summand, or of one place's roof),
+        ``reflect`` and ``restrict`` (cutting an affine piece leaves no
+        collinear triple)."""
         obj = object.__new__(cls)
         obj.points = tuple(pts)
         return obj
@@ -790,10 +799,6 @@ class ConvexPA(_LinePA):
     def constant(cls, value) -> "ConvexPA":
         return cls([(Fraction(0), as_scalar(value))], 0, 0)
 
-    @classmethod
-    def affine(cls, slope, value_at_zero) -> "ConvexPA":
-        return cls([(Fraction(0), as_scalar(value_at_zero))], slope, slope)
-
     def add(self, other):
         if isinstance(other, ConvexPA):
             # each breakpoint of a summand is a strict kink of it, where the
@@ -865,9 +870,6 @@ class PAGeneral(_LinePA):
         # a nonzero factor keeps every kink and every collinear triple
         pts = [(x, a * y) for x, y in self.points]
         return PAGeneral._raw(pts, a * self.left_slope, a * self.right_slope)
-
-    def __neg__(self) -> "PAGeneral":
-        return self.scale(Fraction(-1))
 
     def is_convex(self) -> bool:
         pts = self.points

@@ -1,8 +1,8 @@
 """Positivity theory for toric adelic divisors and pairs: the nef cone,
 arithmetic volumes, Zariski positive parts, the bilinear intersection
 pairing in closed form on the potentials' breakpoints, positive intersection
-numbers, and the pseudo-effective thresholds behind the inradius/circumradius
-of a pair of pairs.
+numbers, and the pseudo-effective thresholds behind the inradius and
+circumradius of a pair of pairs (``DiskantReport.r`` and ``.R``).
 
 Everything here is exact.  Volumes and intersection numbers are rational, or
 symbolic combinations of log p when finite places contribute.  A threshold
@@ -246,7 +246,7 @@ def positive_intersection(pair, direction):
     return adeg_product(zar.positive, _as_divisor(direction))
 
 
-# -- thresholds, inradius, circumradius ------------------------------------
+# -- thresholds ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -260,10 +260,6 @@ class Bracket:
     @property
     def exact(self) -> bool:
         return self.lo == self.hi
-
-    @property
-    def width(self) -> Scalar:
-        return self.hi - self.lo
 
     @property
     def value(self) -> Scalar:
@@ -342,19 +338,19 @@ class _Line:
     On rational breakpoints and values a place keeps its rows as integers,
     u = X / U, pD(u) = P / C and pE(u) = Q / C (``_integer_rows``), and at
     t = n / m its hull runs on the integer points (X, P m + Q n)
-    (``_integer_hull``).  ``volume`` at a Fraction t, with every place's
-    rows, the coefficients and the base orders rational, is then one
-    integer pass (``_integer_volume``): the roofs' breakpoints, which are
-    the hulls' slopes, merged on one common denominator, the summed values
-    there as integer numerators (linear forms in the log p at finite
-    places), and twice the area of the positive part formed once.  It
-    builds no roof.  ``roof`` at a Fraction t builds each place's unit roof
-    from its hull (``_integer_roof``) and sums and restricts them as the
-    pair does (``_roof_sum``, ``restrict``).  Any other t or row (+-eps for
-    the jets, thresholds in Q(log p), symbolic tails) takes
+    (``_integer_hull``).  With every place's rows, the coefficients and the
+    base orders rational, a Fraction t is one integer pass (``_merged``):
+    the roofs' breakpoints, which are the hulls' slopes, merged between the
+    window's ends on one common denominator, and each place's value
+    numerators there, read off its hull.  ``volume`` forms twice the area
+    of the positive part from them once (``_integer_volume``), and ``roof``
+    takes one Fraction per point, or at finite places one ``_from_coeffs``
+    value; no place's roof is built, summed or restricted.  Any other t or
+    row (+-eps for the jets, thresholds in Q(log p), symbolic tails) takes
     ``convex_envelope`` and ``legendre_roof`` on the rows (u, pD(u), pE(u))
-    of ``rows()``, which are sorted and exact by construction, so they are
-    not checked again.
+    of ``rows()``, then ``_roof_sum`` and ``restrict`` as the pair does;
+    the rows are sorted and exact by construction, so they are not checked
+    again.
     """
 
     __slots__ = ("_c0", "_cinf", "_orders", "_places", "_rows", "_kernel")
@@ -393,8 +389,8 @@ class _Line:
                              for place, _, ints in self._places])
 
     def rows(self) -> list:
-        """Per place the rows (u, pD(u), pE(u)) on its grid, read off the
-        integer rows on first use."""
+        """Per place the rows (u, pD(u), pE(u)) on its grid, for the field
+        route, read off the integer rows on first use."""
         for i, rows in enumerate(self._rows):
             if rows is None:
                 xs, big_u, ps, c, qs = self._places[i][2]
@@ -410,11 +406,21 @@ class _Line:
         return c0, cinf, Interval.EMPTY if lo > hi else Interval(lo, hi)
 
     def roof(self, t):
-        c0, cinf, window = self._window(t)
-        if window.is_empty:
-            raise EmptyPolytope(f"the pair at t = {t} has an empty shifted "
-                                "polytope; no sections to count")
-        return self._roof(t, c0, cinf, window)
+        if type(t) is Fraction and self._kernel is not None:
+            grid, d, cols, den = self._merged(*t.as_integer_ratio())
+            if grid:
+                if len(cols) == 1:
+                    ys = [Fraction(y, den) for y in cols[0]]
+                else:
+                    monos = [mono for mono, _, _ in self._kernel[3]]
+                    ys = [_from_coeffs(dict(zip(monos, row)), den) for row in zip(*cols)]
+                return ConcavePA._raw([(Fraction(g, d), y) for g, y in zip(grid, ys)])
+        else:
+            c0, cinf, window = self._window(t)
+            if not window.is_empty:
+                return self._roof(t, c0, cinf, window)
+        raise EmptyPolytope(f"the pair at t = {t} has an empty shifted "
+                            "polytope; no sections to count")
 
     def volume(self, t):
         if type(t) is Fraction and self._kernel is not None:
@@ -425,44 +431,34 @@ class _Line:
         return 2 * integrate_positive_part(self._roof(t, c0, cinf, window))
 
     def _roof(self, t, c0, cinf, window):
-        exact = type(t) is type(c0) is type(cinf) is Fraction
-        if exact:
-            n, m = t.as_integer_ratio()
-        roofs = []
-        for i, (place, _, ints) in enumerate(self._places):
-            if exact and ints is not None:
-                roof = ConcavePA._raw(_integer_roof(ints, n, m, -cinf, c0))
-            else:
-                roof = legendre_roof(convex_envelope(PAGeneral._raw(
-                    [(u, a + t * b if b else a) for u, a, b in self.rows()[i]],
-                    -cinf, c0)))
-            roofs.append((place, roof))
+        roofs = [(place, legendre_roof(convex_envelope(PAGeneral._raw(
+                     [(u, a + t * b if b else a) for u, a, b in rows], -cinf, c0))))
+                 for (place, _, _), rows in zip(self._places, self.rows())]
         return _roof_sum(roofs[0][1], roofs[1:]).restrict(window)
 
-    def _integer_volume(self, n, m):
-        """volume(n / m) in one integer pass.
+    def _merged(self, n, m):
+        """The global roof at t = n / m on integers: (grid, d, cols, den),
+        the keys g of its breakpoints x = g / d in order, and per place the
+        numerators over den of its values there, unweighted; no key when
+        the window is empty, one when it is a point.
 
         The tails are ls = -cinf and rs = c0 of D + t E and the window is
         [lo, hi] = [ls + v0, rs - vinf], all over k m.  A place's unit roof
         has the breakpoints ls, s_1, ..., s_r, rs, s_j the slope of the
         hull's j-th segment, and on [s_j, s_j+1] it is y_j - x u_j, read
-        off hull point j (the active point).  The breakpoints inside the
-        window are merged over the places on one denominator d, as keys g
-        with x = g / d, between the window's ends; at each key the value of
-        place v is the numerator Y_j (e / C) d - g X_j (e / U) m over
-        e m d.  Twice the area of the positive part of their weighted sum
-        is that of ``integrate_positive_part``: (x2 - x1)(y1 + y2) over the
-        segments where it is nonnegative at both ends, and the clipped
-        ends (x2 - x1) y_in^2 / (y_in - y_out), summed over the one
-        denominator e m d^2 and formed once, as a Fraction or, at finite
-        places, by ``exactnum._affine_quotient_sum``.
+        off hull point j (the active point).  The keys are the window's
+        ends and the breakpoints inside it, merged over the places on one
+        denominator d; each is a strict kink of some place's roof, and the
+        weights are positive, so the sum is canonical on them.  At a key
+        the value of place v is the numerator Y_j (e / C) d - g X_j (e / U) m
+        over den = e m d.
         """
         k, (ci_d, ci_e, c0_d, c0_e, v0, vinf), e, scales = self._kernel
         km = k * m
         ls, rs = -ci_d * m - ci_e * n, c0_d * m + c0_e * n
         lo, hi = ls + v0 * m, rs - vinf * m
-        if lo >= hi:  # an empty window or a point
-            return Fraction(0)
+        if lo > hi:
+            return [], 1, [], 1
         # per place: its hull, the index of the point active at lo and the
         # slopes (sn, sd) of the breakpoints inside the window
         places, dens = [], [km]
@@ -484,7 +480,9 @@ class _Line:
         places = [(hull, start, [sn * (d // sd) for sn, sd in inside])
                   for hull, start, inside in places]
         keys = {g for _, _, inside in places for g in inside}
-        grid = [lo * (d // km), *sorted(keys), hi * (d // km)]
+        grid = [lo * (d // km)]
+        if lo < hi:
+            grid += [*sorted(keys), hi * (d // km)]
         # per place the value numerators at the keys, read off the active point
         cols = []
         for (hull, start, inside), (_, alpha, beta) in zip(places, scales):
@@ -495,7 +493,22 @@ class _Line:
                 x, y = hull[start + i]
                 col.append(y * a - g * x * b)
             cols.append(col)
-        den = e * m * d * d
+        return grid, d, cols, e * m * d
+
+    def _integer_volume(self, n, m):
+        """volume(n / m) in one integer pass over ``_merged``.  Twice the
+        area of the positive part of the weighted sum of the places' values
+        is that of ``integrate_positive_part``: (x2 - x1)(y1 + y2) over the
+        segments where it is nonnegative at both ends, and the clipped ends
+        (x2 - x1) y_in^2 / (y_in - y_out), summed over the one denominator
+        e m d^2 and formed once, as a Fraction or, at finite places, by
+        ``exactnum._affine_quotient_sum``.
+        """
+        grid, d, cols, den = self._merged(n, m)
+        if len(grid) < 2:  # an empty window or a point
+            return Fraction(0)
+        scales = self._kernel[3]
+        den *= d
         if len(cols) == 1:
             ys, sign = cols[0], scalar_sign
         else:
@@ -585,26 +598,6 @@ def _integer_hull(ints, n, m, ln, ld, rn, rd) -> list:
     return hull
 
 
-def _integer_roof(ints, n, m, ls, rs) -> list:
-    """legendre_roof(convex_envelope(rows at t = n / m with tails ls, rs))
-    as breakpoints, from the hull of ``_integer_hull``: each slope with the
-    value at 0 of its line, y - s u, one Fraction per coordinate."""
-    ln, ld = ls.as_integer_ratio()
-    rn, rd = rs.as_integer_ratio()
-    hull = _integer_hull(ints, n, m, ln, ld, rn, rd)
-    big_u, den = ints[1], ints[3] * m
-    x, y = hull[0]
-    out = [(ls, Fraction(y * big_u * ld - ln * x * den, den * big_u * ld))]
-    if ln * rd == rn * ld:  # globally affine: one point
-        return out
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        dx = (x2 - x1) * den
-        out.append((Fraction((y2 - y1) * big_u, dx), Fraction(y1 * x2 - y2 * x1, dx)))
-    x, y = hull[-1]
-    out.append((rs, Fraction(y * big_u * rd - rn * x * den, den * big_u * rd)))
-    return out
-
-
 def _fall_rate(line, t, roof, x, n):
     """The rate M at which g rises as t falls, g(t - s) = g(t) + M * s for
     small s > 0, read at the argmax x.
@@ -620,24 +613,29 @@ def _fall_rate(line, t, roof, x, n):
     For Fractions t = tn / tm and x = xn / xd on a place's integer rows
     (``_integer_rows``), pD - t pN - x u is
     ((P tm - tn Q) U xd - xn X C tm) / (C tm U xd) with a positive
-    denominator, so the active rows are read off the integer numerators.
+    denominator, so the active rows are read off the integer numerators,
+    and only they become Fractions.
     """
     exact = type(t) is type(x) is Fraction
     if exact:
         tn, tm = t.as_integer_ratio()
         xn, xd = x.as_integer_ratio()
     active = []
-    for (_, weight, ints), rows in zip(line._places, line.rows()):
+    for i, (_, weight, ints) in enumerate(line._places):
         if exact and ints is not None:
             xs, big_u, ps, c, qs = ints
             k1, k2 = big_u * xd, xn * c * tm
             ys = [(p * tm - tn * q) * k1 - k2 * u for u, p, q in zip(xs, ps, qs)]
+            y = min(ys)
+            rows = [(Fraction(q, c), Fraction(u, big_u))
+                    for u, q, yu in zip(xs, qs, ys) if yu == y]
         else:
+            rows = line.rows()[i]
             # pD - t * pN - x * u
             ys = [_on_line(u, _on_line(b, a, t), x) for u, a, b in rows]
-        y = min(ys)
-        active.append((weight, [(b, u) for (u, _, b), yu in zip(rows, ys)
-                                if yu == y]))
+            y = min(ys)
+            rows = [(b, u) for (u, _, b), yu in zip(rows, ys) if yu == y]
+        active.append((weight, rows))
     lo = -n.cinf if x == roof.points[0][0] else None
     hi = n.c0 if x == roof.points[-1][0] else None
     deltas = [e for e in (lo, hi) if e is not None] or [Fraction(0)]
@@ -648,17 +646,6 @@ def _fall_rate(line, t, roof, x, n):
                    for w, rows in active)
                for e in deltas
                if (lo is None or e >= lo) and (hi is None or e <= hi))
-
-
-def inradius(pair1, pair2) -> Bracket:
-    """Largest t with (pair1 - t * positive part of pair2) pseudo-effective."""
-    pos2 = zariski_positive_part(as_pair(pair2)).positive
-    return pseff_threshold(as_pair(pair1), pos2)
-
-
-def circumradius(pair1, pair2) -> Bracket:
-    """Reciprocal of the inradius with the roles swapped."""
-    return inradius(pair2, pair1).reciprocal()
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from adelic_volumes import divisors, exactnum, harness, pa, positivity
-from adelic_volumes.divisors import ARCH, Pair, ToricAdelicDivisor
+from adelic_volumes.divisors import ARCH, BaseCondition, Pair, ToricAdelicDivisor
 from adelic_volumes.errors import NotBig, UnknownSuite
 from adelic_volumes.exactnum import EPS, log_unit, scalar_float, scalar_sign
 from adelic_volumes.gallery import (
@@ -41,7 +41,6 @@ from adelic_volumes.harness import (
     suite_names,
 )
 from adelic_volumes.pa import ConvexPA
-from adelic_volumes.points import BaseCondition
 from adelic_volumes.positivity import _Line, avol, is_big, is_nef
 
 F = Fraction
@@ -271,18 +270,27 @@ class TestLineKernel:
         assert self._check(pair, direction, ts + list(extra)) >= 2
 
     def test_rational_volume_builds_no_roof(self, monkeypatch):
-        # a Fraction t on rational rows is one integer pass: no roof is
-        # built, summed, restricted or integrated
-        lines = [_Line(pair, direction) for pair, direction in (
-            (half_zero_pair(), height_shift(1)),
-            (Pair(slant_divisor() + p_slant_divisor(2)), p_slant_divisor(3)),
-            (_three_place_pair(), _three_place_pair().divisor))]
+        # a Fraction t on rational rows is one integer pass: the volume
+        # builds no roof, summed, restricted or integrated, and the roof
+        # builds no place's roof and neither sums nor restricts one
+        cases = [(half_zero_pair(), height_shift(1)),
+                 (Pair(slant_divisor() + p_slant_divisor(2)), p_slant_divisor(3)),
+                 (_three_place_pair(), _three_place_pair().divisor)]
+        lines = [_Line(pair, direction) for pair, direction in cases]
         ts = [s * h for h in DEFAULT_HS for s in (1, -1)] + [F(0), F(-7, 3)]
         want = [repr(line.volume(t)) for line in lines for t in ts]
+        built = [_outcome(Pair(pair.divisor + direction.scale(t), pair.base).global_roof)
+                 for pair, direction in cases for t in ts]
 
         def refuse(*args):
             raise AssertionError("a Fraction t built a roof")
 
+        with monkeypatch.context() as mp:
+            for owner, name in ((positivity, "_roof_sum"), (pa.ConcavePA, "restrict"),
+                                (positivity, "convex_envelope"), (pa, "convex_envelope"),
+                                (positivity, "legendre_roof"), (pa, "legendre_roof")):
+                mp.setattr(owner, name, refuse)
+            assert [_outcome(lambda: line.roof(t)) for line in lines for t in ts] == built
         for owner, name in ((pa.ConcavePA, "_raw"), (pa.ConcavePA, "restrict"),
                             (positivity, "_roof_sum"), (divisors, "_roof_sum"),
                             (positivity, "integrate_positive_part"),

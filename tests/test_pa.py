@@ -196,7 +196,6 @@ class TestConvexPA:
         ConvexPA([(0, 0)], 1, 1)  # globally affine is fine
         # ... and stored the same way wherever it is anchored
         assert ConvexPA([(0, 0)], 1, 1) == ConvexPA([(1, 1)], 1, 1)
-        assert ConvexPA.affine(1, 0) == ConvexPA([(3, 3)], 1, 1)
 
     def test_eval_with_tails(self):
         f = ConvexPA([(0, 0), (1, 1)], -1, 2)
@@ -276,7 +275,7 @@ class TestLegendre:
         assert legendre_potential(roof) == pot
 
     def test_affine_potential_point_roof(self):
-        pot = ConvexPA.affine(F(1, 2), F(3))
+        pot = ConvexPA([(F(0), F(3))], F(1, 2), F(1, 2))
         roof = legendre_roof(pot)
         assert roof.domain == Interval(F(1, 2), F(1, 2))
         assert roof(F(1, 2)) == 3
@@ -508,9 +507,9 @@ _window_fracs = st.one_of(
 
 @given(convex_potentials(), convex_potentials(), general_potentials(),
        _coords, _window_fracs, _window_fracs)
-@example(ConvexPA.affine(1, 2), ConvexPA([(F(1), F(1))], -1, 1),
+@example(ConvexPA([(F(0), 2)], 1, 1), ConvexPA([(F(1), F(1))], -1, 1),
          PAGeneral([(F(0), F(1)), (F(1), F(2))], 1, 1), F(2), F(0), F(1))
-@example(ConvexPA.affine(1, 2), ConvexPA.affine(F(1, 2), -1),
+@example(ConvexPA([(F(0), 2)], 1, 1), ConvexPA([(F(0), -1)], F(1, 2), F(1, 2)),
          PAGeneral([(F(0), F(0))], 0, 1), F(-1), F(1, 2), F(1, 2))
 @settings(max_examples=150, deadline=None)
 def test_raw_call_sites_are_canonical(f, g, h, a, t1, t2):
@@ -519,7 +518,7 @@ def test_raw_call_sites_are_canonical(f, g, h, a, t1, t2):
     _assert_canonical(legendre_potential(roof))
     _assert_canonical(convex_envelope(h))
     _assert_canonical(f + g)
-    _assert_canonical(f + ConvexPA.affine(a, a))
+    _assert_canonical(f + ConvexPA([(F(0), a)], a, a))
     _assert_canonical(f.as_general())
     _assert_canonical(h + f.as_general())
     _assert_canonical(pointwise_min([h, f]))
@@ -558,8 +557,8 @@ def test_windowed_transform_checks_the_window():
     with pytest.raises(EmptyDomain):
         legendre_potential(roof, Interval.EMPTY)
     # a point window gives the affine potential of slope the point
-    assert legendre_potential(roof, Interval(L2, L2)) == ConvexPA.affine(
-        L2, roof(L2))
+    assert legendre_potential(roof, Interval(L2, L2)) == ConvexPA(
+        [(F(0), roof(L2))], L2, L2)
 
 
 def test_checking_constructors_still_check():
@@ -1006,7 +1005,7 @@ def test_sum_on_grid_primitive(f, g, extra):
 
 
 @given(line_pas(ConvexPA), line_pas(ConvexPA))
-@example(ConvexPA.affine(1, 2), ConvexPA([(F(1), F(1))], -1, 1))
+@example(ConvexPA([(F(0), 2)], 1, 1), ConvexPA([(F(1), F(1))], -1, 1))
 @settings(max_examples=100, deadline=None)
 def test_convex_add_pass(f, g):
     # the operator route: the kinked summands' breakpoint grid, each point

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adelic_volumes.positivity as positivity
-from adelic_volumes.divisors import ARCH, Pair, ToricAdelicDivisor
+from adelic_volumes.divisors import ARCH, BaseCondition, Pair, ToricAdelicDivisor
 from adelic_volumes.errors import NotBig, NotNef
 from adelic_volumes.exactnum import exact, log_unit
 from adelic_volumes.gallery import (
@@ -43,13 +43,10 @@ from adelic_volumes.pa import (
     legendre_roof,
     unit_roof,
 )
-from adelic_volumes.points import BaseCondition
 from adelic_volumes.positivity import (
     Bracket,
     adeg_product,
     avol,
-    circumradius,
-    inradius,
     is_big,
     is_nef,
     is_pseff,
@@ -331,14 +328,13 @@ class TestPositiveIntersection:
 class TestBracket:
     def test_exact(self):
         b = Bracket(F(1, 2), F(1, 2))
-        assert b.exact and b.width == 0 and b.value == F(1, 2)
+        assert b.exact and b.value == F(1, 2)
         assert float(b) == 0.5
         assert repr(b) == "Bracket(1/2)"
 
     def test_interval(self):
         b = Bracket(F(1, 4), F(1, 2))
         assert not b.exact
-        assert b.width == F(1, 4)
         assert b.value == F(3, 8)
         assert "1/4" in repr(b) and "1/2" in repr(b)
 
@@ -350,14 +346,20 @@ class TestBracket:
             Bracket(F(0), F(1)).reciprocal()
 
 
+def _inradius(pair1, pair2):
+    """DiskantReport.r: the threshold of pair1 against the positive part of
+    pair2 (the circumradius R is the reciprocal with the roles swapped)."""
+    return pseff_threshold(pair1, zariski_positive_part(pair2).positive)
+
+
 class TestThresholds:
     def test_inradius_circumradius_frozen(self):
         E1, E2 = Pair(slant_divisor()), Pair(tent_divisor())
-        r = inradius(E1, E2)
+        r = _inradius(E1, E2)
         assert r.exact and r.value == F(1, 2)
-        r = inradius(E2, E1)
+        r = _inradius(E2, E1)
         assert r.exact and r.value == 1
-        R = circumradius(E1, E2)
+        R = _inradius(E2, E1).reciprocal()
         assert R.exact and R.value == 1
 
     def test_threshold_direct(self):
@@ -366,8 +368,8 @@ class TestThresholds:
 
     def test_proportional(self):
         E1 = Pair(slant_divisor())
-        assert inradius(E1, E1.scale(2)).value == F(1, 2)
-        assert circumradius(E1, E1.scale(2)).value == F(1, 2)
+        assert _inradius(E1, E1.scale(2)).value == F(1, 2)
+        assert _inradius(E1.scale(2), E1).reciprocal().value == F(1, 2)
 
     def test_diskant_of_one_pair_object(self):
         # the CLI passes one object for two equal scene paths; what that
@@ -713,13 +715,13 @@ class TestThresholdNewton:
     def test_cap_size_pairs_frozen(self, first, second, want):
         # the CI scene and a 6-digit random potential, 48 breakpoints each
         scenes = {"ci": _cap_divisor(), "r6": _cap_divisor(digits=6, seed=1)}
-        got = inradius(Pair(scenes[first]), Pair(scenes[second]))
+        got = _inradius(Pair(scenes[first]), Pair(scenes[second]))
         assert got.lo == got.hi == want
         assert repr(got.lo) == repr(want)
 
     def test_cap_size_pair_with_a_finite_place_frozen(self):
         pair = Pair(_cap_divisor() + p_slant_divisor(2))
-        got = inradius(pair, Pair(_cap_divisor(digits=6, seed=1))).value
+        got = _inradius(pair, Pair(_cap_divisor(digits=6, seed=1))).value
         L2 = log_unit(2)
         assert got == ((4337360732481 + 265552697907 * L2)
                        / (4337361949181 + 177035131938 * L2))

@@ -22,7 +22,7 @@ import adelic_volumes.harness as harness
 import adelic_volumes.scenes as scenes_mod
 import adelic_volumes.sections as sections
 from adelic_volumes.cli import main
-from adelic_volumes.divisors import Pair
+from adelic_volumes.divisors import BaseCondition, Pair
 from adelic_volumes.errors import InvalidPoint
 from adelic_volumes.gallery import (
     half_zero_pair,
@@ -31,7 +31,6 @@ from adelic_volumes.gallery import (
     slant_divisor,
     tent_divisor,
 )
-from adelic_volumes.points import BaseCondition
 from adelic_volumes.scenes import load_scene, save_scene, scene_from_dict, scene_to_dict
 from adelic_volumes.sections import volume_estimate
 

@@ -33,11 +33,10 @@ from adelic_volumes.gallery import (
     slant_divisor,
     tent_divisor,
 )
-from adelic_volumes.divisors import Pair
+from adelic_volumes.divisors import BaseCondition, Pair
 from adelic_volumes.exactnum import floor_fraction, log_unit, scalar_fraction
 from adelic_volumes.harness import sample_big_pair
 from adelic_volumes.pa import Interval, _eval_on_grid
-from adelic_volumes.points import BaseCondition
 from adelic_volumes.scenes import save_scene, scene_from_dict
 from adelic_volumes.sections import (
     BoxEntry,
