@@ -4,8 +4,8 @@ Walking the slant divisor along a constant height shift crosses a wall:
 the volume is 1 + 2r for r >= 0 but (1 + r)^2 for r < 0.  The function
 is C^1 there (both one-sided derivatives equal 2) while the second
 derivative jumps from 2 to 0.  The report reads each one-sided piece off
-a single volume at slant +- eps * shift, with eps a positive
-infinitesimal, so both sides come out exactly.  In general position no
+one exact integer pass of the volume at slant +- eps * shift, with eps a
+positive infinitesimal, so both sides come out exactly.  In general position no
 wall is crossed and the certified central difference equals the exact
 derivative 2 <positive part . direction> on the nose.
 
@@ -39,7 +39,7 @@ def main() -> None:
         print(f"{str(row.h):>8}  {str(row.forward):>10}"
               f"  {str(row.backward):>10}  {str(row.central):>10}")
     print()
-    print("one volume each at slant + eps * shift and slant - eps * shift:")
+    print("one integer pass each at slant + eps * shift and slant - eps * shift:")
     print(f"exact right derivative : {rep.exact_right}"
           f"   (t^2 coefficient {rep.quad_right})")
     print(f"exact left derivative  : {rep.exact_left}"

@@ -125,7 +125,7 @@ def _roof_sum(arch_roof: ConcavePA, finite: Sequence) -> ConcavePA:
     built.
 
     With rational finite roofs and archimedean values polynomial in the
-    logs and eps, each value is a linear form built once from its integer
+    logs, each value is a linear form built once from its integer
     coefficients; otherwise the places are summed in the order given
     through the field."""
     if not finite:

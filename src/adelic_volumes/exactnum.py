@@ -1,4 +1,4 @@
-"""Exact scalars in the field Q(log 2, log 3, ...)(eps).
+"""Exact scalars in the field Q(log 2, log 3, ...).
 
 Quantities produced by toric arithmetic on the projective line are rational
 linear combinations of 1 and logarithms of primes, together with the products
@@ -7,7 +7,6 @@ of clipped triangles).  All of it lives in the fraction field of the polynomial
 ring Q[log 2, log 3, ...], which this module implements directly, over Z:
 
 * a monomial is a sorted tuple of primes with multiplicity, ``()`` meaning 1;
-  the key ``0`` stands for eps (see below) and sorts before every prime;
 * a polynomial is a dict monomial -> nonzero int;
 * a number is n / (s * d): n and d polynomials, s a positive int with
   gcd(content(n), s) = 1, and d primitive with a positive value, or the
@@ -35,21 +34,13 @@ between products of prime logarithms; the ladder is capped and raises
 :class:`~adelic_volumes.errors.PrecisionExhausted` rather than loop forever on
 such a miracle.  ``float`` reads the same rungs.
 
-:data:`EPS` is a positive infinitesimal, as in simulation of simplicity
-(Edelsbrunner and Muecke, ACM TOG 1990).  Its key 0 is not prime, so no
-scene, place or :func:`log_unit` call can make it.  A polynomial with eps
-and coefficients of both signs takes the sign of its lowest eps-degree
-coefficient, decided by the ladder above.  So a computation at D + eps*E
-takes every branch it takes at D + t*E for all small t > 0, and returns the
-exact piece beside 0 (:func:`eps_coefficients`).  eps has no float.
-
 A rational value has one type, ``fractions.Fraction``: every arithmetic
-result, and every coefficient from :func:`eps_coefficients`, is a Fraction
-exactly when it is rational (log terms that cancel, ``x * 0``, ``x / x``
-included), and an ExactNumber otherwise.  ``exact(q)`` is the only way to
-hold a rational as an ExactNumber.  Fractions and ints mix freely with
-ExactNumbers in arithmetic and comparisons, and the ``scalar_*`` helpers at
-the bottom give call sites one vocabulary for "Fraction or ExactNumber".
+result is a Fraction exactly when it is rational (log terms that cancel,
+``x * 0``, ``x / x`` included), and an ExactNumber otherwise.  ``exact(q)``
+is the only way to hold a rational as an ExactNumber.  Fractions and ints
+mix freely with ExactNumbers in arithmetic and comparisons, and the
+``scalar_*`` helpers at the bottom give call sites one vocabulary for
+"Fraction or ExactNumber".
 
 A value whose d is 1, such as every global-roof value (a Q-linear form in
 1, log 2, log 3, ...), has exactly one canonical n / s.  So callers that
@@ -76,7 +67,6 @@ Poly = dict  # dict[Mono, int]
 
 _UNIT = {(): 1}  # the denominator of every value whose d is 1
 
-_EPS = 0  # the monomial key of eps
 _PRECISION_BITS = 64
 _SIGN_BITS = 128  # the first rung of the sign ladder
 _PRECISION_CAP = 1 << 13
@@ -162,15 +152,10 @@ def _poly_bounds(poly: Poly, bits: int) -> tuple:
     return lo, hi, top
 
 
-def _has_eps(poly: Poly) -> bool:
-    return any(mono and mono[0] == _EPS for mono in poly)
-
-
 def _poly_sign(poly: Poly) -> int:
     """The sign of a polynomial, by the ladder: uniform coefficient signs,
-    then the lowest eps layer, then the rungs of ``_poly_bounds`` from
-    ``_SIGN_BITS`` bits, doubled up to ``_PRECISION_CAP``, past which
-    PrecisionExhausted is raised."""
+    then the rungs of ``_poly_bounds`` from ``_SIGN_BITS`` bits, doubled up
+    to ``_PRECISION_CAP``, past which PrecisionExhausted is raised."""
     if not poly:
         return 0
     # every monomial is a product of log p > 0, so uniform coefficient signs
@@ -182,10 +167,6 @@ def _poly_sign(poly: Poly) -> int:
             break
     else:
         return 1 if positive else -1
-    if _has_eps(poly):
-        low = min(m.count(_EPS) for m in poly)
-        return _poly_sign({m[low:]: c for m, c in poly.items()
-                           if m.count(_EPS) == low})
     bits = _SIGN_BITS
     while bits <= _PRECISION_CAP:
         lo, hi, _ = _poly_bounds(poly, bits)
@@ -210,7 +191,7 @@ def _lin(a: Poly, x: int, b: Poly, y: int) -> Poly:
         if v:
             out[m] = v
         else:
-            del out[m]
+            out.pop(m, None)
     return out
 
 
@@ -327,24 +308,18 @@ def _order(mono: Mono) -> tuple:
     return len(mono), mono
 
 
-def _zpoint(f: dict) -> int:
-    """f at the integer point where each log p is p and eps is 1."""
-    # eps has the key 0, and no prime is 0
-    return sum(c * (prod(m) or prod(m[m.count(_EPS):])) for m, c in f.items())
-
-
 def _zdivide(f: dict, g: dict):
     """The exact quotient f / g in Z[log 2, ...], or None when g does not
     divide f.
 
-    A screen runs first: with X the point of ``_zpoint``, f = g q in
-    Z[eps, log 2, ...] gives f(X) = g(X) q(X) with q(X) an integer, so a
-    nonzero g(X) that does not divide f(X) proves that g does not divide
-    f, and None comes back with no division.  Otherwise long division by
+    A screen runs first: with X the integer point where each log p is p,
+    f = g q in Z[log 2, ...] gives f(X) = g(X) q(X) with q(X) an integer,
+    so a nonzero g(X) that does not divide f(X) proves that g does not
+    divide f, and None comes back with no division.  Otherwise long division by
     leading terms in ``_order``; every quotient exponent is capped by the
     degrees of f minus those of g, so it ends either way."""
-    gx = _zpoint(g)
-    if gx and _zpoint(f) % gx:
+    gx = sum(c * prod(m) for m, c in g.items())
+    if gx and sum(c * prod(m) for m, c in f.items()) % gx:
         return None
     lead_g = max(g, key=_order)
     c_g = g[lead_g]
@@ -448,15 +423,8 @@ def _cancel(num: Poly, den: Poly) -> tuple:
 
 
 def _mono_str(mono: Mono) -> str:
-    parts = []
-    seen: dict = {}
-    for p in mono:
-        seen[p] = seen.get(p, 0) + 1
-    for p in sorted(seen):
-        e = seen[p]
-        name = "eps" if p == _EPS else f"log({p})"
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+    return "*".join(f"log({p})" + (f"^{mono.count(p)}" if mono.count(p) > 1 else "")
+                    for p in sorted(set(mono)))
 
 
 def _poly_str(poly: Poly, scale: int = 1) -> str:
@@ -574,8 +542,7 @@ def _affine_quotient_sum(num: Poly, s: int, terms):
     """The canonical value of num / s plus the sum of a / (b l) over the
     terms (a, b, l), built once: num, a and l integer polynomials (zero
     entries allowed), s and b positive ints, each l of positive value and
-    constant or affine; None when an l has an eps term or a degree above 1,
-    for the caller's operator route.
+    constant or affine; None, for the operator route, past degree 1.
 
     The denominator is s times the product of the primitive parts of the
     nonconstant l.  A primitive affine form is irreducible in
@@ -593,7 +560,7 @@ def _affine_quotient_sum(num: Poly, s: int, terms):
         a = _mul(a, _product(parts))
         if len(prim) == 1 and () in prim:
             num = _lin(num, b * c, a, s)
-        elif _pdegree(prim) > 1 or _has_eps(prim):
+        elif _pdegree(prim) > 1:
             return None
         else:
             num = _lin(_mul(num, prim), b * c, a, s)
@@ -611,7 +578,7 @@ def _linear_combination(base, pairs):
     """base + sum t c over the pairs (t, c), built once by
     ``_affine_quotient_sum``: base and every c a Fraction or a value whose
     d is 1, every t a Fraction or an ExactNumber; None when a t's
-    denominator has an eps term or a degree above 1."""
+    denominator has a degree above 1."""
     n0, s0 = _poly_parts(base)
     terms = []
     for t, c in pairs:
@@ -632,7 +599,7 @@ def _product(polys) -> Poly:
 def _poly_parts(x):
     """(n, s) with x = n / s, n an integer polynomial read in place (not to
     be mutated), for a Fraction or an ExactNumber whose d is 1 (a
-    polynomial in the logs and eps); None for any other value."""
+    polynomial in the logs); None for any other value."""
     if type(x) is Fraction:
         a, s = x.as_integer_ratio()
         return ({(): a} if a else {}), s
@@ -697,7 +664,7 @@ def _diff_sign(n1, s1, d1, n2, s2, d2) -> int:
 
 
 class ExactNumber:
-    """An element of Q(log 2, log 3, ...)(eps), stored as n / (s * d) for
+    """An element of Q(log 2, log 3, ...), stored as n / (s * d) for
     integer polynomials n and d and a positive int s."""
 
     __slots__ = ("_num", "_scale", "_den")
@@ -831,10 +798,8 @@ class ExactNumber:
         quotient round to one float, which is then the rounding of the
         value; an irrational value is never a tie, so this ends, and past
         ``_PRECISION_CAP`` bits PrecisionExhausted is raised, as for a
-        sign.  ValueError for a value that contains eps."""
+        sign."""
         num, den = self._num, self._den
-        if _has_eps(num) or _has_eps(den):
-            raise ValueError(f"{self!r} contains eps; it has no float")
         bits = _SIGN_BITS
         while bits <= _PRECISION_CAP:
             nlo, nhi, kn = _poly_bounds(num, bits)
@@ -877,40 +842,6 @@ def exact(value: ScalarLike) -> ExactNumber:
 
 def log_unit(prime: int) -> ExactNumber:
     return ExactNumber.log_unit(prime)
-
-
-EPS = _value({(_EPS,): 1}, 1, _UNIT)
-
-
-def _eps_layers(poly: Poly, scale: int) -> list:
-    """The coefficients of poly / scale in eps, lowest degree first, free of
-    eps."""
-    layers: dict = {}
-    for mono, c in poly.items():
-        k = mono.count(_EPS)
-        layers.setdefault(k, {})[mono[k:]] = c
-    return [_scaled(layers.get(k, {}), 1, scale, _UNIT)
-            for k in range(max(layers, default=0) + 1)]
-
-
-def eps_coefficients(x: ScalarLike, count: int) -> list:
-    """[c_0, ..., c_{count-1}], free of eps, with x = sum c_k eps^k.
-
-    ValueError unless x is a polynomial in eps of degree below count.  The
-    quotient x need not be cancelled: its numerator is divided by its
-    denominator as polynomials in eps, and a nonzero remainder raises.  A
-    rational coefficient is a Fraction, as every arithmetic result is."""
-    x = ExactNumber(x)
-    rem, den = _eps_layers(x._num, x._scale), _eps_layers(x._den, 1)
-    m = len(den) - 1
-    quo = [Fraction(0)] * max(count, len(rem) - m)
-    for i in range(len(rem) - 1 - m, -1, -1):
-        quo[i] = q = rem[i + m] / den[m]
-        for j, d in enumerate(den):
-            rem[i + j] = rem[i + j] - q * d
-    if len(quo) > count or any(rem):
-        raise ValueError(f"{x!r} is not a polynomial in eps of degree below {count}")
-    return quo
 
 
 def scalar_sign(x: Scalar) -> int:

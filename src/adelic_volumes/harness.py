@@ -4,15 +4,14 @@ randomized property suites.
 
 The volume of a pair along a line of divisors is piecewise quadratic with
 exact rational (or symbolic-log) values, so derivative checks can be exact:
-each one-sided quadratic piece beside 0 is one volume at D +- eps*E, with
-eps the positive infinitesimal of :mod:`~adelic_volumes.exactnum`, and in
-general position the central difference at a fixed step equals the analytic
-value on the nose.  Every volume along a line (the jets, the
-finite-difference table, the sampler's general-position test) is read off
-the line kernel of :mod:`~adelic_volumes.positivity` (``_Line``), which
-reads the line's potentials once and evaluates each t from scratch: a
-rational t (the table, the sampler) in one integer pass that builds no
-roof, t = +-eps (the jets) through the roofs over Q(log p)(eps).
+each one-sided quadratic piece beside 0 (a "jet") is one volume at
+t = +-eps, with eps a positive infinitesimal, and in general position the
+central difference at a fixed step equals the analytic value on the nose.
+Every volume along a line (the jets, the finite-difference table, the
+sampler's general-position test) is read off the line kernel of
+:mod:`~adelic_volumes.positivity` (``_Line``), which reads the line's
+potentials once and evaluates each t from scratch in one integer pass that
+builds no roof: a rational t, or t = +-eps (``_Line.jet``).
 Random samplers keep heights small (numerators and denominators at most 16,
 at most two finite places) so exact arithmetic stays fast while the
 piecewise structure is genuinely exercised.
@@ -27,7 +26,7 @@ from fractions import Fraction
 
 from .divisors import ARCH, BaseCondition, Pair, ToricAdelicDivisor, as_pair, min_adelic
 from .errors import NotBig, NotConvex, UnknownSuite
-from .exactnum import EPS, eps_coefficients, log_unit, scalar_float, scalar_sign
+from .exactnum import log_unit, scalar_float, scalar_sign
 from .gallery import half_zero_pair, height_shift, p_slant_divisor, slant_divisor, tent_divisor
 from .pa import (ConvexPA, PAGeneral, _grid, _values_on_grid, abs_scalar, convex_envelope,
                  legendre_potential, legendre_roof)
@@ -64,7 +63,7 @@ class FiniteDifferenceRow:
 class DerivativeReport:
     """The volume t -> avol(D + tE) beside t = 0: exact one-sided
     derivatives exact_right/left and t^2 coefficients quad_right/left of its
-    quadratic pieces (one volume over Q(log p)(eps) per side, never None),
+    quadratic pieces (one integer pass at t = +-eps per side, never None),
     the analytic value (twice the positive intersection against E), and the
     finite-difference table at DEFAULT_HS as an independent oracle: each of
     its volumes is evaluated from scratch through the line kernel, and none
@@ -96,23 +95,18 @@ class DerivativeReport:
         return not bool(self.quad_right == self.quad_left)
 
 
-def _jet(line: _Line, sign: int) -> list:
-    """[v0, b, quad] with v0 + b t + quad t^2 the volume at
-    D + sign * t * E for small t > 0: one volume at t = eps."""
-    return eps_coefficients(line.volume(sign * EPS), 3)
-
-
 def check_differentiability(pair, direction) -> DerivativeReport:
     """The derivative report of the volume along the direction beside the
     pair: the jets and the table rows at +-h are volumes of one line
-    kernel, built once; each is evaluated from scratch."""
+    kernel, built once; each is evaluated from scratch.  ValueError for
+    data outside Q, which only a library caller can pass."""
     pair = as_pair(pair)
     direction = _as_divisor(direction)
     if not is_big(pair):
         raise NotBig(f"{pair!r} is not big")
     line = _Line(pair, direction)
-    v0, b_r, a_r = _jet(line, +1)
-    _, b_l, a_l = _jet(line, -1)
+    v0, b_r, a_r = line.jet(+1)
+    _, b_l, a_l = line.jet(-1)
     rows = []
     for h in DEFAULT_HS:
         up, down = line.volume(h), line.volume(-h)

@@ -77,8 +77,8 @@ integers, merged on one grid: its volume forms the integral of
 Fraction, or one ``exactnum._from_coeffs`` value, per point; no place's
 roof is built.
 
-Roof values are Q-linear forms in 1, log 2, log 3, ... (and eps), stored
-as n / s with denominator polynomial 1.  ``_chord`` (the ends of
+Roof values are Q-linear forms in 1, log 2, log 3, ..., stored as n / s
+with denominator polynomial 1.  ``_chord`` (the ends of
 ``ConcavePA.restrict``) and :func:`integrate_positive_part` read them with
 ``exactnum._poly_parts``, sum per monomial over Z and build each result
 once with ``exactnum._from_coeffs``.  The clipped ends of the integral,
@@ -332,8 +332,8 @@ def _poly_sum(*terms) -> dict:
 def _chord(p, q, x) -> Scalar:
     """y_p + (y_q - y_p) (x - x_p) / (x_q - x_p), the value at x of the
     chord through p and q.  With Fraction x coordinates and values that are
-    polynomials in the logs and eps (d = 1, Fractions included), the
-    numerator is summed per monomial over Z and built once."""
+    polynomials in the logs (d = 1, Fractions included), the numerator is
+    summed per monomial over Z and built once."""
     (x0, y0), (x1, y1) = p, q
     if type(x0) is type(x1) is type(x) is Fraction:
         a0, b0 = x0.as_integer_ratio()
@@ -1080,10 +1080,10 @@ def integrate_positive_part(f: ConcavePA) -> Scalar:
     is halved once.  The sign-change roots themselves are never formed.  The
     result is a Fraction for rational data and an ExactNumber otherwise.
 
-    With rational x and values polynomial in the logs and eps (d = 1), the
+    With rational x and values polynomial in the logs (d = 1), the
     unclipped part is summed per monomial over Z, and with the clipped ends
     it makes one quotient over the clip denominators L = y_in - y_out,
-    built once by ``exactnum._affine_quotient_sum``; an L with an eps term
+    built once by ``exactnum._affine_quotient_sum``; an L of degree above 1
     sends the clipped ends through the field operators.
     """
     pts = f.points
@@ -1118,7 +1118,7 @@ def integrate_positive_part(f: ConcavePA) -> Scalar:
         return Fraction(n, 2 * d)
     ys = xr and [_poly_parts(y) for _, y in run_pts]
     if ys and all(ys):
-        # rational x = a/b, values polynomial in the logs and eps, y = n/s:
+        # rational x = a/b, values polynomial in the logs, y = n/s:
         # twice the unclipped area is the sum of y_i (x_i+1 - x_i-1), each
         # end weighted by its one segment, summed per monomial over Z
         rows = ys[clip_lo:len(ys) - clip_hi]

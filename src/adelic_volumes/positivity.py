@@ -339,14 +339,15 @@ class _Line:
     u = X / U, pD(u) = P / C and pE(u) = Q / C (``_integer_rows``), and at
     t = n / m its hull runs on the integer points (X, P m + Q n)
     (``_integer_hull``).  With every place's rows, the coefficients and the
-    base orders rational, a Fraction t is one integer pass (``_merged``):
+    base orders rational, a rational t is one integer pass (``_merged``):
     the roofs' breakpoints, which are the hulls' slopes, merged between the
     window's ends on one common denominator, and each place's value
     numerators there, read off its hull.  ``volume`` forms twice the area
-    of the positive part from them once (``_integer_volume``), and ``roof``
-    takes one Fraction per point, or at finite places one ``_from_coeffs``
-    value; no place's roof is built, summed or restricted.  Any other t or
-    row (+-eps for the jets, thresholds in Q(log p), symbolic tails) takes
+    of the positive part from them once (``_volume``), and ``roof`` takes
+    one Fraction per point, or at finite places one ``_from_coeffs``
+    value; no place's roof is built, summed or restricted.  ``jet`` runs
+    it at t = +-eps (``_Eps``); without it both raise ValueError.  ``roof``
+    at any other t or row (thresholds in Q(log p), symbolic tails) takes
     ``convex_envelope`` and ``legendre_roof`` on the rows (u, pD(u), pE(u))
     of ``rows()``, then ``_roof_sum`` and ``restrict`` as the pair does;
     the rows are sorted and exact by construction, so they are not checked
@@ -375,7 +376,7 @@ class _Line:
             weight = Fraction(1) if place == ARCH else log_unit(place)
             self._places.append((place, weight, ints))
             self._rows.append(rows)
-        # the integer pass of ``volume``: the tails and base orders as
+        # the integer pass of ``_merged``: the tails and base orders as
         # integers over one denominator k, and per place the monomial of
         # its weight with the factors that bring its values to one
         # denominator e, for a multiple e of every U and C
@@ -398,13 +399,6 @@ class _Line:
                                  for x, p, q in zip(xs, ps, qs)]
         return self._rows
 
-    def _window(self, t):
-        """c0 and cinf of D + t E and its shifted polytope."""
-        c0, cinf = _on_line(*self._c0, t), _on_line(*self._cinf, t)
-        v0, vinf = self._orders
-        lo, hi = -cinf + v0, c0 - vinf
-        return c0, cinf, Interval.EMPTY if lo > hi else Interval(lo, hi)
-
     def roof(self, t):
         if type(t) is Fraction and self._kernel is not None:
             grid, d, cols, den = self._merged(*t.as_integer_ratio())
@@ -416,25 +410,26 @@ class _Line:
                     ys = [_from_coeffs(dict(zip(monos, row)), den) for row in zip(*cols)]
                 return ConcavePA._raw([(Fraction(g, d), y) for g, y in zip(grid, ys)])
         else:
-            c0, cinf, window = self._window(t)
-            if not window.is_empty:
-                return self._roof(t, c0, cinf, window)
+            # c0 and cinf of D + t E, and its shifted polytope [lo, hi]
+            c0, cinf = _on_line(*self._c0, t), _on_line(*self._cinf, t)
+            lo, hi = -cinf + self._orders[0], c0 - self._orders[1]
+            if lo <= hi:
+                roofs = [(place, legendre_roof(convex_envelope(PAGeneral._raw(
+                             [(u, a + t * b if b else a) for u, a, b in rows], -cinf, c0))))
+                         for (place, _, _), rows in zip(self._places, self.rows())]
+                return _roof_sum(roofs[0][1], roofs[1:]).restrict(Interval(lo, hi))
         raise EmptyPolytope(f"the pair at t = {t} has an empty shifted "
                             "polytope; no sections to count")
 
     def volume(self, t):
-        if type(t) is Fraction and self._kernel is not None:
-            return self._integer_volume(*t.as_integer_ratio())
-        c0, cinf, window = self._window(t)
-        if window.is_empty or window.is_point:
-            return Fraction(0)
-        return 2 * integrate_positive_part(self._roof(t, c0, cinf, window))
+        """avol at a rational t: one integer pass (``_merged``, ``_volume``)."""
+        n, m = t.as_integer_ratio()
+        return self._volume(n, m, 1)[0]
 
-    def _roof(self, t, c0, cinf, window):
-        roofs = [(place, legendre_roof(convex_envelope(PAGeneral._raw(
-                     [(u, a + t * b if b else a) for u, a, b in rows], -cinf, c0))))
-                 for (place, _, _), rows in zip(self._places, self.rows())]
-        return _roof_sum(roofs[0][1], roofs[1:]).restrict(window)
+    def jet(self, sign):
+        """[v0, b, quad] with v0 + b s + quad s^2 the volume at t = sign * s
+        for all small s > 0: the pass at n = sign * eps, m = 1."""
+        return self._volume(_Eps((0, sign, 0)), 1, 3)
 
     def _merged(self, n, m):
         """The global roof at t = n / m on integers: (grid, d, cols, den),
@@ -451,8 +446,10 @@ class _Line:
         denominator d; each is a strict kink of some place's roof, and the
         weights are positive, so the sum is canonical on them.  At a key
         the value of place v is the numerator Y_j (e / C) d - g X_j (e / U) m
-        over den = e m d.
+        over den = e m d; at n = +-eps (``jet``) keys and numerators are ``_Eps``.
         """
+        if self._kernel is None:
+            raise ValueError("the line has data outside Q; its volumes have no integer pass")
         k, (ci_d, ci_e, c0_d, c0_e, v0, vinf), e, scales = self._kernel
         km = k * m
         ls, rs = -ci_d * m - ci_e * n, c0_d * m + c0_e * n
@@ -495,18 +492,20 @@ class _Line:
             cols.append(col)
         return grid, d, cols, e * m * d
 
-    def _integer_volume(self, n, m):
-        """volume(n / m) in one integer pass over ``_merged``.  Twice the
-        area of the positive part of the weighted sum of the places' values
-        is that of ``integrate_positive_part``: (x2 - x1)(y1 + y2) over the
-        segments where it is nonnegative at both ends, and the clipped ends
-        (x2 - x1) y_in^2 / (y_in - y_out), summed over the one denominator
-        e m d^2 and formed once, as a Fraction or, at finite places, by
-        ``exactnum._affine_quotient_sum``.
-        """
+    def _volume(self, n, m, layers):
+        """The volume at t = n / m, as its coefficients [c_0, ...,
+        c_{layers-1}] in eps (one layer at a rational t, three for a jet):
+        twice the area of the positive part as ``integrate_positive_part``
+        takes it, w (y1 + y2) over the segments of width w nonnegative at
+        both ends and the clipped ends w y_in^2 / (y_in - y_out) = y_in^2 / r.
+        The roof's fall r on a segment is fixed by its active abscissae, so
+        r = l_k / w_k for the lowest nonzero layer w_k of w (k = 1 for width
+        0 at t = 0) and the same layer l_k of y_in - y_out.  Each coefficient
+        is formed once over the denominator e m d^2, as a Fraction or, at
+        finite places, by ``exactnum._affine_quotient_sum``."""
         grid, d, cols, den = self._merged(n, m)
         if len(grid) < 2:  # an empty window or a point
-            return Fraction(0)
+            return [Fraction(0)] * layers
         scales = self._kernel[3]
         den *= d
         if len(cols) == 1:
@@ -514,10 +513,10 @@ class _Line:
         else:
             ys = [{mono: y for (mono, _, _), y in zip(scales, row) if y}
                   for row in zip(*cols)]
-            sign = _poly_sign
+            sign = _poly_sign if layers == 1 else _layered_sign
         run = _nonneg_run(ys, sign)
         if run is None:
-            return Fraction(0)
+            return [Fraction(0)] * layers
         first, last, sign_first, sign_last = run
         clips = []
         if first > 0 and sign_first > 0:
@@ -531,12 +530,79 @@ class _Line:
             num, q = sums[0], 1
             for w, y_in, y_out in clips:
                 lin = y_in - y_out
+                if type(w) is _Eps:
+                    k = 0 if w[0] else 1
+                    w, lin = w[k], lin[k]
                 num, q = num * lin + w * y_in * y_in * q, q * lin
-            return Fraction(num, den * q)
-        return _affine_quotient_sum(
-            {mono: s for (mono, _, _), s in zip(scales, sums)}, den,
-            [({mo: w * v for mo, v in _mul(y_in, y_in).items()}, den,
-              _poly_sum((1, y_in), (-1, y_out))) for w, y_in, y_out in clips])
+            if layers == 1:
+                return [Fraction(num, den * q)]
+            return [Fraction(_layer(num, j), den * q) for j in range(layers)]
+        ends = []
+        for w, y_in, y_out in clips:
+            lin = _poly_sum((1, y_in), (-1, y_out))
+            if type(w) is _Eps:
+                k = 0 if w[0] else 1
+                w, lin = w[k], {mono: c[k] for mono, c in lin.items()}
+            ends.append((w, lin, _mul(y_in, y_in)))
+        return [_affine_quotient_sum(
+                    {mono: _layer(c, j) for (mono, _, _), c in zip(scales, sums)}, den,
+                    [({mono: w * _layer(c, j) for mono, c in sq.items()}, den, lin)
+                     for w, lin, sq in ends])
+                for j in range(layers)]
+
+
+def _lifted(op):
+    """The tuple comparison op, with an int o read as (o, 0, 0)."""
+    return lambda self, o: op(self, o if type(o) is _Eps else (o, 0, 0))
+
+
+class _Eps(tuple):
+    """c_0 + c_1 eps + c_2 eps^2 for a positive infinitesimal eps, as the
+    tuple (c_0, c_1, c_2), whose order is its order.  ``_Line.jet`` runs
+    ``_merged`` and ``_integer_hull`` at n = +-eps, m = 1, a simulation of
+    simplicity on integers (Edelsbrunner and Muecke, ACM TOG 9, 1990): each
+    test there is affine in n, so it is decided as at every small t of that
+    sign; ``_volume`` multiplies two affine values at most."""
+
+    def __add__(self, o):
+        d, e, f = o if type(o) is _Eps else (o, 0, 0)
+        return _Eps((self[0] + d, self[1] + e, self[2] + f))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Eps((-self[0], -self[1], -self[2]))
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        a, b, c = self
+        d, e, f = o if type(o) is _Eps else (o, 0, 0)
+        return _Eps((a * d, a * e + b * d, a * f + b * e + c * d))
+
+    __rmul__ = __mul__
+
+    __lt__, __le__, __gt__, __ge__ = (_lifted(op) for op in (
+        tuple.__lt__, tuple.__le__, tuple.__gt__, tuple.__ge__))
+
+    def __bool__(self):
+        return any(self)
+
+
+def _layer(x, j: int) -> int:
+    """The coefficient of eps^j in an int or an ``_Eps``."""
+    return x[j] if type(x) is _Eps else (0 if j else x)
+
+
+def _layered_sign(poly) -> int:
+    """The sign of a form in the logs over ``_Eps``: layer 0 decides, by
+    ``_poly_sign``, and layer 1 only on a tie."""
+    signs = (_poly_sign({mono: c[j] for mono, c in poly.items() if c[j]}) for j in (0, 1))
+    return next((s for s in signs if s), 0)
 
 
 def _integer_rows(pd, pe):

@@ -36,7 +36,7 @@ from adelic_volumes.errors import (
     NotEffectiveInput,
     UnboundedPerturbation,
 )
-from adelic_volumes.exactnum import EPS, ExactNumber, exact, log_unit
+from adelic_volumes.exactnum import ExactNumber, exact, log_unit
 from adelic_volumes.gallery import (
     half_zero_pair,
     height_shift,
@@ -599,7 +599,7 @@ def _roofs_on(draw, lo, hi, values):
 
 
 _arch_values = st.one_of(st.just(F(0)), _q,
-                         st.builds(lambda q, c: q + c * EPS, _q, _tiny),
+                         st.builds(lambda q, c: q + c * log_unit(11), _q, _tiny),
                          st.builds(lambda q, c: q + c * log_unit(2), _q, _tiny))
 # a quotient makes a place's values leave the polynomials: the field route
 _finite_values = st.one_of(st.just(F(0)), _q, _q, _q,

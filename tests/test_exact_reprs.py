@@ -7,7 +7,11 @@ the positive intersection and both derivative jets.  A change to the exact
 field must reproduce them byte for byte: the canonical form of a quotient is
 part of every printed result.
 
-Regenerate the file, only for an intended change of results, with
+``tests/data/jet_reprs.json`` holds the typed reprs of both jets
+(``_Line.jet``) on 300 more sampled lines, finite places on odd seeds, as
+recorded when each jet was one volume over the field Q(log p)(eps).
+
+Regenerate the files, only for an intended change of results, with
 
     PYTHONPATH=src python3 tests/test_exact_reprs.py
 """
@@ -19,28 +23,34 @@ from pathlib import Path
 import pytest
 
 from adelic_volumes.divisors import ARCH, place_label
-from adelic_volumes.harness import _jet, sample_big_pair, sample_direction
+from adelic_volumes.harness import sample_big_pair, sample_direction
 from adelic_volumes.positivity import (_Line, avol, positive_intersection,
                                        zariski_positive_part)
 
 DATA = Path(__file__).parent / "data" / "exact_reprs.json"
 COUNT = 60
+JETS = Path(__file__).parent / "data" / "jet_reprs.json"
+JET_COUNT = 300
 
 
 def _typed(x):
     return [type(x).__name__, repr(x)]
 
 
-def record(seed: int) -> dict:
-    """The typed reprs of one sampled instance.  Odd seeds draw until the
-    pair or the direction has a finite place."""
-    rng = random.Random(f"exact-reprs:{seed}")
-    finite = seed % 2 == 1
+def _draw(rng, finite: bool) -> tuple:
+    """A sampled pair and direction; with finite, drawn until one of them
+    has a finite place."""
     while True:
         pair = sample_big_pair(rng, allow_finite=finite)
         direction = sample_direction(rng, allow_finite=finite)
         if not finite or set(pair.divisor.places + direction.places) - {ARCH}:
-            break
+            return pair, direction
+
+
+def record(seed: int) -> dict:
+    """The typed reprs of one sampled instance.  Odd seeds draw until the
+    pair or the direction has a finite place."""
+    pair, direction = _draw(random.Random(f"exact-reprs:{seed}"), seed % 2 == 1)
     zar = zariski_positive_part(pair)
     positive = zar.positive
     line = _Line(pair, direction)
@@ -53,9 +63,26 @@ def record(seed: int) -> dict:
         "zariski_potentials": [[place_label(v)] + _typed(positive.potential(v))
                                for v in (ARCH,) + positive.places],
         "positive_intersection": _typed(positive_intersection(pair, direction)),
-        "jet_right": [_typed(c) for c in _jet(line, +1)],
-        "jet_left": [_typed(c) for c in _jet(line, -1)],
+        "jet_right": [_typed(c) for c in line.jet(+1)],
+        "jet_left": [_typed(c) for c in line.jet(-1)],
     }
+
+
+def record_jets(seed: int) -> dict:
+    """The pair, the direction and the typed reprs of both jets of one
+    sampled line; odd seeds draw until one of them has a finite place."""
+    pair, direction = _draw(random.Random(f"jet-reprs:{seed}"), seed % 2 == 1)
+    line = _Line(pair, direction)
+    return {
+        "pair": repr(pair),
+        "direction": repr(direction),
+        "jet_right": [_typed(c) for c in line.jet(+1)],
+        "jet_left": [_typed(c) for c in line.jet(-1)],
+    }
+
+
+def _jet_text() -> str:
+    return json.dumps({str(s): record_jets(s) for s in range(JET_COUNT)}, indent=1) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +101,16 @@ def test_reprs_are_byte_identical(recorded, seed):
     assert record(seed) == recorded[str(seed)]
 
 
+def test_jet_reprs_are_byte_identical():
+    want = JETS.read_text()
+    recorded_jets = json.loads(want)
+    assert len(recorded_jets) == JET_COUNT
+    assert all("log(" in json.dumps(recorded_jets[str(seed)])
+               for seed in range(1, JET_COUNT, 2))
+    assert _jet_text() == want
+
+
 if __name__ == "__main__":
     DATA.write_text(json.dumps({str(s): record(s) for s in range(COUNT)},
                                indent=1) + "\n")
+    JETS.write_text(_jet_text())

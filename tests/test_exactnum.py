@@ -18,10 +18,8 @@ from adelic_volumes import exactnum
 from adelic_volumes.divisors import as_place
 from adelic_volumes.errors import PrecisionExhausted
 from adelic_volumes.exactnum import (
-    EPS,
     ExactNumber,
     default_precision_bits,
-    eps_coefficients,
     exact,
     floor_fraction,
     log_unit,
@@ -248,66 +246,11 @@ def test_log_bounds_enclose_mpmath(p):
         bits *= 2
 
 
-class TestEpsilon:
-    """eps is a positive infinitesimal: below every positive element of
-    Q(log 2, log 3, ...), and decided by its lowest-degree coefficient."""
-
-    def test_signs(self):
-        assert scalar_sign(EPS) == 1
-        assert scalar_sign(-EPS) == -1
-        assert scalar_sign(EPS - Fraction(1, 2**1000)) == -1
-        assert scalar_sign(EPS * L2 - EPS * EPS) == 1
-        assert scalar_sign(EPS * (L3 - L2) - 5 * EPS * EPS) == 1
-        assert scalar_sign(EPS * (Fraction(1585, 1000) * L2 - L3) - 1000 * EPS * EPS) == 1
-        assert scalar_sign((L2 - L3) * EPS * EPS + EPS * EPS * EPS) == -1
-        assert EPS > 0 and EPS < Fraction(1, 2**1000) and EPS * EPS < EPS
-
-    def test_quotients_order(self):
-        # (1 - eps) / (1 + eps) is below 1 but above every 1 - 2^-k
-        x = (1 - EPS) / (1 + EPS)
-        assert x < 1 and x > 1 - Fraction(1, 2**60)
-        assert 1 / EPS > 10**100
-
-    def test_no_float(self):
-        for x in (EPS, L2 + EPS, L2 / (1 + EPS)):
-            with pytest.raises(ValueError, match="eps"):
-                float(x)
-
-    def test_repr(self):
-        assert repr(EPS) == "eps"
-        assert repr(EPS * L2 - EPS * EPS) == "-eps^2 + eps*log(2)"
-
-    def test_zero_is_not_a_place(self):
-        with pytest.raises(ValueError):
-            log_unit(0)
-        with pytest.raises(ValueError):
-            as_place(0)
-
-    def test_coefficients(self):
-        assert eps_coefficients(Fraction(3, 2), 3) == [Fraction(3, 2), 0, 0]
-        x = L2 + 2 * EPS - L3 * EPS * EPS
-        c0, c1, c2 = eps_coefficients(x, 3)
-        assert c0 == L2 and c2 == -L3
-        assert isinstance(c1, Fraction) and c1 == 2
-        assert eps_coefficients((EPS * EPS - 1) / (EPS + 1), 3) == [-1, 1, 0]
-
-    @pytest.mark.parametrize("x", [
-        1 / (1 + EPS), EPS / (L2 + EPS), EPS * EPS * EPS + EPS])
-    def test_not_a_polynomial_of_low_degree(self, x):
-        with pytest.raises(ValueError, match="polynomial in eps"):
-            eps_coefficients(x, 3)
-
-    def test_coefficients_of_an_uncancelled_quotient(self, monkeypatch):
-        # with every gcd candidate rejected the quotient stays uncancelled;
-        # the read-out divides it out and still returns the coefficients
-        g = EPS * L2 + L3 + 1
-        p = L5 * EPS * EPS + EPS + L2
-        monkeypatch.setattr(exactnum, "_zdivide", lambda f, h: None)
-        x = (g * p) / g
-        assert x._den != {(): 1}  # uncancelled
-        assert eps_coefficients(x, 3) == [L2, 1, L5]
-        with pytest.raises(ValueError, match="polynomial in eps"):
-            eps_coefficients(p / g, 3)
+def test_zero_is_not_a_place():
+    with pytest.raises(ValueError):
+        log_unit(0)
+    with pytest.raises(ValueError):
+        as_place(0)
 
 
 _small = st.fractions(
@@ -348,16 +291,6 @@ def test_rational_results_are_fractions():
         assert r == want
     _assert_one_type(L2 * L2)
     _assert_one_type(1 / L2)
-    # the coefficients of jets, rational ones among them
-    jets = [((1 + 2 * EPS) * (3 - EPS), [3, 5, -2]),
-            (L2 + 2 * EPS + (L3 - L3) * EPS * EPS, [L2, 2, 0]),
-            ((L2 + L2 * EPS) / L2, [1, 1, 0]),
-            ((EPS * EPS - 1) / (EPS + 1), [-1, 1, 0])]
-    for x, want in jets:
-        got = eps_coefficients(x, 3)
-        assert got == want
-        for c in got:
-            _assert_one_type(c)
 
 
 @given(_small, _small, _small, _small, _small, _small, _small)
@@ -482,8 +415,8 @@ def _p(*terms):
 @example(_p(((), 1)), _p(((3, 5), 2), ((2,), -1)), _p(((2,), 1), ((5,), 6)))
 # only a common monomial: log 2 log 3 over log 2 log 5
 @example(_p(((3,), 1)), _p(((5,), 1)), _p(((2,), 1)))
-# an affine denominator in eps: eps + log 2
-@example(_p(((3,), 1), ((0,), 1)), _p(((), 1)), _p(((0,), 1), ((2,), 1)))
+# an affine denominator in a further log: log 2 + log 7
+@example(_p(((3,), 1), ((7,), 1)), _p(((), 1)), _p(((2,), 1), ((7,), 1)))
 # 6 log 5 - 3 log 2 - 3 log 3 has a zero image: with log 2 and log 3 set
 # to 31 it is 6 (log 5 - 31), and the next point is 31 again
 @example(_p(((2,), -3), ((3,), -3), ((5,), 6)), _p(((), 1)), _p(((2, 2), 1)))
@@ -757,8 +690,8 @@ def test_arithmetic_matches_sympy(pn, pd, qn, qd, kind):
 # Results must agree in type, repr and stored parts (a repr alone does not
 # show whether s and the content of n were reduced).
 
-# monomials of the roof values: 1, eps, logs, and products of two
-_LINEAR_MONOS = [(), (0,), (2,), (3,), (0, 0), (0, 2), (2, 3)]
+# monomials of the roof values: 1, logs, and products of two
+_LINEAR_MONOS = [(), (2,), (3,), (7,), (7, 7), (2, 7), (2, 3)]
 _zint = st.one_of(st.integers(-3, 3), st.integers(-2**200, 2**200), st.just(0))
 
 
@@ -767,7 +700,7 @@ def _ref_from_coeffs(coeffs, s):
     for mono, c in coeffs.items():
         term = Fraction(c)
         for p in mono:
-            term = term * (EPS if p == 0 else log_unit(p))
+            term = term * log_unit(p)
         total = total + term
     return total / s
 
@@ -784,7 +717,7 @@ def _same_parts(got, want):
        st.integers(1, 30), st.booleans())
 @example({(): 6, (2,): 0, (3,): 0}, 4, 1, False)      # zero columns: a Fraction
 @example({(2,): 0}, 1, 1, False)                       # every column zero
-@example({(): 3, (2,): 6, (0, 2): 9}, 12, 5, False)    # content against s
+@example({(): 3, (2,): 6, (2, 7): 9}, 12, 5, False)    # content against s
 @example({(2,): 2**200, (3,): -(2**199)}, 2**201, 1, False)
 @example({(): 1, (2,): 1}, 3, 7, True)                 # only the constant left
 @settings(max_examples=300, deadline=None)
@@ -797,12 +730,21 @@ def test_from_coeffs_matches_the_field_sum(coeffs, s, k, constant_only):
     _same_parts(got, _ref_from_coeffs(coeffs, s * k))
 
 
+def test_affine_quotient_sum_takes_zero_entries():
+    # a zero entry of a term's numerator for a monomial that the sum so far
+    # lacks (a layer of a jet's clipped end) adds nothing
+    got = exactnum._affine_quotient_sum({(): 1}, 1, [({(2,): 0, (): 1}, 1, {(): 1})])
+    assert type(got) is Fraction and got == 2
+    got = exactnum._affine_quotient_sum({}, 2, [({(3,): 0, (2,): 3}, 1, {(): 1, (5,): 0})])
+    assert got == 3 * L2
+
+
 def test_poly_parts_reads_polynomials_only():
     assert exactnum._poly_parts(Fraction(-3, 4)) == ({(): -3}, 4)
     assert exactnum._poly_parts(Fraction(0)) == ({}, 1)
-    x = Fraction(1, 6) * L2 - EPS / 4
+    x = Fraction(1, 6) * L2 - log_unit(7) / 4
     n, s = exactnum._poly_parts(x)
-    assert (n, s) == (x._num, 12) and n == {(2,): 2, (0,): -3}
+    assert (n, s) == (x._num, 12) and n == {(2,): 2, (7,): -3}
     assert exactnum._poly_parts(L2 / (1 + L3)) is None
     assert exactnum._poly_parts(3) is None
 
@@ -810,7 +752,7 @@ def test_poly_parts_reads_polynomials_only():
 # -- the screened exact division --------------------------------------------
 #
 # _zdivide first compares f and g at the integer point where each log p is
-# p and eps is 1: g | f forces g(X) | f(X).  The reference is the long
+# p: g | f forces g(X) | f(X).  The reference is the long
 # division alone.
 
 
@@ -842,18 +784,18 @@ def _long_division(f, g):
     return quo
 
 
-# affine forms in eps, log 2, log 3 and log 5, and polynomials of degree up
-# to 3 in them
-_AFFINE_MONOS = [(), (0,), (2,), (3,), (5,)]
-_EPS_MONOS = [m for k in range(4) for m in combinations_with_replacement((0, 2, 3, 5), k)]
+# affine forms in log 2, log 3, log 5 and log 7, and polynomials of degree
+# up to 3 in them
+_AFFINE_MONOS = [(), (2,), (3,), (5,), (7,)]
+_MONOS = [m for k in range(4) for m in combinations_with_replacement((2, 3, 5, 7), k)]
 _nonzero = st.one_of(st.integers(-9, 9), st.integers(-2**80, 2**80)).filter(bool)
 _affine = st.dictionaries(st.sampled_from(_AFFINE_MONOS), _nonzero, min_size=1, max_size=4)
-_eps_polys = st.dictionaries(st.sampled_from(_EPS_MONOS), _nonzero, min_size=1, max_size=6)
+_polys = st.dictionaries(st.sampled_from(_MONOS), _nonzero, min_size=1, max_size=6)
 
 
-@given(_affine, _eps_polys)
+@given(_affine, _polys)
 # g(X) = 0 at the point (log 3 -> 3): the screen is skipped
-@example(_p(((3,), 1), ((), -3)), _p(((2,), 5), ((0, 3), 1)))
+@example(_p(((3,), 1), ((), -3)), _p(((2,), 5), ((3, 7), 1)))
 # g(X) = +-1: every f(X) passes the screen
 @example(_p(((2,), 1), ((), -1)), _p(((5, 5), 2)))
 @settings(max_examples=300, deadline=None)
@@ -861,8 +803,8 @@ def test_zdivide_recovers_the_quotient(g, q):
     assert exactnum._zdivide(exactnum._mul(g, q), g) == q
 
 
-@given(_eps_polys, st.one_of(_affine, _eps_polys), _eps_polys,
-       st.one_of(st.just({}), _eps_polys))
+@given(_polys, st.one_of(_affine, _polys), _polys,
+       st.one_of(st.just({}), _polys))
 @example(_p(((2,), 1), ((), 1)), _p(((3,), 1), ((), 1)), _p(((), 1)), {})
 @settings(max_examples=300, deadline=None)
 def test_screened_zdivide_is_long_division(f, g, q, r):

@@ -19,7 +19,7 @@ import pytest
 from adelic_volumes import divisors, exactnum, harness, pa, positivity
 from adelic_volumes.divisors import ARCH, BaseCondition, Pair, ToricAdelicDivisor
 from adelic_volumes.errors import NotBig, UnknownSuite
-from adelic_volumes.exactnum import EPS, log_unit, scalar_float, scalar_sign
+from adelic_volumes.exactnum import log_unit, scalar_float, scalar_sign
 from adelic_volumes.gallery import (
     half_zero_pair,
     height_shift,
@@ -29,7 +29,6 @@ from adelic_volumes.gallery import (
 )
 from adelic_volumes.harness import (
     DEFAULT_HS,
-    _jet,
     check_differentiability,
     diskant_report,
     run_suite,
@@ -41,7 +40,7 @@ from adelic_volumes.harness import (
     suite_names,
 )
 from adelic_volumes.pa import ConvexPA
-from adelic_volumes.positivity import _Line, avol, is_big, is_nef
+from adelic_volumes.positivity import _Line, avol, is_big, is_nef, zariski_positive_part
 
 F = Fraction
 L3 = log_unit(3)
@@ -105,13 +104,39 @@ class TestDerivativeReport:
             pair = Pair(slant_divisor() + p_slant_divisor(2))
             direction = p_slant_divisor(3)
             line = _Line(pair, direction)
-            return [_jet(line, sign) for sign in (1, -1)]
+            return [line.jet(sign) for sign in (1, -1)]
 
         want = jets()
         monkeypatch.setattr(exactnum, "_zdivide", lambda f, h: None)
         got = jets()
         assert all(bool(a == b) for u, v in zip(want, got) for a, b in zip(u, v))
         assert want[0][2] == L3 and want[1][1] == -want[0][1]
+
+    def test_clip_of_zero_width_at_zero(self):
+        # along p_slant(3) - 1 the place at 3 breaks at x = 1 and the window
+        # ends at 1 + t, where the roof is -t: at t = +eps the roof crosses
+        # zero on [1, 1 + eps], a clipped segment of width 0 at t = 0, whose
+        # end is read at the eps layer of its width
+        pair, direction = Pair(slant_divisor()), p_slant_divisor(3) + height_shift(-1)
+        line = _Line(pair, direction)
+        (a1, b1, _), (a2, b2, _) = line._merged(positivity._Eps((0, 1, 0)), 1)[0][-2:]
+        assert a1 == a2 and b1 < b2
+        right, left = line.jet(1), line.jet(-1)
+        assert right == [1, 2 * L3, (L3 * L3 - L3 - 1) / (1 + L3)]
+        assert left == [1, -2 * L3, L3 * L3]
+        for sign, jet in ((1, right), (-1, left)):
+            fit = _fit_oracle(pair, direction, sign)
+            assert all(bool(a == b) for a, b in zip(fit[1:], (sign * jet[1], jet[2])))
+        rep = check_differentiability(pair, direction)
+        assert rep.derivative == rep.analytic == 2 * L3 and rep.curvature_jump
+
+    def test_refuses_a_line_outside_q(self):
+        # the positive part's window ends at (1 + 2 log 2) / (1 + log 2)
+        pair = Pair(slant_divisor() + p_slant_divisor(2) + height_shift(-1))
+        positive = Pair(zariski_positive_part(pair).positive)
+        with pytest.raises(ValueError, match="outside Q") as info:
+            check_differentiability(positive, height_shift(1))
+        assert "\n" not in str(info.value)
 
 
 def _fit_oracle(pair, direction, sign):
@@ -199,11 +224,11 @@ class TestLineKernel:
 
     @staticmethod
     def _steps(pair, direction, rng) -> list:
-        """The table's steps, +-eps, six random rationals and, when E has a
+        """The table's steps, six random rationals and, when E has a
         nonzero degree, the t where the window is a point and one past it,
         where it is empty; the window's width does not move with t
         otherwise."""
-        ts = [s * h for h in DEFAULT_HS for s in (1, -1)] + [EPS, -EPS]
+        ts = [s * h for h in DEFAULT_HS for s in (1, -1)]
         ts += [F(rng.randint(-64, 64), rng.randint(1, 64)) for _ in range(6)]
         deg = direction.degree
         if deg:
@@ -236,7 +261,7 @@ class TestLineKernel:
             direction = sample_direction(rng, allow_finite=seed % 2 == 1)
             finite += bool(set(pair.divisor.places + direction.places) - {ARCH})
             ts = self._steps(pair, direction, rng)
-            empty += len(ts) > 26
+            empty += len(ts) > 24
             zeros += self._check(pair, direction, ts)
         assert finite >= 20 and empty >= 40 and zeros >= 2 * empty
 
@@ -266,24 +291,26 @@ class TestLineKernel:
             "steep400_along_slant_p2", "slant_p2_along_steep400"])
     def test_finite_place_lines(self, pair, direction, extra):
         ts = self._steps(pair, direction, random.Random(0))
-        assert len(ts) == 28
+        assert len(ts) == 26
         assert self._check(pair, direction, ts + list(extra)) >= 2
 
     def test_rational_volume_builds_no_roof(self, monkeypatch):
         # a Fraction t on rational rows is one integer pass: the volume
         # builds no roof, summed, restricted or integrated, and the roof
-        # builds no place's roof and neither sums nor restricts one
+        # builds no place's roof and neither sums nor restricts one; both
+        # jets are the same pass at t = +-eps and build no roof either
         cases = [(half_zero_pair(), height_shift(1)),
                  (Pair(slant_divisor() + p_slant_divisor(2)), p_slant_divisor(3)),
                  (_three_place_pair(), _three_place_pair().divisor)]
         lines = [_Line(pair, direction) for pair, direction in cases]
         ts = [s * h for h in DEFAULT_HS for s in (1, -1)] + [F(0), F(-7, 3)]
         want = [repr(line.volume(t)) for line in lines for t in ts]
+        jets = [repr(c) for line in lines for sign in (1, -1) for c in line.jet(sign)]
         built = [_outcome(Pair(pair.divisor + direction.scale(t), pair.base).global_roof)
                  for pair, direction in cases for t in ts]
 
         def refuse(*args):
-            raise AssertionError("a Fraction t built a roof")
+            raise AssertionError("the integer pass built a roof")
 
         with monkeypatch.context() as mp:
             for owner, name in ((positivity, "_roof_sum"), (pa.ConcavePA, "restrict"),
@@ -294,9 +321,12 @@ class TestLineKernel:
         for owner, name in ((pa.ConcavePA, "_raw"), (pa.ConcavePA, "restrict"),
                             (positivity, "_roof_sum"), (divisors, "_roof_sum"),
                             (positivity, "integrate_positive_part"),
-                            (pa, "integrate_positive_part")):
+                            (pa, "integrate_positive_part"),
+                            (positivity, "convex_envelope"), (pa, "convex_envelope"),
+                            (positivity, "legendre_roof"), (pa, "legendre_roof")):
             monkeypatch.setattr(owner, name, refuse)
         assert [repr(line.volume(t)) for line in lines for t in ts] == want
+        assert [repr(c) for line in lines for sign in (1, -1) for c in line.jet(sign)] == jets
 
 
 class TestDiskantReport:

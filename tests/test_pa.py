@@ -17,7 +17,7 @@ from adelic_volumes.errors import (
     OutOfDomain,
     UnboundedBelow,
 )
-from adelic_volumes.exactnum import EPS, ExactNumber, exact, log_unit, scalar_sign
+from adelic_volumes.exactnum import ExactNumber, exact, log_unit, scalar_sign
 from adelic_volumes.harness import sample_big_pair
 from adelic_volumes.pa import (
     ConcavePA,
@@ -44,6 +44,7 @@ from adelic_volumes.pa import (
 
 L2 = log_unit(2)
 L3 = log_unit(3)
+L5 = log_unit(5)
 F = Fraction
 
 
@@ -798,16 +799,18 @@ def test_integral_stays_reduced(monkeypatch):
 
 # -- per-monomial routes for log-linear values ------------------------------
 #
-# Roof values are Q-linear forms in the logs (and eps): ExactNumbers n / s
+# Roof values are Q-linear forms in the logs: ExactNumbers n / s
 # whose denominator polynomial is 1.  The routes below sum them per
 # monomial over Z; each reference is the operator formula it replaced.
 # Results must agree in type, repr and, for an ExactNumber, stored parts.
 
 # a coefficient of a form: small, 200-bit or zero
 _form_coeff = st.one_of(_tiny, _tiny, _big, st.just(F(0)))
-# a Q-linear form in 1, log 2, log 3 and eps, with an eps * log 2 term
-_form = st.builds(lambda a, b, c, e, f: a + b * L2 + c * L3 + e * EPS + f * EPS * L2,
+# a form in 1, log 2, log 3 and log 5, with a log 5 * log 2 term
+_form = st.builds(lambda a, b, c, e, f: a + b * L2 + c * L3 + e * L5 + f * L5 * L2,
                   _form_coeff, _tiny, _tiny, _tiny, _tiny)
+# a further log, small enough not to move a sign that the data decide
+_NUDGE = L5 / 2**40
 # not a polynomial: the operator route
 _quotient = st.builds(lambda q: (q + L2) / (1 + L3), _tiny)
 
@@ -832,15 +835,15 @@ def log_linear_pas(draw):
     alpha = draw(st.one_of(_form, _form, _form, st.just(F(0)), _quotient))
     ys = [y + alpha * x for x, y in zip(xs, ys)]
     i = draw(st.integers(0, len(ys) - 1))
-    beta = draw(st.one_of(_form, st.just(-ys[i]), st.just(-ys[i] + EPS),
-                          st.just(-ys[i] - EPS)))
+    beta = draw(st.one_of(_form, st.just(-ys[i]), st.just(-ys[i] + _NUDGE),
+                          st.just(-ys[i] - _NUDGE)))
     return ConcavePA([(x, y + beta) for x, y in zip(xs, ys)])
 
 
 @given(log_linear_pas())
-@example(ConcavePA([(F(-2), -1 + EPS), (F(0), 1 + L2), (F(2), -1 - EPS)]))
-@example(ConcavePA([(F(0), L2), (F(1), L2 - 1 + EPS * L2)]))   # clipped high end
-@example(ConcavePA([(F(1, 3), L3 + EPS)]))                     # point domain
+@example(ConcavePA([(F(-2), -1 + _NUDGE), (F(0), 1 + L2), (F(2), -1 - _NUDGE)]))
+@example(ConcavePA([(F(0), L2), (F(1), L2 - 1 + _NUDGE * L2)]))  # clipped high end
+@example(ConcavePA([(F(1, 3), L3 + _NUDGE)]))                    # point domain
 # clip denominators that divide the numerator: one end, both ends alike,
 # and both ends over different affine forms
 @example(ConcavePA([(F(0), -L2), (F(1), L2), (F(2), L2)]))
@@ -854,8 +857,9 @@ def test_integrate_positive_part_log_linear(f):
 def _clipped_roofs(seed):
     """(roof, shift) for a sampled pair's global roof with a finite place
     (log-linear values), lowered to cross 0 once and twice, each as it is
-    ("none"), with eps added at every value ("eps") and with eps x added
-    along it ("eps x", so that the clip denominators have an eps term)."""
+    ("none"), with a small multiple of log 5 added at every value
+    ("log 5") and one of log 2 log 5 x added along it ("log 2 log 5 x",
+    so that the clip denominators have degree 2)."""
     rng = random.Random(f"clipped-roofs:{seed}")
     while True:
         pair = sample_big_pair(rng)
@@ -868,14 +872,15 @@ def _clipped_roofs(seed):
     for a, b in ((low, high), (high, top)):
         c = F((float(a) + float(b)) / 2).limit_denominator(64)
         if a < c < b:
-            for shift, eps in (("none", F(0)), ("eps", EPS), ("eps x", None)):
-                yield ConcavePA._raw([(x, y - c + (EPS * x if eps is None else eps))
+            for shift, nudge in (("none", F(0)), ("log 5", _NUDGE),
+                                 ("log 2 log 5 x", None)):
+                yield ConcavePA._raw([(x, y - c + (_NUDGE * L2 * x if nudge is None else nudge))
                                       for x, y in pts]), shift
 
 
 def test_integrate_positive_part_on_clipped_roofs():
     # one quotient over the clip denominators against the operator chain,
-    # in type, repr and stored parts; an eps term in a clip denominator
+    # in type, repr and stored parts; a clip denominator of degree 2
     # keeps the operator route
     kinds = {}
     for seed in range(60):

@@ -45,6 +45,7 @@ from adelic_volumes.pa import (
 )
 from adelic_volumes.positivity import (
     Bracket,
+    _Eps,
     adeg_product,
     avol,
     is_big,
@@ -727,3 +728,46 @@ class TestThresholdNewton:
                        / (4337361949181 + 177035131938 * L2))
         assert repr(got) == ("(4337360732481 + 265552697907*log(2))/"
                              "(4337361949181 + 177035131938*log(2))")
+
+
+def _e(a, b=0, c=0) -> _Eps:
+    return _Eps((a, b, c))
+
+
+class TestEps:
+    """The integers a + b eps of the line kernel's jets: eps is a positive
+    infinitesimal, so the order is lexicographic, and a value at finite
+    places, a form in the logs over them, takes the sign of its layer 0,
+    read by the ladder of ``exactnum._poly_sign``, and of its layer 1 only
+    when layer 0 vanishes."""
+
+    def test_order(self):
+        eps = _e(0, 1)
+        assert eps > 0 and -eps < 0 and eps < 1 and 0 < eps and not eps - eps
+        # below every positive integer, however large its eps layer
+        assert _e(-1, 2**1000) < 0 and _e(1, -2**1000) > 0
+        assert 0 < eps * eps < eps and eps * eps == (0, 0, 1)
+        assert _e(2, 10**9) < _e(3, -1) < _e(3) < _e(3, 1) <= _e(3, 1)
+        assert _e(3, 1) >= _e(3) >= 3 and _e(3, -1) <= 3
+        assert sorted([_e(3, 1), _e(2, 5), _e(3, -1)]) == [(2, 5, 0), (3, -1, 0), (3, 1, 0)]
+        assert len({_e(2, 5), _e(2, 5), _e(2, 4)}) == 2
+        assert 3 - 2 * eps + _e(1, 1) == (4, -1, 0)
+        assert (1 + eps) * (1 - eps) == (1, 0, -1)
+
+    @pytest.mark.parametrize("poly, want", [
+        # L2 - eps: layer 0 decides
+        ({(): _e(0, -1), (2,): _e(1)}, 1),
+        # (L3 - L2) - 5 eps
+        ({(): _e(0, -5), (2,): _e(-1), (3,): _e(1)}, 1),
+        # 1585 L2 - 1000 L3 > 0 by 0.026: the ladder reads layer 0, and
+        # layer 1, 1000 (L2 - L3) < 0, is never read
+        ({(2,): _e(1585, 1000), (3,): _e(-1000, -1000)}, 1),
+        # 3 (L2 - L3) < 0, though layer 1, 1000 - L2, is positive
+        ({(): _e(0, 1000), (2,): _e(3, -1), (3,): _e(-3)}, -1),
+        # layer 0 vanishes: (L2 - L3) eps < 0
+        ({(2,): _e(0, 1), (3,): _e(0, -1)}, -1),
+        ({(): _e(0, -2), (3,): _e(0, 2)}, 1),
+        ({}, 0),
+    ])
+    def test_layered_sign_at_finite_places(self, poly, want):
+        assert positivity._layered_sign(poly) == want
