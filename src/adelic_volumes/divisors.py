@@ -53,6 +53,8 @@ from .pa import (
 
 ARCH = "inf"
 
+_ZERO = Fraction(0)
+
 Place = Union[str, int]
 
 
@@ -392,7 +394,8 @@ class Pair:
         self._window = self._roof = self._avol = None
 
     def _toric_orders(self) -> tuple:
-        return max(self.base.v0, Fraction(0)), max(self.base.vinf, Fraction(0))
+        v0, vinf = self.base.v0, self.base.vinf
+        return (v0 if v0 > 0 else _ZERO), (vinf if vinf > 0 else _ZERO)
 
     def shifted_polytope(self) -> Interval:
         """The polytope cut down by the base condition.

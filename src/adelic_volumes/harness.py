@@ -34,6 +34,7 @@ from .positivity import (
     DiskantReport,
     _as_divisor,
     _Line,
+    _roof_ends,
     adeg_product,
     avol,
     is_big,
@@ -294,11 +295,16 @@ def sample_big_pair(rng, allow_finite: bool = True) -> Pair:
 
 
 def sample_nef_divisor(rng, allow_finite: bool = True) -> ToricAdelicDivisor:
+    """A sampled divisor lifted by height shifts until its roof is
+    nonnegative.  ``sample_divisor`` draws convex potentials and a positive
+    degree, so the divisor is relatively nef, and the minimum of its roof is
+    the smaller of the two end values (``_roof_ends``); no roof is built."""
     divisor = sample_divisor(rng, allow_finite=allow_finite)
     for _ in range(64):
-        if is_nef(divisor):
+        at_lo, at_hi, _ = _roof_ends(divisor)
+        m = at_lo if at_lo <= at_hi else at_hi
+        if scalar_sign(m) >= 0:
             return divisor
-        m = Pair(divisor).global_roof().min_over_domain()
         lift = Fraction(math.ceil((-scalar_float(m) + 1 / 64) * 64), 64)
         divisor = divisor + height_shift(lift)
     raise RuntimeError("nef sampler failed to lift the roof")

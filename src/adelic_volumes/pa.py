@@ -37,9 +37,8 @@ which keeps only the affine normal form.  The proofs relied on:
   monotone slopes (:func:`legendre_roof`, :func:`legendre_potential`), and
   so has a sum of such functions with positive weights on the union of
   their kinks (``ConvexPA.add``, ``ConcavePA.add``, the global roofs of
-  ``divisors._roof_sum`` and the rational line roofs of
-  ``positivity._Line``, where every interior key is a strict kink of one
-  place's roof);
+  ``divisors._roof_sum`` and the merged keys of ``positivity._Line``,
+  where every interior key is a strict kink of one place's roof);
 * the lower hull of :func:`convex_envelope` drops every point that is not
   strictly below its neighbours;
 * scaling by a nonzero factor keeps kinks and collinear triples (by a
@@ -73,9 +72,9 @@ integers over one denominator and runs the lower hull on them, with the
 sign tests of ``_turn`` and ``_tail_turn`` over common denominators.  At a
 rational t it reads the roofs' breakpoints and values off the hulls as
 integers, merged on one grid: its volume forms the integral of
-``integrate_positive_part`` from them once, and its roof takes one
-Fraction, or one ``exactnum._from_coeffs`` value, per point; no place's
-roof is built.
+``integrate_positive_part`` from them once, and a threshold's Newton step
+reads the top off them as one Fraction, or one ``exactnum._from_coeffs``
+value; no roof is built.
 
 Roof values are Q-linear forms in 1, log 2, log 3, ..., stored as n / s
 with denominator polynomial 1.  ``_chord`` (the ends of
@@ -484,9 +483,8 @@ class ConcavePA:
         """Wrap a breakpoint list known to be canonical already (sorted,
         strictly decreasing slopes), skipping validation.  The callers and
         their proofs: ``legendre_roof`` (the potential's strictly rising
-        slopes and breakpoints), ``add``, ``ToricAdelicDivisor.roof`` and
-        the rational line roof of ``positivity._Line`` (every interior grid
-        point is a strict kink of a summand, or of one place's roof),
+        slopes and breakpoints), ``add`` and ``ToricAdelicDivisor.roof``
+        (every interior grid point is a strict kink of a summand),
         ``reflect`` and ``restrict`` (cutting an affine piece leaves no
         collinear triple)."""
         obj = object.__new__(cls)

@@ -8,7 +8,10 @@ Everything here is exact.  Volumes and intersection numbers are rational, or
 symbolic combinations of log p when finite places contribute.  A threshold
 is the last zero of the maximum of the twisted roof, a concave and
 piecewise-affine function of the twist; exact Newton steps find it after a
-few roof builds, and it comes back as a bracket lo == hi.
+few steps, and it comes back as a bracket lo == hi.  At a rational twist on
+rational data each step is one integer pass of the line kernel (``_Line``)
+and builds no roof; the nef guards read the two ends of the divisor's roof
+off its potentials' first and last breakpoints (``_roof_ends``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .divisors import (ARCH, Pair, ToricAdelicDivisor, _place_sort_key,
 from .errors import EmptyPolytope, NotBig, NotNef
 from .exactnum import (Scalar, _affine_quotient_sum, _from_coeffs, _linear_combination,
                        _mul, _poly_sign, log_unit, scalar_float, scalar_sign)
-from .pa import (ConcavePA, ConvexPA, Interval, PAGeneral, _grid, _grid_ratios,
+from .pa import (ConvexPA, Interval, PAGeneral, _grid, _grid_ratios,
                  _jet_pairing, _jets_on_grid, _nonneg_run, _on_line, _poly_sum, _ratios,
                  _slope, _values_on_grid, convex_envelope, integrate_positive_part,
                  legendre_potential, legendre_roof, unit_roof)
@@ -43,17 +46,44 @@ def is_relatively_nef(divisor) -> bool:
     divisor = _as_divisor(divisor)
     if scalar_sign(divisor.degree) < 0:
         return False
-    return all(
-        isinstance(divisor.potential(v), ConvexPA) for v in divisor.places
-    )
+    return all(isinstance(pot, ConvexPA) for pot in divisor._potentials.values())
 
 
 def is_nef(divisor) -> bool:
     """Relatively nef (every potential convex, degree >= 0) with a global
-    roof that stays nonnegative over the polytope."""
+    roof that stays nonnegative over the polytope.  The roof is concave,
+    so its minimum is at an end, and ``_roof_ends`` reads both ends."""
     divisor = _as_divisor(divisor)
-    return is_relatively_nef(divisor) and scalar_sign(
-        Pair(divisor).global_roof().min_over_domain()) >= 0
+    if not is_relatively_nef(divisor):
+        return False
+    at_lo, at_hi, _ = _roof_ends(divisor)
+    return scalar_sign(at_lo) >= 0 and scalar_sign(at_hi) >= 0
+
+
+def _roof_ends(divisor) -> tuple:
+    """(Theta(lo), Theta(hi), s) for a relatively nef divisor: its roof
+    Theta at the ends lo = -cinf and hi = c0 of its polytope and its right
+    slope s at lo, read off each potential's first and last breakpoint.
+
+    Proof.  The unit roof at v is theta_v(x) = min_u (psi_v(u) - x u), psi_v
+    convex of tail slopes -cinf and c0.  At x = lo, psi_v(u) - x u is
+    constant on the left tail and nondecreasing past its first breakpoint
+    u_v, so theta_v(lo) = psi_v(u_v) + cinf u_v; likewise the last
+    breakpoint w_v gives theta_v(hi) = psi_v(w_v) - c0 w_v.  u_v is a kink,
+    so for x a little above lo the minimum stays at u_v: theta_v has the
+    right slope -u_v there.  Theta sums the theta_v with the weights c_v
+    (1, or log p); a place without a potential has the one breakpoint
+    (0, 0) and adds 0.
+    """
+    lo, hi = -divisor.cinf, divisor.c0
+    ends = ([], [], [])
+    for place, pot in divisor._potentials.items():
+        (u, y), (w, z) = pot.points[0], pot.points[-1]
+        mono = () if place == ARCH else (place,)
+        ends[0].append((mono, _on_line(u, y, lo)))  # y - lo u
+        ends[1].append((mono, _on_line(w, z, hi)))
+        ends[2].append((mono, -u))
+    return tuple(_place_sum(terms) for terms in ends)
 
 
 # -- volume and bigness ----------------------------------------------------
@@ -227,8 +257,14 @@ def _jet_basis(pot, us) -> list:
 
 
 def _place_sum(terms):
-    """sum_v c_v q_v for the pairs (monomial of c_v, Fraction q_v), built
-    once from integer coefficients over the least common denominator."""
+    """sum_v c_v q_v for the pairs (monomial of c_v, q_v): q_v for the
+    archimedean place alone, else built once from integer coefficients over
+    the least common denominator when every q_v is a Fraction, else in the
+    field."""
+    if len(terms) == 1 and not terms[0][0]:
+        return terms[0][1]
+    if not all(type(q) is Fraction for _, q in terms):
+        return sum((q if not mono else log_unit(mono[0]) * q for mono, q in terms), Fraction(0))
     den = 1
     for _, q in terms:
         d = q.denominator
@@ -296,38 +332,51 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
     Newton steps find it from the top, where W is a point: each step follows
     the piece of g left of t, whose slope is read off the rows that attain
     the minimum at the argmax, so it stays at or right of the zero and lands
-    on a new piece.  Each step reads the twisted roof off the line kernel at
-    -t (``_Line(pair, nef_divisor).roof``), whose rows (u, pD_v(u), pN_v(u))
-    the slope rule reads too; no divisor or pair is built per step.  The
-    guards (the pair big, the divisor nef and of positive volume) run on
-    every call; a pair keeps its volume, so ``is_big`` of a pair already
-    measured costs nothing.
+    on a new piece.  Each step reads the top of the twisted roof off the
+    line kernel at -t (``_Line(pair, nef_divisor).top``) and the slope off
+    its rows (u, pD_v(u), pN_v(u)) (``_fall_rate``): at a Fraction t on
+    rational data one integer pass that builds no roof, else the field
+    route.  The guards (the pair big, the divisor nef and of positive
+    volume) run on every call; a pair keeps its volume, so ``is_big`` of a
+    pair already measured costs nothing, and the divisor's guards build no
+    roof (``_require_nef_volume``).
     """
     pair = as_pair(pair)
     n = _as_divisor(nef_divisor)
     if not is_big(pair):
         raise NotBig(f"{pair!r} is not big")
-    if not is_nef(n):
-        raise NotNef(f"{n!r} is not nef")
-    if scalar_sign(avol(Pair(n))) <= 0:
-        raise NotNef(f"{n!r} is nef but has volume zero")
-    d = pair.divisor
-    v0, vinf = pair._toric_orders()
-    t = (d.c0 - vinf + d.cinf - v0) / n.degree  # the window is a point here
+    _require_nef_volume(n)
+    window = pair.shifted_polytope()  # kept on the pair by is_big
+    t = (window.hi - window.lo) / n.degree  # the window is a point here
     line = _Line(pair, n)
     while True:
-        roof = line.roof(-t)
-        x, g = roof.argmax()
+        x, g, where = line.top(-t)
         if scalar_sign(g) >= 0:
             return Bracket(t, t)
-        t = t + g / _fall_rate(line, t, roof, x, n)
+        t = t + g / _fall_rate(line, t, x, where, n)
+
+
+def _require_nef_volume(divisor) -> None:
+    """Raise NotNef unless the divisor is nef (``is_nef``) and of positive
+    volume, read in one pass off the ends of its roof (``_roof_ends``).
+
+    Proof.  A nef roof Theta is concave and >= 0 on the polytope [lo, hi],
+    so the volume, twice its integral, is 0 exactly when lo = hi (degree 0)
+    or Theta = 0; and Theta = 0 exactly when Theta(lo) = 0 with a right
+    slope <= 0 at lo, for then concavity gives Theta <= 0 on [lo, hi].
+    """
+    ends = _roof_ends(divisor) if is_relatively_nef(divisor) else None
+    if ends is None or scalar_sign(ends[0]) < 0 or scalar_sign(ends[1]) < 0:
+        raise NotNef(f"{divisor!r} is not nef")
+    if scalar_sign(divisor.degree) <= 0 or all(scalar_sign(e) <= 0 for e in ends):
+        raise NotNef(f"{divisor!r} is nef but has volume zero")
 
 
 class _Line:
     """The pairs D + t E along a line, for a pair (D, base) and a direction
-    E: ``roof(t)`` is ``Pair(D + t E, base).global_roof()`` and
-    ``volume(t)`` is ``avol`` of that pair, in value, ``repr`` and the type
-    of every coordinate, with no divisor or pair built per t.
+    E: ``volume(t)`` is ``avol`` of ``Pair(D + t E, base)``, ``top(t)`` the
+    maximum of its global roof and ``roof(t)`` that roof, in value, ``repr``
+    and the type of every coordinate, with no divisor or pair built per t.
 
     Per place the potentials of D and E are read once on the union of their
     breakpoints u; D + t E is linear between them, so its unit roof is the
@@ -343,11 +392,11 @@ class _Line:
     the roofs' breakpoints, which are the hulls' slopes, merged between the
     window's ends on one common denominator, and each place's value
     numerators there, read off its hull.  ``volume`` forms twice the area
-    of the positive part from them once (``_volume``), and ``roof`` takes
-    one Fraction per point, or at finite places one ``_from_coeffs``
-    value; no place's roof is built, summed or restricted.  ``jet`` runs
-    it at t = +-eps (``_Eps``); without it both raise ValueError.  ``roof``
-    at any other t or row (thresholds in Q(log p), symbolic tails) takes
+    of the positive part from them once (``_volume``), and ``top`` reads
+    the maximum off them; no place's roof is built, summed or restricted.
+    ``jet`` runs the pass at t = +-eps (``_Eps``); without it, ``volume``
+    and ``jet`` raise ValueError.  ``top`` at any other t or row
+    (thresholds in Q(log p), symbolic tails) reads ``roof``, which takes
     ``convex_envelope`` and ``legendre_roof`` on the rows (u, pD(u), pE(u))
     of ``rows()``, then ``_roof_sum`` and ``restrict`` as the pair does;
     the rows are sorted and exact by construction, so they are not checked
@@ -358,9 +407,9 @@ class _Line:
 
     def __init__(self, pair, direction):
         d = pair.divisor
-        # (-E's coefficient, D's): _on_line(-e, d, t) is d + t e
-        self._c0 = (-direction.c0, d.c0)
-        self._cinf = (-direction.cinf, d.cinf)
+        # (E's coefficient, D's): _on_line(-e, d, t) is d + t e
+        self._c0 = (direction.c0, d.c0)
+        self._cinf = (direction.cinf, d.cinf)
         self._orders = pair._toric_orders()
         # per place: its weight c_v and its integer rows, or None; the
         # Fraction or field rows are built here only when there are none
@@ -400,26 +449,58 @@ class _Line:
         return self._rows
 
     def roof(self, t):
-        if type(t) is Fraction and self._kernel is not None:
-            grid, d, cols, den = self._merged(*t.as_integer_ratio())
-            if grid:
-                if len(cols) == 1:
-                    ys = [Fraction(y, den) for y in cols[0]]
-                else:
-                    monos = [mono for mono, _, _ in self._kernel[3]]
-                    ys = [_from_coeffs(dict(zip(monos, row)), den) for row in zip(*cols)]
-                return ConcavePA._raw([(Fraction(g, d), y) for g, y in zip(grid, ys)])
+        """The global roof at t on the field route."""
+        # c0 and cinf of D + t E, and its shifted polytope [lo, hi]
+        c0, cinf = (_on_line(-e, d, t) for e, d in (self._c0, self._cinf))
+        lo, hi = -cinf + self._orders[0], c0 - self._orders[1]
+        if lo > hi:
+            raise EmptyPolytope(f"the pair at t = {t} has an empty shifted "
+                                "polytope; no sections to count")
+        roofs = [(place, legendre_roof(convex_envelope(PAGeneral._raw(
+                     [(u, a + t * b if b else a) for u, a, b in rows], -cinf, c0))))
+                 for (place, _, _), rows in zip(self._places, self.rows())]
+        return _roof_sum(roofs[0][1], roofs[1:]).restrict(Interval(lo, hi))
+
+    def top(self, t):
+        """(x, g, where): the maximum g of the roof at t, at x (the midpoint
+        of a flat top), and where x lies: "point" (the window is a point),
+        "lower" or "upper" (a window end), "interior" (a breakpoint) or
+        "flat".  At a Fraction t with the integer pass the values at the
+        keys of ``_merged`` are compared as integers, or as forms in the
+        logs by ``_poly_sign``, up to the top (they rise to it and fall
+        after it), and only x and g are built: g a Fraction, or one
+        ``_from_coeffs`` value.  Otherwise they are read off ``roof(t)``."""
+        if type(t) is not Fraction or self._kernel is None:
+            roof = self.roof(t)
+            x, g = roof.argmax()
+            pts = roof.points
+            return x, g, ("point" if len(pts) == 1 else "lower" if x == pts[0][0]
+                          else "upper" if x == pts[-1][0]
+                          else "interior" if any(x == u for u, _ in pts) else "flat")
+        grid, d, cols, den = self._merged(*t.as_integer_ratio())
+        if not grid:
+            raise EmptyPolytope(f"the pair at t = {t} has an empty shifted "
+                                "polytope; no sections to count")
+        monos = [mono for mono, _, _ in self._kernel[3]]
+        i, last, flat = 0, len(grid) - 1, False
+        while i < last:
+            if len(cols) == 1:
+                rise = cols[0][i + 1] - cols[0][i]
+            else:
+                rise = _poly_sign({mono: col[i + 1] - col[i]
+                                   for mono, col in zip(monos, cols) if col[i + 1] != col[i]})
+            if rise <= 0:
+                flat = not rise
+                break
+            i += 1
+        if len(cols) == 1:
+            g = Fraction(cols[0][i], den)
         else:
-            # c0 and cinf of D + t E, and its shifted polytope [lo, hi]
-            c0, cinf = _on_line(*self._c0, t), _on_line(*self._cinf, t)
-            lo, hi = -cinf + self._orders[0], c0 - self._orders[1]
-            if lo <= hi:
-                roofs = [(place, legendre_roof(convex_envelope(PAGeneral._raw(
-                             [(u, a + t * b if b else a) for u, a, b in rows], -cinf, c0))))
-                         for (place, _, _), rows in zip(self._places, self.rows())]
-                return _roof_sum(roofs[0][1], roofs[1:]).restrict(Interval(lo, hi))
-        raise EmptyPolytope(f"the pair at t = {t} has an empty shifted "
-                            "polytope; no sections to count")
+            g = _from_coeffs({mono: col[i] for mono, col in zip(monos, cols)}, den)
+        if flat:
+            return Fraction(grid[i] + grid[i + 1], 2 * d), g, "flat"
+        return Fraction(grid[i], d), g, ("point" if not last else "lower" if i == 0
+                                         else "upper" if i == last else "interior")
 
     def volume(self, t):
         """avol at a rational t: one integer pass (``_merged``, ``_volume``)."""
@@ -664,9 +745,9 @@ def _integer_hull(ints, n, m, ln, ld, rn, rd) -> list:
     return hull
 
 
-def _fall_rate(line, t, roof, x, n):
+def _fall_rate(line, t, x, where, n):
     """The rate M at which g rises as t falls, g(t - s) = g(t) + M * s for
-    small s > 0, read at the argmax x.
+    small s > 0, read at the argmax x, where ``_Line.top`` puts it.
 
     Moving t down by s and x by s * delta raises the row (u, pD, pN) of
     place v by s * (pN - u * delta), so M is the maximum, over the moves
@@ -676,34 +757,19 @@ def _fall_rate(line, t, roof, x, n):
     upper edge.  h is concave and piecewise affine, so its maximum is at
     delta = 0, at a bound, or where two active rows of one place cross.
 
-    For Fractions t = tn / tm and x = xn / xd on a place's integer rows
-    (``_integer_rows``), pD - t pN - x u is
-    ((P tm - tn Q) U xd - xn X C tm) / (C tm U xd) with a positive
-    denominator, so the active rows are read off the integer numerators,
-    and only they become Fractions.
+    For Fractions t and x on a line with the integer pass it is read off
+    the integer rows (``_integer_fall_rate``); otherwise off ``rows()``.
     """
-    exact = type(t) is type(x) is Fraction
-    if exact:
-        tn, tm = t.as_integer_ratio()
-        xn, xd = x.as_integer_ratio()
+    lo = -n.cinf if where in ("point", "lower") else None
+    hi = n.c0 if where in ("point", "upper") else None
+    if type(t) is type(x) is Fraction and line._kernel is not None:
+        return _integer_fall_rate(line, t, x, lo, hi)
     active = []
-    for i, (_, weight, ints) in enumerate(line._places):
-        if exact and ints is not None:
-            xs, big_u, ps, c, qs = ints
-            k1, k2 = big_u * xd, xn * c * tm
-            ys = [(p * tm - tn * q) * k1 - k2 * u for u, p, q in zip(xs, ps, qs)]
-            y = min(ys)
-            rows = [(Fraction(q, c), Fraction(u, big_u))
-                    for u, q, yu in zip(xs, qs, ys) if yu == y]
-        else:
-            rows = line.rows()[i]
-            # pD - t * pN - x * u
-            ys = [_on_line(u, _on_line(b, a, t), x) for u, a, b in rows]
-            y = min(ys)
-            rows = [(b, u) for (u, _, b), yu in zip(rows, ys) if yu == y]
-        active.append((weight, rows))
-    lo = -n.cinf if x == roof.points[0][0] else None
-    hi = n.c0 if x == roof.points[-1][0] else None
+    for (_, weight, _), rows in zip(line._places, line.rows()):
+        # pD - t * pN - x * u
+        ys = [_on_line(u, _on_line(b, a, t), x) for u, a, b in rows]
+        y = min(ys)
+        active.append((weight, [(b, u) for (u, _, b), yu in zip(rows, ys) if yu == y]))
     deltas = [e for e in (lo, hi) if e is not None] or [Fraction(0)]
     for _, rows in active:
         deltas += [_slope((u2, b2), (u, b)) for i, (b, u) in enumerate(rows)
@@ -712,6 +778,44 @@ def _fall_rate(line, t, roof, x, n):
                    for w, rows in active)
                for e in deltas
                if (lo is None or e >= lo) and (hi is None or e <= hi))
+
+
+def _integer_fall_rate(line, t, x, lo, hi):
+    """``_fall_rate`` on the integer rows, for Fractions t = tn / tm,
+    x = xn / xd and the window bounds lo, hi (or None).  pD - t pN - x u
+    is ((P tm - tn Q) U xd - xn X C tm) / (C tm U xd), so the active rows
+    are read off the numerators.  On the kernel's denominator e,
+    pN - u delta at delta = a / b (b > 0) is (Q (e / C) b - X (e / U) a)
+    / (e b), and h(delta) is the form in the logs of the smallest such
+    numerator per place over e b: compared by ``_poly_sign`` and built
+    once by ``_from_coeffs``."""
+    tn, tm = t.as_integer_ratio()
+    xn, xd = x.as_integer_ratio()
+    e = line._kernel[2]
+    active = []
+    for (_, _, ints), (mono, to_e_c, to_e_u) in zip(line._places, line._kernel[3]):
+        xs, big_u, ps, c, qs = ints
+        k1, k2 = big_u * xd, xn * c * tm
+        ys = [(p * tm - tn * q) * k1 - k2 * u for u, p, q in zip(xs, ps, qs)]
+        y = min(ys)
+        active.append((mono, [(q * to_e_c, u * to_e_u)
+                              for u, q, yu in zip(xs, qs, ys) if yu == y]))
+    bounds = [b.as_integer_ratio() if b is not None else None for b in (lo, hi)]
+    deltas = [b for b in bounds if b is not None] or [(0, 1)]
+    for _, rows in active:
+        for i, (q, u) in enumerate(rows):
+            for q2, u2 in rows[i + 1:]:
+                # the rows cross where (q - q2) = (u - u2) delta
+                deltas.append((q - q2, u - u2) if u > u2 else (q2 - q, u2 - u))
+    (lo, hi), best = bounds, None
+    for a, b in deltas:
+        if (lo is not None and a * lo[1] < lo[0] * b) or (hi is not None and a * hi[1] > hi[0] * b):
+            continue
+        h = {mono: min(q * b - u * a for q, u in rows) for mono, rows in active}
+        if best is None or _poly_sign({mono: c for mono, c in (
+                (mono, c * best[1] - best[0][mono] * b) for mono, c in h.items()) if c}) > 0:
+            best = h, b
+    return _from_coeffs(best[0], e * best[1])
 
 
 @dataclass(frozen=True)

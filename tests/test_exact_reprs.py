@@ -11,6 +11,11 @@ part of every printed result.
 (``_Line.jet``) on 300 more sampled lines, finite places on odd seeds, as
 recorded when each jet was one volume over the field Q(log p)(eps).
 
+``tests/data/threshold_reprs.json`` holds the typed repr of
+``pseff_threshold(pair, P)`` on 300 sampled cases, P the Zariski positive
+part of a second sampled pair (finite places on odd seeds), as recorded
+when every Newton step read the twisted roof built as a ``ConcavePA``.
+
 Regenerate the files, only for an intended change of results, with
 
     PYTHONPATH=src python3 tests/test_exact_reprs.py
@@ -18,6 +23,7 @@ Regenerate the files, only for an intended change of results, with
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -25,12 +31,14 @@ import pytest
 from adelic_volumes.divisors import ARCH, place_label
 from adelic_volumes.harness import sample_big_pair, sample_direction
 from adelic_volumes.positivity import (_Line, avol, positive_intersection,
-                                       zariski_positive_part)
+                                       pseff_threshold, zariski_positive_part)
 
 DATA = Path(__file__).parent / "data" / "exact_reprs.json"
 COUNT = 60
 JETS = Path(__file__).parent / "data" / "jet_reprs.json"
 JET_COUNT = 300
+THRESHOLDS = Path(__file__).parent / "data" / "threshold_reprs.json"
+THRESHOLD_COUNT = 300
 
 
 def _typed(x):
@@ -85,6 +93,27 @@ def _jet_text() -> str:
     return json.dumps({str(s): record_jets(s) for s in range(JET_COUNT)}, indent=1) + "\n"
 
 
+def record_threshold(seed: int) -> dict:
+    """The pair, the positive part and the typed repr of the threshold of
+    one sampled case; odd seeds draw until one of the two pairs has a
+    finite place."""
+    rng = random.Random(f"threshold-reprs:{seed}")
+    while True:
+        pair = sample_big_pair(rng, allow_finite=seed % 2 == 1)
+        other = sample_big_pair(rng, allow_finite=seed % 2 == 1)
+        if seed % 2 == 0 or set(pair.divisor.places + other.divisor.places) - {ARCH}:
+            break
+    positive = zariski_positive_part(other).positive
+    t = pseff_threshold(pair, positive)
+    return {"pair": repr(pair), "positive": repr(positive),
+            "threshold": [type(t.lo).__name__, repr(t)]}
+
+
+def _threshold_text() -> str:
+    return json.dumps({str(s): record_threshold(s) for s in range(THRESHOLD_COUNT)},
+                      indent=1) + "\n"
+
+
 @pytest.fixture(scope="module")
 def recorded():
     return json.loads(DATA.read_text())
@@ -110,7 +139,19 @@ def test_jet_reprs_are_byte_identical():
     assert _jet_text() == want
 
 
+def test_threshold_reprs_are_byte_identical():
+    want = THRESHOLDS.read_text()
+    recorded_thresholds = json.loads(want)
+    assert len(recorded_thresholds) == THRESHOLD_COUNT
+    odd = [recorded_thresholds[str(seed)] for seed in range(1, THRESHOLD_COUNT, 2)]
+    assert all(re.search(r"potentials at [^)]*\d", rec["pair"] + rec["positive"])
+               for rec in odd)
+    assert sum("log(" in rec["threshold"][1] for rec in odd) >= 100
+    assert _threshold_text() == want
+
+
 if __name__ == "__main__":
     DATA.write_text(json.dumps({str(s): record(s) for s in range(COUNT)},
                                indent=1) + "\n")
     JETS.write_text(_jet_text())
+    THRESHOLDS.write_text(_threshold_text())

@@ -296,9 +296,10 @@ class TestLineKernel:
 
     def test_rational_volume_builds_no_roof(self, monkeypatch):
         # a Fraction t on rational rows is one integer pass: the volume
-        # builds no roof, summed, restricted or integrated, and the roof
-        # builds no place's roof and neither sums nor restricts one; both
-        # jets are the same pass at t = +-eps and build no roof either
+        # builds no roof, summed, restricted or integrated, and the top of
+        # the roof builds no place's roof and neither sums nor restricts
+        # one; both jets are the same pass at t = +-eps and build no roof
+        # either
         cases = [(half_zero_pair(), height_shift(1)),
                  (Pair(slant_divisor() + p_slant_divisor(2)), p_slant_divisor(3)),
                  (_three_place_pair(), _three_place_pair().divisor)]
@@ -306,7 +307,8 @@ class TestLineKernel:
         ts = [s * h for h in DEFAULT_HS for s in (1, -1)] + [F(0), F(-7, 3)]
         want = [repr(line.volume(t)) for line in lines for t in ts]
         jets = [repr(c) for line in lines for sign in (1, -1) for c in line.jet(sign)]
-        built = [_outcome(Pair(pair.divisor + direction.scale(t), pair.base).global_roof)
+        built = [_outcome(lambda: Pair(pair.divisor + direction.scale(t),
+                                       pair.base).global_roof().argmax())
                  for pair, direction in cases for t in ts]
 
         def refuse(*args):
@@ -314,10 +316,11 @@ class TestLineKernel:
 
         with monkeypatch.context() as mp:
             for owner, name in ((positivity, "_roof_sum"), (pa.ConcavePA, "restrict"),
+                                (pa.ConcavePA, "argmax"), (positivity._Line, "roof"),
                                 (positivity, "convex_envelope"), (pa, "convex_envelope"),
                                 (positivity, "legendre_roof"), (pa, "legendre_roof")):
                 mp.setattr(owner, name, refuse)
-            assert [_outcome(lambda: line.roof(t)) for line in lines for t in ts] == built
+            assert [_outcome(lambda: line.top(t)[:2]) for line in lines for t in ts] == built
         for owner, name in ((pa.ConcavePA, "_raw"), (pa.ConcavePA, "restrict"),
                             (positivity, "_roof_sum"), (divisors, "_roof_sum"),
                             (positivity, "integrate_positive_part"),

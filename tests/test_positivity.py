@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adelic_volumes.pa as pa
 import adelic_volumes.positivity as positivity
 from adelic_volumes.divisors import ARCH, BaseCondition, Pair, ToricAdelicDivisor
 from adelic_volumes.errors import NotBig, NotNef
-from adelic_volumes.exactnum import exact, log_unit
+from adelic_volumes.exactnum import exact, log_unit, scalar_sign
 from adelic_volumes.gallery import (
     half_zero_pair,
     height_shift,
@@ -113,6 +114,96 @@ class TestNefAmple:
         assert is_relatively_nef(slant_divisor())
         assert not is_relatively_nef(kinked_slant())
         assert not is_relatively_nef(ToricAdelicDivisor(-1, 0))
+
+
+def _guard_cases() -> list:
+    """Over 1000 divisors for the nef and zero-volume guards: sampled
+    divisors, finite places on odd draws, each also shifted so that the
+    minimum of its roof is exactly 0, or reduced to its canonical part;
+    sampled nef divisors; Zariski positive parts, with symbolic tails at
+    finite places; and the zero-volume nef divisors height_shift(c),
+    ToricAdelicDivisor(c0, cinf) and affine degree-zero divisors."""
+    rng = random.Random("nef-guards")
+    cases = [height_shift(1), height_shift(0), height_shift(-1),
+             ToricAdelicDivisor(1, 0), ToricAdelicDivisor(0, 0), slant_divisor(),
+             tent_divisor(), kinked_slant(), ToricAdelicDivisor(-1, 0)]
+    for i in range(300):
+        finite = i % 2 == 1
+        d = sample_divisor(rng, allow_finite=finite, convex=i % 10 != 9)
+        cases += [d, ToricAdelicDivisor(d.c0, d.cinf), sample_nef_divisor(rng, allow_finite=finite)]
+        if is_relatively_nef(d):
+            low = roof_minimum(d)
+            if isinstance(low, F):
+                cases.append(d - height_shift(low))
+        cases.append(height_shift(F(rng.randint(-4, 4), rng.randint(1, 4))))
+        slope = F(rng.randint(-4, 4), rng.randint(1, 4))
+        cases.append(ToricAdelicDivisor(slope, -slope, {ARCH: ConvexPA(
+            [(F(0), F(rng.randint(-2, 2), rng.randint(1, 3)))], slope, slope)}))
+        if finite or i % 6 == 0:
+            pair = sample_big_pair(rng, allow_finite=finite)
+            while finite and pair.divisor.places in ((), (ARCH,)):
+                pair = sample_big_pair(rng, allow_finite=finite)
+            cases.append(zariski_positive_part(pair).positive)
+    return cases
+
+
+def _guard(divisor):
+    """None when pseff_threshold's divisor guard passes, else its message."""
+    try:
+        positivity._require_nef_volume(divisor)
+    except NotNef as exc:
+        return str(exc).split(" is ")[-1]
+    return None
+
+
+class TestNefGuards:
+    """is_nef and the zero-volume guard read the two ends of the roof and
+    its slope at the lower end; checked against their definitions, the
+    roof's minimum and the volume."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        cases = _guard_cases()
+        want = []
+        for d in cases:
+            nef = is_relatively_nef(d) and roof_minimum(d) >= 0
+            zero = nef and scalar_sign(avol(Pair(d))) <= 0
+            want.append((nef, "nef but has volume zero" if zero else
+                         None if nef else "not nef"))
+        return cases, want
+
+    def test_against_the_roof_and_the_volume(self, cases):
+        cases, want = cases
+        assert len(cases) >= 1000
+        assert [(is_nef(d), _guard(d)) for d in cases] == want
+        zero = sum(w[1] == "nef but has volume zero" for w in want)
+        positive = sum(w == (True, None) for w in want)
+        assert zero >= 100 and positive >= 300 and len(cases) - zero - positive >= 300
+        # symbolic tails at finite places among the nef ones
+        assert sum(not isinstance(d.c0, F) or not isinstance(d.cinf, F)
+                   for d, w in zip(cases, want) if w[0]) >= 30
+
+    def test_no_roof_is_built(self, cases, monkeypatch):
+        cases, want = cases
+        fresh = [ToricAdelicDivisor(d.c0, d.cinf, {v: d.potential(v) for v in d.places})
+                 for d in cases]
+
+        def refuse(*args):
+            raise AssertionError("a guard built a roof")
+
+        monkeypatch.setattr(Pair, "global_roof", refuse)
+        monkeypatch.setattr(ToricAdelicDivisor, "roof", refuse)
+        assert [(is_nef(d), _guard(d)) for d in fresh] == want
+
+    def test_ends_and_slope_match_the_roof(self, cases):
+        for d in cases[0]:
+            if is_relatively_nef(d):
+                roof = Pair(d).global_roof()
+                at_lo, at_hi, slope = positivity._roof_ends(d)
+                pts = roof.points
+                assert (at_lo, at_hi) == (pts[0][1], pts[-1][1])
+                if len(pts) > 1:
+                    assert slope == (pts[1][1] - pts[0][1]) / (pts[1][0] - pts[0][0])
 
 
 class TestVolume:
@@ -493,26 +584,33 @@ def _assert_matches_line_by_line(pair, n):
     return got.value
 
 
-def _check_kernel_roofs(mp, pair, n) -> list:
+def _spy_steps(mp, pair, n) -> list:
     """Spy on every Newton step of thresholds of this pair against n: the
-    line kernel's roof at -t must be the roof of the twisted pair
-    D - t n built as objects, in value, repr and the type of every
-    coordinate.  Returns the steps' maxima as ExactNumbers, filled as the
-    steps run."""
-    original = positivity._Line.roof
-    tops = []
+    top that the line kernel reads at -t must be that of the twisted pair
+    D - t n built as objects, its maximum and argmax in value, repr and
+    type, and so must where the argmax lies: "point" (the window is a
+    point), "lower" or "upper" (a window edge), "interior" (a kink inside
+    the window) or "flat" (the midpoint of a flat top).  Returns the steps
+    as (maximum as an ExactNumber, where), filled as the steps run."""
+    original = positivity._Line.top
+    steps = []
 
     def spy(line, t):
-        roof = original(line, t)
-        want = Pair(pair.divisor + n.scale(t), pair.base).global_roof()
-        assert roof == want and repr(roof) == repr(want)
-        assert ([tuple(map(type, pt)) for pt in roof.points]
-                == [tuple(map(type, pt)) for pt in want.points])
-        tops.append(exact(roof.max_over_domain()))
-        return roof
+        x, g, where = original(line, t)
+        roof = Pair(pair.divisor + n.scale(t), pair.base).global_roof()
+        want_x, want_g = roof.argmax()
+        pts = roof.points
+        want = ("point" if len(pts) == 1 else "lower" if want_x == pts[0][0]
+                else "upper" if want_x == pts[-1][0]
+                else "interior" if any(want_x == u for u, _ in pts) else "flat")
+        assert (x, g, where) == (want_x, want_g, want)
+        assert [type(x), type(g), repr(x), repr(g)] == [
+            type(want_x), type(want_g), repr(want_x), repr(want_g)]
+        steps.append((exact(g), where))
+        return x, g, where
 
-    mp.setattr(positivity._Line, "roof", spy)
-    return tops
+    mp.setattr(positivity._Line, "top", spy)
+    return steps
 
 
 def _two_kink_pair() -> Pair:
@@ -561,24 +659,10 @@ def _crossing_case():
 
 def _newton_starts(monkeypatch, pair, n):
     """pseff_threshold(pair, n) and, for each Newton step it takes, where
-    the argmax of the twisted roof lies: "point" (the window is a point),
-    "lower" or "upper" (a window edge), "interior" (a kink inside the
-    window) or "flat" (the midpoint of a flat top)."""
-    starts = []
-    argmax = ConcavePA.argmax
-
-    def spy(roof):
-        x, g = argmax(roof)
-        if g < 0:  # a step is taken from here
-            pts = roof.points
-            starts.append(
-                "point" if len(pts) == 1 else "lower" if x == pts[0][0]
-                else "upper" if x == pts[-1][0]
-                else "interior" if any(x == u for u, _ in pts) else "flat")
-        return x, g
-
-    monkeypatch.setattr(ConcavePA, "argmax", spy)
-    return pseff_threshold(pair, n), starts
+    the argmax of the twisted roof lies (``_spy_steps``)."""
+    steps = _spy_steps(monkeypatch, pair, n)
+    t = pseff_threshold(pair, n)
+    return t, [where for top, where in steps if top < 0]
 
 
 def _cap_divisor(digits=None, seed=0, k=48) -> ToricAdelicDivisor:
@@ -620,7 +704,7 @@ class TestThresholdNewton:
         for p, m in cases:
             if is_big(Pair(m)):
                 with pytest.MonkeyPatch.context() as mp:
-                    steps = _check_kernel_roofs(mp, p, m)
+                    steps = _spy_steps(mp, p, m)
                     _assert_matches_line_by_line(p, m)
                 assert steps
 
@@ -639,10 +723,10 @@ class TestThresholdNewton:
         tops = []
         for p, n in cases:
             with monkeypatch.context() as mp:
-                steps = _check_kernel_roofs(mp, p, n)
+                steps = _spy_steps(mp, p, n)
                 _assert_matches_line_by_line(p, n)
             assert steps
-            tops += steps
+            tops += [top for top, _ in steps]
         assert sum(not top.is_rational for top in tops) >= 3
 
     def test_window_shrinks_to_a_point(self):
@@ -705,6 +789,39 @@ class TestThresholdNewton:
         t, got = _newton_starts(monkeypatch, pair, n)
         assert got == starts
         assert t.lo == _line_by_line_threshold(pair, n)
+
+    def test_rational_steps_build_no_roof(self, monkeypatch):
+        # at a Fraction t on rational data a Newton step reads the top and
+        # its slope off one integer pass, and the guards read the ends of
+        # the divisor's roof: no roof, argmax, envelope or Legendre roof is
+        # built once the pair's volume is known
+        cases = [(Pair(slant_divisor()), tent_divisor()),
+                 (Pair(tent_divisor()), slant_divisor()),
+                 (Pair(slant_divisor()), slant_divisor().scale(2)),
+                 (_two_kink_pair(), tent_divisor()),
+                 (_plateau_pair(), slant_divisor() + height_shift(1)),
+                 _lower_edge_case(), _upper_edge_case(), _crossing_case(),
+                 (Pair(slant_divisor() + p_slant_divisor(2)), tent_divisor()),
+                 (Pair(_cap_divisor()),
+                  zariski_positive_part(Pair(_cap_divisor(digits=6, seed=1))).positive)]
+        rng = random.Random("rational-steps")
+        for _ in range(20):
+            pair = sample_big_pair(rng, allow_finite=False)
+            cases.append((pair, zariski_positive_part(sample_big_pair(rng, allow_finite=False))
+                          .positive))
+        for pair, _ in cases:
+            avol(pair)
+        want = [repr(pseff_threshold(pair, n)) for pair, n in cases]
+
+        def refuse(*args):
+            raise AssertionError("a rational Newton step or a guard built a roof")
+
+        for owner, name in ((positivity._Line, "roof"), (ConcavePA, "argmax"),
+                            (Pair, "global_roof"), (ToricAdelicDivisor, "roof"),
+                            (positivity, "convex_envelope"), (pa, "convex_envelope"),
+                            (positivity, "legendre_roof"), (pa, "legendre_roof")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert [repr(pseff_threshold(pair, n)) for pair, n in cases] == want
 
     # recorded with the kink-line search that this Newton search replaced
     _CAP_FROZEN = [
