@@ -340,7 +340,7 @@ class BaseCondition:
     __slots__ = ("v0", "vinf")
 
     def __init__(self, entries: Mapping | None = None):
-        orders = {"0": Fraction(0), "inf": Fraction(0)}
+        orders = {"0": _ZERO, "inf": _ZERO}
         for key, value in (entries or {}).items():
             orders[_label(key)] += Fraction(value)
         self.v0, self.vinf = orders["0"], orders["inf"]
@@ -349,15 +349,22 @@ class BaseCondition:
     def is_zero(self) -> bool:
         return not (self.v0 or self.vinf)
 
+    @classmethod
+    def _of(cls, v0: Fraction, vinf: Fraction) -> "BaseCondition":
+        """The base condition with the Fraction orders v0 and vinf, built
+        with no label to read or value to convert."""
+        obj = object.__new__(cls)
+        obj.v0, obj.vinf = v0, vinf
+        return obj
+
     def __add__(self, other):
         if not isinstance(other, BaseCondition):
             return NotImplemented
-        return BaseCondition({"0": self.v0 + other.v0,
-                              "inf": self.vinf + other.vinf})
+        return BaseCondition._of(self.v0 + other.v0, self.vinf + other.vinf)
 
     def scale(self, a) -> "BaseCondition":
         a = Fraction(a)
-        return BaseCondition({"0": a * self.v0, "inf": a * self.vinf})
+        return BaseCondition._of(a * self.v0, a * self.vinf)
 
     def __eq__(self, other):
         if not isinstance(other, BaseCondition):

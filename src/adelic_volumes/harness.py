@@ -35,6 +35,7 @@ from .positivity import (
     _as_divisor,
     _Line,
     _roof_ends,
+    _sum_volume,
     adeg_product,
     avol,
     is_big,
@@ -180,19 +181,21 @@ def diskant_report(pair1, pair2) -> DiskantReport:
     a = s1 - rv * s0
     b = Rv * s1 - s2
     u = s1 / s0
+    ratio = s2 / s1
     cases = [
         _exact_case("mixed_discriminant_nonneg", Fraction(0), disc),
         _exact_case("diskant", a * a, disc),
         _exact_case("chain_lower_vs_r", a * abs_scalar(a), disc),
-        _exact_case("chain_r_vs_ratio", rv, s2 / s1),
-        _exact_case("chain_ratio_mono", s2 / s1, u),
+        _exact_case("chain_r_vs_ratio", rv, ratio),
+        _exact_case("chain_ratio_mono", ratio, u),
         _exact_case("chain_ratio_vs_R", u, Rv),
         _exact_case("chain_R_vs_upper", b * abs_scalar(b), Rv * Rv * disc),
     ]
     bl = s0 * (Rv - rv) / 2
     cases.append(_exact_case("bonnesen", bl * bl, disc))
 
-    d = avol(p1 + p2) - s2 - s0
+    # avol(p1 + p2) off the line kernel: the sum pair is never built
+    d = _sum_volume(p1, p2) - s2 - s0
     if scalar_sign(d) >= 0 and scalar_sign(d * d - 4 * s0 * s2) == 0:
         # Brunn-Minkowski equality: the pairs are proportional
         cases.append(_exact_case("equality_mixed_product", abs_scalar(disc),
@@ -420,7 +423,7 @@ def _suite_brunn_minkowski(rng, count):
     for _ in range(count):
         p1 = sample_big_pair(rng)
         p2 = sample_big_pair(rng)
-        v1, v2, v12 = avol(p1), avol(p2), avol(p1 + p2)
+        v1, v2, v12 = avol(p1), avol(p2), _sum_volume(p1, p2)
         d = v12 - v1 - v2
         gap = d * d - 4 * v1 * v2
         ok = scalar_sign(d) >= 0 and scalar_sign(gap) >= 0

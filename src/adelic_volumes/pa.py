@@ -58,10 +58,8 @@ the Fraction operators.  So a few exact primitives read Fraction operands
 in place and compute on their numerators and denominators: ``_slope``, the
 orientation signs ``_turn`` and ``_tail_turn`` (the envelope's drop and
 tail tests, the collinear merge and the shape checks), ``_on_line`` for
-y0 + s (x - x0) (Legendre roofs, jets, threshold rows), ``_jet_pairing``
-(the local sums of ``adeg_product``, which pairs the rational jets of
-``_jets_on_grid``, linear in the tail slopes, one basis jet per symbolic
-tail), ``_grid`` (integer sort keys over a common denominator),
+y0 + s (x - x0) (Legendre roofs, threshold rows), ``_grid`` (integer
+sort keys over a common denominator),
 ``_grid_ratios`` (the one integer scan of a grid behind ``_eval_on_grid``
 and the sums ``_sum_on_grid``) and :func:`integrate_positive_part`;
 ``exactnum.scalar_sign`` and ``exactnum.scalar_cmp`` do the same for signs
@@ -74,7 +72,11 @@ rational t it reads the roofs' breakpoints and values off the hulls as
 integers, merged on one grid: its volume forms the integral of
 ``integrate_positive_part`` from them once, and a threshold's Newton step
 reads the top off them as one Fraction, or one ``exactnum._from_coeffs``
-value; no roof is built.
+value; no roof is built.  ``positivity.adeg_product`` reads each
+potential's points once (``_integer_grid``), forms its jets (value and
+one-sided slopes) on the union of the breakpoints as integers over two
+denominators (``_grid_jets``), one basis jet per symbolic tail, and sums
+each local pairing as one integer numerator (``_jet_pairing``).
 
 Roof values are Q-linear forms in 1, log 2, log 3, ..., stored as n / s
 with denominator polynomial 1.  ``_chord`` (the ends of
@@ -95,7 +97,7 @@ route.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -420,7 +422,9 @@ def _jets_on_grid(pts, xs, left_slope, right_slope) -> list:
     """(value, left slope, right slope) at each x of a sorted grid of the
     function finite on R with breakpoints pts and the given asymptotic
     slopes, in one joint scan; beyond the breakpoints it follows the tails.
-    The jets are linear in the values and the two tail slopes."""
+    The jets are linear in the values and the two tail slopes.  The field
+    route of ``positivity.adeg_product``, for breakpoints outside Q;
+    rational breakpoints take ``_grid_jets``."""
     slopes = ([left_slope] + [_slope(p, q) for p, q in zip(pts, pts[1:])]
               + [right_slope])
     out = []
@@ -438,26 +442,95 @@ def _jets_on_grid(pts, xs, left_slope, right_slope) -> list:
     return out
 
 
-def _jet_pairing(us, jets_a, jets_b) -> Scalar:
-    """The sum over u of ya (rb - lb) + yb (ra - la) - u (ra rb - la lb),
-    for the jets (value, left slope, right slope) of two functions at the
-    points us: the local sum of ``positivity.adeg_product``."""
-    flat = _ratios(v for u, ja, jb in zip(us, jets_a, jets_b) for v in (u, *ja, *jb))
-    if flat:
-        # all rational: each term as (rb - lb)(ya - u la) + (ra - la)(yb - u rb)
-        terms = []
-        for i in range(0, len(flat), 7):
-            ((un, ud), (yan, yad), (lan, lad), (ran, rad),
-             (ybn, ybd), (lbn, lbd), (rbn, rbd)) = flat[i:i + 7]
-            terms.append((
-                (rbn * lbd - lbn * rbd) * (yan * ud * lad - un * lan * yad) * rad * ybd
-                + (ran * lad - lan * rad) * (ybn * ud * rbd - un * rbn * ybd) * lbd * yad,
-                ud * lad * rbd * lbd * yad * rad * ybd))
-        return Fraction(*_sum_terms(terms))
-    local = Fraction(0)
-    for u, (ya, la, ra), (yb, lb, rb) in zip(us, jets_a, jets_b):
-        local = local + ya * (rb - lb) + yb * (ra - la) - u * (ra * rb - la * lb)
-    return local
+def _integer_grid(fs):
+    """(keys, U, parts) for functions on R whose breakpoints are all
+    Fractions, each point read once: the union of the breakpoints as the
+    sorted integer keys X of X / U, U > 0, and per function the keys of its
+    breakpoints and their values as integer pairs; else None."""
+    parts, dens = [], []
+    for f in fs:
+        xr, yr = [], []
+        for x, y in f.points:
+            if type(x) is not Fraction or type(y) is not Fraction:
+                return None
+            xr.append(x.as_integer_ratio())
+            yr.append(y.as_integer_ratio())
+        parts.append((xr, yr))
+        dens += [d for _, d in xr]
+    big_u = lcm(*dens)
+    parts = [([n * (big_u // d) for n, d in xr], yr) for xr, yr in parts]
+    return sorted({x for xk, _ in parts for x in xk}), big_u, parts
+
+
+def _grid_values(xk, yr, keys, big_u, ls, rs) -> list:
+    """The values at each x = X / U of the sorted integer keys X, as
+    integer pairs (n, d) with d > 0, not reduced, of the function with the
+    breakpoints (X_i / U, y_i) and the tail slopes ls and rs: the X_i are
+    the keys xk, all among the keys, and the y_i, ls and rs integer pairs.
+    One scan: a breakpoint's value, the chord between two breakpoints, or
+    a tail; a tail that no key reaches is not read."""
+    out = []
+    i, n = 0, len(xk)  # i: the breakpoints left of x
+    for x in keys:
+        if i < n and x == xk[i]:
+            out.append(yr[i])
+            i += 1
+        elif i and i < n:
+            # y_i-1 + (y_i - y_i-1) (x - x_i-1) / (x_i - x_i-1)
+            (a, b), (a1, b1) = yr[i - 1], yr[i]
+            x0 = xk[i - 1]
+            w = (xk[i] - x0) * b1
+            out.append((a * w + (a1 * b - a * b1) * (x - x0), b * w))
+        else:
+            # a tail: y_j + s (x - x_j) at the first or last breakpoint j
+            j = i - 1 if i else 0
+            (a, b), (sn, sd) = yr[j], (rs if i else ls)
+            sd *= big_u
+            out.append((a * sd + sn * (x - xk[j]) * b, b * sd))
+    return out
+
+
+def _grid_jets(xk, yr, keys, big_u, ls, rs) -> tuple:
+    """(ys, v, lefts, rights, s): the jets (value, left slope, right slope)
+    at each x = X / U of the sorted integer keys X, as ``_jets_on_grid``
+    reads them, for the data of ``_grid_values``: the values as numerators
+    over v, the one-sided slopes as numerators over s.  A piece's slope is
+    a tail's, or (y_i+1 - y_i) U / (X_i+1 - X_i) on a segment."""
+    vals = _grid_values(xk, yr, keys, big_u, ls, rs)
+    v = lcm(*[d for _, d in vals])
+    # the slope of each piece: the left tail, the segments, the right tail
+    pieces = [ls]
+    pieces += [((a1 * b - a * b1) * big_u, b * b1 * (x1 - x0))
+               for x0, x1, (a, b), (a1, b1) in zip(xk, xk[1:], yr, yr[1:])]
+    pieces.append(rs)
+    s = lcm(*[d for _, d in pieces])
+    slopes = [n * (s // d) for n, d in pieces]
+    lefts, rights = [], []
+    i, n = 0, len(xk)  # i: the breakpoints left of x
+    for x in keys:
+        lefts.append(slopes[i])
+        if i < n and x == xk[i]:
+            i += 1
+        rights.append(slopes[i])
+    return [a * (v // d) for a, d in vals], v, lefts, rights, s
+
+
+def _jet_pairing(keys, big_u, jets_a, jets_b) -> Fraction:
+    """The sum over the keys X, at u = X / U, of
+    ya (rb - lb) + yb (ra - la) - u (ra rb - la lb) for the jets
+    (value, left slope, right slope) of two functions given by
+    ``_grid_jets``: the local sum of ``positivity.adeg_product``.  The
+    three sums are taken over the integers, each over its denominator
+    (va sb, vb sa and U sa sb), and one Fraction is built."""
+    ya, va, la, ra, sa = jets_a
+    yb, vb, lb, rb, sb = jets_b
+    p = q = r = 0
+    for x, y1, l1, r1, y2, l2, r2 in zip(keys, ya, la, ra, yb, lb, rb):
+        p += y1 * (r2 - l2)
+        q += y2 * (r1 - l1)
+        r += x * (r1 * r2 - l1 * l2)
+    return Fraction((p * vb * sa + q * va * sb) * big_u - r * va * vb,
+                    va * vb * sa * sb * big_u)
 
 
 class ConcavePA:

@@ -11,7 +11,9 @@ piecewise-affine function of the twist; exact Newton steps find it after a
 few steps, and it comes back as a bracket lo == hi.  At a rational twist on
 rational data each step is one integer pass of the line kernel (``_Line``)
 and builds no roof; the nef guards read the two ends of the divisor's roof
-off its potentials' first and last breakpoints (``_roof_ends``).
+off its potentials' first and last breakpoints (``_roof_ends``).  The
+volume avol(p1 + p2) of a sum of pairs is one pass of the same kernel
+(``_sum_volume``), and intersection numbers pair integer jets.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .divisors import (ARCH, Pair, ToricAdelicDivisor, _place_sort_key,
 from .errors import EmptyPolytope, NotBig, NotNef
 from .exactnum import (Scalar, _affine_quotient_sum, _from_coeffs, _linear_combination,
                        _mul, _poly_sign, log_unit, scalar_float, scalar_sign)
-from .pa import (ConvexPA, Interval, PAGeneral, _grid, _grid_ratios,
+from .pa import (ConvexPA, Interval, PAGeneral, _grid, _grid_jets, _grid_values, _integer_grid,
                  _jet_pairing, _jets_on_grid, _nonneg_run, _on_line, _poly_sum, _ratios,
                  _slope, _values_on_grid, convex_envelope, integrate_positive_part,
                  legendre_potential, legendre_roof, unit_roof)
@@ -44,7 +46,11 @@ def _as_divisor(obj) -> ToricAdelicDivisor:
 
 def is_relatively_nef(divisor) -> bool:
     divisor = _as_divisor(divisor)
-    if scalar_sign(divisor.degree) < 0:
+    return _relatively_nef(divisor, divisor.degree)
+
+
+def _relatively_nef(divisor, degree) -> bool:
+    if scalar_sign(degree) < 0:
         return False
     return all(isinstance(pot, ConvexPA) for pot in divisor._potentials.values())
 
@@ -108,6 +114,17 @@ def avol(pair):
 
 def is_big(pair) -> bool:
     return scalar_sign(avol(pair)) > 0
+
+
+def _sum_volume(p1, p2):
+    """avol(p1 + p2), read off the line kernel from p1's divisor towards
+    p2's at t = 1 with the summed base orders: one integer pass, and no sum
+    divisor, roof or integral is built.  avol(p1 + p2) itself only when the
+    line has no integer pass (data outside Q, from library callers)."""
+    line = _Line(Pair(p1.divisor, p1.base + p2.base), p2.divisor)
+    if line._kernel is None:
+        return avol(p1 + p2)
+    return line.volume(Fraction(1))
 
 
 def is_pseff(pair) -> bool:
@@ -182,9 +199,12 @@ def adeg_product(a, b):
     breakpoints they are J_0 + sum_k t_k J_k, one rational basis jet J_k
     per tail t_k that is not a Fraction (a Zariski positive part has the
     ends of its region, which may involve log p, as tails), the Fraction
-    tails folded into J_0.  The local sum is bilinear, so adeg(a, b) is
-    sum_ij t_i s_j S_ij, where S_ij = sum_v c_v (pairing of J_i and J_j at
-    v) is rational at each place (``_jet_pairing``) and is built once over
+    tails folded into J_0.  Each jet is read as integers off the
+    potential's points, on the union of both potentials' breakpoints over
+    one denominator (``_integer_grid``, ``_grid_jets``).  The local sum is
+    bilinear, so adeg(a, b) is sum_ij t_i s_j S_ij, where
+    S_ij = sum_v c_v (pairing of J_i and J_j at v) is rational at each
+    place (``_jet_pairing``, one integer numerator) and is built once over
     the places from its integer coefficients (``_from_coeffs``); the
     symbolic tails multiply in only at the end.  Breakpoints that are not
     all Fractions take the field operators place by place.
@@ -193,28 +213,33 @@ def adeg_product(a, b):
     b = _as_divisor(b)
     places = list(dict.fromkeys((ARCH,) + a.places + b.places))
     pots = [(a.potential(v), b.potential(v)) for v in places]
-    if not all(type(z) is Fraction for pair in pots for f in pair
-               for p in f.points for z in p):
+    grids = [_integer_grid(pair) for pair in pots]
+    if None in grids:
         total = Fraction(0)
         for place, pair in zip(places, pots):
             us = _grid(*((u for u, _ in f.points) for f in pair))
-            local = _jet_pairing(us, *(_jets_on_grid(f.points, us, f.left_slope, f.right_slope)
-                                       for f in pair))
+            jets_a, jets_b = (_jets_on_grid(f.points, us, f.left_slope, f.right_slope)
+                              for f in pair)
+            local = Fraction(0)
+            for u, (ya, la, ra), (yb, lb, rb) in zip(us, jets_a, jets_b):
+                local = local + ya * (rb - lb) + yb * (ra - la) - u * (ra * rb - la * lb)
             total = total + (local if place == ARCH else log_unit(place) * local)
         return total
     # per (i, j): the pairing at each place, with the monomial of its weight
     pairings: dict = {}
-    for place, pair in zip(places, pots):
-        us = _grid(*((u for u, _ in f.points) for f in pair))
+    for place, pair, (keys, big_u, parts) in zip(places, pots, grids):
         mono = () if place == ARCH else (place,)
-        basis_a, basis_b = (_jet_basis(f, us) for f in pair)
+        basis_a, basis_b = (_jet_basis(f, part, keys, big_u) for f, part in zip(pair, parts))
         for i, ja in enumerate(basis_a):
             for j, jb in enumerate(basis_b):
-                pairings.setdefault((i, j), []).append((mono, _jet_pairing(us, ja, jb)))
+                pairings.setdefault((i, j), []).append(
+                    (mono, _jet_pairing(keys, big_u, ja, jb)))
     sums = {key: _place_sum(terms) for key, terms in pairings.items()}
     # every potential of a divisor has the divisor's tails
     ta = [t for t in (-a.cinf, a.c0) if type(t) is not Fraction]
     tb = [t for t in (-b.cinf, b.c0) if type(t) is not Fraction]
+    if not (ta or tb):
+        return sums[0, 0]
     total = None
     if not tb:
         total = _linear_combination(sums[0, 0], [(t, sums[i, 0]) for i, t in enumerate(ta, 1)])
@@ -240,19 +265,21 @@ def _plus(x, y):
     return x + y if y else x
 
 
-def _jet_basis(pot, us) -> list:
-    """[J_0, J_1, ...], rational jets on the grid us with jets(pot) =
-    J_0 + sum_k t_k J_k over the tails t_k of pot, left then right, that
-    are not Fractions: J_0 has those tails set to 0, and J_k is the jet of
-    zero breakpoint values with tail k set to 1 and the other to 0."""
-    zero, one = Fraction(0), Fraction(1)
-    ls, rs = (t if type(t) is Fraction else zero for t in (pot.left_slope, pot.right_slope))
-    out = [_jets_on_grid(pot.points, us, ls, rs)]
-    flat = [(u, zero) for u, _ in pot.points]
+def _jet_basis(pot, part, keys, big_u) -> list:
+    """[J_0, J_1, ...], integer jets (``_grid_jets``) on the keys X / U with
+    jets(pot) = J_0 + sum_k t_k J_k over the tails t_k of pot, left then
+    right, that are not Fractions: J_0 has those tails set to 0, and J_k is
+    the jet of zero breakpoint values with tail k set to 1 and the other to
+    0.  part holds the keys and values of pot's breakpoints."""
+    xk, yr = part
+    ls, rs = (t.as_integer_ratio() if type(t) is Fraction else (0, 1)
+              for t in (pot.left_slope, pot.right_slope))
+    out = [_grid_jets(xk, yr, keys, big_u, ls, rs)]
+    flat = [(0, 1)] * len(xk)
     if type(pot.left_slope) is not Fraction:
-        out.append(_jets_on_grid(flat, us, one, zero))
+        out.append(_grid_jets(xk, flat, keys, big_u, (1, 1), (0, 1)))
     if type(pot.right_slope) is not Fraction:
-        out.append(_jets_on_grid(flat, us, zero, one))
+        out.append(_grid_jets(xk, flat, keys, big_u, (0, 1), (1, 1)))
     return out
 
 
@@ -345,9 +372,9 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
     n = _as_divisor(nef_divisor)
     if not is_big(pair):
         raise NotBig(f"{pair!r} is not big")
-    _require_nef_volume(n)
+    degree = _require_nef_volume(n)
     window = pair.shifted_polytope()  # kept on the pair by is_big
-    t = (window.hi - window.lo) / n.degree  # the window is a point here
+    t = (window.hi - window.lo) / degree  # the window is a point here
     line = _Line(pair, n)
     while True:
         x, g, where = line.top(-t)
@@ -356,20 +383,23 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
         t = t + g / _fall_rate(line, t, x, where, n)
 
 
-def _require_nef_volume(divisor) -> None:
+def _require_nef_volume(divisor):
     """Raise NotNef unless the divisor is nef (``is_nef``) and of positive
-    volume, read in one pass off the ends of its roof (``_roof_ends``).
+    volume, read in one pass off the ends of its roof (``_roof_ends``);
+    return its degree, read once.
 
     Proof.  A nef roof Theta is concave and >= 0 on the polytope [lo, hi],
     so the volume, twice its integral, is 0 exactly when lo = hi (degree 0)
     or Theta = 0; and Theta = 0 exactly when Theta(lo) = 0 with a right
     slope <= 0 at lo, for then concavity gives Theta <= 0 on [lo, hi].
     """
-    ends = _roof_ends(divisor) if is_relatively_nef(divisor) else None
+    degree = divisor.degree
+    ends = _roof_ends(divisor) if _relatively_nef(divisor, degree) else None
     if ends is None or scalar_sign(ends[0]) < 0 or scalar_sign(ends[1]) < 0:
         raise NotNef(f"{divisor!r} is not nef")
-    if scalar_sign(divisor.degree) <= 0 or all(scalar_sign(e) <= 0 for e in ends):
+    if scalar_sign(degree) <= 0 or all(scalar_sign(e) <= 0 for e in ends):
         raise NotNef(f"{divisor!r} is nef but has volume zero")
+    return degree
 
 
 class _Line:
@@ -395,7 +425,10 @@ class _Line:
     of the positive part from them once (``_volume``), and ``top`` reads
     the maximum off them; no place's roof is built, summed or restricted.
     ``jet`` runs the pass at t = +-eps (``_Eps``); without it, ``volume``
-    and ``jet`` raise ValueError.  ``top`` at any other t or row
+    and ``jet`` raise ValueError.  The callers of ``volume`` are the
+    derivative checks (``harness``) and the sum volume avol(p1 + p2) of the
+    Diskant report and the Brunn-Minkowski suite (``_sum_volume``), at
+    t = 1.  ``top`` at any other t or row
     (thresholds in Q(log p), symbolic tails) reads ``roof``, which takes
     ``convex_envelope`` and ``legendre_roof`` on the rows (u, pD(u), pE(u))
     of ``rows()``, then ``_roof_sum`` and ``restrict`` as the pair does;
@@ -688,20 +721,28 @@ def _layered_sign(poly) -> int:
 
 def _integer_rows(pd, pe):
     """(X, U, P, C, Q) for two potentials on the union of their
-    breakpoints u: u = X_i / U, pd(u) = P_i / C and pe(u) = Q_i / C, the
-    values read as integer pairs by ``_grid_ratios``, with U and C positive
+    breakpoints u: u = X_i / U, pd(u) = P_i / C and pe(u) = Q_i / C, each
+    potential's points read once (``_integer_grid``) and its values on the
+    keys read as integer pairs by ``_grid_values``, with U and C positive
     and no common factor of C and every P and Q; None unless every
     breakpoint, and the slope of every tail reached, is a Fraction."""
-    xr = _ratios(u for f in (pd, pe) for u, _ in f.points)
-    if xr is None:
+    grid = _integer_grid((pd, pe))
+    if grid is None:
         return None
-    big_u = lcm(*(b for _, b in xr))
-    xs = sorted({a * (big_u // b) for a, b in xr})
-    grid = [(x, big_u) for x in xs]
-    cols = [_grid_ratios(f.points, grid, f.left_slope, f.right_slope) for f in (pd, pe)]
-    if None in cols:
-        return None
-    c = lcm(*(b for col in cols for _, b in col))
+    xs, big_u, parts = grid
+    cols = []
+    for f, (xk, yr) in zip((pd, pe), parts):
+        ls, rs = f.left_slope, f.right_slope
+        if type(ls) is Fraction:
+            ls = ls.as_integer_ratio()
+        elif xs[0] < xk[0]:
+            return None
+        if type(rs) is Fraction:
+            rs = rs.as_integer_ratio()
+        elif xs[-1] > xk[-1]:
+            return None
+        cols.append(_grid_values(xk, yr, xs, big_u, ls, rs))
+    c = lcm(*[b for col in cols for _, b in col])
     ps, qs = ([a * (c // b) for a, b in col] for col in cols)
     g = gcd(c, *ps, *qs)
     if g > 1:
@@ -788,7 +829,8 @@ def _integer_fall_rate(line, t, x, lo, hi):
     pN - u delta at delta = a / b (b > 0) is (Q (e / C) b - X (e / U) a)
     / (e b), and h(delta) is the form in the logs of the smallest such
     numerator per place over e b: compared by ``_poly_sign`` and built
-    once by ``_from_coeffs``."""
+    once by ``_from_coeffs``, or, at the archimedean place alone, compared
+    as integers and built as one Fraction."""
     tn, tm = t.as_integer_ratio()
     xn, xd = x.as_integer_ratio()
     e = line._kernel[2]
@@ -808,9 +850,16 @@ def _integer_fall_rate(line, t, x, lo, hi):
                 # the rows cross where (q - q2) = (u - u2) delta
                 deltas.append((q - q2, u - u2) if u > u2 else (q2 - q, u2 - u))
     (lo, hi), best = bounds, None
+    deltas = [(a, b) for a, b in deltas if (lo is None or a * lo[1] >= lo[0] * b)
+              and (hi is None or a * hi[1] <= hi[0] * b)]
+    if len(active) == 1:  # the archimedean place alone: h compared as integers
+        rows = active[0][1]
+        for a, b in deltas:
+            h = min(q * b - u * a for q, u in rows)
+            if best is None or h * best[1] > best[0] * b:
+                best = h, b
+        return Fraction(best[0], e * best[1])
     for a, b in deltas:
-        if (lo is not None and a * lo[1] < lo[0] * b) or (hi is not None and a * hi[1] > hi[0] * b):
-            continue
         h = {mono: min(q * b - u * a for q, u in rows) for mono, rows in active}
         if best is None or _poly_sign({mono: c for mono, c in (
                 (mono, c * best[1] - best[0][mono] * b) for mono, c in h.items()) if c}) > 0:

@@ -16,6 +16,14 @@ recorded when each jet was one volume over the field Q(log p)(eps).
 part of a second sampled pair (finite places on odd seeds), as recorded
 when every Newton step read the twisted roof built as a ``ConcavePA``.
 
+``tests/data/diskant_reprs.json`` holds, for 300 sampled pairs of rational
+big pairs (every 7th pair proportional, so that the equality cases occur),
+the typed reprs of s0, s1, s2, r and R of ``diskant_report`` and each case's
+name and slack; and for 300 sampled pairs with a finite place, the typed
+reprs of ``adeg_product`` of their Zariski positive parts and of
+avol(p1 + p2), as recorded when both were formed on Fractions per jet and
+on the built sum pair.
+
 Regenerate the files, only for an intended change of results, with
 
     PYTHONPATH=src python3 tests/test_exact_reprs.py
@@ -24,13 +32,14 @@ Regenerate the files, only for an intended change of results, with
 import json
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from adelic_volumes.divisors import ARCH, place_label
-from adelic_volumes.harness import sample_big_pair, sample_direction
-from adelic_volumes.positivity import (_Line, avol, positive_intersection,
+from adelic_volumes.harness import diskant_report, sample_big_pair, sample_direction
+from adelic_volumes.positivity import (_Line, adeg_product, avol, positive_intersection,
                                        pseff_threshold, zariski_positive_part)
 
 DATA = Path(__file__).parent / "data" / "exact_reprs.json"
@@ -39,6 +48,8 @@ JETS = Path(__file__).parent / "data" / "jet_reprs.json"
 JET_COUNT = 300
 THRESHOLDS = Path(__file__).parent / "data" / "threshold_reprs.json"
 THRESHOLD_COUNT = 300
+DISKANT = Path(__file__).parent / "data" / "diskant_reprs.json"
+DISKANT_COUNT = 300
 
 
 def _typed(x):
@@ -114,6 +125,48 @@ def _threshold_text() -> str:
                       indent=1) + "\n"
 
 
+def _bracket(b) -> list:
+    return [type(b.lo).__name__, repr(b)]
+
+
+def record_diskant(seed: int) -> dict:
+    """The pairs and the typed reprs of one rational Diskant report; every
+    7th second pair is a multiple of the first."""
+    rng = random.Random(f"diskant-reprs:{seed}")
+    p1 = sample_big_pair(rng, allow_finite=False)
+    if seed % 7 == 0:
+        p2 = p1.scale(Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+    else:
+        p2 = sample_big_pair(rng, allow_finite=False)
+    rep = diskant_report(p1, p2)
+    return {"pair1": repr(p1), "pair2": repr(p2),
+            "s": [_typed(rep.s0), _typed(rep.s1), _typed(rep.s2)],
+            "r": _bracket(rep.r), "R": _bracket(rep.R),
+            "cases": [[c.name] + _typed(c.slack) for c in rep.cases]}
+
+
+def record_finite_sum(seed: int) -> dict:
+    """The pairs, the typed repr of the intersection number of their
+    Zariski positive parts and that of avol(p1 + p2), drawn until one of
+    the pairs has a finite place."""
+    rng = random.Random(f"finite-sum-reprs:{seed}")
+    while True:
+        p1 = sample_big_pair(rng)
+        p2 = sample_big_pair(rng)
+        if set(p1.divisor.places + p2.divisor.places) - {ARCH}:
+            break
+    z1, z2 = (zariski_positive_part(p).positive for p in (p1, p2))
+    return {"pair1": repr(p1), "pair2": repr(p2),
+            "adeg_product": _typed(adeg_product(z1, z2)),
+            "sum_volume": _typed(avol(p1 + p2))}
+
+
+def _diskant_text() -> str:
+    return json.dumps({"rational": {str(s): record_diskant(s) for s in range(DISKANT_COUNT)},
+                       "finite": {str(s): record_finite_sum(s) for s in range(DISKANT_COUNT)}},
+                      indent=1) + "\n"
+
+
 @pytest.fixture(scope="module")
 def recorded():
     return json.loads(DATA.read_text())
@@ -150,8 +203,22 @@ def test_threshold_reprs_are_byte_identical():
     assert _threshold_text() == want
 
 
+def test_diskant_reprs_are_byte_identical():
+    want = DISKANT.read_text()
+    recorded_diskant = json.loads(want)
+    rational, finite = recorded_diskant["rational"], recorded_diskant["finite"]
+    assert len(rational) == len(finite) == DISKANT_COUNT
+    assert sum(any(c[0] == "equality_r_vs_R" for c in rec["cases"])
+               for rec in rational.values()) >= DISKANT_COUNT // 7
+    assert all("log(" not in json.dumps(rec) for rec in rational.values())
+    assert sum("log(" in rec["adeg_product"][1] for rec in finite.values()) >= 100
+    assert sum("log(" in rec["sum_volume"][1] for rec in finite.values()) >= 100
+    assert _diskant_text() == want
+
+
 if __name__ == "__main__":
     DATA.write_text(json.dumps({str(s): record(s) for s in range(COUNT)},
                                indent=1) + "\n")
     JETS.write_text(_jet_text())
     THRESHOLDS.write_text(_threshold_text())
+    DISKANT.write_text(_diskant_text())

@@ -416,6 +416,36 @@ class TestDiskantReport:
                     assert scalar_sign(case.slack) == (1 if ref > 0 else -1)
 
 
+class TestDiskantReportBuildsNoSum:
+    """The Brunn-Minkowski equality test of ``diskant_report`` reads
+    avol(p1 + p2) off the line kernel: with every sum of pairs, divisors
+    and convex potentials refused, the reports come out the same."""
+
+    def test_reports_without_a_sum(self, monkeypatch):
+        slant, tent = Pair(slant_divisor()), Pair(tent_divisor())
+        pairs = [(slant, tent), (slant, slant.scale(2))]
+        rng = random.Random("diskant-no-sum")
+        pairs += [tuple(sample_big_pair(rng, allow_finite=False) for _ in range(2))
+                  for _ in range(20)]
+
+        def typed(rep):
+            return [repr(x) for x in (rep.s0, rep.s1, rep.s2, rep.r, rep.R)] + [
+                [c.name, type(c.slack), repr(c.slack)] for c in rep.cases]
+
+        want = [typed(diskant_report(p1, p2)) for p1, p2 in pairs]
+
+        def refuse(*args):
+            raise AssertionError("a sum was built")
+
+        for cls in (Pair, ToricAdelicDivisor, ConvexPA):
+            monkeypatch.setattr(cls, "add", refuse)
+            monkeypatch.setattr(cls, "__add__", refuse)
+        got = [typed(diskant_report(Pair(p1.divisor, p1.base), Pair(p2.divisor, p2.base)))
+               for p1, p2 in pairs]
+        assert got == want
+        assert ["equality_r_vs_R" in str(rep) for rep in got[:2]] == [False, True]
+
+
 def _derivative_payload(rng):
     pair, direction, central = sample_derivative_instance(rng)
     return [pair.to_payload(), direction.to_payload(), str(central)]

@@ -3,7 +3,7 @@ duality, sup-convolution, envelopes, integration."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +27,10 @@ from adelic_volumes.pa import (
     _chord,
     _eval_on_grid,
     _grid,
+    _grid_jets,
+    _grid_values,
     _jet_pairing,
+    _jets_on_grid,
     _on_line,
     _slope,
     _sum_on_grid,
@@ -741,20 +744,49 @@ def _ref_jet_pairing(us, jets_a, jets_b):
     return local
 
 
+def _integer_jets(jets):
+    """Fraction jets (value, left slope, right slope) in the form of
+    ``_grid_jets``: numerators over the least common denominators."""
+    v = lcm(*(y.denominator for y, _, _ in jets))
+    s = lcm(*(z.denominator for _, l, r in jets for z in (l, r)))
+    return ([y.numerator * (v // y.denominator) for y, _, _ in jets], v,
+            [l.numerator * (s // l.denominator) for _, l, _ in jets],
+            [r.numerator * (s // r.denominator) for _, _, r in jets], s)
+
+
 @given(st.lists(st.tuples(_q, st.tuples(_q, _q, _q), st.tuples(_q, _q, _q)),
-                min_size=1, max_size=6),
-       st.one_of(st.none(), st.tuples(st.integers(0, 41), _field)))
+                min_size=1, max_size=6))
 @settings(max_examples=300, deadline=None)
-def test_jet_pairing_primitive(rows, field):
-    flat = [[u, *ja, *jb] for u, ja, jb in rows]
-    if field is not None:
-        # one ExactNumber among the points and jets
-        i, v = field
-        flat[i // 7 % len(flat)][i % 7] = v
-    us = [r[0] for r in flat]
-    jets_a = [tuple(r[1:4]) for r in flat]
-    jets_b = [tuple(r[4:7]) for r in flat]
-    _same(_jet_pairing(us, jets_a, jets_b), _ref_jet_pairing(us, jets_a, jets_b))
+def test_jet_pairing_primitive(rows):
+    us = [u for u, _, _ in rows]
+    big_u = lcm(*(u.denominator for u in us))
+    keys = [u.numerator * (big_u // u.denominator) for u in us]
+    jets_a = [ja for _, ja, _ in rows]
+    jets_b = [jb for _, _, jb in rows]
+    _same(_jet_pairing(keys, big_u, _integer_jets(jets_a), _integer_jets(jets_b)),
+          _ref_jet_pairing(us, jets_a, jets_b))
+
+
+@given(st.lists(_q, min_size=1, max_size=6, unique=True),
+       st.lists(_q, min_size=6, max_size=6), _q, _q, st.lists(_q, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_grid_jets_primitive(xs, ys, left, right, extra):
+    # the integer jets and values on the union of the breakpoints and extra
+    # points are the jets of _jets_on_grid and the values of _eval_on_grid
+    pts = list(zip(sorted(xs), ys))
+    grid = _grid([x for x, _ in pts], extra)
+    big_u = lcm(*(x.denominator for x in grid))
+    keys = [x.numerator * (big_u // x.denominator) for x in grid]
+    xk = [x.numerator * (big_u // x.denominator) for x, _ in pts]
+    yr = [y.as_integer_ratio() for _, y in pts]
+    tails = left.as_integer_ratio(), right.as_integer_ratio()
+    got = _grid_jets(xk, yr, keys, big_u, *tails)
+    want = _jets_on_grid(pts, grid, left, right)
+    assert [F(y, got[1]) for y in got[0]] == [y for y, _, _ in want]
+    assert [F(l, got[4]) for l in got[2]] == [l for _, l, _ in want]
+    assert [F(r, got[4]) for r in got[3]] == [r for _, _, r in want]
+    values = _grid_values(xk, yr, keys, big_u, *tails)
+    assert [F(*v) for v in values] == _eval_on_grid(pts, grid, left, right)
 
 
 @st.composite

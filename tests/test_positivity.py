@@ -409,6 +409,65 @@ class TestIntersectionRoutes:
         assert all(k >= 8 for k in kinds.values()), kinds
 
 
+class TestIntegerJets:
+    """adeg_product reads rational breakpoints as integer jets, so it forms
+    no Fraction slope, no chord and no jet of ``_jets_on_grid``; those
+    remain for breakpoints outside Q."""
+
+    def test_rational_breakpoints_form_no_field_jet(self, monkeypatch):
+        cases = [(slant_divisor(), tent_divisor()), (kinked_slant(), ample_reference()),
+                 (slant_divisor() + p_slant_divisor(2), height_shift(1))]
+        for seed in range(20):
+            cases += TestIntersectionRoutes._instance(seed)
+        assert sum(_symbolic_tails(a) + _symbolic_tails(b) > 0 for a, b in cases) >= 10
+        want = [_operator_adeg_product(a, b) for a, b in cases]
+
+        def refuse(*args):
+            raise AssertionError("a field jet was formed")
+
+        monkeypatch.setattr(pa, "_slope", refuse)
+        monkeypatch.setattr(pa, "_on_line", refuse)
+        monkeypatch.setattr(positivity, "_jets_on_grid", refuse)
+        got = [adeg_product(a, b) for a, b in cases]
+        assert [[type(x), repr(x)] for x in got] == [[type(x), repr(x)] for x in want]
+
+    def test_breakpoints_outside_q_take_the_field_route(self):
+        # a nef divisor with a breakpoint at log 2: adeg(a, a) = avol(a)
+        pot = ConvexPA([(F(0), F(1)), (log_unit(2), 1 + log_unit(2) / 2)], -1, 1)
+        a = ToricAdelicDivisor(1, 1, {ARCH: pot})
+        assert is_nef(a)
+        assert adeg_product(a, a) == avol(Pair(a)) == 4 - log_unit(2) / 4
+        for b in (slant_divisor(), tent_divisor(), p_slant_divisor(3)):
+            got, want = adeg_product(a, b), _operator_adeg_product(a, b)
+            assert [type(got), repr(got)] == [type(want), repr(want)]
+            assert adeg_product(b, a) == got
+
+
+class TestSumVolume:
+    """avol(p1 + p2) read off the line kernel at t = 1, with the summed
+    base orders."""
+
+    def test_matches_the_sum_pair(self):
+        rng = random.Random(33)
+        for i in range(40):
+            p1, p2 = (sample_big_pair(rng, allow_finite=i % 2 == 1) for _ in range(2))
+            got, want = positivity._sum_volume(p1, p2), avol(p1 + p2)
+            assert [type(got), repr(got)] == [type(want), repr(want)], i
+
+    def test_symbolic_tails_fall_back_to_the_sum_pair(self):
+        # a Zariski positive part whose region ends involve log p has no
+        # integer pass along any line; its sum volume is avol(p1 + p2)
+        for seed in range(1, 40, 2):
+            positive = TestIntersectionRoutes._instance(seed)[0][0]
+            if _symbolic_tails(positive):
+                break
+        p1, p2 = Pair(positive), Pair(tent_divisor(), BaseCondition({"0": F(1, 2)}))
+        assert positivity._Line(Pair(positive, p2.base), tent_divisor())._kernel is None
+        got, want = positivity._sum_volume(p1, p2), avol(p1 + p2)
+        assert "log(" in repr(got)
+        assert [type(got), repr(got)] == [type(want), repr(want)]
+
+
 class TestPositiveIntersection:
     def test_exact_values(self):
         O = height_shift(1)
