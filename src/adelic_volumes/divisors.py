@@ -26,7 +26,7 @@ at a non-toric closed point is outside the toric model.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Mapping, Sequence, Union
 
 from .errors import (
@@ -35,7 +35,7 @@ from .errors import (
     NotEffectiveInput,
     UnboundedPerturbation,
 )
-from .exactnum import (ExactNumber, _from_coeffs, _poly_parts, _proven_prime,
+from .exactnum import (ExactNumber, _from_coeffs, _proven_prime,
                        log_unit, scalar_cmp, scalar_sign)
 from .pa import (
     ConcavePA,
@@ -44,8 +44,8 @@ from .pa import (
     PAGeneral,
     _eval_on_grid,
     _grid,
-    _grid_ratios,
-    _ratios,
+    _grid_values,
+    _integer_grid,
     pa_from_payload,
     pointwise_min,
     unit_roof,
@@ -126,36 +126,27 @@ def _roof_sum(arch_roof: ConcavePA, finite: Sequence) -> ConcavePA:
     of a summand and the weights are positive, so the sum is canonical as
     built.
 
-    With rational finite roofs and archimedean values polynomial in the
-    logs, each value is a linear form built once from its integer
-    coefficients; otherwise the places are summed in the order given
-    through the field."""
+    With every roof rational, the roofs are read on one integer grid
+    (``_integer_grid``, ``_grid_values``), and each value is a linear form
+    in the logs built once from its integer coefficients; otherwise the
+    places are summed in the order given through the field."""
     if not finite:
         return arch_roof
-    xs = _grid([x for x, _ in arch_roof.points],
-               *([x for x, _ in r.points] for _, r in finite))
-    xr = _ratios(xs)
-    cols = [None if xr is None else _grid_ratios(r.points, xr) for _, r in finite]
-    arch = None if xr is None else _grid_ratios(arch_roof.points, xr)
-    if arch is None:
-        arch = [_poly_parts(y) for y in _eval_on_grid(arch_roof.points, xs)]
-    else:
-        arch = [({(): n} if n else {}, d) for n, d in arch]
-    if all(c is not None for c in cols) and all(arch):
-        ys = []
-        for (n0, s0), *vals in zip(arch, *cols):
-            s = s0
-            for _, d in vals:
-                s = s // gcd(s, d) * d
-            coeffs = {m: c * (s // s0) for m, c in n0.items()}
-            for (p, _), (n, d) in zip(finite, vals):
-                coeffs[(p,)] = coeffs.get((p,), 0) + n * (s // d)
-            ys.append(_from_coeffs(coeffs, s))
-    else:
+    roofs = [arch_roof.points] + [r.points for _, r in finite]
+    xs = _grid(*([x for x, _ in pts] for pts in roofs))
+    grid = _integer_grid(roofs, xs)
+    if grid is None:
         ys = _eval_on_grid(arch_roof.points, xs)
         for p, r in finite:
             weight = log_unit(p)
             ys = [y + weight * v for y, v in zip(ys, _eval_on_grid(r.points, xs))]
+    else:
+        keys, big_u, parts = grid
+        monos = [()] + [(p,) for p, _ in finite]
+        ys = []
+        for vals in zip(*(_grid_values(xk, yr, keys, big_u) for xk, yr in parts)):
+            s = lcm(*[d for _, d in vals])
+            ys.append(_from_coeffs({m: n * (s // d) for m, (n, d) in zip(monos, vals)}, s))
     return ConcavePA._raw(list(zip(xs, ys)))
 
 

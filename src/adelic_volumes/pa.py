@@ -58,17 +58,21 @@ the Fraction operators.  So a few exact primitives read Fraction operands
 in place and compute on their numerators and denominators: ``_slope``, the
 orientation signs ``_turn`` and ``_tail_turn`` (the envelope's drop and
 tail tests, the collinear merge and the shape checks), ``_on_line`` for
-y0 + s (x - x0) (Legendre roofs, threshold rows), ``_grid`` (integer
-sort keys over a common denominator),
-``_grid_ratios`` (the one integer scan of a grid behind ``_eval_on_grid``
-and the sums ``_sum_on_grid``) and :func:`integrate_positive_part`;
-``exactnum.scalar_sign`` and ``exactnum.scalar_cmp`` do the same for signs
-and comparisons.  ``_nonneg_run`` reads signs only from each end of a
-concave function up to its first nonnegative value: concavity gives the
-rest.  The line kernel ``positivity._Line`` keeps a line's rows as
-integers over one denominator and runs the lower hull on them, with the
-sign tests of ``_turn`` and ``_tail_turn`` over common denominators.  At a
-rational t it reads the roofs' breakpoints and values off the hulls as
+y0 - s x0 (Legendre roofs, threshold rows), ``_grid`` (integer sort keys
+over a common denominator), ``_integer_grid`` with ``_grid_values`` and
+:func:`integrate_positive_part`; ``exactnum.scalar_sign`` and
+``exactnum.scalar_cmp`` do the same for signs and comparisons.
+``_integer_grid`` puts a grid and each function's breakpoints on integer
+keys over one denominator, each point read once, and ``_grid_values``
+reads a function's values at the keys in one scan as integer pairs: the
+one integer scan behind ``_eval_on_grid``, the sums ``_sum_on_grid`` and
+``divisors._roof_sum``, and the rows of ``positivity._Line``.
+``_nonneg_run`` reads signs only from each end of a concave function up
+to its first nonnegative value: concavity gives the rest.  The line
+kernel ``positivity._Line`` keeps a line's rows as integers over one
+denominator and runs the lower hull on them, with the sign tests of
+``_turn`` and ``_tail_turn`` over common denominators.  At a rational t
+it reads the roofs' breakpoints and values off the hulls as
 integers, merged on one grid: its volume forms the integral of
 ``integrate_positive_part`` from them once, and a threshold's Newton step
 reads the top off them as one Fraction, or one ``exactnum._from_coeffs``
@@ -89,9 +93,23 @@ primitive affine parts (``exactnum._affine_quotient_sum``): no heuristic
 gcd runs.
 
 Any other operand takes the operator formula the primitive replaced, kept
-beside the integer route.  A Fraction or an n / s has one canonical form,
-which every route builds, so results are byte-identical to the operator
-route.
+beside the integer route for the operands that reach it:
+
+* values in Q(log p), at a line's roof at a threshold t in Q(log p)
+  (``positivity._Line.roof`` and ``_fall_rate``): ``_slope``, ``_turn``,
+  ``_tail_turn``, ``_on_line``, ``_chord`` and the field scan of
+  ``_eval_on_grid``;
+* tail slopes in Q(log p), at a Zariski positive part, whose potentials
+  have the ends of its region as tails: divisor sums with it
+  (``_sum_on_grid``), its shape checks (``_turn``, ``_tail_turn``) and
+  its unit roofs, which end at those tails: their sum (``_grid``,
+  ``_chord`` and the field scan in ``divisors._roof_sum``) and its
+  volume (:func:`integrate_positive_part`);
+* values in the logs at rational x, at the empirical transform of
+  ``sections`` (``_chord`` per monomial, through the field scan).
+
+A Fraction or an n / s has one canonical form, which every route builds,
+so results are byte-identical to the operator route.
 """
 
 from __future__ import annotations
@@ -246,21 +264,14 @@ def _tail_turn(s, p, q) -> int:
     return scalar_cmp(s * (x2 - x1), y2 - y1)
 
 
-def _on_line(x0, y0, s, x=None) -> Scalar:
-    """y0 + s (x - x0), the value at x of the line of slope s through
-    (x0, y0); without x, its value at 0, y0 - s x0."""
-    if type(x0) is type(y0) is type(s) is Fraction and (
-            x is None or type(x) is Fraction):
+def _on_line(x0, y0, s) -> Scalar:
+    """y0 - s x0, the value at 0 of the line of slope s through (x0, y0)."""
+    if type(x0) is type(y0) is type(s) is Fraction:
         a, b = x0.as_integer_ratio()
         c, d = y0.as_integer_ratio()
         n, e = s.as_integer_ratio()
-        if x is None:
-            return Fraction(c * e * b - n * a * d, d * e * b)
-        u, v = x.as_integer_ratio()
-        return Fraction(c * e * b * v + n * (u * b - a * v) * d, d * e * b * v)
-    if x is None:
-        return y0 - s * x0
-    return y0 + s * (x - x0)
+        return Fraction(c * e * b - n * a * d, d * e * b)
+    return y0 - s * x0
 
 
 def _sum_terms(terms) -> tuple:
@@ -356,50 +367,20 @@ def _chord(p, q, x) -> Scalar:
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
-def _grid_ratios(pts, xr, left_slope=None, right_slope=None):
-    """The values at each x = u / v of a sorted grid, given by its
-    ``_ratios`` xr, as integer pairs (n, d) with d > 0, not reduced, read
-    in one joint scan of the breakpoints as ``_eval_on_grid`` reads them;
-    None unless every breakpoint, and the slope of every tail reached, is a
-    Fraction."""
-    pr = _ratios(x for x, _ in pts)
-    yr = pr and _ratios(y for _, y in pts)
-    if not yr:
-        return None
-    out = []
-    i = 0
-    top = len(pts) - 1
-    for u, v in xr:
-        while i < top and pr[i + 1][0] * v <= u * pr[i + 1][1]:
-            i += 1
-        (a, b), (c, d) = pr[i], yr[i]
-        t = u * b - a * v  # the sign of x - x_i
-        if not t:
-            out.append((c, d))
-        elif t < 0 or i == top:
-            # a tail (x_i the first breakpoint when t < 0): y_i + s (x - x_i)
-            s = left_slope if t < 0 else right_slope
-            if type(s) is not Fraction:
-                return None
-            n, e = s.as_integer_ratio()
-            out.append((c * e * b * v + n * t * d, d * e * b * v))
-        else:
-            (a1, b1), (c1, d1) = pr[i + 1], yr[i + 1]
-            # y_i + (y_i+1 - y_i) (x - x_i) / (x_i+1 - x_i)
-            e = (a1 * b - a * b1) * v * d1
-            out.append((c * e + (c1 * d - c * d1) * b1 * t, d * e))
-    return out
-
-
 def _eval_on_grid(pts, xs, left_slope=None, right_slope=None) -> list:
     """The values at each x of a sorted grid, in one joint scan of the
     breakpoints: a breakpoint's value, the chord between two breakpoints,
     or a tail.  Outside the breakpoint hull the function follows the tails,
-    which must then be given."""
-    xr = _ratios(xs)
-    rows = None if xr is None else _grid_ratios(pts, xr, left_slope, right_slope)
-    if rows is not None:
-        return [Fraction(n, d) for n, d in rows]
+    which must then be given.  A grid of several Fractions takes the
+    integer scan ``_grid_values``; this loop is the field scan, and reads
+    a single point in place, with no keys to scale (``_chord`` computes
+    on the integers of Fractions)."""
+    grid = _integer_grid([pts], xs) if len(xs) > 1 else None
+    if grid is not None:
+        keys, big_u, [(xk, yr)] = grid
+        rows = _grid_values(xk, yr, keys, big_u, left_slope, right_slope)
+        if rows is not None:
+            return [Fraction(n, d) for n, d in rows]
     out = []
     i = 0
     top = len(pts) - 1
@@ -418,60 +399,47 @@ def _eval_on_grid(pts, xs, left_slope=None, right_slope=None) -> list:
     return out
 
 
-def _jets_on_grid(pts, xs, left_slope, right_slope) -> list:
-    """(value, left slope, right slope) at each x of a sorted grid of the
-    function finite on R with breakpoints pts and the given asymptotic
-    slopes, in one joint scan; beyond the breakpoints it follows the tails.
-    The jets are linear in the values and the two tail slopes.  The field
-    route of ``positivity.adeg_product``, for breakpoints outside Q;
-    rational breakpoints take ``_grid_jets``."""
-    slopes = ([left_slope] + [_slope(p, q) for p, q in zip(pts, pts[1:])]
-              + [right_slope])
-    out = []
-    j = 0  # the first breakpoint at or right of x
-    n = len(pts)
-    for x in xs:
-        c = 1  # the sign of pts[j].x - x
-        while j < n and (c := scalar_cmp(pts[j][0], x)) < 0:
-            j += 1
-        if j < n and c == 0:
-            out.append((pts[j][1], slopes[j], slopes[j + 1]))
-        else:
-            s = slopes[j]
-            out.append((_on_line(*pts[min(j, n - 1)], s, x), s, s))
-    return out
-
-
-def _integer_grid(fs):
-    """(keys, U, parts) for functions on R whose breakpoints are all
-    Fractions, each point read once: the union of the breakpoints as the
-    sorted integer keys X of X / U, U > 0, and per function the keys of its
-    breakpoints and their values as integer pairs; else None."""
+def _integer_grid(fs, xs=None):
+    """(keys, U, parts) for the point lists fs, each point read once, on
+    the sorted grid xs, by default the union of their breakpoints: the
+    grid as the sorted integer keys X of X / U, U > 0, and per list the
+    keys of its breakpoints and their values as integer pairs; None unless
+    every coordinate, and every x of the grid, is a Fraction."""
     parts, dens = [], []
-    for f in fs:
+    for pts in fs:
         xr, yr = [], []
-        for x, y in f.points:
+        for x, y in pts:
             if type(x) is not Fraction or type(y) is not Fraction:
                 return None
             xr.append(x.as_integer_ratio())
             yr.append(y.as_integer_ratio())
         parts.append((xr, yr))
         dens += [d for _, d in xr]
+    if xs is not None:
+        xs = _ratios(xs)
+        if xs is None:
+            return None
+        dens += [d for _, d in xs]
     big_u = lcm(*dens)
     parts = [([n * (big_u // d) for n, d in xr], yr) for xr, yr in parts]
-    return sorted({x for xk, _ in parts for x in xk}), big_u, parts
+    if xs is None:
+        return sorted({x for xk, _ in parts for x in xk}), big_u, parts
+    return [n * (big_u // d) for n, d in xs], big_u, parts
 
 
-def _grid_values(xk, yr, keys, big_u, ls, rs) -> list:
+def _grid_values(xk, yr, keys, big_u, ls=None, rs=None) -> list | None:
     """The values at each x = X / U of the sorted integer keys X, as
     integer pairs (n, d) with d > 0, not reduced, of the function with the
     breakpoints (X_i / U, y_i) and the tail slopes ls and rs: the X_i are
-    the keys xk, all among the keys, and the y_i, ls and rs integer pairs.
-    One scan: a breakpoint's value, the chord between two breakpoints, or
-    a tail; a tail that no key reaches is not read."""
+    the sorted keys xk, which the keys may skip, and the y_i integer
+    pairs.  One scan: a breakpoint's value, the chord between two
+    breakpoints, or a tail; None when a key reaches a tail whose slope is
+    not a Fraction."""
     out = []
     i, n = 0, len(xk)  # i: the breakpoints left of x
     for x in keys:
+        while i < n and xk[i] < x:
+            i += 1
         if i < n and x == xk[i]:
             out.append(yr[i])
             i += 1
@@ -483,8 +451,10 @@ def _grid_values(xk, yr, keys, big_u, ls, rs) -> list:
             out.append((a * w + (a1 * b - a * b1) * (x - x0), b * w))
         else:
             # a tail: y_j + s (x - x_j) at the first or last breakpoint j
-            j = i - 1 if i else 0
-            (a, b), (sn, sd) = yr[j], (rs if i else ls)
+            j, s = (i - 1, rs) if i else (0, ls)
+            if type(s) is not Fraction:
+                return None
+            (a, b), (sn, sd) = yr[j], s.as_integer_ratio()
             sd *= big_u
             out.append((a * sd + sn * (x - xk[j]) * b, b * sd))
     return out
@@ -492,17 +462,18 @@ def _grid_values(xk, yr, keys, big_u, ls, rs) -> list:
 
 def _grid_jets(xk, yr, keys, big_u, ls, rs) -> tuple:
     """(ys, v, lefts, rights, s): the jets (value, left slope, right slope)
-    at each x = X / U of the sorted integer keys X, as ``_jets_on_grid``
-    reads them, for the data of ``_grid_values``: the values as numerators
-    over v, the one-sided slopes as numerators over s.  A piece's slope is
-    a tail's, or (y_i+1 - y_i) U / (X_i+1 - X_i) on a segment."""
+    at each x = X / U of the sorted integer keys X, for the data of
+    ``_grid_values`` with Fraction tails and every X_i among the keys: the
+    values as numerators over v, the one-sided slopes as numerators over
+    s.  A piece's slope is a tail's, or (y_i+1 - y_i) U / (X_i+1 - X_i) on
+    a segment."""
     vals = _grid_values(xk, yr, keys, big_u, ls, rs)
     v = lcm(*[d for _, d in vals])
     # the slope of each piece: the left tail, the segments, the right tail
-    pieces = [ls]
+    pieces = [ls.as_integer_ratio()]
     pieces += [((a1 * b - a * b1) * big_u, b * b1 * (x1 - x0))
                for x0, x1, (a, b), (a1, b1) in zip(xk, xk[1:], yr, yr[1:])]
-    pieces.append(rs)
+    pieces.append(rs.as_integer_ratio())
     s = lcm(*[d for _, d in pieces])
     slopes = [n * (s // d) for n, d in pieces]
     lefts, rights = [], []
@@ -638,10 +609,6 @@ class ConcavePA:
         if i + 1 < len(pts) and pts[i + 1][1] == y:
             x = (x + pts[i + 1][0]) / 2
         return x, y
-
-    def min_over_domain(self) -> Scalar:
-        first, last = self.points[0][1], self.points[-1][1]
-        return first if first <= last else last
 
     def nonneg_region(self) -> Interval:
         """The interval {f >= 0} (possibly empty or a point), with exact
@@ -829,14 +796,17 @@ def _values_on_grid(f: _LinePA, xs) -> list:
 
 def _sum_on_grid(f: _LinePA, g: _LinePA, xs) -> list:
     """The points of f + g over the sorted grid xs, each summand read in
-    one joint scan; on rational data both are read and summed as integer
-    pairs, one Fraction per point."""
-    xr = _ratios(xs)
-    rf = None if xr is None else _grid_ratios(f.points, xr, f.left_slope, f.right_slope)
-    rg = None if rf is None else _grid_ratios(g.points, xr, g.left_slope, g.right_slope)
-    if rg is not None:
-        return [(x, Fraction(n1 * d2 + n2 * d1, d1 * d2))
-                for x, (n1, d1), (n2, d2) in zip(xs, rf, rg)]
+    one joint scan; on rational data both are read on one integer grid and
+    summed as integer pairs, one Fraction per point."""
+    grid = _integer_grid((f.points, g.points), xs)
+    if grid is not None:
+        keys, big_u, (pf, pg) = grid
+        rf = _grid_values(*pf, keys, big_u, f.left_slope, f.right_slope)
+        rg = None if rf is None else _grid_values(*pg, keys, big_u, g.left_slope,
+                                                  g.right_slope)
+        if rg is not None:
+            return [(x, Fraction(n1 * d2 + n2 * d1, d1 * d2))
+                    for x, (n1, d1), (n2, d2) in zip(xs, rf, rg)]
     return [(x, y1 + y2) for x, y1, y2 in zip(
         xs, _values_on_grid(f, xs), _values_on_grid(g, xs))]
 

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .divisors import (ARCH, Pair, ToricAdelicDivisor, _place_sort_key,
+from .divisors import (_ZERO, ARCH, Pair, ToricAdelicDivisor, _place_sort_key,
                        _roof_sum, as_pair)
 from .errors import EmptyPolytope, NotBig, NotNef
 from .exactnum import (Scalar, _affine_quotient_sum, _from_coeffs, _linear_combination,
                        _mul, _poly_sign, log_unit, scalar_float, scalar_sign)
 from .pa import (ConvexPA, Interval, PAGeneral, _grid, _grid_jets, _grid_values, _integer_grid,
-                 _jet_pairing, _jets_on_grid, _nonneg_run, _on_line, _poly_sum, _ratios,
+                 _jet_pairing, _nonneg_run, _on_line, _poly_sum, _ratios,
                  _slope, _values_on_grid, convex_envelope, integrate_positive_part,
                  legendre_potential, legendre_roof, unit_roof)
 
@@ -206,23 +206,33 @@ def adeg_product(a, b):
     S_ij = sum_v c_v (pairing of J_i and J_j at v) is rational at each
     place (``_jet_pairing``, one integer numerator) and is built once over
     the places from its integer coefficients (``_from_coeffs``); the
-    symbolic tails multiply in only at the end.  Breakpoints that are not
-    all Fractions take the field operators place by place.
+    symbolic tails multiply in only at the end.
+
+    Breakpoints or values that are not all Fractions (a potential with a
+    breakpoint at log 2, from a library caller; no workload builds one)
+    take the field operators place by place: each potential's values on the union grid come from the field
+    scan of ``_values_on_grid``, and, the potential being affine between
+    grid points, its one-sided slopes are the tails and the chord slopes
+    (``_slope``) between consecutive grid points.
     """
     a = _as_divisor(a)
     b = _as_divisor(b)
     places = list(dict.fromkeys((ARCH,) + a.places + b.places))
     pots = [(a.potential(v), b.potential(v)) for v in places]
-    grids = [_integer_grid(pair) for pair in pots]
+    grids = [_integer_grid([f.points for f in pair]) for pair in pots]
     if None in grids:
         total = Fraction(0)
         for place, pair in zip(places, pots):
             us = _grid(*((u for u, _ in f.points) for f in pair))
-            jets_a, jets_b = (_jets_on_grid(f.points, us, f.left_slope, f.right_slope)
-                              for f in pair)
+            ya, yb = (_values_on_grid(f, us) for f in pair)
+            # each potential is affine between grid points: its one-sided
+            # slopes are its tails and the chord slopes
+            sa, sb = ([f.left_slope, *map(_slope, zip(us, ys), zip(us[1:], ys[1:])),
+                       f.right_slope] for f, ys in zip(pair, (ya, yb)))
             local = Fraction(0)
-            for u, (ya, la, ra), (yb, lb, rb) in zip(us, jets_a, jets_b):
-                local = local + ya * (rb - lb) + yb * (ra - la) - u * (ra * rb - la * lb)
+            for k, u in enumerate(us):
+                la, ra, lb, rb = sa[k], sa[k + 1], sb[k], sb[k + 1]
+                local = local + ya[k] * (rb - lb) + yb[k] * (ra - la) - u * (ra * rb - la * lb)
             total = total + (local if place == ARCH else log_unit(place) * local)
         return total
     # per (i, j): the pairing at each place, with the monomial of its weight
@@ -265,6 +275,9 @@ def _plus(x, y):
     return x + y if y else x
 
 
+_ONE = Fraction(1)
+
+
 def _jet_basis(pot, part, keys, big_u) -> list:
     """[J_0, J_1, ...], integer jets (``_grid_jets``) on the keys X / U with
     jets(pot) = J_0 + sum_k t_k J_k over the tails t_k of pot, left then
@@ -272,14 +285,13 @@ def _jet_basis(pot, part, keys, big_u) -> list:
     the jet of zero breakpoint values with tail k set to 1 and the other to
     0.  part holds the keys and values of pot's breakpoints."""
     xk, yr = part
-    ls, rs = (t.as_integer_ratio() if type(t) is Fraction else (0, 1)
-              for t in (pot.left_slope, pot.right_slope))
+    ls, rs = (t if type(t) is Fraction else _ZERO for t in (pot.left_slope, pot.right_slope))
     out = [_grid_jets(xk, yr, keys, big_u, ls, rs)]
     flat = [(0, 1)] * len(xk)
     if type(pot.left_slope) is not Fraction:
-        out.append(_grid_jets(xk, flat, keys, big_u, (1, 1), (0, 1)))
+        out.append(_grid_jets(xk, flat, keys, big_u, _ONE, _ZERO))
     if type(pot.right_slope) is not Fraction:
-        out.append(_grid_jets(xk, flat, keys, big_u, (0, 1), (1, 1)))
+        out.append(_grid_jets(xk, flat, keys, big_u, _ZERO, _ONE))
     return out
 
 
@@ -725,23 +737,16 @@ def _integer_rows(pd, pe):
     potential's points read once (``_integer_grid``) and its values on the
     keys read as integer pairs by ``_grid_values``, with U and C positive
     and no common factor of C and every P and Q; None unless every
-    breakpoint, and the slope of every tail reached, is a Fraction."""
-    grid = _integer_grid((pd, pe))
+    breakpoint is a Fraction and ``_grid_values`` reads both potentials,
+    which it declines when a key reaches a tail that is not a Fraction."""
+    grid = _integer_grid((pd.points, pe.points))
     if grid is None:
         return None
     xs, big_u, parts = grid
-    cols = []
-    for f, (xk, yr) in zip((pd, pe), parts):
-        ls, rs = f.left_slope, f.right_slope
-        if type(ls) is Fraction:
-            ls = ls.as_integer_ratio()
-        elif xs[0] < xk[0]:
-            return None
-        if type(rs) is Fraction:
-            rs = rs.as_integer_ratio()
-        elif xs[-1] > xk[-1]:
-            return None
-        cols.append(_grid_values(xk, yr, xs, big_u, ls, rs))
+    cols = [_grid_values(xk, yr, xs, big_u, f.left_slope, f.right_slope)
+            for f, (xk, yr) in zip((pd, pe), parts)]
+    if None in cols:
+        return None
     c = lcm(*[b for col in cols for _, b in col])
     ps, qs = ([a * (c // b) for a, b in col] for col in cols)
     g = gcd(c, *ps, *qs)

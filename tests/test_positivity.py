@@ -17,7 +17,7 @@ import adelic_volumes.pa as pa
 import adelic_volumes.positivity as positivity
 from adelic_volumes.divisors import ARCH, BaseCondition, Pair, ToricAdelicDivisor
 from adelic_volumes.errors import NotBig, NotNef
-from adelic_volumes.exactnum import exact, log_unit, scalar_sign
+from adelic_volumes.exactnum import exact, log_unit, scalar_cmp, scalar_sign
 from adelic_volumes.gallery import (
     half_zero_pair,
     height_shift,
@@ -38,7 +38,7 @@ from adelic_volumes.pa import (
     Interval,
     PAGeneral,
     _grid,
-    _jets_on_grid,
+    _slope,
     convex_envelope,
     legendre_potential,
     legendre_roof,
@@ -74,7 +74,9 @@ def ample_reference() -> ToricAdelicDivisor:
 
 
 def roof_minimum(divisor):
-    return Pair(divisor).global_roof().min_over_domain()
+    # a concave roof is least at one of its ends
+    pts = Pair(divisor).global_roof().points
+    return min(pts[0][1], pts[-1][1])
 
 
 def kinked_slant() -> ToricAdelicDivisor:
@@ -338,6 +340,29 @@ class TestIntersection:
         assert finite >= 10
 
 
+def _jets_on_grid(pts, xs, left_slope, right_slope) -> list:
+    """(value, left slope, right slope) at each x of a sorted grid of the
+    function finite on R with breakpoints pts and the given asymptotic
+    slopes, in one joint scan; beyond the breakpoints it follows the tails.
+    The field formula that ``adeg_product``'s field route replaced."""
+    slopes = ([left_slope] + [_slope(p, q) for p, q in zip(pts, pts[1:])]
+              + [right_slope])
+    out = []
+    j = 0  # the first breakpoint at or right of x
+    n = len(pts)
+    for x in xs:
+        c = 1  # the sign of pts[j].x - x
+        while j < n and (c := scalar_cmp(pts[j][0], x)) < 0:
+            j += 1
+        if j < n and c == 0:
+            out.append((pts[j][1], slopes[j], slopes[j + 1]))
+        else:
+            s = slopes[j]
+            x0, y0 = pts[min(j, n - 1)]
+            out.append((y0 + s * (x - x0), s, s))
+    return out
+
+
 def _operator_adeg_product(a, b):
     """adeg_product place by place through the field operators: the local
     sum over the jets on the union grid, times log p, added into the total
@@ -411,8 +436,9 @@ class TestIntersectionRoutes:
 
 class TestIntegerJets:
     """adeg_product reads rational breakpoints as integer jets, so it forms
-    no Fraction slope, no chord and no jet of ``_jets_on_grid``; those
-    remain for breakpoints outside Q."""
+    no Fraction slope, no chord and no value of the field route
+    (``_values_on_grid`` and the chord slopes ``_slope``); those remain for
+    breakpoints outside Q."""
 
     def test_rational_breakpoints_form_no_field_jet(self, monkeypatch):
         cases = [(slant_divisor(), tent_divisor()), (kinked_slant(), ample_reference()),
@@ -427,7 +453,8 @@ class TestIntegerJets:
 
         monkeypatch.setattr(pa, "_slope", refuse)
         monkeypatch.setattr(pa, "_on_line", refuse)
-        monkeypatch.setattr(positivity, "_jets_on_grid", refuse)
+        monkeypatch.setattr(positivity, "_values_on_grid", refuse)
+        monkeypatch.setattr(positivity, "_slope", refuse)
         got = [adeg_product(a, b) for a, b in cases]
         assert [[type(x), repr(x)] for x in got] == [[type(x), repr(x)] for x in want]
 
