@@ -24,6 +24,15 @@ reprs of ``adeg_product`` of their Zariski positive parts and of
 avol(p1 + p2), as recorded when both were formed on Fractions per jet and
 on the built sum pair.
 
+``tests/data/field_reprs.json`` holds, for 200 sampled pairs of pairs with
+a finite place (drawn as the finite Diskant records are), the typed reprs
+of d = avol(p1 + p2) - avol(p1) - avol(p2) and d^2 - 4 avol(p1) avol(p2) of
+the Brunn-Minkowski suite; for 200 more, with a sampled nef divisor N, the
+typed repr of the superadditivity slack <(p1 + p2) N> - <p1 N> - <p2 N>;
+and for 60 more, r, R and every slack of ``diskant_report``: the quotients
+whose denominators are products of affine forms in the logs, as recorded
+when every field quotient was cancelled by the heuristic gcd.
+
 Regenerate the files, only for an intended change of results, with
 
     PYTHONPATH=src python3 tests/test_exact_reprs.py
@@ -38,9 +47,11 @@ from pathlib import Path
 import pytest
 
 from adelic_volumes.divisors import ARCH, place_label
-from adelic_volumes.harness import diskant_report, sample_big_pair, sample_direction
-from adelic_volumes.positivity import (_Line, adeg_product, avol, positive_intersection,
-                                       pseff_threshold, zariski_positive_part)
+from adelic_volumes.harness import (diskant_report, sample_big_pair, sample_direction,
+                                    sample_nef_divisor)
+from adelic_volumes.positivity import (_Line, _sum_volume, adeg_product, avol,
+                                       positive_intersection, pseff_threshold,
+                                       zariski_positive_part)
 
 DATA = Path(__file__).parent / "data" / "exact_reprs.json"
 COUNT = 60
@@ -50,6 +61,9 @@ THRESHOLDS = Path(__file__).parent / "data" / "threshold_reprs.json"
 THRESHOLD_COUNT = 300
 DISKANT = Path(__file__).parent / "data" / "diskant_reprs.json"
 DISKANT_COUNT = 300
+FIELD = Path(__file__).parent / "data" / "field_reprs.json"
+FIELD_COUNT = 200
+FIELD_DISKANT_COUNT = 60
 
 
 def _typed(x):
@@ -167,6 +181,55 @@ def _diskant_text() -> str:
                       indent=1) + "\n"
 
 
+def _finite_pairs(rng) -> tuple:
+    """Two sampled big pairs, drawn until one of them has a finite place."""
+    while True:
+        p1 = sample_big_pair(rng)
+        p2 = sample_big_pair(rng)
+        if set(p1.divisor.places + p2.divisor.places) - {ARCH}:
+            return p1, p2
+
+
+def record_brunn_minkowski(seed: int) -> dict:
+    """The pairs and the typed reprs of the Brunn-Minkowski suite's d and
+    gap on one sampled pair of pairs with a finite place."""
+    p1, p2 = _finite_pairs(random.Random(f"field-reprs-bm:{seed}"))
+    v1, v2 = avol(p1), avol(p2)
+    d = _sum_volume(p1, p2) - v1 - v2
+    return {"pair1": repr(p1), "pair2": repr(p2),
+            "d": _typed(d), "gap": _typed(d * d - 4 * v1 * v2)}
+
+
+def record_superadditivity(seed: int) -> dict:
+    """The pairs, N and the typed repr of the superadditivity suite's
+    slack on one sampled pair of pairs with a finite place."""
+    rng = random.Random(f"field-reprs-super:{seed}")
+    p1, p2 = _finite_pairs(rng)
+    n = sample_nef_divisor(rng)
+    slack = (positive_intersection(p1 + p2, n) - positive_intersection(p1, n)
+             - positive_intersection(p2, n))
+    return {"pair1": repr(p1), "pair2": repr(p2), "N": repr(n),
+            "slack": _typed(slack)}
+
+
+def record_finite_diskant(seed: int) -> dict:
+    """The pairs and the typed reprs of r, R and every slack of one
+    Diskant report on a sampled pair of pairs with a finite place."""
+    p1, p2 = _finite_pairs(random.Random(f"field-reprs-diskant:{seed}"))
+    rep = diskant_report(p1, p2)
+    return {"pair1": repr(p1), "pair2": repr(p2),
+            "r": _bracket(rep.r), "R": _bracket(rep.R),
+            "cases": [[c.name] + _typed(c.slack) for c in rep.cases]}
+
+
+def _field_text() -> str:
+    return json.dumps({
+        "brunn_minkowski": {str(s): record_brunn_minkowski(s) for s in range(FIELD_COUNT)},
+        "superadditivity": {str(s): record_superadditivity(s) for s in range(FIELD_COUNT)},
+        "diskant": {str(s): record_finite_diskant(s) for s in range(FIELD_DISKANT_COUNT)},
+    }, indent=1) + "\n"
+
+
 @pytest.fixture(scope="module")
 def recorded():
     return json.loads(DATA.read_text())
@@ -216,9 +279,23 @@ def test_diskant_reprs_are_byte_identical():
     assert _diskant_text() == want
 
 
+def test_field_reprs_are_byte_identical():
+    want = FIELD.read_text()
+    recorded_field = json.loads(want)
+    bm, sup, disk = (recorded_field[k] for k in ("brunn_minkowski", "superadditivity",
+                                                 "diskant"))
+    assert len(bm) == len(sup) == FIELD_COUNT and len(disk) == FIELD_DISKANT_COUNT
+    # quotients over products of affine forms, not only log polynomials
+    assert sum(")/(" in rec["gap"][1] for rec in bm.values()) >= 50
+    assert sum(")/(" in rec["slack"][1] for rec in sup.values()) >= 50
+    assert sum(")/(" in json.dumps(rec["cases"]) for rec in disk.values()) >= 20
+    assert _field_text() == want
+
+
 if __name__ == "__main__":
     DATA.write_text(json.dumps({str(s): record(s) for s in range(COUNT)},
                                indent=1) + "\n")
     JETS.write_text(_jet_text())
     THRESHOLDS.write_text(_threshold_text())
     DISKANT.write_text(_diskant_text())
+    FIELD.write_text(_field_text())
