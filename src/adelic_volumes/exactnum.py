@@ -10,19 +10,38 @@ ring Q[log 2, log 3, ...], which this module implements directly, over Z:
 * a polynomial is a dict monomial -> nonzero int;
 * a number is n / (s * d): n and d polynomials, s a positive int with
   gcd(content(n), s) = 1, and d primitive with a positive value, or the
-  shared unit ``_UNIT`` whenever it would be the constant 1.
+  shared unit ``_UNIT`` whenever it would be the constant 1;
+* with it, d's factors when they are known: a tuple of primitive affine
+  forms of positive value, with multiplicity, whose product is d (``()``
+  for d = 1), or None when d may have a factor not known to be affine.
 
 Quotients are kept small by cancelling the polynomial gcd of n and d.
-Disjoint variables need no gcd, and an affine side is irreducible, so it
-either divides the other side exactly or shares nothing with it (one
-integer evaluation in ``_zdivide`` rejects most non-divisors before any
-long division); the rest goes
-to the heuristic gcd of Char, Geddes and Gonnet (1989): evaluate one log
-variable at a large integer xi, recurse down to integer gcds, rebuild a
-candidate from its symmetric xi-adic digits and keep it only if it divides
-both polynomials exactly.  If a few values of xi all fail, the quotient stays
-uncancelled.  That is safe: the canonical form only controls size, and no
-result depends on it.
+Every denominator that toric geometry makes at finite places is a product
+of affine forms in the logs: the clip denominators of roof integrals, the
+zeros of roofs.  They come factored out of ``_affine_quotient_sum`` and out
+of a division by a value whose numerator has degree at most 1; a sum then
+goes over the least common multiple of the two factor lists, a product or
+quotient over the joined lists.  Z[log 2, log 3, ...] is a UFD and a
+primitive affine form is irreducible, so gcd(n, d) is a product of some of
+d's factors, and trial division of n by each of them removes exactly it:
+no gcd is computed.  A sum of two cancelled quotients need only try the
+factors its denominators share (Knuth, TAOCP vol. 2, 4.5.1); the others
+cannot divide its numerator.  ``_zdivide`` screens every trial at an
+integer point X where each log p is 2^32 log p rounded down: a quotient
+q(X) of integers must come out, and an affine form with small coefficients
+is large there, so a non-divisor is nearly always rejected before any long
+division.
+
+A denominator whose factors are not known goes to ``_cancel``: disjoint
+variables need no gcd, an affine side either divides the other side
+exactly or shares nothing with it, and the rest goes to the heuristic gcd
+of Char, Geddes and Gonnet (1989): evaluate one log variable at a large
+integer xi, recurse down to integer gcds, rebuild a candidate from its
+symmetric xi-adic digits and keep it only if it divides both polynomials
+exactly.  If a few values of xi all fail, the quotient stays uncancelled.
+That is safe: the canonical form only controls size, and no result depends
+on it.  Each cancelled quotient has one canonical form, so both routes
+return the same parts whenever the heuristic succeeds.
 
 Equality is decided exactly, by cross-multiplied coefficient comparison.  The
 sign of a coefficient-wise nonzero value is decided by one ladder: the signs
@@ -220,11 +239,24 @@ def _pdegree(a: Poly) -> int:
 
 # -- polynomial gcd over Z ------------------------------------------------
 #
-# An affine side is divided out by _zdivide; the general case goes to the
-# heuristic gcd of Char, Geddes and Gonnet (1989), which evaluates the
+# A known affine factor is divided out by _zdivide; the general case goes to
+# the heuristic gcd of Char, Geddes and Gonnet (1989), which evaluates the
 # variables of both sides in increasing order.
 
 _HEU_GCD_TRIES = 6
+_SCREEN_BITS = 32  # log p is floor(2^32 log p) at the screen point
+_SCREEN: dict = {}  # monomial -> its value at the screen point
+
+
+def _at_screen(f: dict) -> int:
+    """f at the integer screen point X of ``_zdivide``."""
+    total = 0
+    for mono, c in f.items():
+        v = _SCREEN.get(mono)
+        if v is None:
+            v = _SCREEN[mono] = prod(_log_bounds(p, _SCREEN_BITS)[0] for p in mono)
+        total += c * v
+    return total
 
 
 def _zcontent(f: dict) -> int:
@@ -312,14 +344,18 @@ def _zdivide(f: dict, g: dict):
     """The exact quotient f / g in Z[log 2, ...], or None when g does not
     divide f.
 
-    A screen runs first: with X the integer point where each log p is p,
-    f = g q in Z[log 2, ...] gives f(X) = g(X) q(X) with q(X) an integer,
-    so a nonzero g(X) that does not divide f(X) proves that g does not
-    divide f, and None comes back with no division.  Otherwise long division by
-    leading terms in ``_order``; every quotient exponent is capped by the
-    degrees of f minus those of g, so it ends either way."""
-    gx = sum(c * prod(m) for m, c in g.items())
-    if gx and sum(c * prod(m) for m, c in f.items()) % gx:
+    A screen runs first: with X the integer point where each log p is
+    floor(2^32 log p), f = g q in Z[log 2, ...] gives f(X) = g(X) q(X) with
+    q(X) an integer, so a nonzero g(X) that does not divide f(X) proves
+    that g does not divide f, and None comes back with no division.  The
+    point is generic: an affine g with small coefficients is of the order
+    of 2^32 there, not 0 or a small integer as at log p := p (where
+    2 log 3 - 3 log 2 vanishes and 2 + 3 log 2 + 8 log 3 is 32), so a
+    non-divisor nearly never passes.  Otherwise long division by leading
+    terms in ``_order``; every quotient exponent is capped by the degrees
+    of f minus those of g, so it ends either way."""
+    gx = _at_screen(g)
+    if gx and _at_screen(f) % gx:
         return None
     lead_g = max(g, key=_order)
     c_g = g[lead_g]
@@ -386,12 +422,56 @@ def _heu_gcd(f: dict, g: dict, variables: tuple):
     return None
 
 
+def _divide_out(num: Poly, factors: tuple, trial) -> tuple:
+    """(n, kept) with num / prod(factors) = n / prod(kept), each factor of
+    trial (a part of the multiset factors) removed from both as often as it
+    divides num.  When factors holds all of den's primitive affine factors
+    and trial every one that can divide num, n / prod(kept) is cancelled:
+    Z[log 2, log 3, ...] is a UFD and a primitive affine form is
+    irreducible, so gcd(num, den) is the product of the factors that
+    divide, and no gcd is computed.  The screen of ``_zdivide`` reads
+    num's value once for every factor, and a factor rejected once is not
+    tried again."""
+    nx = _at_screen(num)
+    failed: list = []
+    for f in trial:
+        if any(f is g or f == g for g in failed):
+            continue
+        fx = _at_screen(f)
+        q = None if fx and nx % fx else _zdivide(num, f)
+        if q is None:
+            failed.append(f)
+            continue
+        num = q
+        nx = nx // fx if fx else _at_screen(q)
+        i = next(i for i, g in enumerate(factors) if g is f or g == f)
+        factors = factors[:i] + factors[i + 1:]
+    return num, factors
+
+
+def _unshared(f1: tuple, f2: tuple) -> tuple:
+    """(e1, e2, shared): f1 less f2, f2 less f1 and what they share, as
+    multisets.  d1 e2 = d2 e1 is the least common multiple of the
+    denominators, and shared is their gcd."""
+    e2 = list(f2)
+    e1, shared = [], []
+    for f in f1:
+        for i, g in enumerate(e2):
+            if f is g or f == g:
+                del e2[i]
+                shared.append(f)
+                break
+        else:
+            e1.append(f)
+    return e1, e2, shared
+
+
 def _cancel(num: Poly, den: Poly) -> tuple:
     """(a, b) with num / den = a / b and the polynomial gcd of num and den
-    removed, the log monomials acting as independent variables.  Without
-    this, iterated arithmetic on quotients (cut points of roofs are ratios
-    of log combinations) compounds the denominators and the term count
-    explodes.
+    removed, the log monomials acting as independent variables, for a den
+    whose factors are not known (``_divide_out`` cancels the rest).
+    Without this, iterated arithmetic on quotients compounds the
+    denominators and the term count explodes.
 
     Disjoint variables share no factor.  An affine side is irreducible: its
     primitive part either divides the other side or shares nothing with it.
@@ -493,22 +573,24 @@ def _is_constant(num: Poly, den: Poly) -> bool:
     return den is _UNIT and (not num or len(num) == 1 and () in num)
 
 
-def _value(num: Poly, scale: int, den: Poly):
+def _value(num: Poly, scale: int, den: Poly, factors=None):
     """The normalized num / (scale * den) as a value: the Fraction when den
-    is 1 and num is constant (0 included), else an ExactNumber."""
+    is 1 and num is constant (0 included), else an ExactNumber, with den's
+    affine factors when they are known (always for den = 1)."""
     if _is_constant(num, den):
         return Fraction(num.get((), 0), scale)
     obj = object.__new__(ExactNumber)
     obj._num = num
     obj._scale = scale
     obj._den = den
+    obj._factors = () if den is _UNIT else factors
     return obj
 
 
-def _scaled(num: Poly, p: int, q: int, den: Poly):
-    """p * num / (q * den) for ints p and q > 0 and a normalized den,
-    through ``_value``: the common factors of p and q, and of num's content
-    and q, come out."""
+def _scaled(num: Poly, p: int, q: int, den: Poly, factors=None):
+    """p * num / (q * den) for ints p and q > 0 and a normalized den with
+    the given factors, through ``_value``: the common factors of p and q,
+    and of num's content and q, come out."""
     g = gcd(p, q)
     if g != 1:
         p //= g
@@ -521,10 +603,10 @@ def _scaled(num: Poly, p: int, q: int, den: Poly):
                 break
         if g != 1:
             q //= g
-            return _value({m: c // g * p for m, c in num.items()}, q, den)
+            return _value({m: c // g * p for m, c in num.items()}, q, den, factors)
     if p != 1:
         num = {m: c * p for m, c in num.items()}
-    return _value(num, q, den)
+    return _value(num, q, den, factors)
 
 
 def _from_coeffs(coeffs: Poly, s: int):
@@ -545,14 +627,11 @@ def _affine_quotient_sum(num: Poly, s: int, terms):
     constant or affine; None, for the operator route, past degree 1.
 
     The denominator is s times the product of the primitive parts of the
-    nonconstant l.  A primitive affine form is irreducible in
-    Z[log 2, log 3, ...], and it has a positive value, so the numerator
-    can share no other factor with the denominator: each part is tried
-    once by ``_zdivide``, as often as it occurs, and no heuristic gcd runs.
-    What is left is the form ``_make`` gives: the product of primitive
-    parts of positive value is primitive (Gauss) and positive, and
-    ``_scaled`` takes out the common factor of s and the numerator's
-    content."""
+    nonconstant l, which are its factors: ``_divide_out`` cancels them by
+    trial division, and no heuristic gcd runs.  What is left is the form
+    ``_make`` gives: the product of primitive parts of positive value is
+    primitive (Gauss) and positive, and ``_scaled`` takes out the common
+    factor of s and the numerator's content."""
     num = {m: c for m, c in num.items() if c}
     parts: list = []  # the primitive parts in the denominator
     for a, b, l in terms:
@@ -566,12 +645,8 @@ def _affine_quotient_sum(num: Poly, s: int, terms):
             num = _lin(_mul(num, prim), b * c, a, s)
             parts.append(prim)
         s *= b * c
-    for f in list(parts):
-        q = _zdivide(num, f)
-        if q is not None:
-            num = q
-            parts.remove(f)
-    return _scaled(num, 1, s, _product(parts))
+    num, parts = _divide_out(num, tuple(parts), parts)
+    return _scaled(num, 1, s, _product(parts), parts)
 
 
 def _linear_combination(base, pairs):
@@ -583,7 +658,7 @@ def _linear_combination(base, pairs):
     terms = []
     for t, c in pairs:
         if c:
-            n, s, d = _parts(t)
+            n, s, d, _ = _parts(t)
             nc, sc = _poly_parts(c)
             terms.append((_mul(n, nc), s * sc, d))
     return _affine_quotient_sum(n0, s0, terms)
@@ -608,11 +683,20 @@ def _poly_parts(x):
     return None
 
 
-def _make(num: Poly, p: int, q: int, den: Poly):
+def _make(num: Poly, p: int, q: int, den: Poly, factors=None, trial=()):
     """p * num / (q * den) cancelled and normalized, for ints p and
-    q > 0."""
+    q > 0.  With den's factors known, den is their product, already
+    normalized, and cancelling is trial division by the factors of trial
+    (``_divide_out``); else ``_cancel`` cancels, and a den left affine is
+    its own factor."""
     if not num:
         return Fraction(0)
+    if factors is not None:
+        if trial:
+            num, kept = _divide_out(num, factors, trial)
+            if kept is not factors:
+                factors, den = kept, _product(kept)
+        return _scaled(num, p, q, den, factors)
     if den is not _UNIT and (len(den) > 1 or () not in den):
         num, den = _cancel(num, den)
     if len(den) == 1 and () in den:
@@ -626,54 +710,71 @@ def _make(num: Poly, p: int, q: int, den: Poly):
         if c < 0:
             p, c = -p, -c
         q *= c
-    return _scaled(num, p, q, den)
+    return _scaled(num, p, q, den, (den,) if _pdegree(den) == 1 else None)
 
 
 def _parts(x):
-    """(num, scale, den) of an int, a Fraction or an ExactNumber; None for
-    anything else."""
+    """(num, scale, den, factors) of an int, a Fraction or an ExactNumber;
+    None for anything else."""
     if isinstance(x, ExactNumber):
-        return x._num, x._scale, x._den
+        return x._num, x._scale, x._den, x._factors
     if isinstance(x, (int, Fraction)):
         a = x.numerator
-        return ({(): a} if a else {}), x.denominator, _UNIT
+        return ({(): a} if a else {}), x.denominator, _UNIT, ()
     return None
 
 
-def _sum(n1, s1, d1, n2, s2, d2, sign: int):
-    """n1 / (s1 d1) + sign * n2 / (s2 d2)."""
+def _sum(n1, s1, d1, f1, n2, s2, d2, f2, sign: int):
+    """n1 / (s1 d1) + sign * n2 / (s2 d2), for cancelled operands with
+    den factors f1 and f2.  With both known, the sum goes over the least
+    common multiple of the denominators and only their shared factors are
+    tried: a factor in one denominator more often than in the other
+    divides one term of the numerator and not the other."""
     if d1 is d2 or d1 == d2:
         g = gcd(s1, s2)
         num = _lin(n1, s2 // g, n2, sign * (s1 // g))
         if d1 is _UNIT:
             # polynomial + polynomial keeps d = 1: no cancel
             return _scaled(num, 1, s1 // g * s2, _UNIT)
-        return _make(num, 1, s1 // g * s2, d1)
+        # equal denominators have the same factors, in some order
+        factors = f1 if f1 is not None else f2
+        return _make(num, 1, s1 // g * s2, d1, factors, factors)
+    if f1 is not None and f2 is not None:
+        e1, e2, shared = _unshared(f1, f2)
+        m1, m2 = _product(e1), _product(e2)
+        g = gcd(s1, s2)
+        num = _lin(_mul(n1, m2), s2 // g, _mul(n2, m1), sign * (s1 // g))
+        return _make(num, 1, s1 // g * s2, _mul(d1, m2), f1 + tuple(e2), shared)
     num = _lin(_mul(n1, d2), s2, _mul(n2, d1), sign * s1)
     return _make(num, 1, s1 * s2, _mul(d1, d2))
 
 
-def _diff_sign(n1, s1, d1, n2, s2, d2) -> int:
+def _diff_sign(n1, s1, d1, f1, n2, s2, d2, f2) -> int:
     """The sign of n1 / (s1 d1) - n2 / (s2 d2).  Denominators are
-    normalized positive, so the sign survives cross-multiplication; this
+    normalized positive, so the sign survives cross-multiplication, over
+    their least common multiple when both factor lists are known; this
     skips quotient normalization entirely."""
     if d1 is d2 or d1 == d2:
         g = gcd(s1, s2)
         return _poly_sign(_lin(n1, s2 // g, n2, -(s1 // g)))
+    if f1 is not None and f2 is not None:
+        e1, e2, _ = _unshared(f1, f2)
+        return _poly_sign(_lin(_mul(n1, _product(e2)), s2, _mul(n2, _product(e1)), -s1))
     return _poly_sign(_lin(_mul(n1, d2), s2, _mul(n2, d1), -s1))
 
 
 class ExactNumber:
     """An element of Q(log 2, log 3, ...), stored as n / (s * d) for
-    integer polynomials n and d and a positive int s."""
+    integer polynomials n and d and a positive int s, with d's primitive
+    affine factors when they are known."""
 
-    __slots__ = ("_num", "_scale", "_den")
+    __slots__ = ("_num", "_scale", "_den", "_factors")
 
     def __init__(self, value: ScalarLike = 0):
         parts = _parts(value)
         if parts is None:
             raise TypeError(f"cannot build ExactNumber from {type(value).__name__}")
-        self._num, self._scale, self._den = parts
+        self._num, self._scale, self._den, self._factors = parts
 
     @classmethod
     def log_unit(cls, prime: int) -> "ExactNumber":
@@ -702,38 +803,40 @@ class ExactNumber:
         o = _parts(other)
         if o is None:
             return NotImplemented
-        return _sum(self._num, self._scale, self._den, *o, 1)
+        return _sum(self._num, self._scale, self._den, self._factors, *o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _value({m: -c for m, c in self._num.items()}, self._scale, self._den)
+        return _value({m: -c for m, c in self._num.items()}, self._scale, self._den,
+                      self._factors)
 
     def __sub__(self, other):
         o = _parts(other)
         if o is None:
             return NotImplemented
-        return _sum(self._num, self._scale, self._den, *o, -1)
+        return _sum(self._num, self._scale, self._den, self._factors, *o, -1)
 
     def __rsub__(self, other):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        n, s, d = _parts(other)
-        return _sum(n, s, d, self._num, self._scale, self._den, -1)
+        return _sum(*_parts(other), self._num, self._scale, self._den, self._factors, -1)
 
     def __mul__(self, other):
         o = _parts(other)
         if o is None:
             return NotImplemented
-        n2, s2, d2 = o
+        n2, s2, d2, f2 = o
         if _is_constant(n2, d2):
             if not n2:
                 return Fraction(0)
             # scaling by a nonzero rational preserves every normalization
             # invariant but the content of n against s
-            return _scaled(self._num, n2[()], self._scale * s2, self._den)
+            return _scaled(self._num, n2[()], self._scale * s2, self._den, self._factors)
+        f1 = self._factors
+        factors = None if f1 is None or f2 is None else f1 + f2
         return _make(_mul(self._num, n2), 1, self._scale * s2,
-                     _mul(self._den, d2))
+                     _mul(self._den, d2), factors, factors)
 
     __rmul__ = __mul__
 
@@ -741,14 +844,34 @@ class ExactNumber:
         o = _parts(other)
         if o is None:
             return NotImplemented
-        n2, s2, d2 = o
+        n2, s2, d2, _ = o
         if _is_constant(n2, d2):
             if not n2:
                 raise ZeroDivisionError("ExactNumber division by zero")
             a = n2[()]
             return _scaled(self._num, s2 if a > 0 else -s2, self._scale * abs(a),
-                           self._den)
-        return _make(_mul(self._num, d2), s2, self._scale, _mul(self._den, n2))
+                           self._den, self._factors)
+        num, f1 = _mul(self._num, d2), self._factors
+        if f1 is not None and _pdegree(n2) <= 1:
+            # n2 = c * prim with prim primitive of positive value (1 for a
+            # constant): prim joins the factors
+            c, prim = _primitive(n2)
+            if _poly_sign(prim) < 0:
+                c, prim = -c, {m: -v for m, v in prim.items()}
+            if () in prim and len(prim) == 1:
+                factors, den = f1, self._den
+            else:
+                factors, den = f1 + (prim,), _mul(self._den, prim)
+            return _make(num, s2 if c > 0 else -s2, self._scale * abs(c), den,
+                         factors, factors)
+        if f1 is not None:
+            # n2 not known to factor: when it divides self's numerator, the
+            # quotient's denominator is self's
+            c, prim = _primitive(n2)
+            q = _zdivide(self._num, prim)
+            if q is not None:
+                return _make(_mul(q, d2), s2, self._scale * c, self._den, f1, f1)
+        return _make(num, s2, self._scale, _mul(self._den, n2))
 
     def __rtruediv__(self, other):
         if not isinstance(other, (int, Fraction)):
@@ -756,7 +879,8 @@ class ExactNumber:
         return ExactNumber(other) / self
 
     def __abs__(self):
-        return -self if self.sign() < 0 else _value(self._num, self._scale, self._den)
+        return -self if self.sign() < 0 else _value(self._num, self._scale, self._den,
+                                                    self._factors)
 
     # -- comparisons -------------------------------------------------------
 
@@ -765,27 +889,27 @@ class ExactNumber:
         if o is None:
             return NotImplemented
         # a nonzero difference separates (False) or raises
-        return _diff_sign(self._num, self._scale, self._den, *o) == 0
+        return _diff_sign(self._num, self._scale, self._den, self._factors, *o) == 0
 
     def __lt__(self, other):
         o = _parts(other)
         return NotImplemented if o is None else \
-            _diff_sign(self._num, self._scale, self._den, *o) < 0
+            _diff_sign(self._num, self._scale, self._den, self._factors, *o) < 0
 
     def __le__(self, other):
         o = _parts(other)
         return NotImplemented if o is None else \
-            _diff_sign(self._num, self._scale, self._den, *o) <= 0
+            _diff_sign(self._num, self._scale, self._den, self._factors, *o) <= 0
 
     def __gt__(self, other):
         o = _parts(other)
         return NotImplemented if o is None else \
-            _diff_sign(self._num, self._scale, self._den, *o) > 0
+            _diff_sign(self._num, self._scale, self._den, self._factors, *o) > 0
 
     def __ge__(self, other):
         o = _parts(other)
         return NotImplemented if o is None else \
-            _diff_sign(self._num, self._scale, self._den, *o) >= 0
+            _diff_sign(self._num, self._scale, self._den, self._factors, *o) >= 0
 
     __hash__ = None  # mutable-free but deliberately unhashable
 

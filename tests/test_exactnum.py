@@ -751,9 +751,11 @@ def test_poly_parts_reads_polynomials_only():
 
 # -- the screened exact division --------------------------------------------
 #
-# _zdivide first compares f and g at the integer point where each log p is
-# p: g | f forces g(X) | f(X).  The reference is the long
+# _zdivide first compares f and g at the integer point X where each log p is
+# floor(2^32 log p): g | f forces g(X) | f(X).  The reference is the long
 # division alone.
+
+_X2, _X3 = (exactnum._at_screen({(p,): 1}) for p in (2, 3))
 
 
 def _long_division(f, g):
@@ -794,9 +796,13 @@ _polys = st.dictionaries(st.sampled_from(_MONOS), _nonzero, min_size=1, max_size
 
 
 @given(_affine, _polys)
-# g(X) = 0 at the point (log 3 -> 3): the screen is skipped
-@example(_p(((3,), 1), ((), -3)), _p(((2,), 5), ((3, 7), 1)))
+# g(X) = 0: the screen is skipped
+@example(_p(((2,), _X3 // gcd(_X2, _X3)), ((3,), -_X2 // gcd(_X2, _X3))),
+         _p(((2,), 5), ((3, 7), 1)))
 # g(X) = +-1: every f(X) passes the screen
+@example(_p(((2,), 1), ((), 1 - _X2)), _p(((5, 5), 2)))
+# forms that vanish, or are 1, where each log p is p
+@example(_p(((3,), 1), ((), -3)), _p(((2,), 5), ((3, 7), 1)))
 @example(_p(((2,), 1), ((), -1)), _p(((5, 5), 2)))
 @settings(max_examples=300, deadline=None)
 def test_zdivide_recovers_the_quotient(g, q):
@@ -814,10 +820,167 @@ def test_screened_zdivide_is_long_division(f, g, q, r):
 
 
 def test_screen_rejects_without_division(monkeypatch):
-    # log 2 + 1 is 3 at the point and log 3 + 1 is 4: no quotient, and no
-    # leading term is divided to find that out
+    # log 2 + 1 and log 3 + 1 are X2 + 1 < X3 + 1 at the point: no quotient,
+    # and no leading term is divided to find that out
     def no_division(*args):
         raise AssertionError("long division ran")
 
     monkeypatch.setattr(exactnum, "_mono_quo", no_division)
     assert exactnum._zdivide(_p(((2,), 1), ((), 1)), _p(((3,), 1), ((), 1))) is None
+
+
+# -- quotients over known affine factors -------------------------------------
+#
+# A value whose denominator is a product of affine forms in the logs carries
+# those forms, and its sums, products and quotients are cancelled by trial
+# division by them.  The references are sympy's cancelled quotient and the
+# same arithmetic with the factors dropped, which cancels by the heuristic
+# gcd; all three must give the same parts.
+
+# 2 + 3 log 2 + 8 log 3 is the clip factor two Brunn-Minkowski volumes share;
+# 2 log 3 - 3 log 2 and log 5 - 2 log 2 + 1 vanish at log p := p; 1 - log 5
+# and log 2 - 1 have negative values
+_FORMS = (
+    _p(((), 2), ((2,), 3), ((3,), 8)),
+    _p(((3,), 2), ((2,), -3)),
+    _p(((5,), 1), ((2,), -2), ((), 1)),
+    _p(((), 1), ((5,), -1)),
+    _p(((2,), 1), ((), -1)),
+    _p(((), 7), ((3,), 5), ((5,), 3)),
+)
+_form = st.one_of(
+    st.sampled_from(_FORMS),
+    st.dictionaries(st.sampled_from([(), (2,), (3,), (5,)]),
+                    st.integers(-9, 9).filter(bool), min_size=1, max_size=4)
+    .filter(lambda f: set(f) != {()}))
+_value_spec = st.tuples(_small_polys, st.lists(_form, min_size=0, max_size=3),
+                        st.integers(0, 3))
+
+
+def _quotient(spec):
+    """(x, big_x) for a spec (num, forms, k): num times the first k forms
+    over the product of the forms, built through the field, and the same
+    element of sympy's field."""
+    num, forms, k = spec
+    x, big_x = _from_poly(num), _to_field(num)
+    for f in forms[:k]:
+        x, big_x = x * _from_poly(f), big_x * _to_field(f)
+    for f in forms:
+        x, big_x = x / _from_poly(f), big_x / _to_field(f)
+    return x, big_x
+
+
+def _without_factors(x):
+    """x with its factor list dropped: its arithmetic takes the gcd route."""
+    if type(x) is not ExactNumber:
+        return x
+    out = object.__new__(ExactNumber)
+    out._num, out._scale, out._den, out._factors = x._num, x._scale, x._den, None
+    return out
+
+
+def _check_factors(x):
+    """A known factor list is primitive affine forms of positive value whose
+    product is the denominator."""
+    if type(x) is not ExactNumber or x._factors is None:
+        return
+    for f in x._factors:
+        assert exactnum._pdegree(f) == 1 and exactnum._zcontent(f) == 1
+        assert exactnum._poly_sign(f) > 0
+    den = exactnum._product(x._factors)
+    assert den == x._den and (den is exactnum._UNIT) == (x._den is exactnum._UNIT)
+
+
+def _no_gcd(*args):
+    raise AssertionError("the heuristic gcd ran on a factored quotient")
+
+
+@given(_value_spec, _value_spec)
+# a repeated factor on both sides, and one that divides the numerator
+@example((_p(((2,), Fraction(1))), [_FORMS[0], _FORMS[0]], 0),
+         (_p(((), Fraction(1))), [_FORMS[0], _FORMS[1]], 1))
+# forms that vanish at log p := p, shared by both sides
+@example((_p(((3,), Fraction(1, 2))), [_FORMS[1], _FORMS[2]], 0),
+         (_p(((2, 5), Fraction(3))), [_FORMS[2], _FORMS[1], _FORMS[1]], 0))
+# a sum whose shared factor divides its numerator: 1 / ((log 2 - 1)(1 + log 5))
+# - 1 / ((log 2 - 1)(log 2 + log 5)) = 1 / ((1 + log 5)(log 2 + log 5))
+@example((_p(((), Fraction(1))), [_FORMS[4], _p(((), 1), ((5,), 1))], 0),
+         (_p(((), Fraction(-1))), [_FORMS[4], _p(((2,), 1), ((5,), 1))], 0))
+# forms of negative value, and a quotient that is rational
+@example((_p(((), Fraction(1))), [_FORMS[3], _FORMS[4]], 2),
+         (_p(((5,), Fraction(-2))), [_FORMS[3]], 1))
+@settings(max_examples=60, deadline=None)
+def test_factored_arithmetic_matches_sympy_and_the_gcd(a, b):
+    (x, big_x), (y, big_y) = _quotient(a), _quotient(b)
+    for v, big_v in ((x, big_x), (y, big_y)):
+        _check_result(v, big_v)
+        _check_factors(v)
+        assert type(v) is not ExactNumber or v._factors is not None
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for u, v, big_u, big_v in ((x, y, big_x, big_y), (y, x, big_y, big_x)):
+            if op is operator.truediv and big_v == 0:
+                continue
+            with pytest.MonkeyPatch.context() as patch:
+                if op is not operator.truediv:
+                    patch.setattr(exactnum, "_heu_gcd", _no_gcd)
+                got = op(u, v)
+            _check_result(got, op(big_u, big_v))
+            _check_factors(got)
+            if op is not operator.truediv and type(got) is ExactNumber:
+                assert got._factors is not None
+            gcd_route = op(_without_factors(u), _without_factors(v))
+            assert type(gcd_route) is type(got) and repr(gcd_route) == repr(got)
+            if type(got) is ExactNumber:
+                assert _parts(gcd_route) == _parts(got)
+    diff = big_x - big_y
+    assert (x == y) == (diff == 0)
+    assert (x < y) == (diff != 0 and _below_zero(diff))
+
+
+def test_division_by_an_affine_numerator_adds_its_factor():
+    x = (L2 + 1) / (2 * L3 - 3 * L2)  # the form vanishes at log p := p
+    assert x._factors == ({(2,): -3, (3,): 2},)
+    y = x / (1 - L5)  # a negative value: the factor is log 5 - 1
+    assert y._factors == ({(2,): -3, (3,): 2}, {(): -1, (5,): 1})
+    assert repr(-y) == \
+        "(1 + log(2))/(3*log(2) - 2*log(3) - 3*log(2)*log(5) + 2*log(3)*log(5))"
+    # the factor divides the numerator: it leaves the denominator again
+    z = y * (2 * L3 - 3 * L2)
+    assert z._factors == ({(): -1, (5,): 1},) and z == (L2 + 1) / (1 - L5)
+    assert abs(-z)._factors == z._factors
+
+
+def test_a_quadratic_numerator_falls_back_to_the_gcd(monkeypatch):
+    # dividing by a value whose numerator has degree 2 and does not divide
+    # the dividend's numerator: the factors are unknown, and the heuristic
+    # gcd cancels as before
+    calls = []
+    original = exactnum._heu_gcd
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exactnum, "_heu_gcd", spy)
+    x = (L2 * L3 + L5 + 1) / (L2 + 1)
+    y = (L2 * L2 - L3) / (1 + L5)
+    got = x / y
+    assert calls and got._factors is None
+    monkeypatch.undo()
+    want = _to_field({(2, 3): Fraction(1), (5,): Fraction(1), (): Fraction(1)}) \
+        * _to_field({(5,): Fraction(1), (): Fraction(1)}) \
+        / (_to_field({(2,): Fraction(1), (): Fraction(1)})
+           * _to_field({(2, 2): Fraction(1), (3,): Fraction(-1)}))
+    _check_result(got, want)
+    assert _parts(got) == _parts(_without_factors(x) / _without_factors(y))
+    # a quadratic numerator that divides the dividend's numerator needs no gcd
+    monkeypatch.setattr(exactnum, "_heu_gcd", _no_gcd)
+    q = (L2 * L2 - L3) * (L5 + 3) / (L2 + 1) / y
+    assert q._factors is not None and q == (L5 + 3) * (1 + L5) / (L2 + 1)
+
+
+def test_screen_point_separates_forms_that_vanish_at_p():
+    # at log p := p the form 2 log 3 - 3 log 2 is 0 and 2 + 3 log 2 + 8 log 3
+    # is 32; at the screen point both are large
+    for f in (_FORMS[0], _FORMS[1], _FORMS[2]):
+        assert abs(exactnum._at_screen(f)) > 2 ** 28

@@ -10,8 +10,10 @@ is exactly (2^-11) / 3 = 1/6144.
 
 import hashlib
 import json
+import linecache
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -444,6 +446,112 @@ class TestDiskantReportBuildsNoSum:
                for p1, p2 in pairs]
         assert got == want
         assert ["equality_r_vs_R" in str(rep) for rep in got[:2]] == [False, True]
+
+
+def _typed(x):
+    return [type(x).__name__, repr(x)]
+
+
+def _no_gcd(*args):
+    raise AssertionError("the heuristic gcd ran")
+
+
+def _gcd_sites(monkeypatch) -> list:
+    """Patch ``exactnum._heu_gcd`` to record, for each top-level call, the
+    function and source line outside ``exactnum`` that reached it."""
+    sites, depth = [], [0]
+    original = exactnum._heu_gcd
+
+    def spy(*args):
+        if not depth[0]:  # _heu_gcd recurses through the patched name
+            frame = sys._getframe(1)
+            while frame.f_code.co_filename == exactnum.__file__:
+                frame = frame.f_back
+            sites.append((frame.f_code.co_name,
+                          linecache.getline(frame.f_code.co_filename, frame.f_lineno).strip()))
+        depth[0] += 1
+        try:
+            return original(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(exactnum, "_heu_gcd", spy)
+    return sites
+
+
+class TestFactoredQuotients:
+    """At finite places the suites' quotients have denominators that are
+    products of affine forms in the logs, and ``exactnum`` cancels them by
+    trial division: with the heuristic gcd patched to raise, the suites
+    whose operands carry their factors run clean and give the results of an
+    unpatched run, by typed repr."""
+
+    @pytest.mark.parametrize("name, count, seed", [
+        ("brunn_minkowski", 1, 10),  # pairs at 5 and at 2, 3 and infinity
+        ("brunn_minkowski", 40, 1),
+        ("superadditivity", 40, 1),
+        ("zariski", 40, 1),  # the positive parts' roofs, through pa._chord
+    ])
+    def test_suites_without_the_gcd(self, monkeypatch, name, count, seed):
+        want = run_suite(name, count=count, seed=seed)
+        trials = []
+        divide_out = exactnum._divide_out
+
+        def counting(*args):
+            trials.append(args)
+            return divide_out(*args)
+
+        monkeypatch.setattr(exactnum, "_heu_gcd", _no_gcd)
+        monkeypatch.setattr(exactnum, "_divide_out", counting)
+        got = run_suite(name, count=count, seed=seed)
+        assert trials  # factored quotients were cancelled by trial division
+        assert got.to_payload() == want.to_payload()
+        assert _typed(got.worst_slack) == _typed(want.worst_slack)
+
+    def test_derivative_differences_without_the_gcd(self, monkeypatch):
+        # the sampler's second differences and the table's finite
+        # differences of volumes over affine clip denominators
+        def reports():
+            rng = random.Random("factored-quotients")
+            out = []
+            for _ in range(30):
+                pair, direction, central = sample_derivative_instance(rng)
+                rep = check_differentiability(pair, direction)
+                out.append([_typed(central), _typed(rep.analytic), _typed(rep.deviation)]
+                           + [_typed(x) for row in rep.table
+                              for x in (row.forward, row.backward, row.central)])
+            return out
+
+        want = reports()
+        assert sum(")/(" in str(rec) for rec in want) >= 3
+        monkeypatch.setattr(exactnum, "_heu_gcd", _no_gcd)
+        assert reports() == want
+
+    def test_sites_left_on_the_gcd(self, monkeypatch):
+        # a divisor whose numerator is not affine and does not divide the
+        # dividend's numerator brings factors that are not known: off general
+        # position the deviation divides by 1 + |analytic|, and the Diskant
+        # chain's u = s1 / s0 divides by s0, both of degree 2 or more over
+        # affine forms
+        sites = _gcd_sites(monkeypatch)
+        rng = random.Random(0)
+        for _ in range(60):
+            pair, direction = sample_big_pair(rng), sample_direction(rng)
+            rep = check_differentiability(pair, direction)
+            if sites:
+                break
+        assert set(sites) == {("check_differentiability", "deviation = abs_scalar("
+                               "central_ref - analytic) / (1 + abs_scalar(analytic))")}
+        assert exactnum._pdegree((1 + abs(rep.analytic))._num) >= 2
+        sites.clear()
+        rng = random.Random("factored-quotients-diskant")
+        for _ in range(20):
+            p1, p2 = sample_big_pair(rng), sample_big_pair(rng)
+            rep = diskant_report(p1, p2)
+            if ("diskant_report", "u = s1 / s0") in sites:
+                break
+        assert ("diskant_report", "u = s1 / s0") in sites
+        assert exactnum._pdegree(rep.s0._num) >= 2 and rep.s0._factors is not None
 
 
 def _derivative_payload(rng):
