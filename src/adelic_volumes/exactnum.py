@@ -432,6 +432,8 @@ def _divide_out(num: Poly, factors: tuple, trial) -> tuple:
     divide, and no gcd is computed.  The screen of ``_zdivide`` reads
     num's value once for every factor, and a factor rejected once is not
     tried again."""
+    if not trial:
+        return num, factors
     nx = _at_screen(num)
     failed: list = []
     for f in trial:
@@ -634,9 +636,10 @@ def _affine_quotient_sum(num: Poly, s: int, terms):
     factor of s and the numerator's content."""
     num = {m: c for m, c in num.items() if c}
     parts: list = []  # the primitive parts in the denominator
+    den = _UNIT  # their product
     for a, b, l in terms:
         c, prim = _primitive({m: v for m, v in l.items() if v})
-        a = _mul(a, _product(parts))
+        a = _mul(a, den)
         if len(prim) == 1 and () in prim:
             num = _lin(num, b * c, a, s)
         elif _pdegree(prim) > 1:
@@ -644,9 +647,11 @@ def _affine_quotient_sum(num: Poly, s: int, terms):
         else:
             num = _lin(_mul(num, prim), b * c, a, s)
             parts.append(prim)
+            den = _mul(den, prim)
         s *= b * c
-    num, parts = _divide_out(num, tuple(parts), parts)
-    return _scaled(num, 1, s, _product(parts), parts)
+    factors = tuple(parts)
+    num, kept = _divide_out(num, factors, factors)
+    return _scaled(num, 1, s, den if kept is factors else _product(kept), kept)
 
 
 def _linear_combination(base, pairs):
@@ -692,10 +697,9 @@ def _make(num: Poly, p: int, q: int, den: Poly, factors=None, trial=()):
     if not num:
         return Fraction(0)
     if factors is not None:
-        if trial:
-            num, kept = _divide_out(num, factors, trial)
-            if kept is not factors:
-                factors, den = kept, _product(kept)
+        num, kept = _divide_out(num, factors, trial)
+        if kept is not factors:
+            factors, den = kept, _product(kept)
         return _scaled(num, p, q, den, factors)
     if den is not _UNIT and (len(den) > 1 or () not in den):
         num, den = _cancel(num, den)
