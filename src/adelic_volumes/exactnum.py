@@ -855,27 +855,25 @@ class ExactNumber:
             a = n2[()]
             return _scaled(self._num, s2 if a > 0 else -s2, self._scale * abs(a),
                            self._den, self._factors)
-        num, f1 = _mul(self._num, d2), self._factors
-        if f1 is not None and _pdegree(n2) <= 1:
-            # n2 = c * prim with prim primitive of positive value (1 for a
-            # constant): prim joins the factors
-            c, prim = _primitive(n2)
-            if _poly_sign(prim) < 0:
-                c, prim = -c, {m: -v for m, v in prim.items()}
-            if () in prim and len(prim) == 1:
-                factors, den = f1, self._den
-            else:
-                factors, den = f1 + (prim,), _mul(self._den, prim)
-            return _make(num, s2 if c > 0 else -s2, self._scale * abs(c), den,
-                         factors, factors)
+        f1 = self._factors
         if f1 is not None:
-            # n2 not known to factor: when it divides self's numerator, the
-            # quotient's denominator is self's
-            c, prim = _primitive(n2)
-            q = _zdivide(self._num, prim)
-            if q is not None:
-                return _make(_mul(q, d2), s2, self._scale * c, self._den, f1, f1)
-        return _make(num, s2, self._scale, _mul(self._den, n2))
+            c, prim = _primitive(n2)  # n2 = c * prim
+            degree = _pdegree(prim)
+            if degree > 1:
+                # prim's factors are not known: when it divides self's
+                # numerator, the quotient's denominator is self's
+                q = _zdivide(self._num, prim)
+                if q is not None:
+                    return _make(_mul(q, d2), s2, self._scale * c, self._den, f1, f1)
+            else:
+                # prim, made positive, joins the factors (none for a constant)
+                if _poly_sign(prim) < 0:
+                    c, prim = -c, {m: -v for m, v in prim.items()}
+                factors, den = ((f1 + (prim,), _mul(self._den, prim)) if degree
+                                else (f1, self._den))
+                return _make(_mul(self._num, d2), s2 if c > 0 else -s2,
+                             self._scale * abs(c), den, factors, factors)
+        return _make(_mul(self._num, d2), s2, self._scale, _mul(self._den, n2))
 
     def __rtruediv__(self, other):
         if not isinstance(other, (int, Fraction)):
