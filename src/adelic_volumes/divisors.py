@@ -26,6 +26,7 @@ at a non-toric closed point is outside the toric model.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from typing import Mapping, Sequence, Union
 
@@ -35,8 +36,8 @@ from .errors import (
     NotEffectiveInput,
     UnboundedPerturbation,
 )
-from .exactnum import (ExactNumber, _from_coeffs, _proven_prime,
-                       log_unit, scalar_cmp, scalar_sign)
+from .exactnum import (_ZERO, ExactNumber, _from_coeffs, _proven_prime, _q, _qadd, _qmul,
+                       _qsub, _sum_sign, log_unit, scalar_cmp, scalar_sign)
 from .pa import (
     ConcavePA,
     ConvexPA,
@@ -46,14 +47,13 @@ from .pa import (
     _grid,
     _grid_values,
     _integer_grid,
+    _min_scalar,
     pa_from_payload,
     pointwise_min,
     unit_roof,
 )
 
 ARCH = "inf"
-
-_ZERO = Fraction(0)
 
 Place = Union[str, int]
 
@@ -83,6 +83,8 @@ def _coeff(x):
     scalars are passed through unchanged."""
     if type(x) is Fraction:
         return x
+    if type(x) is int:
+        return _q(x, 1)
     if isinstance(x, ExactNumber):
         return x.as_fraction() if x.is_rational else x
     return Fraction(x)
@@ -92,10 +94,11 @@ def canonical_potential(c0, cinf):
     """The invariant potential carried by every unlisted place."""
     # one breakpoint at 0 with slopes -cinf, c0: canonical, and convex
     # exactly when -cinf <= c0
-    pts = [(Fraction(0), Fraction(0))]
-    if c0 + cinf >= 0:
-        return ConvexPA._raw(pts, -cinf, c0)
-    return PAGeneral._raw(pts, -cinf, c0)
+    pts = [(_ZERO, _ZERO)]
+    ls = _qsub(_ZERO, cinf)
+    if _sum_sign(c0, cinf) >= 0:
+        return ConvexPA._raw(pts, ls, c0)
+    return PAGeneral._raw(pts, ls, c0)
 
 
 def _coerce_potential(place, pot, c0: Fraction, cinf: Fraction):
@@ -106,7 +109,7 @@ def _coerce_potential(place, pot, c0: Fraction, cinf: Fraction):
         raise TypeError(
             f"potential at {place_label(place)} must be piecewise affine on R"
         )
-    if not (pot.left_slope == -cinf and pot.right_slope == c0):
+    if _sum_sign(pot.left_slope, cinf) or scalar_cmp(pot.right_slope, c0):
         raise ValueError(
             f"potential at {place_label(place)} has asymptotic slopes "
             f"({pot.left_slope}, {pot.right_slope}); the divisor requires "
@@ -178,7 +181,7 @@ class ToricAdelicDivisor:
 
     @property
     def degree(self):
-        return self.c0 + self.cinf
+        return _qadd(self.c0, self.cinf)
 
     @property
     def places(self) -> tuple:
@@ -194,7 +197,7 @@ class ToricAdelicDivisor:
         return self._canonical
 
     def polytope(self) -> Interval:
-        lo = -self.cinf
+        lo = _qsub(_ZERO, self.cinf)
         if scalar_cmp(lo, self.c0) > 0:
             return Interval.EMPTY
         return Interval(lo, self.c0)
@@ -218,8 +221,8 @@ class ToricAdelicDivisor:
         return self._roof
 
     def add(self, other: "ToricAdelicDivisor") -> "ToricAdelicDivisor":
-        c0 = self.c0 + other.c0
-        cinf = self.cinf + other.cinf
+        c0 = _qadd(self.c0, other.c0)
+        cinf = _qadd(self.cinf, other.cinf)
         pots = {}
         for place in set(self._potentials) | set(other._potentials):
             pots[place] = self.potential(place) + other.potential(place)
@@ -232,18 +235,18 @@ class ToricAdelicDivisor:
         if scalar_sign(a) == 0:
             return ToricAdelicDivisor(0, 0)
         pots = {place: pot.scale(a) for place, pot in self._potentials.items()}
-        return ToricAdelicDivisor(a * self.c0, a * self.cinf, pots)
+        return ToricAdelicDivisor(_qmul(a, self.c0), _qmul(a, self.cinf), pots)
 
     def __sub__(self, other: "ToricAdelicDivisor") -> "ToricAdelicDivisor":
         return self.add(other.scale(-1))
 
     @property
     def is_effective(self) -> bool:
-        if self.c0 < 0 or self.cinf < 0:
+        if scalar_sign(self.c0) < 0 or scalar_sign(self.cinf) < 0:
             return False
         for pot in self._potentials.values():
             bound = pot.lower_bound()
-            if bound is None or bound < 0:
+            if bound is None or scalar_sign(bound) < 0:
                 return False
         return True
 
@@ -292,8 +295,8 @@ def min_adelic(divisors: Sequence[ToricAdelicDivisor]) -> ToricAdelicDivisor:
     for d in divisors:
         if not d.is_effective:
             raise NotEffectiveInput(f"{d!r} is not effective")
-    c0 = min(d.c0 for d in divisors)
-    cinf = min(d.cinf for d in divisors)
+    c0 = reduce(_min_scalar, (d.c0 for d in divisors))
+    cinf = reduce(_min_scalar, (d.cinf for d in divisors))
     places = set()
     for d in divisors:
         places.update(d._potentials)
@@ -333,7 +336,9 @@ class BaseCondition:
     def __init__(self, entries: Mapping | None = None):
         orders = {"0": _ZERO, "inf": _ZERO}
         for key, value in (entries or {}).items():
-            orders[_label(key)] += Fraction(value)
+            label = _label(key)
+            orders[label] = _qadd(orders[label], value if type(value) is Fraction
+                                  else Fraction(value))
         self.v0, self.vinf = orders["0"], orders["inf"]
 
     @property
@@ -351,7 +356,7 @@ class BaseCondition:
     def __add__(self, other):
         if not isinstance(other, BaseCondition):
             return NotImplemented
-        return BaseCondition._of(self.v0 + other.v0, self.vinf + other.vinf)
+        return BaseCondition._of(_qadd(self.v0, other.v0), _qadd(self.vinf, other.vinf))
 
     def scale(self, a) -> "BaseCondition":
         a = Fraction(a)
@@ -393,7 +398,8 @@ class Pair:
 
     def _toric_orders(self) -> tuple:
         v0, vinf = self.base.v0, self.base.vinf
-        return (v0 if v0 > 0 else _ZERO), (vinf if vinf > 0 else _ZERO)
+        return ((v0 if scalar_sign(v0) > 0 else _ZERO),
+                (vinf if scalar_sign(vinf) > 0 else _ZERO))
 
     def shifted_polytope(self) -> Interval:
         """The polytope cut down by the base condition.
@@ -407,9 +413,9 @@ class Pair:
         """
         if self._window is None:
             v0, vinf = self._toric_orders()
-            lo = -self.divisor.cinf + v0
-            hi = self.divisor.c0 - vinf
-            self._window = Interval.EMPTY if lo > hi else Interval(lo, hi)
+            lo = _qsub(v0, self.divisor.cinf)
+            hi = _qsub(self.divisor.c0, vinf)
+            self._window = Interval.EMPTY if scalar_cmp(lo, hi) > 0 else Interval(lo, hi)
         return self._window
 
     def global_roof(self) -> ConcavePA:
@@ -456,7 +462,7 @@ class Pair:
                 f"perturbation has asymptotic slopes "
                 f"({phi.left_slope}, {phi.right_slope}); they must vanish"
             )
-        new_pot = self.divisor.potential(place) + phi.scale(Fraction(1, 2))
+        new_pot = self.divisor.potential(place) + phi.scale(_q(1, 2))
         pots = {v: self.divisor._potentials[v] for v in self.divisor.places}
         pots[place] = new_pot
         divisor = ToricAdelicDivisor(self.divisor.c0, self.divisor.cinf, pots)

@@ -61,6 +61,26 @@ mix freely with ExactNumbers in arithmetic and comparisons, and the
 ``scalar_*`` helpers at the bottom give call sites one vocabulary for
 "Fraction or ExactNumber".
 
+This module is also the rational kernel, the only door into Fraction
+internals.  CPython's Fraction is pure Python, and on rational data its
+protocol was the toolkit's largest single cost: the constructor's
+dispatch, ``as_integer_ratio``, the ``numerator`` and ``denominator``
+properties and a ``numbers.Rational`` check in every ``==`` and ``<``.
+So ``_q(n, d)`` builds the reduced Fraction of two ints by setting the two
+slots of ``object.__new__(Fraction)``, and code that knows an operand is a
+Fraction reads it as ``x._numerator``, ``x._denominator``; ``_qadd``,
+``_qsub``, ``_qmul``, ``_qdiv``, ``_sum_sign``, ``scalar_sign`` and
+``scalar_cmp`` cross-multiply those integers and keep the operator for
+any other operand.  The values are the canonical Fractions the constructor builds,
+equal in value, type, repr and hash.  That relies on one CPython fact:
+``Fraction.__slots__ == ("_numerator", "_denominator")``, true from
+Python 3.6 to 3.13, and ``tests/test_exactnum.py`` pins it together with
+``_q`` against the constructor.  ``tests/test_kernel_sites.py`` keeps
+every two-int ``Fraction(n, d)`` and every ``as_integer_ratio()`` out of
+``pa``, ``positivity``, ``divisors`` and ``harness``.  On the seed-9001
+``suites`` op list of one benchmark worker, ``fractions.py`` fell from
+31.5% to 3.5% of the SIGPROF leaf samples (``tests/leaf_share.py``).
+
 A value whose d is 1, such as every global-roof value (a Q-linear form in
 1, log 2, log 3, ...), has exactly one canonical n / s.  So callers that
 sum many such values (the roof sum, the chords and integrals of roofs in
@@ -515,7 +535,7 @@ def _poly_str(poly: Poly, scale: int = 1) -> str:
         return "0"
     terms = []
     for mono in sorted(poly, key=lambda m: (len(m), m)):
-        coeff = Fraction(poly[mono], scale)
+        coeff = _q(poly[mono], scale)
         if mono == ():
             terms.append(str(coeff))
         elif coeff == 1:
@@ -571,6 +591,66 @@ def _proven_prime(n: int) -> bool:
 ScalarLike = Union[int, Fraction, "ExactNumber"]
 
 
+# -- the rational kernel ---------------------------------------------------
+#
+# The only code that builds a Fraction from its two slots.  Elsewhere, an
+# operand known to be a Fraction is read as x._numerator, x._denominator.
+
+_object_new = object.__new__
+
+
+def _q(n: int, d: int) -> Fraction:
+    """The reduced Fraction n / d of two ints, as ``Fraction(n, d)`` builds
+    it, without its constructor: the sign normalized, the gcd divided out,
+    and the two slots set.  ZeroDivisionError when d = 0."""
+    if d <= 0:
+        if not d:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        n, d = -n, -d
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    obj = _object_new(Fraction)
+    obj._numerator = n
+    obj._denominator = d
+    return obj
+
+
+_ZERO = _q(0, 1)
+
+
+def _qadd(a, b):
+    """a + b: one Fraction from the integers of two Fractions, the
+    operator otherwise."""
+    if type(a) is Fraction and type(b) is Fraction:
+        ad, bd = a._denominator, b._denominator
+        return _q(a._numerator * bd + b._numerator * ad, ad * bd)
+    return a + b
+
+
+def _qsub(a, b):
+    """a - b, as ``_qadd`` forms a + b; ``_qsub(_ZERO, b)`` is -b."""
+    if type(a) is Fraction and type(b) is Fraction:
+        ad, bd = a._denominator, b._denominator
+        return _q(a._numerator * bd - b._numerator * ad, ad * bd)
+    return a - b
+
+
+def _qmul(a, b):
+    """a * b, as ``_qadd`` forms a + b."""
+    if type(a) is Fraction and type(b) is Fraction:
+        return _q(a._numerator * b._numerator, a._denominator * b._denominator)
+    return a * b
+
+
+def _qdiv(a, b):
+    """a / b, as ``_qadd`` forms a + b; ZeroDivisionError when b = 0."""
+    if type(a) is Fraction and type(b) is Fraction:
+        return _q(a._numerator * b._denominator, a._denominator * b._numerator)
+    return a / b
+
+
 def _is_constant(num: Poly, den: Poly) -> bool:
     return den is _UNIT and (not num or len(num) == 1 and () in num)
 
@@ -580,7 +660,7 @@ def _value(num: Poly, scale: int, den: Poly, factors=None):
     is 1 and num is constant (0 included), else an ExactNumber, with den's
     affine factors when they are known (always for den = 1)."""
     if _is_constant(num, den):
-        return Fraction(num.get((), 0), scale)
+        return _q(num.get((), 0), scale)
     obj = object.__new__(ExactNumber)
     obj._num = num
     obj._scale = scale
@@ -681,8 +761,8 @@ def _poly_parts(x):
     be mutated), for a Fraction or an ExactNumber whose d is 1 (a
     polynomial in the logs); None for any other value."""
     if type(x) is Fraction:
-        a, s = x.as_integer_ratio()
-        return ({(): a} if a else {}), s
+        a = x._numerator
+        return ({(): a} if a else {}), x._denominator
     if type(x) is ExactNumber and x._den is _UNIT:
         return x._num, x._scale
     return None
@@ -695,7 +775,7 @@ def _make(num: Poly, p: int, q: int, den: Poly, factors=None, trial=()):
     (``_divide_out``); else ``_cancel`` cancels, and a den left affine is
     its own factor."""
     if not num:
-        return Fraction(0)
+        return _ZERO
     if factors is not None:
         num, kept = _divide_out(num, factors, trial)
         if kept is not factors:
@@ -720,6 +800,9 @@ def _make(num: Poly, p: int, q: int, den: Poly, factors=None, trial=()):
 def _parts(x):
     """(num, scale, den, factors) of an int, a Fraction or an ExactNumber;
     None for anything else."""
+    if type(x) is Fraction:
+        a = x._numerator
+        return ({(): a} if a else {}), x._denominator, _UNIT, ()
     if isinstance(x, ExactNumber):
         return x._num, x._scale, x._den, x._factors
     if isinstance(x, (int, Fraction)):
@@ -796,7 +879,7 @@ class ExactNumber:
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self!r} is not rational")
-        return Fraction(self._num.get((), 0), self._scale)
+        return _q(self._num.get((), 0), self._scale)
 
     def sign(self) -> int:
         return _poly_sign(self._num)  # s and the value of d are positive
@@ -833,7 +916,7 @@ class ExactNumber:
         n2, s2, d2, f2 = o
         if _is_constant(n2, d2):
             if not n2:
-                return Fraction(0)
+                return _ZERO
             # scaling by a nonzero rational preserves every normalization
             # invariant but the content of n against s
             return _scaled(self._num, n2[()], self._scale * s2, self._den, self._factors)
@@ -972,7 +1055,7 @@ def log_unit(prime: int) -> ExactNumber:
 
 def scalar_sign(x: Scalar) -> int:
     if type(x) is Fraction:  # read off the numerator, in place
-        n = x.numerator
+        n = x._numerator
         return (n > 0) - (n < 0)
     if isinstance(x, ExactNumber):
         return x.sign()
@@ -984,11 +1067,18 @@ def scalar_cmp(a: Scalar, b: Scalar) -> int:
     for two Fractions, one exact sign of the difference otherwise, as
     ``a < b`` decides it."""
     if type(a) is Fraction and type(b) is Fraction:
-        n, d = a.as_integer_ratio()
-        m, e = b.as_integer_ratio()
-        t = n * e - m * d
+        t = a._numerator * b._denominator - b._numerator * a._denominator
         return (t > 0) - (t < 0)
     return _diff_sign(*_parts(a), *_parts(b))
+
+
+def _sum_sign(a: Scalar, b: Scalar) -> int:
+    """The sign of a + b: cross-multiplied integers for two Fractions, the
+    sign of the sum otherwise."""
+    if type(a) is Fraction and type(b) is Fraction:
+        t = a._numerator * b._denominator + b._numerator * a._denominator
+        return (t > 0) - (t < 0)
+    return scalar_sign(a + b)
 
 
 def scalar_float(x) -> float:
@@ -1002,6 +1092,8 @@ def scalar_float(x) -> float:
 
 def scalar_fraction(x: Scalar) -> Fraction:
     """The value as a Fraction; raises ValueError for genuinely irrational input."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, ExactNumber):
         return x.as_fraction()
     return Fraction(x)

@@ -23,13 +23,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .divisors import ARCH, BaseCondition, Pair, ToricAdelicDivisor, as_pair, min_adelic
 from .errors import NotBig, NotConvex, UnknownSuite
-from .exactnum import log_unit, scalar_float, scalar_sign
+from .exactnum import (_ZERO, _q, _qsub, _sum_sign, log_unit, scalar_cmp, scalar_float,
+                       scalar_sign)
 from .gallery import half_zero_pair, height_shift, p_slant_divisor, slant_divisor, tent_divisor
-from .pa import (ConvexPA, PAGeneral, _grid, _values_on_grid, abs_scalar, convex_envelope,
-                 legendre_potential, legendre_roof)
+from .pa import (ConvexPA, PAGeneral, _grid, _min_scalar, _values_on_grid, abs_scalar,
+                 convex_envelope, legendre_potential, legendre_roof)
 from .positivity import (
     DiskantReport,
     _as_divisor,
@@ -46,8 +48,11 @@ from .positivity import (
 )
 from .sections import okounkov_sample, volume_estimate
 
-DEFAULT_HS = tuple(Fraction(1, 2**k) for k in range(4, 13))
-REFERENCE_H = Fraction(1, 2**10)
+DEFAULT_HS = tuple(_q(1, 2**k) for k in range(4, 13))
+REFERENCE_H = _q(1, 2**10)
+_REFERENCE_ROW = DEFAULT_HS.index(REFERENCE_H)
+# the steps -h, -h/2 and h/2 of the general-position test, at h = REFERENCE_H
+_GP_STEPS = (-REFERENCE_H, -REFERENCE_H / 2, REFERENCE_H / 2)
 
 
 # -- differentiability of the volume ---------------------------------------
@@ -111,15 +116,15 @@ def check_differentiability(pair, direction) -> DerivativeReport:
     _, b_l, a_l = line.jet(-1)
     rows = []
     for h in DEFAULT_HS:
-        up, down = line.volume(h), line.volume(-h)
+        up, down = line.volume(h), line.volume(_qsub(_ZERO, h))
         rows.append(FiniteDifferenceRow(
             h=h,
-            forward=(up - v0) / h,
-            backward=(v0 - down) / h,
-            central=(up - down) / (2 * h),
+            forward=_difference_quotient(up, v0, h, 1),
+            backward=_difference_quotient(v0, down, h, 1),
+            central=_difference_quotient(up, down, h, 2),
         ))
     analytic = 2 * positive_intersection(pair, direction)
-    central_ref = rows[DEFAULT_HS.index(REFERENCE_H)].central
+    central_ref = rows[_REFERENCE_ROW].central
     deviation = abs_scalar(central_ref - analytic) / (1 + abs_scalar(analytic))
     return DerivativeReport(
         pair=pair,
@@ -132,6 +137,16 @@ def check_differentiability(pair, direction) -> DerivativeReport:
         quad_left=a_l,
         deviation=deviation,
     )
+
+
+def _difference_quotient(a, b, h, k: int):
+    """(a - b) / (k h) for an int k > 0: one Fraction from the integers of
+    Fractions a, b and h, the field operators otherwise."""
+    if type(a) is type(b) is type(h) is Fraction:
+        ad, bd = a._denominator, b._denominator
+        return _q((a._numerator * bd - b._numerator * ad) * h._denominator,
+                  ad * bd * h._numerator * k)
+    return (a - b) / (k * h)
 
 
 # -- the isoperimetric chain: Diskant / Bonnesen ---------------------------
@@ -152,7 +167,7 @@ class InequalityCase:
 
 
 def _exact_case(name, lhs, rhs) -> InequalityCase:
-    slack = rhs - lhs
+    slack = _qsub(rhs, lhs)
     return InequalityCase(name=name, lhs=lhs, rhs=rhs, slack=slack,
                           passed=scalar_sign(slack) >= 0)
 
@@ -183,7 +198,7 @@ def diskant_report(pair1, pair2) -> DiskantReport:
     u = s1 / s0
     ratio = s2 / s1
     cases = [
-        _exact_case("mixed_discriminant_nonneg", Fraction(0), disc),
+        _exact_case("mixed_discriminant_nonneg", _ZERO, disc),
         _exact_case("diskant", a * a, disc),
         _exact_case("chain_lower_vs_r", a * abs_scalar(a), disc),
         _exact_case("chain_r_vs_ratio", rv, ratio),
@@ -198,10 +213,8 @@ def diskant_report(pair1, pair2) -> DiskantReport:
     d = _sum_volume(p1, p2) - s2 - s0
     if scalar_sign(d) >= 0 and scalar_sign(d * d - 4 * s0 * s2) == 0:
         # Brunn-Minkowski equality: the pairs are proportional
-        cases.append(_exact_case("equality_mixed_product", abs_scalar(disc),
-                                 Fraction(0)))
-        cases.append(_exact_case("equality_r_vs_R", abs_scalar(Rv - rv),
-                                 Fraction(0)))
+        cases.append(_exact_case("equality_mixed_product", abs_scalar(disc), _ZERO))
+        cases.append(_exact_case("equality_r_vs_R", abs_scalar(Rv - rv), _ZERO))
     return DiskantReport(s0=s0, s1=s1, s2=s2, r=r, R=big_r, cases=tuple(cases))
 
 
@@ -209,7 +222,7 @@ def diskant_report(pair1, pair2) -> DiskantReport:
 
 
 def _frac(rng, num_lo: int, num_hi: int, max_den: int = 16) -> Fraction:
-    return Fraction(rng.randint(num_lo, num_hi), rng.randint(1, max_den))
+    return _q(rng.randint(num_lo, num_hi), rng.randint(1, max_den))
 
 
 def sample_convex_potential(rng, c0: Fraction, cinf: Fraction) -> ConvexPA:
@@ -224,8 +237,8 @@ def sample_convex_potential(rng, c0: Fraction, cinf: Fraction) -> ConvexPA:
     32 b d.  The values are summed along the segments over one common
     denominator and one Fraction is built per coordinate; the random calls
     are those of drawing Fractions, in the same order."""
-    lo_s, hi_s = -cinf, c0
-    if not hi_s > lo_s:
+    lo_s, hi_s = _qsub(_ZERO, cinf), c0
+    if _sum_sign(c0, cinf) <= 0:
         raise NotConvex(f"a convex sample needs positive degree, got {c0 + cinf}")
     cuts = sorted({rng.randint(1, 31) for _ in range(rng.randint(0, 4))})
     keys: set = set()
@@ -233,26 +246,26 @@ def sample_convex_potential(rng, c0: Fraction, cinf: Fraction) -> ConvexPA:
         n = rng.randint(-8, 8)
         keys.add(12 * n // rng.randint(1, 4))
     keys = sorted(keys)
-    a, b = lo_s.as_integer_ratio()
-    c, d = hi_s.as_integer_ratio()
+    a, b = lo_s._numerator, lo_s._denominator
+    c, d = hi_s._numerator, hi_s._denominator
     # the slope of the segment ending at keys[i + 1] is lo + (hi - lo) k / 32,
     # k the cut (32 on the last segment), over 32 b d
     rise = c * b - a * d
     yn, yd = rng.randint(0, 16), rng.randint(1, 8)
     den = 384 * b * d * yd  # y = Y / den; 384 = 12 * 32
     y = yn * 384 * b * d
-    pts = [(Fraction(keys[0], 12), Fraction(yn, yd))]
+    pts = [(_q(keys[0], 12), _q(yn, yd))]
     for k, u0, u in zip(cuts + [32], keys, keys[1:]):
         y += (32 * a * d + rise * k) * (u - u0) * yd
-        pts.append((Fraction(u, 12), Fraction(y, den)))
+        pts.append((_q(u, 12), _q(y, den)))
     return ConvexPA._raw(pts, lo_s, hi_s)
 
 
 def _nonconvex_bump(rng) -> PAGeneral:
     a = _frac(rng, -6, 4, 4)
-    w = Fraction(rng.randint(1, 8), 4)
-    h = Fraction(rng.randint(1, 8), 8)
-    return PAGeneral([(a, Fraction(0)), (a + w / 2, h), (a + w, Fraction(0))], 0, 0)
+    w = _q(rng.randint(1, 8), 4)
+    h = _q(rng.randint(1, 8), 8)
+    return PAGeneral([(a, _ZERO), (a + w / 2, h), (a + w, _ZERO)], 0, 0)
 
 
 def sample_divisor(rng, allow_finite: bool = True,
@@ -262,7 +275,7 @@ def sample_divisor(rng, allow_finite: bool = True,
     while True:
         c0 = _frac(rng, 0, 12, 8)
         cinf = _frac(rng, -4, 12, 8)
-        if c0 + cinf > 0:
+        if _sum_sign(c0, cinf) > 0:
             break
     pots = {}
     if rng.random() < 0.85:
@@ -287,9 +300,9 @@ def sample_big_pair(rng, allow_finite: bool = True) -> Pair:
         if rng.random() < 0.4:
             orders = {}
             if rng.random() < 0.8:
-                orders["0"] = divisor.degree * Fraction(rng.randint(-2, 4), 8)
+                orders["0"] = divisor.degree * _q(rng.randint(-2, 4), 8)
             if rng.random() < 0.4:
-                orders["inf"] = divisor.degree * Fraction(rng.randint(-2, 3), 8)
+                orders["inf"] = divisor.degree * _q(rng.randint(-2, 3), 8)
             base = BaseCondition(orders)
         pair = Pair(divisor, base)
         if is_big(pair):
@@ -305,10 +318,10 @@ def sample_nef_divisor(rng, allow_finite: bool = True) -> ToricAdelicDivisor:
     divisor = sample_divisor(rng, allow_finite=allow_finite)
     for _ in range(64):
         at_lo, at_hi, _ = _roof_ends(divisor)
-        m = at_lo if at_lo <= at_hi else at_hi
+        m = _min_scalar(at_lo, at_hi)
         if scalar_sign(m) >= 0:
             return divisor
-        lift = Fraction(math.ceil((-scalar_float(m) + 1 / 64) * 64), 64)
+        lift = _q(math.ceil((-scalar_float(m) + 1 / 64) * 64), 64)
         divisor = divisor + height_shift(lift)
     raise RuntimeError("nef sampler failed to lift the roof")
 
@@ -318,7 +331,7 @@ def sample_direction(rng, allow_finite: bool = True) -> ToricAdelicDivisor:
     if roll < 0.5:
         return height_shift(_frac(rng, -8, 8, 8))
     d = sample_divisor(rng, allow_finite=allow_finite, convex=roll < 0.85)
-    return d.scale(Fraction(1, 4))
+    return d.scale(_q(1, 4))
 
 
 def sample_derivative_instance(rng) -> tuple:
@@ -336,14 +349,25 @@ def sample_derivative_instance(rng) -> tuple:
         direction = sample_direction(rng)
         line = _Line(pair, direction)
         y0 = avol(pair)  # measured by is_big in sample_big_pair
-        ym2, ym1, yp1 = (line.volume(t) for t in (-h, -h / 2, h / 2))
-        if not bool(y0 - 2 * ym1 + ym2 == yp1 - 2 * y0 + ym1):
+        ym2, ym1, yp1 = (line.volume(t) for t in _GP_STEPS)
+        mid = _second_difference(yp1, y0, ym1)
+        if scalar_cmp(_second_difference(y0, ym1, ym2), mid):
             continue
         yp2 = line.volume(h)
-        if not bool(yp2 - 2 * yp1 + y0 == yp1 - 2 * y0 + ym1):
+        if scalar_cmp(_second_difference(yp2, yp1, y0), mid):
             continue
-        return pair, direction, (yp2 - ym2) / (2 * h)
+        return pair, direction, _difference_quotient(yp2, ym2, h, 2)
     raise RuntimeError("no general-position derivative instance found")
+
+
+def _second_difference(a, b, c):
+    """a - 2 b + c: one Fraction from the integers of Fractions, the field
+    operators otherwise."""
+    if type(a) is type(b) is type(c) is Fraction:
+        ad, bd, cd = a._denominator, b._denominator, c._denominator
+        return _q((a._numerator * bd - 2 * b._numerator * ad) * cd + c._numerator * ad * bd,
+                  ad * bd * cd)
+    return a - 2 * b + c
 
 
 # -- property suites -------------------------------------------------------
@@ -435,7 +459,7 @@ def _suite_brunn_minkowski(rng, count):
 def _suite_homogeneity(rng, count):
     for _ in range(count):
         pair = sample_big_pair(rng)
-        a = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+        a = _q(rng.randint(1, 8), rng.randint(1, 4))
         scaled = pair.scale(a)
         ok = bool(avol(scaled) == a * a * avol(pair))
         ok = ok and scaled.shifted_polytope() == pair.shifted_polytope().scale(a)
@@ -498,10 +522,10 @@ def _suite_continuity(rng, count):
         pair = sample_big_pair(rng)
         places = list(pair.divisor.places) or [ARCH]
         place = rng.choice(places + [ARCH])
-        phi = _nonconvex_bump(rng).scale(Fraction(rng.choice([-1, 1])))
+        phi = _nonconvex_bump(rng).scale(_q(rng.choice([-1, 1]), 1))
         perturbed = pair.perturb(place, phi)
         delta = abs_scalar(avol(perturbed) - avol(pair))
-        unit = Fraction(1) if place == ARCH else log_unit(place)
+        unit = _q(1, 1) if place == ARCH else log_unit(place)
         window = pair.shifted_polytope()
         # The roof moves by at most sup|phi| / 2 (times log p at a finite
         # place), and the volume is twice an integral over the window.
@@ -518,27 +542,28 @@ def _suite_min_valuation(rng, count):
         ds = []
         for _ in range(rng.randint(2, 4)):
             d = sample_divisor(rng)
-            if d.cinf < 0:
-                d = d + ToricAdelicDivisor(0, -d.cinf)
+            if scalar_sign(d.cinf) < 0:
+                d = d + ToricAdelicDivisor(0, _qsub(_ZERO, d.cinf))
             lifts = {}
             for v in d.places:
                 low = d.potential(v).lower_bound()
-                if low is not None and low < 0:
-                    lifts[v] = d.potential(v) + ConvexPA.constant(-low)
+                if low is not None and scalar_sign(low) < 0:
+                    lifts[v] = d.potential(v) + ConvexPA.constant(_qsub(_ZERO, low))
                 else:
                     lifts[v] = d.potential(v)
             d = ToricAdelicDivisor(d.c0, d.cinf, lifts)
             ds.append(d)
         m = min_adelic(ds)
-        ok = m.c0 == min(x.c0 for x in ds) and m.cinf == min(x.cinf for x in ds)
+        ok = (scalar_cmp(m.c0, reduce(_min_scalar, (x.c0 for x in ds))) == 0
+              and scalar_cmp(m.cinf, reduce(_min_scalar, (x.cinf for x in ds))) == 0)
         ok = ok and m.is_effective
         places = {v for x in ds for v in x.places}
         for v in places:
             pots = [x.potential(v) for x in ds]
-            grid = _grid([Fraction(-9), Fraction(9)], *([u for u, _ in p.points] for p in pots))
+            grid = _grid([_q(-9, 1), _q(9, 1)], *([u for u, _ in p.points] for p in pots))
             cols = [_values_on_grid(p, grid) for p in pots]
             for got, *want in zip(_values_on_grid(m.potential(v), grid), *cols):
-                ok = ok and bool(got == min(want))
+                ok = ok and scalar_cmp(got, reduce(_min_scalar, want)) == 0
         ok = ok and min_adelic([ds[0], ds[0]]) == ds[0]
         yield ok, None, None if ok else {"divisors": [x.to_payload() for x in ds]}
 
@@ -549,7 +574,7 @@ def _suite_legendre_involution(rng, count):
         while True:
             c0 = _frac(rng, 0, 10, 8)
             cinf = _frac(rng, -3, 10, 8)
-            if c0 + cinf > 0:
+            if _sum_sign(c0, cinf) > 0:
                 break
         pot = sample_convex_potential(rng, c0, cinf)
         roof = legendre_roof(pot)
@@ -557,7 +582,7 @@ def _suite_legendre_involution(rng, count):
         ok = ok and legendre_roof(legendre_potential(roof)) == roof
         bumpy = pot + _nonconvex_bump(rng).scale(-1)
         env = convex_envelope(bumpy)
-        grid = sorted({u for u, _ in bumpy.points})
+        grid = [u for u, _ in bumpy.points]  # sorted and distinct
         ok = ok and all(scalar_sign(bumpy.eval(u) - env.eval(u)) >= 0 for u in grid)
         ok = ok and legendre_roof(env) == legendre_roof(convex_envelope(bumpy))
         yield ok, None, None if ok else {"potential": pot.to_payload()}
@@ -572,7 +597,7 @@ def _suite_openness(rng, count):
             8 * (scalar_float(window.hi - window.lo) + 1))
         delta = Fraction(margin_f).limit_denominator(1 << 20)
         if delta <= 0:
-            delta = Fraction(1, 1 << 30)
+            delta = _q(1, 1 << 30)
         worst = pair.perturb(ARCH, PAGeneral.constant(-2 * delta))
         ok = delta > 0 and is_big(worst)
         yield ok, avol(worst), None if ok else {
@@ -583,7 +608,7 @@ def _suite_openness(rng, count):
 def _suite_oracle_convergence(rng, count):
     del rng, count  # fixed-instance suite
     e1 = Pair(slant_divisor())
-    log15, tiny = log_unit(3) + log_unit(5), Fraction(1, 1 << 40)
+    log15, tiny = log_unit(3) + log_unit(5), _q(1, 1 << 40)
     yield abs(volume_estimate(e1, 1) - 2 * log15) < tiny, None, None
     yield abs(volume_estimate(e1, 2) - log15) < tiny, None, None
     prev = None
@@ -606,14 +631,14 @@ def _suite_okounkov_match(rng, count):
     # the last pair's roof at 2 is not integral on the grid, so its floors
     # leave strict gaps
     pairs = (Pair(slant_divisor()), Pair(tent_divisor()), half_zero_pair(),
-             Pair(slant_divisor() + p_slant_divisor(2).scale(Fraction(1, 3))))
+             Pair(slant_divisor() + p_slant_divisor(2).scale(_q(1, 3))))
     for pair in pairs:
         data = analytic_okounkov(pair)
         ok = bool(data.avol == avol(pair))
         # the floor at place p takes less than log p / m off the transform,
         # and nothing when there is no finite place
         bound = sum((log_unit(p) for p in pair.divisor.places if p != ARCH),
-                    Fraction(0)) / m
+                    _ZERO) / m
         slack = bound
         for w, t in okounkov_sample(pair, m).entries:
             gap = data.transform.eval(w) - t
@@ -629,7 +654,7 @@ def _suite_diskant_random(rng, count):
         p2 = sample_big_pair(rng, allow_finite=False)
         rep = diskant_report(p1, p2)
         ok = rep.all_pass
-        yield ok, min(c.slack for c in rep.cases), None if ok else {
+        yield ok, reduce(_min_scalar, (c.slack for c in rep.cases)), None if ok else {
             "pair1": p1.to_payload(), "pair2": p2.to_payload(),
             "cases": [(c.name, scalar_float(c.slack)) for c in rep.cases]}
 
@@ -639,7 +664,7 @@ def _suite_bonnesen_random(rng, count):
     for i in range(count):
         p1 = sample_big_pair(rng, allow_finite=False)
         if i % 2 == 0:
-            a = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+            a = _q(rng.randint(1, 6), rng.randint(1, 3))
             p2 = p1.scale(a)
         else:
             p2 = sample_big_pair(rng, allow_finite=False)

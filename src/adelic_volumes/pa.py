@@ -53,15 +53,24 @@ which keeps only the affine normal form.  The proofs relied on:
   it, and the slopes of its segments, a place's roof breakpoints, rise
   strictly.
 
-On rational data every coordinate is a Fraction, and the cost is that of
-the Fraction operators.  So a few exact primitives read Fraction operands
-in place and compute on their numerators and denominators: ``_slope``, the
-orientation signs ``_turn`` and ``_tail_turn`` (the envelope's drop and
-tail tests, the collinear merge and the shape checks), ``_on_line`` for
-y0 - s x0 (Legendre roofs, threshold rows), ``_grid`` (integer sort keys
-over a common denominator), ``_integer_grid`` with ``_grid_values`` and
-:func:`integrate_positive_part`; ``exactnum.scalar_sign`` and
-``exactnum.scalar_cmp`` do the same for signs and comparisons.
+On rational data every coordinate is a Fraction, and CPython's Fraction
+is pure Python: each operator pays for its constructor's dispatch, the
+``numerator`` and ``denominator`` properties and a ``numbers.Rational``
+check.  So rational data goes through the rational kernel of ``exactnum``:
+an operand known to be a Fraction is read at slot level, as
+``x._numerator`` and ``x._denominator``, and each result is built once
+from two ints by ``exactnum._q``.  The exact primitives compute on those
+integers: ``_slope``, the orientation signs ``_turn`` and ``_tail_turn``
+(the envelope's drop and tail tests, the collinear merge and the shape
+checks), ``_on_line`` for y0 - s x0 (Legendre roofs, threshold rows, the
+affine normal form), ``_crossing`` and ``_tail_crossing`` (the crossings
+of a pointwise minimum), ``_grid`` (integer sort keys over a common
+denominator), ``_integer_grid`` with ``_grid_values`` and
+:func:`integrate_positive_part`.  The kernel's ``scalar_sign``,
+``scalar_cmp``, ``_sum_sign``, ``_qadd``, ``_qsub`` and ``_qmul`` do the
+same for signs, comparisons, sums, differences and products, so no
+Fraction operator runs on the hot paths: the tails of a sum or a scaled
+function, the order tests of restrictions, windows and minima.
 ``_integer_grid`` puts a grid and each function's breakpoints on integer
 keys over one denominator, each point read once, and ``_grid_values``
 reads a function's values at the keys in one scan as integer pairs: the
@@ -125,17 +134,19 @@ from .errors import (
     OutOfDomain,
     UnboundedBelow,
 )
-from .exactnum import (ExactNumber, Scalar, _affine_quotient_sum, _from_coeffs, _mul,
-                       _poly_parts, scalar_cmp, scalar_sign)
+from .exactnum import (_ZERO, ExactNumber, Scalar, _affine_quotient_sum, _from_coeffs, _mul,
+                       _poly_parts, _q, _qadd, _qmul, _qsub, scalar_cmp, scalar_sign)
 
 
 def as_scalar(value) -> Scalar:
     """Coerce exact input (int, Fraction, "p/q" string, ExactNumber)."""
-    if isinstance(value, (Fraction, ExactNumber)):
+    if type(value) is Fraction or isinstance(value, ExactNumber):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if type(value) is int:
+        return _q(value, 1)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact scalar: {value!r} ({type(value).__name__})")
 
@@ -171,7 +182,7 @@ class Interval:
 
     @property
     def is_point(self) -> bool:
-        return not self.is_empty and self.lo == self.hi
+        return not self.is_empty and scalar_cmp(self.lo, self.hi) == 0
 
     def intersect(self, other: "Interval") -> "Interval":
         if self.is_empty or other.is_empty:
@@ -208,23 +219,23 @@ Interval.EMPTY = Interval._empty()
 
 # -- exact primitives ------------------------------------------------------
 #
-# Fraction operands are read in place (``as_integer_ratio``) and one
-# Fraction is built per value, none for a sign; any other operand takes the
-# operator formula after the integer route.  Nothing else dispatches on the
-# type.
+# Fraction operands are read at slot level (``x._numerator``,
+# ``x._denominator``) and one Fraction is built per value by the rational
+# kernel, ``exactnum._q``, none for a sign; any other operand takes the
+# operator formula after the integer route.
 
 
 def _slope(p, q) -> Scalar:
     """(q.y - p.y) / (q.x - p.x)."""
     (x1, y1), (x2, y2) = p, q
     if type(x1) is type(y1) is type(x2) is type(y2) is Fraction:
-        a1, b1 = x1.as_integer_ratio()
-        a2, b2 = x2.as_integer_ratio()
+        a1, b1 = x1._numerator, x1._denominator
+        a2, b2 = x2._numerator, x2._denominator
         dx = a2 * b1 - a1 * b2
         if dx:
-            c1, d1 = y1.as_integer_ratio()
-            c2, d2 = y2.as_integer_ratio()
-            return Fraction((c2 * d1 - c1 * d2) * b1 * b2, dx * d1 * d2)
+            c1, d1 = y1._numerator, y1._denominator
+            c2, d2 = y2._numerator, y2._denominator
+            return _q((c2 * d1 - c1 * d2) * b1 * b2, dx * d1 * d2)
     return (y2 - y1) / (x2 - x1)
 
 
@@ -235,12 +246,12 @@ def _turn(p, q, r) -> int:
     (x1, y1), (x2, y2), (x3, y3) = p, q, r
     if type(x1) is type(y1) is type(x2) is type(y2) is type(x3) is type(y3) \
             is Fraction:
-        a1, b1 = x1.as_integer_ratio()
-        a2, b2 = x2.as_integer_ratio()
-        a3, b3 = x3.as_integer_ratio()
-        c1, d1 = y1.as_integer_ratio()
-        c2, d2 = y2.as_integer_ratio()
-        c3, d3 = y3.as_integer_ratio()
+        a1, b1 = x1._numerator, x1._denominator
+        a2, b2 = x2._numerator, x2._denominator
+        a3, b3 = x3._numerator, x3._denominator
+        c1, d1 = y1._numerator, y1._denominator
+        c2, d2 = y2._numerator, y2._denominator
+        c3, d3 = y3._numerator, y3._denominator
         # (y2 - y1)(x3 - x2) - (y3 - y2)(x2 - x1), times b1 b2 b3 d1 d2 d3
         t = ((c2 * d1 - c1 * d2) * (a3 * b2 - a2 * b3) * b1 * d3
              - (c3 * d2 - c2 * d3) * (a2 * b1 - a1 * b2) * b3 * d1)
@@ -253,11 +264,11 @@ def _tail_turn(s, p, q) -> int:
     tail of slope s in place of a segment."""
     (x1, y1), (x2, y2) = p, q
     if type(s) is type(x1) is type(y1) is type(x2) is type(y2) is Fraction:
-        n, e = s.as_integer_ratio()
-        a1, b1 = x1.as_integer_ratio()
-        a2, b2 = x2.as_integer_ratio()
-        c1, d1 = y1.as_integer_ratio()
-        c2, d2 = y2.as_integer_ratio()
+        n, e = s._numerator, s._denominator
+        a1, b1 = x1._numerator, x1._denominator
+        a2, b2 = x2._numerator, x2._denominator
+        c1, d1 = y1._numerator, y1._denominator
+        c2, d2 = y2._numerator, y2._denominator
         # s (x2 - x1) - (y2 - y1), times e b1 b2 d1 d2
         t = n * (a2 * b1 - a1 * b2) * d1 * d2 - (c2 * d1 - c1 * d2) * e * b1 * b2
         return (t > 0) - (t < 0)
@@ -267,10 +278,10 @@ def _tail_turn(s, p, q) -> int:
 def _on_line(x0, y0, s) -> Scalar:
     """y0 - s x0, the value at 0 of the line of slope s through (x0, y0)."""
     if type(x0) is type(y0) is type(s) is Fraction:
-        a, b = x0.as_integer_ratio()
-        c, d = y0.as_integer_ratio()
-        n, e = s.as_integer_ratio()
-        return Fraction(c * e * b - n * a * d, d * e * b)
+        a, b = x0._numerator, x0._denominator
+        c, d = y0._numerator, y0._denominator
+        n, e = s._numerator, s._denominator
+        return _q(c * e * b - n * a * d, d * e * b)
     return y0 - s * x0
 
 
@@ -293,7 +304,7 @@ def _ratios(values):
     for v in values:
         if type(v) is not Fraction:
             return None
-        out.append(v.as_integer_ratio())
+        out.append((v._numerator, v._denominator))
     return out
 
 
@@ -348,15 +359,15 @@ def _chord(p, q, x) -> Scalar:
     summed per monomial over Z and built once."""
     (x0, y0), (x1, y1) = p, q
     if type(x0) is type(x1) is type(x) is Fraction:
-        a0, b0 = x0.as_integer_ratio()
-        a1, b1 = x1.as_integer_ratio()
-        u, v = x.as_integer_ratio()
+        a0, b0 = x0._numerator, x0._denominator
+        a1, b1 = x1._numerator, x1._denominator
+        u, v = x._numerator, x._denominator
         # (x - x0) / (x1 - x0) = tn / td
         tn, td = (u * b0 - a0 * v) * b1, (a1 * b0 - a0 * b1) * v
         if type(y0) is type(y1) is Fraction and td:
-            c0, d0 = y0.as_integer_ratio()
-            c1, d1 = y1.as_integer_ratio()
-            return Fraction(c0 * d1 * (td - tn) + c1 * d0 * tn, d0 * d1 * td)
+            c0, d0 = y0._numerator, y0._denominator
+            c1, d1 = y1._numerator, y1._denominator
+            return _q(c0 * d1 * (td - tn) + c1 * d0 * tn, d0 * d1 * td)
         r0, r1 = _poly_parts(y0), _poly_parts(y1)
         if r0 and r1 and td:
             (n0, s0), (n1, s1) = r0, r1
@@ -380,17 +391,18 @@ def _eval_on_grid(pts, xs, left_slope=None, right_slope=None) -> list:
         keys, big_u, [(xk, yr)] = grid
         rows = _grid_values(xk, yr, keys, big_u, left_slope, right_slope)
         if rows is not None:
-            return [Fraction(n, d) for n, d in rows]
+            return [_q(n, d) for n, d in rows]
     out = []
     i = 0
     top = len(pts) - 1
     for x in xs:
-        while i < top and pts[i + 1][0] <= x:
+        while i < top and scalar_cmp(pts[i + 1][0], x) <= 0:
             i += 1
         x0, y0 = pts[i]
-        if x == x0:
+        c = scalar_cmp(x, x0)
+        if c == 0:
             out.append(y0)
-        elif i == 0 and x < x0:
+        elif i == 0 and c < 0:
             out.append(y0 + left_slope * (x - x0))
         elif i == top:
             out.append(y0 + right_slope * (x - x0))
@@ -411,8 +423,8 @@ def _integer_grid(fs, xs=None):
         for x, y in pts:
             if type(x) is not Fraction or type(y) is not Fraction:
                 return None
-            xr.append(x.as_integer_ratio())
-            yr.append(y.as_integer_ratio())
+            xr.append((x._numerator, x._denominator))
+            yr.append((y._numerator, y._denominator))
         parts.append((xr, yr))
         dens += [d for _, d in xr]
     if xs is not None:
@@ -454,8 +466,7 @@ def _grid_values(xk, yr, keys, big_u, ls=None, rs=None) -> list | None:
             j, s = (i - 1, rs) if i else (0, ls)
             if type(s) is not Fraction:
                 return None
-            (a, b), (sn, sd) = yr[j], s.as_integer_ratio()
-            sd *= big_u
+            (a, b), sn, sd = yr[j], s._numerator, s._denominator * big_u
             out.append((a * sd + sn * (x - xk[j]) * b, b * sd))
     return out
 
@@ -470,10 +481,10 @@ def _grid_jets(xk, yr, keys, big_u, ls, rs) -> tuple:
     vals = _grid_values(xk, yr, keys, big_u, ls, rs)
     v = lcm(*[d for _, d in vals])
     # the slope of each piece: the left tail, the segments, the right tail
-    pieces = [ls.as_integer_ratio()]
+    pieces = [(ls._numerator, ls._denominator)]
     pieces += [((a1 * b - a * b1) * big_u, b * b1 * (x1 - x0))
                for x0, x1, (a, b), (a1, b1) in zip(xk, xk[1:], yr, yr[1:])]
-    pieces.append(rs.as_integer_ratio())
+    pieces.append((rs._numerator, rs._denominator))
     s = lcm(*[d for _, d in pieces])
     slopes = [n * (s // d) for n, d in pieces]
     lefts, rights = [], []
@@ -500,8 +511,8 @@ def _jet_pairing(keys, big_u, jets_a, jets_b) -> Fraction:
         p += y1 * (r2 - l2)
         q += y2 * (r1 - l1)
         r += x * (r1 * r2 - l1 * l2)
-    return Fraction((p * vb * sa + q * va * sb) * big_u - r * va * vb,
-                    va * vb * sa * sb * big_u)
+    return _q((p * vb * sa + q * va * sb) * big_u - r * va * vb,
+              va * vb * sa * sb * big_u)
 
 
 class ConcavePA:
@@ -541,9 +552,9 @@ class ConcavePA:
 
     def eval(self, x) -> Scalar:
         x = as_scalar(x)
-        if x < self.points[0][0]:
+        if scalar_cmp(x, self.points[0][0]) < 0:
             raise OutOfDomain(f"{x} lies left of the domain")
-        if x > self.points[-1][0]:
+        if scalar_cmp(x, self.points[-1][0]) > 0:
             raise OutOfDomain(f"{x} lies right of the domain")
         return _eval_on_grid(self.points, [x])[0]
 
@@ -660,14 +671,25 @@ def _nonneg_run(ys, sign=scalar_sign):
 
 
 def _zero_between(p, q) -> Scalar:
+    """The zero x1 + (x2 - x1) y1 / (y1 - y2) of the chord through p and q."""
     (x1, y1), (x2, y2) = p, q
+    if type(x1) is type(y1) is type(x2) is type(y2) is Fraction:
+        r = y1._numerator * y2._denominator
+        return _interpolate(x1, x2, r, r - y2._numerator * y1._denominator)
     return x1 + (x2 - x1) * y1 / (y1 - y2)
+
+
+def _interpolate(a, b, r: int, w: int) -> Fraction:
+    """a + (b - a) r / w for Fractions a and b and ints r and w != 0."""
+    an, ad, bn, bd = a._numerator, a._denominator, b._numerator, b._denominator
+    return _q(an * bd * w + (bn * ad - an * bd) * r, ad * bd * w)
 
 
 def _points_equal(a, b) -> bool:
     if len(a) != len(b):
         return False
-    return all(bool(p[0] == q[0]) and bool(p[1] == q[1]) for p, q in zip(a, b))
+    return all(scalar_cmp(p[0], q[0]) == 0 and scalar_cmp(p[1], q[1]) == 0
+               for p, q in zip(a, b))
 
 
 def _grid(*groups) -> list:
@@ -703,11 +725,10 @@ class _LinePA:
 
     def _set(self, pts, ls, rs):
         self._roof = None  # filled by unit_roof; not part of the value
-        if len(pts) == 1 and bool(ls == rs):
+        if len(pts) == 1 and scalar_cmp(ls, rs) == 0:
             # a globally affine function is stored by its value at 0, so
             # that equal functions have equal data
-            u, y = pts[0]
-            pts = [(Fraction(0), y - ls * u)]
+            pts = [(_ZERO, _on_line(*pts[0], ls))]
         self.points = tuple(pts)
         self.left_slope = ls
         self.right_slope = rs
@@ -749,7 +770,7 @@ class _LinePA:
             return None
         out = self.points[0][1]
         for _, y in self.points[1:]:
-            if y < out:
+            if scalar_cmp(y, out) < 0:
                 out = y
         return out
 
@@ -805,14 +826,14 @@ def _sum_on_grid(f: _LinePA, g: _LinePA, xs) -> list:
         rg = None if rf is None else _grid_values(*pg, keys, big_u, g.left_slope,
                                                   g.right_slope)
         if rg is not None:
-            return [(x, Fraction(n1 * d2 + n2 * d1, d1 * d2))
+            return [(x, _q(n1 * d2 + n2 * d1, d1 * d2))
                     for x, (n1, d1), (n2, d2) in zip(xs, rf, rg)]
     return [(x, y1 + y2) for x, y1, y2 in zip(
         xs, _values_on_grid(f, xs), _values_on_grid(g, xs))]
 
 
 def abs_scalar(x: Scalar) -> Scalar:
-    return -x if scalar_sign(x) < 0 else x
+    return _qsub(_ZERO, x) if scalar_sign(x) < 0 else x
 
 
 class ConvexPA(_LinePA):
@@ -822,8 +843,7 @@ class ConvexPA(_LinePA):
         self._init_data(points, left_slope, right_slope)
         pts = self.points
         if len(pts) == 1:
-            d = self.right_slope - self.left_slope
-            if scalar_sign(d) < 0:
+            if scalar_cmp(self.right_slope, self.left_slope) < 0:
                 raise NotConvex("tail slopes are not increasing")
             return  # equal tails: globally affine
         if not _tail_turn(self.left_slope, pts[0], pts[1]) < 0:
@@ -838,7 +858,7 @@ class ConvexPA(_LinePA):
 
     @classmethod
     def constant(cls, value) -> "ConvexPA":
-        return cls([(Fraction(0), as_scalar(value))], 0, 0)
+        return cls([(_ZERO, as_scalar(value))], 0, 0)
 
     def add(self, other):
         if isinstance(other, ConvexPA):
@@ -846,11 +866,11 @@ class ConvexPA(_LinePA):
             # other's slope cannot fall, so the sum is canonical on the union
             # of the breakpoints; an affine summand (equal tails) has none
             kinked = [f for f in (self, other)
-                      if bool(f.left_slope != f.right_slope)] or [self]
+                      if scalar_cmp(f.left_slope, f.right_slope)] or [self]
             return ConvexPA._raw(
                 _sum_on_grid(self, other, _breakpoint_grid(*kinked)),
-                self.left_slope + other.left_slope,
-                self.right_slope + other.right_slope,
+                _qadd(self.left_slope, other.left_slope),
+                _qadd(self.right_slope, other.right_slope),
             )
         if isinstance(other, PAGeneral):
             return self.as_general().add(other)
@@ -864,9 +884,9 @@ class ConvexPA(_LinePA):
         if s > 0:
             # a positive factor keeps every strict kink
             return ConvexPA._raw(
-                [(x, a * y) for x, y in self.points],
-                a * self.left_slope,
-                a * self.right_slope,
+                [(x, _qmul(a, y)) for x, y in self.points],
+                _qmul(a, self.left_slope),
+                _qmul(a, self.right_slope),
             )
         if s == 0:
             return ConvexPA.constant(0)
@@ -890,15 +910,15 @@ class PAGeneral(_LinePA):
 
     @classmethod
     def constant(cls, value) -> "PAGeneral":
-        return cls([(Fraction(0), as_scalar(value))], 0, 0)
+        return cls([(_ZERO, as_scalar(value))], 0, 0)
 
     def add(self, other):
         if isinstance(other, ConvexPA):
             other = other.as_general()
         if not isinstance(other, PAGeneral):
             return NotImplemented
-        ls = self.left_slope + other.left_slope
-        rs = self.right_slope + other.right_slope
+        ls = _qadd(self.left_slope, other.left_slope)
+        rs = _qadd(self.right_slope, other.right_slope)
         pts = _sum_on_grid(self, other, _breakpoint_grid(self, other))
         return PAGeneral._raw(_merge_collinear(pts, ls, rs), ls, rs)
 
@@ -909,13 +929,13 @@ class PAGeneral(_LinePA):
         if scalar_sign(a) == 0:
             return PAGeneral.constant(0)
         # a nonzero factor keeps every kink and every collinear triple
-        pts = [(x, a * y) for x, y in self.points]
-        return PAGeneral._raw(pts, a * self.left_slope, a * self.right_slope)
+        pts = [(x, _qmul(a, y)) for x, y in self.points]
+        return PAGeneral._raw(pts, _qmul(a, self.left_slope), _qmul(a, self.right_slope))
 
     def is_convex(self) -> bool:
         pts = self.points
         if len(pts) == 1:
-            return scalar_sign(self.right_slope - self.left_slope) >= 0
+            return scalar_cmp(self.right_slope, self.left_slope) >= 0
         if _tail_turn(self.left_slope, pts[0], pts[1]) > 0:
             return False
         if any(_turn(p, q, r) > 0 for p, q, r in zip(pts, pts[1:], pts[2:])):
@@ -968,18 +988,28 @@ def _min2_line(f: PAGeneral, g: PAGeneral) -> PAGeneral:
         xs = _grid(xs, extra)
         fs, gs = _values_on_grid(f, xs), _values_on_grid(g, xs)
     pts = [(x, _min_scalar(y1, y2)) for x, y1, y2 in zip(xs, fs, gs)]
-    ls = f.left_slope if f.left_slope >= g.left_slope else g.left_slope
-    rs = f.right_slope if f.right_slope <= g.right_slope else g.right_slope
+    ls = f.left_slope if scalar_cmp(f.left_slope, g.left_slope) >= 0 else g.left_slope
+    rs = f.right_slope if scalar_cmp(f.right_slope, g.right_slope) <= 0 else g.right_slope
     return PAGeneral._raw(_merge_collinear(pts, ls, rs), ls, rs)
 
 
 def _min_scalar(a, b):
-    return a if a <= b else b
+    return a if scalar_cmp(a, b) <= 0 else b
 
 
 def _crossing(a, b, fa, ga, fb, gb):
     """The x in the open interval (a, b) where the affine pieces of f and g
     cross with a sign change, or None; fa = f(a) and so on."""
+    if type(a) is type(b) is type(fa) is type(ga) is type(fb) is type(gb) is Fraction:
+        # f - g is pa / qa at a and pb / qb at b, qa, qb > 0
+        qa, qb = fa._denominator * ga._denominator, fb._denominator * gb._denominator
+        pa = fa._numerator * ga._denominator - ga._numerator * fa._denominator
+        pb = fb._numerator * gb._denominator - gb._numerator * fb._denominator
+        if (pa > 0) is (pb > 0) or not (pa and pb):
+            return None
+        # diff_a / (diff_a - diff_b) = r / w
+        r = pa * qb
+        return _interpolate(a, b, r, r - pb * qa)
     da, db = scalar_sign(fa - ga), scalar_sign(fb - gb)
     if da * db >= 0:
         return None
@@ -988,23 +1018,32 @@ def _crossing(a, b, fa, ga, fb, gb):
     return a + (b - a) * diff_a / (diff_a - diff_b)
 
 
+def _tail_crossing(x0, fy, gy, fs, gs, side: int):
+    """The x where the tails of slopes fs and gs through (x0, fy) and
+    (x0, gy) cross, x0 - (fy - gy) / (fs - gs), when it lies strictly on
+    the given side of x0 (-1 left, 1 right), else None."""
+    if type(x0) is type(fy) is type(gy) is type(fs) is type(gs) is Fraction:
+        # fy - gy = vn / vd and fs - gs = dn / dd, vd, dd > 0
+        vd, dd = fy._denominator * gy._denominator, fs._denominator * gs._denominator
+        vn = fy._numerator * gy._denominator - gy._numerator * fy._denominator
+        dn = fs._numerator * gs._denominator - gs._numerator * fs._denominator
+        # x - x0 = -(vn dd) / (vd dn) has the sign of -vn dn
+        if not dn or (vn * dn > 0) is not (side < 0) or not vn:
+            return None
+        a, b = x0._numerator, x0._denominator
+        return _q(a * vd * dn - vn * dd * b, b * vd * dn)
+    dl = fs - gs
+    if scalar_sign(dl) == 0:
+        return None
+    x = x0 - (fy - gy) / dl
+    return x if scalar_cmp(x, x0) == side else None
+
+
 def _tail_crossings(f, g, xs, fs, gs):
-    out = []
-    x0, xn = xs[0], xs[-1]
-    dl = f.left_slope - g.left_slope
-    if scalar_sign(dl) != 0:
-        v = fs[0] - gs[0]
-        # f - g = v + dl*(x - x0) for x <= x0; crossing at x0 - v/dl if left of x0
-        x = x0 - v / dl
-        if x < x0:
-            out.append(x)
-    dr = f.right_slope - g.right_slope
-    if scalar_sign(dr) != 0:
-        v = fs[-1] - gs[-1]
-        x = xn - v / dr
-        if x > xn:
-            out.append(x)
-    return out
+    # f - g = v + dl (x - x0) beyond x0, for the first or last grid point x0
+    ends = [_tail_crossing(xs[0], fs[0], gs[0], f.left_slope, g.left_slope, -1),
+            _tail_crossing(xs[-1], fs[-1], gs[-1], f.right_slope, g.right_slope, 1)]
+    return [x for x in ends if x is not None]
 
 
 def convex_envelope(f) -> ConvexPA:
@@ -1022,7 +1061,7 @@ def convex_envelope(f) -> ConvexPA:
     if not isinstance(f, PAGeneral):
         raise TypeError(f"cannot take the envelope of {type(f).__name__}")
     s_minus, s_plus = f.left_slope, f.right_slope
-    if s_minus > s_plus:
+    if scalar_cmp(s_minus, s_plus) > 0:
         raise UnboundedBelow(
             f"asymptotic slopes ({s_minus}, {s_plus}) admit no affine minorant"
         )
@@ -1053,7 +1092,7 @@ def legendre_roof(potential: ConvexPA) -> ConcavePA:
         + [_slope(p, q) for p, q in zip(pts, pts[1:])]
         + [potential.right_slope]
     )
-    if bool(slopes[0] == slopes[-1]):  # globally affine potential
+    if scalar_cmp(slopes[0], slopes[-1]) == 0:  # globally affine potential
         return ConcavePA._raw([(slopes[0], _on_line(*pts[0], slopes[0]))])
     out = [(s, _on_line(u, g, s)) for s, (u, g) in zip(slopes, pts)]
     out.append((slopes[-1], _on_line(*pts[-1], slopes[-1])))
@@ -1091,20 +1130,20 @@ def legendre_potential(roof: ConcavePA, window: Interval | None = None) -> Conve
     if window.is_empty:
         raise EmptyDomain("cannot restrict to the empty interval")
     lo, hi = window.lo, window.hi
-    if not (pts[0][0] <= lo and hi <= pts[-1][0]):
+    if scalar_cmp(pts[0][0], lo) > 0 or scalar_cmp(hi, pts[-1][0]) > 0:
         raise OutOfDomain(f"{window} is not inside {roof.domain}")
     if window.is_point:
-        return ConvexPA._raw([(Fraction(0), roof.eval(lo))], lo, lo)
+        return ConvexPA._raw([(_ZERO, roof.eval(lo))], lo, lo)
     i = 1
-    while pts[i][0] <= lo:
+    while scalar_cmp(pts[i][0], lo) <= 0:
         i += 1
     j = i
-    while j < len(pts) - 1 and pts[j][0] < hi:
+    while j < len(pts) - 1 and scalar_cmp(pts[j][0], hi) < 0:
         j += 1
     out = []
     for p, q in zip(pts[i - 1:j], pts[i:j + 1]):
         m = _slope(p, q)
-        out.append((-m, _on_line(*p, m)))
+        out.append((_qsub(_ZERO, m), _on_line(*p, m)))
     # the roof's slopes fall strictly, so the -m rise strictly, and the
     # potential's slopes are the roof's breakpoints inside the window,
     # strictly between its ends: canonical as built
@@ -1130,7 +1169,7 @@ def integrate_positive_part(f: ConcavePA) -> Scalar:
     pts = f.points
     run = _nonneg_run([y for _, y in pts])
     if run is None:
-        return Fraction(0)
+        return _ZERO
     first, last, sign_first, sign_last = run
     clip_lo = first > 0 and sign_first > 0
     clip_hi = last < len(pts) - 1 and sign_last > 0
@@ -1156,7 +1195,7 @@ def integrate_positive_part(f: ConcavePA) -> Scalar:
             terms.append(((a2 * b1 - a1 * b2) * (c1 * e2 + c2 * e1),
                           b1 * b2 * e1 * e2))
         n, d = _sum_terms(terms)
-        return Fraction(n, 2 * d)
+        return _q(n, 2 * d)
     ys = xr and [_poly_parts(y) for _, y in run_pts]
     if ys and all(ys):
         # rational x = a/b, values polynomial in the logs, y = n/s:
@@ -1184,7 +1223,7 @@ def integrate_positive_part(f: ConcavePA) -> Scalar:
             return total
         total = _from_coeffs(coeffs, den)
     else:
-        total = Fraction(0)
+        total = _ZERO
         for (x1, y1), (x2, y2) in zip(pts[first:last], pts[first + 1:last + 1]):
             total = total + (x2 - x1) * (y1 + y2)
     if clip_lo:

@@ -26,7 +26,8 @@ from .divisors import (_ZERO, ARCH, Pair, ToricAdelicDivisor, _place_sort_key,
                        _roof_sum, as_pair)
 from .errors import EmptyPolytope, NotBig, NotNef
 from .exactnum import (Scalar, _affine_quotient_sum, _from_coeffs, _linear_combination,
-                       _mul, _poly_sign, log_unit, scalar_float, scalar_sign)
+                       _mul, _poly_sign, _q, _qadd, _qdiv, _qsub, log_unit, scalar_cmp,
+                       scalar_float, scalar_sign)
 from .pa import (ConvexPA, Interval, PAGeneral, _grid, _grid_jets, _grid_values, _integer_grid,
                  _jet_pairing, _nonneg_run, _on_line, _poly_sum, _ratios,
                  _slope, _values_on_grid, convex_envelope, integrate_positive_part,
@@ -81,14 +82,14 @@ def _roof_ends(divisor) -> tuple:
     (1, or log p); a place without a potential has the one breakpoint
     (0, 0) and adds 0.
     """
-    lo, hi = -divisor.cinf, divisor.c0
+    lo, hi = _qsub(_ZERO, divisor.cinf), divisor.c0
     ends = ([], [], [])
     for place, pot in divisor._potentials.items():
         (u, y), (w, z) = pot.points[0], pot.points[-1]
         mono = () if place == ARCH else (place,)
         ends[0].append((mono, _on_line(u, y, lo)))  # y - lo u
         ends[1].append((mono, _on_line(w, z, hi)))
-        ends[2].append((mono, -u))
+        ends[2].append((mono, _qsub(_ZERO, u)))
     return tuple(_place_sum(terms) for terms in ends)
 
 
@@ -106,9 +107,10 @@ def avol(pair):
     if pair._avol is None:
         window = pair.shifted_polytope()
         if window.is_empty or window.is_point:
-            pair._avol = Fraction(0)
+            pair._avol = _ZERO
         else:
-            pair._avol = 2 * integrate_positive_part(pair.global_roof())
+            area = integrate_positive_part(pair.global_roof())
+            pair._avol = _qadd(area, area)
     return pair._avol
 
 
@@ -124,7 +126,7 @@ def _sum_volume(p1, p2):
     line = _Line(Pair(p1.divisor, p1.base + p2.base), p2.divisor)
     if line._kernel is None:
         return avol(p1 + p2)
-    return line.volume(Fraction(1))
+    return line.volume(_ONE)
 
 
 def is_pseff(pair) -> bool:
@@ -166,7 +168,7 @@ def zariski_positive_part(pair) -> ZariskiPart:
     divisor = pair.divisor
     pots = {place: legendre_potential(unit_roof(divisor.potential(place)), region)
             for place in dict.fromkeys((ARCH,) + divisor.places)}
-    positive = ToricAdelicDivisor(region.hi, -region.lo, pots)
+    positive = ToricAdelicDivisor(region.hi, _qsub(_ZERO, region.lo), pots)
     return ZariskiPart(pair=pair, positive=positive, region=region)
 
 
@@ -221,7 +223,7 @@ def adeg_product(a, b):
     pots = [(a.potential(v), b.potential(v)) for v in places]
     grids = [_integer_grid([f.points for f in pair]) for pair in pots]
     if None in grids:
-        total = Fraction(0)
+        total = _ZERO
         for place, pair in zip(places, pots):
             us = _grid(*((u for u, _ in f.points) for f in pair))
             ya, yb = (_values_on_grid(f, us) for f in pair)
@@ -229,7 +231,7 @@ def adeg_product(a, b):
             # slopes are its tails and the chord slopes
             sa, sb = ([f.left_slope, *map(_slope, zip(us, ys), zip(us[1:], ys[1:])),
                        f.right_slope] for f, ys in zip(pair, (ya, yb)))
-            local = Fraction(0)
+            local = _ZERO
             for k, u in enumerate(us):
                 la, ra, lb, rb = sa[k], sa[k + 1], sb[k], sb[k + 1]
                 local = local + ya[k] * (rb - lb) + yb[k] * (ra - la) - u * (ra * rb - la * lb)
@@ -246,8 +248,8 @@ def adeg_product(a, b):
                     (mono, _jet_pairing(keys, big_u, ja, jb)))
     sums = {key: _place_sum(terms) for key, terms in pairings.items()}
     # every potential of a divisor has the divisor's tails
-    ta = [t for t in (-a.cinf, a.c0) if type(t) is not Fraction]
-    tb = [t for t in (-b.cinf, b.c0) if type(t) is not Fraction]
+    ta = [t for t in (_qsub(_ZERO, a.cinf), a.c0) if type(t) is not Fraction]
+    tb = [t for t in (_qsub(_ZERO, b.cinf), b.c0) if type(t) is not Fraction]
     if not (ta or tb):
         return sums[0, 0]
     total = None
@@ -257,7 +259,7 @@ def adeg_product(a, b):
         total = _linear_combination(sums[0, 0], [(t, sums[0, j]) for j, t in enumerate(tb, 1)])
     if total is None:
         # symbolic tails on both sides: sum_i t_i sum_j s_j S_ij in the field
-        total = Fraction(0)
+        total = _ZERO
         for i, t in enumerate([None] + ta):
             inner = sums[i, 0]
             for j, s in enumerate(tb, 1):
@@ -275,7 +277,7 @@ def _plus(x, y):
     return x + y if y else x
 
 
-_ONE = Fraction(1)
+_ONE = _q(1, 1)
 
 
 def _jet_basis(pot, part, keys, big_u) -> list:
@@ -303,14 +305,14 @@ def _place_sum(terms):
     if len(terms) == 1 and not terms[0][0]:
         return terms[0][1]
     if not all(type(q) is Fraction for _, q in terms):
-        return sum((q if not mono else log_unit(mono[0]) * q for mono, q in terms), Fraction(0))
+        return sum((q if not mono else log_unit(mono[0]) * q for mono, q in terms), _ZERO)
     den = 1
     for _, q in terms:
-        d = q.denominator
+        d = q._denominator
         den = den // gcd(den, d) * d
     coeffs: dict = {}
     for mono, q in terms:
-        coeffs[mono] = coeffs.get(mono, 0) + q.numerator * (den // q.denominator)
+        coeffs[mono] = coeffs.get(mono, 0) + q._numerator * (den // q._denominator)
     return _from_coeffs(coeffs, den)
 
 
@@ -334,16 +336,16 @@ class Bracket:
 
     @property
     def exact(self) -> bool:
-        return self.lo == self.hi
+        return scalar_cmp(self.lo, self.hi) == 0
 
     @property
     def value(self) -> Scalar:
         return self.lo if self.exact else (self.lo + self.hi) / 2
 
     def reciprocal(self) -> "Bracket":
-        if self.lo <= 0:
+        if scalar_sign(self.lo) <= 0:
             raise ValueError(f"reciprocal of {self} needs a positive lower end")
-        return Bracket(1 / self.hi, 1 / self.lo)
+        return Bracket(_qdiv(_ONE, self.hi), _qdiv(_ONE, self.lo))
 
     def __float__(self) -> float:
         return scalar_float(self.value)
@@ -386,13 +388,13 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
         raise NotBig(f"{pair!r} is not big")
     degree = _require_nef_volume(n)
     window = pair.shifted_polytope()  # kept on the pair by is_big
-    t = (window.hi - window.lo) / degree  # the window is a point here
+    t = _qdiv(_qsub(window.hi, window.lo), degree)  # the window is a point here
     line = _Line(pair, n)
     while True:
-        x, g, where = line.top(-t)
+        x, g, where = line.top(_qsub(_ZERO, t))
         if scalar_sign(g) >= 0:
             return Bracket(t, t)
-        t = t + g / _fall_rate(line, t, x, where, n)
+        t = _qadd(t, _qdiv(g, _fall_rate(line, t, x, where, n)))
 
 
 def _require_nef_volume(divisor):
@@ -467,7 +469,7 @@ class _Line:
             if ints is None:
                 us = _grid((u for u, _ in pd.points), (u for u, _ in pe.points))
                 rows = list(zip(us, _values_on_grid(pd, us), _values_on_grid(pe, us)))
-            weight = Fraction(1) if place == ARCH else log_unit(place)
+            weight = _ONE if place == ARCH else log_unit(place)
             self._places.append((place, weight, ints))
             self._rows.append(rows)
         # the integer pass of ``_merged``: the tails and base orders as
@@ -489,7 +491,7 @@ class _Line:
         for i, rows in enumerate(self._rows):
             if rows is None:
                 xs, big_u, ps, c, qs = self._places[i][2]
-                self._rows[i] = [(Fraction(x, big_u), Fraction(p, c), Fraction(q, c))
+                self._rows[i] = [(_q(x, big_u), _q(p, c), _q(q, c))
                                  for x, p, q in zip(xs, ps, qs)]
         return self._rows
 
@@ -522,7 +524,7 @@ class _Line:
             return x, g, ("point" if len(pts) == 1 else "lower" if x == pts[0][0]
                           else "upper" if x == pts[-1][0]
                           else "interior" if any(x == u for u, _ in pts) else "flat")
-        grid, d, cols, den = self._merged(*t.as_integer_ratio())
+        grid, d, cols, den = self._merged(t._numerator, t._denominator)
         if not grid:
             raise EmptyPolytope(f"the pair at t = {t} has an empty shifted "
                                 "polytope; no sections to count")
@@ -539,18 +541,17 @@ class _Line:
                 break
             i += 1
         if len(cols) == 1:
-            g = Fraction(cols[0][i], den)
+            g = _q(cols[0][i], den)
         else:
             g = _from_coeffs({mono: col[i] for mono, col in zip(monos, cols)}, den)
         if flat:
-            return Fraction(grid[i] + grid[i + 1], 2 * d), g, "flat"
-        return Fraction(grid[i], d), g, ("point" if not last else "lower" if i == 0
-                                         else "upper" if i == last else "interior")
+            return _q(grid[i] + grid[i + 1], 2 * d), g, "flat"
+        return _q(grid[i], d), g, ("point" if not last else "lower" if i == 0
+                                   else "upper" if i == last else "interior")
 
     def volume(self, t):
         """avol at a rational t: one integer pass (``_merged``, ``_volume``)."""
-        n, m = t.as_integer_ratio()
-        return self._volume(n, m, 1)[0]
+        return self._volume(t._numerator, t._denominator, 1)[0]
 
     def jet(self, sign):
         """[v0, b, quad] with v0 + b s + quad s^2 the volume at t = sign * s
@@ -631,7 +632,7 @@ class _Line:
         finite places, by ``exactnum._affine_quotient_sum``."""
         grid, d, cols, den = self._merged(n, m)
         if len(grid) < 2:  # an empty window or a point
-            return [Fraction(0)] * layers
+            return [_ZERO] * layers
         scales = self._kernel[3]
         den *= d
         if len(cols) == 1:
@@ -642,7 +643,7 @@ class _Line:
             sign = _poly_sign if layers == 1 else _layered_sign
         run = _nonneg_run(ys, sign)
         if run is None:
-            return [Fraction(0)] * layers
+            return [_ZERO] * layers
         first, last, sign_first, sign_last = run
         clips = []
         if first > 0 and sign_first > 0:
@@ -661,8 +662,8 @@ class _Line:
                     w, lin = w[k], lin[k]
                 num, q = num * lin + w * y_in * y_in * q, q * lin
             if layers == 1:
-                return [Fraction(num, den * q)]
-            return [Fraction(_layer(num, j), den * q) for j in range(layers)]
+                return [_q(num, den * q)]
+            return [_q(_layer(num, j), den * q) for j in range(layers)]
         ends = []
         for w, y_in, y_out in clips:
             lin = _poly_sum((1, y_in), (-1, y_out))
@@ -816,7 +817,7 @@ def _fall_rate(line, t, x, where, n):
         ys = [_on_line(u, _on_line(b, a, t), x) for u, a, b in rows]
         y = min(ys)
         active.append((weight, [(b, u) for (u, _, b), yu in zip(rows, ys) if yu == y]))
-    deltas = [e for e in (lo, hi) if e is not None] or [Fraction(0)]
+    deltas = [e for e in (lo, hi) if e is not None] or [_ZERO]
     for _, rows in active:
         deltas += [_slope((u2, b2), (u, b)) for i, (b, u) in enumerate(rows)
                    for b2, u2 in rows[i + 1:]]
@@ -836,8 +837,8 @@ def _integer_fall_rate(line, t, x, lo, hi):
     numerator per place over e b: compared by ``_poly_sign`` and built
     once by ``_from_coeffs``, or, at the archimedean place alone, compared
     as integers and built as one Fraction."""
-    tn, tm = t.as_integer_ratio()
-    xn, xd = x.as_integer_ratio()
+    tn, tm = t._numerator, t._denominator
+    xn, xd = x._numerator, x._denominator
     e = line._kernel[2]
     active = []
     for (_, _, ints), (mono, to_e_c, to_e_u) in zip(line._places, line._kernel[3]):
@@ -847,7 +848,7 @@ def _integer_fall_rate(line, t, x, lo, hi):
         y = min(ys)
         active.append((mono, [(q * to_e_c, u * to_e_u)
                               for u, q, yu in zip(xs, qs, ys) if yu == y]))
-    bounds = [b.as_integer_ratio() if b is not None else None for b in (lo, hi)]
+    bounds = [(b._numerator, b._denominator) if b is not None else None for b in (lo, hi)]
     deltas = [b for b in bounds if b is not None] or [(0, 1)]
     for _, rows in active:
         for i, (q, u) in enumerate(rows):
@@ -863,7 +864,7 @@ def _integer_fall_rate(line, t, x, lo, hi):
             h = min(q * b - u * a for q, u in rows)
             if best is None or h * best[1] > best[0] * b:
                 best = h, b
-        return Fraction(best[0], e * best[1])
+        return _q(best[0], e * best[1])
     for a, b in deltas:
         h = {mono: min(q * b - u * a for q, u in rows) for mono, rows in active}
         if best is None or _poly_sign({mono: c for mono, c in (

@@ -341,6 +341,69 @@ def test_sign_matches_float(a, b, c):
         assert s == (1 if approx > 0 else -1)
 
 
+# -- the rational kernel -----------------------------------------------------
+
+
+def test_fraction_has_the_slots_the_kernel_sets():
+    # exactnum._q sets these two slots and hot code reads them; CPython
+    # has kept this layout from 3.6 on, and rewrote the constructor around
+    # it in 3.12, so every supported version runs this test
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+# ints of every sign, zero, and past 2^200
+_kernel_ints = st.one_of(
+    st.integers(-40, 40), st.integers(-2**260, 2**260),
+    st.integers(2**200, 2**230), st.integers(-2**230, -2**200))
+
+
+@given(_kernel_ints, _kernel_ints.filter(bool))
+@example(0, 7)
+@example(0, -7)
+@example(6, -4)
+@example(-6, -4)
+@example(3 * 2**201, -(2**201))
+@example(2**200 + 1, 2**200)
+@settings(max_examples=300, deadline=None)
+def test_q_builds_what_the_constructor_builds(n, d):
+    got, want = exactnum._q(n, d), Fraction(n, d)
+    assert type(got) is Fraction
+    assert got == want
+    assert repr(got) == repr(want)
+    assert hash(got) == hash(want)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert type(got.numerator) is int and type(got.denominator) is int
+
+
+@pytest.mark.parametrize("n", [0, 1, -5, 2**201])
+def test_q_by_zero_raises(n):
+    with pytest.raises(ZeroDivisionError):
+        exactnum._q(n, 0)
+
+
+@given(st.one_of(_big_scalars, st.builds(_en, _small, _small, _small)),
+       st.one_of(_big_scalars, st.builds(_en, _small, _small, _small)))
+@example(Fraction(1, 3), Fraction(-1, 3))
+@example(Fraction(2**201, 3), Fraction(5, 2**201))
+@settings(max_examples=200, deadline=None)
+def test_kernel_operators_are_the_operators(a, b):
+    # the same value, type and repr as the operator, for Fractions on the
+    # integers and for any other operand through the operator
+    pairs = [(exactnum._qadd(a, b), a + b), (exactnum._qsub(a, b), a - b),
+             (exactnum._qmul(a, b), a * b)]
+    if b:
+        pairs.append((exactnum._qdiv(a, b), a / b))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            exactnum._qdiv(a, b)
+    for got, want in pairs:
+        assert type(got) is type(want)
+        assert repr(got) == repr(want)
+    assert exactnum._qsub(exactnum._ZERO, b) == -b
+    total = a + b
+    assert exactnum._sum_sign(a, b) == (total > 0) - (total < 0)
+
+
 # -- the native gcd in _cancel ---------------------------------------------
 
 # every monomial of degree at most 3 in log 2, log 3 and log 5

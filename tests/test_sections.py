@@ -691,7 +691,7 @@ class TestEmpiricalTransform:
         Pair(tent_divisor() + p_slant_divisor(3),
              BaseCondition({"inf": F(1, 2)}))])
     @pytest.mark.parametrize("m", [1, 7, 64])
-    def test_one_joint_scan_per_roof(self, monkeypatch, pair, m):
+    def test_sample_reads_the_lattice_exponent_table(self, monkeypatch, pair, m):
         # the sample reads the exponent table of ``sections._lattice``: no
         # roof is evaluated per point, and the values are those of the
         # per-exponent route byte for byte
