@@ -77,7 +77,7 @@ equal in value, type, repr and hash.  That relies on one CPython fact:
 Python 3.6 to 3.13, and ``tests/test_exactnum.py`` pins it together with
 ``_q`` against the constructor.  ``tests/test_kernel_sites.py`` keeps
 every two-int ``Fraction(n, d)`` and every ``as_integer_ratio()`` out of
-``pa``, ``positivity``, ``divisors`` and ``harness``.  On the seed-9001
+``pa``, ``positivity``, ``divisors``, ``harness`` and ``sections``.  On the seed-9001
 ``suites`` op list of one benchmark worker, ``fractions.py`` fell from
 31.5% to 3.5% of the SIGPROF leaf samples (``tests/leaf_share.py``).
 
@@ -1100,4 +1100,4 @@ def scalar_fraction(x: Scalar) -> Fraction:
 
 
 def floor_fraction(q: Fraction) -> int:
-    return q.numerator // q.denominator
+    return q._numerator // q._denominator

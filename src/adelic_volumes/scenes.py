@@ -131,8 +131,9 @@ def scene_from_dict(payload: dict) -> Pair:
 
 
 def _bits(x) -> int:
-    x = Fraction(x)
-    return x.numerator.bit_length() + x.denominator.bit_length()
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x._numerator.bit_length() + x._denominator.bit_length()
 
 
 def scene_to_dict(pair: Pair) -> dict:

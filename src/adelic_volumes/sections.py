@@ -54,9 +54,9 @@ from fractions import Fraction
 
 from .divisors import ARCH, as_pair
 from .errors import EmptyPolytope, NotBig, OutOfDomain, PrecisionExhausted
-from .exactnum import (_atanh, _from_coeffs, _log_bounds, default_precision_bits,
-                       floor_fraction, scalar_fraction)
-from .pa import ConcavePA, Interval, integrate_positive_part, unit_roof
+from .exactnum import (_atanh, _from_coeffs, _log_bounds, _q, default_precision_bits,
+                       floor_fraction, scalar_cmp, scalar_fraction)
+from .pa import ConcavePA, Interval, _on_line, _slope, integrate_positive_part, unit_roof
 
 _MAX_FLOOR_BITS = 1 << 16
 # bits past a value's integer part at which its first enclosure is taken
@@ -106,18 +106,18 @@ def _floor_scaled_exp(d: Fraction, q: Fraction) -> int:
     the working precision), so it nearly always decides; undecided ones
     double the precision up to ``_MAX_FLOOR_BITS``, past which, or at once
     for an integer part provably wider, ``PrecisionExhausted`` is raised."""
-    if q == 0:
+    num, den, qn, qd = d._numerator, d._denominator, q._numerator, q._denominator
+    if not qn:
         return floor_fraction(d)
-    if _zero_floor(d.numerator, d.denominator, q.numerator, q.denominator):
+    if _zero_floor(num, den, qn, qd):
         return 0
-    size = _size_bits(d.numerator, d.denominator, q.numerator, q.denominator)
+    size = _size_bits(num, den, qn, qd)
     # d e^q > 2^(len(num) - len(den) - 1 + floor(1.442 q)): an integer part
     # that wide has an ulp of 2 or more at every precision up to the cap
-    if size > _MAX_FLOOR_BITS and q > 0 and (
-            d.numerator.bit_length() - d.denominator.bit_length() - 1
-            + (q * 1442) // 1000 > _MAX_FLOOR_BITS):
+    if size > _MAX_FLOOR_BITS and qn > 0 and (
+            num.bit_length() - den.bit_length() - 1
+            + (qn * 1442) // (qd * 1000) > _MAX_FLOOR_BITS):
         raise PrecisionExhausted(f"a box count has more than {_MAX_FLOOR_BITS} bits")
-    num, den = d.numerator, d.denominator
     bits = min(_MAX_FLOOR_BITS, _start_bits(size))
     while bits <= _MAX_FLOOR_BITS:
         lo, hi, e = _exp_mantissas(q, bits)
@@ -137,7 +137,7 @@ def _exp_mantissas(x: Fraction, bits: int) -> tuple:
     2^-(w+1), w = bits + s + 6, is squared s times as a lower end plus an
     error, rounded to w + 1 bits each time: a square doubles the log of the
     ends' ratio and a rounding adds under 2^(2-w), so it ends under 2^-bits/4."""
-    c, d = x.numerator, x.denominator
+    c, d = x._numerator, x._denominator
     s = max(0, abs(c).bit_length() - d.bit_length() + 8)
     w = bits + s + 6
     low, err, e = 1 << w, 0, -w
@@ -188,21 +188,24 @@ def _affine_runs(roof: ConcavePA, m: int, k_lo: int, k_hi: int) -> list:
     pts = [(scalar_fraction(x), scalar_fraction(y)) for x, y in roof.points]
     if len(pts) == 1:
         # a point window off the grid holds no exponent
-        y = m * pts[0][1]
-        return [(k_lo, k_hi, y.numerator, 0, y.denominator)] if k_lo <= k_hi else []
+        y = _q(m * pts[0][1]._numerator, pts[0][1]._denominator)
+        return [(k_lo, k_hi, y._numerator, 0, y._denominator)] if k_lo <= k_hi else []
     runs = []
     start = k_lo
     last = len(pts) - 2
-    for i, ((x0, y0), (x1, y1)) in enumerate(zip(pts, pts[1:])):
-        # k / m < x1, except that the last piece is closed on the right
-        end = k_hi if i == last else min(k_hi, -floor_fraction(-m * x1) - 1)
+    for i, (p0, p1) in enumerate(zip(pts, pts[1:])):
+        # k / m < x1, except that the last piece is closed on the right;
+        # -floor(-m x1) - 1 is the last k below m x1
+        x1 = p1[0]
+        end = k_hi if i == last else min(k_hi, -(-m * x1._numerator // x1._denominator) - 1)
         if start > end:
             continue
-        s = (y1 - y0) / (x1 - x0)
-        c = m * (y0 - s * x0)
-        den = math.lcm(c.denominator, s.denominator)
-        runs.append((start, end, c.numerator * (den // c.denominator),
-                     s.numerator * (den // s.denominator), den))
+        s = _slope(p0, p1)
+        c = _on_line(*p0, s)  # the piece's value at 0
+        c = _q(m * c._numerator, c._denominator)
+        cn, cd = c._numerator, c._denominator
+        den = math.lcm(cd, s._denominator)
+        runs.append((start, end, cn * (den // cd), s._numerator * (den // s._denominator), den))
         start = end + 1
     return runs
 
@@ -257,8 +260,7 @@ class SectionBox:
         bounds = ((k, a + b * k, den) for start, end, a, b, den in self._runs
                   for k in range(start, end + 1))
         return tuple(
-            BoxEntry(k=k, denominator=Fraction(num, dn),
-                     log_bound=Fraction(q, den), count=n)
+            BoxEntry(k=k, denominator=_q(num, dn), log_bound=_q(q, den), count=n)
             for (k, q, den), (num, dn), n in zip(
                 bounds, self._denominators, self._counts))
 
@@ -299,7 +301,7 @@ class SectionBox:
         s, err = _atanh(m - (1 << t), m + (1 << t), bits)
         # k log 2 + 2 atanh, with l2lo <= 2^bits log 2 <= l2hi
         k, (l2lo, l2hi) = e - 1 + t, _log_bounds(2, bits)
-        return Fraction(k * (l2lo + l2hi) + 4 * s + 2 * err, 1 << (bits + 1))
+        return _q(k * (l2lo + l2hi) + 4 * s + 2 * err, 1 << (bits + 1))
 
 
 def _check_cost(psi_inf: ConcavePA, finite: dict, entries: int, m: int) -> None:
@@ -310,7 +312,7 @@ def _check_cost(psi_inf: ConcavePA, finite: dict, entries: int, m: int) -> None:
     Each count needs at most 1.443 m max psi_inf^+ plus sum_p m max|psi_p|
     log2 p bits, and the maxima of the roofs sit at their breakpoints."""
     top = max(scalar_fraction(y) for _, y in psi_inf.points)
-    bits = Fraction(1443, 1000) * m * max(top, 0)
+    bits = _q(1443, 1000) * m * max(top, 0)
     for p, roof in finite.items():
         # (p - 1).bit_length() = ceil(log2 p)
         bits += m * max(abs(scalar_fraction(y)) for _, y in roof.points) * (
@@ -344,8 +346,8 @@ def _lattice(pair, m) -> tuple:
     window = pair.shifted_polytope()
     if window.is_empty:
         raise EmptyPolytope(f"{pair!r} has an empty shifted polytope")
-    k_lo = -floor_fraction(scalar_fraction(-Fraction(m) * window.lo))
-    k_hi = floor_fraction(scalar_fraction(Fraction(m) * window.hi))
+    k_lo = -floor_fraction(scalar_fraction(-m * window.lo))
+    k_hi = floor_fraction(scalar_fraction(m * window.hi))
     n = k_hi - k_lo + 1
     if n > _MAX_BOX_ENTRIES:
         raise ValueError(
@@ -354,9 +356,9 @@ def _lattice(pair, m) -> tuple:
         )
     psi_inf, finite = place_roofs(pair)
     # the runs extrapolate silently, so the domains are checked here
-    lo, hi = Fraction(k_lo, m), Fraction(k_hi, m)
+    lo, hi = _q(k_lo, m), _q(k_hi, m)
     for roof in (psi_inf, *finite.values()):
-        if not (roof.domain.lo <= lo and hi <= roof.domain.hi):
+        if scalar_cmp(roof.points[0][0], lo) > 0 or scalar_cmp(hi, roof.points[-1][0]) > 0:
             raise OutOfDomain(f"[{lo}, {hi}] is not inside {roof.domain}")
     floors = {p: [(a + b * k) // den
                   for start, end, a, b, den in _affine_runs(roof, m, k_lo, k_hi)
@@ -441,12 +443,12 @@ def _run_floors(ds: list, start: int, a: int, b: int, den: int) -> list:
                            for k, (num, d) in zip(ks, ds)))
     bits += 2 * len(ds).bit_length()
     if bits > _MAX_FLOOR_BITS:
-        return out + [_floor_scaled_exp(Fraction(num, d), Fraction(a + b * k, den))
+        return out + [_floor_scaled_exp(_q(num, d), _q(a + b * k, den))
                       for k, (num, d) in zip(ks, ds)] + tail
-    low, high, e = _exp_mantissas(Fraction(a + b * start, den), bits)
+    low, high, e = _exp_mantissas(_q(a + b * start, den), bits)
     err = high - low
     if len(ds) > 1:
-        step_low, step_high, step_e = _exp_mantissas(Fraction(b, den), bits)
+        step_low, step_high, step_e = _exp_mantissas(_q(b, den), bits)
         step_err = step_high - step_low
     for k, (num, d) in zip(ks, ds):
         if k != start:
@@ -469,7 +471,7 @@ def _run_floors(ds: list, start: int, a: int, b: int, den: int) -> list:
             x, y = x >> -e, y >> -e
         n = x // d
         if y != x and y // d != n:
-            n = _floor_scaled_exp(Fraction(num, d), Fraction(a + b * k, den))
+            n = _floor_scaled_exp(_q(num, d), _q(a + b * k, den))
         out.append(n)
     return out + tail
 
@@ -518,7 +520,7 @@ def okounkov_sample(pair, m: int) -> OkounkovSample:
             coeffs = {(): a + b * k}
             for p, column in floors.items():
                 coeffs[(p,)] = den * column[k - k_lo]
-            entries.append((Fraction(-k, m), _from_coeffs(coeffs, den * m)))
+            entries.append((_q(-k, m), _from_coeffs(coeffs, den * m)))
     return OkounkovSample(m=m, entries=tuple(entries))
 
 

@@ -3,14 +3,15 @@
     PYTHONPATH=src:perfbench python tests/leaf_share.py \
         [--workload suites|diskant] [--seed 9001] [--passes 40] [--top 15]
 
-Runs the op list that one benchmark worker runs (``perfbench/workloads.py``,
-the ops of a 16 s run split over three workers) once untimed, then
-``--passes`` times under a profiling timer that fires every millisecond of
-CPU time.  Each signal records the innermost Python frame, so the time of a
-builtin is charged to its Python caller.  Prints each file's share of the
-samples, then the ``--top`` functions.  Unlike cProfile it adds no cost per
-call, so the shares of small, hot functions (``Fraction.__new__``, the
-``numerator`` property) are not inflated.  Not collected by pytest.
+Runs the op list that each worker of a 16 s ``perfbench/run.py`` run runs
+(``ops(seed, 16 / 3)`` of ``perfbench/workloads.py``) once untimed, then
+``--passes`` times under a profiling timer set to fire every millisecond
+of CPU time (the kernel may round that up to its tick).  Each signal
+records the innermost Python frame, so the time of a builtin is charged to
+its Python caller.  Prints each file's share of the samples, then the
+``--top`` functions.  Unlike cProfile it adds no cost per call, so the
+shares of small, hot functions (``Fraction.__new__``, the ``numerator``
+property) are not inflated.  Not collected by pytest.
 """
 
 from __future__ import annotations

@@ -89,6 +89,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ToricAdelicDivisor(1, 0, {ARCH: wrong})
 
+    @pytest.mark.parametrize("c0, cinf, ls, rs", [
+        (1, 0, -1, 1),             # left slope -1, the divisor wants 0
+        (1, 2, 2, 1),              # left slope cinf, the divisor wants -cinf
+        (F(1, 2), F(1, 3), F(-1, 2), F(1, 2)),
+        (1, log_unit(2), log_unit(2), 1)])
+    def test_each_tail_slope_is_checked(self, c0, cinf, ls, rs):
+        wrong = PAGeneral([(F(0), F(1))], ls, rs)
+        with pytest.raises(ValueError, match="asymptotic slopes"):
+            ToricAdelicDivisor(c0, cinf, {ARCH: wrong})
+        # the slopes (-cinf, c0) pass
+        ToricAdelicDivisor(c0, cinf, {ARCH: PAGeneral([(F(0), F(1))], -cinf, c0)})
+
     def test_explicit_canonical_potential_is_dropped(self):
         d = ToricAdelicDivisor(1, 0, {ARCH: canonical_potential(F(1), F(0))})
         assert d.places == ()

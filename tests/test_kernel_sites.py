@@ -1,8 +1,9 @@
 """Every Fraction built or read in the hot modules goes through the rational
 kernel of ``exactnum``.
 
-``pa``, ``positivity``, ``divisors`` and ``harness`` build a Fraction from
-two ints with ``exactnum._q`` and read a Fraction's integers at slot level.
+``pa``, ``positivity``, ``divisors``, ``harness`` and ``sections`` build a
+Fraction from two ints with ``exactnum._q`` and read a Fraction's integers
+at slot level.
 A two-argument ``Fraction(a, b)``, an ``as_integer_ratio()`` call or a read
 of the ``numerator`` or ``denominator`` property would take the slow
 protocol of CPython's pure-Python Fraction again, so none may appear.  A
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "adelic_volumes"
-MODULES = ("pa", "positivity", "divisors", "harness")
+MODULES = ("pa", "positivity", "divisors", "harness", "sections")
 
 # (module, qualified function name) -> why it converts with Fraction(x)
 PUBLIC_CONVERSIONS = {
