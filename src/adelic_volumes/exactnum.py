@@ -77,9 +77,11 @@ equal in value, type, repr and hash.  That relies on one CPython fact:
 Python 3.6 to 3.13, and ``tests/test_exactnum.py`` pins it together with
 ``_q`` against the constructor.  ``tests/test_kernel_sites.py`` keeps
 every two-int ``Fraction(n, d)`` and every ``as_integer_ratio()`` out of
-``pa``, ``positivity``, ``divisors``, ``harness`` and ``sections``.  On the seed-9001
-``suites`` op list of one benchmark worker, ``fractions.py`` fell from
-31.5% to 3.5% of the SIGPROF leaf samples (``tests/leaf_share.py``).
+``pa``, ``positivity``, ``divisors``, ``harness`` and ``sections``.  On
+the seed-9001 op list of one benchmark worker, ``fractions.py`` fell
+from 31-32% to 3-4% of the leaf samples of ``tests/leaf_share.py`` on
+``suites``, and from 35-38% to 10-11% on ``diskant``, where the Diskant
+report's own formulas keep the Fraction operators (Python 3.11, 2 vCPU).
 
 A value whose d is 1, such as every global-roof value (a Q-linear form in
 1, log 2, log 3, ...), has exactly one canonical n / s.  So callers that
