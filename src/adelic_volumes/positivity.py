@@ -550,7 +550,7 @@ class _Line:
                                    else "upper" if i == last else "interior")
 
     def volume(self, t):
-        """avol at a rational t: one integer pass (``_merged``, ``_volume``)."""
+        """avol at a Fraction t: one integer pass (``_merged``, ``_volume``)."""
         return self._volume(t._numerator, t._denominator, 1)[0]
 
     def jet(self, sign):

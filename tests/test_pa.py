@@ -423,6 +423,24 @@ def test_envelope_is_greatest_convex_minorant(f):
         assert all(env(u) == f(u) for u, _ in env.points)
 
 
+@given(general_potentials(), general_potentials(), st.lists(_coords, max_size=4),
+       st.booleans())
+@example(PAGeneral([(F(0), F(0)), (F(2), F(2))], 0, 0),
+         PAGeneral([(F(0), F(2)), (F(2), F(0))], 0, 0), [], False)  # crossing at 1
+@example(PAGeneral([(F(0), F(0))], -1, 1), PAGeneral([(F(0), F(1, 2))], 0, 0),
+         [], False)                                                # tails cross at +-1/2
+@settings(max_examples=100, deadline=None)
+def test_pointwise_min_is_the_minimum(f, g, us, symbolic):
+    # the crossings of interior pieces and of tails, on the integers of
+    # Fractions, or through the field when g's values leave Q
+    if symbolic:
+        g = g + PAGeneral.constant(L2 - F(2, 3))
+    m = pointwise_min([f, g])
+    grid = [*us, *(u for h in (f, g, m) for u, _ in h.points)]
+    for u in grid + [min(grid) - 1, max(grid) + 1]:  # the tails too
+        assert m(u) == min(f(u), g(u))
+
+
 def _old_integrate_positive_part(f):
     """The route before the one-pass integral: restrict to {f >= 0}, then
     integrate the trapezoids."""
