@@ -71,17 +71,19 @@ slots of ``object.__new__(Fraction)``, and code that knows an operand is a
 Fraction reads it as ``x._numerator``, ``x._denominator``; ``_qadd``,
 ``_qsub``, ``_qmul``, ``_qdiv``, ``_sum_sign``, ``scalar_sign`` and
 ``scalar_cmp`` cross-multiply those integers and keep the operator for
-any other operand.  The values are the canonical Fractions the constructor builds,
-equal in value, type, repr and hash.  That relies on one CPython fact:
+any other operand.  The values are the canonical Fractions the
+constructor builds, equal in value, type, repr and hash.  That relies on
+one CPython fact:
 ``Fraction.__slots__ == ("_numerator", "_denominator")``, true from
 Python 3.6 to 3.13, and ``tests/test_exactnum.py`` pins it together with
 ``_q`` against the constructor.  ``tests/test_kernel_sites.py`` keeps
 every two-int ``Fraction(n, d)`` and every ``as_integer_ratio()`` out of
 ``pa``, ``positivity``, ``divisors``, ``harness`` and ``sections``.  On
 the seed-9001 op list of one benchmark worker, ``fractions.py`` fell
-from 31-32% to 3-4% of the leaf samples of ``tests/leaf_share.py`` on
-``suites``, and from 35-38% to 10-11% on ``diskant``, where the Diskant
-report's own formulas keep the Fraction operators (Python 3.11, 2 vCPU).
+from about 31% to about 3% of the leaf samples of ``tests/leaf_share.py``
+on ``suites``, and from 35-38% to about 10% on ``diskant``, where the
+Diskant report's own formulas keep the Fraction operators (Python 3.11,
+2 vCPU).
 
 A value whose d is 1, such as every global-roof value (a Q-linear form in
 1, log 2, log 3, ...), has exactly one canonical n / s.  So callers that
