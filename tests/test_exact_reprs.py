@@ -33,6 +33,13 @@ and for 60 more, r, R and every slack of ``diskant_report``: the quotients
 whose denominators are products of affine forms in the logs, as recorded
 when every field quotient was cancelled by the heuristic gcd.
 
+``tests/data/positive_part_reprs.json`` holds, for 20 sampled big pairs
+whose Zariski positive part P has a tail in Q(log p), drawn until it does,
+and a second sampled big pair q, r, R and every slack of
+``diskant_report(P, q)`` and ``diskant_report(q, P)``: thresholds whose
+pair or direction has tails outside Q, as recorded when those lines took
+the field route (``_Line.roof``).
+
 Regenerate the files, only for an intended change of results, with
 
     PYTHONPATH=src python3 tests/test_exact_reprs.py
@@ -46,7 +53,7 @@ from pathlib import Path
 
 import pytest
 
-from adelic_volumes.divisors import ARCH, place_label
+from adelic_volumes.divisors import ARCH, Pair, place_label
 from adelic_volumes.harness import (diskant_report, sample_big_pair, sample_direction,
                                     sample_nef_divisor)
 from adelic_volumes.positivity import (_Line, _sum_volume, adeg_product, avol,
@@ -64,6 +71,8 @@ DISKANT_COUNT = 300
 FIELD = Path(__file__).parent / "data" / "field_reprs.json"
 FIELD_COUNT = 200
 FIELD_DISKANT_COUNT = 60
+POSITIVE = Path(__file__).parent / "data" / "positive_part_reprs.json"
+POSITIVE_COUNT = 20
 
 
 def _typed(x):
@@ -230,6 +239,33 @@ def _field_text() -> str:
     }, indent=1) + "\n"
 
 
+def _symbolic_tails(d) -> bool:
+    return any(type(t) is not Fraction for t in (d.c0, d.cinf))
+
+
+def record_positive_diskant(seed: int) -> dict:
+    """The pairs and the typed reprs of r, R and every slack of the Diskant
+    reports of a positive part P with a tail outside Q, as a pair, against
+    a second sampled pair q, in both orders."""
+    rng = random.Random(f"positive-part-reprs:{seed}")
+    while True:
+        positive = zariski_positive_part(sample_big_pair(rng)).positive
+        if _symbolic_tails(positive):
+            break
+    p, q = Pair(positive), sample_big_pair(rng)
+    out = {"positive": repr(p), "other": repr(q)}
+    for key, (p1, p2) in (("first", (p, q)), ("second", (q, p))):
+        rep = diskant_report(p1, p2)
+        out[key] = {"r": _bracket(rep.r), "R": _bracket(rep.R),
+                    "cases": [[c.name] + _typed(c.slack) for c in rep.cases]}
+    return out
+
+
+def _positive_text() -> str:
+    return json.dumps({str(s): record_positive_diskant(s) for s in range(POSITIVE_COUNT)},
+                      indent=1) + "\n"
+
+
 @pytest.fixture(scope="module")
 def recorded():
     return json.loads(DATA.read_text())
@@ -292,6 +328,15 @@ def test_field_reprs_are_byte_identical():
     assert _field_text() == want
 
 
+def test_positive_part_reprs_are_byte_identical():
+    want = POSITIVE.read_text()
+    recorded_positive = json.loads(want)
+    assert len(recorded_positive) == POSITIVE_COUNT
+    assert all("log(" in rec[key]["r"][1] + rec[key]["R"][1]
+               for rec in recorded_positive.values() for key in ("first", "second"))
+    assert _positive_text() == want
+
+
 if __name__ == "__main__":
     DATA.write_text(json.dumps({str(s): record(s) for s in range(COUNT)},
                                indent=1) + "\n")
@@ -299,3 +344,4 @@ if __name__ == "__main__":
     THRESHOLDS.write_text(_threshold_text())
     DISKANT.write_text(_diskant_text())
     FIELD.write_text(_field_text())
+    POSITIVE.write_text(_positive_text())
