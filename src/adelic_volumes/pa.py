@@ -81,11 +81,12 @@ to its first nonnegative value: concavity gives the rest.  The line
 kernel ``positivity._Line`` keeps a line's rows as integers over one
 denominator and runs the lower hull on them, with the sign tests of
 ``_turn`` and ``_tail_turn`` over common denominators.  At a rational t
-it reads the roofs' breakpoints and values off the hulls as
-integers, merged on one grid: its volume forms the integral of
+it reads the roofs' breakpoints and values off the hulls as integers,
+merged on one grid: its volume forms the integral of
 ``integrate_positive_part`` from them once, and a threshold's Newton step
 reads the top off them as one Fraction, or one ``exactnum._from_coeffs``
-value; no roof is built.  ``positivity.adeg_product`` reads each
+value.  At a t in Q(log p), or on a Zariski positive part's tails, the
+same pass runs on integer polynomials in the logs; no roof is built.  ``positivity.adeg_product`` reads each
 potential's points once (``_integer_grid``), forms its jets (value and
 one-sided slopes) on the union of the breakpoints as integers over two
 denominators (``_grid_jets``), one basis jet per symbolic tail, and sums
@@ -104,10 +105,6 @@ gcd runs.
 Any other operand takes the operator formula the primitive replaced, kept
 beside the integer route for the operands that reach it:
 
-* values in Q(log p), at a line's roof at a threshold t in Q(log p)
-  (``positivity._Line.roof`` and ``_fall_rate``): ``_slope``, ``_turn``,
-  ``_tail_turn``, ``_on_line``, ``_chord`` and the field scan of
-  ``_eval_on_grid``;
 * tail slopes in Q(log p), at a Zariski positive part, whose potentials
   have the ends of its region as tails: divisor sums with it
   (``_sum_on_grid``), its shape checks (``_turn``, ``_tail_turn``) and

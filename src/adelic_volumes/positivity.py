@@ -8,12 +8,13 @@ Everything here is exact.  Volumes and intersection numbers are rational, or
 symbolic combinations of log p when finite places contribute.  A threshold
 is the last zero of the maximum of the twisted roof, a concave and
 piecewise-affine function of the twist; exact Newton steps find it after a
-few steps, and it comes back as a bracket lo == hi.  At a rational twist on
-rational data each step is one integer pass of the line kernel (``_Line``)
-and builds no roof; the nef guards read the two ends of the divisor's roof
-off its potentials' first and last breakpoints (``_roof_ends``).  The
-volume avol(p1 + p2) of a sum of pairs is one pass of the same kernel
-(``_sum_volume``), and intersection numbers pair integer jets.
+few steps, and it comes back as a bracket lo == hi.  Each step is one pass
+of the line kernel (``_Line``) on integers, or on integer polynomials in
+the logs at finite places, and builds no roof; the nef guards read the two
+ends of the divisor's roof off its potentials' first and last breakpoints
+(``_roof_ends``).  The volume avol(p1 + p2) of a sum of pairs is one pass
+of the same kernel (``_sum_volume``), and intersection numbers pair
+integer jets.
 """
 
 from __future__ import annotations
@@ -22,16 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .divisors import (_ZERO, ARCH, Pair, ToricAdelicDivisor, _place_sort_key,
-                       _roof_sum, as_pair)
+from .divisors import _ZERO, ARCH, Pair, ToricAdelicDivisor, _place_sort_key, as_pair
 from .errors import EmptyPolytope, NotBig, NotNef
-from .exactnum import (Scalar, _affine_quotient_sum, _from_coeffs, _linear_combination,
-                       _mul, _poly_sign, _q, _qadd, _qdiv, _qsub, log_unit, scalar_cmp,
-                       scalar_float, scalar_sign)
-from .pa import (ConvexPA, Interval, PAGeneral, _grid, _grid_jets, _grid_values, _integer_grid,
-                 _jet_pairing, _nonneg_run, _on_line, _poly_sum, _ratios,
-                 _slope, _values_on_grid, convex_envelope, integrate_positive_part,
-                 legendre_potential, legendre_roof, unit_roof)
+from .exactnum import (_UNIT, Scalar, _affine_quotient_sum, _from_coeffs, _linear_combination,
+                       _mul, _parts, _poly_parts, _poly_sign, _product, _q, _qadd, _qdiv,
+                       _qsub, log_unit, scalar_cmp, scalar_float, scalar_sign)
+from .pa import (ConvexPA, Interval, _grid_jets, _grid_values, _integer_grid, _jet_pairing,
+                 _nonneg_run, _on_line, _poly_sum, _ratios, integrate_positive_part,
+                 legendre_potential, unit_roof)
 
 
 def _as_divisor(obj) -> ToricAdelicDivisor:
@@ -121,10 +120,10 @@ def is_big(pair) -> bool:
 def _sum_volume(p1, p2):
     """avol(p1 + p2), read off the line kernel from p1's divisor towards
     p2's at t = 1 with the summed base orders: one integer pass, and no sum
-    divisor, roof or integral is built.  avol(p1 + p2) itself only when the
-    line has no integer pass (data outside Q, from library callers)."""
+    divisor, roof or integral is built.  avol(p1 + p2) itself when the line
+    has data or tails outside Q, where ``_Line`` has no volume pass."""
     line = _Line(Pair(p1.divisor, p1.base + p2.base), p2.divisor)
-    if line._kernel is None:
+    if line._kernel is None or line._scales is not None:
         return avol(p1 + p2)
     return line.volume(_ONE)
 
@@ -208,14 +207,9 @@ def adeg_product(a, b):
     S_ij = sum_v c_v (pairing of J_i and J_j at v) is rational at each
     place (``_jet_pairing``, one integer numerator) and is built once over
     the places from its integer coefficients (``_from_coeffs``); the
-    symbolic tails multiply in only at the end.
-
-    Breakpoints or values that are not all Fractions (a potential with a
-    breakpoint at log 2, from a library caller; no workload builds one)
-    take the field operators place by place: each potential's values on the union grid come from the field
-    scan of ``_values_on_grid``, and, the potential being affine between
-    grid points, its one-sided slopes are the tails and the chord slopes
-    (``_slope``) between consecutive grid points.
+    symbolic tails multiply in only at the end.  ValueError when a
+    potential has a breakpoint or a value outside Q, which only a library
+    caller can build, as for ``pseff_threshold``.
     """
     a = _as_divisor(a)
     b = _as_divisor(b)
@@ -223,20 +217,8 @@ def adeg_product(a, b):
     pots = [(a.potential(v), b.potential(v)) for v in places]
     grids = [_integer_grid([f.points for f in pair]) for pair in pots]
     if None in grids:
-        total = _ZERO
-        for place, pair in zip(places, pots):
-            us = _grid(*((u for u, _ in f.points) for f in pair))
-            ya, yb = (_values_on_grid(f, us) for f in pair)
-            # each potential is affine between grid points: its one-sided
-            # slopes are its tails and the chord slopes
-            sa, sb = ([f.left_slope, *map(_slope, zip(us, ys), zip(us[1:], ys[1:])),
-                       f.right_slope] for f, ys in zip(pair, (ya, yb)))
-            local = _ZERO
-            for k, u in enumerate(us):
-                la, ra, lb, rb = sa[k], sa[k + 1], sb[k], sb[k + 1]
-                local = local + ya[k] * (rb - lb) + yb[k] * (ra - la) - u * (ra * rb - la * lb)
-            total = total + (local if place == ARCH else log_unit(place) * local)
-        return total
+        raise ValueError("a potential has data outside Q; its intersection "
+                         "numbers have no integer pass")
     # per (i, j): the pairing at each place, with the monomial of its weight
     pairings: dict = {}
     for place, pair, (keys, big_u, parts) in zip(places, pots, grids):
@@ -375,12 +357,16 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
     the minimum at the argmax, so it stays at or right of the zero and lands
     on a new piece.  Each step reads the top of the twisted roof off the
     line kernel at -t (``_Line(pair, nef_divisor).top``) and the slope off
-    its rows (u, pD_v(u), pN_v(u)) (``_fall_rate``): at a Fraction t on
-    rational data one integer pass that builds no roof, else the field
-    route.  The guards (the pair big, the divisor nef and of positive
-    volume) run on every call; a pair keeps its volume, so ``is_big`` of a
-    pair already measured costs nothing, and the divisor's guards build no
-    roof (``_require_nef_volume``).
+    its rows (u, pD_v(u), pN_v(u)) (``_fall_rate``): one pass that builds
+    no roof, on integers at a Fraction t on rational data, else on integer
+    polynomials in the logs (a t in Q(log p), or a pair or divisor with
+    tails in Q(log p), such as a Zariski positive part).  The guards (the
+    pair big, the divisor nef and of positive volume) run on every call; a
+    pair keeps its volume, so ``is_big`` of a pair already measured costs
+    nothing, and the divisor's guards build no roof
+    (``_require_nef_volume``).  ValueError when a potential has a
+    breakpoint or a value outside Q, which only a library caller can
+    build: such a line has no pass.
     """
     pair = as_pair(pair)
     n = _as_divisor(nef_divisor)
@@ -394,7 +380,7 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
         x, g, where = line.top(_qsub(_ZERO, t))
         if scalar_sign(g) >= 0:
             return Bracket(t, t)
-        t = _qadd(t, _qdiv(g, _fall_rate(line, t, x, where, n)))
+        t = _qadd(t, _qdiv(g, _fall_rate(line, t, x, where)))
 
 
 def _require_nef_volume(divisor):
@@ -418,120 +404,97 @@ def _require_nef_volume(divisor):
 
 class _Line:
     """The pairs D + t E along a line, for a pair (D, base) and a direction
-    E: ``volume(t)`` is ``avol`` of ``Pair(D + t E, base)``, ``top(t)`` the
-    maximum of its global roof and ``roof(t)`` that roof, in value, ``repr``
-    and the type of every coordinate, with no divisor or pair built per t.
+    E: ``volume(t)`` is ``avol`` of ``Pair(D + t E, base)`` and ``top(t)``
+    the maximum of its global roof and where it lies, in value, ``repr``
+    and type, with no divisor, pair or roof built per t.
 
     Per place the potentials of D and E are read once on the union of their
     breakpoints u; D + t E is linear between them, so its unit roof is the
     Legendre roof of the lower hull of the points (u, pD(u) + t pE(u)) with
     the tails (-cinf, c0) of D + t E.  The global roof is the sum of the unit
     roofs weighted by 1 and log p, on the window [-cinf + v0, c0 - vinf].
+    A place keeps its rows as u = X / U, pD(u) = P / C and pE(u) = Q / C
+    (``_integer_rows``), and at t = n / m its hull runs on the points
+    (X, P m + Q n) (``_integer_hull``).  One pass (``_merged``) merges the
+    roofs' breakpoints, the hulls' slopes, between the window's ends on one
+    denominator and reads each place's value numerators there off its
+    hull; ``top`` reads the maximum off them, and ``_volume`` twice the
+    area of the positive part.  No place's roof is built.
 
-    On rational breakpoints and values a place keeps its rows as integers,
-    u = X / U, pD(u) = P / C and pE(u) = Q / C (``_integer_rows``), and at
-    t = n / m its hull runs on the integer points (X, P m + Q n)
-    (``_integer_hull``).  With every place's rows, the coefficients and the
-    base orders rational, a rational t is one integer pass (``_merged``):
-    the roofs' breakpoints, which are the hulls' slopes, merged between the
-    window's ends on one common denominator, and each place's value
-    numerators there, read off its hull.  ``volume`` forms twice the area
-    of the positive part from them once (``_volume``), and ``top`` reads
-    the maximum off them; no place's roof is built, summed or restricted.
-    ``jet`` runs the pass at t = +-eps (``_Eps``); without it, ``volume``
-    and ``jet`` raise ValueError.  The callers of ``volume`` are the
-    derivative checks (``harness``) and the sum volume avol(p1 + p2) of the
-    Diskant report and the Brunn-Minkowski suite (``_sum_volume``), at
-    t = 1.  ``top`` at any other t or row
-    (thresholds in Q(log p), symbolic tails) reads ``roof``, which takes
-    ``convex_envelope`` and ``legendre_roof`` on the rows (u, pD(u), pE(u))
-    of ``rows()``, then ``_roof_sum`` and ``restrict`` as the pair does;
-    the rows are sorted and exact by construction, so they are not checked
-    again.
+    Every test of the pass is linear in (n, m), so n, m, the rows and the
+    tails may be ring elements: integer polynomials in the logs, ints or
+    ``ExactNumber`` values n / 1, whose signs ``_poly_sign`` decides.  A t
+    in Q(log p), the step after a finite-place top, is split as n / m
+    (``_split``).  For tails in Q(log p), a Zariski positive part's region
+    ends, let mu and lam be the products of the denominators of D's and
+    E's tails (``_tail_scale``): the line is (mu D + (t / lam) lam mu E) / mu,
+    on rows and tails over integers, and ``top`` divides x and g by mu.
+    Breakpoints or values outside Q, which only a library caller can build,
+    have no pass: every method raises ValueError.  ``volume`` (a Fraction
+    t) and ``jet`` (t = +-eps, ``_Eps``) also raise it on tails outside Q.
+    They serve the derivative checks (``harness``) and avol(p1 + p2)
+    (``_sum_volume``, t = 1); ``top`` serves the thresholds.
     """
 
-    __slots__ = ("_c0", "_cinf", "_orders", "_places", "_rows", "_kernel")
+    __slots__ = ("_places", "_kernel", "_scales")
 
     def __init__(self, pair, direction):
         d = pair.divisor
-        # (E's coefficient, D's): _on_line(-e, d, t) is d + t e
-        self._c0 = (direction.c0, d.c0)
-        self._cinf = (direction.cinf, d.cinf)
-        self._orders = pair._toric_orders()
-        # per place: its weight c_v and its integer rows, or None; the
-        # Fraction or field rows are built here only when there are none
-        self._places, self._rows = [], []
-        for place in sorted(dict.fromkeys((ARCH,) + d.places + direction.places),
-                            key=_place_sort_key):
-            pd, pe = d.potential(place), direction.potential(place)
-            ints = _integer_rows(pd, pe)
-            rows = None
-            if ints is None:
-                us = _grid((u for u, _ in pd.points), (u for u, _ in pe.points))
-                rows = list(zip(us, _values_on_grid(pd, us), _values_on_grid(pe, us)))
-            weight = _ONE if place == ARCH else log_unit(place)
-            self._places.append((place, weight, ints))
-            self._rows.append(rows)
-        # the integer pass of ``_merged``: the tails and base orders as
-        # integers over one denominator k, and per place the monomial of
-        # its weight with the factors that bring its values to one
-        # denominator e, for a multiple e of every U and C
+        orders = pair._toric_orders()
+        ends = _ratios((d.cinf, direction.cinf, d.c0, direction.c0) + orders)
+        scaled = self._scales = None
+        if ends is None:
+            # tails outside Q: the line (mu D + (t / lam) lam mu E) / mu
+            mu, ci_d, c0_d = _tail_scale(d)
+            lam, ci_e, c0_e = _tail_scale(direction)
+            ci_e, c0_e = mu * ci_e, mu * c0_e
+            self._scales = lam, mu
+            scaled = ((mu, -ci_d, c0_d), (lam * mu, -ci_e, c0_e))
+            ends = [(_ring(_from_coeffs(a, 1)), b) for a, b in map(_poly_parts, (
+                ci_d, ci_e, c0_d, c0_e) + tuple(mu * v for v in orders))]
+        places = sorted(dict.fromkeys((ARCH,) + d.places + direction.places),
+                        key=_place_sort_key)
+        # per place: its weight c_v and its rows, or None
+        self._places = [(1 if v == ARCH else log_unit(v),
+                         _integer_rows(d.potential(v), direction.potential(v), scaled))
+                        for v in places]
+        # the tails and base orders over one integer denominator k, and per
+        # place the monomial of its weight with the factors that bring its
+        # values to one denominator e, for a multiple e of every U and C
         self._kernel = None
-        ends = _ratios((d.cinf, direction.cinf, d.c0, direction.c0) + self._orders)
-        if ends and all(ints is not None for _, _, ints in self._places):
+        if all(ints is not None for _, ints in self._places):
             k = lcm(*(b for _, b in ends))
-            e = lcm(*(ints[i] for _, _, ints in self._places for i in (1, 3)))
+            e = lcm(*(ints[i] for _, ints in self._places for i in (1, 3)))
             self._kernel = (k, [a * (k // b) for a, b in ends], e,
-                            [(() if place == ARCH else (place,), e // ints[3], e // ints[1])
-                             for place, _, ints in self._places])
-
-    def rows(self) -> list:
-        """Per place the rows (u, pD(u), pE(u)) on its grid, for the field
-        route, read off the integer rows on first use."""
-        for i, rows in enumerate(self._rows):
-            if rows is None:
-                xs, big_u, ps, c, qs = self._places[i][2]
-                self._rows[i] = [(_q(x, big_u), _q(p, c), _q(q, c))
-                                 for x, p, q in zip(xs, ps, qs)]
-        return self._rows
-
-    def roof(self, t):
-        """The global roof at t on the field route."""
-        # c0 and cinf of D + t E, and its shifted polytope [lo, hi]
-        c0, cinf = (_on_line(-e, d, t) for e, d in (self._c0, self._cinf))
-        lo, hi = -cinf + self._orders[0], c0 - self._orders[1]
-        if lo > hi:
-            raise EmptyPolytope(f"the pair at t = {t} has an empty shifted "
-                                "polytope; no sections to count")
-        roofs = [(place, legendre_roof(convex_envelope(PAGeneral._raw(
-                     [(u, a + t * b if b else a) for u, a, b in rows], -cinf, c0))))
-                 for (place, _, _), rows in zip(self._places, self.rows())]
-        return _roof_sum(roofs[0][1], roofs[1:]).restrict(Interval(lo, hi))
+                            [(() if v == ARCH else (v,), e // ints[3], e // ints[1])
+                             for v, (_, ints) in zip(places, self._places)])
 
     def top(self, t):
         """(x, g, where): the maximum g of the roof at t, at x (the midpoint
         of a flat top), and where x lies: "point" (the window is a point),
         "lower" or "upper" (a window end), "interior" (a breakpoint) or
-        "flat".  At a Fraction t with the integer pass the values at the
-        keys of ``_merged`` are compared as integers, or as forms in the
-        logs by ``_poly_sign``, up to the top (they rise to it and fall
-        after it), and only x and g are built: g a Fraction, or one
-        ``_from_coeffs`` value.  Otherwise they are read off ``roof(t)``."""
-        if type(t) is not Fraction or self._kernel is None:
-            roof = self.roof(t)
-            x, g = roof.argmax()
-            pts = roof.points
-            return x, g, ("point" if len(pts) == 1 else "lower" if x == pts[0][0]
-                          else "upper" if x == pts[-1][0]
-                          else "interior" if any(x == u for u, _ in pts) else "flat")
-        grid, d, cols, den = self._merged(t._numerator, t._denominator)
+        "flat".  The values at the keys of ``_merged`` are compared up to
+        the top (they rise to it and fall after it), and only x and g are
+        built.  At a Fraction t on rational data they are compared as
+        integers, or as forms in the logs by ``_poly_sign``, and g is a
+        Fraction or one ``_from_coeffs`` value.  Otherwise the weighted
+        values are ring elements, and x and g are quotients by the ring
+        elements d m mu and e d m mu."""
+        ring = type(t) is not Fraction or self._scales is not None
+        lam, mu = self._scales or (1, 1)
+        n, m = _split(t)
+        grid, d, cols, den = self._merged(n, m * lam)
+        d, den, weights = d * mu, den * mu, [w for w, _ in self._places]
         if not grid:
             raise EmptyPolytope(f"the pair at t = {t} has an empty shifted "
                                 "polytope; no sections to count")
         monos = [mono for mono, _, _ in self._kernel[3]]
         i, last, flat = 0, len(grid) - 1, False
         while i < last:
-            if len(cols) == 1:
+            if ring:
+                rise = scalar_sign(sum(w * (col[i + 1] - col[i])
+                                       for w, col in zip(weights, cols)))
+            elif len(cols) == 1:
                 rise = cols[0][i + 1] - cols[0][i]
             else:
                 rise = _poly_sign({mono: col[i + 1] - col[i]
@@ -540,14 +503,16 @@ class _Line:
                 flat = not rise
                 break
             i += 1
-        if len(cols) == 1:
+        if ring:
+            g = _quo(sum(w * col[i] for w, col in zip(weights, cols)), den)
+        elif len(cols) == 1:
             g = _q(cols[0][i], den)
         else:
             g = _from_coeffs({mono: col[i] for mono, col in zip(monos, cols)}, den)
         if flat:
-            return _q(grid[i] + grid[i + 1], 2 * d), g, "flat"
-        return _q(grid[i], d), g, ("point" if not last else "lower" if i == 0
-                                   else "upper" if i == last else "interior")
+            return _quo(grid[i] + grid[i + 1], 2 * d), g, "flat"
+        return _quo(grid[i], d), g, ("point" if not last else "lower" if i == 0
+                                     else "upper" if i == last else "interior")
 
     def volume(self, t):
         """avol at a Fraction t: one integer pass (``_merged``, ``_volume``)."""
@@ -559,10 +524,10 @@ class _Line:
         return self._volume(_Eps((0, sign, 0)), 1, 3)
 
     def _merged(self, n, m):
-        """The global roof at t = n / m on integers: (grid, d, cols, den),
-        the keys g of its breakpoints x = g / d in order, and per place the
-        numerators over den of its values there, unweighted; no key when
-        the window is empty, one when it is a point.
+        """The global roof at t = n / m: (grid, d, cols, den), the keys g of
+        its breakpoints x = g / d in order, and per place the numerators
+        over den of its values there, unweighted; no key when the window is
+        empty, one when it is a point.
 
         The tails are ls = -cinf and rs = c0 of D + t E and the window is
         [lo, hi] = [ls + v0, rs - vinf], all over k m.  A place's unit roof
@@ -570,31 +535,32 @@ class _Line:
         hull's j-th segment, and on [s_j, s_j+1] it is y_j - x u_j, read
         off hull point j (the active point).  The keys are the window's
         ends and the breakpoints inside it, merged over the places on one
-        denominator d; each is a strict kink of some place's roof, and the
-        weights are positive, so the sum is canonical on them.  At a key
-        the value of place v is the numerator Y_j (e / C) d - g X_j (e / U) m
-        over den = e m d; at n = +-eps (``jet``) keys and numerators are ``_Eps``.
+        denominator d m, d an int; each is a strict kink of some place's
+        roof, and the weights are positive, so the sum is canonical on
+        them.  At a key the value of place v is the numerator
+        Y_j (e / C) d - g X_j (e / U) over den = e d m.  n and m are ints,
+        ring elements (``_Line``), or, at n = +-eps (``jet``), ``_Eps``
+        and 1.
         """
         if self._kernel is None:
-            raise ValueError("the line has data outside Q; its volumes have no integer pass")
+            raise ValueError("the line has data outside Q; it has no integer pass")
         k, (ci_d, ci_e, c0_d, c0_e, v0, vinf), e, scales = self._kernel
-        km = k * m
         ls, rs = -ci_d * m - ci_e * n, c0_d * m + c0_e * n
         lo, hi = ls + v0 * m, rs - vinf * m
         if lo > hi:
             return [], 1, [], 1
         # per place: its hull, the index of the point active at lo and the
-        # slopes (sn, sd) of the breakpoints inside the window
-        places, dens = [], [km]
-        for _, _, ints in self._places:
+        # slopes sn / (sd m) of the breakpoints inside the window
+        places, dens = [], [k]
+        for _, ints in self._places:
             big_u, c = ints[1], ints[3]
-            hull = _integer_hull(ints, n, m, ls, km, rs, km)
+            hull = _integer_hull(ints, n, m, ls, rs, k)
             start, inside = 0, []
             for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-                sn, sd = (y2 - y1) * big_u, (x2 - x1) * c * m
-                if sn * km <= lo * sd:
+                sn, sd = (y2 - y1) * big_u, (x2 - x1) * c
+                if sn * k <= lo * sd:
                     start += 1
-                elif sn * km < hi * sd:
+                elif sn * k < hi * sd:
                     inside.append((sn, sd))
                     dens.append(sd)
                 else:
@@ -603,21 +569,22 @@ class _Line:
         d = lcm(*dens)
         places = [(hull, start, [sn * (d // sd) for sn, sd in inside])
                   for hull, start, inside in places]
-        keys = {g for _, _, inside in places for g in inside}
-        grid = [lo * (d // km)]
+        grid = [lo * (d // k)]
         if lo < hi:
-            grid += [*sorted(keys), hi * (d // km)]
+            keys = sorted(g for _, _, inside in places for g in inside)
+            grid += [g for j, g in enumerate(keys) if not j or g != keys[j - 1]]
+            grid.append(hi * (d // k))
         # per place the value numerators at the keys, read off the active point
         cols = []
         for (hull, start, inside), (_, alpha, beta) in zip(places, scales):
-            a, b, i, col = alpha * d, beta * m, 0, []
+            a, i, col = alpha * d, 0, []
             for g in grid:
                 while i < len(inside) and inside[i] <= g:
                     i += 1
                 x, y = hull[start + i]
-                col.append(y * a - g * x * b)
+                col.append(y * a - g * x * beta)
             cols.append(col)
-        return grid, d, cols, e * m * d
+        return grid, d * m, cols, e * d * m
 
     def _volume(self, n, m, layers):
         """The volume at t = n / m, as its coefficients [c_0, ...,
@@ -628,8 +595,10 @@ class _Line:
         The roof's fall r on a segment is fixed by its active abscissae, so
         r = l_k / w_k for the lowest nonzero layer w_k of w (k = 1 for width
         0 at t = 0) and the same layer l_k of y_in - y_out.  Each coefficient
-        is formed once over the denominator e m d^2, as a Fraction or, at
+        is formed once over the denominator e d^2 m^2, as a Fraction or, at
         finite places, by ``exactnum._affine_quotient_sum``."""
+        if self._scales is not None:
+            raise ValueError("the line has tails outside Q; its volumes have no integer pass")
         grid, d, cols, den = self._merged(n, m)
         if len(grid) < 2:  # an empty window or a point
             return [_ZERO] * layers
@@ -732,22 +701,32 @@ def _layered_sign(poly) -> int:
     return next((s for s in signs if s), 0)
 
 
-def _integer_rows(pd, pe):
+def _integer_rows(pd, pe, scaled=None):
     """(X, U, P, C, Q) for two potentials on the union of their
     breakpoints u: u = X_i / U, pd(u) = P_i / C and pe(u) = Q_i / C, each
     potential's points read once (``_integer_grid``) and its values on the
     keys read as integer pairs by ``_grid_values``, with U and C positive
-    and no common factor of C and every P and Q; None unless every
-    breakpoint is a Fraction and ``_grid_values`` reads both potentials,
-    which it declines when a key reaches a tail that is not a Fraction."""
+    ints; None unless every breakpoint and value is a Fraction.  On
+    Fraction tails P and Q are ints with no common factor with C.  With
+    scaled, ((s, ls, rs), (s', ls', rs')), they are the rows of s pd and
+    s' pe with the tails ls, rs and ls', rs', values whose d is 1
+    (``_tail_scale``): ring elements over the int C."""
     grid = _integer_grid((pd.points, pe.points))
     if grid is None:
         return None
     xs, big_u, parts = grid
+    if scaled is not None:
+        # s times each value with flat tails, plus the scaled tail's rise
+        # past the first or the last breakpoint
+        cols = [[s * _q(a, b) + (ls * _q(x - xk[0], big_u) if x < xk[0] else
+                                 rs * _q(x - xk[-1], big_u) if x > xk[-1] else 0)
+                 for x, (a, b) in zip(xs, _grid_values(xk, yr, xs, big_u, _ZERO, _ZERO))]
+                for (xk, yr), (s, ls, rs) in zip(parts, scaled)]
+        c = lcm(*(_poly_parts(v)[1] for col in cols for v in col))
+        ps, qs = ([_ring(v * c) for v in col] for col in cols)
+        return xs, big_u, ps, c, qs
     cols = [_grid_values(xk, yr, xs, big_u, f.left_slope, f.right_slope)
             for f, (xk, yr) in zip((pd, pe), parts)]
-    if None in cols:
-        return None
     c = lcm(*[b for col in cols for _, b in col])
     ps, qs = ([a * (c // b) for a, b in col] for col in cols)
     g = gcd(c, *ps, *qs)
@@ -756,18 +735,49 @@ def _integer_rows(pd, pe):
     return xs, big_u, ps, c, qs
 
 
-def _integer_hull(ints, n, m, ln, ld, rn, rd) -> list:
+def _tail_scale(divisor) -> tuple:
+    """(s, s cinf, s c0): s the product of the distinct denominators of the
+    divisor's tails that are not Fractions, a ring element (1 when there
+    is none), and each tail times s, a value whose d is 1, formed on its
+    integer polynomials with no quotient."""
+    parts = [_parts(v) for v in (divisor.cinf, divisor.c0)]
+    dens: list = []
+    for _, _, den, _ in parts:
+        if den is not _UNIT and all(den != f for f in dens):
+            dens.append(den)
+    return (_ring(_from_coeffs(_product(dens), 1)),) + tuple(
+        _from_coeffs(_mul(num, _product([f for f in dens if f != den])), s)
+        for num, s, den, _ in parts)
+
+
+def _ring(x):
+    """A value with denominator 1 as a ring element: an int when rational."""
+    return x._numerator if type(x) is Fraction else x
+
+
+def _split(v) -> tuple:
+    """(n, m), ring elements with v = n / m and m > 0: the two ints of a
+    Fraction, or n and s d of an ExactNumber n / (s d)."""
+    if type(v) is Fraction:
+        return v._numerator, v._denominator
+    return _ring(_from_coeffs(v._num, 1)), _ring(_from_coeffs(v._den, 1)) * v._scale
+
+
+def _quo(a, b):
+    """a / b for ring elements, b > 0: a Fraction of ints, else in the field."""
+    return _q(a, b) if type(a) is int and type(b) is int else a / b
+
+
+def _integer_hull(ints, n, m, ln, rn, k) -> list:
     """The lower hull, as ``convex_envelope`` builds it, of the points
-    (X_i, Y_i) with Y_i = P_i m + Q_i n, for the integer rows of
-    ``_integer_rows`` at t = n / m and the tails of slopes ln / ld and
-    rn / rd (ld, rd > 0).  A point stands for (X / U, Y / (C m)), so every
-    sign below is the sign of the rational test it stands for times a
-    positive factor."""
+    (X_i, Y_i) with Y_i = P_i m + Q_i n, for the rows of ``_integer_rows``
+    at t = n / m and the tails of slopes ln / (k m) and rn / (k m).  A point
+    stands for (X / U, Y / (C m)), so every sign below is the sign of the
+    rational test it stands for times a positive factor."""
     xs, big_u, ps, c, qs = ints
-    den = c * m
-    # s (x2 - x1) - (y2 - y1) for a tail of slope s = sn / sd, times
-    # U den sd: sn den (X2 - X1) - U sd (Y2 - Y1)
-    l1, l2, r1, r2 = ln * den, big_u * ld, rn * den, big_u * rd
+    # s (x2 - x1) - (y2 - y1) for a tail of slope s = sn / (k m), times
+    # U C k m: sn C (X2 - X1) - U k (Y2 - Y1)
+    l1, r1, uk = ln * c, rn * c, big_u * k
     hull = []
     for x, p, q in zip(xs, ps, qs):
         y = p * m + q * n
@@ -776,7 +786,7 @@ def _integer_hull(ints, n, m, ln, ld, rn, rd) -> list:
         while hull:
             x2, y2 = hull[-1]
             if len(hull) == 1:
-                turn = l1 * (x - x2) - l2 * (y - y2)
+                turn = l1 * (x - x2) - uk * (y - y2)
             else:
                 x1, y1 = hull[-2]
                 turn = (y2 - y1) * (x - x2) - (y - y2) * (x2 - x1)
@@ -786,15 +796,16 @@ def _integer_hull(ints, n, m, ln, ld, rn, rd) -> list:
         hull.append((x, y))
     while len(hull) > 1:
         (x1, y1), (x2, y2) = hull[-2:]
-        if r1 * (x2 - x1) - r2 * (y2 - y1) > 0:
+        if r1 * (x2 - x1) - uk * (y2 - y1) > 0:
             break
         hull.pop()
     return hull
 
 
-def _fall_rate(line, t, x, where, n):
+def _fall_rate(line, t, x, where):
     """The rate M at which g rises as t falls, g(t - s) = g(t) + M * s for
-    small s > 0, read at the argmax x, where ``_Line.top`` puts it.
+    small s > 0, read at the argmax x, where ``_Line.top`` puts it, off the
+    rows (u, pD, pN) of the line ``_Line(pair, N)``.
 
     Moving t down by s and x by s * delta raises the row (u, pD, pN) of
     place v by s * (pN - u * delta), so M is the maximum, over the moves
@@ -804,60 +815,49 @@ def _fall_rate(line, t, x, where, n):
     upper edge.  h is concave and piecewise affine, so its maximum is at
     delta = 0, at a bound, or where two active rows of one place cross.
 
-    For Fractions t and x on a line with the integer pass it is read off
-    the integer rows (``_integer_fall_rate``); otherwise off ``rows()``.
+    With t = tn / tm and x = xn / xd (``_split``), pD - t pN - x u is
+    ((P tm - tn Q) U xd - xn X C tm) / (C tm U xd), so the active rows are
+    read off the numerators.  On the kernel's denominator e, pN - u delta
+    at delta = a / b (b > 0) is (Q (e / C) b - X (e / U) a) / (e b), the
+    bounds are N's tails over the kernel's k, and h(delta) is the weighted
+    sum of the smallest such numerator per place over e b.  At Fractions t
+    and x on rational data it is compared as integers and built as one
+    Fraction at the archimedean place alone, else compared as a form in
+    the logs by ``_poly_sign`` and built once by ``_from_coeffs``.
+    Otherwise the rows are those of the scaled line (``_Line``), at t / lam
+    and mu x, h is a ring element, and M is its maximum over e b lam mu.
     """
-    lo = -n.cinf if where in ("point", "lower") else None
-    hi = n.c0 if where in ("point", "upper") else None
-    if type(t) is type(x) is Fraction and line._kernel is not None:
-        return _integer_fall_rate(line, t, x, lo, hi)
+    k, ends, e, scales = line._kernel
+    ring = not type(t) is type(x) is Fraction or line._scales is not None
+    lam, mu = line._scales or (1, 1)
+    (tn, tm), (xn, xd) = _split(t), _split(x)
+    tm, xn = tm * lam, xn * mu
     active = []
-    for (_, weight, _), rows in zip(line._places, line.rows()):
-        # pD - t * pN - x * u
-        ys = [_on_line(u, _on_line(b, a, t), x) for u, a, b in rows]
-        y = min(ys)
-        active.append((weight, [(b, u) for (u, _, b), yu in zip(rows, ys) if yu == y]))
-    deltas = [e for e in (lo, hi) if e is not None] or [_ZERO]
-    for _, rows in active:
-        deltas += [_slope((u2, b2), (u, b)) for i, (b, u) in enumerate(rows)
-                   for b2, u2 in rows[i + 1:]]
-    return max(sum(w * min(_on_line(e, b, u) for b, u in rows)  # b - u * e
-                   for w, rows in active)
-               for e in deltas
-               if (lo is None or e >= lo) and (hi is None or e <= hi))
-
-
-def _integer_fall_rate(line, t, x, lo, hi):
-    """``_fall_rate`` on the integer rows, for Fractions t = tn / tm,
-    x = xn / xd and the window bounds lo, hi (or None).  pD - t pN - x u
-    is ((P tm - tn Q) U xd - xn X C tm) / (C tm U xd), so the active rows
-    are read off the numerators.  On the kernel's denominator e,
-    pN - u delta at delta = a / b (b > 0) is (Q (e / C) b - X (e / U) a)
-    / (e b), and h(delta) is the form in the logs of the smallest such
-    numerator per place over e b: compared by ``_poly_sign`` and built
-    once by ``_from_coeffs``, or, at the archimedean place alone, compared
-    as integers and built as one Fraction."""
-    tn, tm = t._numerator, t._denominator
-    xn, xd = x._numerator, x._denominator
-    e = line._kernel[2]
-    active = []
-    for (_, _, ints), (mono, to_e_c, to_e_u) in zip(line._places, line._kernel[3]):
+    for (_, ints), (mono, to_e_c, to_e_u) in zip(line._places, scales):
         xs, big_u, ps, c, qs = ints
         k1, k2 = big_u * xd, xn * c * tm
         ys = [(p * tm - tn * q) * k1 - k2 * u for u, p, q in zip(xs, ps, qs)]
         y = min(ys)
         active.append((mono, [(q * to_e_c, u * to_e_u)
                               for u, q, yu in zip(xs, qs, ys) if yu == y]))
-    bounds = [(b._numerator, b._denominator) if b is not None else None for b in (lo, hi)]
-    deltas = [b for b in bounds if b is not None] or [(0, 1)]
+    lo = -ends[1] if where in ("point", "lower") else None
+    hi = ends[3] if where in ("point", "upper") else None
+    deltas = [(b, k) for b in (lo, hi) if b is not None] or [(0, 1)]
     for _, rows in active:
         for i, (q, u) in enumerate(rows):
             for q2, u2 in rows[i + 1:]:
                 # the rows cross where (q - q2) = (u - u2) delta
                 deltas.append((q - q2, u - u2) if u > u2 else (q2 - q, u2 - u))
-    (lo, hi), best = bounds, None
-    deltas = [(a, b) for a, b in deltas if (lo is None or a * lo[1] >= lo[0] * b)
-              and (hi is None or a * hi[1] <= hi[0] * b)]
+    deltas = [(a, b) for a, b in deltas if (lo is None or a * k >= lo * b)
+              and (hi is None or a * k <= hi * b)]
+    best = None
+    if ring:
+        for a, b in deltas:
+            h = sum(w * min(q * b - u * a for q, u in rows)
+                    for (w, _), (_, rows) in zip(line._places, active))
+            if best is None or scalar_sign(h * best[1] - best[0] * b) > 0:
+                best = h, b
+        return _quo(best[0], e * best[1] * lam * mu)
     if len(active) == 1:  # the archimedean place alone: h compared as integers
         rows = active[0][1]
         for a, b in deltas:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adelic_volumes.divisors as divisors
 import adelic_volumes.pa as pa
 import adelic_volumes.positivity as positivity
 from adelic_volumes.divisors import ARCH, BaseCondition, Pair, ToricAdelicDivisor
@@ -437,7 +438,7 @@ class TestIntersectionRoutes:
 class TestIntegerJets:
     """adeg_product reads rational breakpoints as integer jets, so it forms
     no Fraction slope, no chord and no value of the field route
-    (``_values_on_grid`` and the chord slopes ``_slope``); those remain for
+    (``_values_on_grid`` and the chord slopes ``_slope``), and refuses
     breakpoints outside Q."""
 
     def test_rational_breakpoints_form_no_field_jet(self, monkeypatch):
@@ -453,21 +454,25 @@ class TestIntegerJets:
 
         monkeypatch.setattr(pa, "_slope", refuse)
         monkeypatch.setattr(pa, "_on_line", refuse)
-        monkeypatch.setattr(positivity, "_values_on_grid", refuse)
-        monkeypatch.setattr(positivity, "_slope", refuse)
+        monkeypatch.setattr(pa, "_values_on_grid", refuse)
         got = [adeg_product(a, b) for a, b in cases]
         assert [[type(x), repr(x)] for x in got] == [[type(x), repr(x)] for x in want]
 
-    def test_breakpoints_outside_q_take_the_field_route(self):
-        # a nef divisor with a breakpoint at log 2: adeg(a, a) = avol(a)
+    def test_breakpoints_outside_q_raise(self):
+        # a nef divisor with a breakpoint at log 2, which only a library
+        # caller can build: its volume takes the object route, and its
+        # intersection numbers and thresholds have no integer pass
         pot = ConvexPA([(F(0), F(1)), (log_unit(2), 1 + log_unit(2) / 2)], -1, 1)
         a = ToricAdelicDivisor(1, 1, {ARCH: pot})
-        assert is_nef(a)
-        assert adeg_product(a, a) == avol(Pair(a)) == 4 - log_unit(2) / 4
-        for b in (slant_divisor(), tent_divisor(), p_slant_divisor(3)):
-            got, want = adeg_product(a, b), _operator_adeg_product(a, b)
-            assert [type(got), repr(got)] == [type(want), repr(want)]
-            assert adeg_product(b, a) == got
+        assert is_nef(a) and avol(Pair(a)) == 4 - log_unit(2) / 4
+        for b in (a, slant_divisor(), tent_divisor(), p_slant_divisor(3)):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(ValueError, match="outside Q") as info:
+                    adeg_product(x, y)
+                assert "\n" not in str(info.value)
+        for pair, n in ((Pair(a), slant_divisor()), (Pair(slant_divisor()), a)):
+            with pytest.raises(ValueError, match="outside Q"):
+                pseff_threshold(pair, n)
 
 
 class TestSumVolume:
@@ -483,13 +488,14 @@ class TestSumVolume:
 
     def test_symbolic_tails_fall_back_to_the_sum_pair(self):
         # a Zariski positive part whose region ends involve log p has no
-        # integer pass along any line; its sum volume is avol(p1 + p2)
+        # volume pass along any line; its sum volume is avol(p1 + p2)
         for seed in range(1, 40, 2):
             positive = TestIntersectionRoutes._instance(seed)[0][0]
             if _symbolic_tails(positive):
                 break
         p1, p2 = Pair(positive), Pair(tent_divisor(), BaseCondition({"0": F(1, 2)}))
-        assert positivity._Line(Pair(positive, p2.base), tent_divisor())._kernel is None
+        with pytest.raises(ValueError, match="outside Q"):
+            positivity._Line(Pair(positive, p2.base), tent_divisor()).volume(F(1))
         got, want = positivity._sum_volume(p1, p2), avol(p1 + p2)
         assert "log(" in repr(got)
         assert [type(got), repr(got)] == [type(want), repr(want)]
@@ -876,11 +882,12 @@ class TestThresholdNewton:
         assert got == starts
         assert t.lo == _line_by_line_threshold(pair, n)
 
-    def test_rational_steps_build_no_roof(self, monkeypatch):
-        # at a Fraction t on rational data a Newton step reads the top and
-        # its slope off one integer pass, and the guards read the ends of
-        # the divisor's roof: no roof, argmax, envelope or Legendre roof is
-        # built once the pair's volume is known
+    def test_newton_steps_build_no_roof(self, monkeypatch):
+        # every Newton step reads the top and its slope off one pass, on
+        # integers or on integer polynomials in the logs (a t in Q(log p),
+        # tails in Q(log p)), and the guards read the ends of the divisor's
+        # roof: no roof, argmax, envelope, Legendre roof, roof sum or
+        # restriction is built once the pair's volume is known
         cases = [(Pair(slant_divisor()), tent_divisor()),
                  (Pair(tent_divisor()), slant_divisor()),
                  (Pair(slant_divisor()), slant_divisor().scale(2)),
@@ -895,17 +902,37 @@ class TestThresholdNewton:
             pair = sample_big_pair(rng, allow_finite=False)
             cases.append((pair, zariski_positive_part(sample_big_pair(rng, allow_finite=False))
                           .positive))
+        # both thresholds of the 60 Diskant reports with finite places
+        # allowed, seeds 0-59, and of the positive-part records of
+        # tests/test_exact_reprs.py, a positive part with tails in Q(log p)
+        # as the first pair and as the second
+        pairs = []
+        for seed in range(60):
+            rng = random.Random(seed)
+            pairs.append((sample_big_pair(rng), sample_big_pair(rng)))
+        for seed in range(20):
+            rng = random.Random(f"positive-part-reprs:{seed}")
+            while True:
+                positive = zariski_positive_part(sample_big_pair(rng)).positive
+                if _symbolic_tails(positive):
+                    break
+            q = sample_big_pair(rng)
+            pairs += [(Pair(positive), q), (q, Pair(positive))]
+        for p1, p2 in pairs:
+            z1, z2 = (zariski_positive_part(p).positive for p in (p1, p2))
+            cases += [(p1, z2), (p2, z1)]
         for pair, _ in cases:
             avol(pair)
         want = [repr(pseff_threshold(pair, n)) for pair, n in cases]
+        assert sum("log(" in w for w in want) >= 120
 
         def refuse(*args):
-            raise AssertionError("a rational Newton step or a guard built a roof")
+            raise AssertionError("a Newton step or a guard built a roof")
 
-        for owner, name in ((positivity._Line, "roof"), (ConcavePA, "argmax"),
+        for owner, name in ((ConcavePA, "argmax"), (ConcavePA, "restrict"),
                             (Pair, "global_roof"), (ToricAdelicDivisor, "roof"),
-                            (positivity, "convex_envelope"), (pa, "convex_envelope"),
-                            (positivity, "legendre_roof"), (pa, "legendre_roof")):
+                            (divisors, "_roof_sum"), (pa, "convex_envelope"),
+                            (pa, "legendre_roof")):
             monkeypatch.setattr(owner, name, refuse)
         assert [repr(pseff_threshold(pair, n)) for pair, n in cases] == want
 
