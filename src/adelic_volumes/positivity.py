@@ -414,7 +414,7 @@ class _Line:
     the tails (-cinf, c0) of D + t E.  The global roof is the sum of the unit
     roofs weighted by 1 and log p, on the window [-cinf + v0, c0 - vinf].
     A place keeps its rows as u = X / U, pD(u) = P / C and pE(u) = Q / C
-    (``_integer_rows``), and at t = n / m its hull runs on the points
+    (``_tabulate``), and at t = n / m its hull runs on the points
     (X, P m + Q n) (``_integer_hull``).  One pass (``_merged``) merges the
     roofs' breakpoints, the hulls' slopes, between the window's ends on one
     denominator and reads each place's value numerators there off its
@@ -456,7 +456,7 @@ class _Line:
                         key=_place_sort_key)
         # per place: its weight c_v and its rows, or None
         self._places = [(1 if v == ARCH else log_unit(v),
-                         _integer_rows(d.potential(v), direction.potential(v), scaled))
+                         _tabulate(d.potential(v), direction.potential(v), scaled))
                         for v in places]
         # the tails and base orders over one integer denominator k, and per
         # place the monomial of its weight with the factors that bring its
@@ -701,7 +701,7 @@ def _layered_sign(poly) -> int:
     return next((s for s in signs if s), 0)
 
 
-def _integer_rows(pd, pe, scaled=None):
+def _tabulate(pd, pe, scaled=None):
     """(X, U, P, C, Q) for two potentials on the union of their
     breakpoints u: u = X_i / U, pd(u) = P_i / C and pe(u) = Q_i / C, each
     potential's points read once (``_integer_grid``) and its values on the
@@ -770,7 +770,7 @@ def _quo(a, b):
 
 def _integer_hull(ints, n, m, ln, rn, k) -> list:
     """The lower hull, as ``convex_envelope`` builds it, of the points
-    (X_i, Y_i) with Y_i = P_i m + Q_i n, for the rows of ``_integer_rows``
+    (X_i, Y_i) with Y_i = P_i m + Q_i n, for the rows of ``_tabulate``
     at t = n / m and the tails of slopes ln / (k m) and rn / (k m).  A point
     stands for (X / U, Y / (C m)), so every sign below is the sign of the
     rational test it stands for times a positive factor."""
