@@ -86,11 +86,12 @@ merged on one grid: its volume forms the integral of
 ``integrate_positive_part`` from them once, and a threshold's Newton step
 reads the top off them as one Fraction, or one ``exactnum._from_coeffs``
 value.  At a t in Q(log p), or on a Zariski positive part's tails, the
-same pass runs on integer polynomials in the logs; no roof is built.  ``positivity.adeg_product`` reads each
-potential's points once (``_integer_grid``), forms its jets (value and
-one-sided slopes) on the union of the breakpoints as integers over two
-denominators (``_grid_jets``), one basis jet per symbolic tail, and sums
-each local pairing as one integer numerator (``_jet_pairing``).
+same pass runs on integer polynomials in the logs; no roof is built.
+``positivity.adeg_product`` reads each potential's points once
+(``_integer_grid``), forms its jets (value and one-sided slopes) on the
+union of the breakpoints as integers over two denominators
+(``_grid_jets``), one basis jet per symbolic tail, and sums each local
+pairing as one integer numerator (``_jet_pairing``).
 
 Roof values are Q-linear forms in 1, log 2, log 3, ..., stored as n / s
 with denominator polynomial 1.  ``_chord`` (the ends of
