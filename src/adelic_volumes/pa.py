@@ -84,9 +84,10 @@ denominator and runs the lower hull on them, with the sign tests of
 it reads the roofs' breakpoints and values off the hulls as integers,
 merged on one grid: its volume forms the integral of
 ``integrate_positive_part`` from them once, and a threshold's Newton step
-reads the top off them as one Fraction, or one ``exactnum._from_coeffs``
-value.  At a t in Q(log p), or on a Zariski positive part's tails, the
-same pass runs on integer polynomials in the logs; no roof is built.
+at the archimedean place alone reads the top off them as one Fraction.
+With finite places, at a t in Q(log p), or on a Zariski positive part's
+tails, a Newton step sums them, weighted by 1 and log p, as ring
+elements: integer polynomials in the logs.  No roof is built.
 ``positivity.adeg_product`` reads each potential's points once
 (``_integer_grid``), forms its jets (value and one-sided slopes) on the
 union of the breakpoints as integers over two denominators
@@ -104,16 +105,28 @@ primitive affine parts (``exactnum._affine_quotient_sum``): no heuristic
 gcd runs.
 
 Any other operand takes the operator formula the primitive replaced, kept
-beside the integer route for the operands that reach it:
+beside the integer route.  A line probe of the benchmark workloads, every
+suite, finite-place Diskant reports, the demos and the CLI finds each
+surviving operator route reached by one kind of operand:
 
 * tail slopes in Q(log p), at a Zariski positive part, whose potentials
-  have the ends of its region as tails: divisor sums with it
-  (``_sum_on_grid``), its shape checks (``_turn``, ``_tail_turn``) and
-  its unit roofs, which end at those tails: their sum (``_grid``,
-  ``_chord`` and the field scan in ``divisors._roof_sum``) and its
-  volume (:func:`integrate_positive_part`);
+  have the ends of its region as tails.  They reach the shape checks of
+  a divisor built from it and the collinear merge of its sums
+  (``_turn``, ``_tail_turn``), those sums (``_sum_on_grid``, through the
+  field scan of ``_eval_on_grid``), the ends of its unit roofs
+  (``_on_line`` in :func:`legendre_roof` and in
+  ``positivity._roof_ends``), the sum of those roofs, which end at the
+  tails (``_grid``, ``_chord`` and the field scan in
+  ``divisors._roof_sum``), and its volume (the field loop of
+  :func:`integrate_positive_part`);
 * values in the logs at rational x, at the empirical transform of
-  ``sections`` (``_chord`` per monomial, through the field scan).
+  ``sections``: the field scan of ``_eval_on_grid`` (``_chord`` per
+  monomial).
+
+The operator routes of ``_slope``, ``_crossing`` and ``_tail_crossing``,
+and the clipped ends of :func:`integrate_positive_part`'s field loop, are
+reached by no computation: they serve library input, with a breakpoint
+or a value outside Q, or with values of degree above 1 in the logs.
 
 A Fraction or an n / s has one canonical form, which every route builds,
 so results are byte-identical to the operator route.
@@ -716,10 +729,15 @@ class _LinePA:
     """Shared implementation for functions finite on all of R."""
 
     __slots__ = ("points", "left_slope", "right_slope", "_roof")
+    _kind = None  # the payload's "kind" of each subclass
 
     def _init_data(self, points, left_slope, right_slope):
         ls, rs = as_scalar(left_slope), as_scalar(right_slope)
         self._set(_merge_collinear(_clean_points(points), ls, rs), ls, rs)
+
+    @classmethod
+    def constant(cls, value):
+        return cls([(_ZERO, as_scalar(value))], 0, 0)
 
     def _set(self, pts, ls, rs):
         self._roof = None  # filled by unit_roof; not part of the value
@@ -772,8 +790,9 @@ class _LinePA:
                 out = y
         return out
 
-    def _payload(self) -> dict:
+    def to_payload(self) -> dict:
         return {
+            "kind": self._kind,
             "points": [[str(x), str(y)] for x, y in self.points],
             "left_slope": str(self.left_slope),
             "right_slope": str(self.right_slope),
@@ -798,9 +817,10 @@ class _LinePA:
 
     __hash__ = None
 
-    def _repr_data(self) -> str:
+    def __repr__(self):
         pts = ", ".join(f"({_fmt(x)}, {_fmt(y)})" for x, y in self.points)
-        return f"slopes ({_fmt(self.left_slope)}, {_fmt(self.right_slope)}); {pts}"
+        return (f"{type(self).__name__}(slopes ({_fmt(self.left_slope)}, "
+                f"{_fmt(self.right_slope)}); {pts})")
 
 
 def _breakpoint_grid(*fs) -> list:
@@ -837,6 +857,8 @@ def abs_scalar(x: Scalar) -> Scalar:
 class ConvexPA(_LinePA):
     """A convex piecewise-affine function finite on all of R."""
 
+    _kind = "convex"
+
     def __init__(self, points, left_slope, right_slope):
         self._init_data(points, left_slope, right_slope)
         pts = self.points
@@ -853,10 +875,6 @@ class ConvexPA(_LinePA):
                 )
         if not _tail_turn(self.right_slope, pts[-2], pts[-1]) > 0:
             raise NotConvex("right tail slope is not above the last segment")
-
-    @classmethod
-    def constant(cls, value) -> "ConvexPA":
-        return cls([(_ZERO, as_scalar(value))], 0, 0)
 
     def add(self, other):
         if isinstance(other, ConvexPA):
@@ -893,22 +911,15 @@ class ConvexPA(_LinePA):
     def as_general(self) -> "PAGeneral":
         return PAGeneral._raw(self.points, self.left_slope, self.right_slope)
 
-    def to_payload(self) -> dict:
-        return {"kind": "convex", **self._payload()}
-
-    def __repr__(self):
-        return f"ConvexPA({self._repr_data()})"
 
 
 class PAGeneral(_LinePA):
     """A piecewise-affine function finite on all of R, no shape promised."""
 
+    _kind = "general"
+
     def __init__(self, points, left_slope, right_slope):
         self._init_data(points, left_slope, right_slope)
-
-    @classmethod
-    def constant(cls, value) -> "PAGeneral":
-        return cls([(_ZERO, as_scalar(value))], 0, 0)
 
     def add(self, other):
         if isinstance(other, ConvexPA):
@@ -939,12 +950,6 @@ class PAGeneral(_LinePA):
         if any(_turn(p, q, r) > 0 for p, q, r in zip(pts, pts[1:], pts[2:])):
             return False
         return _tail_turn(self.right_slope, pts[-2], pts[-1]) >= 0
-
-    def to_payload(self) -> dict:
-        return {"kind": "general", **self._payload()}
-
-    def __repr__(self):
-        return f"PAGeneral({self._repr_data()})"
 
 
 def pa_from_payload(payload: dict):
@@ -1161,8 +1166,9 @@ def integrate_positive_part(f: ConcavePA) -> Scalar:
     With rational x and values polynomial in the logs (d = 1), the
     unclipped part is summed per monomial over Z, and with the clipped ends
     it makes one quotient over the clip denominators L = y_in - y_out,
-    built once by ``exactnum._affine_quotient_sum``; an L of degree above 1
-    sends the clipped ends through the field operators.
+    built once by ``exactnum._affine_quotient_sum``.  An L of degree above
+    1, which no roof has (its values are affine in the logs), sends the
+    whole integral through the field operators.
     """
     pts = f.points
     run = _nonneg_run([y for _, y in pts])
@@ -1219,11 +1225,9 @@ def integrate_positive_part(f: ConcavePA) -> Scalar:
                                      [(a, 2 * b, l) for a, b, l in ends])
         if total is not None:
             return total
-        total = _from_coeffs(coeffs, den)
-    else:
-        total = _ZERO
-        for (x1, y1), (x2, y2) in zip(pts[first:last], pts[first + 1:last + 1]):
-            total = total + (x2 - x1) * (y1 + y2)
+    total = _ZERO
+    for (x1, y1), (x2, y2) in zip(pts[first:last], pts[first + 1:last + 1]):
+        total = total + (x2 - x1) * (y1 + y2)
     if clip_lo:
         (x1, y_out), (x2, y_in) = pts[first - 1], pts[first]
         total = total + (x2 - x1) * y_in * y_in / (y_in - y_out)

@@ -120,12 +120,13 @@ def is_big(pair) -> bool:
 def _sum_volume(p1, p2):
     """avol(p1 + p2), read off the line kernel from p1's divisor towards
     p2's at t = 1 with the summed base orders: one integer pass, and no sum
-    divisor, roof or integral is built.  avol(p1 + p2) itself when the line
-    has data or tails outside Q, where ``_Line`` has no volume pass."""
-    line = _Line(Pair(p1.divisor, p1.base + p2.base), p2.divisor)
-    if line._kernel is None or line._scales is not None:
+    divisor, roof or integral is built.  avol(p1 + p2) itself when a tail,
+    read first, or the data leave Q, where ``_Line`` has no volume pass."""
+    d1, d2 = p1.divisor, p2.divisor
+    if _ratios((d1.cinf, d1.c0, d2.cinf, d2.c0)) is None:
         return avol(p1 + p2)
-    return line.volume(_ONE)
+    line = _Line(Pair(d1, p1.base + p2.base), d2)
+    return avol(p1 + p2) if line._kernel is None else line.volume(_ONE)
 
 
 def is_pseff(pair) -> bool:
@@ -235,10 +236,9 @@ def adeg_product(a, b):
     if not (ta or tb):
         return sums[0, 0]
     total = None
-    if not tb:
-        total = _linear_combination(sums[0, 0], [(t, sums[i, 0]) for i, t in enumerate(ta, 1)])
-    elif not ta:
-        total = _linear_combination(sums[0, 0], [(t, sums[0, j]) for j, t in enumerate(tb, 1)])
+    if not (ta and tb):
+        total = _linear_combination(sums[0, 0], [(t, sums[i, 0]) for i, t in enumerate(ta, 1)]
+                                    + [(s, sums[0, j]) for j, s in enumerate(tb, 1)])
     if total is None:
         # symbolic tails on both sides: sum_i t_i sum_j s_j S_ij in the field
         total = _ZERO
@@ -358,13 +358,14 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
     on a new piece.  Each step reads the top of the twisted roof off the
     line kernel at -t (``_Line(pair, nef_divisor).top``) and the slope off
     its rows (u, pD_v(u), pN_v(u)) (``_fall_rate``): one pass that builds
-    no roof, on integers at a Fraction t on rational data, else on integer
-    polynomials in the logs (a t in Q(log p), or a pair or divisor with
-    tails in Q(log p), such as a Zariski positive part).  The guards (the
-    pair big, the divisor nef and of positive volume) run on every call; a
-    pair keeps its volume, so ``is_big`` of a pair already measured costs
-    nothing, and the divisor's guards build no roof
-    (``_require_nef_volume``).  ValueError when a potential has a
+    no roof, by one of two routes.  At a Fraction t on rational data with
+    the archimedean place alone it runs on integers; otherwise on ring
+    elements weighted by 1 and log p (finite places, a t in Q(log p), or a
+    pair or divisor with tails in Q(log p), such as a Zariski positive
+    part).  The guards (the pair big, the divisor nef and of positive
+    volume) run on every call; a pair keeps its volume, so ``is_big`` of a
+    pair already measured costs nothing, and the divisor's guards build no
+    roof (``_require_nef_volume``).  ValueError when a potential has a
     breakpoint or a value outside Q, which only a library caller can
     build: such a line has no pass.
     """
@@ -475,12 +476,11 @@ class _Line:
         "lower" or "upper" (a window end), "interior" (a breakpoint) or
         "flat".  The values at the keys of ``_merged`` are compared up to
         the top (they rise to it and fall after it), and only x and g are
-        built.  At a Fraction t on rational data they are compared as
-        integers, or as forms in the logs by ``_poly_sign``, and g is a
-        Fraction or one ``_from_coeffs`` value.  Otherwise the weighted
-        values are ring elements, and x and g are quotients by the ring
+        built.  Two routes: at a Fraction t on rational data with the
+        archimedean place alone they are compared as integers and g is one
+        Fraction.  Otherwise the weighted values are ring elements, whose
+        signs ``scalar_sign`` decides, and x and g are quotients by the ring
         elements d m mu and e d m mu."""
-        ring = type(t) is not Fraction or self._scales is not None
         lam, mu = self._scales or (1, 1)
         n, m = _split(t)
         grid, d, cols, den = self._merged(n, m * lam)
@@ -488,27 +488,22 @@ class _Line:
         if not grid:
             raise EmptyPolytope(f"the pair at t = {t} has an empty shifted "
                                 "polytope; no sections to count")
-        monos = [mono for mono, _, _ in self._kernel[3]]
+        ints = len(cols) == 1 and type(t) is Fraction and self._scales is None
         i, last, flat = 0, len(grid) - 1, False
         while i < last:
-            if ring:
-                rise = scalar_sign(sum(w * (col[i + 1] - col[i])
-                                       for w, col in zip(weights, cols)))
-            elif len(cols) == 1:
+            if ints:
                 rise = cols[0][i + 1] - cols[0][i]
             else:
-                rise = _poly_sign({mono: col[i + 1] - col[i]
-                                   for mono, col in zip(monos, cols) if col[i + 1] != col[i]})
+                rise = scalar_sign(sum(w * (col[i + 1] - col[i])
+                                       for w, col in zip(weights, cols)))
             if rise <= 0:
                 flat = not rise
                 break
             i += 1
-        if ring:
-            g = _quo(sum(w * col[i] for w, col in zip(weights, cols)), den)
-        elif len(cols) == 1:
+        if ints:
             g = _q(cols[0][i], den)
         else:
-            g = _from_coeffs({mono: col[i] for mono, col in zip(monos, cols)}, den)
+            g = _quo(sum(w * col[i] for w, col in zip(weights, cols)), den)
         if flat:
             return _quo(grid[i] + grid[i + 1], 2 * d), g, "flat"
         return _quo(grid[i], d), g, ("point" if not last else "lower" if i == 0
@@ -820,30 +815,28 @@ def _fall_rate(line, t, x, where):
     read off the numerators.  On the kernel's denominator e, pN - u delta
     at delta = a / b (b > 0) is (Q (e / C) b - X (e / U) a) / (e b), the
     bounds are N's tails over the kernel's k, and h(delta) is the weighted
-    sum of the smallest such numerator per place over e b.  At Fractions t
-    and x on rational data it is compared as integers and built as one
-    Fraction at the archimedean place alone, else compared as a form in
-    the logs by ``_poly_sign`` and built once by ``_from_coeffs``.
-    Otherwise the rows are those of the scaled line (``_Line``), at t / lam
-    and mu x, h is a ring element, and M is its maximum over e b lam mu.
+    sum of the smallest such numerator per place over e b.  Two routes, as
+    in ``_Line.top``: at Fractions t and x on rational data with the
+    archimedean place alone h is compared as integers and M built as one
+    Fraction.  Otherwise the rows are those of the scaled line (``_Line``),
+    at t / lam and mu x, h is a ring element, and M is its maximum over
+    e b lam mu.
     """
     k, ends, e, scales = line._kernel
-    ring = not type(t) is type(x) is Fraction or line._scales is not None
     lam, mu = line._scales or (1, 1)
     (tn, tm), (xn, xd) = _split(t), _split(x)
     tm, xn = tm * lam, xn * mu
     active = []
-    for (_, ints), (mono, to_e_c, to_e_u) in zip(line._places, scales):
+    for (_, ints), (_, to_e_c, to_e_u) in zip(line._places, scales):
         xs, big_u, ps, c, qs = ints
         k1, k2 = big_u * xd, xn * c * tm
         ys = [(p * tm - tn * q) * k1 - k2 * u for u, p, q in zip(xs, ps, qs)]
         y = min(ys)
-        active.append((mono, [(q * to_e_c, u * to_e_u)
-                              for u, q, yu in zip(xs, qs, ys) if yu == y]))
+        active.append([(q * to_e_c, u * to_e_u) for u, q, yu in zip(xs, qs, ys) if yu == y])
     lo = -ends[1] if where in ("point", "lower") else None
     hi = ends[3] if where in ("point", "upper") else None
     deltas = [(b, k) for b in (lo, hi) if b is not None] or [(0, 1)]
-    for _, rows in active:
+    for rows in active:
         for i, (q, u) in enumerate(rows):
             for q2, u2 in rows[i + 1:]:
                 # the rows cross where (q - q2) = (u - u2) delta
@@ -851,26 +844,19 @@ def _fall_rate(line, t, x, where):
     deltas = [(a, b) for a, b in deltas if (lo is None or a * k >= lo * b)
               and (hi is None or a * k <= hi * b)]
     best = None
-    if ring:
-        for a, b in deltas:
-            h = sum(w * min(q * b - u * a for q, u in rows)
-                    for (w, _), (_, rows) in zip(line._places, active))
-            if best is None or scalar_sign(h * best[1] - best[0] * b) > 0:
-                best = h, b
-        return _quo(best[0], e * best[1] * lam * mu)
-    if len(active) == 1:  # the archimedean place alone: h compared as integers
-        rows = active[0][1]
+    if len(active) == 1 and type(t) is type(x) is Fraction and line._scales is None:
+        rows = active[0]
         for a, b in deltas:
             h = min(q * b - u * a for q, u in rows)
             if best is None or h * best[1] > best[0] * b:
                 best = h, b
         return _q(best[0], e * best[1])
     for a, b in deltas:
-        h = {mono: min(q * b - u * a for q, u in rows) for mono, rows in active}
-        if best is None or _poly_sign({mono: c for mono, c in (
-                (mono, c * best[1] - best[0][mono] * b) for mono, c in h.items()) if c}) > 0:
+        h = sum(w * min(q * b - u * a for q, u in rows)
+                for (w, _), rows in zip(line._places, active))
+        if best is None or scalar_sign(h * best[1] - best[0] * b) > 0:
             best = h, b
-    return _from_coeffs(best[0], e * best[1])
+    return _quo(best[0], e * best[1] * lam * mu)
 
 
 @dataclass(frozen=True)
