@@ -912,7 +912,6 @@ class ConvexPA(_LinePA):
         return PAGeneral._raw(self.points, self.left_slope, self.right_slope)
 
 
-
 class PAGeneral(_LinePA):
     """A piecewise-affine function finite on all of R, no shape promised."""
 
