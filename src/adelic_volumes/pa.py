@@ -83,11 +83,11 @@ denominator and runs the lower hull on them, with the sign tests of
 ``_turn`` and ``_tail_turn`` over common denominators.  At a rational t
 it reads the roofs' breakpoints and values off the hulls as integers,
 merged on one grid: its volume forms the integral of
-``integrate_positive_part`` from them once, and a threshold's Newton step
-at the archimedean place alone reads the top off them as one Fraction.
-With finite places, at a t in Q(log p), or on a Zariski positive part's
-tails, a Newton step sums them, weighted by 1 and log p, as ring
-elements: integer polynomials in the logs.  No roof is built.
+``integrate_positive_part`` from them once.  A threshold's Newton step
+sums them, weighted by 1 and log p, as ring elements: ints at a rational
+t at the archimedean place alone, integer polynomials in the logs with
+finite places, at a t in Q(log p) or on a Zariski positive part's tails.
+No roof is built.
 ``positivity.adeg_product`` reads each potential's points once
 (``_integer_grid``), forms its jets (value and one-sided slopes) on the
 union of the breakpoints as integers over two denominators

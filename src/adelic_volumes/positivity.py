@@ -123,10 +123,9 @@ def _sum_volume(p1, p2):
     divisor, roof or integral is built.  avol(p1 + p2) itself when a tail,
     read first, or the data leave Q, where ``_Line`` has no volume pass."""
     d1, d2 = p1.divisor, p2.divisor
-    if _ratios((d1.cinf, d1.c0, d2.cinf, d2.c0)) is None:
-        return avol(p1 + p2)
-    line = _Line(Pair(d1, p1.base + p2.base), d2)
-    return avol(p1 + p2) if line._kernel is None else line.volume(_ONE)
+    line = (_Line(Pair(d1, p1.base + p2.base), d2)
+            if _ratios((d1.cinf, d1.c0, d2.cinf, d2.c0)) else None)
+    return avol(p1 + p2) if line is None or line._kernel is None else line.volume(_ONE)
 
 
 def is_pseff(pair) -> bool:
@@ -358,11 +357,11 @@ def pseff_threshold(pair, nef_divisor) -> Bracket:
     on a new piece.  Each step reads the top of the twisted roof off the
     line kernel at -t (``_Line(pair, nef_divisor).top``) and the slope off
     its rows (u, pD_v(u), pN_v(u)) (``_fall_rate``): one pass that builds
-    no roof, by one of two routes.  At a Fraction t on rational data with
-    the archimedean place alone it runs on integers; otherwise on ring
-    elements weighted by 1 and log p (finite places, a t in Q(log p), or a
-    pair or divisor with tails in Q(log p), such as a Zariski positive
-    part).  The guards (the pair big, the divisor nef and of positive
+    no roof, on ring elements weighted by 1 and log p.  They are ints at a
+    Fraction t on rational data with the archimedean place alone, and
+    integer polynomials in the logs otherwise (finite places, a t in
+    Q(log p), or a pair or divisor with tails in Q(log p), such as a
+    Zariski positive part).  The guards (the pair big, the divisor nef and of positive
     volume) run on every call; a pair keeps its volume, so ``is_big`` of a
     pair already measured costs nothing, and the divisor's guards build no
     roof (``_require_nef_volume``).  ValueError when a potential has a
@@ -476,11 +475,10 @@ class _Line:
         "lower" or "upper" (a window end), "interior" (a breakpoint) or
         "flat".  The values at the keys of ``_merged`` are compared up to
         the top (they rise to it and fall after it), and only x and g are
-        built.  Two routes: at a Fraction t on rational data with the
-        archimedean place alone they are compared as integers and g is one
-        Fraction.  Otherwise the weighted values are ring elements, whose
-        signs ``scalar_sign`` decides, and x and g are quotients by the ring
-        elements d m mu and e d m mu."""
+        built.  The weighted values are ring elements, ints at a Fraction t
+        on rational data with the archimedean place alone (its weight is the
+        int 1), whose signs ``scalar_sign`` decides, and x and g are
+        quotients (``_quo``) by the ring elements d m mu and e d m mu."""
         lam, mu = self._scales or (1, 1)
         n, m = _split(t)
         grid, d, cols, den = self._merged(n, m * lam)
@@ -488,22 +486,14 @@ class _Line:
         if not grid:
             raise EmptyPolytope(f"the pair at t = {t} has an empty shifted "
                                 "polytope; no sections to count")
-        ints = len(cols) == 1 and type(t) is Fraction and self._scales is None
         i, last, flat = 0, len(grid) - 1, False
         while i < last:
-            if ints:
-                rise = cols[0][i + 1] - cols[0][i]
-            else:
-                rise = scalar_sign(sum(w * (col[i + 1] - col[i])
-                                       for w, col in zip(weights, cols)))
+            rise = scalar_sign(sum(w * (col[i + 1] - col[i]) for w, col in zip(weights, cols)))
             if rise <= 0:
                 flat = not rise
                 break
             i += 1
-        if ints:
-            g = _q(cols[0][i], den)
-        else:
-            g = _quo(sum(w * col[i] for w, col in zip(weights, cols)), den)
+        g = _quo(sum(w * col[i] for w, col in zip(weights, cols)), den)
         if flat:
             return _quo(grid[i] + grid[i + 1], 2 * d), g, "flat"
         return _quo(grid[i], d), g, ("point" if not last else "lower" if i == 0
@@ -815,12 +805,10 @@ def _fall_rate(line, t, x, where):
     read off the numerators.  On the kernel's denominator e, pN - u delta
     at delta = a / b (b > 0) is (Q (e / C) b - X (e / U) a) / (e b), the
     bounds are N's tails over the kernel's k, and h(delta) is the weighted
-    sum of the smallest such numerator per place over e b.  Two routes, as
-    in ``_Line.top``: at Fractions t and x on rational data with the
-    archimedean place alone h is compared as integers and M built as one
-    Fraction.  Otherwise the rows are those of the scaled line (``_Line``),
-    at t / lam and mu x, h is a ring element, and M is its maximum over
-    e b lam mu.
+    sum of the smallest such numerator per place over e b.  The rows are
+    those of the scaled line (``_Line``), at t / lam and mu x; h is a ring
+    element, an int where ``_Line.top``'s values are, and M is its maximum
+    over e b lam mu (``_quo``).
     """
     k, ends, e, scales = line._kernel
     lam, mu = line._scales or (1, 1)
@@ -844,13 +832,6 @@ def _fall_rate(line, t, x, where):
     deltas = [(a, b) for a, b in deltas if (lo is None or a * k >= lo * b)
               and (hi is None or a * k <= hi * b)]
     best = None
-    if len(active) == 1 and type(t) is type(x) is Fraction and line._scales is None:
-        rows = active[0]
-        for a, b in deltas:
-            h = min(q * b - u * a for q, u in rows)
-            if best is None or h * best[1] > best[0] * b:
-                best = h, b
-        return _q(best[0], e * best[1])
     for a, b in deltas:
         h = sum(w * min(q * b - u * a for q, u in rows)
                 for (w, _), rows in zip(line._places, active))

@@ -486,38 +486,29 @@ class TestSumVolume:
             got, want = positivity._sum_volume(p1, p2), avol(p1 + p2)
             assert [type(got), repr(got)] == [type(want), repr(want)], i
 
-    @staticmethod
-    def _symbolic_pairs():
-        # a sampled Zariski positive part whose region ends involve log p,
-        # and a rational pair with a base condition
+    def test_symbolic_tails_fall_back_to_the_sum_pair(self, monkeypatch):
+        # a Zariski positive part whose region ends involve log p has no
+        # volume pass along any line; its sum volume is avol(p1 + p2)
         for seed in range(1, 40, 2):
             positive = TestIntersectionRoutes._instance(seed)[0][0]
             if _symbolic_tails(positive):
                 break
-        return Pair(positive), Pair(tent_divisor(), BaseCondition({"0": F(1, 2)}))
-
-    def test_symbolic_tails_fall_back_to_the_sum_pair(self):
-        # a Zariski positive part whose region ends involve log p has no
-        # volume pass along any line; its sum volume is avol(p1 + p2)
-        p1, p2 = self._symbolic_pairs()
+        p1, p2 = Pair(positive), Pair(tent_divisor(), BaseCondition({"0": F(1, 2)}))
         with pytest.raises(ValueError, match="outside Q"):
-            positivity._Line(Pair(p1.divisor, p2.base), tent_divisor()).volume(F(1))
+            positivity._Line(Pair(positive, p2.base), tent_divisor()).volume(F(1))
         got, want = positivity._sum_volume(p1, p2), avol(p1 + p2)
         assert "log(" in repr(got)
         assert [type(got), repr(got)] == [type(want), repr(want)]
 
-    def test_symbolic_tails_build_no_line(self, monkeypatch):
-        # the four tails are read first, so a positive part with a tail
-        # outside Q, in either position, goes to avol(p1 + p2) at once
-        p, q = self._symbolic_pairs()
-        want = [avol(p + q), avol(q + p)]
-
+        # the four tails are read first, so in either position the positive
+        # part goes to avol(p1 + p2) without building a line
         def refuse(*args):
             raise AssertionError("a line was built")
 
         monkeypatch.setattr(positivity, "_Line", refuse)
-        got = [positivity._sum_volume(p, q), positivity._sum_volume(q, p)]
-        assert [[type(x), repr(x)] for x in got] == [[type(x), repr(x)] for x in want]
+        for a, b in ((p1, p2), (p2, p1)):
+            got, want = positivity._sum_volume(a, b), avol(a + b)
+            assert [type(got), repr(got)] == [type(want), repr(want)]
 
 
 class TestPositiveIntersection:
