@@ -65,8 +65,8 @@ integers: ``_slope``, the orientation signs ``_turn`` and ``_tail_turn``
 checks), ``_on_line`` for y0 - s x0 (Legendre roofs, threshold rows, the
 affine normal form), ``_crossing`` and ``_tail_crossing`` (the crossings
 of a pointwise minimum), ``_grid`` (integer sort keys over a common
-denominator), ``_integer_grid`` with ``_grid_values`` and
-:func:`integrate_positive_part`.  The kernel's ``scalar_sign``,
+denominator), ``_integer_grid`` with ``_grid_values`` and the integral
+``_twice_area``.  The kernel's ``scalar_sign``,
 ``scalar_cmp``, ``_sum_sign``, ``_qadd``, ``_qsub`` and ``_qmul`` do the
 same for signs, comparisons, sums, differences and products, so no
 Fraction operator runs on the hot paths: the tails of a sum or a scaled
@@ -82,11 +82,11 @@ kernel ``positivity._Line`` keeps a line's rows as integers over one
 denominator and runs the lower hull on them, with the sign tests of
 ``_turn`` and ``_tail_turn`` over common denominators.  At a rational t
 it reads the roofs' breakpoints and values off the hulls as integers,
-merged on one grid: its volume forms the integral of
-``integrate_positive_part`` from them once.  A threshold's Newton step
-sums them, weighted by 1 and log p, as ring elements: ints at a rational
-t at the archimedean place alone, integer polynomials in the logs with
-finite places, at a t in Q(log p) or on a Zariski positive part's tails.
+merged on one grid, and its volume is ``_twice_area`` of them.  A
+threshold's Newton step sums them, weighted by 1 and log p, as ring
+elements: ints at a rational t at the archimedean place alone, integer
+polynomials in the logs with finite places, at a t in Q(log p) or on a
+Zariski positive part's tails.
 No roof is built.
 ``positivity.adeg_product`` reads each potential's points once
 (``_integer_grid``), forms its jets (value and one-sided slopes) on the
@@ -96,13 +96,19 @@ pairing as one integer numerator (``_jet_pairing``).
 
 Roof values are Q-linear forms in 1, log 2, log 3, ..., stored as n / s
 with denominator polynomial 1.  ``_chord`` (the ends of
-``ConcavePA.restrict``) and :func:`integrate_positive_part` read them with
-``exactnum._poly_parts``, sum per monomial over Z and build each result
-once with ``exactnum._from_coeffs``.  The clipped ends of the integral,
-(x2 - x1) y_in^2 / (y_in - y_out) (``_clipped_end``), join that sum as one
-quotient over the clip denominators, reduced by trial division by their
-primitive affine parts (``exactnum._affine_quotient_sum``): no heuristic
-gcd runs.
+``ConcavePA.restrict``) reads them with ``exactnum._poly_parts``, sums
+per monomial over Z and builds the result once with
+``exactnum._from_coeffs``.  The arithmetic volume is twice the integral of
+a concave roof's positive part, a sum of trapezoids w (y1 + y2) and at
+most two clipped ends w y_in^2 / (y_in - y_out), and one function forms
+it: ``_twice_area``, on breakpoints as integer keys and values as one
+integer column per monomial of the logs.  :func:`integrate_positive_part`
+puts a roof's points on that grid, and the line kernel's volume reads
+them off its merged hulls.  One column of the monomial 1 is summed over Z
+into one Fraction; columns in the logs are summed per monomial, and the
+clipped ends join the sum as one quotient over the clip denominators,
+reduced by trial division by their primitive affine parts
+(``exactnum._affine_quotient_sum``): no heuristic gcd runs.
 
 Any other operand takes the operator formula the primitive replaced, kept
 beside the integer route.  A line probe of the benchmark workloads, every
@@ -118,15 +124,19 @@ surviving operator route reached by one kind of operand:
   ``positivity._roof_ends``), the sum of those roofs, which end at the
   tails (``_grid``, ``_chord`` and the field scan in
   ``divisors._roof_sum``), and its volume (the field loop of
-  :func:`integrate_positive_part`);
+  :func:`integrate_positive_part`, which takes the ends outside Q);
 * values in the logs at rational x, at the empirical transform of
   ``sections``: the field scan of ``_eval_on_grid`` (``_chord`` per
   monomial).
 
 The operator routes of ``_slope``, ``_crossing`` and ``_tail_crossing``,
-and the clipped ends of :func:`integrate_positive_part`'s field loop, are
-reached by no computation: they serve library input, with a breakpoint
-or a value outside Q, or with values of degree above 1 in the logs.
+and the clipped ends of :func:`integrate_positive_part`'s field loop, run
+on no workload, but library calls on such a positive part reach each of
+them: its own Zariski positive part (the Legendre slopes of its unit
+roofs, ``_slope``), ``divisors.min_adelic`` of two effective ones (the
+crossings of their pointwise minimum) and the volume of one lowered below
+0 (the clipped ends).  Values of degree above 1 in the logs, which only
+library input builds, take the field loop too.
 
 A Fraction or an n / s has one canonical form, which every route builds,
 so results are byte-identical to the operator route.
@@ -146,7 +156,8 @@ from .errors import (
     UnboundedBelow,
 )
 from .exactnum import (_ZERO, ExactNumber, Scalar, _affine_quotient_sum, _from_coeffs, _mul,
-                       _poly_parts, _q, _qadd, _qmul, _qsub, scalar_cmp, scalar_sign)
+                       _poly_parts, _poly_sign, _q, _qadd, _qmul, _qsub, scalar_cmp,
+                       scalar_sign)
 
 
 def as_scalar(value) -> Scalar:
@@ -294,18 +305,6 @@ def _on_line(x0, y0, s) -> Scalar:
         n, e = s._numerator, s._denominator
         return _q(c * e * b - n * a * d, d * e * b)
     return y0 - s * x0
-
-
-def _sum_terms(terms) -> tuple:
-    """(n, d) with n / d the sum of the quotients tn / td of the integer
-    pairs (tn, td), td > 0, reduced after every term: n and d stay those of
-    a partial sum, never the product of every term's denominator."""
-    n, d = 0, 1
-    for tn, td in terms:
-        n, d = n * td + tn * d, d * td
-        g = gcd(n, d)
-        n, d = n // g, d // g
-    return n, d
 
 
 def _ratios(values):
@@ -1155,94 +1154,110 @@ def legendre_potential(roof: ConcavePA, window: Interval | None = None) -> Conve
 def integrate_positive_part(f: ConcavePA) -> Scalar:
     """The exact integral of max(f, 0) over the domain.
 
-    One pass over the breakpoints: twice the area is the sum of
-    (x2 - x1)(y1 + y2) over the segments where f >= 0 at both ends, plus,
-    for each segment clipped by a sign change, the closed-form triangle
-    (x2 - x1) y^2 / (y_in - y_out), y = y_in the nonnegative end; the total
-    is halved once.  The sign-change roots themselves are never formed.  The
-    result is a Fraction for rational data and an ExactNumber otherwise.
+    With rational x and values polynomial in the logs (d = 1), the points
+    go on one integer grid, x = X / U over the lcm U of their
+    denominators and y = Y / S per monomial over the lcm S of their
+    scales, and ``_twice_area`` forms the integral over 2 U S, as it does
+    for the line kernel's volume.  The result is a Fraction for rational
+    data and an ExactNumber otherwise.
 
-    With rational x and values polynomial in the logs (d = 1), the
-    unclipped part is summed per monomial over Z, and with the clipped ends
-    it makes one quotient over the clip denominators L = y_in - y_out,
-    built once by ``exactnum._affine_quotient_sum``.  An L of degree above
-    1, which no roof has (its values are affine in the logs), sends the
-    whole integral through the field operators.
+    Any other input takes the field loop: breakpoints outside Q (a Zariski
+    positive part's symbolic region ends) or a clip denominator of degree
+    above 1, which no roof has (its values are affine in the logs).  It
+    sums the same terms with the field operators.
     """
     pts = f.points
+    xr = _ratios([x for x, _ in pts])
+    ys = xr and [_poly_parts(y) for _, y in pts]
+    if ys and all(ys):
+        big_u, big_s = lcm(*[b for _, b in xr]), lcm(*[s for _, s in ys])
+        monos = list(dict.fromkeys([m for n, _ in ys for m in n]))
+        cols = [[n.get(m, 0) * (big_s // s) for n, s in ys] for m in monos]
+        total, = _twice_area([a * (big_u // b) for a, b in xr], cols, monos,
+                             2 * big_u * big_s)
+        if total is not None:
+            return total
     run = _nonneg_run([y for _, y in pts])
     if run is None:
         return _ZERO
     first, last, sign_first, sign_last = run
-    clip_lo = first > 0 and sign_first > 0
-    clip_hi = last < len(pts) - 1 and sign_last > 0
-    run_pts = pts[first - clip_lo:last + 1 + clip_hi]
-    xr = _ratios(x for x, _ in run_pts)
-    yr = xr and _ratios(y for _, y in run_pts)
-    if yr:
-        # all rational: the same terms over the integers, x = a/b, y = c/e
-        rows = list(zip(xr, yr))
-        terms = []
-        if clip_lo:
-            ((a1, b1), (c0, e0)), ((a2, b2), (c, e)) = rows[:2]
-            # (x2 - x1) y_in^2 / (y_in - y_out)
-            terms.append(((a2 * b1 - a1 * b2) * c * c * e0,
-                          b1 * b2 * e * (c * e0 - c0 * e)))
-        if clip_hi:
-            ((a1, b1), (c, e)), ((a2, b2), (c0, e0)) = rows[-2:]
-            terms.append(((a2 * b1 - a1 * b2) * c * c * e0,
-                          b1 * b2 * e * (c * e0 - c0 * e)))
-        rows = rows[clip_lo:len(rows) - clip_hi]
-        for ((a1, b1), (c1, e1)), ((a2, b2), (c2, e2)) in zip(rows, rows[1:]):
-            # (x2 - x1)(y1 + y2)
-            terms.append(((a2 * b1 - a1 * b2) * (c1 * e2 + c2 * e1),
-                          b1 * b2 * e1 * e2))
-        n, d = _sum_terms(terms)
-        return _q(n, 2 * d)
-    ys = xr and [_poly_parts(y) for _, y in run_pts]
-    if ys and all(ys):
-        # rational x = a/b, values polynomial in the logs, y = n/s:
-        # twice the unclipped area is the sum of y_i (x_i+1 - x_i-1), each
-        # end weighted by its one segment, summed per monomial over Z
-        rows = ys[clip_lo:len(ys) - clip_hi]
-        inner = xr[clip_lo:clip_lo + len(rows)]
-        top = len(inner) - 1
-        terms, den = [], 1
-        for i, (n, s) in enumerate(rows):
-            (a1, b1), (a2, b2) = inner[max(i - 1, 0)], inner[min(i + 1, top)]
-            e = b1 * b2 * s
-            terms.append((a2 * b1 - a1 * b2, e, n))
-            den = den // gcd(den, e) * e
-        coeffs = _poly_sum(*((den // e * w, n) for w, e, n in terms))
-        ends = []
-        if clip_lo:
-            ends.append(_clipped_end(xr[0], xr[1], ys[1], ys[0]))
-        if clip_hi:
-            ends.append(_clipped_end(xr[-2], xr[-1], ys[-2], ys[-1]))
-        # the total, halved: coeffs / (2 den) + sum a / (2 b l)
-        total = _affine_quotient_sum(coeffs, 2 * den,
-                                     [(a, 2 * b, l) for a, b, l in ends])
-        if total is not None:
-            return total
     total = _ZERO
     for (x1, y1), (x2, y2) in zip(pts[first:last], pts[first + 1:last + 1]):
         total = total + (x2 - x1) * (y1 + y2)
-    if clip_lo:
+    if first > 0 and sign_first > 0:
         (x1, y_out), (x2, y_in) = pts[first - 1], pts[first]
         total = total + (x2 - x1) * y_in * y_in / (y_in - y_out)
-    if clip_hi:
+    if last < len(pts) - 1 and sign_last > 0:
         (x1, y_in), (x2, y_out) = pts[last], pts[last + 1]
         total = total + (x2 - x1) * y_in * y_in / (y_in - y_out)
     return total / 2
 
 
-def _clipped_end(x1, x2, y_in, y_out) -> tuple:
-    """(a, b, l) with a / (b l) = (x2 - x1) y_in^2 / (y_in - y_out), the
-    twice-area of a clipped end, for x = p / q and y = n / s given as their
-    integer parts: l = s_out n_in - s_in n_out, of positive value since
-    y_in > 0 > y_out, and a = (x2 - x1) q1 q2 s_out n_in^2, b = q1 q2 s_in."""
-    (a1, b1), (a2, b2) = x1, x2
-    (n, s), (n0, s0) = y_in, y_out
-    w = (a2 * b1 - a1 * b2) * s0
-    return ({m: c * w for m, c in _mul(n, n).items()}, b1 * b2 * s,
-            _poly_sum((s0, n), (-s, n0)))
+def _twice_area(grid, cols, monos, den, layers=1) -> list:
+    """Twice the integral of max(f, 0) for the concave piecewise-affine f
+    with breakpoints at the sorted integer keys of grid and the values
+    sum_j cols[j][i] monos[j] there, monos[j] a monomial in the logs, all
+    over den (the key denominator times the value denominator): its
+    coefficients [c_0, ..., c_{layers-1}] in eps, one layer on ints, three
+    on the ``positivity._Eps`` values of a jet.
+
+    Twice the area is w (y1 + y2) over the segments of width w nonnegative
+    at both ends, plus w y_in^2 / (y_in - y_out) = y_in^2 / r at each
+    clipped end.  The fall r on a segment is fixed by its abscissae, so at
+    a jet r = l_k / w_k for the lowest nonzero layer w_k of w (k = 1 for
+    width 0 at t = 0) and the same layer l_k of y_in - y_out.  One column
+    of monomial () is summed over Z and built as one Fraction; columns in
+    the logs are summed per monomial, and each coefficient is built once
+    by ``exactnum._affine_quotient_sum``, which gives None for a clip
+    denominator of degree above 1."""
+    ints = len(cols) == 1 and not monos[0]
+    if ints:
+        ys, sign = cols[0], scalar_sign
+    else:
+        ys = [{mono: y for mono, y in zip(monos, row) if y} for row in zip(*cols)]
+        sign = _poly_sign if layers == 1 else _layered_sign
+    run = _nonneg_run(ys, sign)
+    if run is None:
+        return [_ZERO] * layers
+    first, last, sign_first, sign_last = run
+    clips = []
+    if first > 0 and sign_first > 0:
+        clips.append((grid[first] - grid[first - 1], ys[first], ys[first - 1]))
+    if last < len(grid) - 1 and sign_last > 0:
+        clips.append((grid[last + 1] - grid[last], ys[last], ys[last + 1]))
+    steps = [g2 - g1 for g1, g2 in zip(grid[first:last], grid[first + 1:last + 1])]
+    sums = [sum(w * (y1 + y2) for w, y1, y2 in zip(steps, col[first:], col[first + 1:]))
+            for col in cols]
+    if ints:
+        num, q = sums[0], 1
+        for w, y_in, y_out in clips:
+            lin = y_in - y_out
+            if type(w) is not int:  # a jet: read r off the lowest layer
+                k = 0 if w[0] else 1
+                w, lin = w[k], lin[k]
+            num, q = num * lin + w * y_in * y_in * q, q * lin
+        return [_q(_layer(num, j), den * q) for j in range(layers)]
+    ends = []
+    for w, y_in, y_out in clips:
+        lin = _poly_sum((1, y_in), (-1, y_out))
+        if type(w) is not int:
+            k = 0 if w[0] else 1
+            w, lin = w[k], {mono: c[k] for mono, c in lin.items()}
+        ends.append((w, lin, _mul(y_in, y_in)))
+    return [_affine_quotient_sum(
+                {mono: _layer(c, j) for mono, c in zip(monos, sums)}, den,
+                [({mono: w * _layer(c, j) for mono, c in sq.items()}, den, lin)
+                 for w, lin, sq in ends])
+            for j in range(layers)]
+
+
+def _layer(x, j: int) -> int:
+    """The coefficient of eps^j in an int or a ``positivity._Eps``."""
+    return (0 if j else x) if type(x) is int else x[j]
+
+
+def _layered_sign(poly) -> int:
+    """The sign of a form in the logs over ``positivity._Eps``: layer 0
+    decides, by ``_poly_sign``, and layer 1 only on a tie."""
+    signs = (_poly_sign({mono: c[j] for mono, c in poly.items() if c[j]}) for j in (0, 1))
+    return next((s for s in signs if s), 0)

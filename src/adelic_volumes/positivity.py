@@ -25,12 +25,12 @@ from math import gcd, lcm
 
 from .divisors import _ZERO, ARCH, Pair, ToricAdelicDivisor, _place_sort_key, as_pair
 from .errors import EmptyPolytope, NotBig, NotNef
-from .exactnum import (_UNIT, Scalar, _affine_quotient_sum, _from_coeffs, _linear_combination,
-                       _mul, _parts, _poly_parts, _poly_sign, _product, _q, _qadd, _qdiv,
-                       _qsub, log_unit, scalar_cmp, scalar_float, scalar_sign)
+from .exactnum import (_UNIT, Scalar, _from_coeffs, _linear_combination, _mul, _parts,
+                       _poly_parts, _product, _q, _qadd, _qdiv, _qsub, log_unit, scalar_cmp,
+                       scalar_float, scalar_sign)
 from .pa import (ConvexPA, Interval, _grid_jets, _grid_values, _integer_grid, _jet_pairing,
-                 _nonneg_run, _on_line, _poly_sum, _ratios, integrate_positive_part,
-                 legendre_potential, unit_roof)
+                 _on_line, _ratios, _twice_area, integrate_positive_part, legendre_potential,
+                 unit_roof)
 
 
 def _as_divisor(obj) -> ToricAdelicDivisor:
@@ -419,7 +419,8 @@ class _Line:
     roofs' breakpoints, the hulls' slopes, between the window's ends on one
     denominator and reads each place's value numerators there off its
     hull; ``top`` reads the maximum off them, and ``_volume`` twice the
-    area of the positive part.  No place's roof is built.
+    area of the positive part, by ``pa._twice_area``, the integral that
+    ``avol`` runs on the built roof too.  No place's roof is built.
 
     Every test of the pass is linear in (n, m), so n, m, the rows and the
     tails may be ring elements: integer polynomials in the logs, ints or
@@ -574,62 +575,13 @@ class _Line:
     def _volume(self, n, m, layers):
         """The volume at t = n / m, as its coefficients [c_0, ...,
         c_{layers-1}] in eps (one layer at a rational t, three for a jet):
-        twice the area of the positive part as ``integrate_positive_part``
-        takes it, w (y1 + y2) over the segments of width w nonnegative at
-        both ends and the clipped ends w y_in^2 / (y_in - y_out) = y_in^2 / r.
-        The roof's fall r on a segment is fixed by its active abscissae, so
-        r = l_k / w_k for the lowest nonzero layer w_k of w (k = 1 for width
-        0 at t = 0) and the same layer l_k of y_in - y_out.  Each coefficient
-        is formed once over the denominator e d^2 m^2, as a Fraction or, at
-        finite places, by ``exactnum._affine_quotient_sum``."""
+        ``pa._twice_area`` of the merged roof, whose widths over d and
+        values over den put each term over den d."""
         if self._scales is not None:
             raise ValueError("the line has tails outside Q; its volumes have no integer pass")
         grid, d, cols, den = self._merged(n, m)
-        if len(grid) < 2:  # an empty window or a point
-            return [_ZERO] * layers
-        scales = self._kernel[3]
-        den *= d
-        if len(cols) == 1:
-            ys, sign = cols[0], scalar_sign
-        else:
-            ys = [{mono: y for (mono, _, _), y in zip(scales, row) if y}
-                  for row in zip(*cols)]
-            sign = _poly_sign if layers == 1 else _layered_sign
-        run = _nonneg_run(ys, sign)
-        if run is None:
-            return [_ZERO] * layers
-        first, last, sign_first, sign_last = run
-        clips = []
-        if first > 0 and sign_first > 0:
-            clips.append((grid[first] - grid[first - 1], ys[first], ys[first - 1]))
-        if last < len(grid) - 1 and sign_last > 0:
-            clips.append((grid[last + 1] - grid[last], ys[last], ys[last + 1]))
-        steps = [g2 - g1 for g1, g2 in zip(grid[first:last], grid[first + 1:last + 1])]
-        sums = [sum(w * (y1 + y2) for w, y1, y2 in zip(steps, col[first:], col[first + 1:]))
-                for col in cols]
-        if len(cols) == 1:
-            num, q = sums[0], 1
-            for w, y_in, y_out in clips:
-                lin = y_in - y_out
-                if type(w) is _Eps:
-                    k = 0 if w[0] else 1
-                    w, lin = w[k], lin[k]
-                num, q = num * lin + w * y_in * y_in * q, q * lin
-            if layers == 1:
-                return [_q(num, den * q)]
-            return [_q(_layer(num, j), den * q) for j in range(layers)]
-        ends = []
-        for w, y_in, y_out in clips:
-            lin = _poly_sum((1, y_in), (-1, y_out))
-            if type(w) is _Eps:
-                k = 0 if w[0] else 1
-                w, lin = w[k], {mono: c[k] for mono, c in lin.items()}
-            ends.append((w, lin, _mul(y_in, y_in)))
-        return [_affine_quotient_sum(
-                    {mono: _layer(c, j) for (mono, _, _), c in zip(scales, sums)}, den,
-                    [({mono: w * _layer(c, j) for mono, c in sq.items()}, den, lin)
-                     for w, lin, sq in ends])
-                for j in range(layers)]
+        return _twice_area(grid, cols, [mono for mono, _, _ in self._kernel[3]], den * d,
+                           layers)
 
 
 def _lifted(op):
@@ -643,7 +595,8 @@ class _Eps(tuple):
     ``_merged`` and ``_integer_hull`` at n = +-eps, m = 1, a simulation of
     simplicity on integers (Edelsbrunner and Muecke, ACM TOG 9, 1990): each
     test there is affine in n, so it is decided as at every small t of that
-    sign; ``_volume`` multiplies two affine values at most."""
+    sign; the volume's integral (``pa._twice_area``) multiplies two affine
+    values at most."""
 
     def __add__(self, o):
         d, e, f = o if type(o) is _Eps else (o, 0, 0)
@@ -672,18 +625,6 @@ class _Eps(tuple):
 
     def __bool__(self):
         return any(self)
-
-
-def _layer(x, j: int) -> int:
-    """The coefficient of eps^j in an int or an ``_Eps``."""
-    return x[j] if type(x) is _Eps else (0 if j else x)
-
-
-def _layered_sign(poly) -> int:
-    """The sign of a form in the logs over ``_Eps``: layer 0 decides, by
-    ``_poly_sign``, and layer 1 only on a tie."""
-    signs = (_poly_sign({mono: c[j] for mono, c in poly.items() if c[j]}) for j in (0, 1))
-    return next((s for s in signs if s), 0)
 
 
 def _tabulate(pd, pe, scaled=None):

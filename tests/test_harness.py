@@ -44,6 +44,8 @@ from adelic_volumes.harness import (
 from adelic_volumes.pa import ConvexPA
 from adelic_volumes.positivity import _Line, avol, is_big, is_nef, zariski_positive_part
 
+from operator_chain import ref_integrate_positive_part
+
 F = Fraction
 L3 = log_unit(3)
 
@@ -249,13 +251,20 @@ class TestLineKernel:
 
     @staticmethod
     def _check(pair, direction, ts) -> int:
-        """Compare at every t; returns how many volumes were zero."""
+        """Compare at every t; returns how many volumes were zero.  avol and
+        the volume pass share their integral (``pa._twice_area``), so the
+        volume is also checked against twice the operator-chain integral of
+        the built roof, which shares no code with it."""
         line = _Line(pair, direction)
         zeros = 0
         for t in ts:
             built = Pair(pair.divisor + direction.scale(t), pair.base)
             want = _outcome(lambda: avol(built))
             assert _outcome(lambda: line.volume(t)) == want, (pair, direction, t)
+            window = built.shifted_polytope()
+            if not (window.is_empty or window.is_point):
+                chain = _outcome(lambda: 2 * ref_integrate_positive_part(built.global_roof()))
+                assert want == chain, (pair, direction, t)
             assert (_top(lambda: line.top(t))
                     == _top(lambda: built.global_roof().argmax())), (pair, direction, t)
             zeros += want == ("Fraction", repr(F(0)), [])

@@ -3,7 +3,7 @@ duality, sup-convolution, envelopes, integration."""
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,6 +43,8 @@ from adelic_volumes.pa import (
     pointwise_min,
     unit_roof,
 )
+
+from operator_chain import ref_integrate_positive_part
 
 L2 = log_unit(2)
 L3 = log_unit(3)
@@ -658,25 +660,6 @@ def _ref_eval(pts, x, left_slope, right_slope):
     return next(y for u, y in pts if u == x)
 
 
-def _ref_integrate_positive_part(f):
-    pts = f.points
-    signs = [scalar_sign(y) for _, y in pts]
-    keep = [i for i, s in enumerate(signs) if s >= 0]
-    if not keep:
-        return F(0)
-    first, last = keep[0], keep[-1]
-    total = F(0)
-    for (x1, y1), (x2, y2) in zip(pts[first:last], pts[first + 1:last + 1]):
-        total = total + (x2 - x1) * (y1 + y2)
-    if first > 0 and signs[first] > 0:
-        (x1, y_out), (x2, y_in) = pts[first - 1], pts[first]
-        total = total + (x2 - x1) * y_in * y_in / (y_in - y_out)
-    if last < len(pts) - 1 and signs[last] > 0:
-        (x1, y_in), (x2, y_out) = pts[last], pts[last + 1]
-        total = total + (x2 - x1) * y_in * y_in / (y_in - y_out)
-    return total / 2
-
-
 def _outcome(fn, *args):
     """The result, or the type and message of a ZeroDivisionError."""
     try:
@@ -853,25 +836,26 @@ def big_concave_pas(draw):
 @example(ConcavePA([(F(-2), F(-1)), (F(0), F(1)), (F(2), F(-1))]))
 @settings(max_examples=300, deadline=None)
 def test_integrate_positive_part_primitive(f):
-    _same(integrate_positive_part(f), _ref_integrate_positive_part(f))
+    _same(integrate_positive_part(f), ref_integrate_positive_part(f))
 
 
 def test_integral_stays_reduced(monkeypatch):
-    # 200 segments whose terms all have denominator 3 * 3 * 9 * 9: the sum
-    # is reduced as the terms come in, so its numerator and denominator
-    # never grow with the number of segments
+    # 200 segments whose values all have denominator 9 at x = i / 3: the
+    # points go on one integer grid, so the one Fraction the kernel builds
+    # has a numerator and a denominator that never grow with the number of
+    # segments, not the product of every term's denominator
     import adelic_volumes.pa as pa
 
-    sizes = []
+    sizes, pa_q = [], pa._q
 
-    def recording_gcd(a, b):
-        sizes.append(max(abs(a), abs(b)).bit_length())
-        return gcd(a, b)
+    def recording_q(n, d):
+        sizes.append(max(abs(n), abs(d)).bit_length())
+        return pa_q(n, d)
 
-    monkeypatch.setattr(pa, "gcd", recording_gcd)
     f = ConcavePA([(F(i, 3), 10**6 - F(i, 3) ** 2) for i in range(201)])
-    _same(integrate_positive_part(f), _ref_integrate_positive_part(f))
-    assert len(sizes) == 200 and max(sizes) < 100
+    monkeypatch.setattr(pa, "_q", recording_q)
+    _same(integrate_positive_part(f), ref_integrate_positive_part(f))
+    assert len(sizes) == 1 and max(sizes) < 100
 
 
 # -- per-monomial routes for log-linear values ------------------------------
@@ -928,7 +912,7 @@ def log_linear_pas(draw):
 @example(ConcavePA([(F(-1), -L2), (F(0), L2), (F(1), L2 - 3 * L3)]))
 @settings(max_examples=200, deadline=None)
 def test_integrate_positive_part_log_linear(f):
-    _same_parts(integrate_positive_part(f), _ref_integrate_positive_part(f))
+    _same_parts(integrate_positive_part(f), ref_integrate_positive_part(f))
 
 
 def _clipped_roofs(seed):
@@ -962,7 +946,7 @@ def test_integrate_positive_part_on_clipped_roofs():
     kinds = {}
     for seed in range(60):
         for f, shift in _clipped_roofs(seed):
-            _same_parts(integrate_positive_part(f), _ref_integrate_positive_part(f))
+            _same_parts(integrate_positive_part(f), ref_integrate_positive_part(f))
             ends = (scalar_sign(f.points[0][1]) < 0) + (scalar_sign(f.points[-1][1]) < 0)
             kinds[ends, shift] = kinds.get((ends, shift), 0) + 1
     assert len(kinds) == 6 and min(kinds.values()) >= 20, kinds

@@ -6,6 +6,7 @@ the tent divisor has roof 1 - |x| on [-1, 1] (volume 2), their sum has
 volume 7, and the base-conditioned slant (order 1/2 at Zero) has volume 1/4.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -59,6 +60,8 @@ from adelic_volumes.positivity import (
     zariski_positive_part,
 )
 
+from operator_chain import ref_integrate_positive_part
+
 F = Fraction
 
 
@@ -78,6 +81,10 @@ def roof_minimum(divisor):
     # a concave roof is least at one of its ends
     pts = Pair(divisor).global_roof().points
     return min(pts[0][1], pts[-1][1])
+
+
+def _smaller(x, y):
+    return x if scalar_cmp(x, y) <= 0 else y
 
 
 def kinked_slant() -> ToricAdelicDivisor:
@@ -287,6 +294,45 @@ class TestZariski:
             seen["log_region"] += not all(
                 isinstance(x, Fraction) for x in (region.lo, region.hi))
         assert min(seen.values()) >= 20, seen
+
+    def test_positive_parts_with_tails_in_q_log_p(self):
+        # the positive parts of 200 sampled pairs, kept where a region end,
+        # a tail of the part, lies in Q(log p): they reach the operator
+        # routes of pa (_slope, _crossing, _tail_crossing and the clipped
+        # ends of integrate_positive_part's field loop).  Each is its own
+        # positive part, of the pair's volume; two effective ones meet
+        # (min_adelic) at the smaller of the two at every breakpoint; and
+        # each lowered by 1 has twice the operator-chain integral of its
+        # roof as its volume
+        pairs = [sample_big_pair(random.Random(seed)) for seed in range(200)]
+        parts = [(pair, zariski_positive_part(pair).positive) for pair in pairs]
+        parts = [(pair, p) for pair, p in parts
+                 if type(p.c0) is not Fraction or type(p.cinf) is not Fraction]
+        assert len(parts) == 35
+        for pair, p in parts:
+            z = zariski_positive_part(p)
+            assert z.positive == p and avol(z.positive) == avol(p) == avol(pair)
+        parts = [p for _, p in parts]
+        effective = [p for p in parts if p.is_effective]
+        assert len(effective) >= 5
+        for a, b in itertools.combinations(effective, 2):
+            low = divisors.min_adelic([a, b])
+            for get in (lambda d: d.c0, lambda d: d.cinf):
+                assert get(low) == _smaller(get(a), get(b))
+            for place in dict.fromkeys((ARCH,) + low.places):
+                fs = [d.potential(place) for d in (low, a, b)]
+                for u in pa._grid(*([x for x, _ in f.points] for f in fs)):
+                    m, x, y = (f.eval(u) for f in fs)
+                    assert m == _smaller(x, y), (a, b, place, u)
+        clipped = 0
+        for p in parts:
+            lowered = Pair(p + height_shift(-1))
+            roof = lowered.global_roof()
+            chain = 2 * ref_integrate_positive_part(roof)
+            got = avol(lowered)
+            assert type(got) is type(chain) and repr(got) == repr(chain), p
+            clipped += sum(scalar_sign(y) < 0 for y in (roof.points[0][1], roof.points[-1][1]))
+        assert clipped >= 20, clipped
 
     def test_requires_big(self):
         with pytest.raises(NotBig):
@@ -1010,4 +1056,4 @@ class TestEps:
         ({}, 0),
     ])
     def test_layered_sign_at_finite_places(self, poly, want):
-        assert positivity._layered_sign(poly) == want
+        assert pa._layered_sign(poly) == want
