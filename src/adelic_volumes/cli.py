@@ -6,12 +6,17 @@ oracle table, which is CSV unless ``--format json``; checking subcommands
 exit nonzero when a check fails, so they can sit in shell pipelines.  The
 JSON is strict: a display float that does not fit a float (a volume past
 the float range, say) is null, never NaN or Infinity.
+
+Each subcommand imports only the modules it runs, as the package loads its
+public names on first use: ``scenes`` is imported by the subcommands that
+read a scene file and ``sections`` by ``oracle`` and ``okounkov`` alone, so
+a cold ``avol``, ``derivative``, ``diskant`` or ``suite`` run never
+compiles the counting oracle.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -19,10 +24,7 @@ import sys
 from .errors import AdelicVolumesError
 from .exactnum import scalar_float
 from .harness import check_differentiability, diskant_report, run_suite, suite_names
-from .pa import _eval_on_grid
 from .positivity import avol
-from .scenes import load_scene
-from .sections import _estimate, analytic_okounkov, okounkov_sample, section_box
 
 
 def _scalar_json(x) -> dict:
@@ -47,6 +49,8 @@ def _emit(payload: dict) -> None:
 def _load_scenes(*paths) -> list:
     """The scenes at the given paths, each distinct path loaded (and its
     base labels checked) once."""
+    from .scenes import load_scene
+
     loaded = {}
     for path in paths:
         if path not in loaded:
@@ -55,7 +59,7 @@ def _load_scenes(*paths) -> list:
 
 
 def _cmd_avol(args) -> int:
-    pair = load_scene(args.scene)
+    pair, = _load_scenes(args.scene)
     value = avol(pair)
     _emit({"avol": _scalar_json(value)})
     return 0
@@ -118,8 +122,10 @@ _ORACLE_COLUMNS = ("m", "log_count", "estimate", "analytic_avol", "error")
 
 
 def _cmd_oracle(args) -> int:
+    from .sections import _estimate, section_box
+
     ms = _multiples(args.m)
-    pair = load_scene(args.scene)
+    pair, = _load_scenes(args.scene)
     analytic = avol(pair)
     fa = scalar_float(analytic)
     rows = []
@@ -128,6 +134,8 @@ def _cmd_oracle(args) -> int:
         est = float(_estimate(value, m))
         rows.append((m, float(value), est, fa, abs(est - fa)))
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(_ORACLE_COLUMNS)
         writer.writerows(rows)
@@ -137,7 +145,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_okounkov(args) -> int:
-    pair = load_scene(args.scene)
+    from .pa import _eval_on_grid
+    from .sections import analytic_okounkov, okounkov_sample
+
+    pair, = _load_scenes(args.scene)
     data = analytic_okounkov(pair)
     sample = okounkov_sample(pair, args.m)
     gaps = []

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from typing import NamedTuple
 
 from .divisors import ARCH, BaseCondition, Pair, ToricAdelicDivisor, as_pair, min_adelic
 from .errors import NotBig, NotConvex, UnknownSuite
@@ -46,7 +46,6 @@ from .positivity import (
     pseff_threshold,
     zariski_positive_part,
 )
-from .sections import okounkov_sample, volume_estimate
 
 DEFAULT_HS = tuple(_q(1, 2**k) for k in range(4, 13))
 REFERENCE_H = _q(1, 2**10)
@@ -58,16 +57,14 @@ _GP_STEPS = (-REFERENCE_H, -REFERENCE_H / 2, REFERENCE_H / 2)
 # -- differentiability of the volume ---------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteDifferenceRow:
+class FiniteDifferenceRow(NamedTuple):
     h: Fraction
     forward: object
     backward: object
     central: object
 
 
-@dataclass(frozen=True)
-class DerivativeReport:
+class DerivativeReport(NamedTuple):
     """The volume t -> avol(D + tE) beside t = 0: exact one-sided
     derivatives exact_right/left and t^2 coefficients quad_right/left of its
     quadratic pieces (one integer pass at t = +-eps per side, never None),
@@ -152,8 +149,7 @@ def _difference_quotient(a, b, h, k: int):
 # -- the isoperimetric chain: Diskant / Bonnesen ---------------------------
 
 
-@dataclass(frozen=True)
-class InequalityCase:
+class InequalityCase(NamedTuple):
     """One named inequality lhs <= rhs with its slack = rhs - lhs.  lhs, rhs
     and slack are exact scalars and passed is the sign of the slack.  The two
     chain ends with sqrt(disc) are stated as signed squares, a |a| <= disc
@@ -373,8 +369,7 @@ def _second_difference(a, b, c):
 # -- property suites -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     requested: int
     performed: int
@@ -607,6 +602,8 @@ def _suite_openness(rng, count):
 @_suite
 def _suite_oracle_convergence(rng, count):
     del rng, count  # fixed-instance suite
+    from .sections import volume_estimate
+
     e1 = Pair(slant_divisor())
     log15, tiny = log_unit(3) + log_unit(5), _q(1, 1 << 40)
     yield abs(volume_estimate(e1, 1) - 2 * log15) < tiny, None, None
@@ -625,7 +622,7 @@ def _suite_oracle_convergence(rng, count):
 @_suite
 def _suite_okounkov_match(rng, count):
     del rng, count  # fixed-instance suite
-    from .sections import analytic_okounkov
+    from .sections import analytic_okounkov, okounkov_sample
 
     m = 64
     # the last pair's roof at 2 is not integral on the grid, so its floors

@@ -102,9 +102,10 @@ per monomial over Z and builds the result once with
 a concave roof's positive part, a sum of trapezoids w (y1 + y2) and at
 most two clipped ends w y_in^2 / (y_in - y_out), and one function forms
 it: ``_twice_area``, on breakpoints as integer keys and values as one
-integer column per monomial of the logs.  :func:`integrate_positive_part`
-puts a roof's points on that grid, and the line kernel's volume reads
-them off its merged hulls.  One column of the monomial 1 is summed over Z
+integer column per monomial of the logs.  ``_twice_integral`` puts a
+roof's points on that grid, for ``positivity.avol`` and, halved, for
+:func:`integrate_positive_part`, and the line kernel's volume reads them
+off its merged hulls.  One column of the monomial 1 is summed over Z
 into one Fraction; columns in the logs are summed per monomial, and the
 clipped ends join the sum as one quotient over the clip denominators,
 reduced by trial division by their primitive affine parts
@@ -124,13 +125,13 @@ surviving operator route reached by one kind of operand:
   ``positivity._roof_ends``), the sum of those roofs, which end at the
   tails (``_grid``, ``_chord`` and the field scan in
   ``divisors._roof_sum``), and its volume (the field loop of
-  :func:`integrate_positive_part`, which takes the ends outside Q);
+  ``_twice_integral``, which takes the ends outside Q);
 * values in the logs at rational x, at the empirical transform of
   ``sections``: the field scan of ``_eval_on_grid`` (``_chord`` per
   monomial).
 
 The operator routes of ``_slope``, ``_crossing`` and ``_tail_crossing``,
-and the clipped ends of :func:`integrate_positive_part`'s field loop, run
+and the clipped ends of ``_twice_integral``'s field loop, run
 on no workload, but library calls on such a positive part reach each of
 them: its own Zariski positive part (the Legendre slopes of its unit
 roofs, ``_slope``), ``divisors.min_adelic`` of two effective ones (the
@@ -1152,14 +1153,21 @@ def legendre_potential(roof: ConcavePA, window: Interval | None = None) -> Conve
 
 
 def integrate_positive_part(f: ConcavePA) -> Scalar:
-    """The exact integral of max(f, 0) over the domain.
+    """The exact integral of max(f, 0) over the domain: half of
+    ``_twice_integral``, a Fraction for rational data and an ExactNumber
+    otherwise."""
+    return _twice_integral(f) / 2
+
+
+def _twice_integral(f: ConcavePA) -> Scalar:
+    """Twice the exact integral of max(f, 0) over the domain, the form in
+    which ``positivity.avol`` and ``sections.analytic_okounkov`` read it.
 
     With rational x and values polynomial in the logs (d = 1), the points
     go on one integer grid, x = X / U over the lcm U of their
     denominators and y = Y / S per monomial over the lcm S of their
-    scales, and ``_twice_area`` forms the integral over 2 U S, as it does
-    for the line kernel's volume.  The result is a Fraction for rational
-    data and an ExactNumber otherwise.
+    scales, and ``_twice_area`` forms twice the integral over U S, as it
+    does for the line kernel's volume.
 
     Any other input takes the field loop: breakpoints outside Q (a Zariski
     positive part's symbolic region ends) or a clip denominator of degree
@@ -1174,7 +1182,7 @@ def integrate_positive_part(f: ConcavePA) -> Scalar:
         monos = list(dict.fromkeys([m for n, _ in ys for m in n]))
         cols = [[n.get(m, 0) * (big_s // s) for n, s in ys] for m in monos]
         total, = _twice_area([a * (big_u // b) for a, b in xr], cols, monos,
-                             2 * big_u * big_s)
+                             big_u * big_s)
         if total is not None:
             return total
     run = _nonneg_run([y for _, y in pts])
@@ -1190,7 +1198,7 @@ def integrate_positive_part(f: ConcavePA) -> Scalar:
     if last < len(pts) - 1 and sign_last > 0:
         (x1, y_in), (x2, y_out) = pts[last], pts[last + 1]
         total = total + (x2 - x1) * y_in * y_in / (y_in - y_out)
-    return total / 2
+    return total
 
 
 def _twice_area(grid, cols, monos, den, layers=1) -> list:

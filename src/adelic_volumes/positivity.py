@@ -19,9 +19,9 @@ integer jets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .divisors import _ZERO, ARCH, Pair, ToricAdelicDivisor, _place_sort_key, as_pair
 from .errors import EmptyPolytope, NotBig, NotNef
@@ -29,7 +29,7 @@ from .exactnum import (_UNIT, Scalar, _from_coeffs, _linear_combination, _mul, _
                        _poly_parts, _product, _q, _qadd, _qdiv, _qsub, log_unit, scalar_cmp,
                        scalar_float, scalar_sign)
 from .pa import (ConvexPA, Interval, _grid_jets, _grid_values, _integer_grid, _jet_pairing,
-                 _on_line, _ratios, _twice_area, integrate_positive_part, legendre_potential,
+                 _on_line, _ratios, _twice_area, _twice_integral, legendre_potential,
                  unit_roof)
 
 
@@ -108,8 +108,7 @@ def avol(pair):
         if window.is_empty or window.is_point:
             pair._avol = _ZERO
         else:
-            area = integrate_positive_part(pair.global_roof())
-            pair._avol = _qadd(area, area)
+            pair._avol = _twice_integral(pair.global_roof())
     return pair._avol
 
 
@@ -139,8 +138,7 @@ def is_pseff(pair) -> bool:
 # -- Zariski positive part -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZariskiPart:
+class ZariskiPart(NamedTuple):
     """The maximal nef divisor under a big pair.  Its polytope is the region
     where the roof is nonnegative and its potentials are the biconjugates of
     the roofs restricted there; the volume matches the pair's exactly."""
@@ -307,8 +305,7 @@ def positive_intersection(pair, direction):
 # -- thresholds ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     """An enclosure [lo, hi] of a threshold; exact when lo == hi, which is
     how every threshold in this module is returned."""
 
@@ -781,8 +778,7 @@ def _fall_rate(line, t, x, where):
     return _quo(best[0], e * best[1] * lam * mu)
 
 
-@dataclass(frozen=True)
-class DiskantReport:
+class DiskantReport(NamedTuple):
     """The isoperimetric data of two big pairs: the mixed quantities
     s0, s1, s2, the inradius and circumradius brackets, and one named case
     per inequality with its slack."""

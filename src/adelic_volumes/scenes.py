@@ -22,11 +22,12 @@ key is ignored.  Decimal exponents ("1e400") are read exactly and limited to
 +-4300.  The potentials of a scene carry at most MAX_BREAKPOINTS breakpoints
 in all, and their breakpoint coordinates and slopes at most MAX_SCENE_BITS
 bits in all (numerator plus denominator): each Newton step of the thresholds
-behind `diskant` builds a roof from every breakpoint, and each exact
-`derivative` jet a volume, at a cost that grows with the count and with the
-size of the numbers.  Scene files are untrusted input: a malformed one
-raises ValueError (or an AdelicVolumesError) with a one-line message, never
-another exception.
+behind `diskant` is one pass of the line kernel over every breakpoint, on
+integers or, with finite places, on integer polynomials in the logs, and
+each exact `derivative` jet is one more pass, at a cost that grows with the
+count, with the size of the numbers and with the number of places.  Scene
+files are untrusted input: a malformed one raises ValueError (or an
+AdelicVolumesError) with a one-line message, never another exception.
 """
 
 from __future__ import annotations
@@ -47,19 +48,26 @@ _TOP_KEYS = {"c0", "cinf", "potentials", "base", "comment"}
 _MAX_EXPONENT = 4300
 _DECIMAL_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE]([-+]?\d+(?:_\d+)*)\s*")
 
-# Cold command-line runs at this cap, five each (min-max), 2-vCPU host,
-# Python 3.11.7.  `diskant` of the CI scene (192 breakpoints) against itself
-# takes 0.26-0.32 s, and against six-digit random breakpoints (87, just
-# under MAX_SCENE_BITS) or twelve-digit ones (47) 0.32-0.48 s in either
-# order, as do those two against each other.  The slowest pair found splits
-# 64 integer breakpoints over each of inf, 2 and 3 against the CI scene:
-# 0.57-0.87 s in either order, the log weights making every step exact in
-# Q(log 2, log 3).  On the CI scene `avol` takes 0.22-0.27 s, `derivative`
-# along itself 0.42-0.52 s, `okounkov` 0.20-0.21 s and `oracle --m 16`
-# 0.27-0.37 s.  On the three-place scene `avol` takes 0.21-0.27 s,
-# `derivative` along itself 0.37-0.57 s and along the CI scene 0.73-0.97 s;
-# `okounkov` builds its 8,193 exact samples (window [-64, 64] at m = 64),
-# and `oracle --m 16` refuses it for its count bits in 0.2 s.
+# Cold command-line runs, no bytecode cached, min-max over five runs (three
+# for the h3/h4 pairs), 2-vCPU host, Python 3.11.7.  `diskant` of the CI
+# scene (192 breakpoints) against itself takes 0.11-0.16 s, and against
+# six-digit random breakpoints (87, just under MAX_SCENE_BITS) 0.25-0.27 s
+# or twelve-digit ones (47) 0.32-0.36 s, in either order.  Those two
+# against each other exit 2 after 0.38-0.52 s: an exact slack holds an
+# integer past Python's 4300-digit limit on int-to-str conversion.  The CI
+# three-place scene (64 integer breakpoints at each of inf, 2 and 3)
+# against the CI scene takes 0.18-0.29 s in either order.  On the CI scene
+# `avol` takes 0.11-0.12 s, `derivative` along itself 0.12 s, `okounkov`
+# 0.12-0.17 s and `oracle --m 16` 0.14-0.19 s.  On the three-place scene
+# `avol` takes 0.13-0.15 s, `derivative` along itself 0.15-0.21 s and along
+# the CI scene 0.14-0.15 s, and `okounkov` 0.35-0.37 s for its 8,193 exact
+# samples (window [-64, 64] at m = 64); `oracle --m 16` refuses it for its
+# count bits in 0.16-0.21 s.  More places cost far more: ROADMAP item 23's
+# h3 scene (64 breakpoints in sevenths at each of inf, 2 and 3) and h4
+# scene (48 in elevenths at each of inf, 2, 3 and 5) pass `diskant` in
+# 11.4-12.1 s (h4 against h3), 6.0-7.0 s (h3 against h4), 2.7-2.9 s (h4
+# against itself) and 0.70-0.83 s (h3 against itself); `avol`,
+# `derivative` and `okounkov --m 8` on them take 0.09-0.17 s.
 MAX_BREAKPOINTS = 192
 # 48 breakpoints of twelve-digit rationals come to about 8000 bits, and
 # `diskant` of that scene against itself takes about 0.15 s (40 digits: 25,800

@@ -56,7 +56,7 @@ from .divisors import ARCH, as_pair
 from .errors import EmptyPolytope, NotBig, OutOfDomain, PrecisionExhausted
 from .exactnum import (_atanh, _from_coeffs, _log_bounds, _q, default_precision_bits,
                        floor_fraction, scalar_cmp, scalar_fraction)
-from .pa import ConcavePA, Interval, _on_line, _slope, integrate_positive_part, unit_roof
+from .pa import ConcavePA, Interval, _on_line, _slope, _twice_integral, unit_roof
 
 _MAX_FLOOR_BITS = 1 << 16
 # bits past a value's integer part at which its first enclosure is taken
@@ -549,10 +549,10 @@ def analytic_okounkov(pair) -> OkounkovData:
         raise NotBig(f"{pair!r} is not big; the Okounkov body is degenerate")
     roof = pair.global_roof()
     transform = roof.reflect()
-    body_volume = integrate_positive_part(roof)
+    twice = _twice_integral(roof)
     return OkounkovData(
         domain=transform.domain,
         transform=transform,
-        body_volume=body_volume,
-        avol=2 * body_volume,
+        body_volume=twice / 2,
+        avol=twice,
     )

@@ -406,13 +406,13 @@ class TestPairMemo:
 
     def test_avol_integrates_once(self, monkeypatch):
         calls = []
-        original = positivity.integrate_positive_part
+        original = positivity._twice_integral
 
         def counting(roof):
             calls.append(roof)
             return original(roof)
 
-        monkeypatch.setattr(positivity, "integrate_positive_part", counting)
+        monkeypatch.setattr(positivity, "_twice_integral", counting)
         pair = self._pairs()[2]
         first = avol(pair)
         assert avol(pair) is first and is_big(pair)

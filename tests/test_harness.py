@@ -369,8 +369,9 @@ class TestLineKernel:
                 mp.setattr(owner, name, refuse)
             assert [_outcome(lambda: line.top(t)[:2]) for line in lines for t in ts] == built
         for owner, name in ((pa.ConcavePA, "_raw"), (pa.ConcavePA, "restrict"),
-                            (divisors, "_roof_sum"), (positivity, "integrate_positive_part"),
-                            (pa, "integrate_positive_part"), (pa, "convex_envelope"),
+                            (divisors, "_roof_sum"), (positivity, "_twice_integral"),
+                            (pa, "integrate_positive_part"), (pa, "_twice_integral"),
+                            (pa, "convex_envelope"),
                             (pa, "legendre_roof")):
             monkeypatch.setattr(owner, name, refuse)
         assert [repr(line.volume(t)) for line in lines for t in ts] == want

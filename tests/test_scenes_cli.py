@@ -525,6 +525,61 @@ def test_gallery_commands_run_without_sympy(tmp_path):
         assert (code, out) == (0, buf.getvalue()), argv
 
 
+_IMPORT_GRAPH = """
+import json, sys, types
+from importlib import import_module
+before = set(sys.modules)
+loaded = {}
+for name in ("adelic_volumes", "adelic_volumes.harness", "adelic_volumes.cli"):
+    import_module(name)
+    loaded[name] = sorted(set(sys.modules) - before)
+import adelic_volumes as av
+try:
+    av.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+star = {}
+exec("from adelic_volumes import *", star)
+home = {name: "adelic_volumes." + av._HOME[name] for name in av.__all__}
+print(json.dumps({
+    "loaded": loaded,
+    "unknown": unknown,
+    "all": av.__all__,
+    "dir": dir(av),
+    "star": sorted(set(star) - {"__builtins__"}),
+    "not_home": [name for name in av.__all__
+                 if not star[name] is getattr(av, name)
+                 is getattr(import_module(home[name]), name)],
+    "defined_elsewhere": [name for name in av.__all__
+                          if isinstance(star[name], (type, types.FunctionType))
+                          and star[name].__module__ != home[name]],
+    "avol_is_positivity_avol": av.avol is import_module("adelic_volumes.positivity").avol,
+}))
+"""
+
+
+def test_import_graph():
+    """The package resolves its public names on first use, and the
+    library's entry points for the harness and the CLI import neither the
+    counting oracle, the scene files nor dataclasses: the diskant and suite
+    subcommands run none of them."""
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert not [m for m in got["loaded"]["adelic_volumes"] if m.startswith("adelic_volumes.")]
+    for name in ("adelic_volumes.harness", "adelic_volumes.cli"):
+        unwanted = {"adelic_volumes.sections", "adelic_volumes.scenes", "dataclasses", "inspect"}
+        assert not unwanted & set(got["loaded"][name]), name
+    assert got["unknown"] == "module 'adelic_volumes' has no attribute 'no_such_name'"
+    assert len(got["all"]) == 54 and set(got["all"]) <= set(got["dir"])
+    assert got["star"] == sorted(got["all"])
+    assert got["not_home"] == [] and got["defined_elsewhere"] == []
+    assert got["avol_is_positivity_avol"]
+
+
 class TestSceneKeys:
     """Keys are checked like values.  A place is a prime below psi_13, where
     Miller-Rabin to thirteen bases proves it prime, and a base label is 0 or
@@ -774,7 +829,8 @@ class TestCliDiskant:
             calls.append(path)
             return load_scene(path)
 
-        monkeypatch.setattr(cli, "load_scene", counting_load)
+        # the CLI reads the scenes module's binding at call time
+        monkeypatch.setattr(scenes_mod, "load_scene", counting_load)
         argv = [scenes.get(arg, arg) for arg in argv]
         assert main(argv) == 0
         assert len(calls) == loads == len(set(calls))
@@ -808,14 +864,14 @@ class TestCliOracle:
 
     def test_one_box_per_row(self, scenes, capsys, monkeypatch):
         calls = []
-        original = cli.section_box
+        original = sections.section_box
 
         def counting_box(pair, m):
             calls.append(m)
             return original(pair, m)
 
-        # volume_estimate would reach the sections module's own binding
-        monkeypatch.setattr(cli, "section_box", counting_box)
+        # the oracle reads the sections module's binding at call time, as
+        # volume_estimate does
         monkeypatch.setattr(sections, "section_box", counting_box)
         assert main(["oracle", scenes["slant"], "--m", "16,32"]) == 0
         assert calls == [16, 32]
