@@ -20,21 +20,25 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 
 from .errors import AdelicVolumesError
-from .exactnum import scalar_float
+from .exactnum import ExactNumber, scalar_float
 from .harness import check_differentiability, diskant_report, run_suite, suite_names
 from .positivity import avol
 
 
 def _scalar_json(x) -> dict:
-    return {"exact": str(x), "float": scalar_float(x)}
+    return {"exact": x, "float": scalar_float(x)}
 
 
 def _strict(value):
-    """The payload with every non-finite float as None."""
+    """The payload with every non-finite float as None and every exact
+    value (a Fraction or an ExactNumber) as its string."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
+    if isinstance(value, (Fraction, ExactNumber)):
+        return str(value)
     if isinstance(value, dict):
         return {key: _strict(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -43,7 +47,17 @@ def _strict(value):
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(_strict(payload), indent=2, allow_nan=False))
+    """Print the payload as strict JSON.  An exact value may hold integers
+    of more than the 4,300 digits Python converts to str by default, so the
+    limit is lifted while the payload is formatted, and only then: scene
+    files are parsed under it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(_strict(payload), indent=2, allow_nan=False)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print(text)
 
 
 def _load_scenes(*paths) -> list:
@@ -75,7 +89,7 @@ def _cmd_derivative(args) -> int:
     table = []
     for row in report.table:
         table.append({
-            "h": str(row.h),
+            "h": row.h,
             "forward": _scalar_json(row.forward),
             "backward": _scalar_json(row.backward),
             "central": _scalar_json(row.central),
@@ -96,13 +110,13 @@ def _cmd_diskant(args) -> int:
     p1, p2 = _load_scenes(args.scene1, args.scene2)
     report = diskant_report(p1, p2)
     _emit({
-        "s": [str(report.s0), str(report.s1), str(report.s2)],
+        "s": [report.s0, report.s1, report.s2],
         "s_float": [scalar_float(report.s0), scalar_float(report.s1),
                     scalar_float(report.s2)],
-        "r": str(report.r.value),
-        "R": str(report.R.value),
-        "r_bracket": [str(report.r.lo), str(report.r.hi)],
-        "R_bracket": [str(report.R.lo), str(report.R.hi)],
+        "r": report.r.value,
+        "R": report.R.value,
+        "r_bracket": [report.r.lo, report.r.hi],
+        "R_bracket": [report.R.lo, report.R.hi],
         "slacks": {c.name: _scalar_json(c.slack) for c in report.cases},
         "pass": report.all_pass,
     })
@@ -159,9 +173,9 @@ def _cmd_okounkov(args) -> int:
         analytic = scalar_float(value)
         empirical = scalar_float(t)
         gaps.append(abs(empirical - analytic))
-        entries.append({"w": str(w), "empirical": empirical, "analytic": analytic})
+        entries.append({"w": w, "empirical": empirical, "analytic": analytic})
     _emit({
-        "domain": [str(data.domain.lo), str(data.domain.hi)],
+        "domain": [data.domain.lo, data.domain.hi],
         "body_volume": _scalar_json(data.body_volume),
         "avol": _scalar_json(data.avol),
         "m": args.m,

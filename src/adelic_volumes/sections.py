@@ -26,12 +26,18 @@ the floor is well defined.  A floor proven 0 takes no enclosure: for
 q < 0, d e^q < 2^(len(num) - len(den) + 1 + ceil(1.442 q)), and such
 entries gather at a run's ends (nearly all of a steep run).
 
-A box keeps only the counts and the integer columns they came from (the
-exponents, the denominators as integer pairs, the runs' A, B and D); the
-per-exponent ``BoxEntry`` records are built the first time they are read,
-so the count product and its log never pay for them.  The log takes no
-float either: two mantissas of about a hundred bits enclose the product of
-the counts, and one atanh series gives its log as a dyadic Fraction.
+A box keeps only the integer columns its counts come from (the
+denominators as integer pairs, the floors e_p(k), the runs' A, B and D):
+the counts are floored the first time ``count_product`` or the
+per-exponent ``BoxEntry`` records read them.  The log floors only the
+counts it cannot read in closed form, and takes no float.  A count whose
+x = d_k e^q_k an integer bit bound proves wider than about a hundred bits
+has log(2 floor(x) + 1) = log 2 + q_k + sum_p e_p(k) log p up to less than
+1/x, exact in Q(log 2, log 3, ...) and summed on integers.  The narrow
+counts, which gather where q is small, at a run's ends, are floored; two
+mantissas of about a hundred bits enclose their product, and one atanh
+series gives its log.  The sum is a dyadic Fraction within 2^-96 relative
+of log N_m.
 
 Both oracles read one exponent table (``_lattice``): the exponents k of
 the level-m window, the archimedean runs and the floors e_p(k).  The
@@ -50,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from fractions import Fraction
 
 from .divisors import ARCH, as_pair
@@ -62,10 +69,12 @@ _MAX_FLOOR_BITS = 1 << 16
 # bits past a value's integer part at which its first enclosure is taken
 _MARGIN_BITS = 32
 # bits of all counts of one box together, bounded from the roofs'
-# breakpoints before any exp is taken.  The costliest admitted box, 1025
-# counts of about 65,000 bits each (a roof of height 44 at m = 1024), takes
-# 2.4-2.6 s, one 65,000-bit product per count (2-vCPU host, Python 3.11);
-# a tent box at m = 4821, just under the budget, about 0.7 s.
+# breakpoints before any exp is taken.  It bounds the readers of
+# ``count_product`` and ``entries``, which floor every count: the costliest
+# admitted box, 1025 counts of about 65,000 bits each (a roof of height 44
+# at m = 1024), floors them in 1.4-1.5 s, one 65,000-bit product per count
+# (2-vCPU host, Python 3.11), a tent box at m = 4821, just under the
+# budget, in about 0.4 s.  ``log_count`` reads either in a few ms.
 _MAX_BOX_BITS = 1 << 26
 # exponents per box (or per Okounkov sample); the range is checked before
 # anything is built, so a huge polytope or multiple fails at once
@@ -80,6 +89,14 @@ def _size_bits(num: int, den: int, a: int, b: int) -> int:
     if a > 0:
         size += -((-a * 1443) // (1000 * b))
     return size
+
+
+def _low_bits(num: int, den: int, a: int, b: int) -> int:
+    """A lower bound on log2 of num/den * e^q, q = a/b with b > 0:
+    num/den > 2^(len(num) - len(den) - 1), and e^q >= 2^floor(1.442 q) for
+    q >= 0, 2^floor(1.443 q) for q < 0."""
+    return (num.bit_length() - den.bit_length() - 1
+            + (a * (1442 if a >= 0 else 1443)) // (1000 * b))
 
 
 def _zero_floor(num: int, den: int, a: int, b: int) -> bool:
@@ -112,11 +129,9 @@ def _floor_scaled_exp(d: Fraction, q: Fraction) -> int:
     if _zero_floor(num, den, qn, qd):
         return 0
     size = _size_bits(num, den, qn, qd)
-    # d e^q > 2^(len(num) - len(den) - 1 + floor(1.442 q)): an integer part
-    # that wide has an ulp of 2 or more at every precision up to the cap
-    if size > _MAX_FLOOR_BITS and qn > 0 and (
-            num.bit_length() - den.bit_length() - 1
-            + (qn * 1442) // (qd * 1000) > _MAX_FLOOR_BITS):
+    # an integer part that wide has an ulp of 2 or more at every precision
+    # up to the cap
+    if size > _MAX_FLOOR_BITS and qn > 0 and _low_bits(num, den, qn, qd) > _MAX_FLOOR_BITS:
         raise PrecisionExhausted(f"a box count has more than {_MAX_FLOOR_BITS} bits")
     bits = min(_MAX_FLOOR_BITS, _start_bits(size))
     while bits <= _MAX_FLOOR_BITS:
@@ -239,21 +254,33 @@ class BoxEntry:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class SectionBox:
-    """The coefficient boxes of the m-th multiple, as ``section_box`` counts
-    them: the count of each exponent k, in increasing order, with the
-    integer columns it came from, the denominators d_k = num / den as pairs
-    (num, den) and the runs (first k, last k, A, B, D), which cover the
-    exponents in order, on which the log bound is (A + B k) / D.
+    """The coefficient boxes of the m-th multiple, as ``section_box`` lays
+    them out: the integer columns of its exponents k, in increasing order,
+    that is the denominators d_k = num / den as pairs (num, den), the runs
+    (first k, last k, A, B, D), which cover the exponents in order and on
+    which the log bound q_k is (A + B k) / D, and per finite place p the
+    floors e_p(k), d_k = prod_p p^e_p(k).
 
-    ``count_product`` and ``log_count`` read only the counts.  ``entries``,
-    one ``BoxEntry`` per exponent, is built from the columns the first time
-    it is read.  A box is immutable, and two boxes are equal when their m
-    and entries are."""
+    The counts 2 floor(d_k e^q_k) + 1 are floored by ``_run_floors`` the
+    first time ``count_product`` or ``entries``, one ``BoxEntry`` per
+    exponent, reads them; ``log_count`` floors only the counts it cannot
+    read in closed form.  A box is immutable, and two boxes are equal when
+    their m and entries are."""
 
     m: int
-    _counts: tuple
     _denominators: list
     _runs: list
+    _floors: dict
+
+    @cached_property
+    def _counts(self) -> tuple:
+        counts, i = [], 0
+        for start, end, a, b, den in self._runs:
+            j = i + end - start + 1
+            counts += [2 * n + 1 for n in _run_floors(
+                self._denominators[i:j], start, a, b, den)]
+            i = j
+        return tuple(counts)
 
     @cached_property
     def entries(self) -> tuple:
@@ -283,25 +310,73 @@ class SectionBox:
         return out
 
     def log_count(self) -> Fraction:
-        """log of ``count_product``, a dyadic Fraction within 2^-96 relative:
-        a lower and an upper mantissa of w + 1 bits, w = 96 + bitlen(number
-        of counts), carry the product, each count (rounded first if wider)
-        widening the log of their ratio by under 2^(3-w), only past 2^w.
-        Their mean M 2^E, M of t + 1 bits, has log (E + t) log 2 + 2 atanh((M
-        - 2^t) / (M + 2^t)); the middle of its enclosure is returned."""
-        w = default_precision_bits() + 32 + len(self._counts).bit_length()
+        """log of ``count_product``, a dyadic Fraction within 2^-96 relative,
+        the sum of a closed form for the wide counts and the log of the
+        product of the narrow ones, with w = 96 + bitlen(number of counts).
+
+        A count is wide when ``_low_bits`` proves x = d_k e^q_k >= 2^W, W =
+        w - 3.  As 2x - 1 < 2 floor(x) + 1 <= 2x + 1, its log is then log(2x)
+        = log 2 + q_k + sum_p e_p(k) log p up to less than 1/x <= 2^-W.  The
+        wide terms sum to R + sum_p C_p log p, exactly: R rational, summed on
+        ints over one lcm of the runs' D, and C_p integers, C_2 counting one
+        log 2 per wide count.  At P = w + 16 + bitlen(S) bits, S = sum_p
+        |C_p|, R is floored to 2^-(P+1) and each log p read as the middle of
+        its ``_log_bounds``, at most 2^-P off, so the closed form strays from
+        the logs' sum A by at most n 2^-W + (S + 1/2) 2^-P <= 2^(1-W) n over
+        n wide counts, while A >= n (W + 1) log 2: under 2^-99 A.
+
+        The narrow counts gather at a run's ends, where q is small; each
+        maximal segment of them is floored by ``_run_floors``.  A lower and
+        an upper mantissa of w + 1 bits carry their product: each count is
+        multiplied in exactly and both ends are rounded back outward, which
+        widens the log of their ratio by under 2^(3-w), so by under 2^-93 in
+        all, and only once the product is past 2^w, its log B above w log 2
+        > 64.  Their mean M 2^E, M of t + 1 bits, has log (E + t) log 2 + 2
+        atanh((M - 2^t) / (M + 2^t)), the atanh summed at P bits with a
+        counted error err < P and log 2 read as above; the middle of that
+        enclosure strays from B by under 2^-94 + (|E + t| + err) 2^-P,
+        under 2^-99 B, and is 0 for a product of 1.  So the sum of both
+        parts strays from log N by under 2^-99 (A + B)."""
+        ds = self._denominators
+        w = default_precision_bits() + 32 + len(ds).bit_length()
+        narrow, wide = [], []  # the narrow floors, the wide exponents' indices
+        rn, rd, i = 0, 1, 0  # R = rn / rd
+        for start, end, a, b, den in self._runs:
+            off = start - i  # exponent k sits at index k - off
+            total = 0  # the sum of the wide A + B k
+            for is_wide, group in groupby(
+                    range(start, end + 1),
+                    lambda k: _low_bits(*ds[k - off], a + b * k, den) >= w - 3):
+                ks = list(group)
+                first, stop = ks[0] - off, ks[-1] + 1 - off
+                if is_wide:
+                    wide += range(first, stop)
+                    total += a * len(ks) + b * sum(ks)
+                else:
+                    narrow += _run_floors(ds[first:stop], ks[0], a, b, den)
+            i = end + 1 - off
+            if total:
+                lcm = math.lcm(rd, den)
+                rn, rd = rn * (lcm // rd) + total * (lcm // den), lcm
+        coeffs = {p: sum(column[j] for j in wide) for p, column in self._floors.items()}
+        coeffs[2] = coeffs.get(2, 0) + len(wide)
+        bits = w + 16 + sum(map(abs, coeffs.values())).bit_length()
         lo, hi, e = 1, 1, 0
-        for n in self._counts:
-            cut = max(0, n.bit_length() - w - 1)
-            lo, hi = lo * (n >> cut), hi * -(-n >> cut)
+        for n in narrow:
+            lo, hi = lo * (2 * n + 1), hi * (2 * n + 1)
             shift = max(0, hi.bit_length() - w - 1)
-            lo, hi, e = lo >> shift, -(-hi >> shift), e + cut + shift
-        m, bits = lo + hi, w + 16  # twice the mean, under 2^(e - 1)
+            lo, hi, e = lo >> shift, -(-hi >> shift), e + shift
+        m = lo + hi  # twice the mean, under 2^(e - 1)
         t = m.bit_length() - 1
         s, err = _atanh(m - (1 << t), m + (1 << t), bits)
-        # k log 2 + 2 atanh, with l2lo <= 2^bits log 2 <= l2hi
-        k, (l2lo, l2hi) = e - 1 + t, _log_bounds(2, bits)
-        return _q(k * (l2lo + l2hi) + 4 * s + 2 * err, 1 << (bits + 1))
+        coeffs[2] += e - 1 + t
+        # over 2^(bits + 1): 2 atanh, R, and each C_p log p
+        out = 4 * s + 2 * err + (rn << (bits + 1)) // rd
+        for p, c in coeffs.items():
+            if c:
+                plo, phi = _log_bounds(p, bits)
+                out += c * (plo + phi)
+        return _q(out, 1 << (bits + 1))
 
 
 def _check_cost(psi_inf: ConcavePA, finite: dict, entries: int, m: int) -> None:
@@ -368,23 +443,18 @@ def _lattice(pair, m) -> tuple:
 
 
 def section_box(pair, m: int) -> SectionBox:
-    """Enumerate the coefficient boxes of the m-th multiple of a pair from
-    the exponent table ``_lattice`` shares with ``okounkov_sample``: the
-    denominators from its floor columns, and the counts of each of its
-    archimedean runs by ``_run_floors``, as the module docstring describes.
+    """The coefficient boxes of the m-th multiple of a pair, laid out from
+    the exponent table ``_lattice`` shares with ``okounkov_sample``: its
+    runs and floor columns, and the denominators built from the floors.  No
+    count is floored here; ``SectionBox`` floors them when they are read.
 
     Raises ValueError when the window holds more than ``_MAX_BOX_ENTRIES``
-    exponents or the counts may need more than ``_MAX_BOX_BITS`` bits, and
-    PrecisionExhausted when a denominator or a count needs more than
-    ``_MAX_FLOOR_BITS`` bits."""
+    exponents or the counts may need more than ``_MAX_BOX_BITS`` bits, or
+    one count more than ``_MAX_FLOOR_BITS`` allows, and PrecisionExhausted
+    when a denominator needs more than ``_MAX_FLOOR_BITS`` bits."""
     m, k_lo, size, psi_inf, finite, runs, floors = _lattice(pair, m)
     _check_cost(psi_inf, finite, size, m)
-    ds = _denominators(floors, k_lo, size)
-    counts = []
-    for start, end, a, b, den in runs:
-        counts += [2 * n + 1 for n in _run_floors(
-            ds[start - k_lo:end - k_lo + 1], start, a, b, den)]
-    return SectionBox(m, tuple(counts), ds, runs)
+    return SectionBox(m, _denominators(floors, k_lo, size), runs, floors)
 
 
 def _denominators(floors: dict, k_lo: int, n: int) -> list:

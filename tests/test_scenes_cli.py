@@ -790,6 +790,18 @@ class TestCliDerivative:
         assert err.startswith("error:") and "base" in err
 
 
+def test_exact_values_past_the_digit_limit(capsys):
+    # Python converts at most 4,300 digits of an int to str by default; an
+    # exact value past that prints whole, and the limit is back afterwards
+    limit = sys.get_int_max_str_digits()
+    x = F(10 ** 5000 + 1, 3)
+    cli._emit({"value": cli._scalar_json(x), "pair": [x, x]})
+    payload = _strict_loads(capsys.readouterr().out)
+    want = "1" + "0" * 4999 + "1/3"
+    assert payload == {"value": {"exact": want, "float": None}, "pair": [want, want]}
+    assert sys.get_int_max_str_digits() == limit
+
+
 class TestCliDiskant:
     def test_fixture(self, scenes, capsys):
         assert main(["diskant", scenes["slant"], scenes["tent"]]) == 0

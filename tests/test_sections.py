@@ -199,16 +199,38 @@ class TestSectionBox:
 
 
 _LOG_COUNT_BOXES = {
-    # 513 counts of a few hundred bits each: the product passes the
-    # mantissas after a few counts and is rounded at nearly every count
+    # 65 counts under 2^93 each: every count is narrow, floored, and the
+    # product passes the mantissas and is rounded at nearly every count
+    "many_narrow": (Pair(slant_divisor()), 64),
+    # 513 counts of up to 740 bits: 440 are wide and read in closed form,
+    # and the 73 narrow ones by the run's zero are floored
     "many_small": (half_zero_pair(), 1024),
-    # nine counts of 4,618 bits or more: every count is wider than the
-    # mantissas and is rounded before it is multiplied in
+    # nine counts of 4,618 bits or more: every count is wide, no floor is
+    # taken and the narrow product is 1
     "each_wider": (Pair(slant_divisor() + height_shift(400)), 8),
+    # two runs of wide counts, the second ending in narrow ones, with
+    # coefficients of log 2 and log 3 off the floors at both places
+    "finite_places": (_slant_p2_p3(), 64),
     # the window [1/3, 2/3] holds no exponent at m = 1
     "empty": (Pair(slant_divisor(),
                    BaseCondition({"0": F(1, 3), "inf": F(1, 3)})), 1),
 }
+
+
+def _assert_log_count(box):
+    """log_count within 2^-96 relative of the log of the exact product, at
+    400 bits."""
+    got = box.log_count()
+    with mp.workprec(400):
+        want = mp.log(box.count_product)
+        got = mp.mpf(got.numerator) / got.denominator
+        assert abs(got - want) <= abs(want) * mp.mpf(2) ** -96
+
+
+def _costliest_box():
+    """slant + height_shift(43) at m = 1024: 1,025 counts of about 65,000
+    bits each, the most the budgets admit."""
+    return section_box(Pair(slant_divisor() + height_shift(43)), 1024)
 
 
 class TestLogCount:
@@ -217,19 +239,15 @@ class TestLogCount:
         box = section_box(*_LOG_COUNT_BOXES[case])
         if case == "each_wider":
             assert min(e.count.bit_length() for e in box.entries) > 1 << 12
-        got = box.log_count()
-        with mp.workprec(300):
-            want = mp.log(box.count_product)
-            if case == "empty":
-                assert box.entries == () and got == 0
-            else:
-                got = mp.mpf(got.numerator) / got.denominator
-                assert abs(got - want) <= abs(want) * mp.mpf(2) ** -80
+        if case == "empty":
+            assert box.entries == () and box.log_count() == 0
+        else:
+            _assert_log_count(box)
 
     @pytest.mark.parametrize("case", sorted(_LOG_COUNT_BOXES))
     def test_one_log_per_box(self, monkeypatch, case):
-        # the product is carried as two mantissas, and one atanh series
-        # takes its log at the end
+        # the narrow product is carried as two mantissas, and one atanh
+        # series takes its log at the end
         box = section_box(*_LOG_COUNT_BOXES[case])
         calls = []
         original = sections._atanh
@@ -237,6 +255,51 @@ class TestLogCount:
                             lambda *args: calls.append(args) or original(*args))
         box.log_count()
         assert len(calls) == 1
+
+    def test_sampled_pairs(self, monkeypatch):
+        # sampled pairs, finite places on odd seeds, m in {16, 64, 256}: the
+        # reference is the exact product, one full-width product per count,
+        # so the boxes whose counts may need more than 2^19 bits in all (51
+        # of the 192) are left out by a lowered box budget
+        monkeypatch.setattr(sections, "_MAX_BOX_BITS", 1 << 19)
+        checked = with_places = 0
+        for seed in range(64):
+            pair = sample_big_pair(random.Random(seed), allow_finite=seed % 2 == 1)
+            for m in (16, 64, 256):
+                try:
+                    box = section_box(pair, m)
+                except ValueError:
+                    continue
+                _assert_log_count(box)
+                checked += 1
+                with_places += bool(sections.place_roofs(pair)[1])
+        assert checked >= 120 and with_places >= 15
+
+    def test_costliest_box_takes_no_exponential(self, monkeypatch):
+        # every count of the costliest admitted box is wide: neither the box
+        # nor its log floors a count, so no e^q is enclosed
+        def refuse(*args):
+            raise AssertionError("an exponential was enclosed")
+
+        monkeypatch.setattr(sections, "_exp_mantissas", refuse)
+        box = _costliest_box()
+        got = box.log_count()
+        assert "_counts" not in vars(box)
+        assert float(got) == 45658310.475860074
+
+    def test_box_floors_no_count(self, monkeypatch):
+        # section_box keeps its refusals but floors nothing: the counts are
+        # floored the first time count_product or entries reads them
+        calls = []
+        original = sections._run_floors
+        monkeypatch.setattr(sections, "_run_floors",
+                            lambda *args: calls.append(args) or original(*args))
+        box = section_box(_slant_p2_p3(), 64)
+        assert not calls
+        box.count_product
+        assert len(calls) == 2
+        box.entries
+        assert len(calls) == 2
 
 
 def _per_entry_box(pair, m):
