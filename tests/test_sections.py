@@ -227,12 +227,6 @@ def _assert_log_count(box):
         assert abs(got - want) <= abs(want) * mp.mpf(2) ** -96
 
 
-def _costliest_box():
-    """slant + height_shift(43) at m = 1024: 1,025 counts of about 65,000
-    bits each, the most the budgets admit."""
-    return section_box(Pair(slant_divisor() + height_shift(43)), 1024)
-
-
 class TestLogCount:
     @pytest.mark.parametrize("case", sorted(_LOG_COUNT_BOXES))
     def test_matches_the_log_of_the_product(self, case):
@@ -276,13 +270,14 @@ class TestLogCount:
         assert checked >= 120 and with_places >= 15
 
     def test_costliest_box_takes_no_exponential(self, monkeypatch):
-        # every count of the costliest admitted box is wide: neither the box
-        # nor its log floors a count, so no e^q is enclosed
+        # every count of the costliest admitted box, slant + height_shift(43)
+        # at m = 1024 (1,025 counts of about 65,000 bits), is wide: neither
+        # the box nor its log floors a count, so no e^q is enclosed
         def refuse(*args):
             raise AssertionError("an exponential was enclosed")
 
         monkeypatch.setattr(sections, "_exp_mantissas", refuse)
-        box = _costliest_box()
+        box = section_box(Pair(slant_divisor() + height_shift(43)), 1024)
         got = box.log_count()
         assert "_counts" not in vars(box)
         assert float(got) == 45658310.475860074
