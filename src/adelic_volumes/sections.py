@@ -26,18 +26,21 @@ the floor is well defined.  A floor proven 0 takes no enclosure: for
 q < 0, d e^q < 2^(len(num) - len(den) + 1 + ceil(1.442 q)), and such
 entries gather at a run's ends (nearly all of a steep run).
 
-A box keeps only the integer columns its counts come from (the
-denominators as integer pairs, the floors e_p(k), the runs' A, B and D):
-the counts are floored the first time ``count_product`` or the
-per-exponent ``BoxEntry`` records read them.  The log floors only the
-counts it cannot read in closed form, and takes no float.  A count whose
-x = d_k e^q_k an integer bit bound proves wider than about a hundred bits
-has log(2 floor(x) + 1) = log 2 + q_k + sum_p e_p(k) log p up to less than
-1/x, exact in Q(log 2, log 3, ...) and summed on integers.  The narrow
-counts, which gather where q is small, at a run's ends, are floored; two
-mantissas of about a hundred bits enclose their product, and one atanh
-series gives its log.  The sum is a dyadic Fraction within 2^-96 relative
-of log N_m.
+A box keeps only the integer columns its counts come from (the floors
+e_p(k) and the runs' A, B and D): the denominators are built and the
+counts floored the first time ``count_product`` or the per-exponent
+``BoxEntry`` records read them.  The log floors only the counts it cannot
+read in closed form, and takes no float.  A count whose x = d_k e^q_k an
+integer bit bound proves wider than about a hundred bits has log(2
+floor(x) + 1) = log 2 + q_k + sum_p e_p(k) log p up to less than 1/x, exact
+in Q(log 2, log 3, ...) and summed on integers.  The bound is taken on
+blocks of a run, from the least floors and q of the block (or the greatest,
+to prove a block narrow), and a block it decides neither way is halved; so
+a wide block costs a few column sums, whatever its length, and no d_k is
+built for it.  The narrow counts, which gather where q is small, at a run's
+ends, are floored; two mantissas of about a hundred bits enclose their
+product, and one atanh series gives its log.  The sum is a dyadic Fraction
+within 2^-96 relative of log N_m.
 
 Both oracles read one exponent table (``_lattice``): the exponents k of
 the level-m window, the archimedean runs and the floors e_p(k).  The
@@ -48,7 +51,7 @@ Budgets keep hostile input from hanging: a box has at most
 ``_MAX_BOX_ENTRIES`` exponents, its counts may need at most
 ``_MAX_BOX_BITS`` bits in all, and no count or denominator may need more
 than ``_MAX_FLOOR_BITS`` bits.  Past any of them the call fails at once,
-before any exp is taken.
+before any exp is taken or any denominator built.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from fractions import Fraction
 
 from .divisors import ARCH, as_pair
@@ -72,9 +74,13 @@ _MARGIN_BITS = 32
 # breakpoints before any exp is taken.  It bounds the readers of
 # ``count_product`` and ``entries``, which floor every count: the costliest
 # admitted box, 1025 counts of about 65,000 bits each (a roof of height 44
-# at m = 1024), floors them in 1.4-1.5 s, one 65,000-bit product per count
-# (2-vCPU host, Python 3.11), a tent box at m = 4821, just under the
-# budget, in about 0.4 s.  ``log_count`` reads either in a few ms.
+# at m = 1024), floors them in 1.3-1.5 s, one 65,000-bit product per count,
+# a tent box at m = 4821, just under the budget, in about 0.4 s.  The
+# product tree of ``count_product`` costs far more, a few times its last
+# (Karatsuba) product of two halves of the box's bits: 78 s for the first
+# box (66 Mbit), 27 s for the second (34 Mbit), 2.2 s for slant +
+# height_shift(20) at m = 512 (7.8 Mbit), where a running product took 14 s
+# (2-vCPU host, Python 3.11).  ``log_count`` reads any of them in a few ms.
 _MAX_BOX_BITS = 1 << 26
 # exponents per box (or per Okounkov sample); the range is checked before
 # anything is built, so a huge polytope or multiple fails at once
@@ -255,31 +261,36 @@ class BoxEntry:
 @dataclass(frozen=True, eq=False, repr=False)
 class SectionBox:
     """The coefficient boxes of the m-th multiple, as ``section_box`` lays
-    them out: the integer columns of its exponents k, in increasing order,
-    that is the denominators d_k = num / den as pairs (num, den), the runs
-    (first k, last k, A, B, D), which cover the exponents in order and on
-    which the log bound q_k is (A + B k) / D, and per finite place p the
-    floors e_p(k), d_k = prod_p p^e_p(k).
+    them out: the integer columns of its n exponents k from k_lo up, that is
+    the runs (first k, last k, A, B, D), which cover the exponents in order
+    and on which the log bound q_k is (A + B k) / D, and per finite place p
+    the floors e_p(k), d_k = prod_p p^e_p(k).
 
-    The counts 2 floor(d_k e^q_k) + 1 are floored by ``_run_floors`` the
-    first time ``count_product`` or ``entries``, one ``BoxEntry`` per
-    exponent, reads them; ``log_count`` floors only the counts it cannot
+    The denominators d_k, as integer pairs (num, den), are built and the
+    counts 2 floor(d_k e^q_k) + 1 floored by ``_run_floors`` the first time
+    ``count_product`` or ``entries``, one ``BoxEntry`` per exponent, reads
+    them; ``log_count`` builds d_k and floors only for the counts it cannot
     read in closed form.  A box is immutable, and two boxes are equal when
     their m and entries are."""
 
     m: int
-    _denominators: list
+    _k_lo: int
+    _n: int
     _runs: list
     _floors: dict
 
     @cached_property
+    def _denominators(self) -> list:
+        return _denominator_pairs(self._floors, 0, self._n)
+
+    @cached_property
     def _counts(self) -> tuple:
-        counts, i = [], 0
-        for start, end, a, b, den in self._runs:
-            j = i + end - start + 1
+        counts, ds, k_lo = [], self._denominators, self._k_lo
+        for run in self._runs:
+            start, end, a, b, den = run
+            i, j = start - k_lo, end + 1 - k_lo
             counts += [2 * n + 1 for n in _run_floors(
-                self._denominators[i:j], start, a, b, den)]
-            i = j
+                ds[i:j], start, a, b, den, _size_bound(self._floors, k_lo, run, i, j))]
         return tuple(counts)
 
     @cached_property
@@ -304,10 +315,13 @@ class SectionBox:
 
     @property
     def count_product(self) -> int:
-        out = 1
-        for n in self._counts:
-            out *= n
-        return out
+        # a balanced product tree: each level multiplies numbers of about
+        # equal size, so the cost is a few times that of the last product,
+        # not quadratic in the box's bits as a running product is
+        xs = list(self._counts) or [1]
+        while len(xs) > 1:
+            xs = [x * y for x, y in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1:]
+        return xs[0]
 
     def log_count(self) -> Fraction:
         """log of ``count_product``, a dyadic Fraction within 2^-96 relative,
@@ -315,57 +329,61 @@ class SectionBox:
         product of the narrow ones, with w = 96 + bitlen(number of counts).
 
         A count is wide when ``_low_bits`` proves x = d_k e^q_k >= 2^W, W =
-        w - 3.  As 2x - 1 < 2 floor(x) + 1 <= 2x + 1, its log is then log(2x)
-        = log 2 + q_k + sum_p e_p(k) log p up to less than 1/x <= 2^-W.  The
-        wide terms sum to R + sum_p C_p log p, exactly: R rational, summed on
-        ints over one lcm of the runs' D, and C_p integers, C_2 counting one
-        log 2 per wide count.  At P = w + 16 + bitlen(S) bits, S = sum_p
-        |C_p|, R is floored to 2^-(P+1) and each log p read as the middle of
-        its ``_log_bounds``, at most 2^-P off, so the closed form strays from
-        the logs' sum A by at most n 2^-W + (S + 1/2) 2^-P <= 2^(1-W) n over
-        n wide counts, while A >= n (W + 1) log 2: under 2^-99 A.
+        w - 3; ``_classify`` finds the wide and narrow segments of each run
+        from bounds on blocks of it, with no d_k built.  As 2x - 1 < 2
+        floor(x) + 1 <= 2x + 1, a wide count's log is log(2x) = log 2 + q_k +
+        sum_p e_p(k) log p up to less than 1/x <= 2^-W.  The wide terms sum
+        to R + sum_p C_p log p, exactly: R rational, summed on ints over one
+        lcm of the runs' D, and C_p integers, column sums over the wide
+        segments, C_2 counting one log 2 per wide count.  At P = w + 16 +
+        bitlen(S) bits, S = sum_p |C_p|, R is floored to 2^-(P+1) and each
+        log p read as the middle of its ``_log_bounds``, at most 2^-P off,
+        so the closed form strays from the logs' sum A by at most n 2^-W +
+        (S + 1/2) 2^-P <= 2^(1-W) n over n wide counts, while A >= n (W + 1)
+        log 2: under 2^-99 A.
 
-        The narrow counts gather at a run's ends, where q is small; each
-        maximal segment of them is floored by ``_run_floors``.  A lower and
-        an upper mantissa of w + 1 bits carry their product: each count is
-        multiplied in exactly and both ends are rounded back outward, which
-        widens the log of their ratio by under 2^(3-w), so by under 2^-93 in
-        all, and only once the product is past 2^w, its log B above w log 2
-        > 64.  Their mean M 2^E, M of t + 1 bits, has log (E + t) log 2 + 2
-        atanh((M - 2^t) / (M + 2^t)), the atanh summed at P bits with a
-        counted error err < P and log 2 read as above; the middle of that
-        enclosure strays from B by under 2^-94 + (|E + t| + err) 2^-P,
-        under 2^-99 B, and is 0 for a product of 1.  So the sum of both
-        parts strays from log N by under 2^-99 (A + B)."""
-        ds = self._denominators
-        w = default_precision_bits() + 32 + len(ds).bit_length()
-        narrow, wide = [], []  # the narrow floors, the wide exponents' indices
-        rn, rd, i = 0, 1, 0  # R = rn / rd
-        for start, end, a, b, den in self._runs:
-            off = start - i  # exponent k sits at index k - off
+        The narrow counts gather at a run's ends, where q is small; the d_k
+        of each maximal segment of them are built, and the segment floored
+        by ``_run_floors``.  A lower and an upper mantissa of w + 1 bits
+        carry their product: each count is multiplied in exactly and both
+        ends are rounded back outward, which widens the log of their ratio
+        by under 2^(3-w), so by under 2^-93 in all, and only once the
+        product is past 2^w, its log B above w log 2 > 64.  Their mean M
+        2^E, M of t + 1 bits, has log (E + t) log 2 + 2 atanh((M - 2^t) / (M
+        + 2^t)), the atanh summed at P bits with a counted error err < P
+        and log 2 read as above; the middle of that enclosure strays from B
+        by under 2^-94 + (|E + t| + err) 2^-P, under 2^-99 B, and is 0 for a
+        product of 1.  So the sum of both parts strays from log N by under
+        2^-99 (A + B)."""
+        floors, k_lo = self._floors, self._k_lo
+        w = default_precision_bits() + 32 + self._n.bit_length()
+        narrow = []  # the narrow floors, in increasing k
+        coeffs = dict.fromkeys(floors, 0)
+        rn, rd, n_wide = 0, 1, 0  # R = rn / rd
+        for run in self._runs:
+            a, b, den = run[2:]
             total = 0  # the sum of the wide A + B k
-            for is_wide, group in groupby(
-                    range(start, end + 1),
-                    lambda k: _low_bits(*ds[k - off], a + b * k, den) >= w - 3):
-                ks = list(group)
-                first, stop = ks[0] - off, ks[-1] + 1 - off
-                if is_wide:
-                    wide += range(first, stop)
-                    total += a * len(ks) + b * sum(ks)
+            for i, j, wide in _classify(floors, k_lo, run, w - 3):
+                if wide:
+                    # k runs over k_lo + i, ..., k_lo + j - 1
+                    total += a * (j - i) + b * (2 * k_lo + i + j - 1) * (j - i) // 2
+                    for p, column in floors.items():
+                        coeffs[p] += sum(column[i:j])
+                    n_wide += j - i
                 else:
-                    narrow += _run_floors(ds[first:stop], ks[0], a, b, den)
-            i = end + 1 - off
+                    narrow += _run_floors(_denominator_pairs(floors, i, j), k_lo + i,
+                                          a, b, den, _size_bound(floors, k_lo, run, i, j))
             if total:
                 lcm = math.lcm(rd, den)
                 rn, rd = rn * (lcm // rd) + total * (lcm // den), lcm
-        coeffs = {p: sum(column[j] for j in wide) for p, column in self._floors.items()}
-        coeffs[2] = coeffs.get(2, 0) + len(wide)
+        coeffs[2] = coeffs.get(2, 0) + n_wide
         bits = w + 16 + sum(map(abs, coeffs.values())).bit_length()
         lo, hi, e = 1, 1, 0
         for n in narrow:
             lo, hi = lo * (2 * n + 1), hi * (2 * n + 1)
-            shift = max(0, hi.bit_length() - w - 1)
-            lo, hi, e = lo >> shift, -(-hi >> shift), e + shift
+            shift = hi.bit_length() - w - 1
+            if shift > 0:
+                lo, hi, e = lo >> shift, -(-hi >> shift), e + shift
         m = lo + hi  # twice the mean, under 2^(e - 1)
         t = m.bit_length() - 1
         s, err = _atanh(m - (1 << t), m + (1 << t), bits)
@@ -379,21 +397,89 @@ class SectionBox:
         return _q(out, 1 << (bits + 1))
 
 
+def _corner(floors: dict, i: int, j: int, pick) -> tuple:
+    """(prod_p p^max(0, e_p), prod_p p^max(0, -e_p)) with e_p = pick(the
+    floors of place p at indices i..j-1): for pick = min a lower bound on
+    those exponents' d_k, as the pair ``_low_bits`` reads, for max an upper
+    one; at one exponent, d_k itself."""
+    num = den = 1
+    for p, column in floors.items():
+        e = pick(column[i:j])
+        if e > 0:
+            num *= p ** e
+        elif e < 0:
+            den *= p ** -e
+    return num, den
+
+
+def _classify(floors: dict, k_lo: int, run: tuple, cut: int) -> list:
+    """The exponents of ``run`` = (first k, last k, A, B, D) as maximal
+    segments (i, j, wide) of indices i..j-1, k = k_lo + index, in increasing
+    order: a count is wide when ``_low_bits`` of d_k e^q_k, q_k = (A + B k)
+    / D, is at least ``cut``.
+
+    ``_low_bits`` grows with the numerator of d_k and with q, and falls
+    with the denominator, so over a block its least value is at least
+    ``_low_bits`` of the ``_corner`` of the least floors and the least q,
+    which is at an end of the block, and its greatest at most that of the
+    greatest.  A block is wide when the first bound reaches ``cut``, narrow
+    when the second stays below it, and halved otherwise; at one exponent
+    both bounds are the count's own, so every count is classified as it
+    would be on its own."""
+    start, end, a, b, den = run
+    out, todo = [], [(start - k_lo, end + 1 - k_lo)]
+    while todo:
+        i, j = todo.pop()
+        q0, q1 = a + b * (k_lo + i), a + b * (k_lo + j - 1)
+        if _low_bits(*_corner(floors, i, j, min), min(q0, q1), den) >= cut:
+            wide = True
+        elif _low_bits(*_corner(floors, i, j, max), max(q0, q1), den) < cut:
+            wide = False
+        else:
+            mid = (i + j) // 2
+            todo += ((mid, j), (i, mid))
+            continue
+        if out and out[-1][2] == wide:
+            out[-1] = (out[-1][0], j, wide)
+        else:
+            out.append((i, j, wide))
+    return out
+
+
+def _size_bound(floors: dict, k_lo: int, run: tuple, i: int, j: int) -> int:
+    """An upper bound on the ``_size_bits`` of the counts at indices i..j-1
+    of ``run``, k = k_lo + index: that of the greatest floors and q over
+    them, q at an end."""
+    a, b, den = run[2:]
+    q = max(a + b * (k_lo + i), a + b * (k_lo + j - 1))
+    return _size_bits(*_corner(floors, i, j, max), q, den)
+
+
 def _check_cost(psi_inf: ConcavePA, finite: dict, entries: int, m: int) -> None:
     """Refuse a box before any exp is taken when its counts may need more
     than ``_MAX_BOX_BITS`` bits in all, or one count more bits than a ladder
     run can carry under ``_MAX_FLOOR_BITS``.
 
     Each count needs at most 1.443 m max psi_inf^+ plus sum_p m max|psi_p|
-    log2 p bits, and the maxima of the roofs sit at their breakpoints."""
+    log2 p bits, and the maxima of the roofs sit at their breakpoints.
+
+    So it refuses first every box whose denominators ``section_box``
+    refuses, those with a floor e_p, |e_p| (bitlen(p) - 1) >
+    ``_MAX_FLOOR_BITS``: as |e_p| <= m max|psi_p| + 1, and ceil(log2 p) is 1
+    for p = 2 and bitlen(p) for odd p, the bound per count then passes
+    ``_MAX_FLOOR_BITS`` for every place below the bound of
+    ``exactnum._proven_prime``.  That refusal is reached only with this
+    check switched off."""
     top = max(scalar_fraction(y) for _, y in psi_inf.points)
-    bits = _q(1443, 1000) * m * max(top, 0)
+    # the bound num / den, summed on integers
+    num, den = 1443 * m * max(top._numerator, 0), 1000 * top._denominator
     for p, roof in finite.items():
+        y = max(abs(scalar_fraction(y)) for _, y in roof.points)
         # (p - 1).bit_length() = ceil(log2 p)
-        bits += m * max(abs(scalar_fraction(y)) for _, y in roof.points) * (
-            (p - 1).bit_length())
+        num = num * y._denominator + m * y._numerator * (p - 1).bit_length() * den
+        den *= y._denominator
     # at least _size_bits of every entry
-    per_entry = floor_fraction(bits) + 3
+    per_entry = num // den + 3
     room = _MAX_FLOOR_BITS - _MARGIN_BITS - 2 * entries.bit_length()
     if per_entry > room:
         raise ValueError(
@@ -435,55 +521,70 @@ def _lattice(pair, m) -> tuple:
     for roof in (psi_inf, *finite.values()):
         if scalar_cmp(roof.points[0][0], lo) > 0 or scalar_cmp(hi, roof.points[-1][0]) > 0:
             raise OutOfDomain(f"[{lo}, {hi}] is not inside {roof.domain}")
-    floors = {p: [(a + b * k) // den
-                  for start, end, a, b, den in _affine_runs(roof, m, k_lo, k_hi)
-                  for k in range(start, end + 1)]
+    floors = {p: _floor_column(_affine_runs(roof, m, k_lo, k_hi))
               for p, roof in finite.items()}
     return m, k_lo, n, psi_inf, finite, _affine_runs(psi_inf, m, k_lo, k_hi), floors
+
+
+def _floor_column(runs: list) -> list:
+    """(A + B k) // D for the exponents k of each run (first k, last k, A,
+    B, D), in order: a run of integer values is a range of step B."""
+    column = []
+    for start, end, a, b, den in runs:
+        if not b:
+            column += [a // den] * (end + 1 - start)
+        else:
+            values = range(a + b * start, a + b * (end + 1), b)
+            column += values if den == 1 else [v // den for v in values]
+    return column
 
 
 def section_box(pair, m: int) -> SectionBox:
     """The coefficient boxes of the m-th multiple of a pair, laid out from
     the exponent table ``_lattice`` shares with ``okounkov_sample``: its
-    runs and floor columns, and the denominators built from the floors.  No
-    count is floored here; ``SectionBox`` floors them when they are read.
+    runs and floor columns.  No denominator is built and no count floored
+    here; ``SectionBox`` does both when they are read.
 
     Raises ValueError when the window holds more than ``_MAX_BOX_ENTRIES``
     exponents or the counts may need more than ``_MAX_BOX_BITS`` bits, or
     one count more than ``_MAX_FLOOR_BITS`` allows, and PrecisionExhausted
-    when a denominator needs more than ``_MAX_FLOOR_BITS`` bits."""
+    when a denominator needs more than ``_MAX_FLOOR_BITS`` bits, which the
+    least and greatest floor of each column decide."""
     m, k_lo, size, psi_inf, finite, runs, floors = _lattice(pair, m)
     _check_cost(psi_inf, finite, size, m)
-    return SectionBox(m, _denominators(floors, k_lo, size), runs, floors)
-
-
-def _denominators(floors: dict, k_lo: int, n: int) -> list:
-    """d_k = num / den for the n exponents k from k_lo up as integer pairs
-    (num, den): p^e with e the floor of place p at k goes above when e > 0
-    and below when e < 0."""
-    nums, dens = [1] * n, [1] * n
     for p, column in floors.items():
-        # |e| log2 p past the bit cap: p^e is refused rather than built
+        # |e| log2 p past the bit cap: p^e would be refused rather than built
         cap = _MAX_FLOOR_BITS // (p.bit_length() - 1)
-        for i, e in enumerate(column):
-            if e > cap or -e > cap:
-                raise PrecisionExhausted(
-                    f"the denominator at k = {k_lo + i} has more than "
-                    f"{_MAX_FLOOR_BITS} bits"
-                )
+        if column and (max(column) > cap or -min(column) > cap):
+            i = next(i for i, e in enumerate(column) if e > cap or -e > cap)
+            raise PrecisionExhausted(
+                f"the denominator at k = {k_lo + i} has more than "
+                f"{_MAX_FLOOR_BITS} bits"
+            )
+    return SectionBox(m, k_lo, size, runs, floors)
+
+
+def _denominator_pairs(floors: dict, i: int, j: int) -> list:
+    """d_k = num / den for the exponents at indices i..j-1 of the floor
+    columns as integer pairs (num, den): p^e with e the floor of place p at
+    k goes above when e > 0 and below when e < 0."""
+    nums, dens = [1] * (j - i), [1] * (j - i)
+    for p, column in floors.items():
+        for t, e in enumerate(column[i:j]):
             if e > 0:
-                nums[i] *= p ** e
+                nums[t] *= p ** e
             elif e < 0:
-                dens[i] *= p ** -e
+                dens[t] *= p ** -e
     return list(zip(nums, dens))
 
 
-def _run_floors(ds: list, start: int, a: int, b: int, den: int) -> list:
+def _run_floors(ds: list, start: int, a: int, b: int, den: int, size: int) -> list:
     """floor(num/d * e^q_k) for each (num, d) of ``ds`` and k = start,
-    start + 1, ..., where q_k = (a + b k) / den, den > 0.
+    start + 1, ..., where q_k = (a + b k) / den, den > 0, and ``size`` is an
+    upper bound on the ``_size_bits`` of every entry.
 
     e^q is enclosed once at the first q and stepped by an enclosure of
-    e^(b/den), at P bits: the largest start precision of the run plus 2
+    e^(b/den), at P bits: the start precision of ``size`` plus 2
     bitlen(run length) guard bits, which cover the rounding of the steps.
     The enclosure is carried as its lower end ``low`` and an integer error
     ``err``, the upper end being low + err.  A step multiplies the lower
@@ -509,9 +610,7 @@ def _run_floors(ds: list, start: int, a: int, b: int, den: int) -> list:
         return [0] * n
     ds, start, out, tail = ds[head:end], start + head, [0] * head, [0] * (n - end)
     ks = range(start, start + len(ds))
-    bits = _start_bits(max(_size_bits(num, d, a + b * k, den)
-                           for k, (num, d) in zip(ks, ds)))
-    bits += 2 * len(ds).bit_length()
+    bits = _start_bits(size) + 2 * len(ds).bit_length()
     if bits > _MAX_FLOOR_BITS:
         return out + [_floor_scaled_exp(_q(num, d), _q(a + b * k, den))
                       for k, (num, d) in zip(ks, ds)] + tail

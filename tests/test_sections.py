@@ -25,7 +25,7 @@ import adelic_volumes.cli as cli
 import adelic_volumes.exactnum as exactnum
 import adelic_volumes.pa as pa
 import adelic_volumes.sections as sections
-from adelic_volumes.errors import EmptyPolytope, NotBig, OutOfDomain
+from adelic_volumes.errors import EmptyPolytope, NotBig, OutOfDomain, PrecisionExhausted
 from adelic_volumes.gallery import (
     half_zero_pair,
     height_shift,
@@ -33,10 +33,10 @@ from adelic_volumes.gallery import (
     slant_divisor,
     tent_divisor,
 )
-from adelic_volumes.divisors import BaseCondition, Pair
+from adelic_volumes.divisors import BaseCondition, Pair, ToricAdelicDivisor
 from adelic_volumes.exactnum import floor_fraction, log_unit, scalar_fraction
 from adelic_volumes.harness import sample_big_pair
-from adelic_volumes.pa import Interval, _eval_on_grid
+from adelic_volumes.pa import ConvexPA, Interval, _eval_on_grid
 from adelic_volumes.scenes import save_scene, scene_from_dict
 from adelic_volumes.sections import (
     BoxEntry,
@@ -108,6 +108,7 @@ class TestSectionBox:
         pair = _slant_p2_p3()
         box = section_box(pair, 64)
         assert box.entries == _per_entry_box(pair, 64)
+        assert box.count_product == math.prod(e.count for e in box.entries)
         # built once, and the box stays a value
         assert box.entries is box.entries
         assert box == section_box(pair, 64)
@@ -197,6 +198,27 @@ class TestSectionBox:
         with pytest.raises(EmptyPolytope):
             section_box(starved, 4)
 
+    @pytest.mark.parametrize("shift, k", [(65536, 0), (-65537, 2)])
+    def test_denominator_refusal(self, monkeypatch, shift, k):
+        # slant + p_slant(2) shifted by a constant at 2 has the floors
+        # shift + 1, shift + 1, shift at m = 1: one column end passes the
+        # 2^16 bits of a denominator 2^e, above or below.  _check_cost
+        # refuses such a box first, so it is switched off to reach the
+        # refusal that section_box takes off each column's least and
+        # greatest floor, naming the first exponent past the cap
+        pair = Pair(slant_divisor() + p_slant_divisor(2)
+                    + ToricAdelicDivisor(0, 0, {2: ConvexPA.constant(F(shift))}))
+        with pytest.raises(ValueError, match="may need"):
+            section_box(pair, 1)
+        built = []
+        monkeypatch.setattr(sections, "_check_cost", lambda *args: None)
+        monkeypatch.setattr(sections, "_denominator_pairs",
+                            lambda *args: built.append(args))
+        with pytest.raises(PrecisionExhausted,
+                           match=f"^the denominator at k = {k} has more than 65536 bits$"):
+            section_box(pair, 1)
+        assert not built
+
 
 _LOG_COUNT_BOXES = {
     # 65 counts under 2^93 each: every count is narrow, floored, and the
@@ -215,6 +237,35 @@ _LOG_COUNT_BOXES = {
     "empty": (Pair(slant_divisor(),
                    BaseCondition({"0": F(1, 3), "inf": F(1, 3)})), 1),
 }
+
+
+def _per_count_wide(box, cut):
+    """Whether each count of the box is wide, exponent by exponent:
+    _low_bits(num, den, A + B k, D) >= cut off its own d_k = num / den."""
+    ds = box._denominators
+    return [sections._low_bits(*ds[k - box._k_lo], a + b * k, den) >= cut
+            for start, end, a, b, den in box._runs for k in range(start, end + 1)]
+
+
+def _classified_wide(box, cut):
+    """The same flags read off the segments of _classify, which must be
+    maximal and cover each run in order."""
+    flags = []
+    for run in box._runs:
+        segments = sections._classify(box._floors, box._k_lo, run, cut)
+        assert segments[0][0] == run[0] - box._k_lo
+        assert segments[-1][1] == run[1] + 1 - box._k_lo
+        for (_, j, wide), (i, _, next_wide) in zip(segments, segments[1:]):
+            assert j == i and wide != next_wide
+        for i, j, wide in segments:
+            assert i < j
+            flags += [wide] * (j - i)
+    return flags
+
+
+def _cut(box):
+    """W - 3, the width past which log_count reads a count in closed form."""
+    return exactnum.default_precision_bits() + 32 + box._n.bit_length() - 3
 
 
 def _assert_log_count(box):
@@ -252,10 +303,10 @@ class TestLogCount:
 
     def test_sampled_pairs(self, monkeypatch):
         # sampled pairs, finite places on odd seeds, m in {16, 64, 256}: the
-        # reference is the exact product, one full-width product per count,
-        # so the boxes whose counts may need more than 2^19 bits in all (51
-        # of the 192) are left out by a lowered box budget
-        monkeypatch.setattr(sections, "_MAX_BOX_BITS", 1 << 19)
+        # reference is the exact product, a product tree over the floored
+        # counts, so the boxes whose counts may need more than 2^21 bits in
+        # all (20 of the 192) are left out by a lowered box budget
+        monkeypatch.setattr(sections, "_MAX_BOX_BITS", 1 << 21)
         checked = with_places = 0
         for seed in range(64):
             pair = sample_big_pair(random.Random(seed), allow_finite=seed % 2 == 1)
@@ -267,34 +318,82 @@ class TestLogCount:
                 _assert_log_count(box)
                 checked += 1
                 with_places += bool(sections.place_roofs(pair)[1])
-        assert checked >= 120 and with_places >= 15
+        assert checked >= 165 and with_places >= 15
 
     def test_costliest_box_takes_no_exponential(self, monkeypatch):
         # every count of the costliest admitted box, slant + height_shift(43)
         # at m = 1024 (1,025 counts of about 65,000 bits), is wide: neither
-        # the box nor its log floors a count, so no e^q is enclosed
+        # the box nor its log floors a count or builds a denominator, so no
+        # e^q is enclosed
         def refuse(*args):
-            raise AssertionError("an exponential was enclosed")
+            raise AssertionError("an exponential or a denominator was built")
 
         monkeypatch.setattr(sections, "_exp_mantissas", refuse)
+        monkeypatch.setattr(sections, "_denominator_pairs", refuse)
         box = section_box(Pair(slant_divisor() + height_shift(43)), 1024)
         got = box.log_count()
-        assert "_counts" not in vars(box)
+        assert "_counts" not in vars(box) and "_denominators" not in vars(box)
         assert float(got) == 45658310.475860074
 
+    @pytest.mark.parametrize("case", sorted(_LOG_COUNT_BOXES))
+    def test_classify_matches_the_per_count_predicate(self, case):
+        # the block bounds classify every count as its own _low_bits does,
+        # at log_count's cut and at cuts that make all or none wide
+        box = section_box(*_LOG_COUNT_BOXES[case])
+        for cut in (_cut(box), 0, 500, 10 ** 4):
+            assert _classified_wide(box, cut) == _per_count_wide(box, cut)
+
+    def test_classify_on_sampled_boxes(self):
+        # sampled pairs, finite places on odd seeds, m in {16, 64, 256}
+        checked = mixed = with_places = 0
+        for seed in range(64):
+            pair = sample_big_pair(random.Random(seed), allow_finite=seed % 2 == 1)
+            for m in (16, 64, 256):
+                try:
+                    box = section_box(pair, m)
+                except ValueError:
+                    continue
+                want = _per_count_wide(box, _cut(box))
+                assert _classified_wide(box, _cut(box)) == want, (seed, m)
+                checked += 1
+                mixed += len(set(want)) == 2
+                with_places += bool(box._floors)
+        assert checked >= 190 and mixed >= 70 and with_places >= 30
+
+    def test_log_builds_only_narrow_denominators(self, monkeypatch):
+        # finite_places: the denominators are built for the narrow counts,
+        # each once, in increasing k, and for no wide one
+        pair, m = _LOG_COUNT_BOXES["finite_places"]
+        wide = _per_count_wide(section_box(pair, m), _cut(section_box(pair, m)))
+        built = []
+        original = sections._denominator_pairs
+        monkeypatch.setattr(sections, "_denominator_pairs",
+                            lambda floors, i, j: built.extend(range(i, j))
+                            or original(floors, i, j))
+        box = section_box(pair, m)
+        assert not built
+        box.log_count()
+        assert built == [i for i, is_wide in enumerate(wide) if not is_wide]
+        assert built and any(wide)
+        assert "_denominators" not in vars(box)
+
     def test_box_floors_no_count(self, monkeypatch):
-        # section_box keeps its refusals but floors nothing: the counts are
+        # section_box keeps its refusals but floors nothing and builds no
+        # d_k: the denominators are built, all at once, and the counts
         # floored the first time count_product or entries reads them
-        calls = []
+        calls, built = [], []
         original = sections._run_floors
         monkeypatch.setattr(sections, "_run_floors",
                             lambda *args: calls.append(args) or original(*args))
+        pairs = sections._denominator_pairs
+        monkeypatch.setattr(sections, "_denominator_pairs",
+                            lambda *args: built.append(args[1:]) or pairs(*args))
         box = section_box(_slant_p2_p3(), 64)
-        assert not calls
+        assert not calls and not built
         box.count_product
-        assert len(calls) == 2
+        assert len(calls) == 2 and built == [(0, 193)]
         box.entries
-        assert len(calls) == 2
+        assert len(calls) == 2 and built == [(0, 193)]
 
 
 def _per_entry_box(pair, m):
@@ -436,7 +535,7 @@ class TestLadder:
         pair, m = _LADDER_CASES[case]
         monkeypatch.setattr(sections, "_MARGIN_BITS", -8)
         calls = _counting_fallbacks(monkeypatch)
-        section_box(pair, m)
+        section_box(pair, m).entries
         assert len(calls) <= 2
 
     def test_run_past_the_floor_cap_goes_per_entry(self, monkeypatch):
@@ -470,8 +569,8 @@ class TestLadder:
         # so the whole run goes to the per-entry decider, whose first
         # attempt still fits under the lowered cap.  The entries proven 0
         # at either end of the run are answered with no enclosure, so
-        # neither route sees them; the run's precision is taken over the
-        # entries between them.
+        # neither route sees them; the size bound passed to the run is the
+        # largest _size_bits of the entries between them.
         ds, start, a, b, den = run
         ks = range(start, start + len(ds))
         want = [sections._floor_scaled_exp(F(num, d), F(a + b * k, den))
@@ -481,13 +580,13 @@ class TestLadder:
         lo, hi = (inner[0], inner[-1] + 1) if inner else (0, 0)
         assert not any(want[:lo] + want[hi:])
         ds_in, ks_in = ds[lo:hi], ks[lo:hi]
+        size = max((sections._size_bits(num, d, a + b * k, den)
+                    for k, (num, d) in zip(ks_in, ds_in)), default=0)
         with pytest.MonkeyPatch.context() as patch:
             if margin is not None:
                 patch.setattr(sections, "_MARGIN_BITS", margin)
             fallbacks = []
             if ds_in:
-                size = max(sections._size_bits(num, d, a + b * k, den)
-                           for k, (num, d) in zip(ks_in, ds_in))
                 bits = sections._start_bits(size) + 2 * len(ds_in).bit_length()
                 if margin is None:
                     patch.setattr(sections, "_MAX_FLOOR_BITS", bits - 1)
@@ -500,7 +599,7 @@ class TestLadder:
             original = sections._floor_scaled_exp
             patch.setattr(sections, "_floor_scaled_exp",
                           lambda d, q: calls.append(q) or original(d, q))
-            assert sections._run_floors(ds, start, a, b, den) == want
+            assert sections._run_floors(ds, start, a, b, den, size) == want
         assert calls == [F(a + b * k, den) for k in fallbacks]
 
     def test_one_enclosure_pair_per_run(self):
