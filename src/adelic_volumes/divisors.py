@@ -36,8 +36,8 @@ from .errors import (
     NotEffectiveInput,
     UnboundedPerturbation,
 )
-from .exactnum import (_ZERO, ExactNumber, _from_coeffs, _proven_prime, _q, _qadd, _qmul,
-                       _qsub, _sum_sign, log_unit, scalar_cmp, scalar_sign)
+from .exactnum import (_ZERO, ARCH, ExactNumber, _place_sum, _proven_prime, _q, _qadd, _qmul,
+                       _qsub, _sum_sign, scalar_cmp, scalar_sign)
 from .pa import (
     ConcavePA,
     ConvexPA,
@@ -52,8 +52,6 @@ from .pa import (
     pointwise_min,
     unit_roof,
 )
-
-ARCH = "inf"
 
 Place = Union[str, int]
 
@@ -129,27 +127,25 @@ def _roof_sum(arch_roof: ConcavePA, finite: Sequence) -> ConcavePA:
     of a summand and the weights are positive, so the sum is canonical as
     built.
 
-    With every roof rational, the roofs are read on one integer grid
+    Each value is a place-weighted sum (``exactnum._place_sum``).  With
+    every roof rational, the roofs are read on one integer grid
     (``_integer_grid``, ``_grid_values``), and each value is a linear form
-    in the logs built once from its integer coefficients; otherwise the
-    places are summed in the order given through the field."""
+    in the logs built once from its integer coefficients."""
     if not finite:
         return arch_roof
     roofs = [arch_roof.points] + [r.points for _, r in finite]
+    places = [ARCH] + [p for p, _ in finite]
     xs = _grid(*([x for x, _ in pts] for pts in roofs))
     grid = _integer_grid(roofs, xs)
     if grid is None:
-        ys = _eval_on_grid(arch_roof.points, xs)
-        for p, r in finite:
-            weight = log_unit(p)
-            ys = [y + weight * v for y, v in zip(ys, _eval_on_grid(r.points, xs))]
+        ys = [_place_sum(list(zip(places, vals)))
+              for vals in zip(*(_eval_on_grid(pts, xs) for pts in roofs))]
     else:
         keys, big_u, parts = grid
-        monos = [()] + [(p,) for p, _ in finite]
         ys = []
         for vals in zip(*(_grid_values(xk, yr, keys, big_u) for xk, yr in parts)):
             s = lcm(*[d for _, d in vals])
-            ys.append(_from_coeffs({m: n * (s // d) for m, (n, d) in zip(monos, vals)}, s))
+            ys.append(_place_sum([(v, n * (s // d)) for v, (n, d) in zip(places, vals)], s))
     return ConcavePA._raw(list(zip(xs, ys)))
 
 

@@ -76,31 +76,33 @@ constructor builds, equal in value, type, repr and hash.  That relies on
 one CPython fact:
 ``Fraction.__slots__ == ("_numerator", "_denominator")``, true from
 Python 3.6 to 3.13, and ``tests/test_exactnum.py`` pins it together with
-``_q`` against the constructor.  ``tests/test_kernel_sites.py`` keeps
-every two-int ``Fraction(n, d)`` and every ``as_integer_ratio()`` out of
-``pa``, ``positivity``, ``divisors``, ``harness`` and ``sections``.  On
-the seed-9001 op list of one benchmark worker, ``fractions.py`` fell
-from about 31% to about 3% of the leaf samples of ``tests/leaf_share.py``
-on ``suites``, and from 35-38% to about 10% on ``diskant``, where the
-Diskant report's own formulas keep the Fraction operators (Python 3.11,
-2 vCPU).
+``_q`` against the constructor.  On the seed-9001 op list of one
+benchmark worker, ``fractions.py`` fell from about 31% to about 3% of the
+leaf samples of ``tests/leaf_share.py`` on ``suites``, and from 35-38% to
+about 10% on ``diskant``, where the Diskant report's own formulas keep
+the Fraction operators (Python 3.11, 2 vCPU).
 
-A value whose d is 1, such as every global-roof value (a Q-linear form in
-1, log 2, log 3, ...), has exactly one canonical n / s.  So callers that
-sum many such values (the roof sum, the chords and integrals of roofs in
-``pa``) read them with ``_poly_parts``, add integer coefficient vectors
-per monomial and build the result once with ``_from_coeffs``: the value
-every chain of field operations would return, without the chain.  A sum
-of such values and quotients over affine denominators (the clipped ends of
-an integral, products with a Zariski region's ends) is built once the same
-way by ``_affine_quotient_sum``, whose only cancellation is trial division
-by the primitive affine parts.
+Only this module knows how a monomial and an ExactNumber are stored
+(``tests/test_kernel_sites.py`` holds the other modules to it).  A value
+whose d is 1, such as every global-roof value (a Q-linear form in 1,
+log 2, log 3, ...), has exactly one canonical n / s.  So a sum of many
+such values is read as integer coefficients per monomial
+(``_poly_parts``, ``_poly_columns``), added with ``_lin`` and built once
+with ``_from_coeffs``: the value every chain of field operations would
+return, without the chain.  So is the place-weighted sum
+sum_v c_v q_v (``_place_sum``), c_v = 1 at ``ARCH`` and log p at p
+(``_weight_mono``).  A sum of such values and quotients over affine
+denominators (the clipped ends of an integral, products with a Zariski
+region's ends) is built once the same way by ``_affine_quotient_sum``,
+whose only cancellation is trial division by the primitive affine
+parts.  ``positivity``'s line kernel reads them as ring elements of
+Z[log 2, log 3, ...] (``_split``, ``_cleared``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import copysign, gcd, inf, isqrt, prod
+from math import copysign, gcd, inf, isqrt, lcm, prod
 from typing import Union
 
 from .errors import PrecisionExhausted
@@ -770,6 +772,75 @@ def _poly_parts(x):
     if type(x) is ExactNumber and x._den is _UNIT:
         return x._num, x._scale
     return None
+
+
+def _poly_columns(values):
+    """(cols, monos, s) with values[i] = sum_j cols[j][i] monos[j] / s, one
+    int column per monomial over the lcm s of the values' scales; None
+    unless every d is 1.  Fractions alone give the column of 1 at once."""
+    if all(type(y) is Fraction for y in values):
+        s = lcm(*[y._denominator for y in values])
+        return [[y._numerator * (s // y._denominator) for y in values]], [()], s
+    parts = [_poly_parts(y) for y in values]
+    if not all(parts):
+        return None
+    s = lcm(*[b for _, b in parts])
+    monos = list(dict.fromkeys([m for n, _ in parts for m in n]))
+    return [[n.get(m, 0) * (s // b) for n, b in parts] for m in monos], monos, s
+
+
+ARCH = "inf"  # the archimedean place, of weight 1; a prime p weighs log p
+
+
+def _weight_mono(place) -> Mono:
+    """The monomial of a place's weight: 1 at ARCH, log p at p."""
+    return () if place == ARCH else (place,)
+
+
+def _place_sum(terms, den=None):
+    """sum_v c_v q_v over the pairs (v, q_v), c_v the weight of the place
+    v, built once from integer coefficients when the q_v are ints over den
+    or Fractions; q_v itself for ARCH alone, else the sum in the field."""
+    if den is None:
+        if len(terms) == 1 and terms[0][0] == ARCH:
+            return terms[0][1]
+        if not all(type(q) is Fraction for _, q in terms):
+            return sum((q if v == ARCH else log_unit(v) * q for v, q in terms), _ZERO)
+        den = lcm(*[q._denominator for _, q in terms])
+        terms = [(v, q._numerator * (den // q._denominator)) for v, q in terms]
+    coeffs: Poly = {}
+    for v, n in terms:
+        mono = _weight_mono(v)
+        coeffs[mono] = coeffs.get(mono, 0) + n
+    return _from_coeffs(coeffs, den)
+
+
+def _ring(x):
+    """A value n / 1 as a ring element of Z[log 2, ...]: an int if rational."""
+    return x._numerator if type(x) is Fraction else x
+
+
+def _split(v) -> tuple:
+    """(n, m), ring elements with v = n / m and m > 0: the two ints of a
+    Fraction, or n and s d of an ExactNumber n / (s d)."""
+    if type(v) is Fraction:
+        return v._numerator, v._denominator
+    return _ring(_from_coeffs(v._num, 1)), _ring(_from_coeffs(v._den, 1)) * v._scale
+
+
+def _cleared(*values) -> tuple:
+    """(s, s v_1, s v_2, ...): s the product of the distinct denominator
+    polynomials of the values that are not Fractions, a ring element (1
+    when there is none), and each value times s, a value whose d is 1,
+    formed on its integer polynomials with no quotient."""
+    parts = [_parts(v) for v in values]
+    dens: list = []
+    for _, _, den, _ in parts:
+        if den is not _UNIT and all(den != f for f in dens):
+            dens.append(den)
+    return (_ring(_from_coeffs(_product(dens), 1)),) + tuple(
+        _from_coeffs(_mul(num, _product([f for f in dens if f != den])), s)
+        for num, s, den, _ in parts)
 
 
 def _make(num: Poly, p: int, q: int, den: Poly, factors=None, trial=()):

@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 from .divisors import ARCH, BaseCondition, Pair, ToricAdelicDivisor, as_pair, min_adelic
 from .errors import NotBig, NotConvex, UnknownSuite
-from .exactnum import (_ZERO, _q, _qsub, _sum_sign, log_unit, scalar_cmp, scalar_float,
-                       scalar_sign)
+from .exactnum import (_ZERO, _place_sum, _q, _qsub, _sum_sign, log_unit, scalar_cmp,
+                       scalar_float, scalar_sign)
 from .gallery import half_zero_pair, height_shift, p_slant_divisor, slant_divisor, tent_divisor
 from .pa import (ConvexPA, PAGeneral, _grid, _min_scalar, _values_on_grid, abs_scalar,
                  convex_envelope, legendre_potential, legendre_roof)
@@ -520,11 +520,10 @@ def _suite_continuity(rng, count):
         phi = _nonconvex_bump(rng).scale(_q(rng.choice([-1, 1]), 1))
         perturbed = pair.perturb(place, phi)
         delta = abs_scalar(avol(perturbed) - avol(pair))
-        unit = _q(1, 1) if place == ARCH else log_unit(place)
         window = pair.shifted_polytope()
         # The roof moves by at most sup|phi| / 2 (times log p at a finite
         # place), and the volume is twice an integral over the window.
-        bound = (window.hi - window.lo) * unit * phi.sup_norm()
+        bound = _place_sum([(place, (window.hi - window.lo) * phi.sup_norm())])
         slack = bound - delta
         ok = scalar_sign(slack) >= 0
         yield ok, slack, None if ok else {
@@ -634,8 +633,7 @@ def _suite_okounkov_match(rng, count):
         ok = bool(data.avol == avol(pair))
         # the floor at place p takes less than log p / m off the transform,
         # and nothing when there is no finite place
-        bound = sum((log_unit(p) for p in pair.divisor.places if p != ARCH),
-                    _ZERO) / m
+        bound = _place_sum([(p, _q(1, m)) for p in pair.divisor.places if p != ARCH])
         slack = bound
         for w, t in okounkov_sample(pair, m).entries:
             gap = data.transform.eval(w) - t

@@ -95,21 +95,23 @@ union of the breakpoints as integers over two denominators
 pairing as one integer numerator (``_jet_pairing``).
 
 Roof values are Q-linear forms in 1, log 2, log 3, ..., stored as n / s
-with denominator polynomial 1.  ``_chord`` (the ends of
-``ConcavePA.restrict``) reads them with ``exactnum._poly_parts``, sums
-per monomial over Z and builds the result once with
+with denominator polynomial 1, and only ``exactnum`` knows how a monomial
+is stored.  ``_chord`` (the ends of ``ConcavePA.restrict``) reads them
+with ``exactnum._poly_parts``, sums per monomial over Z with
+``exactnum._lin`` and builds the result once with
 ``exactnum._from_coeffs``.  The arithmetic volume is twice the integral of
 a concave roof's positive part, a sum of trapezoids w (y1 + y2) and at
 most two clipped ends w y_in^2 / (y_in - y_out), and one function forms
 it: ``_twice_area``, on breakpoints as integer keys and values as one
 integer column per monomial of the logs.  ``_twice_integral`` puts a
-roof's points on that grid, for ``positivity.avol`` and, halved, for
-:func:`integrate_positive_part`, and the line kernel's volume reads them
-off its merged hulls.  One column of the monomial 1 is summed over Z
-into one Fraction; columns in the logs are summed per monomial, and the
-clipped ends join the sum as one quotient over the clip denominators,
-reduced by trial division by their primitive affine parts
-(``exactnum._affine_quotient_sum``): no heuristic gcd runs.
+roof's points on that grid (``exactnum._poly_columns``), for
+``positivity.avol`` and, halved, for :func:`integrate_positive_part`,
+and the line kernel's volume reads them off its merged hulls.  One
+column of the monomial 1 is summed over Z into one Fraction; columns in
+the logs are summed per monomial, and the clipped ends join the sum as
+one quotient over the clip denominators, reduced by trial division by
+their primitive affine parts (``exactnum._affine_quotient_sum``): no
+heuristic gcd runs.
 
 Any other operand takes the operator formula the primitive replaced, kept
 beside the integer route.  A line probe of the benchmark workloads, every
@@ -146,7 +148,7 @@ so results are byte-identical to the operator route.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -156,9 +158,9 @@ from .errors import (
     OutOfDomain,
     UnboundedBelow,
 )
-from .exactnum import (_ZERO, ExactNumber, Scalar, _affine_quotient_sum, _from_coeffs, _mul,
-                       _poly_parts, _poly_sign, _q, _qadd, _qmul, _qsub, scalar_cmp,
-                       scalar_sign)
+from .exactnum import (_ZERO, ARCH, ExactNumber, Scalar, _affine_quotient_sum, _from_coeffs,
+                       _lin, _mul, _poly_columns, _poly_parts, _poly_sign, _q, _qadd, _qmul,
+                       _qsub, _weight_mono, scalar_cmp, scalar_sign)
 
 
 def as_scalar(value) -> Scalar:
@@ -352,17 +354,6 @@ def _merge_collinear(pts: list, left_slope=None, right_slope=None) -> list:
     return out
 
 
-def _poly_sum(*terms) -> dict:
-    """The integer polynomial sum k n over the pairs (k, n) of an int and
-    an integer polynomial; zero entries are kept (``_from_coeffs`` drops
-    them)."""
-    out: dict = {}
-    for k, n in terms:
-        for m, c in n.items():
-            out[m] = out.get(m, 0) + k * c
-    return out
-
-
 def _chord(p, q, x) -> Scalar:
     """y_p + (y_q - y_p) (x - x_p) / (x_q - x_p), the value at x of the
     chord through p and q.  With Fraction x coordinates and values that are
@@ -384,8 +375,7 @@ def _chord(p, q, x) -> Scalar:
             (n0, s0), (n1, s1) = r0, r1
             if td < 0:
                 tn, td = -tn, -td
-            return _from_coeffs(_poly_sum((s1 * (td - tn), n0), (s0 * tn, n1)),
-                                s0 * s1 * td)
+            return _from_coeffs(_lin(n0, s1 * (td - tn), n1, s0 * tn), s0 * s1 * td)
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
@@ -710,9 +700,7 @@ def _grid(*groups) -> list:
     xs = [x for group in groups for x in group]
     rs = _ratios(xs)
     if rs:
-        m = 1
-        for _, d in rs:
-            m = m // gcd(m, d) * d
+        m = lcm(*[d for _, d in rs])
         keyed: dict = {}
         for x, (n, d) in zip(xs, rs):
             keyed.setdefault(n * (m // d), x)
@@ -1176,11 +1164,10 @@ def _twice_integral(f: ConcavePA) -> Scalar:
     """
     pts = f.points
     xr = _ratios([x for x, _ in pts])
-    ys = xr and [_poly_parts(y) for _, y in pts]
-    if ys and all(ys):
-        big_u, big_s = lcm(*[b for _, b in xr]), lcm(*[s for _, s in ys])
-        monos = list(dict.fromkeys([m for n, _ in ys for m in n]))
-        cols = [[n.get(m, 0) * (big_s // s) for n, s in ys] for m in monos]
+    read = xr and _poly_columns([y for _, y in pts])
+    if read:
+        cols, monos, big_s = read
+        big_u = lcm(*[b for _, b in xr])
         total, = _twice_area([a * (big_u // b) for a, b in xr], cols, monos,
                              big_u * big_s)
         if total is not None:
@@ -1218,7 +1205,7 @@ def _twice_area(grid, cols, monos, den, layers=1) -> list:
     the logs are summed per monomial, and each coefficient is built once
     by ``exactnum._affine_quotient_sum``, which gives None for a clip
     denominator of degree above 1."""
-    ints = len(cols) == 1 and not monos[0]
+    ints = len(cols) == 1 and monos[0] == _weight_mono(ARCH)
     if ints:
         ys, sign = cols[0], scalar_sign
     else:
@@ -1247,7 +1234,7 @@ def _twice_area(grid, cols, monos, den, layers=1) -> list:
         return [_q(_layer(num, j), den * q) for j in range(layers)]
     ends = []
     for w, y_in, y_out in clips:
-        lin = _poly_sum((1, y_in), (-1, y_out))
+        lin = _lin(y_in, 1, y_out, -1)
         if type(w) is not int:
             k = 0 if w[0] else 1
             w, lin = w[k], {mono: c[k] for mono, c in lin.items()}

@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 from .divisors import _ZERO, ARCH, Pair, ToricAdelicDivisor, _place_sort_key, as_pair
 from .errors import EmptyPolytope, NotBig, NotNef
-from .exactnum import (_UNIT, Scalar, _from_coeffs, _linear_combination, _mul, _parts,
-                       _poly_parts, _product, _q, _qadd, _qdiv, _qsub, log_unit, scalar_cmp,
+from .exactnum import (Scalar, _cleared, _linear_combination, _place_sum, _q, _qadd, _qdiv,
+                       _qsub, _split, _weight_mono, log_unit, scalar_cmp,
                        scalar_float, scalar_sign)
 from .pa import (ConvexPA, Interval, _grid_jets, _grid_values, _integer_grid, _jet_pairing,
                  _on_line, _ratios, _twice_area, _twice_integral, legendre_potential,
@@ -82,14 +82,10 @@ def _roof_ends(divisor) -> tuple:
     (0, 0) and adds 0.
     """
     lo, hi = _qsub(_ZERO, divisor.cinf), divisor.c0
-    ends = ([], [], [])
-    for place, pot in divisor._potentials.items():
-        (u, y), (w, z) = pot.points[0], pot.points[-1]
-        mono = () if place == ARCH else (place,)
-        ends[0].append((mono, _on_line(u, y, lo)))  # y - lo u
-        ends[1].append((mono, _on_line(w, z, hi)))
-        ends[2].append((mono, _qsub(_ZERO, u)))
-    return tuple(_place_sum(terms) for terms in ends)
+    pots = divisor._potentials.items()
+    return (_place_sum([(v, _on_line(*pot.points[0], lo)) for v, pot in pots]),  # y - lo u
+            _place_sum([(v, _on_line(*pot.points[-1], hi)) for v, pot in pots]),
+            _place_sum([(v, _qsub(_ZERO, pot.points[0][0])) for v, pot in pots]))
 
 
 # -- volume and bigness ----------------------------------------------------
@@ -204,7 +200,7 @@ def adeg_product(a, b):
     bilinear, so adeg(a, b) is sum_ij t_i s_j S_ij, where
     S_ij = sum_v c_v (pairing of J_i and J_j at v) is rational at each
     place (``_jet_pairing``, one integer numerator) and is built once over
-    the places from its integer coefficients (``_from_coeffs``); the
+    the places from its integer coefficients (``exactnum._place_sum``); the
     symbolic tails multiply in only at the end.  ValueError when a
     potential has a breakpoint or a value outside Q, which only a library
     caller can build, as for ``pseff_threshold``.
@@ -217,15 +213,14 @@ def adeg_product(a, b):
     if None in grids:
         raise ValueError("a potential has data outside Q; its intersection "
                          "numbers have no integer pass")
-    # per (i, j): the pairing at each place, with the monomial of its weight
+    # per (i, j): the pairing at each place
     pairings: dict = {}
     for place, pair, (keys, big_u, parts) in zip(places, pots, grids):
-        mono = () if place == ARCH else (place,)
         basis_a, basis_b = (_jet_basis(f, part, keys, big_u) for f, part in zip(pair, parts))
         for i, ja in enumerate(basis_a):
             for j, jb in enumerate(basis_b):
                 pairings.setdefault((i, j), []).append(
-                    (mono, _jet_pairing(keys, big_u, ja, jb)))
+                    (place, _jet_pairing(keys, big_u, ja, jb)))
     sums = {key: _place_sum(terms) for key, terms in pairings.items()}
     # every potential of a divisor has the divisor's tails
     ta = [t for t in (_qsub(_ZERO, a.cinf), a.c0) if type(t) is not Fraction]
@@ -274,25 +269,6 @@ def _jet_basis(pot, part, keys, big_u) -> list:
     if type(pot.right_slope) is not Fraction:
         out.append(_grid_jets(xk, flat, keys, big_u, _ZERO, _ONE))
     return out
-
-
-def _place_sum(terms):
-    """sum_v c_v q_v for the pairs (monomial of c_v, q_v): q_v for the
-    archimedean place alone, else built once from integer coefficients over
-    the least common denominator when every q_v is a Fraction, else in the
-    field."""
-    if len(terms) == 1 and not terms[0][0]:
-        return terms[0][1]
-    if not all(type(q) is Fraction for _, q in terms):
-        return sum((q if not mono else log_unit(mono[0]) * q for mono, q in terms), _ZERO)
-    den = 1
-    for _, q in terms:
-        d = q._denominator
-        den = den // gcd(den, d) * d
-    coeffs: dict = {}
-    for mono, q in terms:
-        coeffs[mono] = coeffs.get(mono, 0) + q._numerator * (den // q._denominator)
-    return _from_coeffs(coeffs, den)
 
 
 def positive_intersection(pair, direction):
@@ -423,10 +399,11 @@ class _Line:
     tails may be ring elements: integer polynomials in the logs, ints or
     ``ExactNumber`` values n / 1, whose signs ``_poly_sign`` decides.  A t
     in Q(log p), the step after a finite-place top, is split as n / m
-    (``_split``).  For tails in Q(log p), a Zariski positive part's region
-    ends, let mu and lam be the products of the denominators of D's and
-    E's tails (``_tail_scale``): the line is (mu D + (t / lam) lam mu E) / mu,
-    on rows and tails over integers, and ``top`` divides x and g by mu.
+    (``exactnum._split``).  For tails in Q(log p), a Zariski positive
+    part's region ends, let mu and lam be the products of the denominators
+    of D's and E's tails (``exactnum._cleared``): the line is
+    (mu D + (t / lam) lam mu E) / mu, on rows and tails over integers, and
+    ``top`` divides x and g by mu.
     Breakpoints or values outside Q, which only a library caller can build,
     have no pass: every method raises ValueError.  ``volume`` (a Fraction
     t) and ``jet`` (t = +-eps, ``_Eps``) also raise it on tails outside Q.
@@ -443,13 +420,12 @@ class _Line:
         scaled = self._scales = None
         if ends is None:
             # tails outside Q: the line (mu D + (t / lam) lam mu E) / mu
-            mu, ci_d, c0_d = _tail_scale(d)
-            lam, ci_e, c0_e = _tail_scale(direction)
+            mu, ci_d, c0_d = _cleared(d.cinf, d.c0)
+            lam, ci_e, c0_e = _cleared(direction.cinf, direction.c0)
             ci_e, c0_e = mu * ci_e, mu * c0_e
             self._scales = lam, mu
             scaled = ((mu, -ci_d, c0_d), (lam * mu, -ci_e, c0_e))
-            ends = [(_ring(_from_coeffs(a, 1)), b) for a, b in map(_poly_parts, (
-                ci_d, ci_e, c0_d, c0_e) + tuple(mu * v for v in orders))]
+            ends = [_split(v) for v in (ci_d, ci_e, c0_d, c0_e) + tuple(mu * v for v in orders)]
         places = sorted(dict.fromkeys((ARCH,) + d.places + direction.places),
                         key=_place_sort_key)
         # per place: its weight c_v and its rows, or None
@@ -464,7 +440,7 @@ class _Line:
             k = lcm(*(b for _, b in ends))
             e = lcm(*(ints[i] for _, ints in self._places for i in (1, 3)))
             self._kernel = (k, [a * (k // b) for a, b in ends], e,
-                            [(() if v == ARCH else (v,), e // ints[3], e // ints[1])
+                            [(_weight_mono(v), e // ints[3], e // ints[1])
                              for v, (_, ints) in zip(places, self._places)])
 
     def top(self, t):
@@ -633,57 +609,27 @@ def _tabulate(pd, pe, scaled=None):
     Fraction tails P and Q are ints with no common factor with C.  With
     scaled, ((s, ls, rs), (s', ls', rs')), they are the rows of s pd and
     s' pe with the tails ls, rs and ls', rs', values whose d is 1
-    (``_tail_scale``): ring elements over the int C."""
+    (``exactnum._cleared``): ring elements over the int C."""
     grid = _integer_grid((pd.points, pe.points))
     if grid is None:
         return None
     xs, big_u, parts = grid
-    if scaled is not None:
+    if scaled is None:
+        cols = [_grid_values(xk, yr, xs, big_u, f.left_slope, f.right_slope)
+                for f, (xk, yr) in zip((pd, pe), parts)]
+    else:
         # s times each value with flat tails, plus the scaled tail's rise
-        # past the first or the last breakpoint
-        cols = [[s * _q(a, b) + (ls * _q(x - xk[0], big_u) if x < xk[0] else
-                                 rs * _q(x - xk[-1], big_u) if x > xk[-1] else 0)
+        # past the first or the last breakpoint, each split as n / m
+        cols = [[_split(s * _q(a, b) + (ls * _q(x - xk[0], big_u) if x < xk[0] else
+                                        rs * _q(x - xk[-1], big_u) if x > xk[-1] else 0))
                  for x, (a, b) in zip(xs, _grid_values(xk, yr, xs, big_u, _ZERO, _ZERO))]
                 for (xk, yr), (s, ls, rs) in zip(parts, scaled)]
-        c = lcm(*(_poly_parts(v)[1] for col in cols for v in col))
-        ps, qs = ([_ring(v * c) for v in col] for col in cols)
-        return xs, big_u, ps, c, qs
-    cols = [_grid_values(xk, yr, xs, big_u, f.left_slope, f.right_slope)
-            for f, (xk, yr) in zip((pd, pe), parts)]
     c = lcm(*[b for col in cols for _, b in col])
     ps, qs = ([a * (c // b) for a, b in col] for col in cols)
-    g = gcd(c, *ps, *qs)
+    g = 1 if scaled else gcd(c, *ps, *qs)
     if g > 1:
         c, ps, qs = c // g, [p // g for p in ps], [q // g for q in qs]
     return xs, big_u, ps, c, qs
-
-
-def _tail_scale(divisor) -> tuple:
-    """(s, s cinf, s c0): s the product of the distinct denominators of the
-    divisor's tails that are not Fractions, a ring element (1 when there
-    is none), and each tail times s, a value whose d is 1, formed on its
-    integer polynomials with no quotient."""
-    parts = [_parts(v) for v in (divisor.cinf, divisor.c0)]
-    dens: list = []
-    for _, _, den, _ in parts:
-        if den is not _UNIT and all(den != f for f in dens):
-            dens.append(den)
-    return (_ring(_from_coeffs(_product(dens), 1)),) + tuple(
-        _from_coeffs(_mul(num, _product([f for f in dens if f != den])), s)
-        for num, s, den, _ in parts)
-
-
-def _ring(x):
-    """A value with denominator 1 as a ring element: an int when rational."""
-    return x._numerator if type(x) is Fraction else x
-
-
-def _split(v) -> tuple:
-    """(n, m), ring elements with v = n / m and m > 0: the two ints of a
-    Fraction, or n and s d of an ExactNumber n / (s d)."""
-    if type(v) is Fraction:
-        return v._numerator, v._denominator
-    return _ring(_from_coeffs(v._num, 1)), _ring(_from_coeffs(v._den, 1)) * v._scale
 
 
 def _quo(a, b):
@@ -738,7 +684,7 @@ def _fall_rate(line, t, x, where):
     upper edge.  h is concave and piecewise affine, so its maximum is at
     delta = 0, at a bound, or where two active rows of one place cross.
 
-    With t = tn / tm and x = xn / xd (``_split``), pD - t pN - x u is
+    With t = tn / tm and x = xn / xd (``exactnum._split``), pD - t pN - x u is
     ((P tm - tn Q) U xd - xn X C tm) / (C tm U xd), so the active rows are
     read off the numerators.  On the kernel's denominator e, pN - u delta
     at delta = a / b (b > 0) is (Q (e / C) b - X (e / U) a) / (e b), the

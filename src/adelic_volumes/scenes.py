@@ -53,8 +53,8 @@ _DECIMAL_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE]([-+]?\d+(?:_\d+)*)\s*")
 # scene (192 breakpoints) against itself takes 0.11-0.16 s, and against
 # six-digit random breakpoints (87, just under MAX_SCENE_BITS) 0.25-0.27 s
 # or twelve-digit ones (47) 0.32-0.36 s, in either order.  Those two
-# against each other exit 2 after 0.38-0.52 s: an exact slack holds an
-# integer past Python's 4300-digit limit on int-to-str conversion.  The CI
+# against each other take 0.38-0.51 s in either order, and print exact
+# slacks past Python's 4300-digit limit on int-to-str conversion.  The CI
 # three-place scene (64 integer breakpoints at each of inf, 2 and 3)
 # against the CI scene takes 0.18-0.29 s in either order.  On the CI scene
 # `avol` takes 0.11-0.12 s, `derivative` along itself 0.12 s, `okounkov`
@@ -166,7 +166,13 @@ def load_scene(path) -> Pair:
 
 
 def save_scene(pair: Pair, path, comment: str = None) -> None:
+    """Write the pair as a scene file; ValueError, writing nothing, if
+    ``load_scene`` would refuse the file (data outside Q or over budget)."""
     payload = scene_to_dict(pair)
+    try:
+        scene_from_dict(payload)
+    except ValueError as exc:
+        raise ValueError(f"the pair cannot be saved as a scene: {exc}") from None
     if comment is not None:
         payload["comment"] = comment
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")

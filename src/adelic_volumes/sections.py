@@ -63,7 +63,7 @@ from fractions import Fraction
 
 from .divisors import ARCH, as_pair
 from .errors import EmptyPolytope, NotBig, OutOfDomain, PrecisionExhausted
-from .exactnum import (_atanh, _from_coeffs, _log_bounds, _q, default_precision_bits,
+from .exactnum import (_atanh, _log_bounds, _place_sum, _q, default_precision_bits,
                        floor_fraction, scalar_cmp, scalar_fraction)
 from .pa import ConcavePA, Interval, _on_line, _slope, _twice_integral, unit_roof
 
@@ -239,12 +239,7 @@ def place_roofs(pair) -> tuple:
     if divisor.polytope().is_empty:
         raise EmptyPolytope(f"{divisor!r} has negative degree; no sections")
     psi_inf = unit_roof(divisor.potential(ARCH))
-    finite = {}
-    for place in divisor.places:
-        if place == ARCH:
-            continue
-        finite[place] = unit_roof(divisor.potential(place))
-    return psi_inf, finite
+    return psi_inf, {p: unit_roof(divisor.potential(p)) for p in divisor.places if p != ARCH}
 
 
 @dataclass(frozen=True)
@@ -686,10 +681,9 @@ def okounkov_sample(pair, m: int) -> OkounkovSample:
     entries = []
     for start, end, a, b, den in reversed(runs):
         for k in range(end, start - 1, -1):
-            coeffs = {(): a + b * k}
-            for p, column in floors.items():
-                coeffs[(p,)] = den * column[k - k_lo]
-            entries.append((_q(-k, m), _from_coeffs(coeffs, den * m)))
+            terms = [(ARCH, a + b * k)] + [(p, den * column[k - k_lo])
+                                          for p, column in floors.items()]
+            entries.append((_q(-k, m), _place_sum(terms, den * m)))
     return OkounkovSample(m=m, entries=tuple(entries))
 
 

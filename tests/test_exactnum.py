@@ -793,6 +793,52 @@ def test_from_coeffs_matches_the_field_sum(coeffs, s, k, constant_only):
     _same_parts(got, _ref_from_coeffs(coeffs, s * k))
 
 
+def _field_place_sum(terms):
+    total = Fraction(0)
+    for v, q in terms:
+        total = total + (q if v == exactnum.ARCH else log_unit(v) * q)
+    return total
+
+
+def _same_value(got, want):
+    assert type(got) is type(want) and repr(got) == repr(want)
+    if isinstance(want, ExactNumber):
+        assert _parts(got) == _parts(want) and got._factors == want._factors
+
+
+_PLACES = st.sampled_from([exactnum.ARCH, 2, 3, 5])
+_RATIONALS = st.one_of(st.fractions(max_denominator=12),
+                       st.fractions(max_denominator=2**80).map(lambda q: q * 2**40))
+# region ends of Zariski positive parts: quotients of affine forms in the logs
+_ENDS = st.sampled_from([(2 + L3 / 2 + 9 * L5) / (2 + 5 * L3 + 8 * L5),
+                         (1 + L3) / (1 + L5), (3 - L2) / (1 + L5), 7 * L5 / 4 - 1])
+
+
+@given(st.lists(st.tuples(_PLACES, _RATIONALS), min_size=1, max_size=5))
+@example([(exactnum.ARCH, Fraction(-7, 3))])                     # ARCH alone
+@example([(2, Fraction(1, 2)), (2, Fraction(-1, 2))])            # a zero sum
+@example([(exactnum.ARCH, Fraction(3, 4)), (5, Fraction(5, 6)), (3, Fraction(0))])
+@settings(max_examples=200, deadline=None)
+def test_place_sum_of_fractions_is_the_field_sum(terms):
+    _same_value(exactnum._place_sum(terms), _field_place_sum(terms))
+    # the same sum handed over as int numerators over one denominator
+    den = lcm(*(q.denominator for _, q in terms))
+    ints = [(v, q.numerator * (den // q.denominator)) for v, q in terms]
+    _same_value(exactnum._place_sum(ints, den), _field_place_sum(terms))
+
+
+@given(st.lists(st.tuples(_PLACES, st.one_of(_RATIONALS, _ENDS)), min_size=1, max_size=3)
+       .filter(lambda terms: any(isinstance(q, ExactNumber) for _, q in terms)))
+@example([(exactnum.ARCH, (2 + L3 / 2 + 9 * L5) / (2 + 5 * L3 + 8 * L5))])
+@example([(exactnum.ARCH, Fraction(1, 3)), (3, (1 + L3) / (1 + L5)),
+          (5, Fraction(-2))])
+@settings(max_examples=100, deadline=None)
+def test_place_sum_of_mixed_values_is_the_field_sum(terms):
+    # the route of positivity._roof_ends on a positive part with tails in
+    # Q(log p)
+    _same_value(exactnum._place_sum(terms), _field_place_sum(terms))
+
+
 def test_affine_quotient_sum_takes_zero_entries():
     # a zero entry of a term's numerator for a monomial that the sum so far
     # lacks (a layer of a jet's clipped end) adds nothing

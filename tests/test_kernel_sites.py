@@ -10,6 +10,10 @@ protocol of CPython's pure-Python Fraction again, so none may appear.  A
 one-argument ``Fraction(x)`` converts public input (strings of payloads and
 scene files, ints, floats); each one left is named below with its reason,
 and any other one fails.
+
+They know no more of ``exactnum``'s field than its values: a monomial
+literal, a read of an ``ExactNumber`` slot or an import of the polynomial
+helpers would build on the encoding that only ``exactnum`` may change.
 """
 
 import ast
@@ -88,3 +92,51 @@ def test_the_guard_sees_each_kind():
     assert _sites(source) == [
         ("", "Fraction/2", 1), ("A.f", "Fraction/1", 4), ("A.f", "as_integer_ratio", 4),
         ("A.f", "numerator", 4), ("A.g", "Fraction/2", 6), ("A.g", "denominator", 6)]
+
+
+# ExactNumber n / (s d) keeps n, d, s and d's factors in these slots
+SLOTS = ("_num", "_den", "_scale", "_factors")
+POLY_HELPERS = ("_UNIT", "_parts", "_product", "_mono_mul")
+
+
+def _encoding_sites(source: str):
+    """(kind, line) for each monomial literal, ``ExactNumber`` slot read and
+    import of a polynomial helper in the source, in source order.  A
+    monomial literal is a tuple of fewer than two elements: ``()`` or
+    ``(p,)``; ``(ARCH,)`` and the value of ``__slots__`` are no monomial."""
+    tree = ast.parse(source)
+    slots = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)}
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Load)
+                and len(node.elts) < 2 and id(node) not in slots
+                and not (node.elts and isinstance(node.elts[0], ast.Name)
+                         and node.elts[0].id == "ARCH")):
+            out.append(("monomial", node.lineno, node.col_offset))
+        elif isinstance(node, ast.Attribute) and node.attr in SLOTS:
+            out.append((node.attr, node.lineno, node.col_offset))
+        elif isinstance(node, ast.ImportFrom):
+            out += [(f"import {a.name}", node.lineno, node.col_offset) for a in node.names
+                    if a.name in POLY_HELPERS]
+    return [(kind, line) for kind, line, _ in sorted(out, key=lambda site: site[1:])]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_exactnum_knows_the_encoding(module):
+    bad = _encoding_sites((SRC / f"{module}.py").read_text())
+    assert not bad, f"{module}.py builds on exactnum's encoding: {bad}"
+
+
+def test_the_encoding_guard_sees_each_kind():
+    source = ("from .exactnum import ARCH, _UNIT, _lin, _parts\n"
+              "from .exactnum import _product, _mono_mul\n"
+              "class A:\n"
+              "    __slots__ = ('_x',)\n"
+              "    def f(self, x, p):\n"
+              "        y, = (ARCH,) + (p,)\n"
+              "        return {(): 1}, x._num, x._den, x._scale, x._factors, x._numerator\n")
+    assert _encoding_sites(source) == [
+        ("import _UNIT", 1), ("import _parts", 1), ("import _product", 2),
+        ("import _mono_mul", 2), ("monomial", 6), ("monomial", 7), ("_num", 7),
+        ("_den", 7), ("_scale", 7), ("_factors", 7)]

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -61,13 +62,28 @@ def scenes(tmp_path):
 class TestScenes:
     @pytest.mark.parametrize("pair", [
         Pair(slant_divisor()),
+        Pair(tent_divisor()),
         half_zero_pair(),
+        Pair(height_shift(1)),
         Pair(p_slant_divisor(2)),
     ])
     def test_round_trip(self, tmp_path, pair):
         path = tmp_path / "scene.json"
         save_scene(pair, path, comment="round trip fixture")
         assert load_scene(path) == pair
+
+    def test_pair_outside_q_is_not_saved(self, tmp_path):
+        # a positive part whose tails, its region's ends, lie in Q(log p):
+        # a file of it would not load, so none is written
+        from adelic_volumes.positivity import zariski_positive_part
+
+        positive = zariski_positive_part(harness.sample_big_pair(random.Random(3))).positive
+        assert str(positive.cinf) == "(2 + 1/2*log(3) + 9*log(5))/(2 + 5*log(3) + 8*log(5))"
+        path = tmp_path / "positive.json"
+        with pytest.raises(ValueError, match="cannot be saved") as info:
+            save_scene(Pair(positive), path)
+        assert "\n" not in str(info.value)
+        assert not path.exists()
 
     def test_comment_is_ignored(self):
         payload = scene_to_dict(Pair(slant_divisor()))
