@@ -110,7 +110,8 @@ from .errors import PrecisionExhausted
 Mono = tuple  # tuple[int, ...], sorted primes with multiplicity
 Poly = dict  # dict[Mono, int]
 
-_UNIT = {(): 1}  # the denominator of every value whose d is 1
+_MONO_ONE: Mono = ()  # the monomial 1, of a value's rational part
+_UNIT = {_MONO_ONE: 1}  # the denominator of every value whose d is 1
 
 _PRECISION_BITS = 64
 _SIGN_BITS = 128  # the first rung of the sign ladder
@@ -777,10 +778,7 @@ def _poly_parts(x):
 def _poly_columns(values):
     """(cols, monos, s) with values[i] = sum_j cols[j][i] monos[j] / s, one
     int column per monomial over the lcm s of the values' scales; None
-    unless every d is 1.  Fractions alone give the column of 1 at once."""
-    if all(type(y) is Fraction for y in values):
-        s = lcm(*[y._denominator for y in values])
-        return [[y._numerator * (s // y._denominator) for y in values]], [()], s
+    unless every d is 1."""
     parts = [_poly_parts(y) for y in values]
     if not all(parts):
         return None
@@ -794,7 +792,7 @@ ARCH = "inf"  # the archimedean place, of weight 1; a prime p weighs log p
 
 def _weight_mono(place) -> Mono:
     """The monomial of a place's weight: 1 at ARCH, log p at p."""
-    return () if place == ARCH else (place,)
+    return _MONO_ONE if place == ARCH else (place,)
 
 
 def _place_sum(terms, den=None):

@@ -158,9 +158,9 @@ from .errors import (
     OutOfDomain,
     UnboundedBelow,
 )
-from .exactnum import (_ZERO, ARCH, ExactNumber, Scalar, _affine_quotient_sum, _from_coeffs,
-                       _lin, _mul, _poly_columns, _poly_parts, _poly_sign, _q, _qadd, _qmul,
-                       _qsub, _weight_mono, scalar_cmp, scalar_sign)
+from .exactnum import (_MONO_ONE, _ZERO, ExactNumber, Scalar, _affine_quotient_sum,
+                       _from_coeffs, _lin, _mul, _poly_columns, _poly_parts, _poly_sign, _q,
+                       _qadd, _qmul, _qsub, scalar_cmp, scalar_sign)
 
 
 def as_scalar(value) -> Scalar:
@@ -1201,11 +1201,11 @@ def _twice_area(grid, cols, monos, den, layers=1) -> list:
     clipped end.  The fall r on a segment is fixed by its abscissae, so at
     a jet r = l_k / w_k for the lowest nonzero layer w_k of w (k = 1 for
     width 0 at t = 0) and the same layer l_k of y_in - y_out.  One column
-    of monomial () is summed over Z and built as one Fraction; columns in
+    of the monomial 1 is summed over Z and built as one Fraction; columns in
     the logs are summed per monomial, and each coefficient is built once
     by ``exactnum._affine_quotient_sum``, which gives None for a clip
     denominator of degree above 1."""
-    ints = len(cols) == 1 and monos[0] == _weight_mono(ARCH)
+    ints = len(cols) == 1 and monos[0] == _MONO_ONE
     if ints:
         ys, sign = cols[0], scalar_sign
     else:
