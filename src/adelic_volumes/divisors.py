@@ -9,11 +9,12 @@ c0*u for u >= 0 and -cInf*u for u <= 0.  Finite-place potentials are stored
 in log p units, so all stored data is rational; the symbolic log p factor is
 attached only when the places are combined into the global roof.
 
-The global roof of a divisor is the place-by-place Legendre transform of the
+The global roof of a pair is the place-by-place Legendre transform of the
 (convexified) potentials, summed over places with the log p weights on the
-divisor's polytope.  It is built once per divisor and kept on it; the global
-roof of a pair is that roof restricted to the polytope cut down by the base
-condition.  It is the integrand of every volume-type quantity downstream.
+divisor's polytope and restricted to the polytope cut down by the base
+condition.  Each unit roof is built once per potential and the sum once
+per pair, which keeps it.  It is the integrand of every volume-type
+quantity downstream.
 
 A base condition prescribes vanishing orders for sections.  In the toric
 model it acts only through its orders at the two torus-fixed points, Zero
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import lcm
 from typing import Mapping, Sequence, Union
 
 from .errors import (
@@ -45,8 +45,6 @@ from .pa import (
     PAGeneral,
     _eval_on_grid,
     _grid,
-    _grid_values,
-    _integer_grid,
     _min_scalar,
     pa_from_payload,
     pointwise_min,
@@ -127,32 +125,24 @@ def _roof_sum(arch_roof: ConcavePA, finite: Sequence) -> ConcavePA:
     of a summand and the weights are positive, so the sum is canonical as
     built.
 
-    Each value is a place-weighted sum (``exactnum._place_sum``).  With
-    every roof rational, the roofs are read on one integer grid
-    (``_integer_grid``, ``_grid_values``), and each value is a linear form
-    in the logs built once from its integer coefficients."""
+    Each roof is read on the grid by ``_eval_on_grid`` (the integer scan
+    on a rational grid), and each value is a place-weighted sum
+    (``exactnum._place_sum``), built once from integer coefficients when
+    the values are Fractions."""
     if not finite:
         return arch_roof
     roofs = [arch_roof.points] + [r.points for _, r in finite]
     places = [ARCH] + [p for p, _ in finite]
     xs = _grid(*([x for x, _ in pts] for pts in roofs))
-    grid = _integer_grid(roofs, xs)
-    if grid is None:
-        ys = [_place_sum(list(zip(places, vals)))
-              for vals in zip(*(_eval_on_grid(pts, xs) for pts in roofs))]
-    else:
-        keys, big_u, parts = grid
-        ys = []
-        for vals in zip(*(_grid_values(xk, yr, keys, big_u) for xk, yr in parts)):
-            s = lcm(*[d for _, d in vals])
-            ys.append(_place_sum([(v, n * (s // d)) for v, (n, d) in zip(places, vals)], s))
+    ys = [_place_sum(list(zip(places, vals)))
+          for vals in zip(*(_eval_on_grid(pts, xs) for pts in roofs))]
     return ConcavePA._raw(list(zip(xs, ys)))
 
 
 class ToricAdelicDivisor:
     """A toric adelic R-divisor: coefficients plus one potential per place."""
 
-    __slots__ = ("c0", "cinf", "_potentials", "_canonical", "_roof")
+    __slots__ = ("c0", "cinf", "_potentials", "_canonical")
 
     def __init__(self, c0, cinf, potentials: Mapping | None = None):
         self.c0 = _coeff(c0)
@@ -173,7 +163,6 @@ class ToricAdelicDivisor:
         # one object for every unlisted place, built on first use, so its
         # unit roof is built once
         self._canonical = None
-        self._roof = None  # filled by roof(); not part of the value
 
     @property
     def degree(self):
@@ -197,24 +186,6 @@ class ToricAdelicDivisor:
         if scalar_cmp(lo, self.c0) > 0:
             return Interval.EMPTY
         return Interval(lo, self.c0)
-
-    def roof(self) -> ConcavePA:
-        """The global roof on the polytope [-cinf, c0]: the sum over places
-        of the unit roofs, finite places weighted by log p.  Built once per
-        divisor (divisors are immutable) and kept on it.
-
-        Every unit roof lives on the polytope, so the sum is one weighted
-        sum of values on the union of their breakpoints (``_roof_sum``).
-        """
-        if self._roof is not None:
-            return self._roof
-        if self.polytope().is_empty:
-            raise EmptyPolytope(f"{self!r} has an empty polytope; no roof")
-        self._roof = _roof_sum(
-            unit_roof(self.potential(ARCH)),
-            [(place, unit_roof(self._potentials[place]))
-             for place in self.places if place != ARCH])
-        return self._roof
 
     def add(self, other: "ToricAdelicDivisor") -> "ToricAdelicDivisor":
         c0 = _qadd(self.c0, other.c0)
@@ -419,15 +390,20 @@ class Pair:
         potentials, restricted to the shifted polytope.  Finite places
         contribute with a symbolic log p factor, so values are exact.
 
-        The sum is the divisor's roof, built once per divisor on its whole
-        polytope; each pair restricts it to its own window once."""
+        Every unit roof lives on the divisor's polytope, so the sum is one
+        weighted sum of values on the union of their breakpoints
+        (``_roof_sum``), restricted to the window and kept on the pair."""
         if self._roof is None:
             window = self.shifted_polytope()
             if window.is_empty:
                 raise EmptyPolytope(
                     f"{self!r} has an empty shifted polytope; no sections to count"
                 )
-            self._roof = self.divisor.roof().restrict(window)
+            d = self.divisor
+            self._roof = _roof_sum(
+                unit_roof(d.potential(ARCH)),
+                [(place, unit_roof(d._potentials[place]))
+                 for place in d.places if place != ARCH]).restrict(window)
         return self._roof
 
     def add(self, other: "Pair") -> "Pair":

@@ -91,12 +91,13 @@ such values is read as integer coefficients per monomial
 with ``_from_coeffs``: the value every chain of field operations would
 return, without the chain.  So is the place-weighted sum
 sum_v c_v q_v (``_place_sum``), c_v = 1 at ``ARCH`` and log p at p
-(``_weight_mono``).  A sum of such values and quotients over affine
-denominators (the clipped ends of an integral, products with a Zariski
+(``_weight_mono``).  A sum of such values and quotients over products of
+factors (the clipped ends of an integral, products with a Zariski
 region's ends) is built once the same way by ``_affine_quotient_sum``,
 whose only cancellation is trial division by the primitive affine
-parts.  ``positivity``'s line kernel reads them as ring elements of
-Z[log 2, log 3, ...] (``_split``, ``_cleared``).
+parts; a factor of degree above 1, which only library input builds,
+takes ``_make``'s general cancel.  ``positivity``'s line kernel reads
+them as ring elements of Z[log 2, log 3, ...] (``_split``, ``_cleared``).
 """
 
 from __future__ import annotations
@@ -710,49 +711,50 @@ def _from_coeffs(coeffs: Poly, s: int):
 
 
 def _affine_quotient_sum(num: Poly, s: int, terms):
-    """The canonical value of num / s plus the sum of a / (b l) over the
-    terms (a, b, l), built once: num, a and l integer polynomials (zero
-    entries allowed), s and b positive ints, each l of positive value and
-    constant or affine; None, for the operator route, past degree 1.
+    """The canonical value of num / s plus the sum of a / (b prod ls) over
+    the terms (a, b, ls), built once: num, a and each l of the sequence ls
+    integer polynomials (zero entries allowed), s and b positive ints, and
+    each l of positive value.
 
     The denominator is s times the product of the primitive parts of the
-    nonconstant l, which are its factors: ``_divide_out`` cancels them by
-    trial division, and no heuristic gcd runs.  What is left is the form
-    ``_make`` gives: the product of primitive parts of positive value is
-    primitive (Gauss) and positive, and ``_scaled`` takes out the common
-    factor of s and the numerator's content."""
+    nonconstant l.  When each is affine they are its factors:
+    ``_divide_out`` cancels them by trial division, and no heuristic gcd
+    runs.  What is left is the form ``_make`` gives: the product of
+    primitive parts of positive value is primitive (Gauss) and positive,
+    and ``_scaled`` takes out the common factor of s and the numerator's
+    content.  A part of degree above 1 sends the sum to ``_make``'s
+    general cancel."""
     num = {m: c for m, c in num.items() if c}
-    parts: list = []  # the primitive parts in the denominator
+    parts: list = []  # the nonconstant primitive parts in the denominator
     den = _UNIT  # their product
-    for a, b, l in terms:
-        c, prim = _primitive({m: v for m, v in l.items() if v})
-        a = _mul(a, den)
-        if len(prim) == 1 and () in prim:
-            num = _lin(num, b * c, a, s)
-        elif _pdegree(prim) > 1:
-            return None
-        else:
-            num = _lin(_mul(num, prim), b * c, a, s)
-            parts.append(prim)
-            den = _mul(den, prim)
-        s *= b * c
-    factors = tuple(parts)
-    num, kept = _divide_out(num, factors, factors)
-    return _scaled(num, 1, s, den if kept is factors else _product(kept), kept)
+    for a, b, ls in terms:
+        prims = []
+        for l in ls:
+            c, prim = _primitive({m: v for m, v in l.items() if v})
+            b *= c
+            if len(prim) > 1 or () not in prim:
+                prims.append(prim)
+        d = _product(prims)  # the term's denominator over b
+        num = _lin(_mul(num, d), b, _mul(a, den), s)
+        parts += prims
+        den = _mul(den, d)
+        s *= b
+    factors = tuple(parts) if all(_pdegree(f) == 1 for f in parts) else None
+    return _make(num, 1, s, den, factors, factors)
 
 
 def _linear_combination(base, pairs):
     """base + sum t c over the pairs (t, c), built once by
     ``_affine_quotient_sum``: base and every c a Fraction or a value whose
-    d is 1, every t a Fraction or an ExactNumber; None when a t's
-    denominator has a degree above 1."""
+    d is 1, every t a Fraction or an ExactNumber, whose denominator goes
+    in as its factors, or as itself when they are not known."""
     n0, s0 = _poly_parts(base)
     terms = []
     for t, c in pairs:
         if c:
-            n, s, d, _ = _parts(t)
+            n, s, d, f = _parts(t)
             nc, sc = _poly_parts(c)
-            terms.append((_mul(n, nc), s * sc, d))
+            terms.append((_mul(n, nc), s * sc, (d,) if f is None else f))
     return _affine_quotient_sum(n0, s0, terms)
 
 

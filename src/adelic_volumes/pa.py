@@ -74,8 +74,8 @@ function, the order tests of restrictions, windows and minima.
 ``_integer_grid`` puts a grid and each function's breakpoints on integer
 keys over one denominator, each point read once, and ``_grid_values``
 reads a function's values at the keys in one scan as integer pairs: the
-one integer scan behind ``_eval_on_grid``, the sums ``_sum_on_grid`` and
-``divisors._roof_sum``, and the rows of ``positivity._Line``.
+one integer scan behind ``_eval_on_grid`` (and so ``divisors._roof_sum``),
+the sums ``_sum_on_grid`` and the rows of ``positivity._Line``.
 ``_nonneg_run`` reads signs only from each end of a concave function up
 to its first nonnegative value: concavity gives the rest.  The line
 kernel ``positivity._Line`` keeps a line's rows as integers over one
@@ -125,7 +125,7 @@ surviving operator route reached by one kind of operand:
   field scan of ``_eval_on_grid``), the ends of its unit roofs
   (``_on_line`` in :func:`legendre_roof` and in
   ``positivity._roof_ends``), the sum of those roofs, which end at the
-  tails (``_grid``, ``_chord`` and the field scan in
+  tails (``_grid``, and the field scan of ``_eval_on_grid`` in
   ``divisors._roof_sum``), and its volume (the field loop of
   ``_twice_integral``, which takes the ends outside Q);
 * values in the logs at rational x, at the empirical transform of
@@ -139,7 +139,8 @@ them: its own Zariski positive part (the Legendre slopes of its unit
 roofs, ``_slope``), ``divisors.min_adelic`` of two effective ones (the
 crossings of their pointwise minimum) and the volume of one lowered below
 0 (the clipped ends).  Values of degree above 1 in the logs, which only
-library input builds, take the field loop too.
+library input builds, stay on ``_twice_area``: a clip denominator of
+degree above 1 takes the general cancel of ``exactnum._make``.
 
 A Fraction or an n / s has one canonical form, which every route builds,
 so results are byte-identical to the operator route.
@@ -539,7 +540,7 @@ class ConcavePA:
         """Wrap a breakpoint list known to be canonical already (sorted,
         strictly decreasing slopes), skipping validation.  The callers and
         their proofs: ``legendre_roof`` (the potential's strictly rising
-        slopes and breakpoints), ``add`` and ``ToricAdelicDivisor.roof``
+        slopes and breakpoints), ``add`` and ``divisors._roof_sum``
         (every interior grid point is a strict kink of a summand),
         ``reflect`` and ``restrict`` (cutting an affine piece leaves no
         collinear triple)."""
@@ -1149,7 +1150,7 @@ def integrate_positive_part(f: ConcavePA) -> Scalar:
 
 def _twice_integral(f: ConcavePA) -> Scalar:
     """Twice the exact integral of max(f, 0) over the domain, the form in
-    which ``positivity.avol`` and ``sections.analytic_okounkov`` read it.
+    which ``positivity.avol`` reads it.
 
     With rational x and values polynomial in the logs (d = 1), the points
     go on one integer grid, x = X / U over the lcm U of their
@@ -1158,9 +1159,9 @@ def _twice_integral(f: ConcavePA) -> Scalar:
     does for the line kernel's volume.
 
     Any other input takes the field loop: breakpoints outside Q (a Zariski
-    positive part's symbolic region ends) or a clip denominator of degree
-    above 1, which no roof has (its values are affine in the logs).  It
-    sums the same terms with the field operators.
+    positive part's symbolic region ends), or values outside the
+    polynomials, which only library input builds.  It sums the same terms
+    with the field operators.
     """
     pts = f.points
     xr = _ratios([x for x, _ in pts])
@@ -1168,10 +1169,8 @@ def _twice_integral(f: ConcavePA) -> Scalar:
     if read:
         cols, monos, big_s = read
         big_u = lcm(*[b for _, b in xr])
-        total, = _twice_area([a * (big_u // b) for a, b in xr], cols, monos,
-                             big_u * big_s)
-        if total is not None:
-            return total
+        return _twice_area([a * (big_u // b) for a, b in xr], cols, monos,
+                           big_u * big_s)[0]
     run = _nonneg_run([y for _, y in pts])
     if run is None:
         return _ZERO
@@ -1203,8 +1202,8 @@ def _twice_area(grid, cols, monos, den, layers=1) -> list:
     width 0 at t = 0) and the same layer l_k of y_in - y_out.  One column
     of the monomial 1 is summed over Z and built as one Fraction; columns in
     the logs are summed per monomial, and each coefficient is built once
-    by ``exactnum._affine_quotient_sum``, which gives None for a clip
-    denominator of degree above 1."""
+    by ``exactnum._affine_quotient_sum``, over the clip denominators
+    y_in - y_out as its factors."""
     ints = len(cols) == 1 and monos[0] == _MONO_ONE
     if ints:
         ys, sign = cols[0], scalar_sign
@@ -1241,7 +1240,7 @@ def _twice_area(grid, cols, monos, den, layers=1) -> list:
         ends.append((w, lin, _mul(y_in, y_in)))
     return [_affine_quotient_sum(
                 {mono: _layer(c, j) for mono, c in zip(monos, sums)}, den,
-                [({mono: w * _layer(c, j) for mono, c in sq.items()}, den, lin)
+                [({mono: w * _layer(c, j) for mono, c in sq.items()}, den, [lin])
                  for w, lin, sq in ends])
             for j in range(layers)]
 

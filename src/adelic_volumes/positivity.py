@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .divisors import _ZERO, ARCH, Pair, ToricAdelicDivisor, _place_sort_key, as_pair
 from .errors import EmptyPolytope, NotBig, NotNef
 from .exactnum import (Scalar, _cleared, _linear_combination, _place_sum, _q, _qadd, _qdiv,
-                       _qsub, _split, _weight_mono, log_unit, scalar_cmp,
+                       _qmul, _qsub, _split, _weight_mono, log_unit, scalar_cmp,
                        scalar_float, scalar_sign)
 from .pa import (ConvexPA, Interval, _grid_jets, _grid_values, _integer_grid, _jet_pairing,
                  _on_line, _ratios, _twice_area, _twice_integral, legendre_potential,
@@ -201,7 +201,9 @@ def adeg_product(a, b):
     S_ij = sum_v c_v (pairing of J_i and J_j at v) is rational at each
     place (``_jet_pairing``, one integer numerator) and is built once over
     the places from its integer coefficients (``exactnum._place_sum``); the
-    symbolic tails multiply in only at the end.  ValueError when a
+    symbolic tails multiply in only at the end, with t_0 = s_0 = 1, in one
+    sum over the products' denominators (``exactnum._linear_combination``),
+    whichever sides have them.  ValueError when a
     potential has a breakpoint or a value outside Q, which only a library
     caller can build, as for ``pseff_threshold``.
     """
@@ -227,28 +229,9 @@ def adeg_product(a, b):
     tb = [t for t in (_qsub(_ZERO, b.cinf), b.c0) if type(t) is not Fraction]
     if not (ta or tb):
         return sums[0, 0]
-    total = None
-    if not (ta and tb):
-        total = _linear_combination(sums[0, 0], [(t, sums[i, 0]) for i, t in enumerate(ta, 1)]
-                                    + [(s, sums[0, j]) for j, s in enumerate(tb, 1)])
-    if total is None:
-        # symbolic tails on both sides: sum_i t_i sum_j s_j S_ij in the field
-        total = _ZERO
-        for i, t in enumerate([None] + ta):
-            inner = sums[i, 0]
-            for j, s in enumerate(tb, 1):
-                if sums[i, j]:
-                    inner = _plus(inner, s * sums[i, j])
-            if inner:
-                total = _plus(total, inner if t is None else t * inner)
-    return total
-
-
-def _plus(x, y):
-    """x + y, with no field operation when one of them is 0."""
-    if not x:
-        return y
-    return x + y if y else x
+    return _linear_combination(sums[0, 0], [
+        (_qmul(t, s), sums[i, j]) for i, t in enumerate([_ONE] + ta)
+        for j, s in enumerate([_ONE] + tb) if i or j])
 
 
 _ONE = _q(1, 1)

@@ -65,7 +65,7 @@ from .divisors import ARCH, as_pair
 from .errors import EmptyPolytope, NotBig, OutOfDomain, PrecisionExhausted
 from .exactnum import (_atanh, _log_bounds, _place_sum, _q, default_precision_bits,
                        floor_fraction, scalar_cmp, scalar_fraction)
-from .pa import ConcavePA, Interval, _on_line, _slope, _twice_integral, unit_roof
+from .pa import ConcavePA, Interval, _on_line, _slope, unit_roof
 
 _MAX_FLOOR_BITS = 1 << 16
 # bits past a value's integer part at which its first enclosure is taken
@@ -705,14 +705,13 @@ def analytic_okounkov(pair) -> OkounkovData:
     reflected shifted polytope and the concave transform is the reflected
     roof; the volume above zero halves the arithmetic volume.
     """
-    from .positivity import is_big
+    from .positivity import avol, is_big
 
     pair = as_pair(pair)
     if not is_big(pair):
         raise NotBig(f"{pair!r} is not big; the Okounkov body is degenerate")
-    roof = pair.global_roof()
-    transform = roof.reflect()
-    twice = _twice_integral(roof)
+    transform = pair.global_roof().reflect()
+    twice = avol(pair)  # kept on the pair by is_big
     return OkounkovData(
         domain=transform.domain,
         transform=transform,

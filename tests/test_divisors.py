@@ -301,7 +301,7 @@ class TestGlobalRoof:
 
     @staticmethod
     def _restrict_then_sum(pair):
-        """The route before the per-divisor roof: each unit roof restricted
+        """The route that sums after cutting: each unit roof restricted
         to the window, scaled by log p and added place by place."""
         window = pair.shifted_polytope()
         divisor = pair.divisor
@@ -372,16 +372,27 @@ class TestGlobalRoof:
         assert len(calls) == 2
         assert sum(p is d.potential(ARCH) for p in calls) == 1
 
-    def test_roof_is_kept_on_the_divisor(self):
+    def test_roof_is_kept_on_the_pair(self, monkeypatch):
+        calls = []
+        original = divisors._roof_sum
+
+        def counting(arch_roof, finite):
+            calls.append(finite)
+            return original(arch_roof, finite)
+
+        monkeypatch.setattr(divisors, "_roof_sum", counting)
         d = slant_divisor() + p_slant_divisor(2)
-        assert d.roof() is d.roof()
-        assert Pair(d).global_roof() is d.roof()  # window = whole polytope
-        assert d == slant_divisor() + p_slant_divisor(2)
+        pair = Pair(d)
+        assert pair.global_roof() is pair.global_roof()
+        assert len(calls) == 1
+        # the window is the whole polytope: the sum is not cut
+        assert pair.global_roof().domain == d.polytope()
+        assert pair == Pair(slant_divisor() + p_slant_divisor(2))
         assert repr(d) == repr(slant_divisor() + p_slant_divisor(2))
 
     def test_roof_of_empty_polytope(self):
         with pytest.raises(EmptyPolytope):
-            ToricAdelicDivisor(-1, 0).roof()
+            Pair(ToricAdelicDivisor(-1, 0)).global_roof()
 
 
 class TestPairMemo:
@@ -523,7 +534,7 @@ class TestConstructorShortcuts:
 
         d = slant_divisor() + p_slant_divisor(2)
         monkeypatch.setattr(divisors, "canonical_potential", counting)
-        d.roof()
+        Pair(d).global_roof()
         # every place read by the roof is listed: nothing canonical is built
         assert calls == []
         e = p_slant_divisor(3)
@@ -566,7 +577,7 @@ class TestConstructorShortcuts:
                                    {v: pos.potential(v) for v in pos.places})
         assert again == pos and repr(again) == repr(pos)
         assert (type(again.c0), type(again.cinf)) == (type(pos.c0), type(pos.cinf))
-        assert repr(again.roof()) == repr(pos.roof())
+        assert repr(Pair(again).global_roof()) == repr(Pair(pos).global_roof())
 
 
 def _ref_roof_sum(arch_roof, finite):

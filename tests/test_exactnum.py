@@ -842,10 +842,51 @@ def test_place_sum_of_mixed_values_is_the_field_sum(terms):
 def test_affine_quotient_sum_takes_zero_entries():
     # a zero entry of a term's numerator for a monomial that the sum so far
     # lacks (a layer of a jet's clipped end) adds nothing
-    got = exactnum._affine_quotient_sum({(): 1}, 1, [({(2,): 0, (): 1}, 1, {(): 1})])
+    got = exactnum._affine_quotient_sum({(): 1}, 1, [({(2,): 0, (): 1}, 1, [{(): 1}])])
     assert type(got) is Fraction and got == 2
-    got = exactnum._affine_quotient_sum({}, 2, [({(3,): 0, (2,): 3}, 1, {(): 1, (5,): 0})])
+    got = exactnum._affine_quotient_sum({}, 2, [({(3,): 0, (2,): 3}, 1, [{(): 1, (5,): 0}])])
     assert got == 3 * L2
+
+
+def _field_poly(poly):
+    """An integer polynomial in the logs as a value, by the field operators."""
+    total = Fraction(0)
+    for mono, c in poly.items():
+        term = Fraction(c)
+        for p in mono:
+            term = term * log_unit(p)
+        total = total + term
+    return total
+
+
+_A3 = {(): 1, (3,): 1}  # 1 + log 3
+_A5 = {(): 2, (5,): 3}  # 2 + 3 log 5
+_Q23 = {(): 1, (2, 3): 1}  # 1 + log 2 log 3, of degree 2
+
+
+@pytest.mark.parametrize("num, s, terms", [
+    # two distinct affine factors in one term
+    ({(): 1, (2,): 1}, 3, [({(3,): 2}, 5, [_A3, _A5])]),
+    # a repeated factor, and a term that shares it
+    ({(): 1}, 2, [({(): 1}, 2, [_A3, _A3]), ({(2,): 1}, 1, [_A3])]),
+    # a factor that divides its numerator, and one with content 2
+    ({}, 1, [({(2,): 1, (2, 3): 1}, 1, [_A3, _A5]), ({(): 3}, 1, [{(): 2, (3,): 4}])]),
+    # a factor of degree 2 beside an affine one
+    ({(): 1}, 1, [({(): 1}, 1, [_Q23]), ({(5,): 1}, 2, [_A3])]),
+    # a factor of degree 2 that divides its numerator
+    ({(2,): 1}, 4, [({(): 1, (5,): 1, (2, 3): 1, (2, 3, 5): 1}, 3, [_Q23])]),
+], ids=["two-affine", "repeated", "cancelled", "degree-2", "degree-2-cancelled"])
+def test_affine_quotient_sum_is_the_field_sum(num, s, terms):
+    got = exactnum._affine_quotient_sum(num, s, terms)
+    want = _field_poly(num) / s
+    for a, b, ls in terms:
+        den = Fraction(b)
+        for l in ls:
+            den = den * _field_poly(l)
+        want = want + _field_poly(a) / den
+    assert type(got) is type(want) and repr(got) == repr(want)
+    if isinstance(want, ExactNumber):
+        assert _parts(got) == _parts(want)
 
 
 def test_poly_parts_reads_polynomials_only():

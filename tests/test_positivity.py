@@ -202,7 +202,7 @@ class TestNefGuards:
             raise AssertionError("a guard built a roof")
 
         monkeypatch.setattr(Pair, "global_roof", refuse)
-        monkeypatch.setattr(ToricAdelicDivisor, "roof", refuse)
+        monkeypatch.setattr(divisors, "_roof_sum", refuse)
         assert [(is_nef(d), _guard(d)) for d in fresh] == want
 
     def test_ends_and_slope_match_the_roof(self, cases):
@@ -231,6 +231,27 @@ class TestVolume:
     def test_symbolic_value(self):
         assert avol(p_slant_divisor(2)) == log_unit(2)
         assert avol(p_slant_divisor(3)) == log_unit(3)
+
+    def test_clip_on_values_of_degree_two(self):
+        # a potential at 2 with a breakpoint at u = log 3 and rational
+        # slopes: the unit roof min(0, log(3) (1/2 - x)) has rational
+        # breakpoints, and weighted by log 2 the roof ends at
+        # -log(2) log(3) / 2, so its clip denominator has degree 2
+        L3 = log_unit(3)
+        pot = ConvexPA([(F(0), F(0)), (L3, L3 / 2)], -1, 1)
+        pair = Pair(ToricAdelicDivisor(1, 1, {ARCH: tent_divisor().potential(ARCH), 2: pot}))
+        pts = pair.global_roof().points
+        assert [x for x, _ in pts] == [-1, 0, F(1, 2), 1]
+        # the field-operator integral: trapezoids, then the clipped end
+        want = F(0)
+        for (x1, y1), (x2, y2) in zip(pts, pts[1:-1]):
+            want = want + (x2 - x1) * (y1 + y2)
+        (x1, y_in), (x2, y_out) = pts[-2:]
+        assert scalar_sign(y_out) < 0
+        want = want + (x2 - x1) * y_in * y_in / (y_in - y_out)
+        got = avol(pair)
+        assert type(got) is type(want) and repr(got) == repr(want)
+        assert repr(got) == "(2 + 7/4*log(2)*log(3))/(1 + log(2)*log(3))"
 
     def test_big_and_pseff(self):
         assert is_big(slant_divisor())
@@ -986,9 +1007,8 @@ class TestThresholdNewton:
             raise AssertionError("a Newton step or a guard built a roof")
 
         for owner, name in ((ConcavePA, "argmax"), (ConcavePA, "restrict"),
-                            (Pair, "global_roof"), (ToricAdelicDivisor, "roof"),
-                            (divisors, "_roof_sum"), (pa, "convex_envelope"),
-                            (pa, "legendre_roof")):
+                            (Pair, "global_roof"), (divisors, "_roof_sum"),
+                            (pa, "convex_envelope"), (pa, "legendre_roof")):
             monkeypatch.setattr(owner, name, refuse)
         assert [repr(pseff_threshold(pair, n)) for pair, n in cases] == want
 
