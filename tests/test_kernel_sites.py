@@ -140,3 +140,77 @@ def test_the_encoding_guard_sees_each_kind():
         ("import _UNIT", 1), ("import _parts", 1), ("import _product", 2),
         ("import _mono_mul", 2), ("monomial", 6), ("monomial", 7), ("_num", 7),
         ("_den", 7), ("_scale", 7), ("_factors", 7)]
+
+
+# (module, qualified function name) -> the integer route that reads a
+# Fraction's slots, with its calls on the seed-9001 op lists of one
+# benchmark worker (``ops(9001, 16 / 3)`` of ``perfbench/workloads.py``),
+# suites / diskant / oracle.  Any other function takes the kernel's
+# ``_q``, ``_qadd``, ``_qsub``, ``_qmul``, ``_qdiv`` and ``scalar_cmp``.
+SLOT_READERS = {
+    ("pa", "_slope"): "the slope of two Fraction points: 1,696 / 377 / 222",
+    ("pa", "_turn"): "the orientation sign of three Fraction points: 1,058 / 0 / 0",
+    ("pa", "_tail_turn"): "the side of a tail of a Fraction point: 1,087 / 0 / 264",
+    ("pa", "_on_line"): "y0 - s x0 on Fractions: 3,466 / 775 / 402",
+    ("pa", "_ratios"): "the ints of Fraction grids and points: 2,090 / 281 / 130",
+    ("pa", "_chord"): "a chord's value at a Fraction x, per monomial: 133 / 16 / 22",
+    ("pa", "_integer_grid"): "points on integer keys over one denominator: 1,585 / 164 / 50",
+    ("pa", "_grid_values"): "values on integer keys in one scan: 2,334 / 328 / 50",
+    ("pa", "_grid_jets"): "jets on integer keys in one scan: 619 / 82 / 0",
+    ("pa", "_zero_between"): "a chord's zero between Fraction points: 36 / 42 / 0",
+    ("pa", "_interpolate"): "a + (b - a) r / w on ints: 86 / 42 / 0",
+    ("pa", "_crossing"): "two pieces' crossing on Fractions: 428 / 0 / 0, 66 cross",
+    ("pa", "_tail_crossing"): "two tails' crossing on Fractions: 226 / 0 / 0, 36 cross",
+    ("positivity", "_Line.volume"): "a line's volume at a Fraction t: 507 / 41 / 0",
+    ("harness", "sample_convex_potential"): "the slopes of a sampled potential: 633 / 97 / 0",
+    ("harness", "_difference_quotient"): "(a - b) / (k h) on Fractions: 504 / 0 / 0",
+    ("harness", "_second_difference"): "a - 2 b + c on Fractions: 116 / 0 / 0",
+    ("sections", "_floor_scaled_exp"): "floor(d e^q) on ints: 0 / 0 / 52",
+    ("sections", "_exp_mantissas"): "an enclosure of e^x on ints: 0 / 0 / 164",
+    ("sections", "_affine_runs"): "a roof's runs of grid points on ints: 0 / 0 / 90",
+    ("sections", "_check_cost"): "a box's bit bound on ints: 0 / 0 / 60",
+}
+FRACTION_SLOTS = ("_numerator", "_denominator")
+
+
+def _slot_readers(source: str) -> set:
+    """The qualified name of each function that reads a Fraction slot."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in FRACTION_SLOTS:
+                out.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return out
+
+
+def _module_slot_readers(module: str) -> set:
+    return _slot_readers((SRC / f"{module}.py").read_text())
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_listed_routes_read_fraction_slots(module):
+    listed = {name for m, name in SLOT_READERS if m == module}
+    bad = _module_slot_readers(module) - listed
+    assert not bad, f"{module}.py reads Fraction slots outside SLOT_READERS: {sorted(bad)}"
+
+
+def test_every_listed_slot_reader_is_still_there():
+    used = {(module, name) for module in MODULES for name in _module_slot_readers(module)}
+    assert set(SLOT_READERS) <= used, set(SLOT_READERS) - used
+
+
+def test_the_slot_guard_sees_each_read():
+    source = ("X = y._numerator\n"
+              "class A:\n"
+              "    def f(self, x):\n"
+              "        def g():\n"
+              "            return x._denominator\n"
+              "        return g, x._denominators\n")
+    assert _slot_readers(source) == {"", "A.f.g"}

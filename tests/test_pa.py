@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adelic_volumes.divisors import ARCH
@@ -25,6 +25,7 @@ from adelic_volumes.pa import (
     Interval,
     PAGeneral,
     _chord,
+    _crossing,
     _eval_on_grid,
     _grid,
     _grid_jets,
@@ -33,8 +34,10 @@ from adelic_volumes.pa import (
     _on_line,
     _slope,
     _sum_on_grid,
+    _tail_crossing,
     _tail_turn,
     _turn,
+    _zero_between,
     convex_envelope,
     integrate_positive_part,
     legendre_potential,
@@ -968,6 +971,68 @@ def test_chord_primitive(x0, x1, y0, y1, x):
         assert got == want
     else:
         _same_parts(got, want)
+
+
+# the crossings of a pointwise minimum and the zero of a chord, on values
+# that are Fractions, forms in the logs or quotients
+_value = st.one_of(_mixed, _form, _quotient)
+
+
+def _ref_crossing(a, b, fa, ga, fb, gb):
+    da, db = fa - ga, fb - gb
+    if scalar_sign(da) * scalar_sign(db) >= 0:
+        return None
+    return a + (b - a) * da / (da - db)
+
+
+def _same_or_none(got, want):
+    if want is None:
+        assert got is None
+    else:
+        _same_parts(got, want)
+
+
+@given(_mixed, _mixed, _value, _value, _value, _value)
+@example(F(0), F(1), F(1), F(1), F(0), F(2))    # f - g zero at a: None
+@example(F(0), F(1), F(2), F(1), F(1), F(1))    # f - g zero at b: None
+@example(F(0), F(1), F(1), F(0), F(0), F(1))    # a strict sign change
+@example(F(0), F(1), L2, F(0), F(0), L3)        # a strict sign change in the logs
+@settings(max_examples=300, deadline=None)
+def test_crossing_primitive(a, b, fa, ga, fb, gb):
+    _same_or_none(_crossing(a, b, fa, ga, fb, gb), _ref_crossing(a, b, fa, ga, fb, gb))
+
+
+def _ref_tail_crossing(x0, fy, gy, fs, gs, side):
+    dl = fs - gs
+    if scalar_sign(dl) == 0:
+        return None
+    x = x0 - (fy - gy) / dl
+    return x if scalar_cmp(x, x0) == side else None
+
+
+@given(_mixed, _value, _value, _mixed, _mixed, st.sampled_from([-1, 1]))
+@example(F(0), F(1), F(0), F(1), F(1), 1)       # equal tail slopes: None
+@example(F(0), F(1), F(1), F(2), F(1), 1)       # crossing exactly at x0: None
+@example(F(0), F(1), F(0), F(0), F(1), 1)       # crossing at 1, right side
+@example(F(0), F(1), F(0), F(0), F(1), -1)      # the same, wrong side: None
+@example(F(0), F(1), F(0), F(1), F(0), -1)      # crossing at -1, left side
+@example(F(0), L2, F(0), F(0), F(1), 1)         # crossing at log 2, right side
+@settings(max_examples=300, deadline=None)
+def test_tail_crossing_primitive(x0, fy, gy, fs, gs, side):
+    _same_or_none(_tail_crossing(x0, fy, gy, fs, gs, side),
+                  _ref_tail_crossing(x0, fy, gy, fs, gs, side))
+
+
+@given(st.tuples(_mixed, _value), st.tuples(_mixed, _value))
+@example((F(0), F(1)), (F(2), F(-1)))           # a strict sign change
+@example((F(0), F(0)), (F(1), F(-1)))           # zero at the first end
+@example((F(0), F(1)), (F(1), F(0)))            # zero at the second end
+@example((F(0), L2), (F(1), L2 - 1))            # a zero in the logs
+@settings(max_examples=300, deadline=None)
+def test_zero_between_primitive(p, q):
+    (x1, y1), (x2, y2) = p, q
+    assume(scalar_cmp(y1, y2) != 0)
+    _same_parts(_zero_between(p, q), x1 + (x2 - x1) * y1 / (y1 - y2))
 
 
 def _ref_grid(*groups):
