@@ -76,11 +76,9 @@ constructor builds, equal in value, type, repr and hash.  That relies on
 one CPython fact:
 ``Fraction.__slots__ == ("_numerator", "_denominator")``, true from
 Python 3.6 to 3.13, and ``tests/test_exactnum.py`` pins it together with
-``_q`` against the constructor.  On the seed-9001 op list of one
-benchmark worker, ``fractions.py`` fell from about 31% to about 3% of the
-leaf samples of ``tests/leaf_share.py`` on ``suites``, and from 35-38% to
-about 10% on ``diskant``, where the Diskant report's own formulas keep
-the Fraction operators (Python 3.11, 2 vCPU).
+``_q`` against the constructor.  ``tests/leaf_share.py`` measures the
+share of ``fractions.py`` that is left; the Diskant report's own formulas
+keep the Fraction operators.
 
 Only this module knows how a monomial and an ExactNumber are stored
 (``tests/test_kernel_sites.py`` holds the other modules to it).  A value

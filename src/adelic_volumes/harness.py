@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 from .divisors import ARCH, BaseCondition, Pair, ToricAdelicDivisor, as_pair, min_adelic
 from .errors import NotBig, NotConvex, UnknownSuite
-from .exactnum import (_ZERO, _place_sum, _q, _qsub, _sum_sign, log_unit, scalar_cmp,
-                       scalar_float, scalar_sign)
+from .exactnum import (_ZERO, _place_sum, _q, _qadd, _qdiv, _qmul, _qsub, _sum_sign,
+                       log_unit, scalar_cmp, scalar_float, scalar_sign)
 from .gallery import half_zero_pair, height_shift, p_slant_divisor, slant_divisor, tent_divisor
 from .pa import (ConvexPA, PAGeneral, _grid, _min_scalar, _values_on_grid, abs_scalar,
                  convex_envelope, legendre_potential, legendre_roof)
@@ -137,13 +137,8 @@ def check_differentiability(pair, direction) -> DerivativeReport:
 
 
 def _difference_quotient(a, b, h, k: int):
-    """(a - b) / (k h) for an int k > 0: one Fraction from the integers of
-    Fractions a, b and h, the field operators otherwise."""
-    if type(a) is type(b) is type(h) is Fraction:
-        ad, bd = a._denominator, b._denominator
-        return _q((a._numerator * bd - b._numerator * ad) * h._denominator,
-                  ad * bd * h._numerator * k)
-    return (a - b) / (k * h)
+    """(a - b) / (k h) for an int k > 0."""
+    return _qdiv(_qsub(a, b), _qmul(_q(k, 1), h))
 
 
 # -- the isoperimetric chain: Diskant / Bonnesen ---------------------------
@@ -357,13 +352,8 @@ def sample_derivative_instance(rng) -> tuple:
 
 
 def _second_difference(a, b, c):
-    """a - 2 b + c: one Fraction from the integers of Fractions, the field
-    operators otherwise."""
-    if type(a) is type(b) is type(c) is Fraction:
-        ad, bd, cd = a._denominator, b._denominator, c._denominator
-        return _q((a._numerator * bd - 2 * b._numerator * ad) * cd + c._numerator * ad * bd,
-                  ad * bd * cd)
-    return a - 2 * b + c
+    """a - 2 b + c."""
+    return _qadd(_qsub(a, _qmul(_q(2, 1), b)), c)
 
 
 # -- property suites -------------------------------------------------------

@@ -57,20 +57,15 @@ On rational data every coordinate is a Fraction, and CPython's Fraction
 is pure Python: each operator pays for its constructor's dispatch, the
 ``numerator`` and ``denominator`` properties and a ``numbers.Rational``
 check.  So rational data goes through the rational kernel of ``exactnum``:
-an operand known to be a Fraction is read at slot level, as
-``x._numerator`` and ``x._denominator``, and each result is built once
-from two ints by ``exactnum._q``.  The exact primitives compute on those
-integers: ``_slope``, the orientation signs ``_turn`` and ``_tail_turn``
-(the envelope's drop and tail tests, the collinear merge and the shape
-checks), ``_on_line`` for y0 - s x0 (Legendre roofs, threshold rows, the
-affine normal form), ``_crossing`` and ``_tail_crossing`` (the crossings
-of a pointwise minimum), ``_grid`` (integer sort keys over a common
-denominator), ``_integer_grid`` with ``_grid_values`` and the integral
-``_twice_area``.  The kernel's ``scalar_sign``,
-``scalar_cmp``, ``_sum_sign``, ``_qadd``, ``_qsub`` and ``_qmul`` do the
-same for signs, comparisons, sums, differences and products, so no
-Fraction operator runs on the hot paths: the tails of a sum or a scaled
-function, the order tests of restrictions, windows and minima.
+``scalar_sign``, ``scalar_cmp``, ``_sum_sign``, ``_qadd``, ``_qsub``,
+``_qmul`` and ``_qdiv`` cross-multiply the integers of two Fractions,
+build each result once with ``exactnum._q`` and keep the operator for any
+other operand, so no Fraction operator runs on the hot paths.  Each exact
+primitive is one formula in those calls that decides a sign before it
+builds a value (the crossings ``_crossing`` and ``_tail_crossing``, the
+chord zero ``_zero_between``); the integer routes listed below read a
+Fraction's slots, ``x._numerator`` and ``x._denominator``, and compute
+on those integers.
 ``_integer_grid`` puts a grid and each function's breakpoints on integer
 keys over one denominator, each point read once, and ``_grid_values``
 reads a function's values at the keys in one scan as integer pairs: the
@@ -113,10 +108,31 @@ one quotient over the clip denominators, reduced by trial division by
 their primitive affine parts (``exactnum._affine_quotient_sum``): no
 heuristic gcd runs.
 
-Any other operand takes the operator formula the primitive replaced, kept
-beside the integer route.  A line probe of the benchmark workloads, every
-suite, finite-place Diskant reports, the demos and the CLI finds each
-surviving operator route reached by one kind of operand:
+A primitive keeps an integer route beside its kernel formula only where
+the traffic pays for it.  Each is listed with its operand, its cost per
+call in microseconds against the kernel formula's, and its calls on the
+seed-9001 op lists of one benchmark worker (suites / diskant / oracle):
+
+* ``_slope`` of two Fraction points: 0.57 against 1.06, 1,696 / 377 /
+  222 calls;
+* ``_turn`` of three Fraction points: 0.47 against 2.03, 1,058 calls
+  on suites;
+* ``_tail_turn`` of a Fraction slope and points: 1,087 / 0 / 264 calls;
+* ``_on_line`` of Fractions: 0.43 against 0.65, 3,466 / 775 / 402
+  calls;
+* ``_chord`` at a Fraction x: on Fraction values 0.65 against 2.16,
+  81 / 16 / 22 calls; per monomial on forms in the logs, 41 / 0 / 0
+  calls and once per sample of ``okounkov`` (8,193 on the CI three-place
+  scene);
+* ``_grid`` of Fractions: 530 / 0 / 20 calls;
+* the integer scans of ``_eval_on_grid`` and ``_sum_on_grid``
+  (``_integer_grid``, ``_grid_values``, ``_grid_jets``), without which
+  the suites op list ran 2-3% and 0.9% slower.
+
+Any other operand takes the kernel formula, the operator formula the
+route replaced.  A line probe of the benchmark workloads, every suite,
+finite-place Diskant reports, the demos and the CLI finds two kinds of
+operand that reach the operators:
 
 * tail slopes in Q(log p), at a Zariski positive part, whose potentials
   have the ends of its region as tails.  They reach the shape checks of
@@ -132,13 +148,13 @@ surviving operator route reached by one kind of operand:
   ``sections``: the field scan of ``_eval_on_grid`` (``_chord`` per
   monomial).
 
-The operator routes of ``_slope``, ``_crossing`` and ``_tail_crossing``,
-and the clipped ends of ``_twice_integral``'s field loop, run
-on no workload, but library calls on such a positive part reach each of
-them: its own Zariski positive part (the Legendre slopes of its unit
-roofs, ``_slope``), ``divisors.min_adelic`` of two effective ones (the
-crossings of their pointwise minimum) and the volume of one lowered below
-0 (the clipped ends).  Values of degree above 1 in the logs, which only
+The operator formula of ``_slope`` and the clipped ends of
+``_twice_integral``'s field loop run on no workload, but library calls on
+such a positive part reach them: its own Zariski positive part (the
+Legendre slopes of its unit roofs, ``_slope``) and the volume of one
+lowered below 0 (the clipped ends); ``divisors.min_adelic`` of two
+effective ones takes the kernel's operators in ``_crossing`` and
+``_tail_crossing``.  Values of degree above 1 in the logs, which only
 library input builds, stay on ``_twice_area``: a clip denominator of
 degree above 1 takes the general cancel of ``exactnum._make``.
 
@@ -161,7 +177,7 @@ from .errors import (
 )
 from .exactnum import (_MONO_ONE, _ZERO, ExactNumber, Scalar, _affine_quotient_sum,
                        _from_coeffs, _lin, _mul, _poly_columns, _poly_parts, _poly_sign, _q,
-                       _qadd, _qmul, _qsub, scalar_cmp, scalar_sign)
+                       _qadd, _qdiv, _qmul, _qsub, scalar_cmp, scalar_sign)
 
 
 def as_scalar(value) -> Scalar:
@@ -675,16 +691,7 @@ def _nonneg_run(ys, sign=scalar_sign):
 def _zero_between(p, q) -> Scalar:
     """The zero x1 + (x2 - x1) y1 / (y1 - y2) of the chord through p and q."""
     (x1, y1), (x2, y2) = p, q
-    if type(x1) is type(y1) is type(x2) is type(y2) is Fraction:
-        r = y1._numerator * y2._denominator
-        return _interpolate(x1, x2, r, r - y2._numerator * y1._denominator)
-    return x1 + (x2 - x1) * y1 / (y1 - y2)
-
-
-def _interpolate(a, b, r: int, w: int) -> Fraction:
-    """a + (b - a) r / w for Fractions a and b and ints r and w != 0."""
-    an, ad, bn, bd = a._numerator, a._denominator, b._numerator, b._denominator
-    return _q(an * bd * w + (bn * ad - an * bd) * r, ad * bd * w)
+    return _qadd(x1, _qdiv(_qmul(_qsub(x2, x1), y1), _qsub(y1, y2)))
 
 
 def _points_equal(a, b) -> bool:
@@ -990,44 +997,22 @@ def _min_scalar(a, b):
 
 def _crossing(a, b, fa, ga, fb, gb):
     """The x in the open interval (a, b) where the affine pieces of f and g
-    cross with a sign change, or None; fa = f(a) and so on."""
-    if type(a) is type(b) is type(fa) is type(ga) is type(fb) is type(gb) is Fraction:
-        # f - g is pa / qa at a and pb / qb at b, qa, qb > 0
-        qa, qb = fa._denominator * ga._denominator, fb._denominator * gb._denominator
-        pa = fa._numerator * ga._denominator - ga._numerator * fa._denominator
-        pb = fb._numerator * gb._denominator - gb._numerator * fb._denominator
-        if (pa > 0) is (pb > 0) or not (pa and pb):
-            return None
-        # diff_a / (diff_a - diff_b) = r / w
-        r = pa * qb
-        return _interpolate(a, b, r, r - pb * qa)
-    da, db = scalar_sign(fa - ga), scalar_sign(fb - gb)
-    if da * db >= 0:
+    cross with a sign change, a + (b - a) d_a / (d_a - d_b) for d = f - g,
+    or None; fa = f(a) and so on."""
+    if scalar_cmp(fa, ga) * scalar_cmp(fb, gb) >= 0:
         return None
-    # (f - g) is affine on [a, b] with a strict sign change
-    diff_a, diff_b = fa - ga, fb - gb
-    return a + (b - a) * diff_a / (diff_a - diff_b)
+    da = _qsub(fa, ga)
+    return _qadd(a, _qdiv(_qmul(_qsub(b, a), da), _qsub(da, _qsub(fb, gb))))
 
 
 def _tail_crossing(x0, fy, gy, fs, gs, side: int):
     """The x where the tails of slopes fs and gs through (x0, fy) and
     (x0, gy) cross, x0 - (fy - gy) / (fs - gs), when it lies strictly on
     the given side of x0 (-1 left, 1 right), else None."""
-    if type(x0) is type(fy) is type(gy) is type(fs) is type(gs) is Fraction:
-        # fy - gy = vn / vd and fs - gs = dn / dd, vd, dd > 0
-        vd, dd = fy._denominator * gy._denominator, fs._denominator * gs._denominator
-        vn = fy._numerator * gy._denominator - gy._numerator * fy._denominator
-        dn = fs._numerator * gs._denominator - gs._numerator * fs._denominator
-        # x - x0 = -(vn dd) / (vd dn) has the sign of -vn dn
-        if not dn or (vn * dn > 0) is not (side < 0) or not vn:
-            return None
-        a, b = x0._numerator, x0._denominator
-        return _q(a * vd * dn - vn * dd * b, b * vd * dn)
-    dl = fs - gs
-    if scalar_sign(dl) == 0:
+    # x - x0 has the sign of -(fy - gy) (fs - gs)
+    if scalar_cmp(fy, gy) * scalar_cmp(fs, gs) != -side:
         return None
-    x = x0 - (fy - gy) / dl
-    return x if scalar_cmp(x, x0) == side else None
+    return _qsub(x0, _qdiv(_qsub(fy, gy), _qsub(fs, gs)))
 
 
 def _tail_crossings(f, g, xs, fs, gs):

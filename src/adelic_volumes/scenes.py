@@ -48,30 +48,17 @@ _TOP_KEYS = {"c0", "cinf", "potentials", "base", "comment"}
 _MAX_EXPONENT = 4300
 _DECIMAL_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE]([-+]?\d+(?:_\d+)*)\s*")
 
-# Cold command-line runs, no bytecode cached, min-max over five runs (three
-# for the h3/h4 pairs), 2-vCPU host, Python 3.11.7.  `diskant` of the CI
-# scene (192 breakpoints) against itself takes 0.11-0.16 s, and against
-# six-digit random breakpoints (87, just under MAX_SCENE_BITS) 0.25-0.27 s
-# or twelve-digit ones (47) 0.32-0.36 s, in either order.  Those two
-# against each other take 0.38-0.51 s in either order, and print exact
-# slacks past Python's 4300-digit limit on int-to-str conversion.  The CI
-# three-place scene (64 integer breakpoints at each of inf, 2 and 3)
-# against the CI scene takes 0.18-0.29 s in either order.  On the CI scene
-# `avol` takes 0.11-0.12 s, `derivative` along itself 0.12 s, `okounkov`
-# 0.12-0.17 s and `oracle --m 16` 0.14-0.19 s.  On the three-place scene
-# `avol` takes 0.13-0.15 s, `derivative` along itself 0.15-0.21 s and along
-# the CI scene 0.14-0.15 s, and `okounkov` 0.35-0.37 s for its 8,193 exact
-# samples (window [-64, 64] at m = 64); `oracle --m 16` refuses it for its
-# count bits in 0.16-0.21 s.  More places cost far more: ROADMAP item 23's
-# h3 scene (64 breakpoints in sevenths at each of inf, 2 and 3) and h4
-# scene (48 in elevenths at each of inf, 2, 3 and 5) pass `diskant` in
-# 11.4-12.1 s (h4 against h3), 6.0-7.0 s (h3 against h4), 2.7-2.9 s (h4
-# against itself) and 0.70-0.83 s (h3 against itself); `avol`,
-# `derivative` and `okounkov --m 8` on them take 0.09-0.17 s.
+# Each Newton step of `diskant` and each `derivative` jet is one pass of
+# the line kernel over every breakpoint (see above), so the two caps bound
+# a pass's work at each place: a scene at the cap against itself, against
+# six-digit random breakpoints (87, just under MAX_SCENE_BITS) or
+# twelve-digit ones (47), and the CI three-place scene (64 integer
+# breakpoints at each of inf, 2 and 3) all pass in bounded time.  No cap
+# bounds the number of places, which costs far more (ROADMAP item 23);
+# CHANGES.md keeps the cold timings of these runs.
 MAX_BREAKPOINTS = 192
-# 48 breakpoints of twelve-digit rationals come to about 8000 bits, and
-# `diskant` of that scene against itself takes about 0.15 s (40 digits: 25,800
-# bits and 0.2 s; 2-vCPU host, Python 3.11)
+# bits of the breakpoints and slopes in all: 48 breakpoints of
+# twelve-digit rationals come to about 8000 bits
 MAX_SCENE_BITS = 1 << 13
 
 

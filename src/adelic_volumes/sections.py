@@ -72,15 +72,12 @@ _MAX_FLOOR_BITS = 1 << 16
 _MARGIN_BITS = 32
 # bits of all counts of one box together, bounded from the roofs'
 # breakpoints before any exp is taken.  It bounds the readers of
-# ``count_product`` and ``entries``, which floor every count: the costliest
-# admitted box, 1025 counts of about 65,000 bits each (a roof of height 44
-# at m = 1024), floors them in 1.3-1.5 s, one 65,000-bit product per count,
-# a tent box at m = 4821, just under the budget, in about 0.4 s.  The
-# product tree of ``count_product`` costs far more, a few times its last
-# (Karatsuba) product of two halves of the box's bits: 78 s for the first
-# box (66 Mbit), 27 s for the second (34 Mbit), 2.2 s for slant +
-# height_shift(20) at m = 512 (7.8 Mbit), where a running product took 14 s
-# (2-vCPU host, Python 3.11).  ``log_count`` reads any of them in a few ms.
+# ``count_product`` and ``entries``, which floor every count with one
+# product of the count's bits: the costliest admitted box holds 1025
+# counts of about 65,000 bits each (a roof of height 44 at m = 1024), and
+# a tent box at m = 4821 is just under the budget.  The product tree of
+# ``count_product`` costs a few times its last (Karatsuba) product of two
+# halves of the box's bits; ``log_count`` never builds the box's product.
 _MAX_BOX_BITS = 1 << 26
 # exponents per box (or per Okounkov sample); the range is checked before
 # anything is built, so a huge polytope or multiple fails at once

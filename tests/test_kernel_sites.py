@@ -145,26 +145,21 @@ def test_the_encoding_guard_sees_each_kind():
 # (module, qualified function name) -> the integer route that reads a
 # Fraction's slots, with its calls on the seed-9001 op lists of one
 # benchmark worker (``ops(9001, 16 / 3)`` of ``perfbench/workloads.py``),
-# suites / diskant / oracle.  Any other function takes the kernel's
-# ``_q``, ``_qadd``, ``_qsub``, ``_qmul``, ``_qdiv`` and ``scalar_cmp``.
+# suites / diskant / oracle, as ``tests/call_counts.py`` prints them.  Any
+# other function takes the kernel's ``_q``, ``_qadd``, ``_qsub``,
+# ``_qmul``, ``_qdiv`` and ``scalar_cmp``.
 SLOT_READERS = {
     ("pa", "_slope"): "the slope of two Fraction points: 1,696 / 377 / 222",
     ("pa", "_turn"): "the orientation sign of three Fraction points: 1,058 / 0 / 0",
     ("pa", "_tail_turn"): "the side of a tail of a Fraction point: 1,087 / 0 / 264",
     ("pa", "_on_line"): "y0 - s x0 on Fractions: 3,466 / 775 / 402",
     ("pa", "_ratios"): "the ints of Fraction grids and points: 2,090 / 281 / 130",
-    ("pa", "_chord"): "a chord's value at a Fraction x, per monomial: 133 / 16 / 22",
+    ("pa", "_chord"): "a chord at a Fraction x, on Fractions or per monomial: 122 / 16 / 22",
     ("pa", "_integer_grid"): "points on integer keys over one denominator: 1,585 / 164 / 50",
     ("pa", "_grid_values"): "values on integer keys in one scan: 2,334 / 328 / 50",
     ("pa", "_grid_jets"): "jets on integer keys in one scan: 619 / 82 / 0",
-    ("pa", "_zero_between"): "a chord's zero between Fraction points: 36 / 42 / 0",
-    ("pa", "_interpolate"): "a + (b - a) r / w on ints: 86 / 42 / 0",
-    ("pa", "_crossing"): "two pieces' crossing on Fractions: 428 / 0 / 0, 66 cross",
-    ("pa", "_tail_crossing"): "two tails' crossing on Fractions: 226 / 0 / 0, 36 cross",
     ("positivity", "_Line.volume"): "a line's volume at a Fraction t: 507 / 41 / 0",
     ("harness", "sample_convex_potential"): "the slopes of a sampled potential: 633 / 97 / 0",
-    ("harness", "_difference_quotient"): "(a - b) / (k h) on Fractions: 504 / 0 / 0",
-    ("harness", "_second_difference"): "a - 2 b + c on Fractions: 116 / 0 / 0",
     ("sections", "_floor_scaled_exp"): "floor(d e^q) on ints: 0 / 0 / 52",
     ("sections", "_exp_mantissas"): "an enclosure of e^x on ints: 0 / 0 / 164",
     ("sections", "_affine_runs"): "a roof's runs of grid points on ints: 0 / 0 / 90",

@@ -319,8 +319,9 @@ class TestZariski:
     def test_positive_parts_with_tails_in_q_log_p(self):
         # the positive parts of 200 sampled pairs, kept where a region end,
         # a tail of the part, lies in Q(log p): they reach the operator
-        # routes of pa (_slope, _crossing, _tail_crossing and the clipped
-        # ends of integrate_positive_part's field loop).  Each is its own
+        # formulas of pa (_slope, the kernel's operators in _crossing and
+        # _tail_crossing, and the clipped ends of integrate_positive_part's
+        # field loop).  Each is its own
         # positive part, of the pair's volume; two effective ones meet
         # (min_adelic) at the smaller of the two at every breakpoint; and
         # each lowered by 1 has twice the operator-chain integral of its
