@@ -33,8 +33,10 @@ def _scene(name):
 
 def commands():
     """The argv of each command of the corpus: every subcommand on each
-    gallery scene, then the CI workflow's runs on its scenes, refusals
-    included."""
+    gallery scene, then the runs on the hand-built scenes (the cap-size,
+    finite-place, three-place and steep ones) and the suites, then the
+    refusals.  The CI workflow runs the costly ones again through the
+    console script, under a timeout."""
     out = []
     for name in _GALLERY:
         scene = _scene(name)
@@ -68,20 +70,35 @@ def commands():
         ["okounkov", _scene("three")],
         ["okounkov", _scene("three"), "--m", "8"],
     ]
-    out += [["avol", _scene(name)] for name in ("big", "random", "s10", "s29", "three")]
-    # refusals: exit 2 with a one-line message
+    out += [["avol", _scene(name)]
+            for name in ("big", "random", "s10", "s29", "three", "steep400")]
+    out += [
+        ["diskant", _scene("steep400"), _scene("slant")],
+        ["diskant", _scene("slant"), _scene("steep400")],
+        ["derivative", _scene("steep400"), "--direction", _scene("slant_p2")],
+        ["derivative", _scene("slant_p2"), "--direction", _scene("steep400")],
+        ["oracle", _scene("steep"), "--m", "4"],
+        ["oracle", _scene("steep2400"), "--m", "4,16"],
+        ["oracle", _scene("slant_p2_p3"), "--m", "512,1024", "--format", "json"],
+        ["oracle", _scene("slant_h43"), "--m", "1024", "--format", "json"],
+    ]
+    # refusals: exit 2 with a one-line message (argparse's after its usage)
     out += [
         ["diskant", _scene("over"), _scene("over")],
         ["oracle", _scene("tent"), "--m", "4822"],
         ["oracle", _scene("three"), "--m", "16"],
         ["avol", _scene("slant"), "--format", "csv"],
         ["derivative", _scene("slant"), "--direction", _scene("half_zero_pair")],
+        ["avol", _scene("quadratic")],
+        ["avol", _scene("foo")],
+        ["avol", _scene("mersenne")],
     ]
     return out
 
 
-def run(argv) -> dict:
-    """The record of one command, run from the repository root."""
+def capture(argv) -> tuple:
+    """(exit code, stdout, stderr) of one command, run from the repository
+    root."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
@@ -93,23 +110,26 @@ def run(argv) -> dict:
                 code = exc.code
     finally:
         os.chdir(cwd)
-    record = {"argv": argv, "exit_code": code}
-    for name, stream in (("stdout", out), ("stderr", err)):
-        text = stream.getvalue()
-        record[name] = {"sha256": hashlib.sha256(text.encode()).hexdigest(),
-                        "head": text[:PREVIEW]}
-    return record
+    return code, out.getvalue(), err.getvalue()
+
+
+def record(argv, code, stdout, stderr) -> dict:
+    """The record of one command from what it printed."""
+    out = {"argv": argv, "exit_code": code}
+    for name, text in (("stdout", stdout), ("stderr", stderr)):
+        out[name] = {"sha256": hashlib.sha256(text.encode()).hexdigest(),
+                     "head": text[:PREVIEW]}
+    return out
 
 
 def main():
     old = {}
     if GOLDEN.exists():
         old = {tuple(r["argv"]): r for r in json.loads(GOLDEN.read_text())["commands"]}
-    records = [run(argv) for argv in commands()]
-    for record in records:
-        if old.get(tuple(record["argv"])) != record:
-            print("changed:" if tuple(record["argv"]) in old else "new:",
-                  " ".join(record["argv"]))
+    records = [record(argv, *capture(argv)) for argv in commands()]
+    for new in records:
+        if old.get(tuple(new["argv"])) != new:
+            print("changed:" if tuple(new["argv"]) in old else "new:", " ".join(new["argv"]))
     GOLDEN.write_text(json.dumps({"commands": records}, indent=1) + "\n")
 
 

@@ -1,6 +1,6 @@
 """Write the scene files of the golden CLI corpus into tests/data/scenes.
 
-    PYTHONPATH=src python tests/write_cli_scenes.py
+    PYTHONPATH=src python tests/write_cli_scenes.py [OUT_DIR]
 
 The six gallery scenes of the benchmark (slant, tent, the half-zero pair,
 tent with order 1/2 at Infinity, slant + p_slant(2) and slant + p_slant(2)
@@ -9,11 +9,17 @@ tent with order 1/2 at Infinity, slant + p_slant(2) and slant + p_slant(2)
 generators the workflow runs: slant twice (slant2), the height shift, the
 cap-size scenes (exactly the cap of breakpoints, one over it, and as many
 six- and twelve-digit random breakpoints as the breakpoint and bit caps
-admit), two sampled finite-place pairs (s10, s29) and the three-place
-parabola.  The files are committed; rerun this only to regenerate them,
-then rerun ``tests/record_cli_golden.py``.
+admit), two sampled finite-place pairs (s10, s29), the three-place
+parabola, slant + height_shift(43) (the costliest admitted box at m =
+1024), three steep roofs 1 - 10^e x (e = 100, 400 and 2400), and three
+scenes the CLI refuses: a non-toric base label (quadratic), an unknown
+potential kind (foo) and a place past the proven-prime bound (mersenne).
+The files are committed, and ``tests/test_cli_golden.py`` checks that this
+script still writes them byte for byte (into a temporary OUT_DIR); rerun it
+only to regenerate them, then rerun ``tests/record_cli_golden.py``.
 """
 
+import argparse
 import json
 import random
 from fractions import Fraction as F
@@ -54,12 +60,21 @@ def _parabola(s):
             "points": [[str(i), str(i * i + s)] for i in range(-32, 32)]}
 
 
-def _dump(payload, name):
-    (OUT / f"{name}.json").write_text(json.dumps(payload))
+# the one-breakpoint potential of the hand-written scenes: the roof 1 - x
+_SLANT_INF = {"kind": "convex", "points": [["1", "1"]], "left_slope": "0", "right_slope": "1"}
 
 
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+def _one_potential(place, potential, **rest):
+    return {"c0": "1", "cinf": "0", "potentials": {place: potential}, **rest}
+
+
+def write_scenes(out: Path) -> None:
+    """Write every scene of the corpus into the directory ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
+
+    def dump(payload, name):
+        (out / f"{name}.json").write_text(json.dumps(payload))
+
     slant = slant_divisor()
     pairs = {
         "slant": Pair(slant),
@@ -72,11 +87,12 @@ def main():
         "slant2": Pair(slant).scale(2),
         "s10": sample_big_pair(random.Random(10)),
         "s29": sample_big_pair(random.Random(29)),
+        "slant_h43": Pair(slant + height_shift(43)),
     }
     for name, pair in pairs.items():
-        save_scene(pair, OUT / f"{name}.json")
-    _dump(_cap_scene(MAX_BREAKPOINTS), "big")
-    _dump(_cap_scene(MAX_BREAKPOINTS + 1), "over")
+        save_scene(pair, out / f"{name}.json")
+    dump(_cap_scene(MAX_BREAKPOINTS), "big")
+    dump(_cap_scene(MAX_BREAKPOINTS + 1), "over")
     for digits, name in ((6, "random"), (12, "random12")):
         k = MAX_BREAKPOINTS
         while True:
@@ -85,9 +101,23 @@ def main():
                 break
             except ValueError:
                 k -= 1
-        _dump(_cap_scene(k, digits), name)
-    _dump({"c0": "64", "cinf": "64", "potentials": {
+        dump(_cap_scene(k, digits), name)
+    dump({"c0": "64", "cinf": "64", "potentials": {
         "inf": _parabola(2000), "2": _parabola(0), "3": _parabola(0)}}, "three")
+    # the steep roofs 1 - 10^e x, their point written as "1e<e>"
+    for e, name in ((100, "steep"), (400, "steep400"), (2400, "steep2400")):
+        dump(_one_potential("inf", _SLANT_INF | {"points": [[f"1e{e}", "1"]]}), name)
+    dump(_one_potential("inf", _SLANT_INF, base={"t^2+1": "-1/3"}), "quadratic")
+    dump(_one_potential("inf", _SLANT_INF | {"kind": "foo"}), "foo")
+    # 2^4423 - 1 is prime, but past the bound where the scene reader proves it
+    dump(_one_potential(str(2**4423 - 1), _SLANT_INF), "mersenne")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", nargs="?", type=Path, default=OUT,
+                    help="directory to write the scenes into (default: tests/data/scenes)")
+    write_scenes(ap.parse_args(argv).out)
 
 
 if __name__ == "__main__":
