@@ -57,9 +57,9 @@ before any exp is taken or any denominator built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
 from .divisors import ARCH, as_pair
 from .errors import EmptyPolytope, NotBig, OutOfDomain, PrecisionExhausted
@@ -239,8 +239,7 @@ def place_roofs(pair) -> tuple:
     return psi_inf, {p: unit_roof(divisor.potential(p)) for p in divisor.places if p != ARCH}
 
 
-@dataclass(frozen=True)
-class BoxEntry:
+class BoxEntry(NamedTuple):
     """One admissible exponent: its coefficient denominator, the log of the
     archimedean bound (exact rational), and the resulting box count."""
 
@@ -250,26 +249,28 @@ class BoxEntry:
     count: int
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class SectionBox:
     """The coefficient boxes of the m-th multiple, as ``section_box`` lays
     them out: the integer columns of its n exponents k from k_lo up, that is
     the runs (first k, last k, A, B, D), which cover the exponents in order
     and on which the log bound q_k is (A + B k) / D, and per finite place p
-    the floors e_p(k), d_k = prod_p p^e_p(k).
+    the floors e_p(k), d_k = prod_p p^e_p(k), and where they peak (``_corner``).
 
     The denominators d_k, as integer pairs (num, den), are built and the
     counts 2 floor(d_k e^q_k) + 1 floored by ``_run_floors`` the first time
     ``count_product`` or ``entries``, one ``BoxEntry`` per exponent, reads
     them; ``log_count`` builds d_k and floors only for the counts it cannot
-    read in closed form.  A box is immutable, and two boxes are equal when
-    their m and entries are."""
+    read in closed form.  A box is immutable (setting an attribute raises
+    AttributeError), and two boxes are equal when their m and entries are."""
 
-    m: int
-    _k_lo: int
-    _n: int
-    _runs: list
-    _floors: dict
+    def __init__(self, m: int, k_lo: int, n: int, runs: list, floors: dict):
+        peaks = {p: column.index(max(column)) for p, column in floors.items() if column}
+        self.__dict__.update(m=m, _k_lo=k_lo, _n=n, _runs=runs, _floors=floors, _peaks=peaks)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"SectionBox is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def _denominators(self) -> list:
@@ -281,8 +282,8 @@ class SectionBox:
         for run in self._runs:
             start, end, a, b, den = run
             i, j = start - k_lo, end + 1 - k_lo
-            counts += [2 * n + 1 for n in _run_floors(
-                ds[i:j], start, a, b, den, _size_bound(self._floors, k_lo, run, i, j))]
+            size = _size_bound(self._floors, self._peaks, k_lo, run, i, j)
+            counts += [2 * n + 1 for n in _run_floors(ds[i:j], start, a, b, den, size)]
         return tuple(counts)
 
     @cached_property
@@ -347,7 +348,7 @@ class SectionBox:
         by under 2^-94 + (|E + t| + err) 2^-P, under 2^-99 B, and is 0 for a
         product of 1.  So the sum of both parts strays from log N by under
         2^-99 (A + B)."""
-        floors, k_lo = self._floors, self._k_lo
+        floors, peaks, k_lo = self._floors, self._peaks, self._k_lo
         w = default_precision_bits() + 32 + self._n.bit_length()
         narrow = []  # the narrow floors, in increasing k
         coeffs = dict.fromkeys(floors, 0)
@@ -355,7 +356,7 @@ class SectionBox:
         for run in self._runs:
             a, b, den = run[2:]
             total = 0  # the sum of the wide A + B k
-            for i, j, wide in _classify(floors, k_lo, run, w - 3):
+            for i, j, wide in _classify(floors, peaks, k_lo, run, w - 3):
                 if wide:
                     # k runs over k_lo + i, ..., k_lo + j - 1
                     total += a * (j - i) + b * (2 * k_lo + i + j - 1) * (j - i) // 2
@@ -364,7 +365,7 @@ class SectionBox:
                     n_wide += j - i
                 else:
                     narrow += _run_floors(_denominator_pairs(floors, i, j), k_lo + i,
-                                          a, b, den, _size_bound(floors, k_lo, run, i, j))
+                                          a, b, den, _size_bound(floors, peaks, k_lo, run, i, j))
             if total:
                 lcm = math.lcm(rd, den)
                 rn, rd = rn * (lcm // rd) + total * (lcm // den), lcm
@@ -389,14 +390,17 @@ class SectionBox:
         return _q(out, 1 << (bits + 1))
 
 
-def _corner(floors: dict, i: int, j: int, pick) -> tuple:
-    """(prod_p p^max(0, e_p), prod_p p^max(0, -e_p)) with e_p = pick(the
-    floors of place p at indices i..j-1): for pick = min a lower bound on
-    those exponents' d_k, as the pair ``_low_bits`` reads, for max an upper
-    one; at one exponent, d_k itself."""
+def _corner(floors: dict, peaks: dict, i: int, j: int, top: bool) -> tuple:
+    """(prod_p p^max(0, e_p), prod_p p^max(0, -e_p)) with e_p the least
+    floor of place p at indices i..j-1, a lower bound on those exponents'
+    d_k as the pair ``_low_bits`` reads, or with ``top`` the greatest, an
+    upper one; at one exponent, d_k itself.  A column, the floors of m
+    psi_p(k/m) with psi_p concave, does not fall up to its first greatest
+    floor, at ``peaks[p]``, nor rise after it: so the least is at an end,
+    the greatest at the peak or, off it, at the end nearer to it."""
     num = den = 1
     for p, column in floors.items():
-        e = pick(column[i:j])
+        e = column[min(max(peaks[p], i), j - 1)] if top else min(column[i], column[j - 1])
         if e > 0:
             num *= p ** e
         elif e < 0:
@@ -404,7 +408,7 @@ def _corner(floors: dict, i: int, j: int, pick) -> tuple:
     return num, den
 
 
-def _classify(floors: dict, k_lo: int, run: tuple, cut: int) -> list:
+def _classify(floors: dict, peaks: dict, k_lo: int, run: tuple, cut: int) -> list:
     """The exponents of ``run`` = (first k, last k, A, B, D) as maximal
     segments (i, j, wide) of indices i..j-1, k = k_lo + index, in increasing
     order: a count is wide when ``_low_bits`` of d_k e^q_k, q_k = (A + B k)
@@ -423,9 +427,9 @@ def _classify(floors: dict, k_lo: int, run: tuple, cut: int) -> list:
     while todo:
         i, j = todo.pop()
         q0, q1 = a + b * (k_lo + i), a + b * (k_lo + j - 1)
-        if _low_bits(*_corner(floors, i, j, min), min(q0, q1), den) >= cut:
+        if _low_bits(*_corner(floors, peaks, i, j, False), min(q0, q1), den) >= cut:
             wide = True
-        elif _low_bits(*_corner(floors, i, j, max), max(q0, q1), den) < cut:
+        elif _low_bits(*_corner(floors, peaks, i, j, True), max(q0, q1), den) < cut:
             wide = False
         else:
             mid = (i + j) // 2
@@ -438,13 +442,12 @@ def _classify(floors: dict, k_lo: int, run: tuple, cut: int) -> list:
     return out
 
 
-def _size_bound(floors: dict, k_lo: int, run: tuple, i: int, j: int) -> int:
+def _size_bound(floors: dict, peaks: dict, k_lo: int, run: tuple, i: int, j: int) -> int:
     """An upper bound on the ``_size_bits`` of the counts at indices i..j-1
-    of ``run``, k = k_lo + index: that of the greatest floors and q over
-    them, q at an end."""
+    of ``run``, k = k_lo + index: that of their greatest floors and q."""
     a, b, den = run[2:]
     q = max(a + b * (k_lo + i), a + b * (k_lo + j - 1))
-    return _size_bits(*_corner(floors, i, j, max), q, den)
+    return _size_bits(*_corner(floors, peaks, i, j, True), q, den)
 
 
 def _check_cost(psi_inf: ConcavePA, finite: dict, entries: int, m: int) -> None:
@@ -652,8 +655,7 @@ def volume_estimate(pair, m: int) -> Fraction:
     return _estimate(box_log_count(pair, m), m)
 
 
-@dataclass(frozen=True)
-class OkounkovSample:
+class OkounkovSample(NamedTuple):
     """Empirical concave-transform samples at level m: pairs (w, t_max),
     t_max exact, a Fraction or a Q-linear form in 1, log 2, log 3, ..."""
 
@@ -684,8 +686,7 @@ def okounkov_sample(pair, m: int) -> OkounkovSample:
     return OkounkovSample(m=m, entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class OkounkovData:
+class OkounkovData(NamedTuple):
     """The arithmetic Okounkov body data of a big pair: the projected
     interval, the concave transform on it, and the induced volumes."""
 
@@ -709,9 +710,5 @@ def analytic_okounkov(pair) -> OkounkovData:
         raise NotBig(f"{pair!r} is not big; the Okounkov body is degenerate")
     transform = pair.global_roof().reflect()
     twice = avol(pair)  # kept on the pair by is_big
-    return OkounkovData(
-        domain=transform.domain,
-        transform=transform,
-        body_volume=twice / 2,
-        avol=twice,
-    )
+    return OkounkovData(domain=transform.domain, transform=transform,
+                        body_volume=twice / 2, avol=twice)

@@ -1,9 +1,9 @@
-"""Every Fraction built or read in the hot modules goes through the rational
-kernel of ``exactnum``.
+"""Every Fraction built or read outside ``exactnum`` goes through its
+rational kernel.
 
-``pa``, ``positivity``, ``divisors``, ``harness`` and ``sections`` build a
-Fraction from two ints with ``exactnum._q`` and read a Fraction's integers
-at slot level.
+``pa``, ``positivity``, ``divisors``, ``harness``, ``sections``, ``scenes``
+and ``cli`` build a Fraction from two ints with ``exactnum._q`` and read a
+Fraction's integers at slot level.
 A two-argument ``Fraction(a, b)``, an ``as_integer_ratio()`` call or a read
 of the ``numerator`` or ``denominator`` property would take the slow
 protocol of CPython's pure-Python Fraction again, so none may appear.  A
@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "adelic_volumes"
-MODULES = ("pa", "positivity", "divisors", "harness", "sections")
+MODULES = ("pa", "positivity", "divisors", "harness", "sections", "scenes", "cli")
 
 # (module, qualified function name) -> why it converts with Fraction(x)
 PUBLIC_CONVERSIONS = {
@@ -34,6 +34,7 @@ PUBLIC_CONVERSIONS = {
     ("divisors", "BaseCondition.scale"): "a scale factor from callers",
     ("divisors", "Pair.scale"): "a scale factor from callers",
     ("harness", "_suite_openness"): "a float margin, then limit_denominator",
+    ("scenes", "_bits"): "a scene scalar not held as a Fraction (none from a parsed file)",
 }
 
 
@@ -154,7 +155,7 @@ SLOT_READERS = {
     ("pa", "_tail_turn"): "the side of a tail of a Fraction point: 1,087 / 0 / 264",
     ("pa", "_on_line"): "y0 - s x0 on Fractions: 3,466 / 775 / 402",
     ("pa", "_ratios"): "the ints of Fraction grids and points: 2,090 / 281 / 130",
-    ("pa", "_chord"): "a chord at a Fraction x, on Fractions or per monomial: 122 / 16 / 22",
+    ("pa", "_chord"): "a chord at a Fraction x, on Fractions or per monomial: 133 / 16 / 22",
     ("pa", "_integer_grid"): "points on integer keys over one denominator: 1,585 / 164 / 50",
     ("pa", "_grid_values"): "values on integer keys in one scan: 2,334 / 328 / 50",
     ("pa", "_grid_jets"): "jets on integer keys in one scan: 619 / 82 / 0",
@@ -164,6 +165,7 @@ SLOT_READERS = {
     ("sections", "_exp_mantissas"): "an enclosure of e^x on ints: 0 / 0 / 164",
     ("sections", "_affine_runs"): "a roof's runs of grid points on ints: 0 / 0 / 90",
     ("sections", "_check_cost"): "a box's bit bound on ints: 0 / 0 / 60",
+    ("scenes", "_bits"): "the bits of a scene's breakpoints and slopes: 0 / 0 / 492",
 }
 FRACTION_SLOTS = ("_numerator", "_denominator")
 

@@ -542,7 +542,7 @@ def test_gallery_commands_run_without_sympy(tmp_path):
 
 
 _IMPORT_GRAPH = """
-import json, sys, types
+import contextlib, io, json, sys, types
 from importlib import import_module
 before = set(sys.modules)
 loaded = {}
@@ -558,6 +558,12 @@ except AttributeError as exc:
 star = {}
 exec("from adelic_volumes import *", star)
 home = {name: "adelic_volumes." + av._HOME[name] for name in av.__all__}
+# every subcommand, the suites that count sections among them; the star
+# import has loaded every module of the package already
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert av.cli.main(argv) == 0, argv
+subcommands = sorted(sys.modules)
 print(json.dumps({
     "loaded": loaded,
     "unknown": unknown,
@@ -571,6 +577,7 @@ print(json.dumps({
                           if isinstance(star[name], (type, types.FunctionType))
                           and star[name].__module__ != home[name]],
     "avol_is_positivity_avol": av.avol is import_module("adelic_volumes.positivity").avol,
+    "subcommands": subcommands,
 }))
 """
 
@@ -579,10 +586,18 @@ def test_import_graph():
     """The package resolves its public names on first use, and the
     library's entry points for the harness and the CLI import neither the
     counting oracle, the scene files nor dataclasses: the diskant and suite
-    subcommands run none of them."""
+    subcommands run none of them.  No module of the package, and no
+    subcommand, imports dataclasses or inspect (with its ast, dis and
+    tokenize)."""
+    scenes = os.path.join(os.path.dirname(__file__), "data", "scenes")
+    slant, shift = os.path.join(scenes, "slant.json"), os.path.join(scenes, "shift.json")
+    argvs = [["avol", slant], ["derivative", slant, "--direction", shift],
+             ["diskant", slant, slant], ["oracle", slant, "--m", "4"],
+             ["okounkov", slant, "--m", "4"]]
+    argvs += [["suite", name, "--count", "1"] for name in ("okounkov_match", "zariski")]
     run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GRAPH], capture_output=True, text=True,
-        timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        [sys.executable, "-c", _IMPORT_GRAPH, json.dumps(argvs)], capture_output=True,
+        text=True, timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert run.returncode == 0, run.stderr
     got = json.loads(run.stdout)
     assert not [m for m in got["loaded"]["adelic_volumes"] if m.startswith("adelic_volumes.")]
@@ -594,6 +609,7 @@ def test_import_graph():
     assert got["star"] == sorted(got["all"])
     assert got["not_home"] == [] and got["defined_elsewhere"] == []
     assert got["avol_is_positivity_avol"]
+    assert not {"dataclasses", "inspect"} & set(got["subcommands"])
 
 
 class TestSceneKeys:

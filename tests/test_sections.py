@@ -7,7 +7,7 @@ on [0, 1], so the box at exponent k of the m-th multiple holds the odd count
 floor(e^4) = 54 this gives products 15, 225 and 1005525 at m = 1, 2, 4.
 """
 
-import dataclasses
+import functools
 import math
 import os
 import random
@@ -115,10 +115,12 @@ class TestSectionBox:
         assert hash(box) == hash(section_box(pair, 64))
         assert box != section_box(pair, 63)
         assert repr(box) == f"SectionBox(m=64, entries={box.entries!r})"
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             box.entries = ()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             box.m = 3
+        with pytest.raises(AttributeError):
+            del box.m
 
     def test_slant_product_m1(self):
         box = section_box(slant_divisor(), 1)
@@ -247,12 +249,37 @@ def _per_count_wide(box, cut):
             for start, end, a, b, den in box._runs for k in range(start, end + 1)]
 
 
+@functools.cache
+def _sampled_boxes():
+    """(seed, m, box) for sampled pairs, finite places on odd seeds, m in
+    {16, 64, 256}, each box the oracle admits."""
+    out = []
+    for seed in range(64):
+        pair = sample_big_pair(random.Random(seed), allow_finite=seed % 2 == 1)
+        for m in (16, 64, 256):
+            try:
+                out.append((seed, m, section_box(pair, m)))
+            except ValueError:
+                continue
+    return tuple(out)
+
+
+def _slice_corner(floors, i, j, pick):
+    """_corner of the floors' pick (min or max) over indices i..j-1, read
+    off the slices."""
+    num = den = 1
+    for p, column in floors.items():
+        e = pick(column[i:j])
+        num, den = (num * p ** e, den) if e >= 0 else (num, den * p ** -e)
+    return num, den
+
+
 def _classified_wide(box, cut):
     """The same flags read off the segments of _classify, which must be
     maximal and cover each run in order."""
     flags = []
     for run in box._runs:
-        segments = sections._classify(box._floors, box._k_lo, run, cut)
+        segments = sections._classify(box._floors, box._peaks, box._k_lo, run, cut)
         assert segments[0][0] == run[0] - box._k_lo
         assert segments[-1][1] == run[1] + 1 - box._k_lo
         for (_, j, wide), (i, _, next_wide) in zip(segments, segments[1:]):
@@ -344,21 +371,34 @@ class TestLogCount:
             assert _classified_wide(box, cut) == _per_count_wide(box, cut)
 
     def test_classify_on_sampled_boxes(self):
-        # sampled pairs, finite places on odd seeds, m in {16, 64, 256}
         checked = mixed = with_places = 0
-        for seed in range(64):
-            pair = sample_big_pair(random.Random(seed), allow_finite=seed % 2 == 1)
-            for m in (16, 64, 256):
-                try:
-                    box = section_box(pair, m)
-                except ValueError:
-                    continue
-                want = _per_count_wide(box, _cut(box))
-                assert _classified_wide(box, _cut(box)) == want, (seed, m)
-                checked += 1
-                mixed += len(set(want)) == 2
-                with_places += bool(box._floors)
+        for seed, m, box in _sampled_boxes():
+            want = _per_count_wide(box, _cut(box))
+            assert _classified_wide(box, _cut(box)) == want, (seed, m)
+            checked += 1
+            mixed += len(set(want)) == 2
+            with_places += bool(box._floors)
         assert checked >= 190 and mixed >= 70 and with_places >= 30
+
+    def test_corners_match_the_slice_min_and_max(self):
+        # _corner reads the least and greatest floor of a block off its ends
+        # and the column's first peak; on blocks between sampled indices of
+        # each run, the peaks and their neighbours, they equal the slices'
+        blocks = 0
+        for seed, m, box in _sampled_boxes():
+            floors = box._floors
+            near_peaks = {i + d for i in box._peaks.values() for d in (-1, 0, 1, 2)}
+            for start, end, *_ in box._runs:
+                lo, hi = start - box._k_lo, end + 1 - box._k_lo
+                cuts = sorted({*range(lo, hi, max(1, (hi - lo) // 6)), hi}
+                              | {i for i in near_peaks if lo <= i <= hi})
+                for a, i in enumerate(cuts):
+                    for j in cuts[a + 1:]:
+                        for top, pick in ((False, min), (True, max)):
+                            assert (sections._corner(floors, box._peaks, i, j, top)
+                                    == _slice_corner(floors, i, j, pick)), (seed, m, i, j)
+                        blocks += bool(floors)
+        assert blocks >= 3000
 
     def test_log_builds_only_narrow_denominators(self, monkeypatch):
         # finite_places: the denominators are built for the narrow counts,
