@@ -17,6 +17,7 @@ import io
 import json
 import os
 from pathlib import Path
+from unittest import mock
 
 from adelic_volumes import cli
 
@@ -98,12 +99,14 @@ def commands():
 
 def capture(argv) -> tuple:
     """(exit code, stdout, stderr) of one command, run from the repository
-    root."""
+    root.  argparse wraps its usage to the terminal's width, so the width is
+    fixed at 80 columns."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with (mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:  # argparse refusals

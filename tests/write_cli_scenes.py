@@ -5,8 +5,8 @@
 The six gallery scenes of the benchmark (slant, tent, the half-zero pair,
 tent with order 1/2 at Infinity, slant + p_slant(2) and slant + p_slant(2)
 + p_slant(3)) are written from ``adelic_volumes.gallery`` through
-``save_scene``.  The scenes of the CI workflow are written by the
-generators the workflow runs: slant twice (slant2), the height shift, the
+``save_scene``.  The hand-built scenes, which the CI workflow also runs
+through the console script, are slant twice (slant2), the height shift, the
 cap-size scenes (exactly the cap of breakpoints, one over it, and as many
 six- and twelve-digit random breakpoints as the breakpoint and bit caps
 admit), two sampled finite-place pairs (s10, s29), the three-place
