@@ -12,9 +12,12 @@ attached only when the places are combined into the global roof.
 The global roof of a pair is the place-by-place Legendre transform of the
 (convexified) potentials, summed over places with the log p weights on the
 divisor's polytope and restricted to the polytope cut down by the base
-condition.  Each unit roof is built once per potential and the sum once
-per pair, which keeps it.  It is the integrand of every volume-type
-quantity downstream.
+condition.  It is the integrand of every volume-type quantity downstream.
+On rational data ``positivity`` reads the volume and the Zariski part off
+an integer pass over the potentials and builds no roof; ``global_roof``
+builds it for ``is_pseff``, the Okounkov data and pairs with symbolic
+tails.  Each unit roof is built once per potential and the sum once per
+pair, which keeps it.
 
 A base condition prescribes vanishing orders for sections.  In the toric
 model it acts only through its orders at the two torus-fixed points, Zero
@@ -348,20 +351,22 @@ class Pair:
     """An adelic divisor together with a base condition on sections.
 
     A pair is immutable, like its divisor.  It keeps its shifted window, its
-    global roof and its volume (set by ``positivity.avol``) the first time
-    each is computed; they are not part of the value (``==``, ``repr``,
+    global roof, its volume and the integer pass it was read off (both set
+    by ``positivity.avol``; the pass is None where the roof was integrated)
+    the first time each is computed, so ``zariski_positive_part`` reads the
+    pass again.  They are not part of the value (``==``, ``repr``,
     ``to_payload``).  An error is not kept: it is raised again on every
     call.
     """
 
-    __slots__ = ("divisor", "base", "_window", "_roof", "_avol")
+    __slots__ = ("divisor", "base", "_window", "_roof", "_avol", "_pass")
 
     def __init__(self, divisor: ToricAdelicDivisor, base: BaseCondition | None = None):
         if not isinstance(divisor, ToricAdelicDivisor):
             raise TypeError("Pair needs a ToricAdelicDivisor")
         self.divisor = divisor
         self.base = base if base is not None else BaseCondition()
-        self._window = self._roof = self._avol = None
+        self._window = self._roof = self._avol = self._pass = None
 
     def _toric_orders(self) -> tuple:
         v0, vinf = self.base.v0, self.base.vinf

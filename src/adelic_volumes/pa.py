@@ -77,7 +77,10 @@ kernel ``positivity._Line`` keeps a line's rows as integers over one
 denominator and runs the lower hull on them, with the sign tests of
 ``_turn`` and ``_tail_turn`` over common denominators.  At a rational t
 it reads the roofs' breakpoints and values off the hulls as integers,
-merged on one grid, and its volume is ``_twice_area`` of them.  A
+merged on one grid (``positivity._merge``), and its volume is
+``_twice_area`` of them; a pair's volume and Zariski part on rational
+data are read the same way off its own potentials, whose points are their
+hulls when convex (``positivity._pair_pass``).  A
 threshold's Newton step sums them, weighted by 1 and log p, as ring
 elements: ints at a rational t at the archimedean place alone, integer
 polynomials in the logs with finite places, at a t in Q(log p) or on a
@@ -100,8 +103,9 @@ most two clipped ends w y_in^2 / (y_in - y_out), and one function forms
 it: ``_twice_area``, on breakpoints as integer keys and values as one
 integer column per monomial of the logs.  ``_twice_integral`` puts a
 roof's points on that grid (``exactnum._poly_columns``), for
-``positivity.avol`` and, halved, for :func:`integrate_positive_part`,
-and the line kernel's volume reads them off its merged hulls.  One
+:func:`integrate_positive_part`, halved, and for ``positivity.avol`` on
+a pair with tails or data outside Q; the line kernel's volume, and
+``avol`` on rational data, read them off merged hulls.  One
 column of the monomial 1 is summed over Z into one Fraction; columns in
 the logs are summed per monomial, and the clipped ends join the sum as
 one quotient over the clip denominators, reduced by trial division by
@@ -113,18 +117,18 @@ the traffic pays for it.  Each is listed with its operand, its cost per
 call in microseconds against the kernel formula's, and its calls on the
 seed-9001 op lists of one benchmark worker (suites / diskant / oracle):
 
-* ``_slope`` of two Fraction points: 0.57 against 1.06, 1,696 / 377 /
-  222 calls;
-* ``_turn`` of three Fraction points: 0.47 against 2.03, 1,058 calls
+* ``_slope`` of two Fraction points: 0.57 against 1.06, 315 / 0 / 222
+  calls;
+* ``_turn`` of three Fraction points: 0.47 against 2.03, 1,020 calls
   on suites;
-* ``_tail_turn`` of a Fraction slope and points: 1,087 / 0 / 264 calls;
-* ``_on_line`` of Fractions: 0.43 against 0.65, 3,466 / 775 / 402
+* ``_tail_turn`` of a Fraction slope and points: 1,034 / 0 / 264 calls;
+* ``_on_line`` of Fractions: 0.43 against 0.65, 1,067 / 164 / 402
   calls;
 * ``_chord`` at a Fraction x: on Fraction values 0.65 against 2.16,
-  81 / 16 / 22 calls; per monomial on forms in the logs, 41 / 0 / 0
+  29 / 0 / 0 calls; per monomial on forms in the logs, 11 / 0 / 0
   calls and once per sample of ``okounkov`` (8,193 on the CI three-place
   scene);
-* ``_grid`` of Fractions: 530 / 0 / 20 calls;
+* ``_grid`` of Fractions: 410 / 0 / 0 calls;
 * the integer scans of ``_eval_on_grid`` and ``_sum_on_grid``
   (``_integer_grid``, ``_grid_values``, ``_grid_jets``), without which
   the suites op list ran 2-3% and 0.9% slower.
@@ -755,9 +759,11 @@ class _LinePA:
         ``scale``, ``as_general``, ``PAGeneral`` sums and minima (after the
         collinear merge), the canonical potential and an ``is_convex``
         potential in ``divisors``, the sampled potentials of
-        ``harness.sample_convex_potential``, and the rows of a line's
+        ``harness.sample_convex_potential``, the rows of a line's
         twisted potential in ``positivity._Line``, fed only to
-        ``convex_envelope``."""
+        ``convex_envelope``, and the Zariski part's potentials of
+        ``positivity._positive_read``: the points ``legendre_potential``
+        would build, taken from the hull."""
         obj = object.__new__(cls)
         obj._set(pts, left_slope, right_slope)
         return obj
@@ -1135,7 +1141,7 @@ def integrate_positive_part(f: ConcavePA) -> Scalar:
 
 def _twice_integral(f: ConcavePA) -> Scalar:
     """Twice the exact integral of max(f, 0) over the domain, the form in
-    which ``positivity.avol`` reads it.
+    which ``positivity.avol`` reads it off a built roof.
 
     With rational x and values polynomial in the logs (d = 1), the points
     go on one integer grid, x = X / U over the lcm U of their
@@ -1189,12 +1195,8 @@ def _twice_area(grid, cols, monos, den, layers=1) -> list:
     the logs are summed per monomial, and each coefficient is built once
     by ``exactnum._affine_quotient_sum``, over the clip denominators
     y_in - y_out as its factors."""
-    ints = len(cols) == 1 and monos[0] == _MONO_ONE
-    if ints:
-        ys, sign = cols[0], scalar_sign
-    else:
-        ys = [{mono: y for mono, y in zip(monos, row) if y} for row in zip(*cols)]
-        sign = _poly_sign if layers == 1 else _layered_sign
+    ys, sign = _key_values(cols, monos, layers)
+    ints = sign is scalar_sign
     run = _nonneg_run(ys, sign)
     if run is None:
         return [_ZERO] * layers
@@ -1228,6 +1230,19 @@ def _twice_area(grid, cols, monos, den, layers=1) -> list:
                 [({mono: w * _layer(c, j) for mono, c in sq.items()}, den, [lin])
                  for w, lin, sq in ends])
             for j in range(layers)]
+
+
+def _key_values(cols, monos, layers=1) -> tuple:
+    """(ys, sign): the values sum_j cols[j][i] monos[j] at the keys of
+    ``_twice_area``'s data, and the function that decides their signs.  One
+    column of the monomial 1 is read as it is, its ints (or ``_Eps``
+    values) signed by ``scalar_sign``; otherwise each value is an integer
+    polynomial in the logs, signed by ``_poly_sign``, or by
+    ``_layered_sign`` on a jet's layers."""
+    if len(cols) == 1 and monos[0] == _MONO_ONE:
+        return cols[0], scalar_sign
+    ys = [{mono: y for mono, y in zip(monos, row) if y} for row in zip(*cols)]
+    return ys, _poly_sign if layers == 1 else _layered_sign
 
 
 def _layer(x, j: int) -> int:

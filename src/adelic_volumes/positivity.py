@@ -12,13 +12,19 @@ few steps, and it comes back as a bracket lo == hi.  Each step is one pass
 of the line kernel (``_Line``) on integers, or on integer polynomials in
 the logs at finite places, and builds no roof; the nef guards read the two
 ends of the divisor's roof off its potentials' first and last breakpoints
-(``_roof_ends``).  The volume avol(p1 + p2) of a sum of pairs is one pass
-of the same kernel (``_sum_volume``), and intersection numbers pair
-integer jets.
+(``_roof_ends``).  The volume of a pair on rational data is one pass of
+the same kernel with no direction (``_pair_pass``): each potential read
+once as integers, the roofs' breakpoints merged and read by ``_merge``,
+the routine ``_Line`` runs on its hulls.  The pair keeps the pass, and its
+Zariski positive part is read off it; a pair with tails in Q(log p) (a
+Zariski positive part's) or data outside Q builds its global roof instead.
+The volume avol(p1 + p2) of a sum of pairs is one pass of the line kernel
+(``_sum_volume``), and intersection numbers pair integer jets.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
@@ -29,8 +35,8 @@ from .exactnum import (Scalar, _cleared, _linear_combination, _place_sum, _q, _q
                        _qmul, _qsub, _split, _weight_mono, log_unit, scalar_cmp,
                        scalar_float, scalar_sign)
 from .pa import (ConvexPA, Interval, _grid_jets, _grid_values, _integer_grid, _jet_pairing,
-                 _on_line, _ratios, _twice_area, _twice_integral, legendre_potential,
-                 unit_roof)
+                 _key_values, _nonneg_run, _on_line, _ratios, _twice_area, _twice_integral,
+                 _zero_between, legendre_potential, unit_roof)
 
 
 def _as_divisor(obj) -> ToricAdelicDivisor:
@@ -95,8 +101,13 @@ def avol(pair):
     """Arithmetic volume: twice the area between the global roof and zero.
 
     Exact: a Fraction for log-free data, a symbolic-log scalar otherwise.
-    An empty or degenerate polytope gives volume zero.  Kept on the pair,
-    which is immutable.
+    An empty or degenerate polytope gives volume zero.  When the tails,
+    the base orders and every breakpoint and value are Fractions, it is
+    ``pa._twice_area`` of the pair's integer pass (``_pair_pass``), which
+    builds no roof; otherwise, as for a Zariski positive part's tails in
+    Q(log p), the integral of the built roof (``pa._twice_integral`` of
+    ``Pair.global_roof``).  Kept on the pair, which is immutable, with the
+    pass, which a later ``zariski_positive_part`` reads.
     """
     pair = as_pair(pair)
     if pair._avol is None:
@@ -104,12 +115,71 @@ def avol(pair):
         if window.is_empty or window.is_point:
             pair._avol = _ZERO
         else:
-            pair._avol = _twice_integral(pair.global_roof())
+            run = pair._pass = _pair_pass(pair)
+            if run is None:
+                pair._avol = _twice_integral(pair.global_roof())
+            else:
+                places, _, grid, d, cols, den, _ = run
+                pair._avol = _twice_area(grid, cols, [_weight_mono(v) for v in places],
+                                         den * d)[0]
     return pair._avol
 
 
 def is_big(pair) -> bool:
+    """avol > 0: the sign of the volume, read off the pass or the roof as
+    ``avol`` reads it, and kept on the pair with it."""
     return scalar_sign(avol(pair)) > 0
+
+
+def _pair_pass(pair):
+    """The line kernel's pass for one pair: (places, points, grid, d, cols,
+    den, reads), the places (the archimedean one first), per place its
+    hull's points as the potential stores them, and ``_merge``'s output on
+    the pair's window, which has positive width; None unless the tails, the
+    base orders and every breakpoint and value are Fractions.
+
+    Each potential is read once as integers (``_rows``).  A ``ConvexPA``
+    of the divisor has strict kinks against the divisor's own tails, so
+    its points are its hull; only a ``PAGeneral`` runs ``_integer_hull``,
+    at n = 0, m = 1.  No direction is read, so no union grid is formed."""
+    d = pair.divisor
+    ends = _ratios((d.cinf, d.c0) + pair._toric_orders())
+    if ends is None:
+        return None
+    k = lcm(*[b for _, b in ends])
+    ci, c0, v0, vinf = [a * (k // b) for a, b in ends]
+    places = list(dict.fromkeys((ARCH,) + d.places))
+    hulls, points = [], []
+    for v in places:
+        pot = d.potential(v)
+        rows = _rows(pot.points)
+        if rows is None:
+            return None
+        xs, big_u, ys, c = rows
+        if type(pot) is ConvexPA:
+            hull, pts = list(zip(xs, ys)), pot.points
+        else:
+            hull = _integer_hull((xs, big_u, ys, c, [0] * len(xs)), 0, 1, -ci, c0, k)
+            at = dict(zip(xs, pot.points))
+            pts = [at[x] for x, _ in hull]
+        hulls.append((hull, big_u, c))
+        points.append(pts)
+    e = lcm(*[n for _, big_u, c in hulls for n in (big_u, c)])
+    return (places, points) + _merge(hulls, v0 - ci, c0 - vinf, k, 1, e)
+
+
+def _rows(points):
+    """(X, U, Y, C) with the points (X_i / U, Y_i / C), U and C positive
+    ints, each point read once; None unless every coordinate is a
+    Fraction."""
+    xr, yr = [], []
+    for x, y in points:
+        if type(x) is not Fraction or type(y) is not Fraction:
+            return None
+        xr.append((x._numerator, x._denominator))
+        yr.append((y._numerator, y._denominator))
+    big_u, c = lcm(*[b for _, b in xr]), lcm(*[b for _, b in yr])
+    return [a * (big_u // b) for a, b in xr], big_u, [a * (c // b) for a, b in yr], c
 
 
 def _sum_volume(p1, p2):
@@ -149,20 +219,61 @@ def zariski_positive_part(pair) -> ZariskiPart:
 
     The region is {global roof >= 0}; its ends are zeros of the roof, so
     they may involve log p.  At each place the potential is the Legendre
-    dual of the unit roof over the region, read off the rational unit roof
-    (``legendre_potential`` with a window): its breakpoints stay rational
-    and only its tails, the region's ends, can be symbolic.
+    dual of the unit roof over the region: the hull points whose roof
+    segments meet the open region, with the region's ends as tails.  Its
+    breakpoints stay rational and only its tails can be symbolic.
+
+    On a pair whose volume came off the integer pass (``avol``), both are
+    read off the pass the pair keeps (``_positive_read``): no roof is
+    built.  Otherwise the region is read off the built roof
+    (``ConcavePA.nonneg_region``) and each potential off the rational unit
+    roof (``legendre_potential`` with a window).  Both routes give the same
+    values, types and reprs.
     """
     pair = as_pair(pair)
     if not is_big(pair):
         raise NotBig(f"{pair!r} has volume zero; no positive part")
-    roof = pair.global_roof()
-    region = roof.nonneg_region()
     divisor = pair.divisor
-    pots = {place: legendre_potential(unit_roof(divisor.potential(place)), region)
-            for place in dict.fromkeys((ARCH,) + divisor.places)}
+    if pair._pass is not None:
+        region, pots = _positive_read(pair._pass)
+    else:
+        region = pair.global_roof().nonneg_region()
+        pots = {place: legendre_potential(unit_roof(divisor.potential(place)), region)
+                for place in dict.fromkeys((ARCH,) + divisor.places)}
     positive = ToricAdelicDivisor(region.hi, _qsub(_ZERO, region.lo), pots)
     return ZariskiPart(pair=pair, positive=positive, region=region)
+
+
+def _positive_read(run):
+    """(region, potentials) of a big pair off its pass (``_pair_pass``).
+
+    The first and last nonnegative keys are read as ``_twice_area`` reads
+    them (``pa._nonneg_run``).  A region end is a window end or the zero of
+    the chord through the keys around the sign change (``pa._zero_between``).
+    Between two neighbouring keys each place has one active hull point,
+    the one read at the left key.  The open region covers the gaps a to b:
+    a holds its lower end, one gap before the first nonnegative key when
+    that key's value is positive, and b its upper end.  So a place's
+    potential is the slice of its hull points active from gap a to gap b,
+    with the region's ends as tails, as ``legendre_potential(unit_roof(psi),
+    region)`` builds it.
+    """
+    places, points, grid, d, cols, den, reads = run
+    ys, sign = _key_values(cols, [_weight_mono(v) for v in places])
+    first, last, sign_first, sign_last = _nonneg_run(ys, sign)
+    top = len(grid) - 1
+
+    def point(i):
+        return _q(grid[i], d), _place_sum([(v, col[i]) for v, col in zip(places, cols)], den)
+
+    lo = _zero_between(point(first - 1), point(first)) if first else _q(grid[0], d)
+    hi = _zero_between(point(last), point(last + 1)) if last < top else _q(grid[-1], d)
+    a = first - 1 if first and sign_first > 0 else first
+    b = last if last < top and sign_last > 0 else last - 1
+    pots = {v: ConvexPA._raw(pts[start + bisect_right(inside, grid[a]):
+                                 start + bisect_right(inside, grid[b]) + 1], lo, hi)
+            for v, pts, (start, inside) in zip(places, points, reads)}
+    return Interval(lo, hi), pots
 
 
 # -- intersection numbers --------------------------------------------------
@@ -371,12 +482,13 @@ class _Line:
     roofs weighted by 1 and log p, on the window [-cinf + v0, c0 - vinf].
     A place keeps its rows as u = X / U, pD(u) = P / C and pE(u) = Q / C
     (``_tabulate``), and at t = n / m its hull runs on the points
-    (X, P m + Q n) (``_integer_hull``).  One pass (``_merged``) merges the
-    roofs' breakpoints, the hulls' slopes, between the window's ends on one
-    denominator and reads each place's value numerators there off its
-    hull; ``top`` reads the maximum off them, and ``_volume`` twice the
-    area of the positive part, by ``pa._twice_area``, the integral that
-    ``avol`` runs on the built roof too.  No place's roof is built.
+    (X, P m + Q n) (``_integer_hull``).  One pass (``_merged``, by
+    ``_merge``) merges the roofs' breakpoints, the hulls' slopes, between
+    the window's ends on one denominator and reads each place's value
+    numerators there off its hull; ``top`` reads the maximum off them, and
+    ``_volume`` twice the area of the positive part, by ``pa._twice_area``,
+    the integral that ``avol`` runs on a pair's own pass too.  No place's
+    roof is built.
 
     Every test of the pass is linear in (n, m), so n, m, the rows and the
     tails may be ring elements: integer polynomials in the logs, ints or
@@ -415,16 +527,15 @@ class _Line:
         self._places = [(1 if v == ARCH else log_unit(v),
                          _tabulate(d.potential(v), direction.potential(v), scaled))
                         for v in places]
-        # the tails and base orders over one integer denominator k, and per
-        # place the monomial of its weight with the factors that bring its
-        # values to one denominator e, for a multiple e of every U and C
+        # the tails and base orders over one integer denominator k, a
+        # multiple e of every U and C, and per place the monomial of its
+        # weight
         self._kernel = None
         if all(ints is not None for _, ints in self._places):
             k = lcm(*(b for _, b in ends))
             e = lcm(*(ints[i] for _, ints in self._places for i in (1, 3)))
             self._kernel = (k, [a * (k // b) for a, b in ends], e,
-                            [(_weight_mono(v), e // ints[3], e // ints[1])
-                             for v, (_, ints) in zip(places, self._places)])
+                            [_weight_mono(v) for v in places])
 
     def top(self, t):
         """(x, g, where): the maximum g of the roof at t, at x (the midpoint
@@ -472,61 +583,20 @@ class _Line:
         empty, one when it is a point.
 
         The tails are ls = -cinf and rs = c0 of D + t E and the window is
-        [lo, hi] = [ls + v0, rs - vinf], all over k m.  A place's unit roof
-        has the breakpoints ls, s_1, ..., s_r, rs, s_j the slope of the
-        hull's j-th segment, and on [s_j, s_j+1] it is y_j - x u_j, read
-        off hull point j (the active point).  The keys are the window's
-        ends and the breakpoints inside it, merged over the places on one
-        denominator d m, d an int; each is a strict kink of some place's
-        roof, and the weights are positive, so the sum is canonical on
-        them.  At a key the value of place v is the numerator
-        Y_j (e / C) d - g X_j (e / U) over den = e d m.  n and m are ints,
-        ring elements (``_Line``), or, at n = +-eps (``jet``), ``_Eps``
-        and 1.
+        [lo, hi] = [ls + v0, rs - vinf], all over k m.  Each place's hull
+        (``_integer_hull``) is read by ``_merge``.  n and m are ints, ring
+        elements (``_Line``), or, at n = +-eps (``jet``), ``_Eps`` and 1.
         """
         if self._kernel is None:
             raise ValueError("the line has data outside Q; it has no integer pass")
-        k, (ci_d, ci_e, c0_d, c0_e, v0, vinf), e, scales = self._kernel
+        k, (ci_d, ci_e, c0_d, c0_e, v0, vinf), e, _ = self._kernel
         ls, rs = -ci_d * m - ci_e * n, c0_d * m + c0_e * n
         lo, hi = ls + v0 * m, rs - vinf * m
         if lo > hi:
             return [], 1, [], 1
-        # per place: its hull, the index of the point active at lo and the
-        # slopes sn / (sd m) of the breakpoints inside the window
-        places, dens = [], [k]
-        for _, ints in self._places:
-            big_u, c = ints[1], ints[3]
-            hull = _integer_hull(ints, n, m, ls, rs, k)
-            start, inside = 0, []
-            for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-                sn, sd = (y2 - y1) * big_u, (x2 - x1) * c
-                if sn * k <= lo * sd:
-                    start += 1
-                elif sn * k < hi * sd:
-                    inside.append((sn, sd))
-                    dens.append(sd)
-                else:
-                    break
-            places.append((hull, start, inside))
-        d = lcm(*dens)
-        places = [(hull, start, [sn * (d // sd) for sn, sd in inside])
-                  for hull, start, inside in places]
-        grid = [lo * (d // k)]
-        if lo < hi:
-            keys = sorted(g for _, _, inside in places for g in inside)
-            grid += [g for j, g in enumerate(keys) if not j or g != keys[j - 1]]
-            grid.append(hi * (d // k))
-        # per place the value numerators at the keys, read off the active point
-        cols = []
-        for (hull, start, inside), (_, alpha, beta) in zip(places, scales):
-            a, i, col = alpha * d, 0, []
-            for g in grid:
-                while i < len(inside) and inside[i] <= g:
-                    i += 1
-                x, y = hull[start + i]
-                col.append(y * a - g * x * beta)
-            cols.append(col)
-        return grid, d * m, cols, e * d * m
+        hulls = [(_integer_hull(ints, n, m, ls, rs, k), ints[1], ints[3])
+                 for _, ints in self._places]
+        return _merge(hulls, lo, hi, k, m, e)[:4]
 
     def _volume(self, n, m, layers):
         """The volume at t = n / m, as its coefficients [c_0, ...,
@@ -536,8 +606,7 @@ class _Line:
         if self._scales is not None:
             raise ValueError("the line has tails outside Q; its volumes have no integer pass")
         grid, d, cols, den = self._merged(n, m)
-        return _twice_area(grid, cols, [mono for mono, _, _ in self._kernel[3]], den * d,
-                           layers)
+        return _twice_area(grid, cols, self._kernel[3], den * d, layers)
 
 
 def _lifted(op):
@@ -654,6 +723,61 @@ def _integer_hull(ints, n, m, ln, rn, k) -> list:
     return hull
 
 
+def _merge(hulls, lo, hi, k, m, e):
+    """The global roof of the hulls on the window [lo, hi], lo < hi or a
+    point, its ends numerators over k m: (grid, d m, cols, e d m, reads),
+    the keys g of its breakpoints x = g / (d m) in order, per place the
+    numerators over e d m of its values there, unweighted, and per place
+    (start, inside), the index of the hull point active at lo and the keys
+    of the roof's breakpoints inside the window.  The one merge and read of
+    the line kernel: ``_Line`` feeds it the hulls of D + t E, and
+    ``_pair_pass`` a pair's own potentials.
+
+    A hull is (points, U, C), the points (X, Y) standing for
+    (X / U, Y / (C m)), in x order with strictly rising slopes, and e is a
+    multiple of every U and C.  A place's unit roof has the breakpoints
+    ls, s_1, ..., s_r, rs, s_j the slope of the hull's j-th segment, and
+    on [s_j, s_j+1] it is y_j - x u_j, read off hull point j (the active
+    point).  The keys are the window's ends and the breakpoints inside it,
+    merged over the places on one denominator d m, d an int; each is a
+    strict kink of some place's roof, and the weights are positive, so the
+    sum is canonical on them.  At a key the value of a place is the
+    numerator Y_j (e / C) d - g X_j (e / U) over e d m.  lo, hi and the
+    points may be ints or ring elements, m an int or a ring element.
+    """
+    reads, dens = [], [k]
+    for hull, big_u, c in hulls:
+        start, inside = 0, []
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+            sn, sd = (y2 - y1) * big_u, (x2 - x1) * c
+            if sn * k <= lo * sd:
+                start += 1
+            elif sn * k < hi * sd:
+                inside.append((sn, sd))
+                dens.append(sd)
+            else:
+                break
+        reads.append((start, inside))
+    d = lcm(*dens)
+    reads = [(start, [sn * (d // sd) for sn, sd in inside]) for start, inside in reads]
+    grid = [lo * (d // k)]
+    if lo < hi:
+        keys = sorted(g for _, inside in reads for g in inside)
+        grid += [g for j, g in enumerate(keys) if not j or g != keys[j - 1]]
+        grid.append(hi * (d // k))
+    # per place the value numerators at the keys, read off the active point
+    cols = []
+    for (hull, big_u, c), (start, inside) in zip(hulls, reads):
+        a, beta, i, col = e // c * d, e // big_u, 0, []
+        for g in grid:
+            while i < len(inside) and inside[i] <= g:
+                i += 1
+            x, y = hull[start + i]
+            col.append(y * a - g * x * beta)
+        cols.append(col)
+    return grid, d * m, cols, e * d * m, reads
+
+
 def _fall_rate(line, t, x, where):
     """The rate M at which g rises as t falls, g(t - s) = g(t) + M * s for
     small s > 0, read at the argmax x, where ``_Line.top`` puts it, off the
@@ -677,14 +801,14 @@ def _fall_rate(line, t, x, where):
     element, an int where ``_Line.top``'s values are, and M is its maximum
     over e b lam mu (``_quo``).
     """
-    k, ends, e, scales = line._kernel
+    k, ends, e, _ = line._kernel
     lam, mu = line._scales or (1, 1)
     (tn, tm), (xn, xd) = _split(t), _split(x)
     tm, xn = tm * lam, xn * mu
     active = []
-    for (_, ints), (_, to_e_c, to_e_u) in zip(line._places, scales):
+    for _, ints in line._places:
         xs, big_u, ps, c, qs = ints
-        k1, k2 = big_u * xd, xn * c * tm
+        k1, k2, to_e_c, to_e_u = big_u * xd, xn * c * tm, e // c, e // big_u
         ys = [(p * tm - tn * q) * k1 - k2 * u for u, p, q in zip(xs, ps, qs)]
         y = min(ys)
         active.append([(q * to_e_c, u * to_e_u) for u, q, yu in zip(xs, qs, ys) if yu == y])

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from pathlib import Path
 
 from .divisors import Pair
@@ -126,8 +125,8 @@ def scene_from_dict(payload: dict) -> Pair:
 
 
 def _bits(x) -> int:
-    if type(x) is not Fraction:
-        x = Fraction(x)
+    """The bits of a Fraction's numerator and denominator; a parsed scene
+    holds every breakpoint and slope as a Fraction."""
     return x._numerator.bit_length() + x._denominator.bit_length()
 
 

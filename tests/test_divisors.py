@@ -367,7 +367,7 @@ class TestGlobalRoof:
         assert d.potential(ARCH) is d.potential(ARCH)
         assert d.potential(5) is d.potential(ARCH)
         for _ in range(3):
-            zariski_positive_part(Pair(d))
+            Pair(d).global_roof()
         # one unit roof at 2 and one at the canonical archimedean place
         assert len(calls) == 2
         assert sum(p is d.potential(ARCH) for p in calls) == 1
@@ -416,6 +416,28 @@ class TestPairMemo:
             assert (repr(twin), twin.to_payload()) == before
 
     def test_avol_integrates_once(self, monkeypatch):
+        # rational data: one integer pass per pair, kept for the Zariski part
+        calls = []
+        original = positivity._pair_pass
+
+        def counting(pair):
+            calls.append(pair)
+            return original(pair)
+
+        monkeypatch.setattr(positivity, "_pair_pass", counting)
+        pair = self._pairs()[2]
+        first = avol(pair)
+        assert avol(pair) is first and is_big(pair)
+        assert len(calls) == 1 and pair._pass is not None
+        assert pair.shifted_polytope() is pair.shifted_polytope()
+        zariski_positive_part(pair)
+        assert len(calls) == 1 and pair._roof is None
+        # an equal pair is another object, with its own memo
+        assert avol(self._pairs()[2]) == first
+        assert len(calls) == 2
+
+    def test_avol_integrates_the_roof_once_off_q(self, monkeypatch):
+        # tails in Q(log 2), a Zariski positive part's: the roof route
         calls = []
         original = positivity._twice_integral
 
@@ -423,15 +445,16 @@ class TestPairMemo:
             calls.append(roof)
             return original(roof)
 
+        d = slant_divisor() + p_slant_divisor(2) + height_shift(F(-3, 2))
+        positive = zariski_positive_part(Pair(d)).positive
+        assert not isinstance(positive.c0, F)
         monkeypatch.setattr(positivity, "_twice_integral", counting)
-        pair = self._pairs()[2]
+        pair = Pair(positive)
         first = avol(pair)
         assert avol(pair) is first and is_big(pair)
-        assert len(calls) == 1
-        assert pair.shifted_polytope() is pair.shifted_polytope()
+        assert len(calls) == 1 and pair._pass is None
         assert pair.global_roof() is pair.global_roof() is calls[0]
-        # an equal pair is another object, with its own memo
-        assert avol(self._pairs()[2]) == first
+        assert avol(Pair(positive)) == first
         assert len(calls) == 2
 
     def test_errors_are_raised_on_every_call(self):

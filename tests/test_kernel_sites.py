@@ -34,7 +34,6 @@ PUBLIC_CONVERSIONS = {
     ("divisors", "BaseCondition.scale"): "a scale factor from callers",
     ("divisors", "Pair.scale"): "a scale factor from callers",
     ("harness", "_suite_openness"): "a float margin, then limit_denominator",
-    ("scenes", "_bits"): "a scene scalar not held as a Fraction (none from a parsed file)",
 }
 
 
@@ -150,15 +149,16 @@ def test_the_encoding_guard_sees_each_kind():
 # other function takes the kernel's ``_q``, ``_qadd``, ``_qsub``,
 # ``_qmul``, ``_qdiv`` and ``scalar_cmp``.
 SLOT_READERS = {
-    ("pa", "_slope"): "the slope of two Fraction points: 1,696 / 377 / 222",
-    ("pa", "_turn"): "the orientation sign of three Fraction points: 1,058 / 0 / 0",
-    ("pa", "_tail_turn"): "the side of a tail of a Fraction point: 1,087 / 0 / 264",
-    ("pa", "_on_line"): "y0 - s x0 on Fractions: 3,466 / 775 / 402",
-    ("pa", "_ratios"): "the ints of Fraction grids and points: 2,090 / 281 / 130",
-    ("pa", "_chord"): "a chord at a Fraction x, on Fractions or per monomial: 133 / 16 / 22",
-    ("pa", "_integer_grid"): "points on integer keys over one denominator: 1,585 / 164 / 50",
-    ("pa", "_grid_values"): "values on integer keys in one scan: 2,334 / 328 / 50",
+    ("pa", "_slope"): "the slope of two Fraction points: 315 / 0 / 222",
+    ("pa", "_turn"): "the orientation sign of three Fraction points: 1,020 / 0 / 0",
+    ("pa", "_tail_turn"): "the side of a tail of a Fraction point: 1,034 / 0 / 264",
+    ("pa", "_on_line"): "y0 - s x0 on Fractions: 1,067 / 164 / 402",
+    ("pa", "_ratios"): "the ints of Fraction grids and points: 1,648 / 281 / 60",
+    ("pa", "_chord"): "a chord at a Fraction x, on Fractions or per monomial: 40 / 0 / 0",
+    ("pa", "_integer_grid"): "points on integer keys over one denominator: 1,263 / 164 / 0",
+    ("pa", "_grid_values"): "values on integer keys in one scan: 2,012 / 328 / 0",
     ("pa", "_grid_jets"): "jets on integer keys in one scan: 619 / 82 / 0",
+    ("positivity", "_rows"): "a pair's potentials as integers, for its pass: 524 / 117 / 90",
     ("positivity", "_Line.volume"): "a line's volume at a Fraction t: 507 / 41 / 0",
     ("harness", "sample_convex_potential"): "the slopes of a sampled potential: 633 / 97 / 0",
     ("sections", "_floor_scaled_exp"): "floor(d e^q) on ints: 0 / 0 / 52",

@@ -60,6 +60,7 @@ from adelic_volumes.positivity import (
     zariski_positive_part,
 )
 
+import reference
 from operator_chain import ref_integrate_positive_part
 
 F = Fraction
@@ -359,6 +360,72 @@ class TestZariski:
     def test_requires_big(self):
         with pytest.raises(NotBig):
             zariski_positive_part(height_shift(1))
+
+
+class TestReference:
+    """avol, the kept roof route and the Zariski part against the
+    definitions of ``tests/reference.py``, which shares no roof code with
+    the package, and the Zariski part against the roof route's
+    ``legendre_potential``."""
+
+    @staticmethod
+    def _check(pair):
+        """Compare one pair; its region, None when it is not big."""
+        want, region = reference.volume_and_region(pair)
+        got = avol(pair)
+        assert got == want, pair
+        twin = Pair(pair.divisor, pair.base)
+        window = twin.shifted_polytope()
+        if not (window.is_empty or window.is_point):
+            kept = pa._twice_integral(twin.global_roof())
+            assert type(kept) is type(got) and repr(kept) == repr(got), pair
+        if not is_big(pair):
+            assert scalar_sign(want) == 0, pair
+            return None
+        zar = zariski_positive_part(pair)
+        assert (zar.region.lo, zar.region.hi) == region, pair
+        roof_region = twin.global_roof().nonneg_region()
+        assert repr(zar.region) == repr(roof_region)
+        assert all(type(a) is type(b) for a, b in ((zar.region.lo, roof_region.lo),
+                                                   (zar.region.hi, roof_region.hi)))
+        d = pair.divisor
+        for v in dict.fromkeys((ARCH,) + d.places):
+            roof_pot = legendre_potential(unit_roof(d.potential(v)), roof_region)
+            pot = zar.positive.potential(v)
+            assert type(pot) is type(roof_pot) and repr(pot) == repr(roof_pot), (pair, v)
+        return region
+
+    def test_sampled_pairs_with_base_conditions(self):
+        rng = random.Random(2012)
+        seen = {"pairs": 0, "finite": 0, "big": 0, "general": 0, "log_region": 0,
+                "end_on_a_kink": 0}
+        while seen["pairs"] < 300 or seen["finite"] < 100:
+            d = sample_divisor(rng, convex=rng.random() < 0.75)
+            orders = {"0": d.degree * F(rng.randint(-2, 4), 8)}
+            if rng.random() < 0.5:
+                orders["inf"] = d.degree * F(rng.randint(-2, 3), 8)
+            pair = Pair(d, BaseCondition(orders))
+            seen["pairs"] += 1
+            seen["finite"] += any(v != ARCH for v in d.places)
+            seen["general"] += any(type(d.potential(v)) is PAGeneral for v in d.places)
+            region = self._check(pair)
+            if region is None:
+                continue
+            seen["big"] += 1
+            seen["log_region"] += not all(type(x) is Fraction for x in region)
+            # lowered by the value at an interior kink below the top, the
+            # roof is 0 there: a region end on a key
+            pts = pair.global_roof().points
+            top = max(y for _, y in pts)
+            kinks = [(x, y) for x, y in pts[1:-1] if type(y) is Fraction and y < top]
+            if kinks:
+                x, y = rng.choice(kinks)
+                lowered = Pair(d + height_shift(-y), pair.base)
+                assert x in self._check(lowered), lowered
+                seen["end_on_a_kink"] += 1
+        assert seen["finite"] >= 100 and seen["big"] >= 150, seen
+        assert seen["general"] >= 50 and seen["log_region"] >= 20, seen
+        assert seen["end_on_a_kink"] >= 50, seen
 
 
 class TestIntersection:

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +35,8 @@ from adelic_volumes.gallery import (
 )
 from adelic_volumes.scenes import load_scene, save_scene, scene_from_dict, scene_to_dict
 from adelic_volumes.sections import volume_estimate
+
+SCENE_DIR = Path(__file__).resolve().parent / "data" / "scenes"
 
 F = Fraction
 
@@ -487,6 +490,28 @@ class TestSceneBitCap:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "bits" in err
         assert len(err.splitlines()) == 1
+
+    def test_committed_scenes_count_fractions(self, monkeypatch):
+        # every breakpoint and slope of a parsed scene reaches _bits as a
+        # Fraction (Pair.from_payload builds them so), and _bits reads its
+        # slots with no conversion
+        seen = []
+        original = scenes_mod._bits
+
+        def spy(x):
+            seen.append(type(x))
+            return original(x)
+
+        monkeypatch.setattr(scenes_mod, "_bits", spy)
+        loaded = 0
+        for path in sorted(SCENE_DIR.glob("*.json")):
+            try:
+                load_scene(path)
+            except (ValueError, InvalidPoint):
+                continue
+            loaded += 1
+        scene_from_dict({"c0": "1", "cinf": "0"})
+        assert loaded == 18 and len(seen) == 1162 and set(seen) == {Fraction}
 
     @pytest.mark.parametrize("pair", [
         Pair(slant_divisor()), Pair(tent_divisor()), half_zero_pair(),
