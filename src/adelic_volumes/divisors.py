@@ -16,8 +16,7 @@ condition.  It is the integrand of every volume-type quantity downstream.
 On rational data ``positivity`` reads the volume and the Zariski part off
 an integer pass over the potentials and builds no roof; ``global_roof``
 builds it for ``is_pseff``, the Okounkov data and pairs with symbolic
-tails.  Each unit roof is built once per potential and the sum once per
-pair, which keeps it.
+tails.  The sum is built once per pair, which keeps it.
 
 A base condition prescribes vanishing orders for sections.  In the toric
 model it acts only through its orders at the two torus-fixed points, Zero
@@ -163,8 +162,7 @@ class ToricAdelicDivisor:
                 raise ValueError(f"duplicate potential for {place_label(place)}")
             stored[place] = pot
         self._potentials = stored
-        # one object for every unlisted place, built on first use, so its
-        # unit roof is built once
+        # one object for every unlisted place, built on first use
         self._canonical = None
 
     @property
@@ -330,7 +328,7 @@ class BaseCondition:
 
     def scale(self, a) -> "BaseCondition":
         a = Fraction(a)
-        return BaseCondition._of(a * self.v0, a * self.vinf)
+        return BaseCondition._of(_qmul(a, self.v0), _qmul(a, self.vinf))
 
     def __eq__(self, other):
         if not isinstance(other, BaseCondition):

@@ -148,7 +148,9 @@ class InequalityCase(NamedTuple):
     """One named inequality lhs <= rhs with its slack = rhs - lhs.  lhs, rhs
     and slack are exact scalars and passed is the sign of the slack.  The two
     chain ends with sqrt(disc) are stated as signed squares, a |a| <= disc
-    and b |b| <= R^2 disc, so their slacks have squared units."""
+    and b |b| <= R^2 disc, so their slacks have squared units.  On rational
+    data each of them is formed once from integer numerators and
+    denominators (``_rational_cases``)."""
 
     name: str
     lhs: object
@@ -165,7 +167,10 @@ def _exact_case(name, lhs, rhs) -> InequalityCase:
 
 def diskant_report(pair1, pair2) -> DiskantReport:
     """Mixed quantities, inradius/circumradius, and every inequality of the
-    isoperimetric chain for two big pairs."""
+    isoperimetric chain for two big pairs.  When s0, s1, s2, r, R and
+    avol(p1 + p2) are Fractions, each value of the chain is formed once from
+    their integer numerators and denominators; values in
+    Q(log 2, log 3, ...) take the field operations."""
     p1, p2 = as_pair(pair1), as_pair(pair2)
     zar1 = zariski_positive_part(p1)
     zar2 = zariski_positive_part(p2)
@@ -175,15 +180,26 @@ def diskant_report(pair1, pair2) -> DiskantReport:
     # inradius and circumradius, from the positive parts already in hand
     r = pseff_threshold(p1, zar2.positive)
     big_r = pseff_threshold(p2, zar1.positive).reciprocal()
-    rv, Rv = r.value, big_r.value
-    disc = s1 * s1 - s0 * s2
+    # avol(p1 + p2) off the line kernel: the sum pair is never built
+    values = (s0, s1, s2, r.value, big_r.value, _sum_volume(p1, p2))
+    chain = (_rational_cases if all(type(x) is Fraction for x in values)
+             else _field_cases)
+    return DiskantReport(s0=s0, s1=s1, s2=s2, r=r, R=big_r, cases=chain(*values))
 
-    # The two ends with sqrt(disc) are stated as signed squares: x -> x |x|
-    # is increasing, so for s0 > 0, R > 0 and disc >= 0
-    #   (s1 - sqrt(disc)) / s0 <= r   iff  a |a| <= disc,
-    #   R <= s2 / (s1 - sqrt(disc))   iff  b |b| <= R^2 disc,
-    # with a = s1 - r s0 and b = R s1 - s2 (the upper end because
-    # s1^2 - disc = s0 s2).  Every side stays in Q(log 2, log 3, ...).
+
+# The two ends with sqrt(disc) are stated as signed squares: x -> x |x| is
+# increasing, so for s0 > 0, R > 0 and disc >= 0
+#   (s1 - sqrt(disc)) / s0 <= r   iff  a |a| <= disc,
+#   R <= s2 / (s1 - sqrt(disc))   iff  b |b| <= R^2 disc,
+# with a = s1 - r s0 and b = R s1 - s2 (the upper end because
+# s1^2 - disc = s0 s2).  Every side stays in Q(log 2, log 3, ...).  The
+# Brunn-Minkowski equality test reads d = avol(p1 + p2) - s2 - s0: the
+# pairs are proportional when d >= 0 and d^2 = 4 s0 s2.
+
+
+def _field_cases(s0, s1, s2, rv, Rv, s12) -> tuple:
+    """The chain's cases by the field operations."""
+    disc = s1 * s1 - s0 * s2
     a = s1 - rv * s0
     b = Rv * s1 - s2
     u = s1 / s0
@@ -199,14 +215,58 @@ def diskant_report(pair1, pair2) -> DiskantReport:
     ]
     bl = s0 * (Rv - rv) / 2
     cases.append(_exact_case("bonnesen", bl * bl, disc))
-
-    # avol(p1 + p2) off the line kernel: the sum pair is never built
-    d = _sum_volume(p1, p2) - s2 - s0
+    d = s12 - s2 - s0
     if scalar_sign(d) >= 0 and scalar_sign(d * d - 4 * s0 * s2) == 0:
-        # Brunn-Minkowski equality: the pairs are proportional
         cases.append(_exact_case("equality_mixed_product", abs_scalar(disc), _ZERO))
         cases.append(_exact_case("equality_r_vs_R", abs_scalar(Rv - rv), _ZERO))
-    return DiskantReport(s0=s0, s1=s1, s2=s2, r=r, R=big_r, cases=tuple(cases))
+    return tuple(cases)
+
+
+def _rational_cases(s0, s1, s2, rv, Rv, s12) -> tuple:
+    """The cases of ``_field_cases`` on Fractions, fraction-free (Knuth,
+    TAOCP vol. 2, 4.5.1): each value is an integer numerator over a positive
+    integer denominator, and each lhs, rhs and slack not shared is one
+    ``_q`` of those, reduced as the operators reduce it.  disc, u and ratio
+    are built once; passed is the sign of the slack's numerator."""
+    n0, d0 = s0._numerator, s0._denominator
+    n1, d1 = s1._numerator, s1._denominator
+    n2, d2 = s2._numerator, s2._denominator
+    rn, rd = rv._numerator, rv._denominator
+    big_n, big_d = Rv._numerator, Rv._denominator
+    disc = _q(n1 * n1 * d0 * d2 - n0 * n2 * d1 * d1, d1 * d1 * d0 * d2)
+    u = _q(n1 * d0, d1 * n0)
+    ratio = _q(n2 * d1, d2 * n1)
+    en, ed = disc._numerator, disc._denominator
+    un, ud = u._numerator, u._denominator
+    qn, qd = ratio._numerator, ratio._denominator
+
+    def under_disc(name, xn, xd):
+        # xn / xd <= disc
+        return name, _q(xn, xd), disc, _q(en * xd - xn * ed, ed * xd)
+
+    an, ad = n1 * rd * d0 - rn * n0 * d1, d1 * rd * d0  # a = s1 - r s0
+    bn, bd = big_n * n1 * d2 - n2 * big_d * d1, big_d * d1 * d2  # b = R s1 - s2
+    wn, wd = big_n * rd - rn * big_d, big_d * rd  # R - r
+    bln, bld = n0 * wn, 2 * d0 * wd  # bl = s0 (R - r) / 2
+    top_n, top_d = big_n * big_n * en, big_d * big_d * ed  # R^2 disc
+    rows = [
+        ("mixed_discriminant_nonneg", _ZERO, disc, disc),
+        under_disc("diskant", an * an, ad * ad),
+        under_disc("chain_lower_vs_r", an * abs(an), ad * ad),
+        ("chain_r_vs_ratio", rv, ratio, _q(qn * rd - rn * qd, qd * rd)),
+        ("chain_ratio_mono", ratio, u, _q(un * qd - qn * ud, ud * qd)),
+        ("chain_ratio_vs_R", u, Rv, _q(big_n * ud - un * big_d, big_d * ud)),
+        ("chain_R_vs_upper", _q(bn * abs(bn), bd * bd), _q(top_n, top_d),
+         _q(top_n * bd * bd - bn * abs(bn) * top_d, top_d * bd * bd)),
+        under_disc("bonnesen", bln * bln, bld * bld),
+    ]
+    sn, sd = s12._numerator, s12._denominator
+    dn, dd = sn * d2 * d0 - (n2 * d0 + n0 * d2) * sd, sd * d2 * d0  # d
+    if dn >= 0 and dn * dn * d0 * d2 == 4 * n0 * n2 * dd * dd:
+        rows.append(("equality_mixed_product", _q(abs(en), ed), _ZERO, _q(-abs(en), ed)))
+        rows.append(("equality_r_vs_R", _q(abs(wn), wd), _ZERO, _q(-abs(wn), wd)))
+    return tuple(InequalityCase(name, lhs, rhs, slack, slack._numerator >= 0)
+                 for name, lhs, rhs, slack in rows)
 
 
 # -- random samplers -------------------------------------------------------
@@ -291,9 +351,9 @@ def sample_big_pair(rng, allow_finite: bool = True) -> Pair:
         if rng.random() < 0.4:
             orders = {}
             if rng.random() < 0.8:
-                orders["0"] = divisor.degree * _q(rng.randint(-2, 4), 8)
+                orders["0"] = _qmul(divisor.degree, _q(rng.randint(-2, 4), 8))
             if rng.random() < 0.4:
-                orders["inf"] = divisor.degree * _q(rng.randint(-2, 3), 8)
+                orders["inf"] = _qmul(divisor.degree, _q(rng.randint(-2, 3), 8))
             base = BaseCondition(orders)
         pair = Pair(divisor, base)
         if is_big(pair):

@@ -631,18 +631,6 @@ class ConcavePA:
     def max_over_domain(self) -> Scalar:
         return max(y for _, y in self.points)
 
-    def argmax(self):
-        """(x, max f), x the midpoint of the top when f is flat there.  By
-        concavity the values rise up to the top and fall after it."""
-        pts = self.points
-        i = 0
-        while i + 1 < len(pts) and pts[i + 1][1] > pts[i][1]:
-            i += 1
-        x, y = pts[i]
-        if i + 1 < len(pts) and pts[i + 1][1] == y:
-            x = (x + pts[i + 1][0]) / 2
-        return x, y
-
     def nonneg_region(self) -> Interval:
         """The interval {f >= 0} (possibly empty or a point), with exact
         endpoints: sign-change roots are solved in the scalar field."""
@@ -728,7 +716,7 @@ def _grid(*groups) -> list:
 class _LinePA:
     """Shared implementation for functions finite on all of R."""
 
-    __slots__ = ("points", "left_slope", "right_slope", "_roof")
+    __slots__ = ("points", "left_slope", "right_slope")
     _kind = None  # the payload's "kind" of each subclass
 
     def _init_data(self, points, left_slope, right_slope):
@@ -740,7 +728,6 @@ class _LinePA:
         return cls([(_ZERO, as_scalar(value))], 0, 0)
 
     def _set(self, pts, ls, rs):
-        self._roof = None  # filled by unit_roof; not part of the value
         if len(pts) == 1 and scalar_cmp(ls, rs) == 0:
             # a globally affine function is stored by its value at 0, so
             # that equal functions have equal data
@@ -1084,15 +1071,8 @@ def legendre_roof(potential: ConvexPA) -> ConcavePA:
 
 
 def unit_roof(potential) -> ConcavePA:
-    """``legendre_roof(convex_envelope(potential))``, built once per potential.
-
-    PA functions are immutable, so the roof is stored on the potential the
-    first time and returned from there afterwards.
-    """
-    roof = potential._roof
-    if roof is None:
-        roof = potential._roof = legendre_roof(convex_envelope(potential))
-    return roof
+    """``legendre_roof(convex_envelope(potential))``."""
+    return legendre_roof(convex_envelope(potential))
 
 
 def legendre_potential(roof: ConcavePA, window: Interval | None = None) -> ConvexPA:

@@ -17,7 +17,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adelic_volumes.divisors as divisors
-import adelic_volumes.pa as pa
 import adelic_volumes.positivity as positivity
 from adelic_volumes.divisors import (
     ARCH,
@@ -50,7 +49,6 @@ from adelic_volumes.pa import (ConcavePA, ConvexPA, PAGeneral, convex_envelope,
 from adelic_volumes.positivity import (
     avol,
     is_big,
-    is_nef,
     is_pseff,
     zariski_positive_part,
 )
@@ -335,42 +333,11 @@ class TestGlobalRoof:
             assert repr(pair.global_roof()) == repr(expected)
         assert finite >= 20 and based >= 20
 
-    def test_unit_roofs_built_once_per_divisor(self, monkeypatch):
-        calls = []
-        original = pa.legendre_roof
-
-        def counting(potential):
-            calls.append(potential)
-            return original(potential)
-
-        monkeypatch.setattr(pa, "legendre_roof", counting)
-        d = slant_divisor() + p_slant_divisor(2) + p_slant_divisor(3)
-        assert is_nef(d)
-        assert avol(Pair(d)) > 0
-        Pair(d, BaseCondition({"0": F(1, 4)})).global_roof()
-        zariski_positive_part(Pair(d))
-        # one unit roof per place: inf, 2 and 3
-        assert len(calls) == 3
-        assert len({id(p) for p in calls}) == 3
-
-    def test_canonical_unit_roof_built_once(self, monkeypatch):
-        calls = []
-        original = pa.legendre_roof
-
-        def counting(potential):
-            calls.append(potential)
-            return original(potential)
-
-        monkeypatch.setattr(pa, "legendre_roof", counting)
+    def test_canonical_potential_is_one_object(self):
         d = p_slant_divisor(2)
         assert ARCH not in d.places
         assert d.potential(ARCH) is d.potential(ARCH)
         assert d.potential(5) is d.potential(ARCH)
-        for _ in range(3):
-            Pair(d).global_roof()
-        # one unit roof at 2 and one at the canonical archimedean place
-        assert len(calls) == 2
-        assert sum(p is d.potential(ARCH) for p in calls) == 1
 
     def test_roof_is_kept_on_the_pair(self, monkeypatch):
         calls = []

